@@ -9,10 +9,10 @@ rules with explicit coefficients.  Everything is exact over Q(q,t).
 """
 
 from .errors import ConsistencyError, DegenerateEvaluationError, DivisibilityError
-from .qt import QTPoly, QTScalar, qt_arith, qt_monomial, t_bracket, t_bracket_factorial
+from .qt import QTPoly, QTScalar, qt_monomial, t_bracket, t_bracket_factorial
 from .xpoly import (EvalPoint, XPolynomial, coefficient_of, divided_difference,
                     elementary_symmetric, exact_div, permute_vars, q_shift,
-                    specialize, vandermonde, xp_arith)
+                    specialize, vandermonde)
 from .sparts import (Composition, Partition, StripCertificate, SuperPartition,
                      derive_shapes, enumerate_strips, eval_point, eigenvalue,
                      format_spart, hook_data, is_superevaluation,

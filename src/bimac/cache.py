@@ -3,7 +3,9 @@
 One record per line: {"kind": "E"|"P", "key": text, "N": int,
 "value": ...}.  E records store the polynomial; P records store the
 polynomial together with the recorded normalization constant.  Appends
-take an exclusive lock so concurrent workers can share one file.
+take an exclusive lock so concurrent workers can share one file, and
+skip records whose (kind, key, N) the file already holds, so the file
+holds each entry once.
 """
 
 from __future__ import annotations
@@ -28,17 +30,27 @@ def _eta_text(eta):
     return ",".join(str(x) for x in eta)
 
 
+def _records(text):
+    """The records of JSONL text.  A final line that does not parse is an
+    append cut short and is skipped; a bad line before it raises."""
+    lines = [line for line in text.splitlines() if line.strip()]
+    for i, line in enumerate(lines):
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError:
+            if i == len(lines) - 1:
+                return
+            raise
+        yield rec
+
+
 def load(path) -> int:
     """Populate the in-process caches from a JSONL file."""
     if not path or not os.path.exists(path):
         return 0
     count = 0
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            rec = json.loads(line)
+        for rec in _records(fh.read()):
             N = int(rec["N"])
             if rec["kind"] == "E":
                 eta = tuple(int(x) for x in rec["key"].split(","))
@@ -58,37 +70,58 @@ def load(path) -> int:
     return count
 
 
+def _key(elem):
+    """The (kind, key, N) of an E or P element's record."""
+    if isinstance(elem, macdonald.EBasisElement):
+        return "E", _eta_text(elem.eta), elem.poly.nvars
+    return "P", format_spart(elem.lam), elem.lam.N
+
+
+def _record(elem):
+    kind, key, N = _key(elem)
+    value = xpoly_to_json(elem.poly)
+    if kind == "P":
+        value = {"poly": value, "c": elem.c_lam.to_json()}
+    return {"kind": kind, "key": key, "N": N, "value": value}
+
+
 def append_E(path, elem) -> None:
-    _append(path, {"kind": "E", "key": _eta_text(elem.eta),
-                   "N": elem.poly.nvars,
-                   "value": xpoly_to_json(elem.poly)})
+    _append(path, [elem])
 
 
 def append_P(path, elem) -> None:
-    _append(path, {"kind": "P", "key": format_spart(elem.lam),
-                   "N": elem.lam.N,
-                   "value": {"poly": xpoly_to_json(elem.poly),
-                             "c": elem.c_lam.to_json()}})
+    _append(path, [elem])
 
 
-def _append(path, record) -> None:
-    line = json.dumps(record, sort_keys=True)
-    with open(path, "a", encoding="utf-8") as fh:
+def _append(path, elems) -> int:
+    """Append a record for each element whose key the file lacks; return
+    how many.
+
+    Runs under an exclusive lock.  A torn final line (an append cut
+    short) is cut off first, so the next record starts on a line of its
+    own.
+    """
+    with open(path, "a+b") as fh:
         fcntl.flock(fh.fileno(), fcntl.LOCK_EX)
         try:
-            fh.write(line + "\n")
-            fh.flush()
+            fh.seek(0)
+            data = fh.read()
+            whole = data.rfind(b"\n") + 1
+            if whole < len(data):
+                fh.truncate(whole)
+            known = {(rec["kind"], rec["key"], int(rec["N"]))
+                     for rec in _records(data[:whole].decode("utf-8"))}
+            new = [elem for elem in elems if _key(elem) not in known]
+            if new:
+                fh.write("".join(json.dumps(_record(elem), sort_keys=True)
+                                 + "\n" for elem in new).encode("utf-8"))
+                fh.flush()
         finally:
             fcntl.flock(fh.fileno(), fcntl.LOCK_UN)
+    return len(new)
 
 
 def dump_all(path) -> int:
-    """Append every in-process E and P entry to the file."""
-    count = 0
-    for elem in list(macdonald._E_CACHE.values()):
-        append_E(path, elem)
-        count += 1
-    for elem in list(macdonald._P_CACHE.values()):
-        append_P(path, elem)
-        count += 1
-    return count
+    """Append every in-process E and P entry that the file lacks."""
+    return _append(path, list(macdonald._E_CACHE.values())
+                   + list(macdonald._P_CACHE.values()))

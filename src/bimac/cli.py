@@ -24,9 +24,14 @@ from .verify import run_suite
 
 def _parse_eta(text):
     try:
-        return tuple(int(x) for x in text.split(","))
-    except ValueError as exc:
-        raise SystemExit(2) from exc
+        eta = tuple(int(x) for x in text.split(","))
+    except ValueError:
+        eta = None
+    if eta is None or any(x < 0 for x in eta):
+        print(f"error: --eta {text!r} is not a composition (nonnegative "
+              "integers separated by commas)", file=sys.stderr)
+        raise SystemExit(2)
+    return eta
 
 
 def _load_cache(args):
@@ -110,6 +115,10 @@ def cmd_pieri(args):
         lam = parse_spart(args.spart, args.N)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    if args.r < 0:
+        print(f"error: --r {args.r} is negative; e_r needs r >= 0",
+              file=sys.stderr)
         return 2
     path = _load_cache(args)
     terms = pieri_expand(lam, args.r, args.variant)

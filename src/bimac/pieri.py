@@ -10,6 +10,7 @@ point; no rational functions in x are ever formed symbolically.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -19,7 +20,8 @@ from .macdonald import expand_in_P_basis, bisym_P, is_bisymmetric
 from .qt import QTScalar, qt_monomial
 from .sparts import (StripCertificate, SuperPartition, enumerate_strips,
                      eval_point, perm_inverse)
-from .xpoly import EvalPoint, XPolynomial, elementary_symmetric, specialize
+from .xpoly import (EvalPoint, XPolynomial, elementary_symmetric, specialize,
+                    vandermonde)
 from . import hecke
 
 _ONE = QTScalar.one()
@@ -203,9 +205,13 @@ def pieri_expand(lam: SuperPartition, r: int, variant: str):
     """The Pieri expansion of e_r(x_(m+1)..x_N) (upper) or
     e_r(x_1..x_m) (lower) times P_Lambda, via strip certificates and
     factor-wise evaluation.  Terms with zero coefficient are dropped.
+    At r = 0, e_0 = 1 and the expansion is P_Lambda itself, with no
+    certificate.
     """
     if variant not in ("upper", "lower"):
         raise ValueError(f"unknown variant {variant!r}")
+    if r == 0:
+        return [PieriTerm(omega=lam, certificate=None, coeff=_ONE)]
     strip_type = "I" if variant == "upper" else "II"
     certs = enumerate_strips(lam, r, strip_type)
     if not certs:
@@ -287,7 +293,6 @@ def _apply_shift_perm_eval(f, sigma, J, point) -> QTScalar:
 
 def _generic_points(N, count, seed):
     """Deterministic q,t-monomial points with well-separated exponents."""
-    import random
     rng = random.Random(seed)
     pts = []
     while len(pts) < count:
@@ -313,8 +318,6 @@ def op_identity_check(m: int, r: int, f: XPolynomial,
     N = f.nvars
     if not is_bisymmetric(f, m):
         raise ValueError("the operator identity needs a bisymmetric input")
-    delta_t = XPolynomial.one(N)
-    from .xpoly import vandermonde
     delta_t = vandermonde("t_deformed", range(1, m + 1), N)
     gf = delta_t * f
     if variant == "upper":

@@ -1,12 +1,13 @@
 """Exact arithmetic over the field Q(q,t).
 
 ``QTPoly`` is a sparse bivariate polynomial in the parameters q and t
-with exact rational coefficients.  ``QTScalar`` is a fraction of two
-such polynomials kept in canonical form:
+with integer coefficients.  ``QTScalar`` is a rational multiple of a
+fraction of two such polynomials, c*num/den, kept in canonical form:
 
-* gcd(num, den) = 1 as polynomials over Q,
-* den has integer coefficients, content 1 and a positive leading
-  coefficient in graded-lex order (total degree first, then q-degree),
+* c is a Fraction, the whole rational content of the value,
+* num and den have content 1 and positive leading coefficients in
+  graded-lex order (total degree first, then q-degree),
+* gcd(num, den) = 1,
 
 so two mathematically equal scalars are structurally identical and
 ``==`` / ``hash`` are reliable.  Negative powers of q or t never appear
@@ -16,7 +17,7 @@ as stored exponents; they live in the denominator.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as _igcd
+from math import gcd as _igcd, lcm as _ilcm
 
 
 def _grlex(e):
@@ -60,12 +61,7 @@ def _t_scale(u, c):
 
 
 def _t_content(u):
-    g = 0
-    for a in u:
-        g = _igcd(g, abs(a))
-        if g == 1:
-            return 1
-    return g
+    return _igcd(*u)
 
 
 def _t_divexact_int(u, c):
@@ -301,6 +297,14 @@ def _eval_q_terms(terms, x):
     return _t_strip(out)
 
 
+def _primitive_terms(terms):
+    """Integer term dict divided by its content, with positive grlex lead."""
+    c = _igcd(*terms.values())
+    if terms[max(terms, key=_grlex)] < 0:
+        c = -c
+    return terms if c == 1 else {e: v // c for e, v in terms.items()}
+
+
 def _gcd_terms_heuristic(f, g):
     """Evaluate q at a big integer, gcd over Z[t], reconstruct by
     balanced digits; exactness comes from trial division."""
@@ -313,20 +317,13 @@ def _gcd_terms_heuristic(f, g):
         if u and v:
             h = _t_gcd(u, v)
             cand = {}
-            ok = True
             for b, hc in enumerate(h):
                 for a, c in enumerate(_t_digits(hc, x)):
                     if c:
                         cand[(a, b)] = c
             if cand:
-                cc = 0
-                for c in cand.values():
-                    cc = _igcd(cc, abs(c))
-                if cc > 1:
-                    cand = {e: c // cc for e, c in cand.items()}
-                if cand[max(cand, key=_grlex)] < 0:
-                    cand = {e: -c for e, c in cand.items()}
-                if ok and _divides(cand, f) and _divides(cand, g):
+                cand = _primitive_terms(cand)
+                if _divides(cand, f) and _divides(cand, g):
                     return cand
         x = x * 2 + 1
     return None
@@ -338,31 +335,12 @@ def _gcd_terms(f, g):
     if len(f) == 1 or len(g) == 1:
         amin = min(min(a for a, _ in f), min(a for a, _ in g))
         bmin = min(min(b for _, b in f), min(b for _, b in g))
-        c = 0
-        for v in f.values():
-            c = _igcd(c, abs(v))
-        cg = 0
-        for v in g.values():
-            cg = _igcd(cg, abs(v))
-        return {(amin, bmin): _igcd(c, cg)}
+        return {(amin, bmin): _igcd(*f.values(), *g.values())}
     if f == g:
-        out = dict(f)
-        c = 1
-        lead = out[max(out, key=_grlex)]
-        if lead < 0:
-            out = {e: -v for e, v in out.items()}
-        cc = 0
-        for v in out.values():
-            cc = _igcd(cc, abs(v))
-        if cc > 1:
-            out = {e: v // cc for e, v in out.items()}
-        return out
+        return _primitive_terms(f)
     small, large = (f, g) if len(f) <= len(g) else (g, f)
     if _divides(small, large):
-        out = dict(small)
-        if out[max(out, key=_grlex)] < 0:
-            out = {e: -v for e, v in out.items()}
-        return out
+        return _primitive_terms(small)
     out = _gcd_terms_heuristic(f, g)
     if out is not None:
         return out
@@ -382,12 +360,7 @@ def _gcd_terms(f, g):
         u, v = v, _q_divexact_t(r, cr)
     if len(v) == 1:
         v = [[1]]
-    out = _q_scale(v, c)
-    terms = _from_qdense(out)
-    lead = terms[max(terms, key=_grlex)]
-    if lead < 0:
-        terms = {e: -c for e, c in terms.items()}
-    return terms
+    return _primitive_terms(_from_qdense(_q_scale(v, c)))
 
 
 # ---------------------------------------------------------------------------
@@ -395,10 +368,10 @@ def _gcd_terms(f, g):
 # ---------------------------------------------------------------------------
 
 class QTPoly:
-    """Sparse polynomial in q, t with exact rational coefficients.
+    """Sparse polynomial in q, t with integer coefficients.
 
     Exponent keys are pairs (q-degree, t-degree) of nonnegative ints;
-    stored coefficients are never zero.  Instances are immutable.
+    stored coefficients are nonzero ints.  Instances are immutable.
     """
 
     __slots__ = ("terms", "_key", "_cs")
@@ -407,11 +380,12 @@ class QTPoly:
         t = {}
         if terms:
             for e, c in terms.items():
+                if not isinstance(c, int):
+                    raise TypeError(f"QTPoly coefficients are ints, got {c!r}")
                 if c:
                     t[e] = c
         self.terms = t
         self._key = None
-        self._cs = None
         self._cs = None
 
     # -- construction -------------------------------------------------
@@ -445,7 +419,7 @@ class QTPoly:
 
     def key(self):
         if self._key is None:
-            self._key = tuple(sorted((e, Fraction(c)) for e, c in self.terms.items()))
+            self._key = tuple(sorted(self.terms.items()))
         return self._key
 
     def __eq__(self, other):
@@ -469,41 +443,15 @@ class QTPoly:
             return self
         if not self.terms:
             return other
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, 0) + c
-            if s:
-                out[e] = s
-            elif e in out:
-                del out[e]
-        p = QTPoly.__new__(QTPoly)
-        p.terms = out
-        p._key = None
-        p._cs = None
-        return p
+        return _lincomb(((1, self), (1, other)))
 
     def __sub__(self, other):
         if not other.terms:
             return self
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, 0) - c
-            if s:
-                out[e] = s
-            elif e in out:
-                del out[e]
-        p = QTPoly.__new__(QTPoly)
-        p.terms = out
-        p._key = None
-        p._cs = None
-        return p
+        return _lincomb(((1, self), (-1, other)))
 
     def __neg__(self):
-        p = QTPoly.__new__(QTPoly)
-        p.terms = {e: -c for e, c in self.terms.items()}
-        p._key = None
-        p._cs = None
-        return p
+        return _poly({e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
         if not self.terms or not other.terms:
@@ -523,59 +471,40 @@ class QTPoly:
                     out[e] = s
                 elif e in out:
                     del out[e]
-        p = QTPoly.__new__(QTPoly)
-        p.terms = out
-        p._key = None
-        p._cs = None
-        return p
+        return _poly(out)
 
     def mul_term(self, a, b, c=1):
         if not c:
             return _P_ZERO
-        p = QTPoly.__new__(QTPoly)
-        p.terms = {(a1 + a, b1 + b): c1 * c for (a1, b1), c1 in self.terms.items()}
-        p._key = None
-        p._cs = None
-        return p
+        if not (a or b) and c == 1:
+            return self
+        return _poly({(a1 + a, b1 + b): c1 * c
+                      for (a1, b1), c1 in self.terms.items()})
 
     def scale(self, c):
         if not c:
             return _P_ZERO
         if c == 1:
             return self
-        p = QTPoly.__new__(QTPoly)
-        p.terms = {e: v * c for e, v in self.terms.items()}
-        p._key = None
-        p._cs = None
-        return p
+        return _poly({e: v * c for e, v in self.terms.items()})
 
     def content_split(self):
-        """Return (c, prim) with self = c*prim, prim integer with
-        content 1 and positive leading coefficient."""
-        if self._cs is not None:
-            return self._cs
-        if not self.terms:
-            return Fraction(0), _P_ZERO
-        num_gcd = 0
-        den_lcm = 1
-        for c in self.terms.values():
-            f = Fraction(c)
-            num_gcd = _igcd(num_gcd, abs(f.numerator))
-            den_lcm = den_lcm * f.denominator // _igcd(den_lcm, f.denominator)
-        c = Fraction(num_gcd, den_lcm)
-        _, lead = self.leading()
-        if lead < 0:
-            c = -c
-        inv = 1 / c
-        prim = QTPoly.__new__(QTPoly)
-        prim.terms = {e: int(v * inv) for e, v in self.terms.items()}
-        prim._key = None
-        prim._cs = (Fraction(1), prim)
-        self._cs = (c, prim)
-        return c, prim
+        """Return (c, prim) with self = c*prim, c an int and prim with
+        content 1 and a positive leading coefficient."""
+        if self._cs is None:
+            if not self.terms:
+                return 0, _P_ZERO
+            c = _igcd(*self.terms.values())
+            if self.leading()[1] < 0:
+                c = -c
+            prim = self if c == 1 else \
+                _poly({e: v // c for e, v in self.terms.items()})
+            prim._cs = (1, prim)
+            self._cs = (c, prim)
+        return self._cs
 
     def exact_div(self, g):
-        """Exact polynomial quotient self/g; DivisibilityError otherwise."""
+        """Exact quotient self/g in Z[q,t]; DivisibilityError otherwise."""
         from .errors import DivisibilityError
         if g.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
@@ -583,29 +512,24 @@ class QTPoly:
             return self
         if not self.terms:
             return _P_ZERO
+        (ga, gb), gc = g.leading()
         if len(g.terms) == 1:
-            ((ga, gb), gc), = g.terms.items()
             out = {}
             for (a, b), c in self.terms.items():
-                if a < ga or b < gb:
+                if a < ga or b < gb or c % gc:
                     raise DivisibilityError("monomial does not divide", self)
-                out[(a - ga, b - gb)] = _exact_coeff(c, gc)
-            p = QTPoly.__new__(QTPoly)
-            p.terms = out
-            p._key = None
-            p._cs = None
-            return p
-        (ga, gb), gc = g.leading()
+                out[(a - ga, b - gb)] = c // gc
+            return _poly(out)
         rem = dict(self.terms)
         out = {}
         while rem:
             e = max(rem, key=_grlex)
             a, b = e
-            if a < ga or b < gb:
+            if a < ga or b < gb or rem[e] % gc:
                 raise DivisibilityError("nonzero polynomial remainder",
-                                        QTPoly(rem))
+                                        _poly(rem))
             qe = (a - ga, b - gb)
-            qc = _exact_coeff(rem[e], gc)
+            qc = rem[e] // gc
             out[qe] = qc
             for (a2, b2), c2 in g.terms.items():
                 k = (qe[0] + a2, qe[1] + b2)
@@ -614,11 +538,7 @@ class QTPoly:
                     rem[k] = s
                 elif k in rem:
                     del rem[k]
-        p = QTPoly.__new__(QTPoly)
-        p.terms = out
-        p._key = None
-        p._cs = None
-        return p
+        return _poly(out)
 
     # -- display ------------------------------------------------------
     def sorted_terms(self):
@@ -631,23 +551,40 @@ class QTPoly:
         return f"QTPoly({format_poly(self)!r})"
 
 
-def _exact_coeff(c, g):
-    q = Fraction(c) / g
-    return int(q) if q.denominator == 1 else q
+def _poly(terms):
+    """A QTPoly on a term dict that already holds only nonzero ints."""
+    p = QTPoly.__new__(QTPoly)
+    p.terms = terms
+    p._key = None
+    p._cs = None
+    return p
 
 
-_P_ZERO = QTPoly()
-_P_ONE = QTPoly({(0, 0): 1})
+def _lincomb(pairs):
+    """The integer polynomial sum of k*p over (int k, QTPoly p) pairs."""
+    out = {}
+    for k, p in pairs:
+        for e, v in p.terms.items():
+            s = out.get(e, 0) + k * v
+            if s:
+                out[e] = s
+            else:
+                del out[e]
+    return _poly(out)
+
+
+_P_ZERO = _poly({})
+_P_ONE = _poly({(0, 0): 1})
 
 
 _GCD_MEMO: dict = {}
 
 
 def poly_gcd(f: QTPoly, g: QTPoly) -> QTPoly:
-    """Gcd over Q[q,t] (primitive parts only, since fraction reduction
-    keeps rational content in the numerator), integer-primitive with a
-    positive leading coefficient.  Results are memoized: the same
-    denominators recur constantly during eliminations."""
+    """Gcd over Q[q,t] (primitive parts only, since a QTScalar keeps the
+    rational content apart), integer-primitive with a positive leading
+    coefficient.  Results are memoized: the same denominators recur
+    constantly during eliminations."""
     if f.is_zero():
         return g.content_split()[1] if g else _P_ZERO
     if g.is_zero():
@@ -660,16 +597,13 @@ def poly_gcd(f: QTPoly, g: QTPoly) -> QTPoly:
         (fa, fb), = fp.terms
         (ga, gb), = gp.terms
         return QTPoly.monomial(min(fa, ga), min(fb, gb))
-    memo_key = (fp.key(), gp.key()) if fp.key() <= gp.key()         else (gp.key(), fp.key())
+    fk, gk = fp.key(), gp.key()
+    memo_key = (fk, gk) if fk <= gk else (gk, fk)
     hit = _GCD_MEMO.get(memo_key)
     if hit is not None:
         return hit
-    out = QTPoly.__new__(QTPoly)
-    out.terms = _gcd_terms(fp.terms, gp.terms)
-    out._key = None
-    out._cs = None
-    if out.terms == {(0, 0): 1}:
-        out = _P_ONE
+    out = _gcd_terms(fp.terms, gp.terms)
+    out = _P_ONE if out == {(0, 0): 1} else _poly(out)
     if len(_GCD_MEMO) > 200000:
         _GCD_MEMO.clear()
     _GCD_MEMO[memo_key] = out
@@ -681,31 +615,18 @@ def poly_gcd(f: QTPoly, g: QTPoly) -> QTPoly:
 # ---------------------------------------------------------------------------
 
 class QTScalar:
-    """Canonical fraction in Q(q,t).  Immutable and hashable."""
+    """Canonical fraction c*num/den in Q(q,t).  Immutable and hashable.
 
-    __slots__ = ("num", "den")
+    c is a Fraction; num and den are integer polynomials with content 1
+    and positive graded-lex leading coefficients, and gcd(num, den) = 1.
+    Zero is (0, 0, 1).
+    """
 
-    def __init__(self, num, den=None, _canonical=False):
-        if den is None:
-            den = _P_ONE
-        if _canonical:
-            self.num = num
-            self.den = den
-            return
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator in Q(q,t)")
-        if num.is_zero():
-            self.num = _P_ZERO
-            self.den = _P_ONE
-            return
-        cn, pn = num.content_split()
-        cd, pd = den.content_split()
-        g = poly_gcd(pn, pd)
-        if not g.is_one():
-            pn = pn.exact_div(g)
-            pd = pd.exact_div(g)
-        self.num = pn.scale(cn / cd)
-        self.den = pd
+    __slots__ = ("c", "num", "den")
+
+    def __init__(self, num, den=None):
+        s = _reduce(_F_ONE, num, _P_ONE if den is None else den)
+        self.c, self.num, self.den = s.c, s.num, s.den
 
     # -- construction -------------------------------------------------
     @staticmethod
@@ -718,25 +639,22 @@ class QTScalar:
 
     @staticmethod
     def from_int(n):
-        if n == 0:
-            return _S_ZERO
-        if n == 1:
-            return _S_ONE
-        return QTScalar(QTPoly.const(n), _P_ONE, _canonical=True)
+        return QTScalar.from_fraction(n)
 
     @staticmethod
     def from_fraction(f):
-        f = Fraction(f)
-        if f.denominator == 1:
-            return QTScalar.from_int(f.numerator)
-        return QTScalar(QTPoly.const(f), _P_ONE, _canonical=True)
+        if not f:
+            return _S_ZERO
+        if f == 1:
+            return _S_ONE
+        return _scalar(Fraction(f), _P_ONE, _P_ONE)
 
     # -- structure ----------------------------------------------------
     def is_zero(self):
         return not self.num.terms
 
     def is_one(self):
-        return self.num.is_one() and self.den.is_one()
+        return self.c == 1 and self.num.is_one() and self.den.is_one()
 
     def __bool__(self):
         return bool(self.num.terms)
@@ -746,10 +664,11 @@ class QTScalar:
             other = QTScalar.from_int(other)
         elif not isinstance(other, QTScalar):
             return NotImplemented
-        return self.num == other.num and self.den == other.den
+        return (self.c == other.c and self.num == other.num
+                and self.den == other.den)
 
     def __hash__(self):
-        return hash((self.num.key(), self.den.key()))
+        return hash((self.c, self.num, self.den))
 
     # -- arithmetic ---------------------------------------------------
     def __add__(self, other):
@@ -757,66 +676,34 @@ class QTScalar:
             return self
         if not self.num.terms:
             return other
-        if self.den == other.den:
-            num = self.num + other.num
-            if num.is_zero():
-                return _S_ZERO
-            den = self.den
-            if den.is_one():
-                return QTScalar(num, _P_ONE, _canonical=True)
-            cn, pn = num.content_split()
-            g = poly_gcd(pn, den)
-            if not g.is_one():
-                pn = pn.exact_div(g)
-                den = den.exact_div(g)
-            return QTScalar(pn.scale(cn), den, _canonical=True)
-        d = poly_gcd(self.den, other.den)
-        if d.is_one():
-            num = self.num * other.den + other.num * self.den
-            if num.is_zero():
-                return _S_ZERO
-            return QTScalar(num, self.den * other.den, _canonical=True)
-        da = self.den.exact_div(d)
-        db = other.den.exact_div(d)
-        num = self.num * db + other.num * da
-        if num.is_zero():
-            return _S_ZERO
-        cn, pn = num.content_split()
-        g = poly_gcd(pn, d)
-        if g.is_one():
-            den = self.den * db
-        else:
-            pn = pn.exact_div(g)
-            den = self.den.exact_div(g) * db
-        return QTScalar(pn.scale(cn), den, _canonical=True)
+        da, db = self.den, other.den
+        if da == db:
+            parts = ((self.c, self.num), (other.c, other.num))
+            return _reduce(*_combine(parts), da)
+        d = poly_gcd(da, db)
+        da, db = da.exact_div(d), db.exact_div(d)
+        # the new numerator is prime to da*db, so only d can cancel
+        parts = ((self.c, self.num * db), (other.c, other.num * da))
+        s = _reduce(*_combine(parts), d)
+        return s if not s.num.terms else _scalar(s.c, s.num, s.den * da * db)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return QTScalar(-self.num, self.den, _canonical=True)
+        return _scalar(-self.c, self.num, self.den)
 
     def __mul__(self, other):
         if not self.num.terms or not other.num.terms:
             return _S_ZERO
-        c1, p1 = self.num.content_split()
-        c2, p2 = other.num.content_split()
-        d1, d2 = self.den, other.den
-        g1 = poly_gcd(p1, d2)
-        if not g1.is_one():
-            p1 = p1.exact_div(g1)
-            d2 = d2.exact_div(g1)
-        g2 = poly_gcd(p2, d1)
-        if not g2.is_one():
-            p2 = p2.exact_div(g2)
-            d1 = d1.exact_div(g2)
-        return QTScalar((p1 * p2).scale(c1 * c2), d1 * d2, _canonical=True)
+        n1, d2 = _cancel(self.num, other.den)
+        n2, d1 = _cancel(other.num, self.den)
+        return _scalar(self.c * other.c, n1 * n2, d1 * d2)
 
     def inverse(self):
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero in Q(q,t)")
-        c, p = self.num.content_split()
-        return QTScalar(self.den.scale(1 / c), p, _canonical=True)
+        return _scalar(1 / self.c, self.den, self.num)
 
     def __truediv__(self, other):
         return self * other.inverse()
@@ -833,27 +720,24 @@ class QTScalar:
 
     def mul_monomial(self, a, b):
         """Multiply by q^a t^b (a, b may be negative)."""
+        if not self.num.terms:
+            return self
         na = self.num.mul_term(max(a, 0), max(b, 0))
         da = self.den.mul_term(max(-a, 0), max(-b, 0))
-        if na.terms and da.terms and not da.is_one():
-            return QTScalar(na, da)
-        return QTScalar(na, da, _canonical=True)
+        if da.is_one():
+            return _scalar(self.c, na, da)
+        return _reduce(self.c, na, da)
 
     @staticmethod
     def sum(items):
         """Sum of QTScalars, grouping by denominator first."""
         groups = {}
         for s in items:
-            if not s.num.terms:
-                continue
-            k = s.den
-            if k in groups:
-                groups[k] = groups[k] + s.num
-            else:
-                groups[k] = s.num
+            if s.num.terms:
+                groups.setdefault(s.den, []).append((s.c, s.num))
         total = _S_ZERO
-        for den, num in groups.items():
-            total = total + QTScalar(num, den)
+        for den, group in groups.items():
+            total = total + _reduce(*_combine(group), den)
         return total
 
     # -- substitution --------------------------------------------------
@@ -864,28 +748,26 @@ class QTScalar:
                 return p, 0, 0
             ma = max(a for a, _ in p.terms)
             mb = max(b for _, b in p.terms)
-            out = QTPoly({(ma - a, mb - b): c for (a, b), c in p.terms.items()})
+            out = _poly({(ma - a, mb - b): c for (a, b), c in p.terms.items()})
             return out, ma, mb
         n2, an, bn = flip(self.num)
         d2, ad, bd = flip(self.den)
-        return QTScalar(n2.mul_term(max(ad - an, 0), max(bd - bn, 0)),
-                        d2.mul_term(max(an - ad, 0), max(bn - bd, 0)))
+        return _reduce(self.c,
+                       n2.mul_term(max(ad - an, 0), max(bd - bn, 0)),
+                       d2.mul_term(max(an - ad, 0), max(bn - bd, 0)))
 
     # -- serialization & display ---------------------------------------
     def to_json(self):
-        def enc(p):
-            return [[str(Fraction(c)), a, b] for (a, b), c in p.sorted_terms()]
-        return {"num": enc(self.num), "den": enc(self.den)}
+        """{"num": rows, "den": rows}, a row [coefficient, q-deg, t-deg]
+        per term in graded-lex order; the content sits in the num rows."""
+        return {"num": _json_rows(self.num, self.c),
+                "den": _json_rows(self.den, 1)}
 
     @staticmethod
     def from_json(obj):
-        def dec(rows):
-            terms = {}
-            for c, a, b in rows:
-                f = Fraction(c)
-                terms[(int(a), int(b))] = int(f) if f.denominator == 1 else f
-            return QTPoly(terms)
-        return QTScalar(dec(obj["num"]), dec(obj["den"]))
+        cn, num = _from_json_rows(obj["num"])
+        cd, den = _from_json_rows(obj["den"])
+        return _reduce(cn / cd, num, den)
 
     def __str__(self):
         return format_scalar(self)
@@ -894,27 +776,75 @@ class QTScalar:
         return f"QTScalar({format_scalar(self)!r})"
 
 
-_S_ZERO = QTScalar(_P_ZERO, _P_ONE, _canonical=True)
-_S_ONE = QTScalar(_P_ONE, _P_ONE, _canonical=True)
+def _scalar(c, num, den):
+    """A QTScalar on parts already in canonical form."""
+    s = QTScalar.__new__(QTScalar)
+    s.c = c
+    s.num = num
+    s.den = den
+    return s
+
+
+def _combine(pairs):
+    """(c, p) with sum of c_i*p_i = c*p, for Fractions c_i and integer
+    polynomials p_i."""
+    c = pairs[0][0]
+    if all(ci == c for ci, _ in pairs):
+        return c, _lincomb((1, p) for _, p in pairs)
+    lcd = _ilcm(*(ci.denominator for ci, _ in pairs))
+    return (Fraction(1, lcd),
+            _lincomb((ci.numerator * (lcd // ci.denominator), p)
+                     for ci, p in pairs))
+
+
+def _cancel(num, den):
+    """num/g and den/g for g = gcd(num, den); both primitive."""
+    if den.is_one():
+        return num, den
+    g = poly_gcd(num, den)
+    if g.is_one():
+        return num, den
+    return num.exact_div(g), den.exact_div(g)
+
+
+def _reduce(c, num, den):
+    """The canonical scalar c*num/den of integer polynomials num, den."""
+    if den.is_zero():
+        raise ZeroDivisionError("zero denominator in Q(q,t)")
+    if not num.terms:
+        return _S_ZERO
+    cn, num = num.content_split()
+    cd, den = den.content_split()
+    num, den = _cancel(num, den)
+    if cn != cd:
+        c = c * Fraction(cn, cd)
+    return _scalar(c, num, den)
+
+
+def _json_rows(p, c):
+    if c == 1:
+        return [[str(v), a, b] for (a, b), v in p.sorted_terms()]
+    return [[str(c * v), a, b] for (a, b), v in p.sorted_terms()]
+
+
+def _from_json_rows(rows):
+    """(s, p): the rows' polynomial is s*p with p an integer QTPoly."""
+    coeffs = [(Fraction(c), int(a), int(b)) for c, a, b in rows]
+    lcd = _ilcm(*(f.denominator for f, _, _ in coeffs))
+    terms = {(a, b): f.numerator * (lcd // f.denominator) for f, a, b in coeffs}
+    return Fraction(1, lcd), QTPoly(terms)
+
+
+_F_ONE = Fraction(1)
+_S_ZERO = _scalar(Fraction(0), _P_ZERO, _P_ONE)
+_S_ONE = _scalar(_F_ONE, _P_ONE, _P_ONE)
 
 
 def qt_monomial(a: int, b: int) -> QTScalar:
     """q^a t^b as a canonical fraction; negative exponents allowed."""
     num = QTPoly.monomial(max(a, 0), max(b, 0))
     den = QTPoly.monomial(max(-a, 0), max(-b, 0))
-    return QTScalar(num, den, _canonical=True)
-
-
-def qt_arith(a: QTScalar, b: QTScalar, op: str) -> QTScalar:
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown operation {op!r}")
+    return _scalar(_F_ONE, num, den)
 
 
 _BRACKET_EXP = {"q": (1, 0), "t": (0, 1), "t_inverse": (0, -1)}
@@ -960,21 +890,22 @@ def _monomial_text(a, b, latex):
     return ("" if latex else "*").join(parts)
 
 
-def format_poly(p: QTPoly, latex: bool = False) -> str:
+def _format_terms(p, c, latex):
+    """The polynomial c*p, c an int or a Fraction, as text or LaTeX."""
     if p.is_zero():
         return "0"
     chunks = []
-    for (a, b), c in p.sorted_terms():
-        c = Fraction(c)
+    for (a, b), v in p.sorted_terms():
+        if c != 1:
+            v = c * v
         mono = _monomial_text(a, b, latex)
-        neg = c < 0
-        c = abs(c)
-        if mono and c == 1:
+        neg = v < 0
+        v = abs(v)
+        if mono and v == 1:
             body = mono
         else:
-            cs = str(c) if c.denominator == 1 else (
-                "\\tfrac{%d}{%d}" % (c.numerator, c.denominator) if latex
-                else str(c))
+            cs = "\\tfrac{%d}{%d}" % (v.numerator, v.denominator) \
+                if latex and v.denominator != 1 else str(v)
             body = cs + (("" if latex else "*") + mono if mono else "")
         if not chunks:
             chunks.append(("-" if neg else "") + body)
@@ -983,19 +914,23 @@ def format_poly(p: QTPoly, latex: bool = False) -> str:
     return " ".join(chunks)
 
 
+def format_poly(p: QTPoly, latex: bool = False) -> str:
+    return _format_terms(p, 1, latex)
+
+
 def format_scalar(s: QTScalar, latex: bool = False) -> str:
     if s.is_zero():
         return "0"
-    if s.den.is_one():
-        return format_poly(s.num, latex)
+    c, npoly, dpoly = s.c, s.num, s.den
+    if dpoly.is_one():
+        return _format_terms(npoly, c, latex)
     # canonical form fixes the sign of the den's leading term; flipping
     # both signs when its trailing term is negative reads better
     # (1 - q*t rather than -1 + q*t) and changes nothing mathematically
-    npoly, dpoly = s.num, s.den
     e = min(dpoly.terms, key=_grlex)
     if dpoly.terms[e] < 0:
-        npoly, dpoly = -npoly, -dpoly
-    num = format_poly(npoly, latex)
+        c, dpoly = -c, -dpoly
+    num = _format_terms(npoly, c, latex)
     den = format_poly(dpoly, latex)
     if latex:
         return "\\frac{%s}{%s}" % (num, den)

@@ -157,7 +157,7 @@ class SuperPartition:
         sym = tuple(int(x) for x in self.sym)
         if not is_partition(sym):
             raise ValueError(f"sym part {sym} is not a partition")
-        sym = tuple(x for x in sym if x) + (0,) * 0
+        sym = tuple(x for x in sym if x)
         if len(sym) > self.N - m:
             raise ValueError("sym part is longer than N - m")
         sym = sym + (0,) * (self.N - m - len(sym))
@@ -215,7 +215,6 @@ def parse_spart(text: str, N: int) -> SuperPartition:
 def format_spart(lam: SuperPartition) -> str:
     anti = ",".join(str(x) for x in lam.anti)
     sym = tuple(x for x in lam.sym if x)
-    # keep one zero visible when the sym side is all padding at m < N
     return f"{anti};{','.join(str(x) for x in sym)}"
 
 

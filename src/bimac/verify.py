@@ -7,6 +7,8 @@ the maximum variable count and degree the sweeps run at.
 
 from __future__ import annotations
 
+import random
+
 from .evalsym import eval_formula, evaluate, symmetry_check
 from .macdonald import bisym_P, c_lambda_formula, nonsym_E, _bruhat_less
 from .pieri import (op_identity_check, pieri_bruteforce, pieri_expand,
@@ -170,7 +172,6 @@ def _check_rel_u_plus(N):
     fixed image constraint equals the bracket constant times the block
     A factor, verified at generic points."""
     from itertools import permutations
-    import random
     rng = random.Random(99)
     for r in range(1, N):
         J = frozenset(rng.sample(range(1, N + 1), r))

@@ -94,8 +94,7 @@ class XPolynomial:
         return self.nvars == other.nvars and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.nvars, tuple(sorted((e, c.num.key(), c.den.key())
-                                              for e, c in self.terms.items()))))
+        return hash((self.nvars, frozenset(self.terms.items())))
 
     def total_degree(self):
         return max((sum(e) for e in self.terms), default=0)
@@ -188,16 +187,6 @@ class XPolynomial:
 
     def __repr__(self):
         return f"XPolynomial({self.nvars}, {str(self)!r})"
-
-
-def xp_arith(f: XPolynomial, g: XPolynomial, op: str) -> XPolynomial:
-    if op == "add":
-        return f + g
-    if op == "sub":
-        return f - g
-    if op == "mul":
-        return f * g
-    raise ValueError(f"unknown operation {op!r}")
 
 
 def permute_vars(f: XPolynomial, sigma) -> XPolynomial:

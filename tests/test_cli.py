@@ -52,6 +52,13 @@ class TestCommandE:
         with pytest.raises(SystemExit):
             main(["E", "--eta", "zebra"])
 
+    @pytest.mark.parametrize("eta", ["1,x", "-1,0"])
+    def test_bad_eta_message(self, capsys, eta):
+        with pytest.raises(SystemExit) as exc:
+            main(["E", f"--eta={eta}"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_mismatched_N(self, capsys):
         code, _, err = run(capsys, "E", "--eta", "1,0", "--N", "3")
         assert code == 2
@@ -110,6 +117,20 @@ class TestCommandPieri:
         assert code == 0
         assert out.strip() == ""
 
+    @pytest.mark.parametrize("variant", ["upper", "lower"])
+    def test_r0_check_passes(self, capsys, variant):
+        code, out, _ = run(capsys, "pieri", "--spart", "1;1", "--N", "3",
+                           "--r", "0", "--variant", variant, "--check")
+        assert code == 0
+        assert out.splitlines() == ["P_(1;1)  *  1",
+                                    "# brute-force check passed (1 terms)"]
+
+    def test_negative_r_exits_2(self, capsys):
+        code, _, err = run(capsys, "pieri", "--spart", "1;1", "--N", "3",
+                           "--r", "-1", "--check")
+        assert code == 2
+        assert err.startswith("error:")
+
     def test_deterministic_output(self, capsys):
         args = ("pieri", "--spart", "2,0;1", "--N", "5", "--r", "2",
                 "--variant", "lower", "--format", "json")
@@ -165,6 +186,43 @@ class TestCache:
         assert code == 0
         lines = path.read_text().strip().splitlines()
         assert any(json.loads(l)["kind"] == "E" for l in lines)
+
+    def test_repeated_runs_do_not_grow_the_file(self, tmp_path, capsys):
+        path = tmp_path / "c.jsonl"
+        sizes = []
+        for _ in range(3):
+            macdonald.clear_caches()
+            code, _, _ = run(capsys, "--cache", str(path),
+                             "P", "--spart", "1;1", "--N", "3")
+            assert code == 0
+            sizes.append(len(path.read_text().splitlines()))
+        assert sizes == [2, 2, 2]
+
+    def test_torn_last_line(self, tmp_path, capsys):
+        path = tmp_path / "c.jsonl"
+        macdonald.clear_caches()
+        run(capsys, "--cache", str(path), "E", "--eta", "0,1")
+        whole = path.read_text()
+        path.write_text(whole + whole[:25])
+        macdonald.clear_caches()
+        assert cachemod.load(str(path)) == 1
+        # the next append cuts the torn line off before writing
+        code, out, _ = run(capsys, "--cache", str(path), "E", "--eta", "1,0")
+        assert code == 0
+        lines = path.read_text().splitlines()
+        assert len(lines) == 2
+        assert [json.loads(l)["key"] for l in lines] == ["0,1", "1,0"]
+        macdonald.clear_caches()
+
+    def test_bad_middle_line_raises(self, tmp_path, capsys):
+        path = tmp_path / "c.jsonl"
+        macdonald.clear_caches()
+        run(capsys, "--cache", str(path), "E", "--eta", "0,1")
+        whole = path.read_text()
+        path.write_text(whole[:25] + "\n" + whole)
+        macdonald.clear_caches()
+        with pytest.raises(json.JSONDecodeError):
+            cachemod.load(str(path))
 
 
 def _declared_console_script(name):

@@ -178,8 +178,11 @@ class TestExpansionEngine:
 
     def test_e0_convention(self):
         lam = SuperPartition((1, 0), (), 4)
-        res = pieri_bruteforce(lam, 0, "upper")
-        assert len(res) == 1 and res[0].omega == lam and res[0].coeff.is_one()
+        for variant in ("upper", "lower"):
+            for engine in (pieri_bruteforce, pieri_expand):
+                res = engine(lam, 0, variant)
+                assert len(res) == 1 and res[0].omega == lam \
+                    and res[0].coeff.is_one(), (engine.__name__, variant)
 
     def test_small_sweep(self):
         for m in (1, 2):

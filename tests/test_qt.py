@@ -1,30 +1,34 @@
+import json
 from fractions import Fraction
 from math import gcd as igcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bimac.qt import (QTPoly, QTScalar, poly_gcd, qt_arith, qt_monomial,
-                      t_bracket, t_bracket_factorial)
+from bimac.qt import (QTPoly, QTScalar, poly_gcd, qt_monomial, t_bracket,
+                      t_bracket_factorial)
 
 ONE = QTScalar.one()
 Q = qt_monomial(1, 0)
 T = qt_monomial(0, 1)
 
 
+CORPUS = Path(__file__).resolve().parents[1] / "perfbench" / "data" / \
+    "qt_corpus.json"
+
+
 def is_canonical(s):
+    if not isinstance(s.c, Fraction):
+        return False
     if not s.num.terms:
-        return s.den.is_one()
-    g = 0
-    for c in s.den.terms.values():
-        if Fraction(c).denominator != 1:
+        return s.c == 0 and s.den.is_one()
+    for p in (s.num, s.den):
+        if not all(type(c) is int for c in p.terms.values()):
             return False
-        g = igcd(g, abs(int(c)))
-    if g != 1:
-        return False
-    if s.den.leading()[1] < 0:
-        return False
-    return poly_gcd(s.num, s.den).is_one()
+        if igcd(*p.terms.values()) != 1 or p.leading()[1] < 0:
+            return False
+    return s.c != 0 and poly_gcd(s.num, s.den).is_one()
 
 
 coeffs = st.integers(min_value=-6, max_value=6)
@@ -94,16 +98,6 @@ def test_bracket_inversion_identity():
         assert lhs == rhs
 
 
-def test_qt_arith_dispatch():
-    a, b = Q + T, ONE - T
-    assert qt_arith(a, b, "add") == a + b
-    assert qt_arith(a, b, "sub") == a - b
-    assert qt_arith(a, b, "mul") == a * b
-    assert qt_arith(a, b, "div") == a / b
-    with pytest.raises(ValueError):
-        qt_arith(a, b, "mod")
-
-
 @settings(max_examples=150, deadline=None)
 @given(scalars(), scalars(), scalars())
 def test_field_axioms(a, b, c):
@@ -122,6 +116,71 @@ def test_inverse_and_canonical(a, b):
     if not b.is_zero():
         assert (a / b) * b == a
         assert is_canonical(a / b)
+
+
+def _sympy_scalar(sympy, s):
+    q, t = sympy.symbols("q t")
+
+    def poly(p):
+        return sum((sympy.Integer(c) * q ** a * t ** b
+                    for (a, b), c in p.terms.items()), sympy.Integer(0))
+    return sympy.Rational(s.c.numerator, s.c.denominator) * poly(s.num) \
+        / poly(s.den)
+
+
+def _check_against_sympy(sympy, a, b):
+    """Sum, product and quotient equal sympy's cancelled result, and
+    their denominators are sympy's up to a rational constant."""
+    sa, sb = _sympy_scalar(sympy, a), _sympy_scalar(sympy, b)
+    ops = [(a + b, sa + sb), (a * b, sa * sb)]
+    if not b.is_zero():
+        ops.append((a / b, sa / sb))
+    for got, want in ops:
+        assert is_canonical(got)
+        want = sympy.cancel(want)
+        assert sympy.cancel(_sympy_scalar(sympy, got) - want) == 0
+        _, want_den = sympy.fraction(want)
+        _, got_den = sympy.fraction(_sympy_scalar(sympy, got))
+        ratio = sympy.cancel(got_den / want_den)
+        assert ratio.is_Rational and ratio != 0
+
+
+def _check_gcd_against_sympy(sympy, f, g):
+    """poly_gcd equals sympy.gcd up to sign and content."""
+    sf = _sympy_scalar(sympy, QTScalar(f))
+    sg = _sympy_scalar(sympy, QTScalar(g))
+    got = _sympy_scalar(sympy, QTScalar(poly_gcd(f, g)))
+    want = sympy.gcd(sf, sg)
+    if want == 0:
+        assert got == 0
+        return
+    ratio = sympy.cancel(got / want)
+    assert ratio.is_Rational and ratio != 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(scalars(), scalars(), polys(allow_zero=False), polys(allow_zero=False),
+       polys(allow_zero=False))
+def test_differential_against_sympy(a, b, f, g, h):
+    sympy = pytest.importorskip("sympy")
+    for s in (a, b):
+        assert all(type(c) is int for p in (s.num, s.den)
+                   for c in p.terms.values())
+    _check_against_sympy(sympy, a, b)
+    _check_gcd_against_sympy(sympy, f * h, g * h)
+
+
+def test_corpus_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    with open(CORPUS, encoding="utf-8") as fh:
+        corpus = json.load(fh)
+    for op in ("add", "mul", "div"):
+        for a, b in corpus[op][:50]:
+            _check_against_sympy(sympy, QTScalar.from_json(a),
+                                 QTScalar.from_json(b))
+    for a, b in corpus["gcd"][:50]:
+        _check_gcd_against_sympy(sympy, QTScalar.from_json(a).num,
+                                 QTScalar.from_json(b).num)
 
 
 @settings(max_examples=120, deadline=None)

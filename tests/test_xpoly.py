@@ -6,8 +6,7 @@ from bimac.qt import QTScalar, qt_monomial
 from bimac.render import xpoly_from_json, xpoly_to_json
 from bimac.xpoly import (EvalPoint, XPolynomial, coefficient_of,
                          divided_difference, elementary_symmetric, exact_div,
-                         permute_vars, q_shift, specialize, vandermonde,
-                         xp_arith)
+                         permute_vars, q_shift, specialize, vandermonde)
 
 ONE = QTScalar.one()
 Q = qt_monomial(1, 0)
@@ -36,7 +35,6 @@ def perms(draw, n=3):
 
 def test_ring_arithmetic():
     n = 2
-    assert xp_arith(x(1, n), x(2, n), "add") == x(1, n) + x(2, n)
     prod = (x(1, n) - x(2, n)) * (x(1, n) + x(2, n))
     assert prod == XPolynomial.monomial((2, 0)) - XPolynomial.monomial((0, 2))
     assert (x(1, n) * XPolynomial.zero(n)).is_zero()
