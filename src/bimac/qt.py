@@ -398,10 +398,6 @@ class QTPoly:
         return _P_ONE
 
     @staticmethod
-    def const(c):
-        return QTPoly({(0, 0): c} if c else {})
-
-    @staticmethod
     def monomial(a, b, c=1):
         if a < 0 or b < 0:
             raise ValueError("QTPoly exponents must be nonnegative")
@@ -480,13 +476,6 @@ class QTPoly:
             return self
         return _poly({(a1 + a, b1 + b): c1 * c
                       for (a1, b1), c1 in self.terms.items()})
-
-    def scale(self, c):
-        if not c:
-            return _P_ZERO
-        if c == 1:
-            return self
-        return _poly({e: v * c for e, v in self.terms.items()})
 
     def content_split(self):
         """Return (c, prim) with self = c*prim, c an int and prim with
@@ -822,9 +811,8 @@ def _reduce(c, num, den):
 
 
 def _json_rows(p, c):
-    if c == 1:
-        return [[str(v), a, b] for (a, b), v in p.sorted_terms()]
-    return [[str(c * v), a, b] for (a, b), v in p.sorted_terms()]
+    return [[str(v if c == 1 else c * v), a, b]
+            for (a, b), v in p.sorted_terms()]
 
 
 def _from_json_rows(rows):
