@@ -17,6 +17,7 @@ import os
 from .qt import QTScalar
 from .render import xpoly_from_json, xpoly_to_json
 from .sparts import eigenvalue, format_spart, parse_spart
+from .xpoly import coefficient_of
 from . import macdonald
 
 ENV_VAR = "BIMAC_CACHE"
@@ -31,43 +32,72 @@ def _eta_text(eta):
 
 
 def _records(text):
-    """The records of JSONL text.  A final line that does not parse is an
-    append cut short and is skipped; a bad line before it raises."""
-    lines = [line for line in text.splitlines() if line.strip()]
-    for i, line in enumerate(lines):
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError:
-            if i == len(lines) - 1:
-                return
-            raise
-        yield rec
+    """(line number, record) for each record of JSONL text.
+
+    A final line that does not parse is an append cut short and is
+    skipped.  A bad line before it raises json.JSONDecodeError placed in
+    the whole text, so its message names the line of the file.
+    """
+    lines = text.split("\n")
+    last = max((n for n, line in enumerate(lines) if line.strip()), default=-1)
+    start = 0
+    for n, line in enumerate(lines):
+        if line.strip():
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as exc:
+                if n == last:
+                    return
+                raise json.JSONDecodeError(exc.msg, text, start + exc.pos) from None
+            yield n + 1, rec
+        start += len(line) + 1
 
 
 def load(path) -> int:
-    """Populate the in-process caches from a JSONL file."""
+    """Populate the in-process caches from a JSONL file.
+
+    A record that lacks a field or fails its check raises ValueError
+    naming its line: an E must have N parts and coefficient 1 at x^eta,
+    a P coefficient 1 at its dominant monomial.
+    """
     if not path or not os.path.exists(path):
         return 0
-    count = 0
     with open(path, "r", encoding="utf-8") as fh:
-        for rec in _records(fh.read()):
-            N = int(rec["N"])
-            if rec["kind"] == "E":
-                eta = tuple(int(x) for x in rec["key"].split(","))
-                poly = xpoly_from_json(rec["value"])
-                elem = macdonald.EBasisElement(
-                    eta=eta, poly=poly,
-                    eigenvalues=tuple(eigenvalue(eta, i)
-                                      for i in range(1, N + 1)))
-                macdonald._E_CACHE.setdefault(eta, elem)
-            elif rec["kind"] == "P":
-                lam = parse_spart(rec["key"], N)
-                poly = xpoly_from_json(rec["value"]["poly"])
-                c = QTScalar.from_json(rec["value"]["c"])
-                elem = macdonald.PBasisElement(lam=lam, poly=poly, c_lam=c)
-                macdonald._P_CACHE.setdefault((lam.anti, lam.sym, lam.N), elem)
-            count += 1
+        text = fh.read()
+    count = 0
+    for lineno, rec in _records(text):
+        try:
+            _load_record(rec)
+        except KeyError as exc:
+            raise ValueError(f"line {lineno}: record lacks field {exc}") from exc
+        except (AttributeError, TypeError, ValueError, ArithmeticError) as exc:
+            raise ValueError(f"line {lineno}: {exc}") from exc
+        count += 1
     return count
+
+
+def _load_record(rec):
+    N = int(rec["N"])
+    if rec["kind"] == "E":
+        eta = tuple(int(x) for x in rec["key"].split(","))
+        poly = xpoly_from_json(rec["value"])
+        if len(eta) != N:
+            raise ValueError(f"E record {rec['key']!r} does not have N = {N} parts")
+        if not coefficient_of(poly, eta).is_one():
+            raise ValueError(f"E record {rec['key']!r} has no coefficient 1 at x^eta")
+        elem = macdonald.EBasisElement(
+            eta=eta, poly=poly,
+            eigenvalues=tuple(eigenvalue(eta, i) for i in range(1, N + 1)))
+        macdonald._E_CACHE.setdefault(eta, elem)
+    elif rec["kind"] == "P":
+        lam = parse_spart(rec["key"], N)
+        poly = xpoly_from_json(rec["value"]["poly"])
+        c = QTScalar.from_json(rec["value"]["c"])
+        if not coefficient_of(poly, macdonald.dominant_exponent(lam)).is_one():
+            raise ValueError(f"P record {rec['key']!r} has no coefficient 1 at "
+                             f"its dominant monomial")
+        elem = macdonald.PBasisElement(lam=lam, poly=poly, c_lam=c)
+        macdonald._P_CACHE.setdefault((lam.anti, lam.sym, lam.N), elem)
 
 
 def _key(elem):
@@ -110,7 +140,7 @@ def _append(path, elems) -> int:
             if whole < len(data):
                 fh.truncate(whole)
             known = {(rec["kind"], rec["key"], int(rec["N"]))
-                     for rec in _records(data[:whole].decode("utf-8"))}
+                     for _, rec in _records(data[:whole].decode("utf-8"))}
             new = [elem for elem in elems if _key(elem) not in known]
             if new:
                 fh.write("".join(json.dumps(_record(elem), sort_keys=True)

@@ -37,7 +37,11 @@ def _parse_eta(text):
 def _load_cache(args):
     path = cachemod.cache_path(getattr(args, "cache", None))
     if path:
-        cachemod.load(path)
+        try:
+            cachemod.load(path)
+        except ValueError as exc:  # also JSONDecodeError, UnicodeDecodeError
+            print(f"error: cache file {path}: {exc}", file=sys.stderr)
+            raise SystemExit(2)
     return path
 
 
@@ -92,11 +96,11 @@ def cmd_eval(args):
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    path = _load_cache(args)
     formula = eval_formula(lam, args.sign)
     if args.route == "formula":
         print(format_scalar(formula))
         return 0
+    path = _load_cache(args)
     subst = evaluate(lambda_naught(lam.m, lam.N), args.sign, bisym_P(lam).poly)
     _save_cache(path)
     if args.route == "substitution":

@@ -12,8 +12,8 @@ from __future__ import annotations
 from itertools import combinations
 
 from .qt import QTScalar, qt_monomial
-from .xpoly import (XPolynomial, divided_difference, exact_div, permute_vars,
-                    q_shift, q_shift_inverse)
+from .xpoly import (XPolynomial, _xpoly, divided_difference, exact_div,
+                    permute_vars, q_shift, q_shift_inverse)
 
 _T = qt_monomial(0, 1)
 _TINV = qt_monomial(0, -1)
@@ -73,10 +73,7 @@ def apply_omega(f: XPolynomial) -> XPolynomial:
     for e, c in f.terms.items():
         e2 = e[1:] + (e[0],)
         out[e2] = c.mul_monomial(e[0], 0) if e[0] else c
-    p = XPolynomial.__new__(XPolynomial)
-    p.nvars = n
-    p.terms = out
-    return p
+    return _xpoly(n, out)
 
 
 def apply_Y(i: int, f: XPolynomial) -> XPolynomial:

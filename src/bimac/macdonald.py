@@ -1,6 +1,8 @@
-"""Non-symmetric Macdonald polynomials E_eta, bisymmetric Macdonald
-polynomials P_Lambda, and expansion of bisymmetric polynomials in the
-P basis (the brute-force oracle behind the Pieri rules).
+"""Non-symmetric Macdonald polynomials E_eta (built by the Knop-Sahi
+recursion, then checked against every eigenvalue equation and the
+Bruhat triangularity), bisymmetric Macdonald polynomials P_Lambda, and
+expansion of bisymmetric polynomials in the P basis (the brute-force
+oracle behind the Pieri rules).
 """
 
 from __future__ import annotations
@@ -10,17 +12,16 @@ from dataclasses import dataclass
 
 from .errors import ConsistencyError, DivisibilityError
 from .qt import QTScalar, qt_monomial, t_bracket_factorial
-from .sparts import (SuperPartition, compositions_of, eigenvalue,
-                     format_spart, perm_length, sorting_permutation,
-                     superpartitions)
+from .sparts import (SuperPartition, eigenvalue, format_spart,
+                     sorting_permutation, superpartitions)
 from .xpoly import XPolynomial, coefficient_of, exact_div, permute_vars, vandermonde
 from . import hecke
 
 _ZERO = QTScalar.zero()
 _ONE = QTScalar.one()
+_T = qt_monomial(0, 1)
 
 _lock = threading.Lock()
-_YMAT_CACHE: dict = {}
 _E_CACHE: dict = {}
 _P_CACHE: dict = {}
 
@@ -41,14 +42,13 @@ class PBasisElement:
 
 def clear_caches():
     with _lock:
-        _YMAT_CACHE.clear()
         _E_CACHE.clear()
         _P_CACHE.clear()
 
 
 # ---------------------------------------------------------------------------
-# Bruhat order on compositions (internal: only what the E construction
-# and its triangularity check need)
+# Bruhat order on compositions (internal: only what the triangularity
+# check of E needs)
 # ---------------------------------------------------------------------------
 
 def _dominates(lam, mu):
@@ -84,49 +84,45 @@ def _bruhat_less(nu, eta):
     return _perm_bruhat_leq(sorting_permutation(eta), sorting_permutation(nu))
 
 
-def _order_key(nu):
-    """Key of a linear extension of the Bruhat order (ascending)."""
-    return (tuple(sorted(nu, reverse=True)), -perm_length(sorting_permutation(nu)))
-
-
 # ---------------------------------------------------------------------------
 # E construction
 # ---------------------------------------------------------------------------
 
-def _y_matrices(N, d):
-    """Matrices of all Y_i on the degree-d monomial basis, in both
-    row-major and column-major form.
+def _raise(eta):
+    """E_eta by the Knop-Sahi recursion, unchecked.
 
-    rows[i-1][nu] lists (mu, coeff) with coeff the coefficient of x^nu
-    in Y_i x^mu; triangularity means nu is Bruhat-below mu.
+    E_eta is proportional to x_N omega E_nu with nu = (eta_N - 1, eta_1,
+    .., eta_(N-1)) when eta_N > 0.  Otherwise, with i the last index
+    where eta_i > 0 and nu = s_i eta, it is proportional to
+    (T_i + (1 - t)/(1 - ebar_(i+1)(nu)/ebar_i(nu))) E_nu.  Each step is
+    made monic at x^eta.
     """
-    key = (N, d)
-    mats = _YMAT_CACHE.get(key)
-    if mats is not None:
-        return mats
-    basis = list(compositions_of(d, N))
-    rows = [dict() for _ in range(N)]
-    cols = [dict() for _ in range(N)]
-    for mu in basis:
-        mono = XPolynomial.monomial(mu)
-        for i in range(1, N + 1):
-            g = hecke.apply_Y(i, mono)
-            target = rows[i - 1]
-            for nu, c in g.terms.items():
-                target.setdefault(nu, []).append((mu, c))
-            cols[i - 1][mu] = list(g.terms.items())
-    with _lock:
-        _YMAT_CACHE[key] = (rows, cols)
-    return rows, cols
+    N = len(eta)
+    if not any(eta):
+        return XPolynomial.one(N)
+    if eta[-1]:
+        nu = (eta[-1] - 1,) + eta[:-1]
+        f = XPolynomial.variable(N, N) * hecke.apply_omega(_raise(nu))
+    else:
+        i = max(k for k in range(1, N) if eta[k - 1])
+        nu = eta[:i - 1] + (0, eta[i - 1]) + eta[i + 1:]
+        g = _raise(nu)
+        c = (_ONE - _T) / (_ONE - eigenvalue(nu, i + 1) / eigenvalue(nu, i))
+        f = hecke.apply_T(i, g) + g.scale(c)
+    lead = f.coefficient(eta)
+    if lead.is_zero():
+        raise ConsistencyError(f"E_{eta} lost its leading monomial x^{eta}")
+    return f.scale(lead.inverse())
 
 
 def nonsym_E(eta) -> EBasisElement:
     """The monic joint eigenfunction of the Cherednik operators.
 
-    Solves the exact linear system stacked from Y_i E = ebar_i E over
-    all compositions of the same degree, exploiting the triangular
-    action for the elimination order, then verifies every eigenvalue
-    equation and the Bruhat triangularity of the support.
+    Built by the Knop-Sahi recursion (raising by x_N omega, then adjacent
+    intertwiners), then checked exactly: every support monomial other
+    than x^eta is Bruhat-below eta, x^eta has coefficient 1, and
+    Y_i E = ebar_i E for every i.  A failed check raises
+    ConsistencyError; only checked results are cached.
     """
     eta = tuple(int(x) for x in eta)
     if any(x < 0 for x in eta):
@@ -135,50 +131,19 @@ def nonsym_E(eta) -> EBasisElement:
     if cached is not None:
         return cached
     N = len(eta)
-    d = sum(eta)
-    rows, cols = _y_matrices(N, d)
-    ebar = tuple(eigenvalue(eta, i) for i in range(1, N + 1))
-    basis = sorted(compositions_of(d, N), key=_order_key, reverse=True)
-    coeffs = {eta: _ONE}
-    for nu in basis:
-        if nu == eta:
-            continue
-        i = next(k for k in range(N) if eta[k] != nu[k])
-        pivot = ebar[i] - eigenvalue(nu, i + 1)
-        if pivot.is_zero():
-            raise ConsistencyError(f"coincident eigenvalues for {eta} and {nu}")
-        acc = []
-        for mu, c in rows[i].get(nu, ()):
-            if mu == nu:
-                continue
-            b = coeffs.get(mu)
-            if b is not None:
-                acc.append(c * b)
-        s = QTScalar.sum(acc)
-        if not s.is_zero():
-            coeffs[nu] = s / pivot
-    support = {nu: c for nu, c in coeffs.items() if not c.is_zero()}
-    # every eigenvalue equation must hold, not just the ones eliminated
-    # on; accumulating column by column touches only the support
-    for i in range(N):
-        residual = {}
-        for mu, b in support.items():
-            for nu, c in cols[i][mu]:
-                residual.setdefault(nu, []).append(c * b)
-        for nu, acc in residual.items():
-            lhs = QTScalar.sum(acc)
-            if lhs != ebar[i] * support.get(nu, _ZERO):
-                raise ConsistencyError(
-                    f"eigenvalue equation Y_{i+1} failed for E_{eta} at {nu}")
-        for nu, b in support.items():
-            if nu not in residual and not (ebar[i] * b).is_zero():
-                raise ConsistencyError(
-                    f"eigenvalue equation Y_{i+1} failed for E_{eta} at {nu}")
-    for nu in support:
+    E = _raise(eta)
+    for nu in E.terms:
         if nu != eta and not _bruhat_less(nu, eta):
             raise ConsistencyError(
                 f"E_{eta} has support at {nu}, not Bruhat-below")
-    elem = EBasisElement(eta=eta, poly=XPolynomial(N, support), eigenvalues=ebar)
+    if not E.coefficient(eta).is_one():
+        raise ConsistencyError(f"E_{eta} is not monic at x^{eta}")
+    ebar = tuple(eigenvalue(eta, i) for i in range(1, N + 1))
+    for i in range(1, N + 1):
+        if hecke.apply_Y(i, E) != E.scale(ebar[i - 1]):
+            raise ConsistencyError(
+                f"eigenvalue equation Y_{i} E = ebar_{i} E failed for E_{eta}")
+    elem = EBasisElement(eta=eta, poly=E, eigenvalues=ebar)
     with _lock:
         _E_CACHE[eta] = elem
     return elem

@@ -39,6 +39,15 @@ class EvalPoint:
         return qt_monomial(a, b)
 
 
+def _xpoly(nvars, terms):
+    """An XPolynomial on a term dict that already holds only nonzero
+    coefficients."""
+    p = XPolynomial.__new__(XPolynomial)
+    p.nvars = nvars
+    p.terms = terms
+    return p
+
+
 class XPolynomial:
     """Polynomial in x_1..x_N with QTScalar coefficients.
 
@@ -128,19 +137,13 @@ class XPolynomial:
                     out[e] = s
             else:
                 out[e] = c
-        p = XPolynomial.__new__(XPolynomial)
-        p.nvars = self.nvars
-        p.terms = out
-        return p
+        return _xpoly(self.nvars, out)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        p = XPolynomial.__new__(XPolynomial)
-        p.nvars = self.nvars
-        p.terms = {e: -c for e, c in self.terms.items()}
-        return p
+        return _xpoly(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
         self._check_shape(other)
@@ -159,20 +162,14 @@ class XPolynomial:
                         out[e] = s
                 elif not c.is_zero():
                     out[e] = c
-        p = XPolynomial.__new__(XPolynomial)
-        p.nvars = self.nvars
-        p.terms = out
-        return p
+        return _xpoly(self.nvars, out)
 
     def scale(self, c: QTScalar):
         if c.is_zero():
             return XPolynomial(self.nvars)
         if c.is_one():
             return self
-        p = XPolynomial.__new__(XPolynomial)
-        p.nvars = self.nvars
-        p.terms = {e: v * c for e, v in self.terms.items()}
-        return p
+        return _xpoly(self.nvars, {e: v * c for e, v in self.terms.items()})
 
     def map_coeffs(self, fn):
         return XPolynomial(self.nvars, {e: fn(c) for e, c in self.terms.items()})
@@ -198,10 +195,7 @@ def permute_vars(f: XPolynomial, sigma) -> XPolynomial:
         for i in range(n):
             e2[sigma[i] - 1] = e[i]
         out[tuple(e2)] = c
-    p = XPolynomial.__new__(XPolynomial)
-    p.nvars = n
-    p.terms = out
-    return p
+    return _xpoly(n, out)
 
 
 def q_shift(f: XPolynomial, J) -> XPolynomial:
@@ -213,10 +207,7 @@ def q_shift(f: XPolynomial, J) -> XPolynomial:
     for e, c in f.terms.items():
         k = sum(e[i] for i in idx)
         out[e] = c.mul_monomial(k, 0) if k else c
-    p = XPolynomial.__new__(XPolynomial)
-    p.nvars = f.nvars
-    p.terms = out
-    return p
+    return _xpoly(f.nvars, out)
 
 
 def q_shift_inverse(f: XPolynomial, J) -> XPolynomial:
@@ -228,10 +219,7 @@ def q_shift_inverse(f: XPolynomial, J) -> XPolynomial:
     for e, c in f.terms.items():
         k = sum(e[i] for i in idx)
         out[e] = c.mul_monomial(-k, 0) if k else c
-    p = XPolynomial.__new__(XPolynomial)
-    p.nvars = f.nvars
-    p.terms = out
-    return p
+    return _xpoly(f.nvars, out)
 
 
 def exact_div(f: XPolynomial, g: XPolynomial) -> XPolynomial:
@@ -298,10 +286,7 @@ def divided_difference(f: XPolynomial, i: int) -> XPolynomial:
                     del out[key]
                 else:
                     out[key] = tot
-    p2 = XPolynomial.__new__(XPolynomial)
-    p2.nvars = n
-    p2.terms = out
-    return p2
+    return _xpoly(n, out)
 
 
 def specialize(f: XPolynomial, point) -> QTScalar:

@@ -224,6 +224,75 @@ class TestCache:
         with pytest.raises(json.JSONDecodeError):
             cachemod.load(str(path))
 
+    def test_eval_formula_skips_the_cache(self, tmp_path, capsys):
+        path = tmp_path / "c.jsonl"
+        path.write_text("not json\nnot json either\n")
+        code, out, _ = run(capsys, "--cache", str(path), "eval",
+                           "--spart", "0;", "--N", "3", "--route", "formula")
+        assert code == 0
+        assert out.strip() == "1"
+
+
+def _cache_file(tmp_path, capsys, *argv):
+    """A cache file written by one CLI run, and its records."""
+    path = tmp_path / "c.jsonl"
+    macdonald.clear_caches()
+    assert run(capsys, "--cache", str(path), *argv)[0] == 0
+    macdonald.clear_caches()
+    return path, [json.loads(line) for line in path.read_text().splitlines()]
+
+
+def _rejected(capsys, path, lineno):
+    """The P run on a bad cache file prints one error line naming the
+    file and the line, and exits 2."""
+    with pytest.raises(SystemExit) as exc:
+        main(["--cache", str(path), "P", "--spart", "1;1", "--N", "3"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: cache file {path}: ")
+    assert f"line {lineno}" in err[0]
+    macdonald.clear_caches()
+    return err[0]
+
+
+def _write(path, records, tail=""):
+    path.write_text("".join(json.dumps(r) + "\n" for r in records) + tail)
+
+
+class TestBadCacheFile:
+    def test_bad_line_before_the_last(self, tmp_path, capsys):
+        path, recs = _cache_file(tmp_path, capsys, "E", "--eta", "0,1")
+        _write(path, recs, '{"kind":"P"\nnot json\n')
+        _rejected(capsys, path, 2)
+
+    @pytest.mark.parametrize("field", ["key", "N", "value"])
+    def test_record_lacks_a_field(self, tmp_path, capsys, field):
+        path, recs = _cache_file(tmp_path, capsys, "E", "--eta", "0,1")
+        del recs[0][field]
+        _write(path, recs)
+        assert f"lacks field '{field}'" in _rejected(capsys, path, 1)
+
+    def test_E_record_with_wrong_length(self, tmp_path, capsys):
+        path, recs = _cache_file(tmp_path, capsys, "E", "--eta", "0,1")
+        recs[0]["key"] = "0,1,0"
+        _write(path, recs)
+        assert "N = 2 parts" in _rejected(capsys, path, 1)
+
+    def test_E_record_not_monic(self, tmp_path, capsys):
+        path, recs = _cache_file(tmp_path, capsys, "E", "--eta", "1,0")
+        recs[0]["key"] = "0,1"
+        _write(path, recs)
+        assert "coefficient 1" in _rejected(capsys, path, 1)
+
+    def test_P_record_dominant_coefficient(self, tmp_path, capsys):
+        path, recs = _cache_file(tmp_path, capsys,
+                                 "P", "--spart", "1;1", "--N", "3")
+        p = next(r for r in recs if r["kind"] == "P")
+        p["value"]["poly"]["terms"] = [
+            t for t in p["value"]["poly"]["terms"] if t["x"] != [1, 1, 0]]
+        _write(path, recs)
+        assert "dominant monomial" in _rejected(capsys, path, 2)
+
 
 def _declared_console_script(name):
     """Return (module, func) of console script `name` in pyproject.toml."""

@@ -1,6 +1,7 @@
 import pytest
 
-from bimac import hecke
+from bimac import hecke, macdonald
+from bimac.errors import ConsistencyError
 from bimac.macdonald import (bisym_P, c_lambda_formula, dominant_exponent,
                              expand_in_P_basis, is_bisymmetric, nonsym_E)
 from bimac.qt import QTScalar, qt_monomial
@@ -41,6 +42,31 @@ class TestNonsymE:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             nonsym_E((1, -1))
+
+    @pytest.mark.parametrize("eta, perturb, message", [
+        # a wrong coefficient at a Bruhat-below monomial
+        ((1, 0, 0), lambda E: E + XPolynomial.monomial((0, 1, 0)),
+         r"^eigenvalue equation Y_\d E = ebar_\d E failed for E_\(1, 0, 0\)$"),
+        # a monomial that is not Bruhat-below eta
+        ((0, 1, 0), lambda E: E + XPolynomial.monomial((1, 0, 0)),
+         r"^E_\(0, 1, 0\) has support at \(1, 0, 0\), not Bruhat-below$"),
+        # the right polynomial times t
+        ((0, 1, 1), lambda E: E.scale(T),
+         r"^E_\(0, 1, 1\) is not monic at x\^\(0, 1, 1\)$"),
+    ], ids=["wrong-coefficient", "not-bruhat-below", "not-monic"])
+    def test_fails_closed(self, monkeypatch, eta, perturb, message):
+        good = macdonald._raise(eta)
+        monkeypatch.setattr(macdonald, "_raise", lambda e: perturb(good))
+        monkeypatch.setattr(macdonald, "_E_CACHE", {})
+        with pytest.raises(ConsistencyError, match=message):
+            nonsym_E(eta)
+        assert macdonald._E_CACHE == {}
+
+    def test_caches_only_the_result(self, monkeypatch):
+        # the recursion's intermediate E_nu are unchecked and stay out
+        monkeypatch.setattr(macdonald, "_E_CACHE", {})
+        nonsym_E((2, 0, 1))
+        assert list(macdonald._E_CACHE) == [(2, 0, 1)]
 
 
 class TestBisymP:
