@@ -1,11 +1,12 @@
 """Exact computer algebra for bisymmetric Macdonald polynomials.
 
-The package constructs non-symmetric Macdonald polynomials as joint
-eigenfunctions of the Cherednik operators, builds the bisymmetric
-polynomials by interval (anti)symmetrization, evaluates them at the
-staircase specialization points in closed form, and expands products
-with elementary symmetric polynomials through vertical-strip Pieri
-rules with explicit coefficients.  Everything is exact over Q(q,t).
+The package constructs non-symmetric Macdonald polynomials by the
+Knop-Sahi recursion, checks each exactly as a joint eigenfunction of
+the Cherednik operators, builds the bisymmetric polynomials by
+interval (anti)symmetrization, evaluates them at the staircase
+specialization points in closed form, and expands products with
+elementary symmetric polynomials through vertical-strip Pieri rules
+with explicit coefficients.  Everything is exact over Q(q,t).
 """
 
 from .errors import ConsistencyError, DegenerateEvaluationError, DivisibilityError

@@ -8,12 +8,15 @@ from dataclasses import dataclass
 
 from .errors import DegenerateEvaluationError
 from .macdonald import bisym_P
-from .qt import QTScalar, qt_monomial
+from .qt import QTScalar, _Factored
 from .sparts import (SuperPartition, arm, eval_point, hook_data,
                      lambda_naught, leg)
 from .xpoly import XPolynomial, specialize
 
-_ONE = QTScalar.one()
+
+def _one_minus(a, b) -> _Factored:
+    """1 - q^a t^b."""
+    return _Factored.binomial(0, 0, a, b)
 
 
 @dataclass(frozen=True)
@@ -29,40 +32,42 @@ def evaluate(lam: SuperPartition, sign: str, f: XPolynomial) -> QTScalar:
     return specialize(f, eval_point(lam, sign))
 
 
-def eval_formula(lam: SuperPartition, sign: str) -> QTScalar:
-    """Closed product formula for the staircase evaluation of P_Lambda.
-
-    Computed purely combinatorially from the diagram of Lambda, with no
-    polynomial construction, so coefficient ratios stay cheap.
-    """
+def _eval_factors(lam: SuperPartition, sign: str) -> _Factored:
+    """The closed product of ``eval_formula``, held factored."""
     m, N = lam.m, lam.N
     hd = hook_data(lam)
     star = lam.star()
     circ = lam.circled()
 
-    num = _ONE
-    den = _ONE
     if sign == "minus":
-        for (i, j) in hd.s_cells:
-            num = num * (_ONE - qt_monomial(j - 1, N - (i - 1)))
-        for (i, j) in hd.b_cells:
-            den = den * (_ONE - qt_monomial(arm(circ, i, j),
-                                            leg(star, i, j) + 1))
-        pref = qt_monomial(-((m - 1) * hd.anti_skew_size - hd.n_anti_skew),
-                           hd.n_s + hd.n_conj_anti_skew)
+        num = [_one_minus(j - 1, N - (i - 1)) for (i, j) in hd.s_cells]
+        den = [_one_minus(arm(circ, i, j), leg(star, i, j) + 1)
+               for (i, j) in hd.b_cells]
+        pref = _Factored.monomial(
+            -((m - 1) * hd.anti_skew_size - hd.n_anti_skew),
+            hd.n_s + hd.n_conj_anti_skew)
     elif sign == "plus":
-        for (i, j) in hd.s_cells:
-            num = num * (_ONE - qt_monomial(1 - j, i - (N + 1)))
-        for (i, j) in hd.b_cells:
-            den = den * (_ONE - qt_monomial(-arm(circ, i, j),
-                                            -(leg(star, i, j) + 1)))
-        pref = qt_monomial(m * hd.anti_skew_size - hd.n_anti_skew,
-                           -(hd.n_s + hd.n_conj_anti_skew))
+        num = [_one_minus(1 - j, i - (N + 1)) for (i, j) in hd.s_cells]
+        den = [_one_minus(-arm(circ, i, j), -(leg(star, i, j) + 1))
+               for (i, j) in hd.b_cells]
+        pref = _Factored.monomial(m * hd.anti_skew_size - hd.n_anti_skew,
+                                  -(hd.n_s + hd.n_conj_anti_skew))
     else:
         raise ValueError(f"unknown sign {sign!r}")
+    den = _Factored.prod(den)
     if den.is_zero():
         raise DegenerateEvaluationError("hook product vanished")
-    return pref * num / den
+    return pref * _Factored.prod(num) / den
+
+
+def eval_formula(lam: SuperPartition, sign: str) -> QTScalar:
+    """Closed product formula for the staircase evaluation of P_Lambda.
+
+    Computed purely combinatorially from the diagram of Lambda, with no
+    polynomial construction: a monomial times a product of binomials
+    1 - q^a t^b and their inverses, expanded once.
+    """
+    return _eval_factors(lam, sign).expand()
 
 
 def evaluation(lam: SuperPartition, sign: str, via: str = "formula") -> EvaluationResult:

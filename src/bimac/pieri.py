@@ -5,7 +5,11 @@ engines, a brute-force oracle, and the two-sided operator identity
 check.
 
 Every coefficient is assembled factor by factor at an evaluation
-point; no rational functions in x are ever formed symbolically.
+point; no rational functions in x are ever formed symbolically.  Each
+factor is a monomial or a q,t-binomial X_i - X_j, t X_i - X_j, so the
+coefficients, the t-Vandermonde and the staircase evaluations are held
+as factored binomial products (``qt._Factored``) and each Pieri
+coefficient is expanded to a canonical QTScalar once, with no gcd.
 """
 
 from __future__ import annotations
@@ -15,9 +19,9 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import ConsistencyError, DegenerateEvaluationError
-from .evalsym import eval_formula
+from .evalsym import _eval_factors
 from .macdonald import expand_in_P_basis, bisym_P, is_bisymmetric
-from .qt import QTScalar, qt_monomial
+from .qt import QTScalar, _Factored
 from .sparts import (StripCertificate, SuperPartition, enumerate_strips,
                      eval_point, perm_inverse)
 from .xpoly import (EvalPoint, XPolynomial, elementary_symmetric, specialize,
@@ -25,7 +29,7 @@ from .xpoly import (EvalPoint, XPolynomial, elementary_symmetric, specialize,
 from . import hecke
 
 _ONE = QTScalar.one()
-_T = qt_monomial(0, 1)
+_ONE_F = _Factored.monomial(0, 0)
 
 
 @dataclass(frozen=True)
@@ -66,22 +70,23 @@ class PieriTerm:
     coeff: QTScalar
 
 
-def _coord(point: EvalPoint, i: int, shift) -> QTScalar:
+def _coord(point: EvalPoint, i: int, shift):
     a, b = point.coords[i - 1]
-    return qt_monomial(a + (1 if i in shift else 0), b)
+    return a + (1 if i in shift else 0), b
 
 
-def _diff(point, i, j, shift) -> QTScalar:
-    return _coord(point, i, shift) - _coord(point, j, shift)
+def _diff(point, i, j, shift) -> _Factored:
+    return _Factored.binomial(*_coord(point, i, shift), *_coord(point, j, shift))
 
 
-def _tdiff(point, i, j, shift) -> QTScalar:
-    return _coord(point, i, shift).mul_monomial(0, 1) - _coord(point, j, shift)
+def _tdiff(point, i, j, shift) -> _Factored:
+    a, b = _coord(point, i, shift)
+    return _Factored.binomial(a, b + 1, *_coord(point, j, shift))
 
 
-def _a_factor(point, pairs, shift) -> QTScalar:
+def _a_factor(point, pairs, shift) -> _Factored:
     """prod (t X_i - X_j)/(X_i - X_j); diagonal pairs are skipped."""
-    out = _ONE
+    out = _ONE_F
     for i, j in pairs:
         if i == j:
             continue
@@ -95,20 +100,20 @@ def _a_factor(point, pairs, shift) -> QTScalar:
     return out
 
 
-def _vandermonde_at(point, rows, shift) -> QTScalar:
-    out = _ONE
+def _vandermonde_at(point, rows, shift) -> _Factored:
+    out = _ONE_F
     for i, j in combinations(sorted(rows), 2):
         out = out * _diff(point, i, j, shift)
     return out
 
 
-def phi_at(sigma, m: int, point: EvalPoint, shift_J=frozenset()) -> QTScalar:
-    """The factor Phi(sigma) evaluated at the point, with coordinates in
-    shift_J premultiplied by q (for use inside a q-shift)."""
+def _phi_factors(sigma, m, point, shift_J) -> _Factored:
     ss = SigmaSets.from_sigma(sigma, m)
-    out = _ONE if ss.d_sigma % 2 == 0 else -_ONE
+    out = _ONE_F if ss.d_sigma % 2 == 0 else -_ONE_F
     for j in sorted(ss.b_comp):
-        out = out * (_T - _ONE) * _coord(point, j, shift_J)
+        # (t - 1) X_j = t X_j - X_j
+        a, b = _coord(point, j, shift_J)
+        out = out * _Factored.binomial(a, b + 1, a, b)
     out = out * _vandermonde_at(point, ss.a_comp, shift_J)
     out = out * _vandermonde_at(point, ss.b_comp, shift_J)
     for i in sorted(ss.a_comp):
@@ -121,7 +126,13 @@ def phi_at(sigma, m: int, point: EvalPoint, shift_J=frozenset()) -> QTScalar:
     return out
 
 
-def _k_sigma_delta_at(sigma, m, point, shift) -> QTScalar:
+def phi_at(sigma, m: int, point: EvalPoint, shift_J=frozenset()) -> QTScalar:
+    """The factor Phi(sigma) evaluated at the point, with coordinates in
+    shift_J premultiplied by q (for use inside a q-shift)."""
+    return _phi_factors(sigma, m, point, shift_J).expand()
+
+
+def _k_sigma_delta_at(sigma, m, point, shift) -> _Factored:
     """K_sigma(Delta_m) at the point: the signed Vandermonde over
     sigma([m])."""
     ss = SigmaSets.from_sigma(sigma, m)
@@ -130,14 +141,14 @@ def _k_sigma_delta_at(sigma, m, point, shift) -> QTScalar:
     return -val if ss.z_sigma % 2 else val
 
 
-def _coeff_C_at(m, r, J, L, sigma, point) -> QTScalar:
+def _C_factors(m, r, J, L, sigma, point) -> _Factored:
     """The type-I coefficient C_(J,sigma) evaluated factor by factor.
 
     The A product over J x sigma([m]) skips equal indices, as its tilde
     decoration requires.
     """
     N = len(sigma)
-    out = qt_monomial(0, r * (r + 1 - 2 * N) // 2)
+    out = _Factored.monomial(0, r * (r + 1 - 2 * N) // 2)
     out = out * _a_factor(point, combinations(range(1, m + 1), 2), frozenset())
     out = out * _a_factor(point, ((i, j) for i in sorted(J) for j in sorted(L)),
                           frozenset())
@@ -145,12 +156,12 @@ def _coeff_C_at(m, r, J, L, sigma, point) -> QTScalar:
         return out
     sig_m = sorted(sigma[i] for i in range(m))
     inner = _a_factor(point, ((i, j) for i in sorted(J) for j in sig_m), J)
-    inner = inner * phi_at(sigma, m, point, J)
+    inner = inner * _phi_factors(sigma, m, point, J)
     inner = inner * _k_sigma_delta_at(sigma, m, point, J)
     return out * inner
 
 
-def _coeff_D_at(m, r, J, sigma, point) -> QTScalar:
+def _D_factors(m, r, J, sigma, point) -> _Factored:
     """The type-II coefficient D_(J,sigma) evaluated factor by factor.
 
     Pairs of the two A products whose indices meet J a second time are
@@ -161,7 +172,7 @@ def _coeff_D_at(m, r, J, sigma, point) -> QTScalar:
     """
     N = len(sigma)
     ss = SigmaSets.from_sigma(sigma, m)
-    out = qt_monomial(0, r * (r + 1 - 2 * N) // 2)
+    out = _Factored.monomial(0, r * (r + 1 - 2 * N) // 2)
     if len(ss.b_comp) % 2:
         out = -out
     out = out * _a_factor(point, combinations(range(1, m + 1), 2), frozenset())
@@ -169,42 +180,60 @@ def _coeff_D_at(m, r, J, sigma, point) -> QTScalar:
                                   for j in range(m + 1, N + 1)), frozenset())
     if out.is_zero():
         return out
-    out = out * phi_at(sigma, m, point, frozenset())
+    out = out * _phi_factors(sigma, m, point, frozenset())
     inner = _a_factor(point, ((i, j) for i in sorted(J)
                               for j in sorted(ss.a_set) if j not in J), J)
     inner = inner * _k_sigma_delta_at(sigma, m, point, J)
     return out * inner
 
 
+def _coeff_C_at(m, r, J, L, sigma, point) -> QTScalar:
+    return _C_factors(m, r, J, L, sigma, point).expand()
+
+
+def _coeff_D_at(m, r, J, sigma, point) -> QTScalar:
+    return _D_factors(m, r, J, sigma, point).expand()
+
+
+def _certificate_factors(lam, cert) -> _Factored:
+    point = eval_point(lam, "plus")
+    if cert.strip_type == "I":
+        return _C_factors(lam.m, cert.r, cert.J, cert.L, cert.sigma, point)
+    return _D_factors(lam.m, cert.r, cert.J, cert.sigma, point)
+
+
 def coeff_C(lam: SuperPartition, cert: StripCertificate) -> QTScalar:
     """u_Lambda^+ of the type-I Pieri coefficient C_(J,sigma)."""
     if cert.strip_type != "I":
         raise ValueError("coeff_C needs a type-I certificate")
-    return _coeff_C_at(lam.m, cert.r, cert.J, cert.L, cert.sigma,
-                       eval_point(lam, "plus"))
+    return _certificate_factors(lam, cert).expand()
 
 
 def coeff_D(lam: SuperPartition, cert: StripCertificate) -> QTScalar:
     """u_Lambda^+ of the type-II Pieri coefficient D_(J,sigma)."""
     if cert.strip_type != "II":
         raise ValueError("coeff_D needs a type-II certificate")
-    return _coeff_D_at(lam.m, cert.r, cert.J, cert.sigma,
-                       eval_point(lam, "plus"))
+    return _certificate_factors(lam, cert).expand()
 
 
-def u_plus_delta_t(lam: SuperPartition) -> QTScalar:
-    """u_Lambda^+ of the t-deformed Vandermonde on the first m variables."""
+def _delta_t_factors(lam) -> _Factored:
     point = eval_point(lam, "plus")
-    out = _ONE
+    out = _ONE_F
     for i, j in combinations(range(1, lam.m + 1), 2):
         out = out * _tdiff(point, i, j, frozenset())
     return out
 
 
+def u_plus_delta_t(lam: SuperPartition) -> QTScalar:
+    """u_Lambda^+ of the t-deformed Vandermonde on the first m variables."""
+    return _delta_t_factors(lam).expand()
+
+
 def pieri_expand(lam: SuperPartition, r: int, variant: str):
     """The Pieri expansion of e_r(x_(m+1)..x_N) (upper) or
     e_r(x_1..x_m) (lower) times P_Lambda, via strip certificates and
-    factor-wise evaluation.  Terms with zero coefficient are dropped.
+    factor-wise evaluation.  Each coefficient is held factored until
+    it is expanded once.  Terms with zero coefficient are dropped.
     At r = 0, e_0 = 1 and the expansion is P_Lambda itself, with no
     certificate.
     """
@@ -216,20 +245,20 @@ def pieri_expand(lam: SuperPartition, r: int, variant: str):
     certs = enumerate_strips(lam, r, strip_type)
     if not certs:
         return []
-    delta = u_plus_delta_t(lam)
+    delta = _delta_t_factors(lam)
     if delta.is_zero():
         raise DegenerateEvaluationError(
             "u^+ of the t-Vandermonde vanished; the Pieri normalization "
             "breaks down")
-    u_lam = eval_formula(lam, "plus")
+    scale = _eval_factors(lam, "plus") / delta
+    if variant == "lower":
+        scale = scale * _Factored.monomial(r, 0)
     out = []
     for cert in certs:
-        num = coeff_C(lam, cert) if strip_type == "I" else coeff_D(lam, cert)
+        num = _certificate_factors(lam, cert)
         if num.is_zero():
             continue
-        coeff = num / delta * u_lam / eval_formula(cert.omg, "plus")
-        if variant == "lower":
-            coeff = coeff.mul_monomial(r, 0)
+        coeff = (num * scale / _eval_factors(cert.omg, "plus")).expand()
         if not coeff.is_zero():
             out.append(PieriTerm(omega=cert.omg, certificate=cert, coeff=coeff))
     out.sort(key=lambda term: (term.omega.anti, term.omega.sym))

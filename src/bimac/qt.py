@@ -12,11 +12,16 @@ fraction of two such polynomials, c*num/den, kept in canonical form:
 so two mathematically equal scalars are structurally identical and
 ``==`` / ``hash`` are reliable.  Negative powers of q or t never appear
 as stored exponents; they live in the denominator.
+
+The private ``_Factored`` holds a product of q,t-binomials and their
+inverses as exponents of cyclotomic factors, for the Pieri and
+evaluation formulas; it expands to a canonical QTScalar with no gcd.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd as _igcd, lcm as _ilcm
 
 
@@ -857,6 +862,129 @@ def t_bracket_factorial(k: int, param: str = "t") -> QTScalar:
     for j in range(2, k + 1):
         out = out * t_bracket(j, param)
     return out
+
+
+# ---------------------------------------------------------------------------
+# products of binomials, held factored
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=1024)
+def _cyclotomic(d):
+    """The coefficients of Phi_d, little-endian: x^d - 1 divided by
+    every Phi_e with e a proper divisor of d."""
+    p = [-1] + [0] * (d - 1) + [1]
+    for e in range(1, d):
+        if d % e == 0:
+            p = _t_divexact(p, _cyclotomic(e))
+    return tuple(p)
+
+
+@lru_cache(maxsize=4096)
+def _cyclotomic_at(d, va, vb):
+    """(p, sa, sb) with p = q^sa t^sb Phi_d(q^va t^vb) the integer
+    polynomial of least nonnegative exponents."""
+    coeffs = _cyclotomic(d)
+    n = len(coeffs) - 1
+    sa, sb = max(-va * n, 0), max(-vb * n, 0)
+    return (_poly({(sa + k * va, sb + k * vb): c
+                   for k, c in enumerate(coeffs) if c}), sa, sb)
+
+
+class _Factored:
+    """sign * q^a t^b * prod Phi_d(v)^e in Q(q,t), each e a nonzero int.
+
+    sign is 1 or -1, or 0 for the zero value, which has no factors; the
+    content is always 1, since every Phi_d is monic.  The factors are
+    keyed (d, va, vb) with v = q^va t^vb primitive and pointing up
+    (va > 0, or va = 0 < vb).  The Phi_d(v) are irreducible and pairwise
+    coprime in Z[q^±1, t^±1], so products and quotients are exponent
+    sums and every cancellation is exact.  ``expand`` multiplies the
+    factors out into the canonical QTScalar with no gcd.
+    """
+
+    __slots__ = ("sign", "a", "b", "phi")
+
+    def __init__(self, sign, a=0, b=0, phi=None):
+        self.sign, self.a, self.b = sign, a, b
+        self.phi = phi or {}
+
+    @staticmethod
+    def monomial(a, b):
+        return _Factored(1, a, b)
+
+    @staticmethod
+    def binomial(a1, b1, a2, b2):
+        """q^a1 t^b1 - q^a2 t^b2 = q^a1 t^b1 (1 - u) with u = q^a t^b."""
+        a, b = a2 - a1, b2 - b1
+        if not (a or b):
+            return _FACTORED_ZERO
+        sign = -1
+        if a < 0 or (a == 0 and b < 0):
+            # 1 - u = -u (1 - 1/u)
+            sign, a1, b1, a, b = 1, a2, b2, -a, -b
+        # 1 - v^g = -prod_(d | g) Phi_d(v)
+        g = _igcd(a, b)
+        va, vb = a // g, b // g
+        return _Factored(sign, a1, b1, {(d, va, vb): 1
+                                        for d in range(1, g + 1) if g % d == 0})
+
+    @staticmethod
+    def prod(factors):
+        """The product of an iterable of _Factored values."""
+        sign, a, b, phi = 1, 0, 0, {}
+        for f in factors:
+            if not f.sign:
+                return _FACTORED_ZERO
+            sign, a, b = sign * f.sign, a + f.a, b + f.b
+            for k, e in f.phi.items():
+                e += phi.get(k, 0)
+                if e:
+                    phi[k] = e
+                else:
+                    del phi[k]
+        return _Factored(sign, a, b, phi)
+
+    def is_zero(self):
+        return not self.sign
+
+    def __neg__(self):
+        return _Factored(-self.sign, self.a, self.b, self.phi)
+
+    def __mul__(self, other):
+        return _Factored.prod((self, other))
+
+    def __truediv__(self, other):
+        if not other.sign:
+            raise ZeroDivisionError("division by zero in Q(q,t)")
+        inverse = _Factored(other.sign, -other.a, -other.b,
+                            {k: -e for k, e in other.phi.items()})
+        return _Factored.prod((self, inverse))
+
+    def expand(self) -> QTScalar:
+        """The canonical QTScalar.  The two sides are products of
+        distinct Phi_d(v), shifted off q and t, so they are coprime and
+        (by Gauss's lemma) primitive; only the signs of their leads are
+        left to fold into c."""
+        if not self.sign:
+            return _S_ZERO
+        a, b, sides = self.a, self.b, [_P_ONE, _P_ONE]
+        for (d, va, vb), e in self.phi.items():
+            p, sa, sb = _cyclotomic_at(d, va, vb)
+            a -= sa * e
+            b -= sb * e
+            for _ in range(abs(e)):
+                sides[e < 0] = sides[e < 0] * p
+        num = sides[0].mul_term(max(a, 0), max(b, 0))
+        den = sides[1].mul_term(max(-a, 0), max(-b, 0))
+        c = self.sign
+        if num.leading()[1] < 0:
+            c, num = -c, -num
+        if den.leading()[1] < 0:
+            c, den = -c, -den
+        return _scalar(Fraction(c), num, den)
+
+
+_FACTORED_ZERO = _Factored(0)
 
 
 # ---------------------------------------------------------------------------

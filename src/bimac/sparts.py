@@ -16,10 +16,6 @@ from .xpoly import EvalPoint
 # permutations (one-line notation, 1-based values in tuples)
 # ---------------------------------------------------------------------------
 
-def identity_perm(n):
-    return tuple(range(1, n + 1))
-
-
 def perm_inverse(p):
     out = [0] * len(p)
     for i, v in enumerate(p):
@@ -383,14 +379,6 @@ class StripCertificate:
     L: frozenset
     strip_type: str
     r: int
-
-
-def is_vertical_strip(mu, lam):
-    """mu_i - lam_i in {0,1} with mu containing lam."""
-    n = max(len(mu), len(lam))
-    mu = tuple(mu) + (0,) * (n - len(mu))
-    lam = tuple(lam) + (0,) * (n - len(lam))
-    return all(mu[i] - lam[i] in (0, 1) for i in range(n))
 
 
 def _blockwise_sorting(vec, m):

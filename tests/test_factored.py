@@ -1,0 +1,122 @@
+"""The factored form of products of q,t-binomials, and the guarantee
+that the Pieri and evaluation formulas expand it without any gcd."""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import bimac.qt
+from bimac.evalsym import eval_formula
+from bimac.pieri import pieri_expand
+from bimac.qt import QTScalar, _Factored, qt_monomial
+from bimac.sparts import parse_spart
+
+ONE = QTScalar.one()
+exps = st.integers(min_value=-6, max_value=6)
+# (kind, a1, b1, a2, b2, divide): a monomial q^a1 t^b1, a binomial
+# 1 - q^a1 t^b1, or q^a1 t^b1 - q^a2 t^b2, as a factor or a divisor
+factors = st.tuples(st.sampled_from(("monomial", "one_minus", "binomial")),
+                    exps, exps, exps, exps, st.booleans())
+
+
+def _both(kind, a1, b1, a2, b2):
+    """The same factor in factored form and as a plain QTScalar."""
+    if kind == "monomial":
+        return _Factored.monomial(a1, b1), qt_monomial(a1, b1)
+    if kind == "one_minus":
+        return _Factored.binomial(0, 0, a1, b1), ONE - qt_monomial(a1, b1)
+    return (_Factored.binomial(a1, b1, a2, b2),
+            qt_monomial(a1, b1) - qt_monomial(a2, b2))
+
+
+def _parts(s):
+    return s.c, s.num, s.den
+
+
+def _build(spec):
+    """Both products; a vanishing divisor must be refused by both and
+    is then left out."""
+    f, s = _Factored.monomial(0, 0), ONE
+    for kind, a1, b1, a2, b2, divide in spec:
+        g, x = _both(kind, a1, b1, a2, b2)
+        if not divide:
+            f, s = f * g, s * x
+        elif x.is_zero():
+            with pytest.raises(ZeroDivisionError):
+                f / g
+            with pytest.raises(ZeroDivisionError):
+                s / x
+        else:
+            f, s = f / g, s / x
+    return f, s
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(factors, max_size=8))
+def test_expand_matches_plain_arithmetic(spec):
+    f, s = _build(spec)
+    got = f.expand()
+    assert isinstance(got.c, Fraction)
+    assert _parts(got) == _parts(s)
+    assert f.is_zero() == s.is_zero()
+
+
+def test_division_by_zero_raises():
+    zero = _Factored.binomial(0, 0, 0, 0)
+    with pytest.raises(ZeroDivisionError):
+        _Factored.monomial(1, 0) / zero
+    with pytest.raises(ZeroDivisionError):
+        zero / zero
+
+
+@pytest.mark.parametrize("kind,a1,b1,a2,b2,want", [
+    ("one_minus", 0, 0, 0, 0, QTScalar.zero()),
+    ("binomial", 2, -1, 2, -1, QTScalar.zero()),
+    ("one_minus", 2, -3, 0, 0, ONE - qt_monomial(2, -3)),
+    ("one_minus", -4, 0, 0, 0, ONE - qt_monomial(-4, 0)),
+    ("binomial", 1, 5, 3, 2, qt_monomial(1, 5) - qt_monomial(3, 2)),
+])
+def test_single_factors(kind, a1, b1, a2, b2, want):
+    f = _both(kind, a1, b1, a2, b2)[0]
+    assert _parts(f.expand()) == _parts(want)
+    assert f.is_zero() == want.is_zero()
+
+
+def test_composite_exponent_cancels():
+    # with v = q^3 t^2, 1 - v^2 = -Phi_1(v) Phi_2(v) and 1 - v = -Phi_1(v),
+    # so the quotient is Phi_2(v) = 1 + v; then 1 - 1/v points down
+    f = _Factored.binomial(0, 0, 6, 4) / _Factored.binomial(0, 0, 3, 2)
+    assert _parts(f.expand()) == _parts(ONE + qt_monomial(3, 2))
+    g = f / _Factored.binomial(0, 0, -3, -2)
+    want = (ONE + qt_monomial(3, 2)) / (ONE - qt_monomial(-3, -2))
+    assert _parts(g.expand()) == _parts(want)
+
+
+SHAPES_N5 = ("2,0;1", "1;1,1", "3,1,0;2", "2,1;1", "1,0;2")
+
+
+def _results():
+    out = {}
+    for text in SHAPES_N5:
+        lam = parse_spart(text, 5)
+        for variant in ("upper", "lower"):
+            for r in range(4):
+                out[(text, variant, r)] = [
+                    (t.omega, t.coeff) for t in pieri_expand(lam, r, variant)]
+        for sign in ("plus", "minus"):
+            out[(text, sign)] = eval_formula(lam, sign)
+    return out
+
+
+def test_pieri_and_eval_formula_make_no_gcd_call(monkeypatch):
+    before = _results()
+    assert any(len(v) > 1 for v in before.values() if isinstance(v, list))
+
+    def refuse(*args):
+        raise AssertionError("poly_gcd called on the factored path")
+
+    monkeypatch.setattr(bimac.qt, "poly_gcd", refuse)
+    bimac.qt._cyclotomic.cache_clear()
+    bimac.qt._cyclotomic_at.cache_clear()
+    assert _results() == before
