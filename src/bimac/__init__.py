@@ -15,10 +15,10 @@ from .xpoly import (EvalPoint, XPolynomial, coefficient_of, divided_difference,
                     elementary_symmetric, exact_div, permute_vars, q_shift,
                     specialize, vandermonde)
 from .sparts import (Composition, Partition, StripCertificate, SuperPartition,
-                     derive_shapes, enumerate_strips, eval_point, eigenvalue,
-                     format_spart, hook_data, is_superevaluation,
-                     lambda_naught, minimal_sorting_permutation, parse_spart,
-                     row_of_circle, superpartitions)
+                     enumerate_strips, eval_point, eigenvalue, format_spart,
+                     hook_data, is_superevaluation, lambda_naught,
+                     minimal_sorting_permutation, parse_spart, row_of_circle,
+                     superpartitions)
 from .hecke import (apply_K, apply_T, apply_T0, apply_T_inv, apply_Y,
                     apply_e_of_Y, apply_omega, symmetrize)
 from .macdonald import (EBasisElement, PBasisElement, bisym_P,

@@ -17,7 +17,6 @@ from .sparts import (SuperPartition, eigenvalue, format_spart,
 from .xpoly import XPolynomial, coefficient_of, exact_div, permute_vars, vandermonde
 from . import hecke
 
-_ZERO = QTScalar.zero()
 _ONE = QTScalar.one()
 _T = qt_monomial(0, 1)
 
@@ -244,9 +243,13 @@ def expand_in_P_basis(f: XPolynomial, m: int):
     """Coefficients c_Omega with f = sum c_Omega P_Omega.
 
     f must be bisymmetric and homogeneous; candidates are all
-    superpartitions of matching degree.  The exact linear system on
-    monomial coefficients is solved and the reconstruction is verified
-    term by term, so an f outside the span raises.
+    superpartitions of matching degree.  The triangular peel takes a
+    candidate whose dominant monomial no other open candidate carries,
+    reads its coefficient off the residual and subtracts; the final
+    residual must vanish, so an f outside the span raises.  Whether the
+    peel stalls depends only on the candidates at (degree, m, N), not on
+    f: each P_Omega is unitriangular at its dominant monomial, so a stall
+    means an identity failed, and it raises ConsistencyError.
     """
     if f.is_zero():
         return []
@@ -258,7 +261,6 @@ def expand_in_P_basis(f: XPolynomial, m: int):
     d = f.total_degree() + m * (m - 1) // 2
     cands = [sp for sp in superpartitions(d, m, N)]
     polys = [bisym_P(sp) for sp in cands]
-    # solve on dominant-monomial rows first; they are near-triangular
     order = sorted(range(len(cands)),
                    key=lambda k: tuple(sorted(dominant_exponent(cands[k]),
                                               reverse=True)))
@@ -282,64 +284,12 @@ def expand_in_P_basis(f: XPolynomial, m: int):
                 residual = residual - polys[k].poly.scale(c)
             progressed = True
     if any(c is None for c in coeffs):
-        _solve_dense(residual, cands, polys, coeffs)
-        residual = f
-        for k, c in enumerate(coeffs):
-            if not c.is_zero():
-                residual = residual - polys[k].poly.scale(c)
+        raise ConsistencyError(
+            f"P-basis peel stalled at degree {d}, m = {m}, N = {N}: "
+            f"every open candidate shares its dominant monomial")
     if not residual.is_zero():
         raise ConsistencyError("input is not in the span of the P basis")
     out = [(cands[k], coeffs[k]) for k in range(len(cands))
            if not coeffs[k].is_zero()]
     out.sort(key=lambda kv: (kv[0].anti, kv[0].sym))
     return out
-
-
-def _solve_dense(residual, cands, polys, coeffs):
-    """Gaussian elimination fallback for the unsolved columns."""
-    open_cols = [k for k in range(len(cands)) if coeffs[k] is None]
-    pivots = []  # (row dict over open col index, rhs, pivot col)
-    rows_seen = set()
-    monomials = set(residual.terms)
-    for k in open_cols:
-        monomials.update(polys[k].poly.terms)
-    for e in sorted(monomials, key=lambda e: (sum(e), e), reverse=True):
-        if len(pivots) == len(open_cols):
-            break
-        if e in rows_seen:
-            continue
-        rows_seen.add(e)
-        row = {k: polys[k].poly.coefficient(e) for k in open_cols}
-        row = {k: v for k, v in row.items() if not v.is_zero()}
-        rhs = residual.coefficient(e)
-        for prow, prhs, pc in pivots:
-            factor = row.get(pc)
-            if factor is None or factor.is_zero():
-                continue
-            for k, v in prow.items():
-                nv = row.get(k, _ZERO) - factor * v
-                if nv.is_zero():
-                    row.pop(k, None)
-                else:
-                    row[k] = nv
-            rhs = rhs - factor * prhs
-        if not row:
-            if not rhs.is_zero():
-                raise ConsistencyError("inconsistent expansion system")
-            continue
-        pc = min(row)
-        inv = row[pc].inverse()
-        row = {k: v * inv for k, v in row.items()}
-        rhs = rhs * inv
-        pivots.append((row, rhs, pc))
-    if len(pivots) < len(open_cols):
-        raise ConsistencyError("expansion system is underdetermined")
-    solved = {}
-    for row, rhs, pc in reversed(pivots):
-        val = rhs
-        for k, v in row.items():
-            if k != pc and k in solved:
-                val = val - v * solved[k]
-        solved[pc] = val
-    for k in open_cols:
-        coeffs[k] = solved[k]

@@ -13,6 +13,10 @@ so two mathematically equal scalars are structurally identical and
 ``==`` / ``hash`` are reliable.  Negative powers of q or t never appear
 as stored exponents; they live in the denominator.
 
+Reduction rests on ``poly_gcd``, the heuristic gcd of Char, Geddes and
+Gonnet at two levels (q, then t); each level grows its evaluation point
+until a candidate passes trial division, which is its only exit.
+
 The private ``_Factored`` holds a product of q,t-binomials and their
 inverses as exponents of cyclotomic factors, for the Pieri and
 evaluation formulas; it expands to a canonical QTScalar with no gcd.
@@ -30,25 +34,15 @@ def _grlex(e):
 
 
 # ---------------------------------------------------------------------------
-# univariate integer polynomials in t, dense little-endian lists
+# heuristic gcd (Char, Geddes & Gonnet 1989, "GCDHEU") at two levels: q is
+# evaluated at an integer and rebuilt from digits over Z[t], whose gcd in
+# turn evaluates t.  Univariate polynomials are dense little-endian lists.
 # ---------------------------------------------------------------------------
 
 def _t_strip(u):
     while u and u[-1] == 0:
         u.pop()
     return u
-
-
-def _t_mul(u, v):
-    if not u or not v:
-        return []
-    out = [0] * (len(u) + len(v) - 1)
-    for i, a in enumerate(u):
-        if a:
-            for j, b in enumerate(v):
-                if b:
-                    out[i + j] += a * b
-    return _t_strip(out)
 
 
 def _t_sub(u, v):
@@ -71,24 +65,6 @@ def _t_content(u):
 
 def _t_divexact_int(u, c):
     return [a // c for a in u]
-
-
-def _t_prem(u, v):
-    """Pseudo-remainder of u by v over Z[t]."""
-    dv = len(v) - 1
-    lv = v[-1]
-    r = list(u)
-    e = len(u) - len(v) + 1
-    while r and len(r) - 1 >= dv:
-        lr = r[-1]
-        r = _t_scale(r, lv)
-        shift = len(r) - 1 - dv
-        piece = [0] * shift + _t_scale(v, lr)
-        r = _t_sub(r, piece)
-        e -= 1
-    if e > 0:
-        r = _t_scale(r, lv ** e)
-    return r
 
 
 def _t_eval(u, x):
@@ -129,142 +105,35 @@ def _t_divides(g, f):
 
 
 def _t_gcd(u, v):
-    """Gcd over Z[t], primitive with positive leading coefficient.
+    """Gcd of two nonzero polynomials over Z[t]: the gcd of their
+    contents times the gcd of their primitive parts, which has a
+    positive leading coefficient.
 
-    Heuristic evaluate-and-reconstruct first (trial division makes it
-    exact), primitive PRS as the fallback.
+    Evaluate t at x, take the integer gcd, rebuild a polynomial from its
+    balanced base-x digits and return it once it divides both primitive
+    parts.  x starts at 2*min(height) + 29 and only grows, so by the
+    theorem of Char, Geddes and Gonnet a candidate that divides both is
+    the gcd.  The loop ends: the integer gcd of the images is the image
+    of the true gcd times a factor which, for all but finitely many x,
+    divides a resultant of the cofactors, so its bound does not depend
+    on x.  Once x exceeds twice that bound times the gcd's height, the
+    digits rebuild a multiple of the gcd, whose primitive part passes.
     """
-    u, v = list(u), list(v)
-    if not u:
-        u, v = v, u
-    if not v:
-        if not u:
-            return []
-        return _t_scale(u, -1) if u[-1] < 0 else list(u)
     cu, cv = _t_content(u), _t_content(v)
     c = _igcd(cu, cv)
     u = _t_divexact_int(u, cu)
     v = _t_divexact_int(v, cv)
-    if len(u) < len(v):
-        u, v = v, u
-    if len(v) == 1:
+    if len(u) == 1 or len(v) == 1:
         return [c]
     x = 2 * min(max(abs(a) for a in u), max(abs(a) for a in v)) + 29
-    for _ in range(4):
-        gval = _igcd(abs(_t_eval(u, x)), abs(_t_eval(v, x)))
-        if gval == 0:
-            x = x * 2 + 1
-            continue
-        h = _t_digits(gval, x)
-        ch = _t_content(h)
-        if ch:
-            h = _t_divexact_int(h, ch)
-            if h[-1] < 0:
-                h = _t_scale(h, -1)
+    while True:
+        h = _t_digits(_igcd(_t_eval(u, x), _t_eval(v, x)), x)
+        if h:
+            ch = _t_content(h)
+            h = _t_divexact_int(h, ch if h[-1] > 0 else -ch)
             if _t_divides(h, u) and _t_divides(h, v):
                 return _t_scale(h, c)
         x = x * 2 + 1
-    while True:
-        r = _t_prem(u, v)
-        if not r:
-            break
-        cr = _t_content(r)
-        u, v = v, _t_divexact_int(r, cr)
-        if len(v) == 1:
-            v = [1]
-            break
-    if v[-1] < 0:
-        v = _t_scale(v, -1)
-    return _t_scale(v, c)
-
-
-def _t_divexact(u, v):
-    """Exact division over Z[t]; assumes divisibility."""
-    if not u:
-        return []
-    du, dv = len(u) - 1, len(v) - 1
-    lv = v[-1]
-    r = list(u)
-    out = [0] * (du - dv + 1)
-    for k in range(du - dv, -1, -1):
-        if len(r) - 1 == dv + k and r:
-            c = r[-1] // lv
-            out[k] = c
-            piece = [0] * k + _t_scale(v, c)
-            r = _t_sub(r, piece)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# bivariate gcd via primitive PRS in q over Z[t]
-# ---------------------------------------------------------------------------
-
-def _to_qdense(terms):
-    """Integer term dict -> list over q-degree of Z[t] lists."""
-    dq = max(a for a, _ in terms)
-    rows = [dict() for _ in range(dq + 1)]
-    for (a, b), c in terms.items():
-        rows[a][b] = c
-    out = []
-    for row in rows:
-        if row:
-            u = [0] * (max(row) + 1)
-            for b, c in row.items():
-                u[b] = c
-            out.append(u)
-        else:
-            out.append([])
-    while out and not out[-1]:
-        out.pop()
-    return out
-
-
-def _from_qdense(rows):
-    terms = {}
-    for a, u in enumerate(rows):
-        for b, c in enumerate(u):
-            if c:
-                terms[(a, b)] = c
-    return terms
-
-
-def _q_content(rows):
-    g = []
-    for u in rows:
-        if u:
-            g = _t_gcd(g, u)
-            if g == [1]:
-                return g
-    return g
-
-
-def _q_scale(rows, s):
-    return [_t_mul(u, s) for u in rows]
-
-
-def _q_divexact_t(rows, s):
-    return [_t_divexact(u, s) if u else [] for u in rows]
-
-
-def _q_prem(u, v):
-    dv = len(v) - 1
-    lv = v[-1]
-    r = [list(x) for x in u]
-    e = len(u) - len(v) + 1
-    while r and len(r) - 1 >= dv:
-        dr = len(r) - 1
-        lr = r[-1]
-        r = [_t_mul(x, lv) for x in r]
-        shift = dr - dv
-        for i, vi in enumerate(v):
-            r[shift + i] = _t_sub(r[shift + i], _t_mul(lr, vi))
-        while r and not r[-1]:
-            r.pop()
-        e -= 1
-    if e > 0:
-        for _ in range(e):
-            r = [_t_mul(x, lv) for x in r]
-    return r
 
 
 def _divides(g, f):
@@ -310,32 +179,19 @@ def _primitive_terms(terms):
     return terms if c == 1 else {e: v // c for e, v in terms.items()}
 
 
-def _gcd_terms_heuristic(f, g):
-    """Evaluate q at a big integer, gcd over Z[t], reconstruct by
-    balanced digits; exactness comes from trial division."""
-    bound = 2 * min(max(abs(c) for c in f.values()),
-                    max(abs(c) for c in g.values())) + 29
-    x = bound
-    for _ in range(4):
-        u = _eval_q_terms(f, x)
-        v = _eval_q_terms(g, x)
-        if u and v:
-            h = _t_gcd(u, v)
-            cand = {}
-            for b, hc in enumerate(h):
-                for a, c in enumerate(_t_digits(hc, x)):
-                    if c:
-                        cand[(a, b)] = c
-            if cand:
-                cand = _primitive_terms(cand)
-                if _divides(cand, f) and _divides(cand, g):
-                    return cand
-        x = x * 2 + 1
-    return None
-
-
 def _gcd_terms(f, g):
-    """Gcd of two nonzero integer term dicts, primitive, positive lead."""
+    """Gcd of two nonzero integer term dicts, primitive, positive lead.
+
+    Past the monomial and divisibility fast paths: evaluate q at x, take
+    the gcd over Z[t] of the images, rebuild each of its coefficients in
+    q from balanced base-x digits and return the primitive part once it
+    divides both f and g.  The start and growth of x, and so the
+    argument that the first candidate to pass is the gcd and that the
+    loop ends, are those of ``_t_gcd``.  Here, for all but finitely many
+    x, the extra factor in the gcd of the images is an integer dividing a
+    resultant of the cofactors or of their contents, again bounded
+    independently of x.
+    """
     # monomial fast path
     if len(f) == 1 or len(g) == 1:
         amin = min(min(a for a, _ in f), min(a for a, _ in g))
@@ -346,26 +202,21 @@ def _gcd_terms(f, g):
     small, large = (f, g) if len(f) <= len(g) else (g, f)
     if _divides(small, large):
         return _primitive_terms(small)
-    out = _gcd_terms_heuristic(f, g)
-    if out is not None:
-        return out
-    u = _to_qdense(f)
-    v = _to_qdense(g)
-    cu, cv = _q_content(u), _q_content(v)
-    c = _t_gcd(cu, cv)
-    u = _q_divexact_t(u, cu)
-    v = _q_divexact_t(v, cv)
-    if len(u) < len(v):
-        u, v = v, u
-    while len(v) > 1:
-        r = _q_prem(u, v)
-        if not r:
-            break
-        cr = _q_content(r)
-        u, v = v, _q_divexact_t(r, cr)
-    if len(v) == 1:
-        v = [[1]]
-    return _primitive_terms(_from_qdense(_q_scale(v, c)))
+    x = 2 * min(max(abs(c) for c in f.values()),
+                max(abs(c) for c in g.values())) + 29
+    while True:
+        u = _eval_q_terms(f, x)
+        v = _eval_q_terms(g, x)
+        if u and v:
+            cand = {}
+            for b, hc in enumerate(_t_gcd(u, v)):
+                for a, c in enumerate(_t_digits(hc, x)):
+                    if c:
+                        cand[(a, b)] = c
+            cand = _primitive_terms(cand)
+            if _divides(cand, f) and _divides(cand, g):
+                return cand
+        x = x * 2 + 1
 
 
 # ---------------------------------------------------------------------------
@@ -578,7 +429,7 @@ def poly_gcd(f: QTPoly, g: QTPoly) -> QTPoly:
     """Gcd over Q[q,t] (primitive parts only, since a QTScalar keeps the
     rational content apart), integer-primitive with a positive leading
     coefficient.  Results are memoized: the same denominators recur
-    constantly during eliminations."""
+    across the sums and products of one construction."""
     if f.is_zero():
         return g.content_split()[1] if g else _P_ZERO
     if g.is_zero():
@@ -870,24 +721,24 @@ def t_bracket_factorial(k: int, param: str = "t") -> QTScalar:
 
 @lru_cache(maxsize=1024)
 def _cyclotomic(d):
-    """The coefficients of Phi_d, little-endian: x^d - 1 divided by
-    every Phi_e with e a proper divisor of d."""
-    p = [-1] + [0] * (d - 1) + [1]
+    """Phi_d as a polynomial in q alone: q^d - 1 divided by every Phi_e
+    with e a proper divisor of d."""
+    p = _poly({(d, 0): 1, (0, 0): -1})
     for e in range(1, d):
         if d % e == 0:
-            p = _t_divexact(p, _cyclotomic(e))
-    return tuple(p)
+            p = p.exact_div(_cyclotomic(e))
+    return p
 
 
 @lru_cache(maxsize=4096)
 def _cyclotomic_at(d, va, vb):
     """(p, sa, sb) with p = q^sa t^sb Phi_d(q^va t^vb) the integer
     polynomial of least nonnegative exponents."""
-    coeffs = _cyclotomic(d)
-    n = len(coeffs) - 1
+    phi = _cyclotomic(d)
+    n = phi.leading()[0][0]
     sa, sb = max(-va * n, 0), max(-vb * n, 0)
     return (_poly({(sa + k * va, sb + k * vb): c
-                   for k, c in enumerate(coeffs) if c}), sa, sb)
+                   for (k, _), c in phi.terms.items()}), sa, sb)
 
 
 class _Factored:

@@ -190,11 +190,6 @@ class SuperPartition:
         return format_spart(self)
 
 
-def derive_shapes(lam: SuperPartition):
-    """(Lambda*, Lambda-circled, eta_Lambda)."""
-    return lam.star(), lam.circled(), lam.eta()
-
-
 def parse_spart(text: str, N: int) -> SuperPartition:
     if ";" not in text:
         raise ValueError(f"superpartition text {text!r} needs a ';'")

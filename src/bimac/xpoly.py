@@ -28,11 +28,6 @@ class EvalPoint:
     def __len__(self):
         return len(self.coords)
 
-    def shifted(self, J):
-        """The point with x_i premultiplied by q for i in J (1-based)."""
-        return EvalPoint(tuple((a + 1, b) if i + 1 in J else (a, b)
-                               for i, (a, b) in enumerate(self.coords)))
-
     def scalar(self, i):
         """Coordinate i (1-based) as a QTScalar monomial."""
         a, b = self.coords[i - 1]
@@ -74,10 +69,6 @@ class XPolynomial:
     @staticmethod
     def one(nvars):
         return XPolynomial(nvars, {(0,) * nvars: _ONE})
-
-    @staticmethod
-    def constant(c, nvars):
-        return XPolynomial(nvars, {(0,) * nvars: c})
 
     @staticmethod
     def variable(i, nvars):

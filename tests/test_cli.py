@@ -8,8 +8,10 @@ import pytest
 
 import bimac
 from bimac import cache as cachemod
+from bimac import cli
 from bimac import macdonald
 from bimac.cli import main
+from bimac.errors import ConsistencyError
 from bimac.macdonald import bisym_P, nonsym_E
 from bimac.sparts import SuperPartition
 
@@ -94,6 +96,25 @@ class TestCommandEval:
         assert code == 0
         assert out.strip() == "1"
 
+    def test_substitution_matches_formula(self, capsys):
+        args = ("eval", "--spart", "1,0;1", "--N", "4", "--sign", "minus")
+        code, formula, _ = run(capsys, *args, "--route", "formula")
+        assert code == 0
+        code, subst, _ = run(capsys, *args, "--route", "substitution")
+        assert code == 0
+        assert subst == formula and formula.strip() not in ("", "0")
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("eval", ()), ("pieri", ("--r", "1")),
+], ids=["eval", "pieri"])
+def test_bad_spart_exits_2(capsys, command, extra):
+    code, out, err = run(capsys, command, "--spart", "1,2;0", "--N", "4",
+                         *extra)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+
 
 class TestCommandPieri:
     def test_known_expansion_table(self, capsys):
@@ -131,6 +152,16 @@ class TestCommandPieri:
         assert code == 2
         assert err.startswith("error:")
 
+    def test_check_against_a_wrong_oracle_exits_1(self, capsys,
+                                                  monkeypatch):
+        monkeypatch.setattr(cli, "pieri_bruteforce",
+                            lambda lam, r, variant: [])
+        code, out, err = run(capsys, "pieri", "--spart", "1,0;", "--N", "4",
+                             "--r", "1", "--variant", "lower", "--check")
+        assert code == 1
+        assert "MISMATCH" in err
+        assert "check passed" not in out
+
     def test_deterministic_output(self, capsys):
         args = ("pieri", "--spart", "2,0;1", "--N", "5", "--r", "2",
                 "--variant", "lower", "--format", "json")
@@ -140,11 +171,18 @@ class TestCommandPieri:
 
 
 class TestCommandVerify:
-    def test_hecke_suite(self, capsys):
-        code, out, _ = run(capsys, "verify", "--suite", "hecke",
+    @pytest.mark.parametrize("suite", ["hecke", "eigen", "evaluation", "all"])
+    def test_suite_passes(self, capsys, suite):
+        code, out, _ = run(capsys, "verify", "--suite", suite,
                            "--N", "3", "--deg", "2")
         assert code == 0
         assert "FAIL" not in out
+
+    def test_jobs_fork_prints_the_same(self, capsys):
+        args = ("verify", "--suite", "all", "--N", "3", "--deg", "2")
+        serial = run(capsys, *args, "--jobs", "1")
+        forked = run(capsys, *args, "--jobs", "2")
+        assert forked[:2] == serial[:2]
 
     def test_symmetry_suite(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "symmetry",
@@ -336,6 +374,16 @@ class TestVerifyPieriSuite:
         out = capsys.readouterr().out
         assert code == 0
         assert "FAIL" not in out
+
+
+def test_consistency_error_exits_1(capsys, monkeypatch):
+    def broken(lam):
+        raise ConsistencyError("planted failure")
+    monkeypatch.setattr(cli, "bisym_P", broken)
+    code, out, err = run(capsys, "P", "--spart", "1;1", "--N", "3")
+    assert code == 1
+    assert out == ""
+    assert err == "consistency failure: planted failure\n"
 
 
 def test_P_json_format(capsys):

@@ -132,6 +132,28 @@ class TestExpansion:
         with pytest.raises(ValueError):
             expand_in_P_basis(f, 1)
 
+    def test_stalled_peel_fails_closed(self, monkeypatch):
+        # two candidates that each carry the other's dominant monomial
+        # leave the triangular peel nothing to take
+        a = SuperPartition((1,), (1,), 3)
+        b = SuperPartition((2,), (), 3)
+        f = bisym_P(a).poly
+        real = macdonald.bisym_P
+
+        def crossed(lam):
+            elem = real(lam)
+            other = {a: b, b: a}.get(lam)
+            if other is None:
+                return elem
+            poly = elem.poly + XPolynomial.monomial(dominant_exponent(other))
+            return macdonald.PBasisElement(lam=lam, poly=poly,
+                                           c_lam=elem.c_lam)
+        monkeypatch.setattr(macdonald, "bisym_P", crossed)
+        with pytest.raises(ConsistencyError,
+                           match=r"^P-basis peel stalled at degree 2, "
+                                 r"m = 1, N = 3: "):
+            expand_in_P_basis(f, 1)
+
     def test_known_product_expansion(self):
         lam = SuperPartition((2, 0), (1,), 5)
         f = elementary_symmetric(2, (3, 5), 5) * bisym_P(lam).poly

@@ -66,6 +66,29 @@ def test_gcd_cancellation_forced():
     assert (ONE - Q * Q) / (ONE - Q) == ONE + Q
 
 
+def _t_poly(*coeffs):
+    """The polynomial sum of coeffs[k] * t^k."""
+    return QTPoly({(0, k): c for k, c in enumerate(coeffs)})
+
+
+@pytest.mark.parametrize("f, g, want", [
+    # t^2 - 1 and (31t - 1)^2 are coprime, yet the integer gcd of their
+    # values at t = x rebuilds a false candidate at each of the first
+    # seven evaluation points
+    (_t_poly(-1, 0, 1), _t_poly(1, -62, 961), _t_poly(1)),
+    # the same pair with t + 2 planted: (t^2 - 1)(t + 2)^2 and
+    # (31t - 1)^2 (t + 2)
+    (_t_poly(-4, -4, 3, 4, 1), _t_poly(2, -123, 1860, 961), _t_poly(2, 1)),
+], ids=["coprime", "planted"])
+def test_gcd_needs_many_evaluation_points(f, g, want):
+    assert poly_gcd(f, g) == want
+    try:
+        import sympy
+    except ImportError:
+        return
+    _check_gcd_against_sympy(sympy, f, g)
+
+
 def test_division_by_zero():
     with pytest.raises(ZeroDivisionError):
         ONE / QTScalar.zero()
