@@ -158,11 +158,19 @@ def cmd_pieri(args):
 
 
 def cmd_verify(args):
+    for flag, value, least in (("N", args.N, 2), ("deg", args.deg, 0),
+                               ("jobs", args.jobs, 1)):
+        if value < least:
+            print(f"error: --{flag} {value} must be at least {least}",
+                  file=sys.stderr)
+            return 2
     if args.suite == "all" and args.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
         names = ("hecke", "eigen", "symmetry", "evaluation", "pieri")
+        # the pool forks all of its workers up front: one per suite at most
+        workers = min(args.jobs, len(names))
         ok = True
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {name: pool.submit(_run_suite_worker, name,
                                          args.N, args.deg)
                        for name in names}
@@ -170,8 +178,7 @@ def cmd_verify(args):
                 sub_ok, lines = futures[name].result()
                 ok = ok and sub_ok
                 for line in lines:
-                    print(f"{name}: {line}" if not line.startswith("[")
-                          else line.replace("] ", f"] {name}: ", 1))
+                    print(line.replace("] ", f"] {name}: ", 1))
         return 0 if ok else 1
     rep = run_suite(args.suite, N=args.N, deg=args.deg)
     for line in rep.lines():

@@ -36,15 +36,20 @@ def apply_T(i: int, f: XPolynomial) -> XPolynomial:
     """
     if i == 0:
         return apply_T0(f)
+    return f.scale(_T) - _exchange_term(i, f)
+
+
+def _exchange_term(i, f):
+    """(t x_i - x_(i+1)) (f - K_(i,i+1) f)/(x_i - x_(i+1)), 1 <= i < N."""
     n = f.nvars
     if not 1 <= i <= n - 1:
         raise ValueError(f"T_{i} undefined for {n} variables")
     dd = divided_difference(f, i)
     if dd.is_zero():
-        return f.scale(_T)
+        return dd
     xi = XPolynomial.variable(i, n)
     xi1 = XPolynomial.variable(i + 1, n)
-    return f.scale(_T) - (xi.scale(_T) - xi1) * dd
+    return (xi.scale(_T) - xi1) * dd
 
 
 def apply_T_inv(i: int, f: XPolynomial) -> XPolynomial:
@@ -76,18 +81,28 @@ def apply_omega(f: XPolynomial) -> XPolynomial:
     return _xpoly(n, out)
 
 
-def apply_Y(i: int, f: XPolynomial) -> XPolynomial:
-    """Cherednik operator Y_i = t^(i-N) T_i..T_(N-1) omega Tbar_1..Tbar_(i-1)."""
+def _y_word(i, f):
+    """t^(N-1) Y_i = T_i..T_(N-1) omega (t Tbar_1)..(t Tbar_(i-1)).
+
+    t Tbar_j = T_j - (t - 1) is 1 minus _exchange_term(j), so no step of
+    the word divides by t, and coefficients in Z[q,t] stay in Z[q,t].
+    """
     n = f.nvars
     if not 1 <= i <= n:
         raise ValueError(f"Y_{i} undefined for {n} variables")
     g = f
     for j in range(i - 1, 0, -1):
-        g = apply_T_inv(j, g)
+        g = g - _exchange_term(j, g)
     g = apply_omega(g)
     for j in range(n - 1, i - 1, -1):
         g = apply_T(j, g)
-    return g.scale(qt_monomial(0, i - n))
+    return g
+
+
+def apply_Y(i: int, f: XPolynomial) -> XPolynomial:
+    """Cherednik operator Y_i = t^(i-N) T_i..T_(N-1) omega Tbar_1..Tbar_(i-1),
+    applied as t^(1-N) times the t-cleared word of _y_word."""
+    return _y_word(i, f).scale(qt_monomial(0, 1 - f.nvars))
 
 
 def symmetrize(kind: str, interval, f: XPolynomial) -> XPolynomial:

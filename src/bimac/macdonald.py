@@ -11,8 +11,9 @@ import threading
 from dataclasses import dataclass
 
 from .errors import ConsistencyError, DivisibilityError
-from .qt import QTScalar, qt_monomial, t_bracket_factorial
-from .sparts import (SuperPartition, eigenvalue, format_spart,
+from .qt import (QTScalar, clear_denominators, qt_monomial,
+                 t_bracket_factorial)
+from .sparts import (SuperPartition, eigenvalue, format_spart, row_of_circle,
                      sorting_permutation, superpartitions)
 from .xpoly import XPolynomial, coefficient_of, exact_div, permute_vars, vandermonde
 from . import hecke
@@ -114,14 +115,26 @@ def _raise(eta):
     return f.scale(lead.inverse())
 
 
+def _cleared(E):
+    """D E, for D the common denominator of E's coefficients, so every
+    coefficient lies in Z[q,t]; D is D E's coefficient at x^eta when E
+    is monic there."""
+    return XPolynomial(E.nvars, dict(zip(
+        E.terms, clear_denominators(list(E.terms.values())))))
+
+
 def nonsym_E(eta) -> EBasisElement:
     """The monic joint eigenfunction of the Cherednik operators.
 
     Built by the Knop-Sahi recursion (raising by x_N omega, then adjacent
     intertwiners), then checked exactly: every support monomial other
     than x^eta is Bruhat-below eta, x^eta has coefficient 1, and
-    Y_i E = ebar_i E for every i.  A failed check raises
-    ConsistencyError; only checked results are cached.
+    Y_i E = ebar_i E for every i.  The N eigenvalue equations run on
+    D E, D the common denominator of E's coefficients, as
+    t^(N-1) Y_i (D E) = t_ebar D E with t_ebar = t^(N-1) ebar_i and the
+    t-cleared word of hecke._y_word, so they stay in Z[q,t] and need no
+    gcd; Y_i is linear and D != 0, so this is the same check.  A failed
+    check raises ConsistencyError; only checked results are cached.
     """
     eta = tuple(int(x) for x in eta)
     if any(x < 0 for x in eta):
@@ -137,11 +150,13 @@ def nonsym_E(eta) -> EBasisElement:
                 f"E_{eta} has support at {nu}, not Bruhat-below")
     if not E.coefficient(eta).is_one():
         raise ConsistencyError(f"E_{eta} is not monic at x^{eta}")
-    ebar = tuple(eigenvalue(eta, i) for i in range(1, N + 1))
+    DE = _cleared(E)
     for i in range(1, N + 1):
-        if hecke.apply_Y(i, E) != E.scale(ebar[i - 1]):
+        t_ebar = qt_monomial(eta[i - 1], N - row_of_circle(eta, i))
+        if hecke._y_word(i, DE) != DE.scale(t_ebar):
             raise ConsistencyError(
                 f"eigenvalue equation Y_{i} E = ebar_{i} E failed for E_{eta}")
+    ebar = tuple(eigenvalue(eta, i) for i in range(1, N + 1))
     elem = EBasisElement(eta=eta, poly=E, eigenvalues=ebar)
     with _lock:
         _E_CACHE[eta] = elem
@@ -165,7 +180,9 @@ def bisym_P(lam: SuperPartition) -> PBasisElement:
 
     Computed as the t-antisymmetrization (first m variables) of the
     t-symmetrization (last N - m variables) of E over eta_Lambda,
-    divided exactly by the t-deformed Vandermonde.  A parallel
+    divided exactly by the t-deformed Vandermonde.  The symmetrizers
+    act on D E, D the common denominator of E's coefficients, and the
+    normalization divides D back out of c_lam.  A parallel
     computation with the plain antisymmetrizer and plain Vandermonde
     must give a proportional result; a mismatch raises rather than
     being silently resolved.
@@ -175,11 +192,12 @@ def bisym_P(lam: SuperPartition) -> PBasisElement:
     if cached is not None:
         return cached
     m, N = lam.m, lam.N
-    E = nonsym_E(lam.eta()).poly
+    eta = lam.eta()
+    DE = _cleared(nonsym_E(eta).poly)
     if m + 1 <= N:
-        S = hecke.symmetrize("t_sym", (m + 1, N), E)
+        S = hecke.symmetrize("t_sym", (m + 1, N), DE)
     else:
-        S = E
+        S = DE
     if m >= 2:
         A = hecke.symmetrize("t_antisym", (1, m), S)
         try:
@@ -206,7 +224,8 @@ def bisym_P(lam: SuperPartition) -> PBasisElement:
             raise ConsistencyError(
                 f"plain and t-deformed constructions disagree for "
                 f"{format_spart(lam)}")
-    elem = PBasisElement(lam=lam, poly=P, c_lam=c.inverse())
+    # c is D times the dominant coefficient taken from E itself
+    elem = PBasisElement(lam=lam, poly=P, c_lam=DE.coefficient(eta) / c)
     with _lock:
         _P_CACHE[key] = elem
     return elem

@@ -184,6 +184,50 @@ class TestCommandVerify:
         forked = run(capsys, *args, "--jobs", "2")
         assert forked[:2] == serial[:2]
 
+    @pytest.mark.parametrize("argv", [
+        ("--N", "0", "--suite", "hecke"),
+        ("--N", "1", "--suite", "all"),
+        ("--N", "3", "--deg", "-1"),
+        ("--N", "3", "--jobs", "0"),
+    ], ids=["N0-hecke", "N1-all", "negative-deg", "no-jobs"])
+    def test_bad_arguments_exit_2(self, capsys, argv):
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: --")
+
+    @pytest.mark.parametrize("jobs, workers", [(64, 5), (3, 3)])
+    def test_jobs_capped_at_the_suites(self, capsys, monkeypatch,
+                                       jobs, workers):
+        import concurrent.futures
+
+        seen = []
+
+        class Inline:
+            # records the pool size and runs each task in this process
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Inline)
+        monkeypatch.setattr(cli, "_run_suite_worker",
+                            lambda name, N, deg: (True, ["[pass] stub"]))
+        code, out, _ = run(capsys, "verify", "--suite", "all",
+                           "--jobs", str(jobs))
+        assert code == 0
+        assert seen == [workers]
+        assert out.splitlines()[0] == "[pass] hecke: stub"
+
     def test_symmetry_suite(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "symmetry",
                            "--N", "3", "--deg", "2")

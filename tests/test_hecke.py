@@ -56,6 +56,34 @@ class TestGenerators:
                 assert hecke.apply_T_inv(i, hecke.apply_T(i, f)) == f
 
 
+def textbook_Y(i, f):
+    """t^(i-N) T_i..T_(N-1) omega Tbar_1..Tbar_(i-1), written out."""
+    n = f.nvars
+    g = f
+    for j in range(i - 1, 0, -1):
+        g = hecke.apply_T_inv(j, g)
+    g = hecke.apply_omega(g)
+    for j in range(n - 1, i - 1, -1):
+        g = hecke.apply_T(j, g)
+    return g.scale(qt_monomial(0, i - n))
+
+
+class TestYWord:
+    @pytest.mark.parametrize("N", [3, 4])
+    def test_matches_the_textbook_form(self, N):
+        # coefficients with q, t and integer denominators, so no step
+        # of either form can lean on integrality
+        coeffs = [ONE / (ONE - Q * T), (Q + T) / (T * QTScalar.from_int(3)),
+                  QTScalar.from_fraction(-2) / (ONE + Q * Q)]
+        f = XPolynomial.zero(N)
+        for k, g in enumerate(monomials(N, 2)):
+            f = f + g.scale(coeffs[k % 3])
+        for i in range(1, N + 1):
+            want = textbook_Y(i, f)
+            assert hecke.apply_Y(i, f) == want
+            assert hecke._y_word(i, f) == want.scale(qt_monomial(0, N - 1))
+
+
 class TestOmega:
     def test_values(self):
         n = 4

@@ -1,6 +1,6 @@
 import pytest
 
-from bimac import hecke, macdonald
+from bimac import hecke, macdonald, qt
 from bimac.errors import ConsistencyError
 from bimac.macdonald import (bisym_P, c_lambda_formula, dominant_exponent,
                              expand_in_P_basis, is_bisymmetric, nonsym_E)
@@ -53,7 +53,13 @@ class TestNonsymE:
         # the right polynomial times t
         ((0, 1, 1), lambda E: E.scale(T),
          r"^E_\(0, 1, 1\) is not monic at x\^\(0, 1, 1\)$"),
-    ], ids=["wrong-coefficient", "not-bruhat-below", "not-monic"])
+        # one coefficient's denominator times 1 + q, so the common
+        # denominator D is taken from the wrong E
+        ((1, 0, 0), lambda E: E + XPolynomial.monomial(
+            (0, 1, 0), E.coefficient((0, 1, 0)) * (ONE / (ONE + Q) - ONE)),
+         r"^eigenvalue equation Y_\d E = ebar_\d E failed for E_\(1, 0, 0\)$"),
+    ], ids=["wrong-coefficient", "not-bruhat-below", "not-monic",
+            "wrong-denominator"])
     def test_fails_closed(self, monkeypatch, eta, perturb, message):
         good = macdonald._raise(eta)
         monkeypatch.setattr(macdonald, "_raise", lambda e: perturb(good))
@@ -61,6 +67,23 @@ class TestNonsymE:
         with pytest.raises(ConsistencyError, match=message):
             nonsym_E(eta)
         assert macdonald._E_CACHE == {}
+
+    def test_eigen_check_gcds_only_for_the_common_denominator(
+            self, monkeypatch):
+        # the N equations run on D E in Z[q,t][x]: the lcm that forms D
+        # makes one gcd call per distinct denominator, the Y words none
+        eta = (2, 0, 1, 1)
+        good = macdonald._raise(eta)
+        monkeypatch.setattr(macdonald, "_raise", lambda e: good)
+        monkeypatch.setattr(macdonald, "_E_CACHE", {})
+        calls = []
+        real = qt.poly_gcd
+        monkeypatch.setattr(qt, "poly_gcd",
+                            lambda f, g: calls.append(1) or real(f, g))
+        nonsym_E(eta)
+        dens = {c.den for c in good.terms.values()}
+        assert len(dens) > 1
+        assert len(calls) == len(dens)
 
     def test_caches_only_the_result(self, monkeypatch):
         # the recursion's intermediate E_nu are unchecked and stay out
