@@ -19,7 +19,7 @@ from .pieri import expansions_equal, pieri_bruteforce, pieri_expand
 from .qt import format_scalar
 from .render import format_xpoly, xpoly_to_json, diagram_latex
 from .sparts import lambda_naught, format_spart, parse_spart
-from .verify import run_suite
+from .verify import ALL_SUITES, SUITES, run_suite
 
 
 def _parse_eta(text):
@@ -166,15 +166,14 @@ def cmd_verify(args):
             return 2
     if args.suite == "all" and args.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
-        names = ("hecke", "eigen", "symmetry", "evaluation", "pieri")
         # the pool forks all of its workers up front: one per suite at most
-        workers = min(args.jobs, len(names))
+        workers = min(args.jobs, len(ALL_SUITES))
         ok = True
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {name: pool.submit(_run_suite_worker, name,
                                          args.N, args.deg)
-                       for name in names}
-            for name in names:
+                       for name in ALL_SUITES}
+            for name in ALL_SUITES:
                 sub_ok, lines = futures[name].result()
                 ok = ok and sub_ok
                 for line in lines:
@@ -234,8 +233,7 @@ def build_parser():
 
     p = sub.add_parser("verify", help="run identity verification suites")
     p.add_argument("--suite", default="all",
-                   choices=("hecke", "eigen", "symmetry", "evaluation",
-                            "pieri", "normalization", "all"))
+                   choices=(*SUITES, "all"))
     p.add_argument("--N", type=int, default=4)
     p.add_argument("--deg", type=int, default=3)
     p.add_argument("--jobs", type=int, default=1,

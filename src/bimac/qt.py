@@ -14,8 +14,9 @@ so two mathematically equal scalars are structurally identical and
 as stored exponents; they live in the denominator.
 
 Reduction rests on ``poly_gcd``, the heuristic gcd of Char, Geddes and
-Gonnet at two levels (q, then t); each level grows its evaluation point
-until a candidate passes trial division, which is its only exit.
+Gonnet: one loop that evaluates q (then, by recursion on the images, t)
+at an integer and grows that point until a candidate passes trial
+division, which is its only exit.
 
 The private ``_Factored`` holds a product of q,t-binomials and their
 inverses as exponents of cyclotomic factors, for the Pieri and
@@ -28,53 +29,54 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd as _igcd, lcm as _ilcm
 
+from .errors import DivisibilityError
+
 
 def _grlex(e):
     return (e[0] + e[1], e[0])
 
 
 # ---------------------------------------------------------------------------
-# heuristic gcd (Char, Geddes & Gonnet 1989, "GCDHEU") at two levels: q is
-# evaluated at an integer and rebuilt from digits over Z[t], whose gcd in
-# turn evaluates t.  Univariate polynomials are dense little-endian lists.
+# exact division and the heuristic gcd (Char, Geddes & Gonnet 1989,
+# "GCDHEU") on integer term dicts {(q-degree, t-degree): int}
 # ---------------------------------------------------------------------------
 
-def _t_strip(u):
-    while u and u[-1] == 0:
-        u.pop()
-    return u
+def _div_terms(f, g):
+    """The quotient f/g of nonzero integer term dicts, or None if g does
+    not divide f.  The remainder is keyed (a + b, a), so that graded-lex
+    order is tuple order and a product of monomials is a sum of keys."""
+    if len(g) == 1:
+        ((ga, gb), gc), = g.items()
+        out = {}
+        for (a, b), c in f.items():
+            if a < ga or b < gb or c % gc:
+                return None
+            out[(a - ga, b - gb)] = c // gc
+        return out
+    gk = {(a + b, a): c for (a, b), c in g.items()}
+    gd, ga = max(gk)
+    gc = gk[(gd, ga)]
+    gb = gd - ga
+    rem = {(a + b, a): c for (a, b), c in f.items()}
+    out = {}
+    while rem:
+        d, a = e = max(rem)
+        c = rem[e]
+        if a < ga or d - a < gb or c % gc:
+            return None
+        qd, qa, qc = d - gd, a - ga, c // gc
+        out[(qa, qd - qa)] = qc
+        for (d2, a2), c2 in gk.items():
+            k = (qd + d2, qa + a2)
+            s = rem.get(k, 0) - qc * c2
+            if s:
+                rem[k] = s
+            else:
+                del rem[k]
+    return out
 
 
-def _t_sub(u, v):
-    n = max(len(u), len(v))
-    out = [0] * n
-    for i, a in enumerate(u):
-        out[i] = a
-    for i, b in enumerate(v):
-        out[i] -= b
-    return _t_strip(out)
-
-
-def _t_scale(u, c):
-    return [a * c for a in u] if c else []
-
-
-def _t_content(u):
-    return _igcd(*u)
-
-
-def _t_divexact_int(u, c):
-    return [a // c for a in u]
-
-
-def _t_eval(u, x):
-    acc = 0
-    for c in reversed(u):
-        acc = acc * x + c
-    return acc
-
-
-def _t_digits(n, x):
+def _digits(n, x):
     """Balanced base-x digits of the integer n, little-endian."""
     out = []
     half = x // 2
@@ -87,90 +89,6 @@ def _t_digits(n, x):
     return out
 
 
-def _t_divides(g, f):
-    """Whether g divides f over Z[t] (g primitive); both nonzero."""
-    if len(g) > len(f):
-        return False
-    lg = g[-1]
-    r = list(f)
-    while r and len(r) >= len(g):
-        c = r[-1]
-        if c % lg:
-            return False
-        qc = c // lg
-        shift = len(r) - len(g)
-        piece = [0] * shift + _t_scale(g, qc)
-        r = _t_sub(r, piece)
-    return not r
-
-
-def _t_gcd(u, v):
-    """Gcd of two nonzero polynomials over Z[t]: the gcd of their
-    contents times the gcd of their primitive parts, which has a
-    positive leading coefficient.
-
-    Evaluate t at x, take the integer gcd, rebuild a polynomial from its
-    balanced base-x digits and return it once it divides both primitive
-    parts.  x starts at 2*min(height) + 29 and only grows, so by the
-    theorem of Char, Geddes and Gonnet a candidate that divides both is
-    the gcd.  The loop ends: the integer gcd of the images is the image
-    of the true gcd times a factor which, for all but finitely many x,
-    divides a resultant of the cofactors, so its bound does not depend
-    on x.  Once x exceeds twice that bound times the gcd's height, the
-    digits rebuild a multiple of the gcd, whose primitive part passes.
-    """
-    cu, cv = _t_content(u), _t_content(v)
-    c = _igcd(cu, cv)
-    u = _t_divexact_int(u, cu)
-    v = _t_divexact_int(v, cv)
-    if len(u) == 1 or len(v) == 1:
-        return [c]
-    x = 2 * min(max(abs(a) for a in u), max(abs(a) for a in v)) + 29
-    while True:
-        h = _t_digits(_igcd(_t_eval(u, x), _t_eval(v, x)), x)
-        if h:
-            ch = _t_content(h)
-            h = _t_divexact_int(h, ch if h[-1] > 0 else -ch)
-            if _t_divides(h, u) and _t_divides(h, v):
-                return _t_scale(h, c)
-        x = x * 2 + 1
-
-
-def _divides(g, f):
-    """Whether integer term dict g exactly divides f (both nonzero)."""
-    lead = max(g, key=_grlex)
-    gc = g[lead]
-    ga, gb = lead
-    rem = dict(f)
-    while rem:
-        e = max(rem, key=_grlex)
-        a, b = e
-        if a < ga or b < gb:
-            return False
-        c = rem[e]
-        if c % gc:
-            return False
-        qc = c // gc
-        qe = (a - ga, b - gb)
-        for (a2, b2), c2 in g.items():
-            k = (qe[0] + a2, qe[1] + b2)
-            s = rem.get(k, 0) - qc * c2
-            if s:
-                rem[k] = s
-            elif k in rem:
-                del rem[k]
-    return True
-
-
-def _eval_q_terms(terms, x):
-    """Integer term dict with q evaluated at x, as a dense Z[t] list."""
-    db = max(b for _, b in terms)
-    out = [0] * (db + 1)
-    for (a, b), c in terms.items():
-        out[b] += c * x ** a
-    return _t_strip(out)
-
-
 def _primitive_terms(terms):
     """Integer term dict divided by its content, with positive grlex lead."""
     c = _igcd(*terms.values())
@@ -179,44 +97,63 @@ def _primitive_terms(terms):
     return terms if c == 1 else {e: v // c for e, v in terms.items()}
 
 
-def _gcd_terms(f, g):
-    """Gcd of two nonzero integer term dicts, primitive, positive lead.
+def _eval_terms(terms, x, in_q):
+    """Integer term dict with q evaluated at x, a term dict in t; or,
+    with no q in it (in_q false), with t evaluated at x, an int."""
+    if not in_q:
+        return sum(c * x ** b for (_, b), c in terms.items())
+    out = {}
+    for (a, b), c in terms.items():
+        out[(0, b)] = out.get((0, b), 0) + c * x ** a
+    return {k: c for k, c in out.items() if c}
 
-    Past the monomial and divisibility fast paths: evaluate q at x, take
-    the gcd over Z[t] of the images, rebuild each of its coefficients in
-    q from balanced base-x digits and return the primitive part once it
-    divides both f and g.  The start and growth of x, and so the
-    argument that the first candidate to pass is the gcd and that the
-    loop ends, are those of ``_t_gcd``.  Here, for all but finitely many
-    x, the extra factor in the gcd of the images is an integer dividing a
-    resultant of the cofactors or of their contents, again bounded
-    independently of x.
+
+def _gcd_terms(f, g):
+    """Gcd of two nonzero integer term dicts: the gcd of their contents
+    times the gcd of their primitive parts, which has a positive lead.
+
+    Past the monomial and divisibility fast paths: evaluate q at x, or t
+    once neither input has q, take the gcd of the images (by recursion,
+    or ``math.gcd`` once they are integers), rebuild each of its
+    coefficients in the evaluated variable from balanced base-x digits
+    and return the primitive part once it divides both primitive parts.
+    x starts at 2*min(height) + 29 and only grows, so by the theorem of
+    Char, Geddes and Gonnet a candidate that divides both is the gcd.
+    The loop ends: for all but finitely many x, the gcd of the images is
+    the image of the true gcd times an integer dividing a resultant of
+    the cofactors or of their contents, so its bound does not depend on
+    x.  Once x exceeds twice that bound times the gcd's height, the
+    digits rebuild a multiple of the gcd, whose primitive part passes.
     """
     # monomial fast path
     if len(f) == 1 or len(g) == 1:
         amin = min(min(a for a, _ in f), min(a for a, _ in g))
         bmin = min(min(b for _, b in f), min(b for _, b in g))
         return {(amin, bmin): _igcd(*f.values(), *g.values())}
-    if f == g:
-        return _primitive_terms(f)
+    c = _igcd(*f.values(), *g.values())
+    f, g = _primitive_terms(f), _primitive_terms(g)
     small, large = (f, g) if len(f) <= len(g) else (g, f)
-    if _divides(small, large):
-        return _primitive_terms(small)
-    x = 2 * min(max(abs(c) for c in f.values()),
-                max(abs(c) for c in g.values())) + 29
-    while True:
-        u = _eval_q_terms(f, x)
-        v = _eval_q_terms(g, x)
-        if u and v:
-            cand = {}
-            for b, hc in enumerate(_t_gcd(u, v)):
-                for a, c in enumerate(_t_digits(hc, x)):
-                    if c:
-                        cand[(a, b)] = c
-            cand = _primitive_terms(cand)
-            if _divides(cand, f) and _divides(cand, g):
-                return cand
-        x = x * 2 + 1
+    if small == large or _div_terms(large, small) is not None:
+        h = small
+    else:
+        in_q = any(a for a, _ in f) or any(a for a, _ in g)
+        x = 2 * min(max(abs(v) for v in f.values()),
+                    max(abs(v) for v in g.values())) + 29
+        while True:
+            u, v = _eval_terms(f, x, in_q), _eval_terms(g, x, in_q)
+            if u and v:
+                h = {}
+                img = _gcd_terms(u, v) if in_q else {(0, 0): _igcd(u, v)}
+                for (_, b), hc in img.items():
+                    for k, d in enumerate(_digits(hc, x)):
+                        if d:
+                            h[(k, b) if in_q else (0, k)] = d
+                h = _primitive_terms(h)
+                if _div_terms(f, h) is not None and \
+                        _div_terms(g, h) is not None:
+                    break
+            x = x * 2 + 1
+    return h if c == 1 else {e: c * v for e, v in h.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -350,39 +287,15 @@ class QTPoly:
 
     def exact_div(self, g):
         """Exact quotient self/g in Z[q,t]; DivisibilityError otherwise."""
-        from .errors import DivisibilityError
         if g.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         if g.is_one():
             return self
         if not self.terms:
             return _P_ZERO
-        (ga, gb), gc = g.leading()
-        if len(g.terms) == 1:
-            out = {}
-            for (a, b), c in self.terms.items():
-                if a < ga or b < gb or c % gc:
-                    raise DivisibilityError("monomial does not divide", self)
-                out[(a - ga, b - gb)] = c // gc
-            return _poly(out)
-        rem = dict(self.terms)
-        out = {}
-        while rem:
-            e = max(rem, key=_grlex)
-            a, b = e
-            if a < ga or b < gb or rem[e] % gc:
-                raise DivisibilityError("nonzero polynomial remainder",
-                                        _poly(rem))
-            qe = (a - ga, b - gb)
-            qc = rem[e] // gc
-            out[qe] = qc
-            for (a2, b2), c2 in g.terms.items():
-                k = (qe[0] + a2, qe[1] + b2)
-                s = rem.get(k, 0) - qc * c2
-                if s:
-                    rem[k] = s
-                elif k in rem:
-                    del rem[k]
+        out = _div_terms(self.terms, g.terms)
+        if out is None:
+            raise DivisibilityError("division in Z[q,t] is not exact")
         return _poly(out)
 
     # -- display ------------------------------------------------------
@@ -428,8 +341,9 @@ _GCD_MEMO: dict = {}
 def poly_gcd(f: QTPoly, g: QTPoly) -> QTPoly:
     """Gcd over Q[q,t] (primitive parts only, since a QTScalar keeps the
     rational content apart), integer-primitive with a positive leading
-    coefficient.  Results are memoized: the same denominators recur
-    across the sums and products of one construction."""
+    coefficient, from the one heuristic-gcd loop ``_gcd_terms``.  Results
+    are memoized: the same denominators recur across the sums and
+    products of one construction."""
     if f.is_zero():
         return g.content_split()[1] if g else _P_ZERO
     if g.is_zero():

@@ -233,11 +233,11 @@ def suite_eigen(N=4, deg=4) -> Report:
     return rep
 
 
-def suite_symmetry(N=4, deg=3, ms=(1, 2)) -> Report:
+def suite_symmetry(N=4, deg=3) -> Report:
     rep = Report()
     bad = None
     pairs = 0
-    for m in ms:
+    for m in (1, 2):
         sps = [sp for d in range(deg + 1)
                for sp in superpartitions(d, m, N)]
         for lam in sps:
@@ -279,14 +279,14 @@ def suite_evaluation(N=4, deg=3) -> Report:
     return rep
 
 
-def suite_pieri(N=4, deg=3, rmax=2) -> Report:
+def suite_pieri(N=4, deg=3) -> Report:
     rep = Report()
     bad = None
     count = 0
     for m in (1, 2):
         for d in range(0, deg + 1):
             for sp in superpartitions(d, m, N):
-                for r in range(1, rmax + 1):
+                for r in (1, 2):
                     for variant in ("upper", "lower"):
                         width = N - m if variant == "upper" else m
                         if r > width:
@@ -348,6 +348,9 @@ SUITES = {
     "normalization": suite_normalization,
 }
 
+# what "all" runs, in this order
+ALL_SUITES = ("hecke", "eigen", "symmetry", "evaluation", "pieri")
+
 
 def run_suite(name, N=4, deg=3) -> Report:
     """Run one suite, or: "all" chains the five identity suites.
@@ -358,7 +361,7 @@ def run_suite(name, N=4, deg=3) -> Report:
     """
     if name == "all":
         rep = Report()
-        for key in ("hecke", "eigen", "symmetry", "evaluation", "pieri"):
+        for key in ALL_SUITES:
             sub = SUITES[key](N=N, deg=deg)
             for item in sub.results:
                 rep.results.append((f"{key}: {item[0]}", item[1], item[2]))

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bimac.errors import DivisibilityError
 from bimac.qt import (QTPoly, QTScalar, poly_gcd, qt_monomial, t_bracket,
                       t_bracket_factorial)
 
@@ -71,15 +72,24 @@ def _t_poly(*coeffs):
     return QTPoly({(0, k): c for k, c in enumerate(coeffs)})
 
 
+def _q_poly(*coeffs):
+    """The polynomial sum of coeffs[k] * q^k."""
+    return QTPoly({(k, 0): c for k, c in enumerate(coeffs)})
+
+
 @pytest.mark.parametrize("f, g, want", [
     # t^2 - 1 and (31t - 1)^2 are coprime, yet the integer gcd of their
     # values at t = x rebuilds a false candidate at each of the first
     # seven evaluation points
     (_t_poly(-1, 0, 1), _t_poly(1, -62, 961), _t_poly(1)),
     # the same pair with t + 2 planted: (t^2 - 1)(t + 2)^2 and
-    # (31t - 1)^2 (t + 2)
+    # (31t - 1)^2 (t + 2); the search needs four points
     (_t_poly(-4, -4, 3, 4, 1), _t_poly(2, -123, 1860, 961), _t_poly(2, 1)),
-], ids=["coprime", "planted"])
+    # the same two cases in q alone, where q is the variable evaluated:
+    # eight points, then four
+    (_q_poly(-1, 0, 1), _q_poly(1, -62, 961), _q_poly(1)),
+    (_q_poly(-4, -4, 3, 4, 1), _q_poly(2, -123, 1860, 961), _q_poly(2, 1)),
+], ids=["coprime", "planted", "coprime-q", "planted-q"])
 def test_gcd_needs_many_evaluation_points(f, g, want):
     assert poly_gcd(f, g) == want
     try:
@@ -87,6 +97,19 @@ def test_gcd_needs_many_evaluation_points(f, g, want):
     except ImportError:
         return
     _check_gcd_against_sympy(sympy, f, g)
+
+
+def test_exact_div():
+    q, t = QTPoly.monomial(1, 0), QTPoly.monomial(0, 1)
+    with pytest.raises(DivisibilityError):
+        q.exact_div(t)
+    with pytest.raises(DivisibilityError):
+        (q * q + t).exact_div(q + QTPoly.one())
+    with pytest.raises(ZeroDivisionError):
+        q.exact_div(QTPoly.zero())
+    assert QTPoly.monomial(2, 1, 4).exact_div(QTPoly.monomial(1, 0, 2)) == \
+        QTPoly.monomial(1, 1, 2)
+    assert (q * q * t - t).exact_div(q + QTPoly.one()) == q * t - t
 
 
 def test_division_by_zero():
