@@ -124,7 +124,8 @@ def cmd_pieri(args):
         print(f"error: --r {args.r} is negative; e_r needs r >= 0",
               file=sys.stderr)
         return 2
-    path = _load_cache(args)
+    # pieri_expand needs no cached polynomial; only the oracle does
+    path = _load_cache(args) if args.check else None
     terms = pieri_expand(lam, args.r, args.variant)
     if args.format == "json":
         print(json.dumps([{"spart": format_spart(t.omega),

@@ -9,8 +9,8 @@ from dataclasses import dataclass
 from .errors import DegenerateEvaluationError
 from .macdonald import bisym_P
 from .qt import QTScalar, _Factored
-from .sparts import (SuperPartition, arm, eval_point, hook_data,
-                     lambda_naught, leg)
+from .sparts import (SuperPartition, conjugate_partition, eval_point,
+                     hook_data, lambda_naught)
 from .xpoly import XPolynomial, specialize
 
 
@@ -33,31 +33,32 @@ def evaluate(lam: SuperPartition, sign: str, f: XPolynomial) -> QTScalar:
 
 
 def _eval_factors(lam: SuperPartition, sign: str) -> _Factored:
-    """The closed product of ``eval_formula``, held factored."""
+    """The closed product of ``eval_formula``, held factored.  The leg
+    of cell (i,j) in Lambda* is star_c[j-1] - i, with star_c the
+    conjugate partition."""
     m, N = lam.m, lam.N
     hd = hook_data(lam)
-    star = lam.star()
+    star_c = conjugate_partition(lam.star())
     circ = lam.circled()
 
     if sign == "minus":
         num = [_one_minus(j - 1, N - (i - 1)) for (i, j) in hd.s_cells]
-        den = [_one_minus(arm(circ, i, j), leg(star, i, j) + 1)
+        den = [_one_minus(circ[i - 1] - j, star_c[j - 1] - i + 1)
                for (i, j) in hd.b_cells]
-        pref = _Factored.monomial(
+        num.append(_Factored.monomial(
             -((m - 1) * hd.anti_skew_size - hd.n_anti_skew),
-            hd.n_s + hd.n_conj_anti_skew)
+            hd.n_s + hd.n_conj_anti_skew))
     elif sign == "plus":
         num = [_one_minus(1 - j, i - (N + 1)) for (i, j) in hd.s_cells]
-        den = [_one_minus(-arm(circ, i, j), -(leg(star, i, j) + 1))
+        den = [_one_minus(j - circ[i - 1], i - 1 - star_c[j - 1])
                for (i, j) in hd.b_cells]
-        pref = _Factored.monomial(m * hd.anti_skew_size - hd.n_anti_skew,
-                                  -(hd.n_s + hd.n_conj_anti_skew))
+        num.append(_Factored.monomial(m * hd.anti_skew_size - hd.n_anti_skew,
+                                      -(hd.n_s + hd.n_conj_anti_skew)))
     else:
         raise ValueError(f"unknown sign {sign!r}")
-    den = _Factored.prod(den)
-    if den.is_zero():
+    if any(d.is_zero() for d in den):
         raise DegenerateEvaluationError("hook product vanished")
-    return pref * _Factored.prod(num) / den
+    return _Factored.prod(num, den)
 
 
 def eval_formula(lam: SuperPartition, sign: str) -> QTScalar:

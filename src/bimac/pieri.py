@@ -10,6 +10,9 @@ factor is a monomial or a q,t-binomial X_i - X_j, t X_i - X_j, so the
 coefficients, the t-Vandermonde and the staircase evaluations are held
 as factored binomial products (``qt._Factored``) and each Pieri
 coefficient is expanded to a canonical QTScalar once, with no gcd.
+Each helper collects its factors and divisors and forms them with one
+``_Factored.prod``; the binomials come from a memo, and the sigma data
+of a certificate is computed once.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from .xpoly import (EvalPoint, XPolynomial, elementary_symmetric, specialize,
 from . import hecke
 
 _ONE = QTScalar.one()
-_ONE_F = _Factored.monomial(0, 0)
+_ZERO_F = _Factored(0)
 
 
 @dataclass(frozen=True)
@@ -86,59 +89,62 @@ def _tdiff(point, i, j, shift) -> _Factored:
 
 def _a_factor(point, pairs, shift) -> _Factored:
     """prod (t X_i - X_j)/(X_i - X_j); diagonal pairs are skipped."""
-    out = _ONE_F
+    num, den = [], []
     for i, j in pairs:
         if i == j:
             continue
-        den = _diff(point, i, j, shift)
-        if den.is_zero():
+        d = _diff(point, i, j, shift)
+        if d.is_zero():
             raise DegenerateEvaluationError(
                 f"vanishing denominator X_{i} - X_{j}")
-        out = out * _tdiff(point, i, j, shift) / den
-        if out.is_zero():
-            return out
-    return out
+        n = _tdiff(point, i, j, shift)
+        if n.is_zero():
+            return n
+        num.append(n)
+        den.append(d)
+    return _Factored.prod(num, den)
 
 
-def _vandermonde_at(point, rows, shift) -> _Factored:
-    out = _ONE_F
-    for i, j in combinations(sorted(rows), 2):
-        out = out * _diff(point, i, j, shift)
-    return out
+def _vandermonde_at(point, rows, shift) -> list:
+    """The factors X_i - X_j, i < j in rows, of the Vandermonde."""
+    return [_diff(point, i, j, shift)
+            for i, j in combinations(sorted(rows), 2)]
 
 
-def _phi_factors(sigma, m, point, shift_J) -> _Factored:
-    ss = SigmaSets.from_sigma(sigma, m)
-    out = _ONE_F if ss.d_sigma % 2 == 0 else -_ONE_F
-    for j in sorted(ss.b_comp):
-        # (t - 1) X_j = t X_j - X_j
-        a, b = _coord(point, j, shift_J)
-        out = out * _Factored.binomial(a, b + 1, a, b)
-    out = out * _vandermonde_at(point, ss.a_comp, shift_J)
-    out = out * _vandermonde_at(point, ss.b_comp, shift_J)
+def _phi_factors(ss, point, shift_J) -> _Factored:
+    num = [_Factored(-1 if ss.d_sigma % 2 else 1)]
+    # (t - 1) X_j = t X_j - X_j
+    num += [_Factored.binomial(a, b + 1, a, b)
+            for a, b in (_coord(point, j, shift_J) for j in sorted(ss.b_comp))]
+    num += _vandermonde_at(point, ss.a_comp, shift_J)
+    num += _vandermonde_at(point, ss.b_comp, shift_J)
+    den = []
     for i in sorted(ss.a_comp):
         for j in sorted(ss.b_comp):
-            den = _diff(point, i, j, shift_J)
-            if den.is_zero():
+            d = _diff(point, i, j, shift_J)
+            if d.is_zero():
                 raise DegenerateEvaluationError(
                     f"vanishing denominator X_{i} - X_{j} in Phi")
-            out = out / den
-    return out
+            den.append(d)
+    return _Factored.prod(num, den)
 
 
 def phi_at(sigma, m: int, point: EvalPoint, shift_J=frozenset()) -> QTScalar:
     """The factor Phi(sigma) evaluated at the point, with coordinates in
     shift_J premultiplied by q (for use inside a q-shift)."""
-    return _phi_factors(sigma, m, point, shift_J).expand()
-
-
-def _k_sigma_delta_at(sigma, m, point, shift) -> _Factored:
-    """K_sigma(Delta_m) at the point: the signed Vandermonde over
-    sigma([m])."""
     ss = SigmaSets.from_sigma(sigma, m)
-    rows = sorted(sigma[i] for i in range(m))
-    val = _vandermonde_at(point, rows, shift)
-    return -val if ss.z_sigma % 2 else val
+    return _phi_factors(ss, point, shift_J).expand()
+
+
+def _k_sigma_delta_at(sigma, m, ss, point, shift) -> list:
+    """The factors of K_sigma(Delta_m) at the point: the signed
+    Vandermonde over sigma([m])."""
+    return [_Factored(-1 if ss.z_sigma % 2 else 1),
+            *_vandermonde_at(point, sigma[:m], shift)]
+
+
+def _t_power(r, N, sign=1) -> _Factored:
+    return _Factored(sign, 0, r * (r + 1 - 2 * N) // 2)
 
 
 def _C_factors(m, r, J, L, sigma, point) -> _Factored:
@@ -147,18 +153,17 @@ def _C_factors(m, r, J, L, sigma, point) -> _Factored:
     The A product over J x sigma([m]) skips equal indices, as its tilde
     decoration requires.
     """
-    N = len(sigma)
-    out = _Factored.monomial(0, r * (r + 1 - 2 * N) // 2)
-    out = out * _a_factor(point, combinations(range(1, m + 1), 2), frozenset())
-    out = out * _a_factor(point, ((i, j) for i in sorted(J) for j in sorted(L)),
-                          frozenset())
-    if out.is_zero():
-        return out
-    sig_m = sorted(sigma[i] for i in range(m))
+    outer = (_a_factor(point, combinations(range(1, m + 1), 2), frozenset()),
+             _a_factor(point, ((i, j) for i in sorted(J) for j in sorted(L)),
+                       frozenset()))
+    if outer[0].is_zero() or outer[1].is_zero():
+        return _ZERO_F
+    sig_m = sorted(sigma[:m])
     inner = _a_factor(point, ((i, j) for i in sorted(J) for j in sig_m), J)
-    inner = inner * _phi_factors(sigma, m, point, J)
-    inner = inner * _k_sigma_delta_at(sigma, m, point, J)
-    return out * inner
+    ss = SigmaSets.from_sigma(sigma, m)
+    return _Factored.prod((_t_power(r, len(sigma)), *outer, inner,
+                           _phi_factors(ss, point, J),
+                           *_k_sigma_delta_at(sigma, m, ss, point, J)))
 
 
 def _D_factors(m, r, J, sigma, point) -> _Factored:
@@ -172,19 +177,17 @@ def _D_factors(m, r, J, sigma, point) -> _Factored:
     """
     N = len(sigma)
     ss = SigmaSets.from_sigma(sigma, m)
-    out = _Factored.monomial(0, r * (r + 1 - 2 * N) // 2)
-    if len(ss.b_comp) % 2:
-        out = -out
-    out = out * _a_factor(point, combinations(range(1, m + 1), 2), frozenset())
-    out = out * _a_factor(point, ((i, j) for i in sorted(J)
-                                  for j in range(m + 1, N + 1)), frozenset())
-    if out.is_zero():
-        return out
-    out = out * _phi_factors(sigma, m, point, frozenset())
+    outer = (_a_factor(point, combinations(range(1, m + 1), 2), frozenset()),
+             _a_factor(point, ((i, j) for i in sorted(J)
+                               for j in range(m + 1, N + 1)), frozenset()))
+    if outer[0].is_zero() or outer[1].is_zero():
+        return _ZERO_F
+    phi = _phi_factors(ss, point, frozenset())
     inner = _a_factor(point, ((i, j) for i in sorted(J)
                               for j in sorted(ss.a_set) if j not in J), J)
-    inner = inner * _k_sigma_delta_at(sigma, m, point, J)
-    return out * inner
+    return _Factored.prod((_t_power(r, N, -1 if len(ss.b_comp) % 2 else 1),
+                           *outer, phi, inner,
+                           *_k_sigma_delta_at(sigma, m, ss, point, J)))
 
 
 def _coeff_C_at(m, r, J, L, sigma, point) -> QTScalar:
@@ -195,8 +198,8 @@ def _coeff_D_at(m, r, J, sigma, point) -> QTScalar:
     return _D_factors(m, r, J, sigma, point).expand()
 
 
-def _certificate_factors(lam, cert) -> _Factored:
-    point = eval_point(lam, "plus")
+def _certificate_factors(lam, cert, point) -> _Factored:
+    """The coefficient of the certificate at u_Lambda^+'s point."""
     if cert.strip_type == "I":
         return _C_factors(lam.m, cert.r, cert.J, cert.L, cert.sigma, point)
     return _D_factors(lam.m, cert.r, cert.J, cert.sigma, point)
@@ -206,27 +209,24 @@ def coeff_C(lam: SuperPartition, cert: StripCertificate) -> QTScalar:
     """u_Lambda^+ of the type-I Pieri coefficient C_(J,sigma)."""
     if cert.strip_type != "I":
         raise ValueError("coeff_C needs a type-I certificate")
-    return _certificate_factors(lam, cert).expand()
+    return _certificate_factors(lam, cert, eval_point(lam, "plus")).expand()
 
 
 def coeff_D(lam: SuperPartition, cert: StripCertificate) -> QTScalar:
     """u_Lambda^+ of the type-II Pieri coefficient D_(J,sigma)."""
     if cert.strip_type != "II":
         raise ValueError("coeff_D needs a type-II certificate")
-    return _certificate_factors(lam, cert).expand()
+    return _certificate_factors(lam, cert, eval_point(lam, "plus")).expand()
 
 
-def _delta_t_factors(lam) -> _Factored:
-    point = eval_point(lam, "plus")
-    out = _ONE_F
-    for i, j in combinations(range(1, lam.m + 1), 2):
-        out = out * _tdiff(point, i, j, frozenset())
-    return out
+def _delta_t_factors(m, point) -> _Factored:
+    return _Factored.prod([_tdiff(point, i, j, frozenset())
+                           for i, j in combinations(range(1, m + 1), 2)])
 
 
 def u_plus_delta_t(lam: SuperPartition) -> QTScalar:
     """u_Lambda^+ of the t-deformed Vandermonde on the first m variables."""
-    return _delta_t_factors(lam).expand()
+    return _delta_t_factors(lam.m, eval_point(lam, "plus")).expand()
 
 
 def pieri_expand(lam: SuperPartition, r: int, variant: str):
@@ -245,20 +245,22 @@ def pieri_expand(lam: SuperPartition, r: int, variant: str):
     certs = enumerate_strips(lam, r, strip_type)
     if not certs:
         return []
-    delta = _delta_t_factors(lam)
+    point = eval_point(lam, "plus")
+    delta = _delta_t_factors(lam.m, point)
     if delta.is_zero():
         raise DegenerateEvaluationError(
             "u^+ of the t-Vandermonde vanished; the Pieri normalization "
             "breaks down")
-    scale = _eval_factors(lam, "plus") / delta
-    if variant == "lower":
-        scale = scale * _Factored.monomial(r, 0)
+    # the lower expansion carries an extra q^r
+    q_r = _Factored.monomial(r if variant == "lower" else 0, 0)
+    scale = _Factored.prod((_eval_factors(lam, "plus"), q_r), (delta,))
     out = []
     for cert in certs:
-        num = _certificate_factors(lam, cert)
+        num = _certificate_factors(lam, cert, point)
         if num.is_zero():
             continue
-        coeff = (num * scale / _eval_factors(cert.omg, "plus")).expand()
+        coeff = _Factored.prod((num, scale),
+                               (_eval_factors(cert.omg, "plus"),)).expand()
         if not coeff.is_zero():
             out.append(PieriTerm(omega=cert.omg, certificate=cert, coeff=coeff))
     out.sort(key=lambda term: (term.omega.anti, term.omega.sym))

@@ -21,6 +21,9 @@ division, which is its only exit.
 The private ``_Factored`` holds a product of q,t-binomials and their
 inverses as exponents of cyclotomic factors, for the Pieri and
 evaluation formulas; it expands to a canonical QTScalar with no gcd.
+``_Factored.prod(factors, divisors)`` is its one product (``*`` and
+``/`` call it), and ``_Factored.binomial`` is memoized, so no value's
+factors are ever changed in place.
 """
 
 from __future__ import annotations
@@ -693,8 +696,11 @@ class _Factored:
         return _Factored(1, a, b)
 
     @staticmethod
+    @lru_cache(maxsize=4096)
     def binomial(a1, b1, a2, b2):
-        """q^a1 t^b1 - q^a2 t^b2 = q^a1 t^b1 (1 - u) with u = q^a t^b."""
+        """q^a1 t^b1 - q^a2 t^b2 = q^a1 t^b1 (1 - u) with u = q^a t^b.
+        Memoized: the value is shared, so no phi is ever changed in
+        place."""
         a, b = a2 - a1, b2 - b1
         if not (a or b):
             return _FACTORED_ZERO
@@ -709,20 +715,24 @@ class _Factored:
                                         for d in range(1, g + 1) if g % d == 0})
 
     @staticmethod
-    def prod(factors):
-        """The product of an iterable of _Factored values."""
+    def prod(factors, divisors=()):
+        """The product of the factors divided by the product of the
+        divisors, in one pass; a vanishing divisor raises even when a
+        factor vanishes."""
         sign, a, b, phi = 1, 0, 0, {}
+        for f in divisors:
+            if not f.sign:
+                raise ZeroDivisionError("division by zero in Q(q,t)")
+            sign, a, b = sign * f.sign, a - f.a, b - f.b
+            for k, e in f.phi.items():
+                phi[k] = phi.get(k, 0) - e
         for f in factors:
             if not f.sign:
                 return _FACTORED_ZERO
             sign, a, b = sign * f.sign, a + f.a, b + f.b
             for k, e in f.phi.items():
-                e += phi.get(k, 0)
-                if e:
-                    phi[k] = e
-                else:
-                    del phi[k]
-        return _Factored(sign, a, b, phi)
+                phi[k] = phi.get(k, 0) + e
+        return _Factored(sign, a, b, {k: e for k, e in phi.items() if e})
 
     def is_zero(self):
         return not self.sign
@@ -734,11 +744,7 @@ class _Factored:
         return _Factored.prod((self, other))
 
     def __truediv__(self, other):
-        if not other.sign:
-            raise ZeroDivisionError("division by zero in Q(q,t)")
-        inverse = _Factored(other.sign, -other.a, -other.b,
-                            {k: -e for k, e in other.phi.items()})
-        return _Factored.prod((self, inverse))
+        return _Factored.prod((self,), (other,))
 
     def expand(self) -> QTScalar:
         """The canonical QTScalar.  The two sides are products of

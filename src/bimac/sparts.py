@@ -303,10 +303,11 @@ class HookData:
     n_conj_anti_skew: int   # same statistic for the conjugate diagram
 
 
-def conjugate_anti(lam: SuperPartition):
-    """Anti part of the conjugate superpartition, via diagram transpose."""
-    star_c = conjugate_partition(lam.star())
-    circ_c = conjugate_partition(lam.circled())
+def conjugate_anti(star, circ):
+    """Anti part of the conjugate superpartition of the diagram pair
+    (star, circ), via diagram transpose."""
+    star_c = conjugate_partition(star)
+    circ_c = conjugate_partition(circ)
     rows = max(len(circ_c), len(star_c))
     star_c = star_c + (0,) * (rows - len(star_c))
     circ_c = circ_c + (0,) * (rows - len(circ_c))
@@ -319,7 +320,7 @@ def conjugate_anti(lam: SuperPartition):
 def hook_data(lam: SuperPartition) -> HookData:
     m, N = lam.m, lam.N
     star, circ = lam.star(), lam.circled()
-    circled_rows = lam.circled_rows()
+    circled_rows = {i + 1 for i in range(N) if circ[i] == star[i] + 1}
     circled_cols = {star[i - 1] + 1 for i in circled_rows}
     b_cells = tuple((i, j)
                     for i in range(1, N + 1)
@@ -335,16 +336,9 @@ def hook_data(lam: SuperPartition) -> HookData:
         n_s=sum(i - 1 for i, _ in s_cells),
         anti_skew_size=sum(lam.anti) - m * (m - 1) // 2,
         n_anti_skew=n_statistic(lam.anti) - n_statistic(delta),
-        n_conj_anti_skew=n_statistic(conjugate_anti(lam)) - n_statistic(delta),
+        n_conj_anti_skew=(n_statistic(conjugate_anti(star, circ))
+                          - n_statistic(delta)),
     )
-
-
-def arm(partition, i, j):
-    return partition[i - 1] - j
-
-
-def leg(partition, i, j):
-    return sum(1 for x in partition if x >= j) - i
 
 
 # ---------------------------------------------------------------------------
@@ -467,14 +461,16 @@ def enumerate_strips(lam: SuperPartition, r: int, strip_type: str):
             opts.append((0, 1))
         return opts
 
+    row_options = [options(i) for i in range(N)]
+
     def rec(i, asum, bsum, prev_star, prev_circ, acc):
-        if asum > r or bsum > r:
+        # each of the N - i rows left adds at most one to asum and bsum
+        if asum > r or bsum > r or min(asum, bsum) + N - i < r:
             return
         if i == N:
-            if asum == r and bsum == r:
-                results.append(list(acc))
+            results.append(list(acc))
             return
-        for a, b in options(i):
+        for a, b in row_options[i]:
             ns, nc = star[i] + a, circ[i] + b
             if ns > prev_star or nc > prev_circ:
                 continue

@@ -314,6 +314,19 @@ class TestCache:
         assert code == 0
         assert out.strip() == "1"
 
+    def test_pieri_without_check_skips_the_cache(self, tmp_path, capsys):
+        path = tmp_path / "c.jsonl"
+        path.write_text("not json\nnot json either\n")
+        argv = ("pieri", "--spart", "1;1", "--N", "3", "--r", "1")
+        code, out, _ = run(capsys, "--cache", str(path), *argv)
+        assert code == 0
+        assert out == run(capsys, *argv)[1] != ""
+        assert path.read_text() == "not json\nnot json either\n"
+        # --check runs the oracle, which does read the cache
+        with pytest.raises(SystemExit) as exc:
+            main(["--cache", str(path), *argv, "--check"])
+        assert exc.value.code == 2
+
 
 def _cache_file(tmp_path, capsys, *argv):
     """A cache file written by one CLI run, and its records."""

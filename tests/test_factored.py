@@ -4,7 +4,7 @@ that the Pieri and evaluation formulas expand it without any gcd."""
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import bimac.qt
 from bimac.evalsym import eval_formula
@@ -60,6 +60,54 @@ def test_expand_matches_plain_arithmetic(spec):
     assert isinstance(got.c, Fraction)
     assert _parts(got) == _parts(s)
     assert f.is_zero() == s.is_zero()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(factors, max_size=8))
+def test_prod_matches_the_pairwise_chain(spec):
+    pairs = [(_both(kind, a1, b1, a2, b2), divide)
+             for kind, a1, b1, a2, b2, divide in spec]
+    # a vanishing divisor is test_prod_zero_divisor_and_factor's case
+    assume(not any(divide and x.is_zero() for (_, x), divide in pairs))
+    tops = [f for (f, _), divide in pairs if not divide]
+    bottoms = [f for (f, _), divide in pairs if divide]
+    chain, plain = _Factored.monomial(0, 0), ONE
+    for f in tops:
+        chain = chain * f
+    for f in bottoms:
+        chain = chain / f
+    for (_, x), divide in pairs:
+        plain = plain / x if divide else plain * x
+    got = _Factored.prod(tops, bottoms)
+    assert (got.sign, got.a, got.b, got.phi) == \
+        (chain.sign, chain.a, chain.b, chain.phi)
+    assert _parts(got.expand()) == _parts(plain)
+
+
+def test_prod_zero_divisor_and_factor():
+    zero = _Factored.binomial(1, 2, 1, 2)
+    one_minus_q = _Factored.binomial(0, 0, 1, 0)
+    with pytest.raises(ZeroDivisionError):
+        _Factored.prod([one_minus_q], [one_minus_q, zero])
+    with pytest.raises(ZeroDivisionError):
+        _Factored.prod([zero], [zero])
+    got = _Factored.prod([one_minus_q, zero], [one_minus_q])
+    assert got.is_zero() and got.expand().is_zero()
+
+
+def test_memoized_binomial_is_never_changed():
+    def state(f):
+        return f.sign, f.a, f.b, dict(f.phi)
+
+    # with v = q^3 t^2: 1 - v^2 = -Phi_1(v) Phi_2(v) and
+    # q^2 - q^2 v = -q^2 Phi_1(v)
+    first = _Factored.binomial(0, 0, 6, 4)
+    second = _Factored.binomial(2, 0, 5, 2)
+    before = state(first), state(second)
+    _ = (_Factored.prod([first, second, first], [second]), -first,
+         first / second, second / first / first, first * -second)
+    assert _Factored.binomial(0, 0, 6, 4) is first
+    assert (state(first), state(second)) == before
 
 
 def test_division_by_zero_raises():

@@ -213,6 +213,25 @@ class TestStrips:
                     is_strip = _is_vertical_strip_pair(lam, omg, r, typ)
                     assert ((omg.anti, omg.sym) in listed) == is_strip
 
+    def test_brute_force_characterization_n56(self):
+        # the same check for every |Lambda| <= 4 at N = 5, 6, every r
+        # and both types: the shapes of the pieri_formula workload
+        cases = 0
+        for N in (5, 6):
+            for m in range(N + 1):
+                by_degree = [superpartitions(d, m, N) for d in range(5 + N)]
+                for lam in (lam for d in range(5) for lam in by_degree[d]):
+                    for typ, rmax in (("I", N - m), ("II", m)):
+                        for r in range(1, rmax + 1):
+                            listed = [(c.omg.anti, c.omg.sym)
+                                      for c in enumerate_strips(lam, r, typ)]
+                            want = [(o.anti, o.sym)
+                                    for o in by_degree[lam.degree() + r]
+                                    if _is_vertical_strip_pair(lam, o, r, typ)]
+                            assert sorted(listed) == sorted(want)
+                            cases += 1
+        assert cases == 638
+
 
 def _is_vertical_strip_pair(lam, omg, r, typ):
     ls, lc = lam.star(), lam.circled()
