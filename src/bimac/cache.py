@@ -16,7 +16,7 @@ import os
 
 from .qt import QTScalar
 from .render import xpoly_from_json, xpoly_to_json
-from .sparts import eigenvalue, format_spart, parse_spart
+from .sparts import format_spart, parse_spart
 from .xpoly import coefficient_of
 from . import macdonald
 
@@ -85,9 +85,7 @@ def _load_record(rec):
             raise ValueError(f"E record {rec['key']!r} does not have N = {N} parts")
         if not coefficient_of(poly, eta).is_one():
             raise ValueError(f"E record {rec['key']!r} has no coefficient 1 at x^eta")
-        elem = macdonald.EBasisElement(
-            eta=eta, poly=poly,
-            eigenvalues=tuple(eigenvalue(eta, i) for i in range(1, N + 1)))
+        elem = macdonald.EBasisElement(eta=eta, poly=poly)
         macdonald._E_CACHE.setdefault(eta, elem)
     elif rec["kind"] == "P":
         lam = parse_spart(rec["key"], N)
@@ -113,14 +111,6 @@ def _record(elem):
     if kind == "P":
         value = {"poly": value, "c": elem.c_lam.to_json()}
     return {"kind": kind, "key": key, "N": N, "value": value}
-
-
-def append_E(path, elem) -> None:
-    _append(path, [elem])
-
-
-def append_P(path, elem) -> None:
-    _append(path, [elem])
 
 
 def _append(path, elems) -> int:

@@ -4,8 +4,6 @@ evaluation symmetry of the bisymmetric Macdonald polynomials.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import DegenerateEvaluationError
 from .macdonald import bisym_P
 from .qt import QTScalar, _Factored
@@ -17,14 +15,6 @@ from .xpoly import XPolynomial, specialize
 def _one_minus(a, b) -> _Factored:
     """1 - q^a t^b."""
     return _Factored.binomial(0, 0, a, b)
-
-
-@dataclass(frozen=True)
-class EvaluationResult:
-    lam: SuperPartition
-    sign: str
-    value: QTScalar
-    via: str
 
 
 def evaluate(lam: SuperPartition, sign: str, f: XPolynomial) -> QTScalar:
@@ -69,17 +59,6 @@ def eval_formula(lam: SuperPartition, sign: str) -> QTScalar:
     1 - q^a t^b and their inverses, expanded once.
     """
     return _eval_factors(lam, sign).expand()
-
-
-def evaluation(lam: SuperPartition, sign: str, via: str = "formula") -> EvaluationResult:
-    """The staircase evaluation of P_Lambda by either route."""
-    if via == "formula":
-        value = eval_formula(lam, sign)
-    elif via == "substitution":
-        value = evaluate(lambda_naught(lam.m, lam.N), sign, bisym_P(lam).poly)
-    else:
-        raise ValueError(f"unknown route {via!r}")
-    return EvaluationResult(lam=lam, sign=sign, value=value, via=via)
 
 
 def symmetry_check(lam: SuperPartition, omg: SuperPartition, sign: str) -> bool:

@@ -30,7 +30,6 @@ _P_CACHE: dict = {}
 class EBasisElement:
     eta: tuple
     poly: XPolynomial
-    eigenvalues: tuple
 
 
 @dataclass(frozen=True)
@@ -156,8 +155,7 @@ def nonsym_E(eta) -> EBasisElement:
         if hecke._y_word(i, DE) != DE.scale(t_ebar):
             raise ConsistencyError(
                 f"eigenvalue equation Y_{i} E = ebar_{i} E failed for E_{eta}")
-    ebar = tuple(eigenvalue(eta, i) for i in range(1, N + 1))
-    elem = EBasisElement(eta=eta, poly=E, eigenvalues=ebar)
+    elem = EBasisElement(eta=eta, poly=E)
     with _lock:
         _E_CACHE[eta] = elem
     return elem

@@ -226,9 +226,6 @@ class QTPoly:
         e = max(self.terms, key=_grlex)
         return e, self.terms[e]
 
-    def total_degree(self):
-        return max((a + b for a, b in self.terms), default=0)
-
     # -- arithmetic ---------------------------------------------------
     def __add__(self, other):
         if not other.terms:

@@ -50,28 +50,6 @@ def _needs_parens(c: QTScalar) -> bool:
     return len(c.num.terms) > 1 or not c.den.is_one()
 
 
-def certificate_to_json(cert) -> dict:
-    """All fields of a strip certificate, JSON-serializable."""
-    from .sparts import format_spart
-    return {
-        "lam": format_spart(cert.lam),
-        "omg": format_spart(cert.omg),
-        "N": cert.lam.N,
-        "rows_filled": sorted(cert.rows_filled),
-        "rows_circled_square": sorted(cert.rows_circled_square),
-        "rows_new_circle": sorted(cert.rows_new_circle),
-        "rows_kept_circle": sorted(cert.rows_kept_circle),
-        "w": list(cert.w),
-        "sigma_tilde": list(cert.sigma_tilde),
-        "sigma": list(cert.sigma),
-        "J_tilde": sorted(cert.J_tilde),
-        "J": sorted(cert.J),
-        "L": sorted(cert.L),
-        "strip_type": cert.strip_type,
-        "r": cert.r,
-    }
-
-
 def diagram_latex(lam) -> str:
     """The diagram of a superpartition with square and circle marks."""
     star = lam.star()

@@ -182,10 +182,6 @@ class SuperPartition:
     def degree(self):
         return sum(self.anti) + sum(self.sym)
 
-    def circled_rows(self):
-        star, circ = self.star(), self.circled()
-        return frozenset(i + 1 for i in range(self.N) if circ[i] == star[i] + 1)
-
     def __str__(self):
         return format_spart(self)
 
@@ -207,28 +203,6 @@ def format_spart(lam: SuperPartition) -> str:
     anti = ",".join(str(x) for x in lam.anti)
     sym = tuple(x for x in lam.sym if x)
     return f"{anti};{','.join(str(x) for x in sym)}"
-
-
-def superpartition_from_star_circled(star, circ, N) -> SuperPartition:
-    """Rebuild (anti; sym) from the pair of derived partitions."""
-    anti = []
-    sym = []
-    for i in range(N):
-        d = circ[i] - star[i]
-        if d == 1:
-            anti.append(star[i])
-        elif d == 0:
-            if star[i]:
-                sym.append(star[i])
-        else:
-            raise ValueError("not a superpartition diagram pair")
-    if len(set(anti)) != len(anti):
-        raise ValueError("repeated anti entries")
-    lam = SuperPartition(tuple(sorted(anti, reverse=True)),
-                         tuple(sorted(sym, reverse=True)), N)
-    if lam.star() != tuple(star) or lam.circled() != tuple(circ):
-        raise ValueError("diagram pair does not round-trip")
-    return lam
 
 
 def superpartitions(deg_star: int, m: int, N: int):
@@ -379,7 +353,7 @@ def _blockwise_sorting(vec, m):
     return tuple(p + 1 for p in order)
 
 
-def _certificate(lam, omg, rows, strip_type, r):
+def _certificate(lam, omg, rows, strip_type, r, w, w_inv):
     filled, circled_square, new_circle, kept = rows
     m, N = lam.m, lam.N
     pure_cs = sorted(circled_square - new_circle)
@@ -394,8 +368,6 @@ def _certificate(lam, omg, rows, strip_type, r):
         J_tilde = frozenset(circled_square | filled)
     else:
         J_tilde = frozenset(circled_square)
-    w = minimal_sorting_permutation(lam)
-    w_inv = perm_inverse(w)
     sigma0 = perm_compose(w_inv, perm_compose(sigma_tilde, w))
     J = frozenset(w_inv[sigma_tilde[j - 1] - 1] for j in J_tilde)
     if len(J) != r:
@@ -441,7 +413,9 @@ def enumerate_strips(lam: SuperPartition, r: int, strip_type: str):
         return []
     star = lam.star()
     circ = lam.circled()
-    results = []
+    w = minimal_sorting_permutation(lam)
+    w_inv = perm_inverse(w)
+    out = []
 
     # per-row growth (a_i, b_i) of (star, circled); a row of Lambda with
     # a circle may take (1,0) "square over circle" or, in type II, (1,1)
@@ -463,37 +437,19 @@ def enumerate_strips(lam: SuperPartition, r: int, strip_type: str):
 
     row_options = [options(i) for i in range(N)]
 
-    def rec(i, asum, bsum, prev_star, prev_circ, acc):
-        # each of the N - i rows left adds at most one to asum and bsum
-        if asum > r or bsum > r or min(asum, bsum) + N - i < r:
-            return
-        if i == N:
-            results.append(list(acc))
-            return
-        for a, b in row_options[i]:
-            ns, nc = star[i] + a, circ[i] + b
-            if ns > prev_star or nc > prev_circ:
-                continue
-            acc.append((a, b))
-            rec(i + 1, asum + a, bsum + b, ns, nc, acc)
-            acc.pop()
-
-    rec(0, 0, 0, 10 ** 9, 10 ** 9, [])
-
-    out = []
-    for acc in results:
-        new_star = tuple(star[i] + acc[i][0] for i in range(N))
-        new_circ = tuple(circ[i] + acc[i][1] for i in range(N))
-        try:
-            omg = superpartition_from_star_circled(new_star, new_circ, N)
-        except ValueError:
-            continue
+    def leaf(rows):
+        new_star = tuple(s for s, _ in rows)
+        new_circ = tuple(c for _, c in rows)
+        omg = SuperPartition(tuple(s for s, c in rows if c > s),
+                             tuple(s for s, c in rows if c == s), N)
+        if omg.star() != new_star or omg.circled() != new_circ:
+            raise ConsistencyError("grown strip rows do not round-trip")
         filled = set()
         circled_square = set()
         new_circle = set()
         kept = set()
         for i in range(N):
-            a, b = acc[i]
+            a, b = new_star[i] - star[i], new_circ[i] - circ[i]
             has_circle = circ[i] == star[i] + 1
             if a == 1 and has_circle:
                 circled_square.add(i + 1)
@@ -507,6 +463,26 @@ def enumerate_strips(lam: SuperPartition, r: int, strip_type: str):
                 kept.add(i + 1)
         out.append(_certificate(
             lam, omg, (filled, circled_square, new_circle, kept),
-            strip_type, r))
+            strip_type, r, w, w_inv))
+
+    def rec(i, asum, bsum, prev, rows):
+        # each of the N - i rows left adds at most one to asum and bsum
+        if asum > r or bsum > r or min(asum, bsum) + N - i < r:
+            return
+        if i == N:
+            leaf(rows)
+            return
+        for a, b in row_options[i]:
+            row = (star[i] + a, circ[i] + b)
+            # rows stay weakly decreasing, and a circled row may not
+            # repeat the row above: two circles in one column
+            if row[0] > prev[0] or row[1] > prev[1] or \
+                    (row == prev and row[1] > row[0]):
+                continue
+            rows.append(row)
+            rec(i + 1, asum + a, bsum + b, row, rows)
+            rows.pop()
+
+    rec(0, 0, 0, (10 ** 9, 10 ** 9), [])
     out.sort(key=lambda c: (c.omg.anti, c.omg.sym))
     return out

@@ -10,7 +10,8 @@ from __future__ import annotations
 import random
 
 from .evalsym import eval_formula, evaluate, symmetry_check
-from .macdonald import bisym_P, c_lambda_formula, nonsym_E, _bruhat_less
+from .macdonald import (bisym_P, c_lambda_formula, dominant_exponent, nonsym_E,
+                        _bruhat_less)
 from .pieri import (op_identity_check, pieri_bruteforce, pieri_expand,
                     expansions_equal)
 from .qt import QTScalar, qt_monomial, t_bracket_factorial
@@ -322,8 +323,7 @@ def suite_normalization(N=4, deg=3) -> Report:
             for sp in superpartitions(d, m, N):
                 count += 1
                 P = bisym_P(sp)
-                lead = tuple(sp.anti[i] - (m - 1 - i) for i in range(m)) + sp.sym
-                if not P.poly.coefficient(lead).is_one():
+                if not P.poly.coefficient(dominant_exponent(sp)).is_one():
                     bad = (format_spart(sp), "leading coefficient")
     rep.check(f"dominant monomial coefficient is 1 on {count} P's",
               bad is None, str(bad))

@@ -12,9 +12,9 @@ class DeadlineExceeded(BaseException):
     not take it for a failing example and replay that example."""
 
 
-@pytest.fixture
+@pytest.fixture(autouse=True)
 def deadline():
-    """Fail a test once it has run for DEADLINE_S seconds.
+    """Fail any test once it has run for DEADLINE_S seconds.
 
     The heuristic gcd leaves its loop only through a passing trial
     division, so a wrong candidate would spin instead of failing.  Where

@@ -243,8 +243,7 @@ class TestCache:
         path = tmp_path / "cache.jsonl"
         e = nonsym_E((1, 0, 1))
         p = bisym_P(SuperPartition((1,), (1,), 3))
-        cachemod.append_E(str(path), e)
-        cachemod.append_P(str(path), p)
+        cachemod._append(str(path), [e, p])
         saved_e = dict(macdonald._E_CACHE)
         saved_p = dict(macdonald._P_CACHE)
         macdonald.clear_caches()

@@ -1,7 +1,6 @@
 import pytest
 
-from bimac.evalsym import (EvaluationResult, eval_formula, evaluate,
-                           evaluation, symmetry_check)
+from bimac.evalsym import eval_formula, evaluate, symmetry_check
 from bimac.macdonald import bisym_P
 from bimac.qt import QTScalar, qt_monomial
 from bimac.sparts import SuperPartition, lambda_naught, superpartitions
@@ -58,12 +57,11 @@ class TestEvalFormula:
                 eval_formula(sp, "plus")
             assert lhs == rhs
 
-    def test_evaluation_wrapper(self):
-        lam = SuperPartition((1, 0), (), 3)
-        by_formula = evaluation(lam, "minus", via="formula")
-        by_subst = evaluation(lam, "minus", via="substitution")
-        assert isinstance(by_formula, EvaluationResult)
-        assert by_formula.value == by_subst.value
+    def test_route_agreement_staircase(self):
+        # Lambda is the staircase itself: P evaluated at its own point
+        lam = lambda_naught(2, 3)
+        by_subst = evaluate(lam, "minus", bisym_P(lam).poly)
+        assert eval_formula(lam, "minus") == by_subst
 
 
 class TestSymmetry:

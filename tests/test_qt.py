@@ -10,8 +10,6 @@ from bimac.errors import DivisibilityError
 from bimac.qt import (QTPoly, QTScalar, poly_gcd, qt_monomial, t_bracket,
                       t_bracket_factorial)
 
-# a wrong gcd candidate loops forever; the deadline makes it a failure
-pytestmark = pytest.mark.usefixtures("deadline")
 
 ONE = QTScalar.one()
 Q = qt_monomial(1, 0)

@@ -2,6 +2,7 @@ from itertools import permutations
 
 import pytest
 
+from bimac import sparts
 from bimac.qt import qt_monomial
 from bimac.sparts import (SuperPartition, enumerate_strips, eval_point,
                           eigenvalue, format_spart, hook_data,
@@ -201,6 +202,17 @@ class TestStrips:
             rel = perm_compose(perm_inverse(base), c.sigma)
             assert set(rel[:m]) == set(range(1, m + 1))
 
+    def test_sorts_lambda_once_per_call(self, monkeypatch):
+        calls = []
+
+        def counted(lam):
+            calls.append(lam)
+            return minimal_sorting_permutation(lam)
+        monkeypatch.setattr(sparts, "minimal_sorting_permutation", counted)
+        lam = SuperPartition((2, 0), (1,), 5)
+        assert len(enumerate_strips(lam, 2, "I")) == 4
+        assert calls == [lam]
+
     def test_brute_force_characterization(self):
         # every Omega of the right degree appears iff the strip test holds
         lam = SuperPartition((1, 0), (1,), 4)
@@ -264,16 +276,3 @@ class TestTextFormat:
         with pytest.raises(ValueError):
             parse_spart("2,0", 4)
 
-
-def test_certificate_json_lists_all_fields():
-    import json
-    from bimac.render import certificate_to_json
-    lam = SuperPartition((2, 0), (1,), 5)
-    cert = enumerate_strips(lam, 2, "I")[0]
-    obj = json.loads(json.dumps(certificate_to_json(cert)))
-    for field in ("lam", "omg", "rows_filled", "rows_circled_square",
-                  "rows_new_circle", "rows_kept_circle", "w", "sigma_tilde",
-                  "sigma", "J_tilde", "J", "L", "strip_type", "r"):
-        assert field in obj
-    assert obj["strip_type"] == "I" and obj["r"] == 2
-    assert parse_spart(obj["lam"], obj["N"]) == lam
