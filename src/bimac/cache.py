@@ -58,7 +58,9 @@ def load(path) -> int:
 
     A record that lacks a field or fails its check raises ValueError
     naming its line: an E must have N parts and coefficient 1 at x^eta,
-    a P coefficient 1 at its dominant monomial.
+    a P coefficient 1 at its dominant monomial.  E records are set aside
+    unchecked; macdonald.nonsym_E runs E's full check on one when it
+    first serves it, and names the file and line if it fails.
     """
     if not path or not os.path.exists(path):
         return 0
@@ -67,7 +69,7 @@ def load(path) -> int:
     count = 0
     for lineno, rec in _records(text):
         try:
-            _load_record(rec)
+            _load_record(rec, f"cache file {path}: line {lineno}")
         except KeyError as exc:
             raise ValueError(f"line {lineno}: record lacks field {exc}") from exc
         except (AttributeError, TypeError, ValueError, ArithmeticError) as exc:
@@ -76,7 +78,7 @@ def load(path) -> int:
     return count
 
 
-def _load_record(rec):
+def _load_record(rec, origin):
     N = int(rec["N"])
     if rec["kind"] == "E":
         eta = tuple(int(x) for x in rec["key"].split(","))
@@ -85,8 +87,7 @@ def _load_record(rec):
             raise ValueError(f"E record {rec['key']!r} does not have N = {N} parts")
         if not coefficient_of(poly, eta).is_one():
             raise ValueError(f"E record {rec['key']!r} has no coefficient 1 at x^eta")
-        elem = macdonald.EBasisElement(eta=eta, poly=poly)
-        macdonald._E_CACHE.setdefault(eta, elem)
+        macdonald._E_UNCHECKED.setdefault(eta, (poly, origin))
     elif rec["kind"] == "P":
         lam = parse_spart(rec["key"], N)
         poly = xpoly_from_json(rec["value"]["poly"])

@@ -12,7 +12,7 @@ import json
 import sys
 
 from . import cache as cachemod
-from .errors import ConsistencyError
+from .errors import CacheRecordError, ConsistencyError
 from .evalsym import eval_formula, evaluate
 from .macdonald import bisym_P, nonsym_E
 from .pieri import expansions_equal, pieri_bruteforce, pieri_expand
@@ -248,6 +248,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except CacheRecordError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        raise SystemExit(2)
     except ConsistencyError as exc:
         print(f"consistency failure: {exc}", file=sys.stderr)
         return 1

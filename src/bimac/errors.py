@@ -18,5 +18,10 @@ class ConsistencyError(RuntimeError):
     """A property that the theory guarantees failed to hold at runtime."""
 
 
+class CacheRecordError(ValueError):
+    """A cache record failed the check it gets before it is served; the
+    message names the file and line it came from."""
+
+
 class DegenerateEvaluationError(ZeroDivisionError):
     """An evaluation point annihilated a denominator factor."""

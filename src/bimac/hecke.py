@@ -99,6 +99,70 @@ def _y_word(i, f):
     return g
 
 
+# ---------------------------------------------------------------------------
+# _y_word on Kronecker-packed coefficients (private to E's eigen check)
+# ---------------------------------------------------------------------------
+
+def _pack(f):
+    """(K, B, packed f): f, a map from x-exponent to QTScalar in Z[q,t],
+    with each coefficient as one int under t -> 2^K, q -> 2^(K B), and K,
+    B chosen so that this is injective on the eigen check of f.
+
+    ||T_j g||_1 <= (1 + 2d) ||g||_1 for d the largest total degree, and
+    omega keeps ||.||_1, so every coefficient of _y_word(i, f) - t^b q^a f
+    (b < N) is at most M = ((1 + 2d)^(N-1) + 1) ||f||_1 in absolute value,
+    and its t-degree is below tdeg(f) + N.  With 2^(K-1) > M and
+    B >= tdeg(f) + N the balanced base-2^K digits of the packed difference
+    are its coefficients, so a packed zero is a polynomial zero.
+    """
+    for s in f.values():
+        if s.c.denominator != 1 or not s.den.is_one():
+            raise ValueError(f"coefficient {s} is not in Z[q,t]")
+    n = len(next(iter(f)))
+    d = max(map(sum, f))
+    norm = sum(abs(s.c.numerator) * sum(map(abs, s.num.terms.values()))
+               for s in f.values())
+    K = (((1 + 2 * d) ** (n - 1) + 1) * norm).bit_length() + 1
+    B = max(b for s in f.values() for _, b in s.num.terms) + n
+    return K, B, {e: s.c.numerator * sum(v << K * (B * a + b)
+                                         for (a, b), v in s.num.terms.items())
+                  for e, s in f.items()}
+
+
+def _packed_step(i, f, K, times_t):
+    """T_i = t - _exchange_term(i) when times_t, else t Tbar_i =
+    1 - _exchange_term(i), on packed coefficients.  The exchange term
+    of c x_i^p x_(i+1)^s, p > s, telescopes to t c at (p, s), -c at
+    (s, p) and (t - 1) c in between."""
+    out = {e: c << K for e, c in f.items()} if times_t else dict(f)
+    for e, c in f.items():
+        p, s = e[i - 1], e[i]
+        if p == s or not c:
+            continue
+        if p < s:
+            p, s, c = s, p, -c
+        tc = c << K
+        base = list(e)
+        for k in range(s, p + 1):
+            base[i - 1], base[i] = k, p + s - k
+            key = tuple(base)
+            out[key] = out.get(key, 0) - ((tc if k > s else 0)
+                                          - (c if k < p else 0))
+    return out
+
+
+def _packed_y_word(i, f, K, B):
+    """_y_word(i, .) on packed coefficients, in the same word order;
+    terms that cancel are dropped."""
+    n = len(next(iter(f)))
+    for j in range(i - 1, 0, -1):
+        f = _packed_step(j, f, K, False)
+    f = {e[1:] + (e[0],): c << K * B * e[0] for e, c in f.items()}
+    for j in range(n - 1, i - 1, -1):
+        f = _packed_step(j, f, K, True)
+    return {e: c for e, c in f.items() if c}
+
+
 def apply_Y(i: int, f: XPolynomial) -> XPolynomial:
     """Cherednik operator Y_i = t^(i-N) T_i..T_(N-1) omega Tbar_1..Tbar_(i-1),
     applied as t^(1-N) times the t-cleared word of _y_word."""

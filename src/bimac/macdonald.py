@@ -10,7 +10,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 
-from .errors import ConsistencyError, DivisibilityError
+from .errors import CacheRecordError, ConsistencyError, DivisibilityError
 from .qt import (QTScalar, clear_denominators, qt_monomial,
                  t_bracket_factorial)
 from .sparts import (SuperPartition, eigenvalue, format_spart, row_of_circle,
@@ -24,6 +24,8 @@ _T = qt_monomial(0, 1)
 _lock = threading.Lock()
 _E_CACHE: dict = {}
 _P_CACHE: dict = {}
+# eta -> (E, origin): cache records that nonsym_E checks before serving
+_E_UNCHECKED: dict = {}
 
 
 @dataclass(frozen=True)
@@ -43,6 +45,7 @@ def clear_caches():
     with _lock:
         _E_CACHE.clear()
         _P_CACHE.clear()
+        _E_UNCHECKED.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -73,8 +76,9 @@ def _perm_bruhat_leq(u, v):
 
 
 def _bruhat_less(nu, eta):
-    """nu strictly below eta in the Bruhat order on compositions."""
-    if nu == eta:
+    """nu strictly below eta in the Bruhat order on compositions; False
+    unless nu, like eta, is a composition of |eta| with N parts."""
+    if nu == eta or len(nu) != len(eta) or min(nu) < 0 or sum(nu) != sum(eta):
         return False
     nup = tuple(sorted(nu, reverse=True))
     etap = tuple(sorted(eta, reverse=True))
@@ -126,14 +130,19 @@ def nonsym_E(eta) -> EBasisElement:
     """The monic joint eigenfunction of the Cherednik operators.
 
     Built by the Knop-Sahi recursion (raising by x_N omega, then adjacent
-    intertwiners), then checked exactly: every support monomial other
-    than x^eta is Bruhat-below eta, x^eta has coefficient 1, and
-    Y_i E = ebar_i E for every i.  The N eigenvalue equations run on
-    D E, D the common denominator of E's coefficients, as
-    t^(N-1) Y_i (D E) = t_ebar D E with t_ebar = t^(N-1) ebar_i and the
-    t-cleared word of hecke._y_word, so they stay in Z[q,t] and need no
-    gcd; Y_i is linear and D != 0, so this is the same check.  A failed
-    check raises ConsistencyError; only checked results are cached.
+    intertwiners), or taken from a cache record set aside unchecked, then
+    checked exactly: every support monomial other than x^eta is
+    Bruhat-below eta, x^eta has coefficient 1, and Y_i E = ebar_i E for
+    every i.  The N eigenvalue equations run on D E, D the common
+    denominator of E's coefficients, as t^(N-1) Y_i (D E) = t_ebar D E
+    with t_ebar = t^(N-1) ebar_i, in the word order of hecke._y_word, on
+    Kronecker-packed integers: t -> 2^K, q -> 2^(K B) is a ring
+    homomorphism Z[q,t] -> Z, and hecke._pack picks K and B from
+    bounds on the difference's coefficients and t-degree so that it is
+    injective there.  Y_i is linear and D != 0, so this is the same
+    check, exact and with no gcd.  A failed check raises
+    ConsistencyError, or CacheRecordError naming the record's file and
+    line; only checked results are cached.
     """
     eta = tuple(int(x) for x in eta)
     if any(x < 0 for x in eta):
@@ -141,24 +150,40 @@ def nonsym_E(eta) -> EBasisElement:
     cached = _E_CACHE.get(eta)
     if cached is not None:
         return cached
+    with _lock:
+        E, origin = _E_UNCHECKED.pop(eta, (None, None))
+    if E is None:
+        E = _raise(eta)
+    try:
+        _check_E(eta, E)
+    except ConsistencyError as exc:
+        if origin is None:
+            raise
+        raise CacheRecordError(f"{origin}: {exc}") from exc
+    elem = EBasisElement(eta=eta, poly=E)
+    with _lock:
+        _E_CACHE[eta] = elem
+    return elem
+
+
+def _check_E(eta, E):
+    """Raise ConsistencyError unless E is Bruhat-triangular, monic at
+    x^eta and passes all N packed eigenvalue equations."""
     N = len(eta)
-    E = _raise(eta)
     for nu in E.terms:
         if nu != eta and not _bruhat_less(nu, eta):
             raise ConsistencyError(
                 f"E_{eta} has support at {nu}, not Bruhat-below")
     if not E.coefficient(eta).is_one():
         raise ConsistencyError(f"E_{eta} is not monic at x^{eta}")
-    DE = _cleared(E)
+    DE = dict(zip(E.terms, clear_denominators(list(E.terms.values()))))
+    K, B, f = hecke._pack(DE)
     for i in range(1, N + 1):
-        t_ebar = qt_monomial(eta[i - 1], N - row_of_circle(eta, i))
-        if hecke._y_word(i, DE) != DE.scale(t_ebar):
+        shift = K * (B * eta[i - 1] + N - row_of_circle(eta, i))
+        if hecke._packed_y_word(i, f, K, B) != \
+                {e: c << shift for e, c in f.items()}:
             raise ConsistencyError(
                 f"eigenvalue equation Y_{i} E = ebar_{i} E failed for E_{eta}")
-    elem = EBasisElement(eta=eta, poly=E)
-    with _lock:
-        _E_CACHE[eta] = elem
-    return elem
 
 
 # ---------------------------------------------------------------------------

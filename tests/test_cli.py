@@ -250,8 +250,11 @@ class TestCache:
         try:
             n = cachemod.load(str(path))
             assert n == 2
-            again_e = macdonald._E_CACHE[(1, 0, 1)]
-            assert again_e.poly == e.poly
+            # the E record waits unchecked until nonsym_E serves it
+            assert (1, 0, 1) not in macdonald._E_CACHE
+            assert macdonald._E_UNCHECKED[(1, 0, 1)][0] == e.poly
+            assert nonsym_E((1, 0, 1)).poly == e.poly
+            assert macdonald._E_UNCHECKED == {}
             key = ((1,), (1, 0), 3)
             again_p = macdonald._P_CACHE[key]
             assert again_p.poly == p.poly and again_p.c_lam == p.c_lam
@@ -377,6 +380,28 @@ class TestBadCacheFile:
         recs[0]["key"] = "0,1"
         _write(path, recs)
         assert "coefficient 1" in _rejected(capsys, path, 1)
+
+    @pytest.mark.parametrize("field, value, message", [
+        # the coefficient of x2 x3 set to 7
+        ("coeff", {"num": [["7", 0, 0]], "den": [["1", 0, 0]]},
+         "eigenvalue equation Y_1 E = ebar_1 E failed for E_(1, 0, 1)"),
+        # an exponent that is not a composition of |eta|
+        ("x", [0, 0, -1],
+         "E_(1, 0, 1) has support at (0, 0, -1), not Bruhat-below"),
+    ], ids=["coefficient", "exponent"])
+    def test_E_record_edited_term(self, tmp_path, capsys, field, value,
+                                  message):
+        # an edited term below x^eta passes the checks on load; the record
+        # goes through E's full check when it is first served
+        path, recs = _cache_file(tmp_path, capsys,
+                                 "P", "--spart", "1;1", "--N", "3")
+        e = next(r for r in recs if r["kind"] == "E")
+        next(t for t in e["value"]["terms"] if t["x"] == [0, 1, 1])[field] = value
+        _write(path, [e])
+        assert cachemod.load(str(path)) == 1
+        macdonald.clear_caches()
+        assert _rejected(capsys, path, 1).endswith(f": line 1: {message}")
+        assert macdonald._E_CACHE == {}
 
     def test_P_record_dominant_coefficient(self, tmp_path, capsys):
         path, recs = _cache_file(tmp_path, capsys,

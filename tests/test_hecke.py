@@ -1,8 +1,9 @@
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from bimac import hecke
-from bimac.qt import QTScalar, qt_monomial, t_bracket_factorial
-from bimac.sparts import compositions_of, eigenvalue
+from bimac import hecke, macdonald
+from bimac.qt import QTPoly, QTScalar, qt_monomial, t_bracket_factorial
+from bimac.sparts import compositions_of, eigenvalue, row_of_circle
 from bimac.xpoly import XPolynomial, elementary_symmetric
 
 ONE = QTScalar.one()
@@ -82,6 +83,85 @@ class TestYWord:
             want = textbook_Y(i, f)
             assert hecke.apply_Y(i, f) == want
             assert hecke._y_word(i, f) == want.scale(qt_monomial(0, N - 1))
+
+
+def unpack(packed, K, B, n):
+    """The XPolynomial over Z[q,t] whose packing is `packed`: balanced
+    base-2^K digits, digit k the coefficient of q^(k // B) t^(k % B)."""
+    assert K >= 2, "balanced base-2 digits cannot hold 1"
+    terms = {}
+    for e, v in packed.items():
+        rows = {}
+        k = 0
+        while v:
+            digit = v & ((1 << K) - 1)
+            if digit >= 1 << (K - 1):
+                digit -= 1 << K
+            if digit:
+                rows[divmod(k, B)] = digit
+            v = (v - digit) >> K
+            k += 1
+        terms[e] = QTScalar(QTPoly(rows))
+    return XPolynomial(n, terms)
+
+
+@st.composite
+def integral_polys(draw):
+    """Random polynomials in x_1..x_N, N = 2..4, over Z[q,t]."""
+    n = draw(st.integers(min_value=2, max_value=4))
+    terms = {}
+    for _ in range(draw(st.integers(min_value=1, max_value=5))):
+        e = tuple(draw(st.integers(min_value=0, max_value=3))
+                  for _ in range(n))
+        rows = {(draw(st.integers(0, 2)), draw(st.integers(0, 3))):
+                draw(st.integers(-9, 9)) for _ in range(draw(st.integers(1, 3)))}
+        terms[e] = QTScalar(QTPoly(rows))
+    f = XPolynomial(n, terms)
+    assume(f.terms)
+    return f
+
+
+def _coefficient_ints(f):
+    """(largest |integer coefficient|, largest t-degree) of f over Z[q,t]."""
+    pairs = [(abs(int(s.c) * v), b) for s in f.terms.values()
+             for (_, b), v in s.num.terms.items()]
+    return max(p[0] for p in pairs), max(p[1] for p in pairs)
+
+
+class TestPackedYWord:
+    @settings(max_examples=60, deadline=None)
+    @given(integral_polys())
+    def test_unpacks_to_y_word(self, f):
+        K, B, packed = hecke._pack(f.terms)
+        for i in range(1, f.nvars + 1):
+            got = unpack(hecke._packed_y_word(i, packed, K, B), K, B, f.nvars)
+            assert got == hecke._y_word(i, f)
+
+    def test_rejects_a_rational_coefficient(self):
+        f = XPolynomial.monomial((1, 0), ONE / (ONE + Q))
+        with pytest.raises(ValueError, match="not in Z\\[q,t\\]"):
+            hecke._pack(f.terms)
+
+    @pytest.mark.parametrize("etas", [
+        [e for N in range(1, 5) for d in range(5)
+         for e in compositions_of(d, N)],
+        [e for d in range(4) for e in compositions_of(d, 5)],
+        [(3, 2, 0, 1, 0)],
+    ], ids=["N<=4,deg<=4", "N=5,deg<=3", "3,2,0,1,0"])
+    def test_bounds_cover_both_sides(self, etas):
+        # K and B must cover the true largest coefficient and t-degree of
+        # both sides, t^(N-1) Y_i (D E) and t^(N-1) ebar_i D E
+        for eta in etas:
+            N = len(eta)
+            DE = macdonald._cleared(macdonald.nonsym_E(eta).poly)
+            K, B, _ = hecke._pack(DE.terms)
+            for i in range(1, N + 1):
+                lhs = hecke._y_word(i, DE)
+                rhs = DE.scale(qt_monomial(eta[i - 1], N - row_of_circle(eta, i)))
+                assert lhs == rhs
+                for side in (lhs, rhs):
+                    big, tdeg = _coefficient_ints(side)
+                    assert big < 1 << (K - 1) and tdeg < B, (eta, i)
 
 
 class TestOmega:

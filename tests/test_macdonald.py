@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from bimac import hecke, macdonald, qt
@@ -11,6 +13,34 @@ from bimac.xpoly import XPolynomial, elementary_symmetric
 ONE = QTScalar.one()
 Q = qt_monomial(1, 0)
 T = qt_monomial(0, 1)
+
+
+def least_K(DE):
+    """The least K with 2^(K-1) > ((1 + 2d)^(N-1) + 1) ||D E||_1, d the
+    degree: the bound on the eigen check's coefficients, restated here so
+    that a change to hecke._pack cannot move it."""
+    d = max(map(sum, DE.terms))
+    norm = sum(abs(int(s.c) * v) for s in DE.terms.values()
+               for v in s.num.terms.values())
+    return (((1 + 2 * d) ** (DE.nvars - 1) + 1) * norm).bit_length() + 1
+
+
+def aliased_at_half_K(eta, nu):
+    """A perturbation E -> E + (t - 2^s) x^nu / D, D the common
+    denominator of E, with s = K // 2 for the least K of the perturbed
+    D E.  Under t -> 2^(K // 2) the perturbation of D E packs to zero,
+    so an eigen check that halved K would pass it."""
+    def perturb(E):
+        DE = macdonald._cleared(E)
+        D = DE.coefficient(eta)
+        for s in itertools.count(1):
+            delta = XPolynomial.monomial(nu, T - QTScalar.from_int(2 ** s))
+            bad = E + delta.scale(ONE / D)
+            bad_DE = macdonald._cleared(bad)
+            assert bad_DE == DE + delta
+            if least_K(bad_DE) // 2 == s:
+                return bad
+    return perturb
 
 
 class TestNonsymE:
@@ -58,8 +88,12 @@ class TestNonsymE:
         ((1, 0, 0), lambda E: E + XPolynomial.monomial(
             (0, 1, 0), E.coefficient((0, 1, 0)) * (ONE / (ONE + Q) - ONE)),
          r"^eigenvalue equation Y_\d E = ebar_\d E failed for E_\(1, 0, 0\)$"),
+        # D E plus (t - 2^(K//2)) x^nu at a Bruhat-below nu: caught only
+        # if the packing keeps all K bits of t
+        ((2, 0, 1), aliased_at_half_K((2, 0, 1), (1, 1, 1)),
+         r"^eigenvalue equation Y_\d E = ebar_\d E failed for E_\(2, 0, 1\)$"),
     ], ids=["wrong-coefficient", "not-bruhat-below", "not-monic",
-            "wrong-denominator"])
+            "wrong-denominator", "aliased-at-half-K"])
     def test_fails_closed(self, monkeypatch, eta, perturb, message):
         good = macdonald._raise(eta)
         monkeypatch.setattr(macdonald, "_raise", lambda e: perturb(good))
