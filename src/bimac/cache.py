@@ -1,11 +1,10 @@
-"""Append-only JSONL cache for computed E and P polynomials.
+"""Append-only JSONL cache for computed E polynomials.
 
-One record per line: {"kind": "E"|"P", "key": text, "N": int,
-"value": ...}.  E records store the polynomial; P records store the
-polynomial together with the recorded normalization constant.  Appends
-take an exclusive lock so concurrent workers can share one file, and
-skip records whose (kind, key, N) the file already holds, so the file
-holds each entry once.
+One record per line: {"kind": "E", "key": text, "N": int, "value":
+...}, the value a polynomial.  P is not cached: macdonald.bisym_P
+rebuilds it from a checked E.  Appends take an exclusive lock so
+concurrent workers can share one file, and skip records whose (kind,
+key, N) the file already holds, so the file holds each entry once.
 """
 
 from __future__ import annotations
@@ -14,9 +13,7 @@ import fcntl
 import json
 import os
 
-from .qt import QTScalar
 from .render import xpoly_from_json, xpoly_to_json
-from .sparts import format_spart, parse_spart
 from .xpoly import coefficient_of
 from . import macdonald
 
@@ -25,10 +22,6 @@ ENV_VAR = "BIMAC_CACHE"
 
 def cache_path(explicit=None):
     return explicit or os.environ.get(ENV_VAR)
-
-
-def _eta_text(eta):
-    return ",".join(str(x) for x in eta)
 
 
 def _records(text):
@@ -54,13 +47,15 @@ def _records(text):
 
 
 def load(path) -> int:
-    """Populate the in-process caches from a JSONL file.
+    """Set the file's E records aside for macdonald.nonsym_E; return
+    how many.
 
-    A record that lacks a field or fails its check raises ValueError
-    naming its line: an E must have N parts and coefficient 1 at x^eta,
-    a P coefficient 1 at its dominant monomial.  E records are set aside
-    unchecked; macdonald.nonsym_E runs E's full check on one when it
-    first serves it, and names the file and line if it fails.
+    A record with no kind or a kind other than E or P, and an E record
+    that lacks a field or fails its check, raise ValueError naming the
+    line: an E must have N parts and coefficient 1 at x^eta.  nonsym_E
+    runs E's full check on a record when it first serves it, and names
+    the file and line if it fails.  P records, written by earlier
+    versions, are skipped unread.
     """
     if not path or not os.path.exists(path):
         return 0
@@ -69,54 +64,42 @@ def load(path) -> int:
     count = 0
     for lineno, rec in _records(text):
         try:
-            _load_record(rec, f"cache file {path}: line {lineno}")
+            if rec["kind"] == "E":
+                _load_E(rec, f"cache file {path}: line {lineno}")
+                count += 1
+            elif rec["kind"] != "P":
+                raise ValueError(f"unknown record kind {rec['kind']!r}")
         except KeyError as exc:
             raise ValueError(f"line {lineno}: record lacks field {exc}") from exc
         except (AttributeError, TypeError, ValueError, ArithmeticError) as exc:
             raise ValueError(f"line {lineno}: {exc}") from exc
-        count += 1
     return count
 
 
-def _load_record(rec, origin):
+def _load_E(rec, origin):
     N = int(rec["N"])
-    if rec["kind"] == "E":
-        eta = tuple(int(x) for x in rec["key"].split(","))
-        poly = xpoly_from_json(rec["value"])
-        if len(eta) != N:
-            raise ValueError(f"E record {rec['key']!r} does not have N = {N} parts")
-        if not coefficient_of(poly, eta).is_one():
-            raise ValueError(f"E record {rec['key']!r} has no coefficient 1 at x^eta")
-        macdonald._E_UNCHECKED.setdefault(eta, (poly, origin))
-    elif rec["kind"] == "P":
-        lam = parse_spart(rec["key"], N)
-        poly = xpoly_from_json(rec["value"]["poly"])
-        c = QTScalar.from_json(rec["value"]["c"])
-        if not coefficient_of(poly, macdonald.dominant_exponent(lam)).is_one():
-            raise ValueError(f"P record {rec['key']!r} has no coefficient 1 at "
-                             f"its dominant monomial")
-        elem = macdonald.PBasisElement(lam=lam, poly=poly, c_lam=c)
-        macdonald._P_CACHE.setdefault((lam.anti, lam.sym, lam.N), elem)
+    eta = tuple(int(x) for x in rec["key"].split(","))
+    poly = xpoly_from_json(rec["value"])
+    if len(eta) != N:
+        raise ValueError(f"E record {rec['key']!r} does not have N = {N} parts")
+    if not coefficient_of(poly, eta).is_one():
+        raise ValueError(f"E record {rec['key']!r} has no coefficient 1 at x^eta")
+    macdonald._E_UNCHECKED.setdefault(eta, (poly, origin))
 
 
 def _key(elem):
-    """The (kind, key, N) of an E or P element's record."""
-    if isinstance(elem, macdonald.EBasisElement):
-        return "E", _eta_text(elem.eta), elem.poly.nvars
-    return "P", format_spart(elem.lam), elem.lam.N
+    """The (kind, key, N) of an E element's record."""
+    return "E", ",".join(str(x) for x in elem.eta), elem.poly.nvars
 
 
 def _record(elem):
     kind, key, N = _key(elem)
-    value = xpoly_to_json(elem.poly)
-    if kind == "P":
-        value = {"poly": value, "c": elem.c_lam.to_json()}
-    return {"kind": kind, "key": key, "N": N, "value": value}
+    return {"kind": kind, "key": key, "N": N, "value": xpoly_to_json(elem.poly)}
 
 
 def _append(path, elems) -> int:
-    """Append a record for each element whose key the file lacks; return
-    how many.
+    """Append a record for each E element whose key the file lacks;
+    return how many.
 
     Runs under an exclusive lock.  A torn final line (an append cut
     short) is cut off first, so the next record starts on a line of its
@@ -143,6 +126,5 @@ def _append(path, elems) -> int:
 
 
 def dump_all(path) -> int:
-    """Append every in-process E and P entry that the file lacks."""
-    return _append(path, list(macdonald._E_CACHE.values())
-                   + list(macdonald._P_CACHE.values()))
+    """Append every in-process E entry that the file lacks."""
+    return _append(path, list(macdonald._E_CACHE.values()))

@@ -13,6 +13,7 @@ from bimac import macdonald
 from bimac.cli import main
 from bimac.errors import ConsistencyError
 from bimac.macdonald import bisym_P, nonsym_E
+from bimac.render import xpoly_to_json
 from bimac.sparts import SuperPartition
 
 
@@ -241,23 +242,26 @@ class TestCommandVerify:
 class TestCache:
     def test_roundtrip(self, tmp_path):
         path = tmp_path / "cache.jsonl"
-        e = nonsym_E((1, 0, 1))
-        p = bisym_P(SuperPartition((1,), (1,), 3))
-        cachemod._append(str(path), [e, p])
+        lam = SuperPartition((1,), (1,), 3)
         saved_e = dict(macdonald._E_CACHE)
         saved_p = dict(macdonald._P_CACHE)
         macdonald.clear_caches()
         try:
-            n = cachemod.load(str(path))
-            assert n == 2
+            p = bisym_P(lam)
+            e = nonsym_E((1, 0, 1))
+            # only E is written: P is rebuilt from it
+            assert cachemod.dump_all(str(path)) == 1
+            assert [json.loads(l)["kind"] for l in
+                    path.read_text().splitlines()] == ["E"]
+            macdonald.clear_caches()
+            assert cachemod.load(str(path)) == 1
             # the E record waits unchecked until nonsym_E serves it
-            assert (1, 0, 1) not in macdonald._E_CACHE
+            assert macdonald._E_CACHE == {} and macdonald._P_CACHE == {}
             assert macdonald._E_UNCHECKED[(1, 0, 1)][0] == e.poly
-            assert nonsym_E((1, 0, 1)).poly == e.poly
-            assert macdonald._E_UNCHECKED == {}
-            key = ((1,), (1, 0), 3)
-            again_p = macdonald._P_CACHE[key]
+            again_p = bisym_P(lam)
             assert again_p.poly == p.poly and again_p.c_lam == p.c_lam
+            assert macdonald._E_UNCHECKED == {}
+            assert macdonald._E_CACHE[(1, 0, 1)].poly == e.poly
         finally:
             macdonald.clear_caches()
             macdonald._E_CACHE.update(saved_e)
@@ -280,7 +284,7 @@ class TestCache:
                              "P", "--spart", "1;1", "--N", "3")
             assert code == 0
             sizes.append(len(path.read_text().splitlines()))
-        assert sizes == [2, 2, 2]
+        assert sizes == [1, 1, 1]
 
     def test_torn_last_line(self, tmp_path, capsys):
         path = tmp_path / "c.jsonl"
@@ -403,14 +407,40 @@ class TestBadCacheFile:
         assert _rejected(capsys, path, 1).endswith(f": line 1: {message}")
         assert macdonald._E_CACHE == {}
 
-    def test_P_record_dominant_coefficient(self, tmp_path, capsys):
-        path, recs = _cache_file(tmp_path, capsys,
-                                 "P", "--spart", "1;1", "--N", "3")
-        p = next(r for r in recs if r["kind"] == "P")
-        p["value"]["poly"]["terms"] = [
-            t for t in p["value"]["poly"]["terms"] if t["x"] != [1, 1, 0]]
-        _write(path, recs)
-        assert "dominant monomial" in _rejected(capsys, path, 2)
+    @pytest.mark.parametrize("kind", ["X", "e"])
+    def test_unknown_record_kind(self, tmp_path, capsys, kind):
+        path, recs = _cache_file(tmp_path, capsys, "E", "--eta", "0,1")
+        _write(path, recs + [{"kind": kind, "key": "junk", "N": 3,
+                              "value": None}])
+        assert _rejected(capsys, path, 2).endswith(
+            f": line 2: unknown record kind {kind!r}")
+
+    def test_legacy_P_record_is_never_served(self, tmp_path, capsys):
+        # earlier versions also wrote P records; load skips them unread,
+        # so an edited one cannot reach the output
+        argv = ("P", "--spart", "1;1", "--N", "3")
+        path, recs = _cache_file(tmp_path, capsys, *argv)
+        assert [r["kind"] for r in recs] == ["E"]
+        p = bisym_P(SuperPartition((1,), (1,), 3))
+        poly = xpoly_to_json(p.poly)
+        # the dominant term x1 x2 dropped, the x2 x3 coefficient set to 7
+        poly["terms"] = [t for t in poly["terms"] if t["x"] != [1, 1, 0]]
+        assert poly["terms"][0]["x"] == [0, 1, 1]
+        poly["terms"][0]["coeff"] = {"num": [["7", 0, 0]], "den": [["1", 0, 0]]}
+        _write(path, [{"kind": "P", "key": "1;1", "N": 3,
+                       "value": {"poly": poly, "c": p.c_lam.to_json()}}] + recs)
+        written = path.read_text()
+        macdonald.clear_caches()
+        assert cachemod.load(str(path)) == 1
+        assert macdonald._P_CACHE == {}
+        macdonald.clear_caches()
+        code, out, _ = run(capsys, "--cache", str(path), *argv)
+        assert code == 0
+        macdonald.clear_caches()
+        assert out == run(capsys, *argv)[1] != ""
+        # the append keys on (kind, key, N): the P line stays, nothing is added
+        assert path.read_text() == written
+        macdonald.clear_caches()
 
 
 def _declared_console_script(name):

@@ -38,6 +38,9 @@ COMMANDS = (
         "lower", "--check"]]
 )
 
+# the shapes of perfbench's cache_session workload, at N = 5
+WARM_SHAPES = (";2", "1;1", "0;1,1", "1,0;1", ";2,1", "1;2", "0;2,1", "2,0;1")
+
 
 def _scalars():
     """Scalars whose rational content is not an integer."""
@@ -96,6 +99,22 @@ def test_cli_stdout(argv, capsys):
     code, out = _run(argv, capsys)
     assert code == 0
     assert out == want
+
+
+@pytest.mark.parametrize("spart", WARM_SHAPES)
+def test_warm_cache_stdout(spart, tmp_path, capsys):
+    """P served through a filled cache file prints the cold run's bytes,
+    and the file holds only E records."""
+    path = tmp_path / "cache.jsonl"
+    argv = ["--cache", str(path), "P", "--spart", spart, "--N", "5",
+            "--format", "json"]
+    cold = _run(argv, capsys)
+    written = path.read_text()
+    assert cold[0] == 0 and written
+    assert _run(argv, capsys) == cold
+    assert path.read_text() == written
+    assert all(json.loads(line)["kind"] == "E" for line in written.splitlines())
+    macdonald.clear_caches()
 
 
 @pytest.mark.parametrize("name", sorted(_scalars()))
