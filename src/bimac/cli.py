@@ -19,44 +19,49 @@ from .pieri import expansions_equal, pieri_bruteforce, pieri_expand
 from .qt import format_scalar
 from .render import format_xpoly, xpoly_to_json, diagram_latex
 from .sparts import lambda_naught, format_spart, parse_spart
-from .verify import ALL_SUITES, SUITES, run_suite
+from .verify import SUITES, run_suite
+
+
+class _UsageError(Exception):
+    """Bad input: main prints the message as one error line and exits 2."""
+
+
+def _at_least(flag, value, least):
+    if value < least:
+        raise _UsageError(f"--{flag} {value} must be at least {least}")
 
 
 def _parse_eta(text):
     try:
         eta = tuple(int(x) for x in text.split(","))
+        if min(eta) >= 0:
+            return eta
     except ValueError:
-        eta = None
-    if eta is None or any(x < 0 for x in eta):
-        print(f"error: --eta {text!r} is not a composition (nonnegative "
-              "integers separated by commas)", file=sys.stderr)
-        raise SystemExit(2)
-    return eta
+        pass
+    raise _UsageError(f"--eta {text!r} is not a composition (nonnegative "
+                      "integers separated by commas)")
 
 
-def _load_cache(args):
-    path = cachemod.cache_path(getattr(args, "cache", None))
-    if path:
-        try:
-            cachemod.load(path)
-        except ValueError as exc:  # also JSONDecodeError, UnicodeDecodeError
-            print(f"error: cache file {path}: {exc}", file=sys.stderr)
-            raise SystemExit(2)
-    return path
+def _parse_spart(args):
+    _at_least("N", args.N, 1)
+    try:
+        return parse_spart(args.spart, args.N)
+    except ValueError as exc:
+        raise _UsageError(exc) from None
 
 
-def _save_cache(path):
-    if path:
-        cachemod.dump_all(path)
+def _uses_cache(args):
+    """E, P, eval by substitution and pieri --check build polynomials:
+    they read the cache file first and append to it after."""
+    return (args.command in ("E", "P")
+            or args.command == "eval" and args.route != "formula"
+            or args.command == "pieri" and args.check)
 
 
 def cmd_E(args):
     eta = _parse_eta(args.eta)
     if args.N is not None and args.N != len(eta):
-        print("error: --N disagrees with the composition length",
-              file=sys.stderr)
-        return 2
-    path = _load_cache(args)
+        raise _UsageError("--N disagrees with the composition length")
     elem = nonsym_E(eta)
     if args.format == "json":
         print(json.dumps(xpoly_to_json(elem.poly), sort_keys=True))
@@ -64,17 +69,11 @@ def cmd_E(args):
         print(format_xpoly(elem.poly, latex=True))
     else:
         print(format_xpoly(elem.poly))
-    _save_cache(path)
     return 0
 
 
 def cmd_P(args):
-    try:
-        lam = parse_spart(args.spart, args.N)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    path = _load_cache(args)
+    lam = _parse_spart(args)
     elem = bisym_P(lam)
     if args.format == "json":
         print(json.dumps({"spart": format_spart(lam),
@@ -86,23 +85,16 @@ def cmd_P(args):
         print(diagram_latex(lam))
     else:
         print(format_xpoly(elem.poly))
-    _save_cache(path)
     return 0
 
 
 def cmd_eval(args):
-    try:
-        lam = parse_spart(args.spart, args.N)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    lam = _parse_spart(args)
     formula = eval_formula(lam, args.sign)
     if args.route == "formula":
         print(format_scalar(formula))
         return 0
-    path = _load_cache(args)
     subst = evaluate(lambda_naught(lam.m, lam.N), args.sign, bisym_P(lam).poly)
-    _save_cache(path)
     if args.route == "substitution":
         print(format_scalar(subst))
         return 0
@@ -115,17 +107,9 @@ def cmd_eval(args):
 
 
 def cmd_pieri(args):
-    try:
-        lam = parse_spart(args.spart, args.N)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    lam = _parse_spart(args)
     if args.r < 0:
-        print(f"error: --r {args.r} is negative; e_r needs r >= 0",
-              file=sys.stderr)
-        return 2
-    # pieri_expand needs no cached polynomial; only the oracle does
-    path = _load_cache(args) if args.check else None
+        raise _UsageError(f"--r {args.r} is negative; e_r needs r >= 0")
     terms = pieri_expand(lam, args.r, args.variant)
     if args.format == "json":
         print(json.dumps([{"spart": format_spart(t.omega),
@@ -139,56 +123,29 @@ def cmd_pieri(args):
                 print(f"{c} \\, \\mathcal P_{{({format_spart(t.omega)})}}")
             else:
                 print(f"P_({format_spart(t.omega)})  *  {c}")
-    code = 0
-    if args.check:
-        oracle = pieri_bruteforce(lam, args.r, args.variant)
-        if not expansions_equal(terms, oracle):
-            print("MISMATCH against the brute-force expansion:",
-                  file=sys.stderr)
-            want = {format_spart(t.omega): t.coeff for t in oracle}
-            got = {format_spart(t.omega): t.coeff for t in terms}
-            for key in sorted(set(want) | set(got)):
-                if got.get(key) != want.get(key):
-                    print(f"  P_({key}): formula {got.get(key)} "
-                          f"!= oracle {want.get(key)}", file=sys.stderr)
-            code = 1
-        else:
-            print(f"# brute-force check passed ({len(terms)} terms)")
-    _save_cache(path)
-    return code
+    if not args.check:
+        return 0
+    oracle = pieri_bruteforce(lam, args.r, args.variant)
+    if expansions_equal(terms, oracle):
+        print(f"# brute-force check passed ({len(terms)} terms)")
+        return 0
+    print("MISMATCH against the brute-force expansion:", file=sys.stderr)
+    want = {format_spart(t.omega): t.coeff for t in oracle}
+    got = {format_spart(t.omega): t.coeff for t in terms}
+    for key in sorted(set(want) | set(got)):
+        if got.get(key) != want.get(key):
+            print(f"  P_({key}): formula {got.get(key)} "
+                  f"!= oracle {want.get(key)}", file=sys.stderr)
+    return 1
 
 
 def cmd_verify(args):
-    for flag, value, least in (("N", args.N, 2), ("deg", args.deg, 0),
-                               ("jobs", args.jobs, 1)):
-        if value < least:
-            print(f"error: --{flag} {value} must be at least {least}",
-                  file=sys.stderr)
-            return 2
-    if args.suite == "all" and args.jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        # the pool forks all of its workers up front: one per suite at most
-        workers = min(args.jobs, len(ALL_SUITES))
-        ok = True
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {name: pool.submit(_run_suite_worker, name,
-                                         args.N, args.deg)
-                       for name in ALL_SUITES}
-            for name in ALL_SUITES:
-                sub_ok, lines = futures[name].result()
-                ok = ok and sub_ok
-                for line in lines:
-                    print(line.replace("] ", f"] {name}: ", 1))
-        return 0 if ok else 1
+    _at_least("N", args.N, 2)
+    _at_least("deg", args.deg, 0)
     rep = run_suite(args.suite, N=args.N, deg=args.deg)
     for line in rep.lines():
         print(line)
     return 0 if rep.ok else 1
-
-
-def _run_suite_worker(name, N, deg):
-    rep = run_suite(name, N=N, deg=deg)
-    return rep.ok, rep.lines()
 
 
 def build_parser():
@@ -237,23 +194,29 @@ def build_parser():
                    choices=(*SUITES, "all"))
     p.add_argument("--N", type=int, default=4)
     p.add_argument("--deg", type=int, default=3)
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes for --suite all")
     p.set_defaults(func=cmd_verify)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    path = cachemod.cache_path(args.cache) if _uses_cache(args) else None
     try:
-        return args.func(args)
-    except CacheRecordError as exc:
+        if path:
+            try:
+                cachemod.load(path)
+            except ValueError as exc:  # also JSONDecodeError, UnicodeDecodeError
+                raise _UsageError(f"cache file {path}: {exc}") from None
+        code = args.func(args)
+    except (_UsageError, CacheRecordError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         raise SystemExit(2)
     except ConsistencyError as exc:
         print(f"consistency failure: {exc}", file=sys.stderr)
         return 1
+    if path:
+        cachemod.dump_all(path)
+    return code
 
 
 if __name__ == "__main__":

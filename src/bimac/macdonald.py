@@ -97,25 +97,32 @@ def _raise(eta):
     E_eta is proportional to x_N omega E_nu with nu = (eta_N - 1, eta_1,
     .., eta_(N-1)) when eta_N > 0.  Otherwise, with i the last index
     where eta_i > 0 and nu = s_i eta, it is proportional to
-    (T_i + (1 - t)/(1 - ebar_(i+1)(nu)/ebar_i(nu))) E_nu.  Each step is
+    (T_i + (1 - t)/(1 - ebar_(i+1)(nu)/ebar_i(nu))) E_nu.  The chain of
+    nu is walked down to 0, then raised back up in a loop, each step
     made monic at x^eta.
     """
     N = len(eta)
-    if not any(eta):
-        return XPolynomial.one(N)
-    if eta[-1]:
-        nu = (eta[-1] - 1,) + eta[:-1]
-        f = XPolynomial.variable(N, N) * hecke.apply_omega(_raise(nu))
-    else:
-        i = max(k for k in range(1, N) if eta[k - 1])
-        nu = eta[:i - 1] + (0, eta[i - 1]) + eta[i + 1:]
-        g = _raise(nu)
-        c = (_ONE - _T) / (_ONE - eigenvalue(nu, i + 1) / eigenvalue(nu, i))
-        f = hecke.apply_T(i, g) + g.scale(c)
-    lead = f.coefficient(eta)
-    if lead.is_zero():
-        raise ConsistencyError(f"E_{eta} lost its leading monomial x^{eta}")
-    return f.scale(lead.inverse())
+    steps = []  # (eta, nu, i) from eta down; i = 0 for the x_N omega step
+    while any(eta):
+        if eta[-1]:
+            nu, i = (eta[-1] - 1,) + eta[:-1], 0
+        else:
+            i = max(k for k in range(1, N) if eta[k - 1])
+            nu = eta[:i - 1] + (0, eta[i - 1]) + eta[i + 1:]
+        steps.append((eta, nu, i))
+        eta = nu
+    E = XPolynomial.one(N)
+    for eta, nu, i in reversed(steps):
+        if i:
+            c = (_ONE - _T) / (_ONE - eigenvalue(nu, i + 1) / eigenvalue(nu, i))
+            f = hecke.apply_T(i, E) + E.scale(c)
+        else:
+            f = XPolynomial.variable(N, N) * hecke.apply_omega(E)
+        lead = f.coefficient(eta)
+        if lead.is_zero():
+            raise ConsistencyError(f"E_{eta} lost its leading monomial x^{eta}")
+        E = f.scale(lead.inverse())
+    return E
 
 
 def _cleared(E):

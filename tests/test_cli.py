@@ -18,12 +18,23 @@ from bimac.sparts import SuperPartition
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    """(exit code, stdout, stderr) of one CLI run; a usage error leaves
+    main by SystemExit, and its code is returned."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
     out = capsys.readouterr()
     return code, out.out, out.err
 
 
 class TestCommandE:
+    def test_high_degree(self, capsys):
+        # the raising steps run in a loop, not one stack frame each
+        code, out, _ = run(capsys, "E", "--eta", "1200")
+        assert code == 0
+        assert out == "x1^1200\n"
+
     def test_text(self, capsys):
         code, out, _ = run(capsys, "E", "--eta", "0,1", "--N", "2")
         assert code == 0
@@ -106,6 +117,36 @@ class TestCommandEval:
         assert subst == formula and formula.strip() not in ("", "0")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("P", "--spart", ";", "--N", "0"), "--N 0 must be at least 1"),
+    (("eval", "--spart", ";", "--N", "0"), "--N 0 must be at least 1"),
+    (("pieri", "--spart", ";", "--N", "0", "--r", "1"),
+     "--N 0 must be at least 1"),
+    (("pieri", "--spart", "1;1", "--N", "3", "--r", "-1"),
+     "--r -1 is negative"),
+    (("E", "--eta", ""), "--eta '' is not a composition"),
+    (("E", "--eta", "1,,2"), "--eta '1,,2' is not a composition"),
+    (("E", "--eta", "1,0", "--N", "3"), "--N disagrees"),
+    (("verify", "--N", "1"), "--N 1 must be at least 2"),
+    (("verify", "--deg", "-1"), "--deg -1 must be at least 0"),
+    (("--cache", "{cache}", "P", "--spart", "1;1", "--N", "3"),
+     "cache file {cache}: "),
+], ids=["P-N0", "eval-N0", "pieri-N0", "pieri-negative-r", "E-empty",
+        "E-empty-part", "E-wrong-N", "verify-N1", "verify-negative-deg",
+        "bad-cache-line"])
+def test_bad_input_exits_2(tmp_path, capsys, argv, message):
+    # main lets out nothing but SystemExit(2), after one error line
+    cache = tmp_path / "c.jsonl"
+    cache.write_text("not json\nnot json either\n")
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(cache=cache) for a in argv])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: " + message.format(cache=cache))
+
+
 @pytest.mark.parametrize("command, extra", [
     ("eval", ()), ("pieri", ("--r", "1")),
 ], ids=["eval", "pieri"])
@@ -179,55 +220,16 @@ class TestCommandVerify:
         assert code == 0
         assert "FAIL" not in out
 
-    def test_jobs_fork_prints_the_same(self, capsys):
-        args = ("verify", "--suite", "all", "--N", "3", "--deg", "2")
-        serial = run(capsys, *args, "--jobs", "1")
-        forked = run(capsys, *args, "--jobs", "2")
-        assert forked[:2] == serial[:2]
-
     @pytest.mark.parametrize("argv", [
         ("--N", "0", "--suite", "hecke"),
         ("--N", "1", "--suite", "all"),
         ("--N", "3", "--deg", "-1"),
-        ("--N", "3", "--jobs", "0"),
-    ], ids=["N0-hecke", "N1-all", "negative-deg", "no-jobs"])
+    ], ids=["N0-hecke", "N1-all", "negative-deg"])
     def test_bad_arguments_exit_2(self, capsys, argv):
         code, out, err = run(capsys, "verify", *argv)
         assert code == 2
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: --")
-
-    @pytest.mark.parametrize("jobs, workers", [(64, 5), (3, 3)])
-    def test_jobs_capped_at_the_suites(self, capsys, monkeypatch,
-                                       jobs, workers):
-        import concurrent.futures
-
-        seen = []
-
-        class Inline:
-            # records the pool size and runs each task in this process
-            def __init__(self, max_workers):
-                seen.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, *args):
-                future = concurrent.futures.Future()
-                future.set_result(fn(*args))
-                return future
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Inline)
-        monkeypatch.setattr(cli, "_run_suite_worker",
-                            lambda name, N, deg: (True, ["[pass] stub"]))
-        code, out, _ = run(capsys, "verify", "--suite", "all",
-                           "--jobs", str(jobs))
-        assert code == 0
-        assert seen == [workers]
-        assert out.splitlines()[0] == "[pass] hecke: stub"
 
     def test_symmetry_suite(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "symmetry",
@@ -466,17 +468,25 @@ def test_console_script_subprocess():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    argv = ["E", "--eta", "0,1", "--N", "2"]
     wrapper = f"import sys; from {module} import {func}; sys.exit({func}())"
-    runs = [([sys.executable, "-c", wrapper, *argv], env)]
+    runs = [([sys.executable, "-c", wrapper], env)]
     installed = shutil.which("bimac")
     if installed:
-        runs.append(([installed, *argv], None))
+        runs.append(([installed], None))
     for cmd, cmd_env in runs:
-        res = subprocess.run(cmd, capture_output=True, text=True,
+        res = subprocess.run([*cmd, "E", "--eta", "0,1", "--N", "2"],
+                             capture_output=True, text=True,
                              timeout=120, env=cmd_env)
         assert res.returncode == 0
         assert res.stdout.strip() == "x2"
+        # a usage error exits 2 after one error line
+        res = subprocess.run([*cmd, "E", "--eta", "x"],
+                             capture_output=True, text=True,
+                             timeout=120, env=cmd_env)
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert len(res.stderr.splitlines()) == 1
+        assert res.stderr.startswith("error:")
 
 
 class TestVerifyPieriSuite:
