@@ -204,6 +204,24 @@ def dominant_exponent(lam: SuperPartition):
     return lead
 
 
+# Vandermonde kind -> (its antisymmetrizer, its name in errors)
+_ANTISYM = {"t_deformed": ("t_antisym", "t-Vandermonde"),
+            "plain": ("antisym", "plain Vandermonde")}
+
+
+def _vandermonde_quotient(lam, S, kind):
+    """S antisymmetrized over the first m variables, divided exactly by
+    the Vandermonde of the same kind."""
+    sym, name = _ANTISYM[kind]
+    A = hecke.symmetrize(sym, (1, lam.m), S)
+    try:
+        return exact_div(A, vandermonde(kind, range(1, lam.m + 1), lam.N))
+    except DivisibilityError as exc:
+        raise ConsistencyError(
+            f"antisymmetrization of {format_spart(lam)} is not divisible "
+            f"by the {name}") from exc
+
+
 def bisym_P(lam: SuperPartition) -> PBasisElement:
     """The bisymmetric Macdonald polynomial, normalized so the dominant
     monomial has coefficient one.
@@ -229,13 +247,7 @@ def bisym_P(lam: SuperPartition) -> PBasisElement:
     else:
         S = DE
     if m >= 2:
-        A = hecke.symmetrize("t_antisym", (1, m), S)
-        try:
-            Q = exact_div(A, vandermonde("t_deformed", range(1, m + 1), N))
-        except DivisibilityError as exc:
-            raise ConsistencyError(
-                f"antisymmetrization of {format_spart(lam)} is not divisible "
-                f"by the t-Vandermonde") from exc
+        Q = _vandermonde_quotient(lam, S, "t_deformed")
     else:
         Q = S
     if Q.is_zero():
@@ -247,8 +259,7 @@ def bisym_P(lam: SuperPartition) -> PBasisElement:
             f"dominant monomial of {format_spart(lam)} is absent")
     P = Q.scale(c.inverse())
     if m >= 2:
-        A2 = hecke.symmetrize("antisym", (1, m), S)
-        Q2 = exact_div(A2, vandermonde("plain", range(1, m + 1), N))
+        Q2 = _vandermonde_quotient(lam, S, "plain")
         c2 = coefficient_of(Q2, lead)
         if c2.is_zero() or Q2.scale(c2.inverse()) != P:
             raise ConsistencyError(

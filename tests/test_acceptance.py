@@ -201,7 +201,7 @@ def test_criterion_7_operator_identities():
                 width = N - m if variant == "upper" else m
                 if r > width:
                     continue
-                if not op_identity_check(m, r, g, variant, points=3):
+                if not op_identity_check(m, r, g, variant):
                     bad.append(("two-sided", m, r, variant))
     assert _report(7, "operator identity battery", not bad), bad[:4]
 

@@ -11,10 +11,11 @@ from bimac import cache as cachemod
 from bimac import cli
 from bimac import macdonald
 from bimac.cli import main
-from bimac.errors import ConsistencyError
+from bimac.errors import ConsistencyError, DivisibilityError
 from bimac.macdonald import bisym_P, nonsym_E
 from bimac.render import xpoly_to_json
 from bimac.sparts import SuperPartition
+from bimac.xpoly import vandermonde
 
 
 def run(capsys, *argv):
@@ -230,6 +231,15 @@ class TestCommandVerify:
         assert code == 2
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: --")
+
+    def test_N2_has_no_braid_cases(self, capsys):
+        # affine type A_1 has no braid relation between T_0 and T_1
+        code, out, _ = run(capsys, "verify", "--suite", "all",
+                           "--N", "2", "--deg", "2")
+        assert code == 0
+        assert "FAIL" not in out
+        assert "[pass] hecke: braid relations (affine indices included)\n" \
+            in out
 
     def test_symmetry_suite(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "symmetry",
@@ -505,6 +515,27 @@ def test_consistency_error_exits_1(capsys, monkeypatch):
     assert code == 1
     assert out == ""
     assert err == "consistency failure: planted failure\n"
+
+
+@pytest.mark.parametrize("kind, name", [
+    ("t_deformed", "t-Vandermonde"), ("plain", "plain Vandermonde")])
+def test_failed_vandermonde_division_exits_1(capsys, monkeypatch, kind, name):
+    # either of bisym_P's two exact divisions failing is one consistency
+    # failure naming the shape, not a traceback
+    divisor = vandermonde(kind, range(1, 3), 3)
+    exact_div = macdonald.exact_div
+
+    def refuse(A, B):
+        if B == divisor:
+            raise DivisibilityError("planted")
+        return exact_div(A, B)
+    monkeypatch.setattr(macdonald, "exact_div", refuse)
+    monkeypatch.setattr(macdonald, "_P_CACHE", {})
+    code, out, err = run(capsys, "P", "--spart", "1,0;", "--N", "3")
+    assert code == 1
+    assert out == ""
+    assert err == ("consistency failure: antisymmetrization of 1,0; is not "
+                   f"divisible by the {name}\n")
 
 
 def test_P_json_format(capsys):

@@ -184,10 +184,13 @@ class TestOmega:
             assert g == hecke.apply_omega(f)
 
     def test_intertwines_generators(self):
-        for f in monomials(4, 2):
-            for i in range(2, 4):
-                assert hecke.apply_omega(hecke.apply_T(i, f)) == \
-                    hecke.apply_T(i - 1, hecke.apply_omega(f))
+        # i = 1 and i = 0 tie the affine T_0 to omega: omega T_1 = T_0
+        # omega and omega T_0 = T_(N-1) omega
+        for N in (2, 3, 4):
+            for f in monomials(N, 2):
+                for i in range(N):
+                    assert hecke.apply_omega(hecke.apply_T(i, f)) == \
+                        hecke.apply_T((i - 1) % N, hecke.apply_omega(f))
 
 
 class TestCherednik:

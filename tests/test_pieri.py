@@ -252,18 +252,18 @@ class TestVanishing:
 class TestOperatorIdentity:
     def test_upper(self):
         f = elementary_symmetric(1, (2, 3), 3)
-        assert op_identity_check(1, 1, f, "upper", points=3)
+        assert op_identity_check(1, 1, f, "upper")
         g = elementary_symmetric(1, (1, 2), 4) * \
             elementary_symmetric(1, (3, 4), 4)
-        assert op_identity_check(2, 1, g, "upper", points=3)
-        assert op_identity_check(2, 2, g, "upper", points=3)
+        assert op_identity_check(2, 1, g, "upper")
+        assert op_identity_check(2, 2, g, "upper")
 
     def test_lower(self):
-        assert op_identity_check(1, 1, XPolynomial.one(3), "lower", points=3)
+        assert op_identity_check(1, 1, XPolynomial.one(3), "lower")
         g = elementary_symmetric(1, (1, 2), 4) * \
             elementary_symmetric(1, (3, 4), 4)
-        assert op_identity_check(2, 1, g, "lower", points=3)
-        assert op_identity_check(2, 2, g, "lower", points=3)
+        assert op_identity_check(2, 1, g, "lower")
+        assert op_identity_check(2, 2, g, "lower")
 
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):
