@@ -22,7 +22,8 @@ from .sparts import (Composition, Partition, StripCertificate, SuperPartition,
 from .hecke import (apply_K, apply_T, apply_T0, apply_T_inv, apply_Y,
                     apply_e_of_Y, apply_omega, symmetrize)
 from .macdonald import (EBasisElement, PBasisElement, bisym_P,
-                        c_lambda_formula, expand_in_P_basis, nonsym_E)
+                        c_lambda_corrected, c_lambda_formula,
+                        expand_in_P_basis, nonsym_E)
 from .evalsym import eval_formula, evaluate, symmetry_check
 from .pieri import (PieriTerm, SigmaSets, coeff_C, coeff_D, op_identity_check,
                     phi_at, pieri_bruteforce, pieri_expand)

@@ -126,5 +126,8 @@ def _append(path, elems) -> int:
 
 
 def dump_all(path) -> int:
-    """Append every in-process E entry that the file lacks."""
-    return _append(path, list(macdonald._E_CACHE.values()))
+    """Append every E this process has checked that the file lacks: a P
+    built here leaves only its integral multiple of E, so E is formed
+    from it first."""
+    etas = dict.fromkeys([*macdonald._E_CACHE, *macdonald._K_CACHE])
+    return _append(path, [macdonald.nonsym_E(eta) for eta in etas])

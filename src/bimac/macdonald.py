@@ -1,8 +1,14 @@
-"""Non-symmetric Macdonald polynomials E_eta (built by the Knop-Sahi
-recursion, then checked against every eigenvalue equation and the
-Bruhat triangularity), bisymmetric Macdonald polynomials P_Lambda, and
-expansion of bisymmetric polynomials in the P basis (the brute-force
-oracle behind the Pieri rules).
+"""Non-symmetric Macdonald polynomials E_eta, bisymmetric Macdonald
+polynomials P_Lambda, and expansion of bisymmetric polynomials in the P
+basis (the brute-force oracle behind the Pieri rules).
+
+E_eta is built in Knop's integral form J_eta = d_eta E_eta, whose
+coefficients lie in Z[q,t] (Knop 1997, Sahi 1996): the Knop-Sahi
+recursion carries J as s K, a factored scalar s times K in Z[q,t][x],
+and divides only by binomials known in closed form, so it calls no gcd.
+K is checked against every eigenvalue equation, the Bruhat
+triangularity and d_eta; P_Lambda symmetrizes K, and the monic E is
+formed only where E itself is asked for.
 """
 
 from __future__ import annotations
@@ -11,9 +17,9 @@ import threading
 from dataclasses import dataclass
 
 from .errors import CacheRecordError, ConsistencyError, DivisibilityError
-from .qt import (QTScalar, clear_denominators, qt_monomial,
-                 t_bracket_factorial)
-from .sparts import (SuperPartition, eigenvalue, format_spart, row_of_circle,
+from .qt import (QTPoly, QTScalar, _cyclotomic_at, _Factored,
+                 clear_denominators, qt_monomial, t_bracket_factorial)
+from .sparts import (SuperPartition, format_spart, row_of_circle,
                      sorting_permutation, superpartitions)
 from .xpoly import XPolynomial, coefficient_of, exact_div, permute_vars, vandermonde
 from . import hecke
@@ -24,6 +30,8 @@ _T = qt_monomial(0, 1)
 _lock = threading.Lock()
 _E_CACHE: dict = {}
 _P_CACHE: dict = {}
+# eta -> checked K, a multiple of E_eta with coefficients in Z[q,t]
+_K_CACHE: dict = {}
 # eta -> (E, origin): cache records that nonsym_E checks before serving
 _E_UNCHECKED: dict = {}
 
@@ -45,6 +53,7 @@ def clear_caches():
     with _lock:
         _E_CACHE.clear()
         _P_CACHE.clear()
+        _K_CACHE.clear()
         _E_UNCHECKED.clear()
 
 
@@ -92,14 +101,25 @@ def _bruhat_less(nu, eta):
 # ---------------------------------------------------------------------------
 
 def _raise(eta):
-    """E_eta by the Knop-Sahi recursion, unchecked.
+    """(s, K) with s K = J_eta = d_eta E_eta, by the Knop-Sahi recursion
+    in Knop's integral form, unchecked.
 
-    E_eta is proportional to x_N omega E_nu with nu = (eta_N - 1, eta_1,
-    .., eta_(N-1)) when eta_N > 0.  Otherwise, with i the last index
-    where eta_i > 0 and nu = s_i eta, it is proportional to
-    (T_i + (1 - t)/(1 - ebar_(i+1)(nu)/ebar_i(nu))) E_nu.  The chain of
-    nu is walked down to 0, then raised back up in a loop, each step
-    made monic at x^eta.
+    s is a _Factored scalar and every coefficient of K lies in Z[q,t];
+    no step calls a gcd.  With ebar_i(nu) the Cherednik eigenvalue:
+
+    * eta_N > 0, nu = (eta_N - 1, eta_1, .., eta_(N-1)):
+      J_eta = q^(-nu_1) (1 - q t^N ebar_1(nu)) x_N omega J_nu.  K takes
+      x_N omega and s the scalar, so no coefficient of K is multiplied.
+    * otherwise, with i the last index where eta_i > 0 and nu = s_i eta,
+      rho = ebar_(i+1)(nu)/ebar_i(nu) = q^A t^B with A, B >= 1 and
+      J_eta = ((1 - rho) T_i J_nu + (1 - t) J_nu) / (t (1 - t rho)).
+      The numerator is (1 - t rho) K - (1 - rho) X_i K, X_i = t - T_i the
+      exchange term.  Each Phi_d factor of 1 - t rho that s holds
+      cancels there; K is divided exactly by the others, and a division
+      that is not exact raises ConsistencyError.
+
+    The chain of nu is walked down to 0, then raised back up in a loop.
+    s is kept as running exponents, so a long chain costs linear time.
     """
     N = len(eta)
     steps = []  # (eta, nu, i) from eta down; i = 0 for the x_N omega step
@@ -111,45 +131,109 @@ def _raise(eta):
             nu = eta[:i - 1] + (0, eta[i - 1]) + eta[i + 1:]
         steps.append((eta, nu, i))
         eta = nu
-    E = XPolynomial.one(N)
+    sign, a, b, phi = 1, 0, 0, {}  # s = sign q^a t^b prod Phi^phi
+    K = XPolynomial.one(N)
+    x_N = XPolynomial.variable(N, N)
     for eta, nu, i in reversed(steps):
         if i:
-            c = (_ONE - _T) / (_ONE - eigenvalue(nu, i + 1) / eigenvalue(nu, i))
-            f = hecke.apply_T(i, E) + E.scale(c)
+            A = nu[i]
+            B = row_of_circle(nu, i) - row_of_circle(nu, i + 1)
+            rho = qt_monomial(A, B)
+            K = K.scale(_ONE - _T * rho) - \
+                hecke._exchange_term(i, K).scale(_ONE - rho)
+            # divide by t (1 - t rho)
+            binom = _Factored.binomial(0, 1, A, B + 2)
+            sign, a, b = sign * binom.sign, a - binom.a, b - binom.b
+            p = QTPoly.one()
+            for k in binom.phi:
+                if phi.get(k):
+                    phi[k] -= 1
+                else:
+                    p = p * _cyclotomic_at(*k)[0]
+            if not p.is_one():
+                try:
+                    K = K.map_coeffs(lambda c: c.exact_div(p))
+                except DivisibilityError as exc:
+                    raise ConsistencyError(
+                        f"the Knop-Sahi step to J_{eta} does not divide "
+                        f"by {p}") from exc
         else:
-            f = XPolynomial.variable(N, N) * hecke.apply_omega(E)
-        lead = f.coefficient(eta)
-        if lead.is_zero():
-            raise ConsistencyError(f"E_{eta} lost its leading monomial x^{eta}")
-        E = f.scale(lead.inverse())
-    return E
+            K = x_N * hecke.apply_omega(K)
+            # multiply by q^(-nu_1) (1 - q t^N ebar_1(nu))
+            binom = _Factored.binomial(0, 0, nu[0] + 1,
+                                       N + 1 - row_of_circle(nu, 1))
+            sign, a, b = sign * binom.sign, a + binom.a - nu[0], b + binom.b
+            for k in binom.phi:
+                phi[k] = phi.get(k, 0) + 1
+    return _Factored(sign, a, b, {k: e for k, e in phi.items() if e}), K
 
 
-def _cleared(E):
-    """D E, for D the common denominator of E's coefficients, so every
-    coefficient lies in Z[q,t]; D is D E's coefficient at x^eta when E
-    is monic there."""
-    return XPolynomial(E.nvars, dict(zip(
-        E.terms, clear_denominators(list(E.terms.values())))))
+def _knop_d(eta) -> _Factored:
+    """d_eta = prod over the cells s = (i, j) of eta of
+    1 - q^(a(s)+1) t^(l(s)+1), with arm a(s) = eta_i - j and leg
+    l(s) = #{k > i : j <= eta_k <= eta_i} + #{k < i : j - 1 <= eta_k < eta_i}
+    (Knop 1997; Sahi 1996): J_eta = d_eta E_eta has coefficients in
+    Z[q,t]."""
+    factors = []
+    for i, a in enumerate(eta):
+        for j in range(1, a + 1):
+            leg = sum(1 for b in eta[i + 1:] if j <= b <= a) + \
+                sum(1 for b in eta[:i] if j - 1 <= b < a)
+            factors.append(_Factored.binomial(0, 0, a - j + 1, leg + 1))
+    return _Factored.prod(factors)
+
+
+def _integral_E(eta):
+    """A checked K with coefficients in Z[q,t] and K = c E_eta for a
+    nonzero c in Q(q,t): K from _raise, or D E for a cache record set
+    aside unchecked, which is served as E itself too."""
+    K = _K_CACHE.get(eta)
+    if K is not None:
+        return K
+    with _lock:
+        E, origin = _E_UNCHECKED.pop(eta, (None, None))
+    if E is None:
+        s, K = _raise(eta)
+        lead = (_knop_d(eta) / s).expand()
+        if K.coefficient(eta) != lead:
+            raise ConsistencyError(f"J_{eta} is not d_eta at x^{eta}")
+        _check_E(eta, K)
+    else:
+        try:
+            if not E.coefficient(eta).is_one():
+                raise ConsistencyError(f"E_{eta} is not monic at x^{eta}")
+            K = XPolynomial(E.nvars, dict(zip(
+                E.terms, clear_denominators(list(E.terms.values())))))
+            _check_E(eta, K)
+        except ConsistencyError as exc:
+            raise CacheRecordError(f"{origin}: {exc}") from exc
+        with _lock:
+            _E_CACHE[eta] = EBasisElement(eta=eta, poly=E)
+    with _lock:
+        _K_CACHE[eta] = K
+    return K
 
 
 def nonsym_E(eta) -> EBasisElement:
     """The monic joint eigenfunction of the Cherednik operators.
 
-    Built by the Knop-Sahi recursion (raising by x_N omega, then adjacent
-    intertwiners), or taken from a cache record set aside unchecked, then
-    checked exactly: every support monomial other than x^eta is
-    Bruhat-below eta, x^eta has coefficient 1, and Y_i E = ebar_i E for
-    every i.  The N eigenvalue equations run on D E, D the common
-    denominator of E's coefficients, as t^(N-1) Y_i (D E) = t_ebar D E
-    with t_ebar = t^(N-1) ebar_i, in the word order of hecke._y_word, on
-    Kronecker-packed integers: t -> 2^K, q -> 2^(K B) is a ring
-    homomorphism Z[q,t] -> Z, and hecke._pack picks K and B from
-    bounds on the difference's coefficients and t-degree so that it is
-    injective there.  Y_i is linear and D != 0, so this is the same
-    check, exact and with no gcd.  A failed check raises
-    ConsistencyError, or CacheRecordError naming the record's file and
-    line; only checked results are cached.
+    Built in Knop's integral form J_eta = s K = d_eta E_eta (see _raise),
+    or taken from a cache record set aside unchecked, then checked
+    exactly on K, which has every coefficient in Z[q,t]: every support
+    monomial other than x^eta is Bruhat-below eta, s K has d_eta at
+    x^eta (Knop's cell product, computed apart from the recursion; for a
+    record, E has 1 there and K = D E, D the common denominator of E's
+    coefficients), and Y_i K = ebar_i K for every i.  The N eigenvalue
+    equations run as t^(N-1) Y_i K = t_ebar K with t_ebar = t^(N-1)
+    ebar_i, in the word order of hecke._y_word, on Kronecker-packed
+    integers: t -> 2^w, q -> 2^(w B) is a ring homomorphism Z[q,t] -> Z,
+    and hecke._pack picks the width w and B from bounds on the
+    difference's coefficients and t-degree so that it is injective
+    there.  Y_i is linear, so this is the same check on E, exact and
+    with no gcd.  A failed check raises ConsistencyError, or
+    CacheRecordError naming the record's file and line; only checked
+    results are cached.  E itself is K divided by its coefficient at
+    x^eta, formed only here.
     """
     eta = tuple(int(x) for x in eta)
     if any(x < 0 for x in eta):
@@ -157,37 +241,29 @@ def nonsym_E(eta) -> EBasisElement:
     cached = _E_CACHE.get(eta)
     if cached is not None:
         return cached
-    with _lock:
-        E, origin = _E_UNCHECKED.pop(eta, (None, None))
-    if E is None:
-        E = _raise(eta)
-    try:
-        _check_E(eta, E)
-    except ConsistencyError as exc:
-        if origin is None:
-            raise
-        raise CacheRecordError(f"{origin}: {exc}") from exc
-    elem = EBasisElement(eta=eta, poly=E)
+    K = _integral_E(eta)
+    cached = _E_CACHE.get(eta)
+    if cached is not None:
+        return cached
+    elem = EBasisElement(eta=eta, poly=K.scale(K.coefficient(eta).inverse()))
     with _lock:
         _E_CACHE[eta] = elem
     return elem
 
 
-def _check_E(eta, E):
-    """Raise ConsistencyError unless E is Bruhat-triangular, monic at
-    x^eta and passes all N packed eigenvalue equations."""
+def _check_E(eta, K):
+    """Raise ConsistencyError unless K, with coefficients in Z[q,t], is
+    Bruhat-triangular at eta and passes all N packed eigenvalue
+    equations."""
     N = len(eta)
-    for nu in E.terms:
+    for nu in K.terms:
         if nu != eta and not _bruhat_less(nu, eta):
             raise ConsistencyError(
                 f"E_{eta} has support at {nu}, not Bruhat-below")
-    if not E.coefficient(eta).is_one():
-        raise ConsistencyError(f"E_{eta} is not monic at x^{eta}")
-    DE = dict(zip(E.terms, clear_denominators(list(E.terms.values()))))
-    K, B, f = hecke._pack(DE)
+    w, B, f = hecke._pack(K.terms)
     for i in range(1, N + 1):
-        shift = K * (B * eta[i - 1] + N - row_of_circle(eta, i))
-        if hecke._packed_y_word(i, f, K, B) != \
+        shift = w * (B * eta[i - 1] + N - row_of_circle(eta, i))
+        if hecke._packed_y_word(i, f, w, B) != \
                 {e: c << shift for e, c in f.items()}:
             raise ConsistencyError(
                 f"eigenvalue equation Y_{i} E = ebar_{i} E failed for E_{eta}")
@@ -229,8 +305,10 @@ def bisym_P(lam: SuperPartition) -> PBasisElement:
     Computed as the t-antisymmetrization (first m variables) of the
     t-symmetrization (last N - m variables) of E over eta_Lambda,
     divided exactly by the t-deformed Vandermonde.  The symmetrizers
-    act on D E, D the common denominator of E's coefficients, and the
-    normalization divides D back out of c_lam.  A parallel
+    act on the checked integral multiple K of E (Knop's J_eta up to a
+    factored scalar, or D E for a cache record), so the monic E is never
+    formed; the scalar drops out of the dominant-coefficient
+    normalization and of c_lam.  A parallel
     computation with the plain antisymmetrizer and plain Vandermonde
     must give a proportional result; a mismatch raises rather than
     being silently resolved.
@@ -241,11 +319,11 @@ def bisym_P(lam: SuperPartition) -> PBasisElement:
         return cached
     m, N = lam.m, lam.N
     eta = lam.eta()
-    DE = _cleared(nonsym_E(eta).poly)
+    K = _integral_E(eta)
     if m + 1 <= N:
-        S = hecke.symmetrize("t_sym", (m + 1, N), DE)
+        S = hecke.symmetrize("t_sym", (m + 1, N), K)
     else:
-        S = DE
+        S = K
     if m >= 2:
         Q = _vandermonde_quotient(lam, S, "t_deformed")
     else:
@@ -265,8 +343,8 @@ def bisym_P(lam: SuperPartition) -> PBasisElement:
             raise ConsistencyError(
                 f"plain and t-deformed constructions disagree for "
                 f"{format_spart(lam)}")
-    # c is D times the dominant coefficient taken from E itself
-    elem = PBasisElement(lam=lam, poly=P, c_lam=DE.coefficient(eta) / c)
+    # K and Q carry the same scalar multiple of E, which drops out
+    elem = PBasisElement(lam=lam, poly=P, c_lam=K.coefficient(eta) / c)
     with _lock:
         _P_CACHE[key] = elem
     return elem
@@ -284,6 +362,24 @@ def c_lambda_formula(lam: SuperPartition) -> QTScalar:
         prod = prod * t_bracket_factorial(k, "t_inverse")
     prod = prod * qt_monomial(0, (N - m) * (N - m - 1) // 2)
     return prod.inverse()
+
+
+def c_lambda_corrected(lam: SuperPartition) -> QTScalar:
+    """The normalization constant that bisym_P produces: c_lambda_formula
+    times t^(m(m-1)/2) and, over the pairs i < j <= m of anti parts, the
+    ratio (1 - q^g t^r)/(1 - q^g t^(r-1)) with gap g = a_i - a_j and
+    r = 1 + #{sym parts s : a_j < s <= a_i}
+    + #{anti parts a_k : a_j < a_k < a_i}."""
+    a, m = lam.anti, lam.m
+    num, den = [_Factored.monomial(0, m * (m - 1) // 2)], []
+    for i in range(m):
+        for j in range(i + 1, m):
+            g = a[i] - a[j]
+            r = 1 + sum(1 for s in lam.sym if a[j] < s <= a[i]) + \
+                sum(1 for k in a if a[j] < k < a[i])
+            num.append(_Factored.binomial(0, 0, g, r))
+            den.append(_Factored.binomial(0, 0, g, r - 1))
+    return c_lambda_formula(lam) * _Factored.prod(num, den).expand()
 
 
 # ---------------------------------------------------------------------------

@@ -467,6 +467,13 @@ class QTScalar:
     def __truediv__(self, other):
         return self * other.inverse()
 
+    def exact_div(self, p):
+        """self / p for a QTPoly p with content 1 and a positive lead
+        that divides num; DivisibilityError otherwise.  No gcd runs: the
+        quotient num / p is again primitive with a positive lead (Gauss),
+        and prime to den."""
+        return _scalar(self.c, self.num.exact_div(p), self.den)
+
     def __pow__(self, n):
         if n == 0:
             return _S_ONE
@@ -478,9 +485,13 @@ class QTScalar:
         return out
 
     def mul_monomial(self, a, b):
-        """Multiply by q^a t^b (a, b may be negative)."""
+        """Multiply by q^a t^b (a, b may be negative).  For a, b >= 0 and
+        a den with a nonzero constant term, neither q nor t divides den,
+        so q^a t^b num stays prime to it and no gcd is needed."""
         if not self.num.terms:
             return self
+        if a >= 0 and b >= 0 and (0, 0) in self.den.terms:
+            return _scalar(self.c, self.num.mul_term(a, b), self.den)
         na = self.num.mul_term(max(a, 0), max(b, 0))
         da = self.den.mul_term(max(-a, 0), max(-b, 0))
         if da.is_one():
@@ -600,9 +611,17 @@ def _json_rows(p, c):
             for (a, b), v in p.sorted_terms()]
 
 
+def _number(text):
+    """A row's coefficient: an int for integer text such as "-12", else a
+    Fraction, which also reads "3/2"."""
+    if isinstance(text, str) and text.removeprefix("-").isdecimal():
+        return int(text)
+    return Fraction(text)
+
+
 def _from_json_rows(rows):
     """(s, p): the rows' polynomial is s*p with p an integer QTPoly."""
-    coeffs = [(Fraction(c), int(a), int(b)) for c, a, b in rows]
+    coeffs = [(_number(c), int(a), int(b)) for c, a, b in rows]
     lcd = _ilcm(*(f.denominator for f, _, _ in coeffs))
     terms = {(a, b): f.numerator * (lcd // f.denominator) for f, a, b in coeffs}
     return Fraction(1, lcd), QTPoly(terms)

@@ -2,7 +2,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from bimac import hecke, macdonald
-from bimac.qt import QTPoly, QTScalar, qt_monomial, t_bracket_factorial
+from bimac.qt import (QTPoly, QTScalar, clear_denominators, qt_monomial,
+                      t_bracket_factorial)
 from bimac.sparts import compositions_of, eigenvalue, row_of_circle
 from bimac.xpoly import XPolynomial, elementary_symmetric
 
@@ -150,18 +151,24 @@ class TestPackedYWord:
     ], ids=["N<=4,deg<=4", "N=5,deg<=3", "3,2,0,1,0"])
     def test_bounds_cover_both_sides(self, etas):
         # K and B must cover the true largest coefficient and t-degree of
-        # both sides, t^(N-1) Y_i (D E) and t^(N-1) ebar_i D E
+        # both sides, t^(N-1) Y_i J and t^(N-1) ebar_i J, for both
+        # integral multiples J of E that the eigen check packs: the K of
+        # the recursion, and D E for a cache record
         for eta in etas:
             N = len(eta)
-            DE = macdonald._cleared(macdonald.nonsym_E(eta).poly)
-            K, B, _ = hecke._pack(DE.terms)
-            for i in range(1, N + 1):
-                lhs = hecke._y_word(i, DE)
-                rhs = DE.scale(qt_monomial(eta[i - 1], N - row_of_circle(eta, i)))
-                assert lhs == rhs
-                for side in (lhs, rhs):
-                    big, tdeg = _coefficient_ints(side)
-                    assert big < 1 << (K - 1) and tdeg < B, (eta, i)
+            E = macdonald.nonsym_E(eta).poly
+            DE = XPolynomial(N, dict(zip(
+                E.terms, clear_denominators(list(E.terms.values())))))
+            for J in (macdonald._raise(eta)[1], DE):
+                K, B, _ = hecke._pack(J.terms)
+                for i in range(1, N + 1):
+                    lhs = hecke._y_word(i, J)
+                    rhs = J.scale(qt_monomial(eta[i - 1],
+                                              N - row_of_circle(eta, i)))
+                    assert lhs == rhs
+                    for side in (lhs, rhs):
+                        big, tdeg = _coefficient_ints(side)
+                        assert big < 1 << (K - 1) and tdeg < B, (eta, i)
 
 
 class TestOmega:

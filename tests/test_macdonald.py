@@ -4,10 +4,12 @@ import pytest
 
 from bimac import hecke, macdonald, qt
 from bimac.errors import ConsistencyError
-from bimac.macdonald import (bisym_P, c_lambda_formula, dominant_exponent,
-                             expand_in_P_basis, is_bisymmetric, nonsym_E)
-from bimac.qt import QTScalar, qt_monomial
-from bimac.sparts import SuperPartition, compositions_of, eigenvalue
+from bimac.macdonald import (bisym_P, c_lambda_corrected, c_lambda_formula,
+                             dominant_exponent, expand_in_P_basis,
+                             is_bisymmetric, nonsym_E)
+from bimac.qt import QTPoly, QTScalar, qt_monomial
+from bimac.sparts import (SuperPartition, compositions_of, eigenvalue,
+                          superpartitions)
 from bimac.xpoly import XPolynomial, elementary_symmetric
 
 ONE = QTScalar.one()
@@ -15,32 +17,49 @@ Q = qt_monomial(1, 0)
 T = qt_monomial(0, 1)
 
 
-def least_K(DE):
-    """The least K with 2^(K-1) > ((1 + 2d)^(N-1) + 1) ||D E||_1, d the
-    degree: the bound on the eigen check's coefficients, restated here so
-    that a change to hecke._pack cannot move it."""
-    d = max(map(sum, DE.terms))
-    norm = sum(abs(int(s.c) * v) for s in DE.terms.values()
+def least_K(J):
+    """The least pack width K with 2^(K-1) > ((1 + 2d)^(N-1) + 1) ||J||_1,
+    d the degree, for J over Z[q,t]: the bound on the eigen check's
+    coefficients, restated here so that a change to hecke._pack cannot
+    move it."""
+    d = max(map(sum, J.terms))
+    norm = sum(abs(int(s.c) * v) for s in J.terms.values()
                for v in s.num.terms.values())
-    return (((1 + 2 * d) ** (DE.nvars - 1) + 1) * norm).bit_length() + 1
+    return (((1 + 2 * d) ** (J.nvars - 1) + 1) * norm).bit_length() + 1
 
 
-def aliased_at_half_K(eta, nu):
-    """A perturbation E -> E + (t - 2^s) x^nu / D, D the common
-    denominator of E, with s = K // 2 for the least K of the perturbed
-    D E.  Under t -> 2^(K // 2) the perturbation of D E packs to zero,
+def aliased_at_half_K(nu):
+    """A perturbation J -> J + (t - 2^s) x^nu of the recursion's integral
+    multiple J of E, with s = K // 2 for the least pack width K of the
+    perturbed J.  Under t -> 2^(K // 2) the perturbation packs to zero,
     so an eigen check that halved K would pass it."""
-    def perturb(E):
-        DE = macdonald._cleared(E)
-        D = DE.coefficient(eta)
+    def perturb(J):
         for s in itertools.count(1):
-            delta = XPolynomial.monomial(nu, T - QTScalar.from_int(2 ** s))
-            bad = E + delta.scale(ONE / D)
-            bad_DE = macdonald._cleared(bad)
-            assert bad_DE == DE + delta
-            if least_K(bad_DE) // 2 == s:
+            bad = J + XPolynomial.monomial(nu, T - QTScalar.from_int(2 ** s))
+            if least_K(bad) // 2 == s:
                 return bad
     return perturb
+
+
+def knop_steps(eta):
+    """The (eta, nu, i) of the recursion from eta down to 0; i = 0 for
+    the x_N omega step."""
+    N, out = len(eta), []
+    while any(eta):
+        if eta[-1]:
+            nu, i = (eta[-1] - 1,) + eta[:-1], 0
+        else:
+            i = max(k for k in range(1, N) if eta[k - 1])
+            nu = eta[:i - 1] + (0, eta[i - 1]) + eta[i + 1:]
+        out.append((eta, nu, i))
+        eta = nu
+    return out
+
+
+# the compositions eta of superpartitions(d, m, N) for N = 4, 5,
+# d = 3, 4 and m = 0..3, with E_(3,2,0,1,0)
+SWEEP = sorted({sp.eta() for N in (4, 5) for d in (3, 4) for m in range(4)
+                for sp in superpartitions(d, m, N)} | {(3, 2, 0, 1, 0)})
 
 
 class TestNonsymE:
@@ -75,49 +94,89 @@ class TestNonsymE:
 
     @pytest.mark.parametrize("eta, perturb, message", [
         # a wrong coefficient at a Bruhat-below monomial
-        ((1, 0, 0), lambda E: E + XPolynomial.monomial((0, 1, 0)),
+        ((1, 0, 0), lambda K: K + XPolynomial.monomial((0, 1, 0)),
          r"^eigenvalue equation Y_\d E = ebar_\d E failed for E_\(1, 0, 0\)$"),
         # a monomial that is not Bruhat-below eta
-        ((0, 1, 0), lambda E: E + XPolynomial.monomial((1, 0, 0)),
+        ((0, 1, 0), lambda K: K + XPolynomial.monomial((1, 0, 0)),
          r"^E_\(0, 1, 0\) has support at \(1, 0, 0\), not Bruhat-below$"),
-        # the right polynomial times t
-        ((0, 1, 1), lambda E: E.scale(T),
-         r"^E_\(0, 1, 1\) is not monic at x\^\(0, 1, 1\)$"),
-        # one coefficient's denominator times 1 + q, so the common
-        # denominator D is taken from the wrong E
-        ((1, 0, 0), lambda E: E + XPolynomial.monomial(
-            (0, 1, 0), E.coefficient((0, 1, 0)) * (ONE / (ONE + Q) - ONE)),
+        # the right polynomial times t, so s K is not d_eta at x^eta
+        ((0, 1, 1), lambda K: K.scale(T),
+         r"^J_\(0, 1, 1\) is not d_eta at x\^\(0, 1, 1\)$"),
+        # one coefficient times 1 + q, the factor a wrong denominator
+        # would leave behind
+        ((1, 0, 0), lambda K: K + XPolynomial.monomial(
+            (0, 1, 0), K.coefficient((0, 1, 0)) * Q),
          r"^eigenvalue equation Y_\d E = ebar_\d E failed for E_\(1, 0, 0\)$"),
-        # D E plus (t - 2^(K//2)) x^nu at a Bruhat-below nu: caught only
-        # if the packing keeps all K bits of t
-        ((2, 0, 1), aliased_at_half_K((2, 0, 1), (1, 1, 1)),
+        # K plus (t - 2^(K//2)) x^nu at a Bruhat-below nu: caught only if
+        # the packing keeps all K bits of t
+        ((2, 0, 1), aliased_at_half_K((1, 1, 1)),
          r"^eigenvalue equation Y_\d E = ebar_\d E failed for E_\(2, 0, 1\)$"),
     ], ids=["wrong-coefficient", "not-bruhat-below", "not-monic",
             "wrong-denominator", "aliased-at-half-K"])
     def test_fails_closed(self, monkeypatch, eta, perturb, message):
-        good = macdonald._raise(eta)
-        monkeypatch.setattr(macdonald, "_raise", lambda e: perturb(good))
+        s, K = macdonald._raise(eta)
+        monkeypatch.setattr(macdonald, "_raise", lambda e: (s, perturb(K)))
         monkeypatch.setattr(macdonald, "_E_CACHE", {})
+        monkeypatch.setattr(macdonald, "_K_CACHE", {})
         with pytest.raises(ConsistencyError, match=message):
             nonsym_E(eta)
-        assert macdonald._E_CACHE == {}
+        assert macdonald._E_CACHE == {} and macdonald._K_CACHE == {}
 
-    def test_eigen_check_gcds_only_for_the_common_denominator(
-            self, monkeypatch):
-        # the N equations run on D E in Z[q,t][x]: the lcm that forms D
-        # makes one gcd call per distinct denominator, the Y words none
-        eta = (2, 0, 1, 1)
-        good = macdonald._raise(eta)
-        monkeypatch.setattr(macdonald, "_raise", lambda e: good)
+    def test_failed_step_division_fails_closed(self, monkeypatch):
+        # a T step whose binomial does not divide raises, naming the step
+        monkeypatch.setattr(macdonald, "_K_CACHE", {})
+        monkeypatch.setattr(macdonald, "_cyclotomic_at",
+                            lambda d, a, b: (QTPoly({(0, 0): 1, (1, 0): 2}),))
+        with pytest.raises(ConsistencyError,
+                           match=r"^the Knop-Sahi step to J_\(1, 0, 0\) does "
+                                 r"not divide by 1 \+ 2\*q$"):
+            macdonald._integral_E((1, 0, 0))
+
+    def test_raise_and_check_make_no_gcd_call(self, monkeypatch):
+        # the recursion divides only by closed-form binomials and the
+        # check runs on K in Z[q,t][x]; only the monic E needs a gcd
         monkeypatch.setattr(macdonald, "_E_CACHE", {})
+        monkeypatch.setattr(macdonald, "_K_CACHE", {})
         calls = []
         real = qt.poly_gcd
         monkeypatch.setattr(qt, "poly_gcd",
                             lambda f, g: calls.append(1) or real(f, g))
-        nonsym_E(eta)
-        dens = {c.den for c in good.terms.values()}
-        assert len(dens) > 1
-        assert len(calls) == len(dens)
+        for eta in [(2, 0, 1, 1), (3, 2, 0, 1, 0)]:
+            macdonald._integral_E(eta)
+        assert calls == []
+        nonsym_E((2, 0, 1, 1))
+        assert calls
+
+    def test_step_divisors_and_d_eta(self):
+        # each step of the recursion, run on J_nu = d_nu E_nu with Q(q,t)
+        # arithmetic, gives d_eta E_eta through the closed-form scalar:
+        # q^(-nu_1) (1 - q t^N ebar_1(nu)) at an omega step and
+        # 1 / (t (1 - t rho)) at a T step; and s K has d_eta at x^eta
+        d = {}
+
+        def d_of(eta):
+            if eta not in d:
+                d[eta] = macdonald._knop_d(eta).expand()
+            return d[eta]
+        steps = {step for eta in SWEEP for step in knop_steps(eta)}
+        for eta, nu, i in sorted(steps):
+            N = len(eta)
+            J_nu = nonsym_E(nu).poly.scale(d_of(nu))
+            if i:
+                rho = eigenvalue(nu, i + 1) / eigenvalue(nu, i)
+                f = hecke.apply_T(i, J_nu).scale(ONE - rho) + \
+                    J_nu.scale(ONE - T)
+                scalar = ONE / (T * (ONE - T * rho))
+            else:
+                f = XPolynomial.variable(N, N) * hecke.apply_omega(J_nu)
+                scalar = qt_monomial(-nu[0], 0) * \
+                    (ONE - qt_monomial(1, N) * eigenvalue(nu, 1))
+            assert f.coefficient(eta) * scalar == d_of(eta), (eta, nu, i)
+        for eta in SWEEP:
+            s, K = macdonald._raise(eta)
+            assert s.expand() * K.coefficient(eta) == d_of(eta), eta
+            assert K.scale(K.coefficient(eta).inverse()) == \
+                nonsym_E(eta).poly
 
     def test_caches_only_the_result(self, monkeypatch):
         # the recursion's intermediate E_nu are unchecked and stay out
@@ -150,6 +209,19 @@ class TestBisymP:
         lam = SuperPartition((0,), (), 3)
         P = bisym_P(lam)
         assert P.c_lam == c_lambda_formula(lam) == ONE / (ONE + T)
+
+    def test_c_lambda_corrected_sweep(self):
+        # the closed form of the constant bisym_P produces, on every shape
+        # with N = 3 (d <= 6), N = 4 (d <= 4) and N = 5 (d <= 3), m <= 3;
+        # without the count of anti parts strictly between a_j and a_i
+        # it fails at m = 3
+        shapes = [sp for N, top in ((3, 6), (4, 4), (5, 3))
+                  for m in range(min(N, 3) + 1) for d in range(top + 1)
+                  for sp in superpartitions(d, m, N)]
+        assert [sum(1 for sp in shapes if sp.m == m) for m in range(4)] == \
+            [42, 89, 58, 11]
+        for sp in shapes:
+            assert bisym_P(sp).c_lam == c_lambda_corrected(sp), sp
 
     def test_c_formula_values(self):
         lam = SuperPartition((), (1,), 2)

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bimac import qt
 from bimac.errors import DivisibilityError
 from bimac.qt import (QTPoly, QTScalar, poly_gcd, qt_monomial, t_bracket,
                       t_bracket_factorial)
@@ -241,6 +242,32 @@ def test_normalization_idempotent(a):
 @given(scalars())
 def test_json_roundtrip(a):
     assert QTScalar.from_json(a.to_json()) == a
+
+
+def test_json_rows_parse_integers_as_int():
+    # integer rows skip Fraction; a fraction row, and a hand-edited
+    # non-canonical one, still come out canonical through _reduce
+    assert qt._from_json_rows([["-6", 1, 0], ["4", 0, 2]]) == \
+        (Fraction(1), QTPoly({(1, 0): -6, (0, 2): 4}))
+    assert all(type(v) is int for v in
+               qt._from_json_rows([["12", 0, 0]])[1].terms.values())
+    s = QTScalar.from_json({"num": [["2", 0, 0], ["2/3", 1, 0]],
+                            "den": [["4", 0, 0], ["-4", 0, 1]]})
+    assert s == QTScalar(QTPoly({(0, 0): 6, (1, 0): 2}),
+                         QTPoly({(0, 0): 12, (0, 1): -12}))
+    assert is_canonical(s)
+
+
+@settings(max_examples=150, deadline=None)
+@given(scalars(), exps, exps)
+def test_mul_monomial_fast_path_matches_reduce(a, i, j):
+    # q^i t^j a skips _reduce when den has a constant term; it must give
+    # the same canonical scalar that _reduce gives
+    got = a.mul_monomial(i, j)
+    assert is_canonical(got)
+    if a:
+        want = qt._reduce(a.c, a.num.mul_term(i, j), a.den)
+        assert (got.c, got.num, got.den) == (want.c, want.num, want.den)
 
 
 def test_json_term_order_is_graded_lex():
