@@ -1,7 +1,9 @@
 """The operator algebra acting on XPolynomial: exchange operators K,
 Hecke generators T_i (and inverses), the affine generator T_0, the
 shift operator omega, Cherednik operators Y_i, and interval
-(anti)symmetrizers.
+(anti)symmetrizers.  Private versions on Kronecker-packed integers of
+the Y word (E's eigen check), the three symmetrizers and division by a
+linear factor (P's construction) work with no Q(q,t) arithmetic.
 
 Operator words act right to left, so in Y_i the rightmost inverse
 generator hits the polynomial first.
@@ -11,7 +13,8 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .qt import QTScalar, qt_monomial
+from .errors import DivisibilityError
+from .qt import QTPoly, QTScalar, qt_monomial
 from .xpoly import (XPolynomial, _xpoly, divided_difference, exact_div,
                     permute_vars, q_shift, q_shift_inverse)
 
@@ -100,48 +103,75 @@ def _y_word(i, f):
 
 
 # ---------------------------------------------------------------------------
-# _y_word on Kronecker-packed coefficients (private to E's eigen check)
+# Kronecker-packed coefficients (private to E's eigen check and to P's
+# construction): a map from x-exponent to one int, the image of its
+# coefficient in Z[q,t] under t -> 2^w, q -> 2^(w B)
 # ---------------------------------------------------------------------------
 
-def _pack(f):
-    """(K, B, packed f): f, a map from x-exponent to QTScalar in Z[q,t],
-    with each coefficient as one int under t -> 2^K, q -> 2^(K B), and K,
-    B chosen so that this is injective on the eigen check of f.
+def _pack(f, coeff_bound, tdeg_bound):
+    """(w, B, packed f) for f, a map from x-exponent to QTScalar in
+    Z[q,t], with w and B taken from the caller's bounds.
 
-    ||T_j g||_1 <= (1 + 2d) ||g||_1 for d the largest total degree, and
-    omega keeps ||.||_1, so every coefficient of _y_word(i, f) - t^b q^a f
-    (b < N) is at most M = ((1 + 2d)^(N-1) + 1) ||f||_1 in absolute value,
-    and its t-degree is below tdeg(f) + N.  With 2^(K-1) > M and
-    B >= tdeg(f) + N the balanced base-2^K digits of the packed difference
-    are its coefficients, so a packed zero is a polynomial zero.
+    Packing is a ring homomorphism Z[q,t] -> Z, so every ring operation
+    on packed ints is the image of the same operation on polynomials.
+    The caller states that each polynomial it compares or unpacks has
+    every coefficient at most coeff_bound(||f||_1) in absolute value
+    (||.||_1 the sum of the absolute integer coefficients) and t-degree
+    at most tdeg_bound(tdeg f).  With
+    2^(w-1) above the one and B above the other, that polynomial's
+    balanced base-2^w digits are its coefficients, so the packing is
+    injective there and a packed zero is a polynomial zero.
     """
     for s in f.values():
         if s.c.denominator != 1 or not s.den.is_one():
             raise ValueError(f"coefficient {s} is not in Z[q,t]")
-    n = len(next(iter(f)))
-    d = max(map(sum, f))
     norm = sum(abs(s.c.numerator) * sum(map(abs, s.num.terms.values()))
                for s in f.values())
-    K = (((1 + 2 * d) ** (n - 1) + 1) * norm).bit_length() + 1
-    B = max(b for s in f.values() for _, b in s.num.terms) + n
-    return K, B, {e: s.c.numerator * sum(v << K * (B * a + b)
+    w = coeff_bound(norm).bit_length() + 1
+    B = tdeg_bound(max(b for s in f.values() for _, b in s.num.terms)) + 1
+    return w, B, {e: s.c.numerator * sum(v << w * (B * a + b)
                                          for (a, b), v in s.num.terms.items())
                   for e, s in f.items()}
 
 
-def _packed_step(i, f, K, times_t):
+def _unpack(f, w, B):
+    """The terms {x-exponent: QTScalar} whose packing under (w, B) is f,
+    read as balanced base-2^w digits, digit k the coefficient of
+    q^(k // B) t^(k % B); runs of zero digits are skipped whole, and
+    zero entries are dropped."""
+    mask, half = (1 << w) - 1, 1 << (w - 1)
+    out = {}
+    for e, v in f.items():
+        rows = {}
+        k = 0
+        while v:
+            zeros = ((v & -v).bit_length() - 1) // w
+            k += zeros
+            v >>= w * zeros
+            digit = v & mask
+            if digit >= half:
+                digit -= 1 << w
+            rows[divmod(k, B)] = digit
+            v = (v - digit) >> w
+            k += 1
+        if rows:
+            out[e] = QTScalar(QTPoly(rows))
+    return out
+
+
+def _packed_step(i, f, w, times_t):
     """T_i = t - _exchange_term(i) when times_t, else t Tbar_i =
     1 - _exchange_term(i), on packed coefficients.  The exchange term
     of c x_i^p x_(i+1)^s, p > s, telescopes to t c at (p, s), -c at
     (s, p) and (t - 1) c in between."""
-    out = {e: c << K for e, c in f.items()} if times_t else dict(f)
+    out = {e: c << w for e, c in f.items()} if times_t else dict(f)
     for e, c in f.items():
         p, s = e[i - 1], e[i]
         if p == s or not c:
             continue
         if p < s:
             p, s, c = s, p, -c
-        tc = c << K
+        tc = c << w
         base = list(e)
         for k in range(s, p + 1):
             base[i - 1], base[i] = k, p + s - k
@@ -151,16 +181,76 @@ def _packed_step(i, f, K, times_t):
     return out
 
 
-def _packed_y_word(i, f, K, B):
+def _packed_y_word(i, f, w, B):
     """_y_word(i, .) on packed coefficients, in the same word order;
     terms that cancel are dropped."""
     n = len(next(iter(f)))
     for j in range(i - 1, 0, -1):
-        f = _packed_step(j, f, K, False)
-    f = {e[1:] + (e[0],): c << K * B * e[0] for e, c in f.items()}
+        f = _packed_step(j, f, w, False)
+    f = {e[1:] + (e[0],): c << w * B * e[0] for e, c in f.items()}
     for j in range(n - 1, i - 1, -1):
-        f = _packed_step(j, f, K, True)
+        f = _packed_step(j, f, w, True)
     return {e: c for e, c in f.items() if c}
+
+
+def _packed_symmetrize(kind, interval, f, w):
+    """symmetrize(kind, interval, .) on packed coefficients, with
+    t_antisym times t^l, l = (b - a)(b - a + 1)/2 for interval (a, b):
+    Sum (-1)^l(sigma) t^(l - l(sigma)) T_sigma, which has no t^(-1).  The
+    same coset loop: level top weights its j-th chain element by
+    (-1)^j t^((top - a) - j) for t_antisym, by (-1)^j for antisym.  An
+    interval with a >= b is the identity; terms that cancel are
+    dropped."""
+    a, b = interval
+    out = f
+    for top in range(a + 1, b + 1):
+        chain = out
+        if kind == "t_antisym":
+            out = {e: c << w * (top - a) for e, c in out.items()}
+        else:
+            out = dict(out)
+        for j, i in enumerate(range(top - 1, a - 1, -1), 1):
+            if kind == "antisym":
+                chain = {e[:i - 1] + (e[i], e[i - 1]) + e[i + 1:]: c
+                         for e, c in chain.items()}
+            else:
+                chain = _packed_step(i, chain, w, True)
+            shift = w * (top - a - j) if kind == "t_antisym" else 0
+            sign = -1 if j % 2 and kind != "t_sym" else 1
+            for e, c in chain.items():
+                out[e] = out.get(e, 0) + sign * (c << shift)
+    return {e: c for e, c in out.items() if c}
+
+
+def _packed_divide(f, a, b, w, times_t):
+    """f / (t x_a - x_b) when times_t, else f / (x_a - x_b), a < b, on
+    packed coefficients.
+
+    Synthetic division in x_b, whose coefficient in the divisor is -1:
+    from the top x_b-degree down, each term c x^e leaves -c x^e/x_b in
+    the quotient and r c x^e/x_b in the rest, r = t x_a or x_a, so only
+    shifts, adds and negations run.  The rest left at x_b-degree 0 is
+    the remainder f(x_b = r); a nonzero one raises DivisibilityError
+    carrying it, packed.
+    """
+    shift = w if times_t else 0
+    levels = {}  # x_b-degree -> {x-exponent: packed coefficient}
+    for e, c in f.items():
+        levels.setdefault(e[b - 1], {})[e] = c
+    out = {}
+    for k in range(max(levels, default=0), 0, -1):
+        lower = levels.setdefault(k - 1, {})
+        for e, c in levels.get(k, {}).items():
+            if not c:
+                continue
+            e = e[:b - 1] + (k - 1,) + e[b:]
+            out[e] = -c
+            e = e[:a - 1] + (e[a - 1] + 1,) + e[a:]
+            lower[e] = lower.get(e, 0) + (c << shift)
+    rem = {e: c for e, c in levels.get(0, {}).items() if c}
+    if rem:
+        raise DivisibilityError("division is not exact", rem)
+    return out
 
 
 def apply_Y(i: int, f: XPolynomial) -> XPolynomial:

@@ -7,7 +7,10 @@ coefficients lie in Z[q,t] (Knop 1997, Sahi 1996): the Knop-Sahi
 recursion carries J as s K, a factored scalar s times K in Z[q,t][x],
 and divides only by binomials known in closed form, so it calls no gcd.
 K is checked against every eigenvalue equation, the Bruhat
-triangularity and d_eta; P_Lambda symmetrizes K, and the monic E is
+triangularity and d_eta.  P_Lambda's symmetrizers and Vandermonde
+divisions run on K packed into integers (t -> 2^w, q -> 2^(w B)), and
+its plain-versus-t cross-check on the packed quotients, all with no
+gcd; only the final normalization works in Q(q,t).  The monic E is
 formed only where E itself is asked for.
 """
 
@@ -15,13 +18,15 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from itertools import combinations
+from math import factorial
 
 from .errors import CacheRecordError, ConsistencyError, DivisibilityError
 from .qt import (QTPoly, QTScalar, _cyclotomic_at, _Factored,
                  clear_denominators, qt_monomial, t_bracket_factorial)
 from .sparts import (SuperPartition, format_spart, row_of_circle,
                      sorting_permutation, superpartitions)
-from .xpoly import XPolynomial, coefficient_of, exact_div, permute_vars, vandermonde
+from .xpoly import XPolynomial, permute_vars
 from . import hecke
 
 _ONE = QTScalar.one()
@@ -227,7 +232,7 @@ def nonsym_E(eta) -> EBasisElement:
     equations run as t^(N-1) Y_i K = t_ebar K with t_ebar = t^(N-1)
     ebar_i, in the word order of hecke._y_word, on Kronecker-packed
     integers: t -> 2^w, q -> 2^(w B) is a ring homomorphism Z[q,t] -> Z,
-    and hecke._pack picks the width w and B from bounds on the
+    and _eigen_pack takes the width w and B from bounds on the
     difference's coefficients and t-degree so that it is injective
     there.  Y_i is linear, so this is the same check on E, exact and
     with no gcd.  A failed check raises ConsistencyError, or
@@ -251,6 +256,20 @@ def nonsym_E(eta) -> EBasisElement:
     return elem
 
 
+def _eigen_pack(K):
+    """hecke._pack of K for its N eigenvalue equations.
+
+    ||T_j g||_1 <= (1 + 2d) ||g||_1 for d the largest total degree, and
+    omega keeps ||.||_1, so every coefficient of _y_word(i, K) - t^b q^a K
+    (b < N) is at most ((1 + 2d)^(N-1) + 1) ||K||_1 in absolute value,
+    and its t-degree is at most tdeg(K) + N - 1.
+    """
+    N, d = K.nvars, K.total_degree()
+    growth = (1 + 2 * d) ** (N - 1) + 1
+    return hecke._pack(K.terms, lambda norm: growth * norm,
+                       lambda tau: tau + N - 1)
+
+
 def _check_E(eta, K):
     """Raise ConsistencyError unless K, with coefficients in Z[q,t], is
     Bruhat-triangular at eta and passes all N packed eigenvalue
@@ -260,7 +279,7 @@ def _check_E(eta, K):
         if nu != eta and not _bruhat_less(nu, eta):
             raise ConsistencyError(
                 f"E_{eta} has support at {nu}, not Bruhat-below")
-    w, B, f = hecke._pack(K.terms)
+    w, B, f = _eigen_pack(K)
     for i in range(1, N + 1):
         shift = w * (B * eta[i - 1] + N - row_of_circle(eta, i))
         if hecke._packed_y_word(i, f, w, B) != \
@@ -280,22 +299,50 @@ def dominant_exponent(lam: SuperPartition):
     return lead
 
 
-# Vandermonde kind -> (its antisymmetrizer, its name in errors)
-_ANTISYM = {"t_deformed": ("t_antisym", "t-Vandermonde"),
-            "plain": ("antisym", "plain Vandermonde")}
+def _P_pack(K, m):
+    """hecke._pack of K for bisym_P at m anti variables.
+
+    With d the largest total degree, w_s = N - m, w_a = m and
+    l_s, l_a = w(w - 1)/2 for each: ||T_j g||_1 <= (1 + 2d) ||g||_1, so
+    the t-symmetrizer gives ||S||_1 <= w_s! (1 + 2d)^l_s ||K||_1, and
+    the t-antisymmetrizer times t^l_a gives ||A_t||_1 <=
+    w_a! (1 + 2d)^l_a ||S||_1; the plain one gives ||A||_1 <=
+    w_a! ||S||_1.  Dividing g by one linear factor leaves a quotient
+    and a remainder of 1-norm at most d ||g||_1 (d >= 1 at m >= 2), so
+    every quotient and remainder is within
+    M = w_s! (1 + 2d)^l_s w_a! (1 + 2d)^l_a d^l_a ||K||_1; the factor
+    d^l_a is what the l_a divisions add.  In t-degree, with tau =
+    tdeg K: S is at most tau + l_s and A_t at most tau + l_s + l_a;
+    each exact division by t x_a - x_b lowers it by one, so both
+    quotients are at most tau + l_s, and a remainder g(x_b = t x_a) is
+    at most g's t-degree plus d, so at most tau + l_s + l_a + d.  Balanced
+    digits are unique, so two polynomials within these bounds with equal
+    packings are equal.
+    """
+    N, d = K.nvars, K.total_degree()
+    l_s, l_a = (N - m) * (N - m - 1) // 2, m * (m - 1) // 2
+    growth = factorial(N - m) * (1 + 2 * d) ** l_s * \
+        factorial(m) * (1 + 2 * d) ** l_a * d ** l_a
+    return hecke._pack(K.terms, lambda norm: growth * norm,
+                       lambda tau: tau + l_s + l_a + (d if m >= 2 else 0))
 
 
-def _vandermonde_quotient(lam, S, kind):
-    """S antisymmetrized over the first m variables, divided exactly by
-    the Vandermonde of the same kind."""
-    sym, name = _ANTISYM[kind]
-    A = hecke.symmetrize(sym, (1, lam.m), S)
+def _packed_quotient(lam, S, w, times_t):
+    """S antisymmetrized over the first m variables (t-deformed, times
+    t^(m(m-1)/2), or plain) and divided exactly by the Vandermonde of
+    the same kind, one linear factor at a time, on packed ints."""
+    m = lam.m
+    A = hecke._packed_symmetrize("t_antisym" if times_t else "antisym",
+                                 (1, m), S, w)
     try:
-        return exact_div(A, vandermonde(kind, range(1, lam.m + 1), lam.N))
+        for a, b in combinations(range(1, m + 1), 2):
+            A = hecke._packed_divide(A, a, b, w, times_t)
     except DivisibilityError as exc:
+        name = "t-Vandermonde" if times_t else "plain Vandermonde"
         raise ConsistencyError(
             f"antisymmetrization of {format_spart(lam)} is not divisible "
             f"by the {name}") from exc
+    return A
 
 
 def bisym_P(lam: SuperPartition) -> PBasisElement:
@@ -304,14 +351,22 @@ def bisym_P(lam: SuperPartition) -> PBasisElement:
 
     Computed as the t-antisymmetrization (first m variables) of the
     t-symmetrization (last N - m variables) of E over eta_Lambda,
-    divided exactly by the t-deformed Vandermonde.  The symmetrizers
-    act on the checked integral multiple K of E (Knop's J_eta up to a
-    factored scalar, or D E for a cache record), so the monic E is never
-    formed; the scalar drops out of the dominant-coefficient
-    normalization and of c_lam.  A parallel
-    computation with the plain antisymmetrizer and plain Vandermonde
-    must give a proportional result; a mismatch raises rather than
-    being silently resolved.
+    divided exactly by the t-deformed Vandermonde.  All of it runs on
+    the checked integral multiple K of E (Knop's J_eta up to a factored
+    scalar, or D E for a cache record), packed once into integers by
+    hecke._pack (t -> 2^w, q -> 2^(w B), w and B from the bounds in
+    _P_pack), with no gcd: the t-symmetrizer, the t-antisymmetrizer
+    times t^(m(m-1)/2), which keeps every coefficient in Z[q,t], and
+    each division by a linear factor t x_a - x_b, proved exact by a
+    zero packed remainder.  A parallel computation with the plain
+    antisymmetrizer and plain Vandermonde must agree: on every
+    polynomial, Sum (-1/t)^l(sigma) T_sigma equals
+    t^(-m(m-1)/2) Delta_t / Delta Sum sgn(sigma) sigma, so the two
+    packed quotients must be equal (and so proportional, with equal
+    dominant coefficients); a mismatch raises rather than being
+    silently resolved.  Q is unpacked once and divided by its dominant
+    coefficient c in Q(q,t); the scalar multiple of E that K carries
+    and the power of t drop out of P, and c_lam = t^(m(m-1)/2) K(x^eta)/c.
     """
     key = (lam.anti, lam.sym, lam.N)
     cached = _P_CACHE.get(key)
@@ -320,31 +375,24 @@ def bisym_P(lam: SuperPartition) -> PBasisElement:
     m, N = lam.m, lam.N
     eta = lam.eta()
     K = _integral_E(eta)
-    if m + 1 <= N:
-        S = hecke.symmetrize("t_sym", (m + 1, N), K)
-    else:
-        S = K
-    if m >= 2:
-        Q = _vandermonde_quotient(lam, S, "t_deformed")
-    else:
-        Q = S
-    if Q.is_zero():
+    w, B, S = _P_pack(K, m)
+    S = hecke._packed_symmetrize("t_sym", (m + 1, N), S, w)
+    Q = _packed_quotient(lam, S, w, True) if m >= 2 else S
+    if not Q:
         raise ConsistencyError(f"P vanished for {format_spart(lam)}")
     lead = dominant_exponent(lam)
-    c = coefficient_of(Q, lead)
-    if c.is_zero():
+    if lead not in Q:
         raise ConsistencyError(
             f"dominant monomial of {format_spart(lam)} is absent")
-    P = Q.scale(c.inverse())
-    if m >= 2:
-        Q2 = _vandermonde_quotient(lam, S, "plain")
-        c2 = coefficient_of(Q2, lead)
-        if c2.is_zero() or Q2.scale(c2.inverse()) != P:
-            raise ConsistencyError(
-                f"plain and t-deformed constructions disagree for "
-                f"{format_spart(lam)}")
-    # K and Q carry the same scalar multiple of E, which drops out
-    elem = PBasisElement(lam=lam, poly=P, c_lam=K.coefficient(eta) / c)
+    if m >= 2 and _packed_quotient(lam, S, w, False) != Q:
+        raise ConsistencyError(
+            f"plain and t-deformed constructions disagree for "
+            f"{format_spart(lam)}")
+    Q = XPolynomial(N, hecke._unpack(Q, w, B))
+    c = Q.coefficient(lead)
+    elem = PBasisElement(lam=lam, poly=Q.scale(c.inverse()),
+                         c_lam=K.coefficient(eta).mul_monomial(
+                             0, m * (m - 1) // 2) / c)
     with _lock:
         _P_CACHE[key] = elem
     return elem

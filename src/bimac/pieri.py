@@ -224,11 +224,6 @@ def _delta_t_factors(m, point) -> _Factored:
                            for i, j in combinations(range(1, m + 1), 2)])
 
 
-def u_plus_delta_t(lam: SuperPartition) -> QTScalar:
-    """u_Lambda^+ of the t-deformed Vandermonde on the first m variables."""
-    return _delta_t_factors(lam.m, eval_point(lam, "plus")).expand()
-
-
 def pieri_expand(lam: SuperPartition, r: int, variant: str):
     """The Pieri expansion of e_r(x_(m+1)..x_N) (upper) or
     e_r(x_1..x_m) (lower) times P_Lambda, via strip certificates and

@@ -28,11 +28,6 @@ def perm_compose(p, q):
     return tuple(p[q[i] - 1] for i in range(len(p)))
 
 
-def perm_length(p):
-    n = len(p)
-    return sum(1 for i in range(n) for j in range(i + 1, n) if p[i] > p[j])
-
-
 def perm_act(w, v):
     """The vector w(v) with (w v)_i = v_(w^-1(i))."""
     out = [0] * len(v)

@@ -9,13 +9,12 @@ import pytest
 import bimac
 from bimac import cache as cachemod
 from bimac import cli
-from bimac import macdonald
+from bimac import hecke, macdonald
 from bimac.cli import main
-from bimac.errors import ConsistencyError, DivisibilityError
+from bimac.errors import ConsistencyError
 from bimac.macdonald import bisym_P, nonsym_E
 from bimac.render import xpoly_to_json
 from bimac.sparts import SuperPartition
-from bimac.xpoly import vandermonde
 
 
 def run(capsys, *argv):
@@ -521,15 +520,17 @@ def test_consistency_error_exits_1(capsys, monkeypatch):
     ("t_deformed", "t-Vandermonde"), ("plain", "plain Vandermonde")])
 def test_failed_vandermonde_division_exits_1(capsys, monkeypatch, kind, name):
     # either of bisym_P's two exact divisions failing is one consistency
-    # failure naming the shape, not a traceback
-    divisor = vandermonde(kind, range(1, 3), 3)
-    exact_div = macdonald.exact_div
+    # failure naming the shape, not a traceback: a unit planted at x^0 in
+    # the dividend of the packed division of that kind leaves a nonzero
+    # packed remainder
+    divide = hecke._packed_divide
 
-    def refuse(A, B):
-        if B == divisor:
-            raise DivisibilityError("planted")
-        return exact_div(A, B)
-    monkeypatch.setattr(macdonald, "exact_div", refuse)
+    def plant(f, a, b, w, times_t):
+        if times_t == (kind == "t_deformed"):
+            zero = (0,) * len(next(iter(f)))
+            f = {**f, zero: f.get(zero, 0) + 1}
+        return divide(f, a, b, w, times_t)
+    monkeypatch.setattr(hecke, "_packed_divide", plant)
     monkeypatch.setattr(macdonald, "_P_CACHE", {})
     code, out, err = run(capsys, "P", "--spart", "1,0;", "--N", "3")
     assert code == 1

@@ -1,11 +1,15 @@
+from math import factorial
+
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from bimac import hecke, macdonald
+from bimac.errors import DivisibilityError
 from bimac.qt import (QTPoly, QTScalar, clear_denominators, qt_monomial,
                       t_bracket_factorial)
 from bimac.sparts import compositions_of, eigenvalue, row_of_circle
-from bimac.xpoly import XPolynomial, elementary_symmetric
+from bimac.xpoly import (XPolynomial, elementary_symmetric, exact_div,
+                         vandermonde)
 
 ONE = QTScalar.one()
 Q = qt_monomial(1, 0)
@@ -14,6 +18,12 @@ T = qt_monomial(0, 1)
 
 def x(i, n):
     return XPolynomial.variable(i, n)
+
+
+def inversions(p):
+    """The length of a permutation in one-line notation."""
+    return sum(1 for i in range(len(p)) for j in range(i + 1, len(p))
+               if p[i] > p[j])
 
 
 def monomials(N, deg):
@@ -86,21 +96,21 @@ class TestYWord:
             assert hecke._y_word(i, f) == want.scale(qt_monomial(0, N - 1))
 
 
-def unpack(packed, K, B, n):
+def unpack(packed, w, B, n):
     """The XPolynomial over Z[q,t] whose packing is `packed`: balanced
-    base-2^K digits, digit k the coefficient of q^(k // B) t^(k % B)."""
-    assert K >= 2, "balanced base-2 digits cannot hold 1"
+    base-2^w digits, digit k the coefficient of q^(k // B) t^(k % B)."""
+    assert w >= 2, "balanced base-2 digits cannot hold 1"
     terms = {}
     for e, v in packed.items():
         rows = {}
         k = 0
         while v:
-            digit = v & ((1 << K) - 1)
-            if digit >= 1 << (K - 1):
-                digit -= 1 << K
+            digit = v & ((1 << w) - 1)
+            if digit >= 1 << (w - 1):
+                digit -= 1 << w
             if digit:
                 rows[divmod(k, B)] = digit
-            v = (v - digit) >> K
+            v = (v - digit) >> w
             k += 1
         terms[e] = QTScalar(QTPoly(rows))
     return XPolynomial(n, terms)
@@ -133,15 +143,15 @@ class TestPackedYWord:
     @settings(max_examples=60, deadline=None)
     @given(integral_polys())
     def test_unpacks_to_y_word(self, f):
-        K, B, packed = hecke._pack(f.terms)
+        w, B, packed = macdonald._eigen_pack(f)
         for i in range(1, f.nvars + 1):
-            got = unpack(hecke._packed_y_word(i, packed, K, B), K, B, f.nvars)
+            got = unpack(hecke._packed_y_word(i, packed, w, B), w, B, f.nvars)
             assert got == hecke._y_word(i, f)
 
     def test_rejects_a_rational_coefficient(self):
         f = XPolynomial.monomial((1, 0), ONE / (ONE + Q))
         with pytest.raises(ValueError, match="not in Z\\[q,t\\]"):
-            hecke._pack(f.terms)
+            macdonald._eigen_pack(f)
 
     @pytest.mark.parametrize("etas", [
         [e for N in range(1, 5) for d in range(5)
@@ -150,7 +160,7 @@ class TestPackedYWord:
         [(3, 2, 0, 1, 0)],
     ], ids=["N<=4,deg<=4", "N=5,deg<=3", "3,2,0,1,0"])
     def test_bounds_cover_both_sides(self, etas):
-        # K and B must cover the true largest coefficient and t-degree of
+        # w and B must cover the true largest coefficient and t-degree of
         # both sides, t^(N-1) Y_i J and t^(N-1) ebar_i J, for both
         # integral multiples J of E that the eigen check packs: the K of
         # the recursion, and D E for a cache record
@@ -160,7 +170,7 @@ class TestPackedYWord:
             DE = XPolynomial(N, dict(zip(
                 E.terms, clear_denominators(list(E.terms.values())))))
             for J in (macdonald._raise(eta)[1], DE):
-                K, B, _ = hecke._pack(J.terms)
+                w, B, _ = macdonald._eigen_pack(J)
                 for i in range(1, N + 1):
                     lhs = hecke._y_word(i, J)
                     rhs = J.scale(qt_monomial(eta[i - 1],
@@ -168,7 +178,99 @@ class TestPackedYWord:
                     assert lhs == rhs
                     for side in (lhs, rhs):
                         big, tdeg = _coefficient_ints(side)
-                        assert big < 1 << (K - 1) and tdeg < B, (eta, i)
+                        assert big < 1 << (w - 1) and tdeg < B, (eta, i)
+
+
+@st.composite
+def intervals(draw, n):
+    a = draw(st.integers(1, n))
+    return a, draw(st.integers(a, n))
+
+
+def linear_factor(a, b, n, times_t):
+    """t x_a - x_b when times_t, else x_a - x_b."""
+    return x(a, n).scale(T if times_t else ONE) - x(b, n)
+
+
+class TestPackedSymmetrizers:
+    @settings(max_examples=40, deadline=None)
+    @given(integral_polys())
+    def test_unpack_inverts_pack(self, f):
+        w, B, packed = hecke._pack(f.terms, lambda norm: norm,
+                                   lambda tdeg: tdeg)
+        assert hecke._unpack(packed, w, B) == f.terms
+
+    @settings(max_examples=40, deadline=None)
+    @given(integral_polys(),
+           st.sampled_from(["t_sym", "antisym", "t_antisym"]), st.data())
+    def test_matches_symmetrize(self, f, kind, data):
+        # t_antisym comes out times t^l, l the longest length, so that
+        # every coefficient stays in Z[q,t]
+        a, b = data.draw(intervals(f.nvars))
+        width, d = b - a + 1, f.total_degree()
+        ell = width * (width - 1) // 2
+        w, B, packed = hecke._pack(
+            f.terms, lambda norm: factorial(width) * (1 + 2 * d) ** ell * norm,
+            lambda tdeg: tdeg + ell)
+        got = unpack(hecke._packed_symmetrize(kind, (a, b), packed, w),
+                     w, B, f.nvars)
+        want = hecke.symmetrize(kind, (a, b), f)
+        if kind == "t_antisym":
+            want = want.scale(qt_monomial(0, ell))
+        assert got == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(integral_polys(), st.booleans(), st.booleans(), st.data())
+    def test_division_matches_exact_div(self, f, times_t, multiply, data):
+        # a multiple of the factor divides to exact_div's quotient; any
+        # other input raises exactly when exact_div does
+        n = f.nvars
+        a = data.draw(st.integers(1, n - 1))
+        b = data.draw(st.integers(a + 1, n))
+        g = linear_factor(a, b, n, times_t)
+        F = f * g if multiply else f
+        d = F.total_degree()
+        # a quotient is within d ||F||_1, a remainder F(x_b = t x_a)
+        # within ||F||_1, and up to d above F in t-degree
+        w, B, packed = hecke._pack(F.terms, lambda norm: max(d, 1) * norm,
+                                   lambda tdeg: tdeg + d)
+        try:
+            want = exact_div(F, g)
+        except DivisibilityError:
+            assert not multiply
+            with pytest.raises(DivisibilityError):
+                hecke._packed_divide(packed, a, b, w, times_t)
+        else:
+            got = hecke._packed_divide(packed, a, b, w, times_t)
+            assert unpack(got, w, B, n) == want
+
+    @settings(max_examples=25, deadline=None)
+    @given(integral_polys(), st.data())
+    def test_t_and_plain_quotients_are_equal(self, f, data):
+        # the identity behind bisym_P's plain-versus-t cross-check, in
+        # Q(q,t): t^l times the t-antisymmetrization over the first m
+        # variables, over the t-Vandermonde, is the plain
+        # antisymmetrization over the plain Vandermonde, l = m(m - 1)/2
+        m = data.draw(st.integers(2, f.nvars))
+        anti = range(1, m + 1)
+        t_side = exact_div(hecke.symmetrize("t_antisym", (1, m), f).scale(
+            qt_monomial(0, m * (m - 1) // 2)),
+            vandermonde("t_deformed", anti, f.nvars))
+        assert t_side == exact_div(hecke.symmetrize("antisym", (1, m), f),
+                                   vandermonde("plain", anti, f.nvars))
+
+    def test_division_not_exact_raises(self):
+        # x_2^2 - t^2 x_1^2 = (x_2 - t x_1)(x_2 + t x_1): the t-deformed
+        # factor divides it, the plain one leaves (1 - t^2) x_1^2
+        F = x(2, 2) * x(2, 2) - (x(1, 2) * x(1, 2)).scale(T * T)
+        w, B, packed = hecke._pack(F.terms, lambda norm: 2 * norm,
+                                   lambda tdeg: tdeg + 2)
+        got = hecke._packed_divide(packed, 1, 2, w, True)
+        assert unpack(got, w, B, 2) == x(1, 2).scale(-T) - x(2, 2)
+        with pytest.raises(DivisibilityError) as err:
+            hecke._packed_divide(packed, 1, 2, w, False)
+        assert unpack(err.value.remainder, w, B, 2) == \
+            (x(1, 2) * x(1, 2)).scale(ONE - T * T)
 
 
 class TestOmega:
@@ -253,12 +355,11 @@ class TestSymmetrizers:
     def test_symmetrizer_matches_full_expansion(self):
         # the coset recursion agrees with summing over all permutations
         from itertools import permutations
-        from bimac.sparts import perm_length
         from bimac.xpoly import permute_vars
         f = x(1, 3) * x(1, 3) + x(2, 3)
         expect = XPolynomial.zero(3)
         for sigma in permutations((1, 2, 3)):
-            sign = (-1) ** perm_length(sigma)
+            sign = (-1) ** inversions(sigma)
             term = permute_vars(f, sigma)
             expect = expect + (term if sign > 0 else -term)
         assert hecke.symmetrize("antisym", (1, 3), f) == expect

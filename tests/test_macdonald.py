@@ -1,4 +1,5 @@
 import itertools
+from math import factorial
 
 import pytest
 
@@ -10,35 +11,60 @@ from bimac.macdonald import (bisym_P, c_lambda_corrected, c_lambda_formula,
 from bimac.qt import QTPoly, QTScalar, qt_monomial
 from bimac.sparts import (SuperPartition, compositions_of, eigenvalue,
                           superpartitions)
-from bimac.xpoly import XPolynomial, elementary_symmetric
+from bimac.xpoly import (XPolynomial, elementary_symmetric, exact_div,
+                         vandermonde)
 
 ONE = QTScalar.one()
 Q = qt_monomial(1, 0)
 T = qt_monomial(0, 1)
 
 
-def least_K(J):
-    """The least pack width K with 2^(K-1) > ((1 + 2d)^(N-1) + 1) ||J||_1,
+def norm_1(J):
+    """The sum of the absolute integer coefficients of J over Z[q,t]."""
+    return sum(abs(int(s.c) * v) for s in J.terms.values()
+               for v in s.num.terms.values())
+
+
+def least_w(J):
+    """The least pack width w with 2^(w-1) > ((1 + 2d)^(N-1) + 1) ||J||_1,
     d the degree, for J over Z[q,t]: the bound on the eigen check's
     coefficients, restated here so that a change to hecke._pack cannot
     move it."""
-    d = max(map(sum, J.terms))
-    norm = sum(abs(int(s.c) * v) for s in J.terms.values()
-               for v in s.num.terms.values())
-    return (((1 + 2 * d) ** (J.nvars - 1) + 1) * norm).bit_length() + 1
+    d = J.total_degree()
+    return (((1 + 2 * d) ** (J.nvars - 1) + 1) * norm_1(J)).bit_length() + 1
+
+
+def least_P_w(J, m):
+    """The least pack width w with 2^(w-1) >
+    (N - m)! (1 + 2d)^l_s m! (1 + 2d)^l_a d^l_a ||J||_1, l_s and l_a
+    the longest lengths of S_(N-m) and S_m, for J over Z[q,t]: bisym_P's
+    bound on its symmetrizations, quotients and remainders, restated
+    here so that a change to macdonald._P_pack cannot move it."""
+    N, d = J.nvars, J.total_degree()
+    l_s, l_a = (N - m) * (N - m - 1) // 2, m * (m - 1) // 2
+    growth = factorial(N - m) * (1 + 2 * d) ** l_s * \
+        factorial(m) * (1 + 2 * d) ** l_a * d ** l_a
+    return (growth * norm_1(J)).bit_length() + 1
 
 
 def aliased_at_half_K(nu):
     """A perturbation J -> J + (t - 2^s) x^nu of the recursion's integral
-    multiple J of E, with s = K // 2 for the least pack width K of the
-    perturbed J.  Under t -> 2^(K // 2) the perturbation packs to zero,
-    so an eigen check that halved K would pass it."""
+    multiple J of E, with s = w // 2 for the least pack width w of the
+    perturbed J.  Under t -> 2^(w // 2) the perturbation packs to zero,
+    so an eigen check that halved w would pass it."""
     def perturb(J):
         for s in itertools.count(1):
             bad = J + XPolynomial.monomial(nu, T - QTScalar.from_int(2 ** s))
-            if least_K(bad) // 2 == s:
+            if least_w(bad) // 2 == s:
                 return bad
     return perturb
+
+
+def coefficient_ints(f):
+    """(largest |integer coefficient|, largest t-degree) of f over Z[q,t]."""
+    pairs = [(abs(int(s.c) * v), b) for s in f.terms.values()
+             for (_, b), v in s.num.terms.items()]
+    return max(p[0] for p in pairs), max(p[1] for p in pairs)
 
 
 def knop_steps(eta):
@@ -55,6 +81,10 @@ def knop_steps(eta):
         eta = nu
     return out
 
+
+# the shapes superpartitions(d, m, 5), d = 3, 4 and m = 0..3
+P_SWEEP = [sp for d in (3, 4) for m in range(4)
+           for sp in superpartitions(d, m, 5)]
 
 # the compositions eta of superpartitions(d, m, N) for N = 4, 5,
 # d = 3, 4 and m = 0..3, with E_(3,2,0,1,0)
@@ -107,8 +137,8 @@ class TestNonsymE:
         ((1, 0, 0), lambda K: K + XPolynomial.monomial(
             (0, 1, 0), K.coefficient((0, 1, 0)) * Q),
          r"^eigenvalue equation Y_\d E = ebar_\d E failed for E_\(1, 0, 0\)$"),
-        # K plus (t - 2^(K//2)) x^nu at a Bruhat-below nu: caught only if
-        # the packing keeps all K bits of t
+        # K plus (t - 2^(w//2)) x^nu at a Bruhat-below nu: caught only if
+        # the packing keeps all w bits of t
         ((2, 0, 1), aliased_at_half_K((1, 1, 1)),
          r"^eigenvalue equation Y_\d E = ebar_\d E failed for E_\(2, 0, 1\)$"),
     ], ids=["wrong-coefficient", "not-bruhat-below", "not-monic",
@@ -230,6 +260,69 @@ class TestBisymP:
         # distinct sym entries contribute trivial factorials beyond the
         # padded zero block
         assert c_lambda_formula(lam) == qt_monomial(0, -3)
+
+    def test_pack_bounds_cover_every_unpacked_polynomial(self):
+        # w and B from _P_pack must cover the true largest coefficient and
+        # t-degree of what bisym_P unpacks, found here in Q(q,t) by
+        # hecke.symmetrize and exact_div: S at m < 2, else both quotients
+        for sp in P_SWEEP:
+            m, N = sp.m, sp.N
+            K = macdonald._integral_E(sp.eta())
+            w, B, _ = macdonald._P_pack(K, m)
+            S = hecke.symmetrize("t_sym", (m + 1, N), K)
+            if m < 2:
+                polys = [S]
+            else:
+                anti = range(1, m + 1)
+                polys = [
+                    exact_div(hecke.symmetrize("t_antisym", (1, m), S).scale(
+                        qt_monomial(0, m * (m - 1) // 2)),
+                        vandermonde("t_deformed", anti, N)),
+                    exact_div(hecke.symmetrize("antisym", (1, m), S),
+                              vandermonde("plain", anti, N))]
+            for f in polys:
+                big, tdeg = coefficient_ints(f)
+                assert big < 1 << (w - 1) and tdeg < B, sp
+
+    def test_plain_and_t_disagreement_fails_closed(self, monkeypatch):
+        # the two quotients are equal for every input (see
+        # test_hecke's test_t_and_plain_quotients_are_equal), so the
+        # cross-check guards the code: a unit planted in the packed plain
+        # quotient must raise
+        lam = SuperPartition((2, 0), (1,), 4)
+        lead = dominant_exponent(lam)
+        quotient = macdonald._packed_quotient
+
+        def plant(lam, S, w, times_t):
+            A = quotient(lam, S, w, times_t)
+            if not times_t:
+                e = next(e for e in A if e != lead)
+                A = {**A, e: A[e] + 1}
+            return A
+        monkeypatch.setattr(macdonald, "_packed_quotient", plant)
+        monkeypatch.setattr(macdonald, "_P_CACHE", {})
+        with pytest.raises(ConsistencyError, match="^plain and t-deformed "
+                           "constructions disagree for 2,0;1$"):
+            bisym_P(lam)
+
+    @pytest.mark.parametrize("lam", [SuperPartition((2,), (1,), 3),
+                                     SuperPartition((2, 0), (1,), 4)],
+                             ids=["m=1", "m=2"])
+    def test_halved_width_fails(self, monkeypatch, lam):
+        # K (t - 2^s) is a multiple of E as well, so bisym_P gives the same
+        # P and c_lam from it.  With s = w // 2 for the least width w of
+        # _P_pack's bound it packs to zero under t -> 2^(w // 2), so a
+        # construction that halved w would find that P vanished
+        want = bisym_P(lam)
+        K = macdonald._integral_E(lam.eta())
+        for s in itertools.count(1):
+            bad = K.scale(T - QTScalar.from_int(2 ** s))
+            if least_P_w(bad, lam.m) // 2 == s:
+                break
+        monkeypatch.setattr(macdonald, "_integral_E", lambda eta: bad)
+        monkeypatch.setattr(macdonald, "_P_CACHE", {})
+        got = bisym_P(lam)
+        assert (got.poly, got.c_lam) == (want.poly, want.c_lam)
 
 
 class TestExpansion:

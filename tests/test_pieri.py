@@ -2,9 +2,9 @@ from itertools import combinations
 
 import pytest
 
-from bimac.pieri import (SigmaSets, coeff_C, expansions_equal,
-                         op_identity_check, pieri_bruteforce, pieri_expand,
-                         phi_at, u_plus_delta_t)
+from bimac.pieri import (SigmaSets, _delta_t_factors, coeff_C,
+                         expansions_equal, op_identity_check, pieri_bruteforce,
+                         pieri_expand, phi_at)
 from bimac.qt import QTScalar, qt_monomial
 from bimac.sparts import (SuperPartition, enumerate_strips, eval_point,
                           format_spart, perm_inverse, superpartitions)
@@ -126,7 +126,8 @@ class TestCoefficients:
         for m in (1, 2):
             for d in range(3):
                 for sp in superpartitions(d, m, 4):
-                    assert not u_plus_delta_t(sp).is_zero()
+                    assert not _delta_t_factors(
+                        sp.m, eval_point(sp, "plus")).is_zero()
 
 
 class TestKnownTables:
