@@ -1,8 +1,10 @@
-"""Append-only JSONL cache for computed E polynomials.
+"""Append-only JSONL cache of checked E polynomials, each held as K,
+the integral multiple of E_eta that macdonald._integral_E checks.
 
-One record per line: {"kind": "E", "key": text, "N": int, "value":
-...}, the value a polynomial.  P is not cached: macdonald.bisym_P
-rebuilds it from a checked E.  Appends take an exclusive lock so
+One record per line: {"kind": "K", "key": "eta_1,..,eta_N", "N": int,
+"value": ...}, the value K with every coefficient in Z[q,t].  P is not
+cached: macdonald.bisym_P rebuilds it from a checked K, and E is K
+divided by its coefficient at x^eta.  Appends take an exclusive lock so
 concurrent workers can share one file, and skip records whose (kind,
 key, N) the file already holds, so the file holds each entry once.
 """
@@ -14,7 +16,6 @@ import json
 import os
 
 from .render import xpoly_from_json, xpoly_to_json
-from .xpoly import coefficient_of
 from . import macdonald
 
 ENV_VAR = "BIMAC_CACHE"
@@ -47,27 +48,35 @@ def _records(text):
 
 
 def load(path) -> int:
-    """Set the file's E records aside for macdonald.nonsym_E; return
+    """Set the file's K records aside for macdonald._integral_E; return
     how many.
 
-    A record with no kind or a kind other than E or P, and an E record
-    that lacks a field or fails its check, raise ValueError naming the
-    line: an E must have N parts and coefficient 1 at x^eta.  nonsym_E
-    runs E's full check on a record when it first serves it, and names
-    the file and line if it fails.  P records, written by earlier
-    versions, are skipped unread.
+    The file is opened for appending, created if missing, so a path
+    that cannot be read or written raises OSError here, before any
+    work.  A record that is not a JSON object, has no kind or a kind
+    other than K, E or P, and a K record that lacks a field or fails
+    its check, raise ValueError naming the line: a K record's key must
+    be a composition with N nonnegative parts, each coefficient must lie
+    in Z[q,t], and the coefficient at x^eta must be nonzero, since K = 0
+    would pass every eigenvalue equation.  _integral_E runs the full
+    check on a record when it first serves it, and names the file and
+    line if it fails.  E and P records, written by earlier versions, are
+    skipped unread.
     """
-    if not path or not os.path.exists(path):
+    if not path:
         return 0
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "a+", encoding="utf-8") as fh:
+        fh.seek(0)
         text = fh.read()
     count = 0
     for lineno, rec in _records(text):
         try:
-            if rec["kind"] == "E":
-                _load_E(rec, f"cache file {path}: line {lineno}")
+            if not isinstance(rec, dict):
+                raise ValueError("record is not a JSON object")
+            if rec["kind"] == "K":
+                _load_K(rec, f"cache file {path}: line {lineno}")
                 count += 1
-            elif rec["kind"] != "P":
+            elif rec["kind"] not in ("E", "P"):
                 raise ValueError(f"unknown record kind {rec['kind']!r}")
         except KeyError as exc:
             raise ValueError(f"line {lineno}: record lacks field {exc}") from exc
@@ -76,29 +85,34 @@ def load(path) -> int:
     return count
 
 
-def _load_E(rec, origin):
-    N = int(rec["N"])
-    eta = tuple(int(x) for x in rec["key"].split(","))
-    poly = xpoly_from_json(rec["value"])
-    if len(eta) != N:
-        raise ValueError(f"E record {rec['key']!r} does not have N = {N} parts")
-    if not coefficient_of(poly, eta).is_one():
-        raise ValueError(f"E record {rec['key']!r} has no coefficient 1 at x^eta")
-    macdonald._E_UNCHECKED.setdefault(eta, (poly, origin))
+def _load_K(rec, origin):
+    N, key = int(rec["N"]), rec["key"]
+    parts = key.split(",") if isinstance(key, str) else []
+    if N < 1 or len(parts) != N or not all(x.isdecimal() for x in parts):
+        raise ValueError(f"K record key {key!r} is not a composition with "
+                         f"N = {N} nonnegative parts")
+    eta = tuple(int(x) for x in parts)
+    K = xpoly_from_json(rec["value"])
+    if any(c.c.denominator != 1 or not c.den.is_one()
+           for c in K.terms.values()):
+        raise ValueError(f"K record {key!r} has a coefficient not in Z[q,t]")
+    if K.coefficient(eta).is_zero():
+        raise ValueError(f"K record {key!r} has coefficient 0 at x^eta")
+    macdonald._K_UNCHECKED.setdefault(eta, (K, origin))
 
 
-def _key(elem):
-    """The (kind, key, N) of an E element's record."""
-    return "E", ",".join(str(x) for x in elem.eta), elem.poly.nvars
+def _key(eta, K):
+    """The (kind, key, N) of K's record."""
+    return "K", ",".join(str(x) for x in eta), K.nvars
 
 
-def _record(elem):
-    kind, key, N = _key(elem)
-    return {"kind": kind, "key": key, "N": N, "value": xpoly_to_json(elem.poly)}
+def _record(eta, K):
+    kind, key, N = _key(eta, K)
+    return {"kind": kind, "key": key, "N": N, "value": xpoly_to_json(K)}
 
 
-def _append(path, elems) -> int:
-    """Append a record for each E element whose key the file lacks;
+def _append(path, items) -> int:
+    """Append a record for each (eta, K) whose key the file lacks;
     return how many.
 
     Runs under an exclusive lock.  A torn final line (an append cut
@@ -115,10 +129,10 @@ def _append(path, elems) -> int:
                 fh.truncate(whole)
             known = {(rec["kind"], rec["key"], int(rec["N"]))
                      for _, rec in _records(data[:whole].decode("utf-8"))}
-            new = [elem for elem in elems if _key(elem) not in known]
+            new = [item for item in items if _key(*item) not in known]
             if new:
-                fh.write("".join(json.dumps(_record(elem), sort_keys=True)
-                                 + "\n" for elem in new).encode("utf-8"))
+                fh.write("".join(json.dumps(_record(*item), sort_keys=True)
+                                 + "\n" for item in new).encode("utf-8"))
                 fh.flush()
         finally:
             fcntl.flock(fh.fileno(), fcntl.LOCK_UN)
@@ -126,8 +140,5 @@ def _append(path, elems) -> int:
 
 
 def dump_all(path) -> int:
-    """Append every E this process has checked that the file lacks: a P
-    built here leaves only its integral multiple of E, so E is formed
-    from it first."""
-    etas = dict.fromkeys([*macdonald._E_CACHE, *macdonald._K_CACHE])
-    return _append(path, [macdonald.nonsym_E(eta) for eta in etas])
+    """Append every K this process has checked that the file lacks."""
+    return _append(path, list(macdonald._K_CACHE.items()))

@@ -205,6 +205,9 @@ def main(argv=None):
         if path:
             try:
                 cachemod.load(path)
+            except OSError as exc:
+                raise _UsageError(
+                    f"cache file {path}: {exc.strerror or exc}") from None
             except ValueError as exc:  # also JSONDecodeError, UnicodeDecodeError
                 raise _UsageError(f"cache file {path}: {exc}") from None
         code = args.func(args)

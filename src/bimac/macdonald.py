@@ -11,7 +11,7 @@ triangularity and d_eta.  P_Lambda's symmetrizers and Vandermonde
 divisions run on K packed into integers (t -> 2^w, q -> 2^(w B)), and
 its plain-versus-t cross-check on the packed quotients, all with no
 gcd; only the final normalization works in Q(q,t).  The monic E is
-formed only where E itself is asked for.
+formed only where E itself is asked for; the cache file holds K.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ from itertools import combinations
 from math import factorial
 
 from .errors import CacheRecordError, ConsistencyError, DivisibilityError
-from .qt import (QTPoly, QTScalar, _cyclotomic_at, _Factored,
-                 clear_denominators, qt_monomial, t_bracket_factorial)
+from .qt import (QTPoly, QTScalar, _cyclotomic_at, _Factored, qt_monomial,
+                 t_bracket_factorial)
 from .sparts import (SuperPartition, format_spart, row_of_circle,
                      sorting_permutation, superpartitions)
 from .xpoly import XPolynomial, permute_vars
@@ -37,8 +37,8 @@ _E_CACHE: dict = {}
 _P_CACHE: dict = {}
 # eta -> checked K, a multiple of E_eta with coefficients in Z[q,t]
 _K_CACHE: dict = {}
-# eta -> (E, origin): cache records that nonsym_E checks before serving
-_E_UNCHECKED: dict = {}
+# eta -> (K, origin): cache records that _integral_E checks before serving
+_K_UNCHECKED: dict = {}
 
 
 @dataclass(frozen=True)
@@ -59,7 +59,7 @@ def clear_caches():
         _E_CACHE.clear()
         _P_CACHE.clear()
         _K_CACHE.clear()
-        _E_UNCHECKED.clear()
+        _K_UNCHECKED.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -190,30 +190,26 @@ def _knop_d(eta) -> _Factored:
 
 def _integral_E(eta):
     """A checked K with coefficients in Z[q,t] and K = c E_eta for a
-    nonzero c in Q(q,t): K from _raise, or D E for a cache record set
-    aside unchecked, which is served as E itself too."""
+    nonzero c in Q(q,t): K from _raise, whose s K(x^eta) must be d_eta,
+    or a cache record set aside unchecked, with a nonzero coefficient at
+    x^eta (cache.load checks it).  Both pass _check_E, which with that
+    nonzero coefficient pins K to a nonzero multiple of E_eta; a record
+    that fails raises CacheRecordError naming its file and line."""
     K = _K_CACHE.get(eta)
     if K is not None:
         return K
     with _lock:
-        E, origin = _E_UNCHECKED.pop(eta, (None, None))
-    if E is None:
+        K, origin = _K_UNCHECKED.pop(eta, (None, None))
+    if K is None:
         s, K = _raise(eta)
-        lead = (_knop_d(eta) / s).expand()
-        if K.coefficient(eta) != lead:
+        if K.coefficient(eta) != (_knop_d(eta) / s).expand():
             raise ConsistencyError(f"J_{eta} is not d_eta at x^{eta}")
+    try:
         _check_E(eta, K)
-    else:
-        try:
-            if not E.coefficient(eta).is_one():
-                raise ConsistencyError(f"E_{eta} is not monic at x^{eta}")
-            K = XPolynomial(E.nvars, dict(zip(
-                E.terms, clear_denominators(list(E.terms.values())))))
-            _check_E(eta, K)
-        except ConsistencyError as exc:
-            raise CacheRecordError(f"{origin}: {exc}") from exc
-        with _lock:
-            _E_CACHE[eta] = EBasisElement(eta=eta, poly=E)
+    except ConsistencyError as exc:
+        if origin is None:
+            raise
+        raise CacheRecordError(f"{origin}: {exc}") from exc
     with _lock:
         _K_CACHE[eta] = K
     return K
@@ -223,22 +219,21 @@ def nonsym_E(eta) -> EBasisElement:
     """The monic joint eigenfunction of the Cherednik operators.
 
     Built in Knop's integral form J_eta = s K = d_eta E_eta (see _raise),
-    or taken from a cache record set aside unchecked, then checked
+    or taken from a cache record of K set aside unchecked, then checked
     exactly on K, which has every coefficient in Z[q,t]: every support
-    monomial other than x^eta is Bruhat-below eta, s K has d_eta at
-    x^eta (Knop's cell product, computed apart from the recursion; for a
-    record, E has 1 there and K = D E, D the common denominator of E's
-    coefficients), and Y_i K = ebar_i K for every i.  The N eigenvalue
-    equations run as t^(N-1) Y_i K = t_ebar K with t_ebar = t^(N-1)
-    ebar_i, in the word order of hecke._y_word, on Kronecker-packed
-    integers: t -> 2^w, q -> 2^(w B) is a ring homomorphism Z[q,t] -> Z,
-    and _eigen_pack takes the width w and B from bounds on the
-    difference's coefficients and t-degree so that it is injective
-    there.  Y_i is linear, so this is the same check on E, exact and
-    with no gcd.  A failed check raises ConsistencyError, or
+    monomial other than x^eta is Bruhat-below eta, K is nonzero at x^eta
+    (for a built K, s K has d_eta there: Knop's cell product, computed
+    apart from the recursion), and Y_i K = ebar_i K for every i.  The N
+    eigenvalue equations run as t^(N-1) Y_i K = t_ebar K with t_ebar =
+    t^(N-1) ebar_i, in the word order of hecke._y_word, on
+    Kronecker-packed integers: t -> 2^w, q -> 2^(w B) is a ring
+    homomorphism Z[q,t] -> Z, and _eigen_pack takes the width w and B
+    from bounds on the difference's coefficients and t-degree so that it
+    is injective there.  Y_i is linear, so this is the same check on E,
+    exact and with no gcd.  A failed check raises ConsistencyError, or
     CacheRecordError naming the record's file and line; only checked
     results are cached.  E itself is K divided by its coefficient at
-    x^eta, formed only here.
+    x^eta, formed only here; it is the same for every nonzero multiple K.
     """
     eta = tuple(int(x) for x in eta)
     if any(x < 0 for x in eta):
@@ -247,9 +242,6 @@ def nonsym_E(eta) -> EBasisElement:
     if cached is not None:
         return cached
     K = _integral_E(eta)
-    cached = _E_CACHE.get(eta)
-    if cached is not None:
-        return cached
     elem = EBasisElement(eta=eta, poly=K.scale(K.coefficient(eta).inverse()))
     with _lock:
         _E_CACHE[eta] = elem
@@ -353,7 +345,7 @@ def bisym_P(lam: SuperPartition) -> PBasisElement:
     t-symmetrization (last N - m variables) of E over eta_Lambda,
     divided exactly by the t-deformed Vandermonde.  All of it runs on
     the checked integral multiple K of E (Knop's J_eta up to a factored
-    scalar, or D E for a cache record), packed once into integers by
+    scalar, or a cache record of K), packed once into integers by
     hecke._pack (t -> 2^w, q -> 2^(w B), w and B from the bounds in
     _P_pack), with no gcd: the t-symmetrizer, the t-antisymmetrizer
     times t^(m(m-1)/2), which keeps every coefficient in Z[q,t], and

@@ -591,21 +591,6 @@ def _reduce(c, num, den):
     return _scalar(c, num, den)
 
 
-def clear_denominators(scalars):
-    """[D*s for s in scalars], D the least common denominator: the lcm of
-    the Fraction denominators of the contents times the lcm of the den
-    polynomials.  Every D*s has den 1.  The lcm makes one poly_gcd call
-    per distinct den; the products are canonical as built, since a
-    product or exact quotient of primitive polynomials with positive
-    leading coefficients is again one (Gauss)."""
-    lcd = _ilcm(*(s.c.denominator for s in scalars))
-    D = _P_ONE
-    for den in dict.fromkeys(s.den for s in scalars):
-        D = D * den.exact_div(poly_gcd(D, den))
-    return [_scalar(s.c * lcd, s.num * D.exact_div(s.den), _P_ONE)
-            for s in scalars]
-
-
 def _json_rows(p, c):
     return [[str(v if c == 1 else c * v), a, b]
             for (a, b), v in p.sorted_terms()]

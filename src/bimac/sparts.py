@@ -190,7 +190,11 @@ def parse_spart(text: str, N: int) -> SuperPartition:
         s = s.strip()
         if s in ("", "∅"):
             return ()
-        return tuple(int(x) for x in s.split(","))
+        try:
+            return tuple(int(x) for x in s.split(","))
+        except ValueError:
+            raise ValueError(f"superpartition text {text!r} has a part that "
+                             "is not an integer") from None
     return SuperPartition(side(left), side(right), N)
 
 
@@ -325,10 +329,8 @@ class StripCertificate:
 
     lam: SuperPartition
     omg: SuperPartition
-    rows_filled: frozenset
     rows_circled_square: frozenset
     rows_new_circle: frozenset
-    rows_kept_circle: frozenset
     w: tuple
     sigma_tilde: tuple
     sigma: tuple
@@ -349,7 +351,7 @@ def _blockwise_sorting(vec, m):
 
 
 def _certificate(lam, omg, rows, strip_type, r, w, w_inv):
-    filled, circled_square, new_circle, kept = rows
+    filled, circled_square, new_circle = rows
     m, N = lam.m, lam.N
     pure_cs = sorted(circled_square - new_circle)
     pure_nc = sorted(new_circle - circled_square)
@@ -388,10 +390,8 @@ def _certificate(lam, omg, rows, strip_type, r, w, w_inv):
         raise ConsistencyError("certificate fails the superevaluation check")
     return StripCertificate(
         lam=lam, omg=omg,
-        rows_filled=frozenset(filled),
         rows_circled_square=frozenset(circled_square),
         rows_new_circle=frozenset(new_circle),
-        rows_kept_circle=frozenset(kept),
         w=w, sigma_tilde=sigma_tilde, sigma=sigma,
         J_tilde=J_tilde, J=J, L=L, strip_type=strip_type, r=r)
 
@@ -442,7 +442,6 @@ def enumerate_strips(lam: SuperPartition, r: int, strip_type: str):
         filled = set()
         circled_square = set()
         new_circle = set()
-        kept = set()
         for i in range(N):
             a, b = new_star[i] - star[i], new_circ[i] - circ[i]
             has_circle = circ[i] == star[i] + 1
@@ -454,10 +453,8 @@ def enumerate_strips(lam: SuperPartition, r: int, strip_type: str):
                 filled.add(i + 1)
             elif b == 1:
                 new_circle.add(i + 1)
-            elif has_circle:
-                kept.add(i + 1)
         out.append(_certificate(
-            lam, omg, (filled, circled_square, new_circle, kept),
+            lam, omg, (filled, circled_square, new_circle),
             strip_type, r, w, w_inv))
 
     def rec(i, asum, bsum, prev, rows):

@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import shutil
@@ -9,7 +10,7 @@ import pytest
 import bimac
 from bimac import cache as cachemod
 from bimac import cli
-from bimac import hecke, macdonald
+from bimac import hecke, macdonald, qt
 from bimac.cli import main
 from bimac.errors import ConsistencyError
 from bimac.macdonald import bisym_P, nonsym_E
@@ -129,11 +130,13 @@ class TestCommandEval:
     (("E", "--eta", "1,0", "--N", "3"), "--N disagrees"),
     (("verify", "--N", "1"), "--N 1 must be at least 2"),
     (("verify", "--deg", "-1"), "--deg -1 must be at least 0"),
+    (("P", "--spart", "a;1", "--N", "3"),
+     "superpartition text 'a;1' has a part that is not an integer"),
     (("--cache", "{cache}", "P", "--spart", "1;1", "--N", "3"),
      "cache file {cache}: "),
 ], ids=["P-N0", "eval-N0", "pieri-N0", "pieri-negative-r", "E-empty",
         "E-empty-part", "E-wrong-N", "verify-N1", "verify-negative-deg",
-        "bad-cache-line"])
+        "P-non-integer-part", "bad-cache-line"])
 def test_bad_input_exits_2(tmp_path, capsys, argv, message):
     # main lets out nothing but SystemExit(2), after one error line
     cache = tmp_path / "c.jsonl"
@@ -260,23 +263,39 @@ class TestCache:
         try:
             p = bisym_P(lam)
             e = nonsym_E((1, 0, 1))
-            # only E is written: P is rebuilt from it
+            K = macdonald._K_CACHE[(1, 0, 1)]
+            # only K is written: P is rebuilt from it, and E is K over
+            # its coefficient at x^eta
             assert cachemod.dump_all(str(path)) == 1
             assert [json.loads(l)["kind"] for l in
-                    path.read_text().splitlines()] == ["E"]
+                    path.read_text().splitlines()] == ["K"]
             macdonald.clear_caches()
             assert cachemod.load(str(path)) == 1
-            # the E record waits unchecked until nonsym_E serves it
+            # the K record waits unchecked until it is first served
             assert macdonald._E_CACHE == {} and macdonald._P_CACHE == {}
-            assert macdonald._E_UNCHECKED[(1, 0, 1)][0] == e.poly
+            assert macdonald._K_UNCHECKED[(1, 0, 1)][0] == K
             again_p = bisym_P(lam)
             assert again_p.poly == p.poly and again_p.c_lam == p.c_lam
-            assert macdonald._E_UNCHECKED == {}
-            assert macdonald._E_CACHE[(1, 0, 1)].poly == e.poly
+            assert macdonald._K_UNCHECKED == {}
+            assert macdonald._K_CACHE[(1, 0, 1)] == K
+            assert macdonald._E_CACHE == {}
+            assert nonsym_E((1, 0, 1)).poly == e.poly
         finally:
             macdonald.clear_caches()
             macdonald._E_CACHE.update(saved_e)
             macdonald._P_CACHE.update(saved_p)
+
+    def test_dump_makes_no_gcd_call(self, tmp_path, capsys, monkeypatch):
+        # a cold P leaves only K, which is written as it stands
+        macdonald.clear_caches()
+        assert run(capsys, "P", "--spart", "2,0;1", "--N", "4")[0] == 0
+        calls = []
+        real = qt.poly_gcd
+        monkeypatch.setattr(qt, "poly_gcd",
+                            lambda f, g: calls.append(1) or real(f, g))
+        assert cachemod.dump_all(str(tmp_path / "c.jsonl")) == 1
+        assert calls == []
+        macdonald.clear_caches()
 
     def test_cli_cache_file(self, tmp_path, capsys):
         path = tmp_path / "c.jsonl"
@@ -284,7 +303,7 @@ class TestCache:
                          "E", "--eta", "0,1,0")
         assert code == 0
         lines = path.read_text().strip().splitlines()
-        assert any(json.loads(l)["kind"] == "E" for l in lines)
+        assert any(json.loads(l)["kind"] == "K" for l in lines)
 
     def test_repeated_runs_do_not_grow_the_file(self, tmp_path, capsys):
         path = tmp_path / "c.jsonl"
@@ -384,17 +403,37 @@ class TestBadCacheFile:
         _write(path, recs)
         assert f"lacks field '{field}'" in _rejected(capsys, path, 1)
 
-    def test_E_record_with_wrong_length(self, tmp_path, capsys):
+    @pytest.mark.parametrize("key", ["0,1,0", "0,-1", "0,x", ""])
+    def test_K_record_key_not_a_composition(self, tmp_path, capsys, key):
         path, recs = _cache_file(tmp_path, capsys, "E", "--eta", "0,1")
-        recs[0]["key"] = "0,1,0"
+        recs[0]["key"] = key
         _write(path, recs)
-        assert "N = 2 parts" in _rejected(capsys, path, 1)
+        assert _rejected(capsys, path, 1).endswith(
+            f": line 1: K record key {key!r} is not a composition with "
+            "N = 2 nonnegative parts")
 
-    def test_E_record_not_monic(self, tmp_path, capsys):
-        path, recs = _cache_file(tmp_path, capsys, "E", "--eta", "1,0")
-        recs[0]["key"] = "0,1"
+    @pytest.mark.parametrize("edit", [
+        # K of (0,1) is x2 alone, so under the key 1,0 its lead is zero
+        lambda rec: rec.update(key="1,0"),
+        # K = 0 would pass every eigenvalue equation
+        lambda rec: rec["value"].update(terms=[]),
+    ], ids=["other-key", "zero-K"])
+    def test_K_record_with_zero_lead(self, tmp_path, capsys, edit):
+        path, recs = _cache_file(tmp_path, capsys, "E", "--eta", "0,1")
+        edit(recs[0])
         _write(path, recs)
-        assert "coefficient 1" in _rejected(capsys, path, 1)
+        assert _rejected(capsys, path, 1).endswith(
+            f": line 1: K record {recs[0]['key']!r} has coefficient 0 at "
+            "x^eta")
+
+    @pytest.mark.parametrize("den", [[["2", 0, 0]], [["1", 0, 0], ["-1", 1, 0]]],
+                             ids=["fraction", "den-1-q"])
+    def test_K_record_not_integral(self, tmp_path, capsys, den):
+        path, recs = _cache_file(tmp_path, capsys, "E", "--eta", "1,0")
+        recs[0]["value"]["terms"][-1]["coeff"]["den"] = den
+        _write(path, recs)
+        assert _rejected(capsys, path, 1).endswith(
+            ": line 1: K record '1,0' has a coefficient not in Z[q,t]")
 
     @pytest.mark.parametrize("field, value, message", [
         # the coefficient of x2 x3 set to 7
@@ -404,19 +443,26 @@ class TestBadCacheFile:
         ("x", [0, 0, -1],
          "E_(1, 0, 1) has support at (0, 0, -1), not Bruhat-below"),
     ], ids=["coefficient", "exponent"])
-    def test_E_record_edited_term(self, tmp_path, capsys, field, value,
+    def test_K_record_edited_term(self, tmp_path, capsys, field, value,
                                   message):
         # an edited term below x^eta passes the checks on load; the record
         # goes through E's full check when it is first served
         path, recs = _cache_file(tmp_path, capsys,
                                  "P", "--spart", "1;1", "--N", "3")
-        e = next(r for r in recs if r["kind"] == "E")
-        next(t for t in e["value"]["terms"] if t["x"] == [0, 1, 1])[field] = value
-        _write(path, [e])
+        k = next(r for r in recs if r["kind"] == "K")
+        next(t for t in k["value"]["terms"] if t["x"] == [0, 1, 1])[field] = value
+        _write(path, [k])
         assert cachemod.load(str(path)) == 1
         macdonald.clear_caches()
         assert _rejected(capsys, path, 1).endswith(f": line 1: {message}")
-        assert macdonald._E_CACHE == {}
+        assert macdonald._E_CACHE == {} and macdonald._K_CACHE == {}
+
+    @pytest.mark.parametrize("line", ["[1, 2]", '"str"', "3"])
+    def test_record_not_an_object(self, tmp_path, capsys, line):
+        path, recs = _cache_file(tmp_path, capsys, "E", "--eta", "0,1")
+        _write(path, recs, line + "\n" + json.dumps(recs[0]) + "\n")
+        assert _rejected(capsys, path, 2).endswith(
+            ": line 2: record is not a JSON object")
 
     @pytest.mark.parametrize("kind", ["X", "e"])
     def test_unknown_record_kind(self, tmp_path, capsys, kind):
@@ -431,7 +477,7 @@ class TestBadCacheFile:
         # so an edited one cannot reach the output
         argv = ("P", "--spart", "1;1", "--N", "3")
         path, recs = _cache_file(tmp_path, capsys, *argv)
-        assert [r["kind"] for r in recs] == ["E"]
+        assert [r["kind"] for r in recs] == ["K"]
         p = bisym_P(SuperPartition((1,), (1,), 3))
         poly = xpoly_to_json(p.poly)
         # the dominant term x1 x2 dropped, the x2 x3 coefficient set to 7
@@ -452,6 +498,60 @@ class TestBadCacheFile:
         # the append keys on (kind, key, N): the P line stays, nothing is added
         assert path.read_text() == written
         macdonald.clear_caches()
+
+
+    def test_legacy_E_record_is_never_served(self, tmp_path, capsys):
+        # earlier versions wrote the monic E; load skips it unread, so an
+        # edited one cannot reach the output, and the K is appended
+        argv = ("E", "--eta", "1,0,1")
+        macdonald.clear_caches()
+        e = xpoly_to_json(nonsym_E((1, 0, 1)).poly)
+        next(t for t in e["terms"] if t["x"] == [0, 1, 1])["coeff"] = \
+            {"num": [["7", 0, 0]], "den": [["1", 0, 0]]}
+        path = tmp_path / "c.jsonl"
+        _write(path, [{"kind": "E", "key": "1,0,1", "N": 3, "value": e}])
+        legacy = path.read_text()
+        macdonald.clear_caches()
+        assert cachemod.load(str(path)) == 0
+        assert macdonald._K_UNCHECKED == {} and macdonald._E_CACHE == {}
+        macdonald.clear_caches()
+        code, out, _ = run(capsys, "--cache", str(path), *argv)
+        assert code == 0
+        macdonald.clear_caches()
+        assert out == run(capsys, *argv)[1] != ""
+        lines = path.read_text().splitlines()
+        assert path.read_text().startswith(legacy)
+        assert [json.loads(l)["kind"] for l in lines] == ["E", "K"]
+        macdonald.clear_caches()
+
+    @pytest.mark.parametrize("case", ["directory", "missing-directory",
+                                      "unwritable"])
+    def test_unusable_path(self, tmp_path, capsys, monkeypatch, case):
+        # the file is opened for appending before any work, so a path that
+        # cannot be read or written stops the run with nothing printed
+        if case == "directory":
+            path, code = tmp_path, errno.EISDIR
+        elif case == "missing-directory":
+            path, code = tmp_path / "missing" / "c.jsonl", errno.ENOENT
+        else:
+            path, code = tmp_path / "c.jsonl", errno.EACCES
+            path.write_text("")
+            path.chmod(0o444)
+            if os.access(path, os.W_OK):
+                # a privileged user writes past the mode bits: stand in
+                # the refusal any other user gets
+                def refuse(file, mode="r", *args, **kwargs):
+                    if file == str(path) and mode != "r":
+                        raise PermissionError(code, os.strerror(code), file)
+                    return open(file, mode, *args, **kwargs)
+                monkeypatch.setattr(cachemod, "open", refuse, raising=False)
+        macdonald.clear_caches()
+        with pytest.raises(SystemExit) as exc:
+            main(["--cache", str(path), "P", "--spart", "1;1", "--N", "3"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: cache file {path}: {os.strerror(code)}\n"
 
 
 def _declared_console_script(name):

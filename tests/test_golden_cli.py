@@ -104,7 +104,7 @@ def test_cli_stdout(argv, capsys):
 @pytest.mark.parametrize("spart", WARM_SHAPES)
 def test_warm_cache_stdout(spart, tmp_path, capsys):
     """P served through a filled cache file prints the cold run's bytes,
-    and the file holds only E records."""
+    and the file holds only K records."""
     path = tmp_path / "cache.jsonl"
     argv = ["--cache", str(path), "P", "--spart", spart, "--N", "5",
             "--format", "json"]
@@ -113,7 +113,7 @@ def test_warm_cache_stdout(spart, tmp_path, capsys):
     assert cold[0] == 0 and written
     assert _run(argv, capsys) == cold
     assert path.read_text() == written
-    assert all(json.loads(line)["kind"] == "E" for line in written.splitlines())
+    assert all(json.loads(line)["kind"] == "K" for line in written.splitlines())
     macdonald.clear_caches()
 
 

@@ -5,8 +5,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from bimac import hecke, macdonald
 from bimac.errors import DivisibilityError
-from bimac.qt import (QTPoly, QTScalar, clear_denominators, qt_monomial,
-                      t_bracket_factorial)
+from bimac.qt import QTPoly, QTScalar, qt_monomial, t_bracket_factorial
 from bimac.sparts import compositions_of, eigenvalue, row_of_circle
 from bimac.xpoly import (XPolynomial, elementary_symmetric, exact_div,
                          vandermonde)
@@ -161,15 +160,14 @@ class TestPackedYWord:
     ], ids=["N<=4,deg<=4", "N=5,deg<=3", "3,2,0,1,0"])
     def test_bounds_cover_both_sides(self, etas):
         # w and B must cover the true largest coefficient and t-degree of
-        # both sides, t^(N-1) Y_i J and t^(N-1) ebar_i J, for both
-        # integral multiples J of E that the eigen check packs: the K of
-        # the recursion, and D E for a cache record
+        # both sides, t^(N-1) Y_i J and t^(N-1) ebar_i J, for integral
+        # multiples J of E that the eigen check packs: the K of the
+        # recursion, and K (1 + q), a multiple no recursion step makes,
+        # as a cache record may hold
         for eta in etas:
             N = len(eta)
-            E = macdonald.nonsym_E(eta).poly
-            DE = XPolynomial(N, dict(zip(
-                E.terms, clear_denominators(list(E.terms.values())))))
-            for J in (macdonald._raise(eta)[1], DE):
+            K = macdonald._raise(eta)[1]
+            for J in (K, K.scale(ONE + Q)):
                 w, B, _ = macdonald._eigen_pack(J)
                 for i in range(1, N + 1):
                     lhs = hecke._y_word(i, J)
