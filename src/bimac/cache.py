@@ -56,12 +56,12 @@ def load(path) -> int:
     work.  A record that is not a JSON object, has no kind or a kind
     other than K, E or P, and a K record that lacks a field or fails
     its check, raise ValueError naming the line: a K record's key must
-    be a composition with N nonnegative parts, each coefficient must lie
-    in Z[q,t], and the coefficient at x^eta must be nonzero, since K = 0
-    would pass every eigenvalue equation.  _integral_E runs the full
-    check on a record when it first serves it, and names the file and
-    line if it fails.  E and P records, written by earlier versions, are
-    skipped unread.
+    be a composition with N nonnegative parts, its value a polynomial in
+    N variables, each coefficient must lie in Z[q,t], and the
+    coefficient at x^eta must be nonzero, since K = 0 would pass every
+    eigenvalue equation.  _integral_E runs the full check on a record
+    when it first serves it, and names the file and line if it fails.
+    E and P records, written by earlier versions, are skipped unread.
     """
     if not path:
         return 0
@@ -93,6 +93,9 @@ def _load_K(rec, origin):
                          f"N = {N} nonnegative parts")
     eta = tuple(int(x) for x in parts)
     K = xpoly_from_json(rec["value"])
+    if K.nvars != N:
+        raise ValueError(f"K record {key!r} holds a polynomial in {K.nvars} "
+                         f"variables, not N = {N}")
     if any(c.c.denominator != 1 or not c.den.is_one()
            for c in K.terms.values()):
         raise ValueError(f"K record {key!r} has a coefficient not in Z[q,t]")

@@ -1,9 +1,10 @@
 """The operator algebra acting on XPolynomial: exchange operators K,
 Hecke generators T_i (and inverses), the affine generator T_0, the
 shift operator omega, Cherednik operators Y_i, and interval
-(anti)symmetrizers.  Private versions on Kronecker-packed integers of
-the Y word (E's eigen check), the three symmetrizers and division by a
-linear factor (P's construction) work with no Q(q,t) arithmetic.
+(anti)symmetrizers.  Each is one kernel on term dicts {x-exponent:
+coefficient} that only adds, negates and calls mul(c, a, b) = c q^a t^b:
+QTScalar.mul_monomial behind the XPolynomial operators, a shift on the
+Kronecker-packed integers of E's eigen check and P's construction.
 
 Operator words act right to left, so in Y_i the rightmost inverse
 generator hits the polynomial first.
@@ -15,98 +16,132 @@ from itertools import combinations
 
 from .errors import DivisibilityError
 from .qt import QTPoly, QTScalar, qt_monomial
-from .xpoly import (XPolynomial, _xpoly, divided_difference, exact_div,
-                    permute_vars, q_shift, q_shift_inverse)
+from .xpoly import (XPolynomial, _xpoly, permute_vars, q_shift,
+                    q_shift_inverse)
 
 _T = qt_monomial(0, 1)
 _TINV = qt_monomial(0, -1)
-_Q = qt_monomial(1, 0)
 _ONE = QTScalar.one()
+_QT = QTScalar.mul_monomial
 
 
-def apply_K(i: int, j: int, f: XPolynomial) -> XPolynomial:
-    """Exchange x_i and x_j."""
-    sigma = list(range(1, f.nvars + 1))
-    sigma[i - 1], sigma[j - 1] = j, i
-    return permute_vars(f, tuple(sigma))
+# -- kernels: each drops the terms that cancel and leaves its input as it is
 
-
-def apply_T(i: int, f: XPolynomial) -> XPolynomial:
-    """T_i f = t f + (t x_i - x_(i+1)) (K_(i,i+1) f - f)/(x_i - x_(i+1)).
-
-    The divided difference is computed term by term, so the division is
-    exact by construction.  i = 0 delegates to the affine generator.
-    """
-    if i == 0:
-        return apply_T0(f)
-    return f.scale(_T) - _exchange_term(i, f)
-
-
-def _exchange_term(i, f):
-    """(t x_i - x_(i+1)) (f - K_(i,i+1) f)/(x_i - x_(i+1)), 1 <= i < N."""
-    n = f.nvars
-    if not 1 <= i <= n - 1:
-        raise ValueError(f"T_{i} undefined for {n} variables")
-    dd = divided_difference(f, i)
-    if dd.is_zero():
-        return dd
-    xi = XPolynomial.variable(i, n)
-    xi1 = XPolynomial.variable(i + 1, n)
-    return (xi.scale(_T) - xi1) * dd
-
-
-def apply_T_inv(i: int, f: XPolynomial) -> XPolynomial:
-    """T_i^(-1) = t^(-1) - 1 + t^(-1) T_i, from the quadratic relation."""
-    return f.scale(_TINV - _ONE) + apply_T(i, f).scale(_TINV)
-
-
-def apply_T0(f: XPolynomial) -> XPolynomial:
-    """The affine generator built from K_(1,N) and the q-shift pair."""
-    n = f.nvars
-    g = permute_vars(q_shift(q_shift_inverse(f, (n,)), (1,)),
-                     tuple([n] + list(range(2, n)) + [1]))
-    diff = g - f
-    xn = XPolynomial.variable(n, n)
-    x1 = XPolynomial.variable(1, n)
-    if diff.is_zero():
-        return f.scale(_T)
-    quotient = exact_div(diff, xn.scale(_Q) - x1)
-    return f.scale(_T) + (xn.scale(_Q * _T) - x1) * quotient
-
-
-def apply_omega(f: XPolynomial) -> XPolynomial:
-    """omega f (x_1,..,x_N) = f(q x_N, x_1, .., x_(N-1))."""
-    n = f.nvars
+def _step(i, f, ident, mul):
+    """t^ident f - X_i f, 1 <= i < N: T_i f for ident = 1, t Tbar_i f
+    for ident = 0, -X_i f for ident = None, with X_i = t - T_i =
+    (t x_i - x_(i+1)) (1 - K_(i,i+1))/(x_i - x_(i+1)) the exchange term.
+    X_i of c x_i^p x_(i+1)^s, p > s, telescopes to -c at (s, p), (t - 1) c
+    strictly between and t c at (p, s); d = +-(c - t c) is formed only
+    where it is used."""
     out = {}
-    for e, c in f.terms.items():
-        e2 = e[1:] + (e[0],)
-        out[e2] = c.mul_monomial(e[0], 0) if e[0] else c
-    return _xpoly(n, out)
+    for e, c in f.items():
+        p, s = e[i - 1], e[i]
+        if p == s:
+            if ident is None:
+                continue
+            terms = ((e, mul(c, 0, 1) if ident else c),)
+        else:
+            tc = mul(c, 0, 1)
+            terms = [(e[:i - 1] + (s, p) + e[i + 1:], c if p > s else tc)]
+            lo, hi = min(p, s), max(p, s)
+            # the coefficient at e itself: t^ident c minus X_i's
+            at_e = ident is not None and (p < s) == (ident == 1)
+            if hi - lo > 1 or at_e:
+                d = c - tc if p > s else tc - c
+                terms += [(e[:i - 1] + (k, p + s - k) + e[i + 1:], d)
+                          for k in range(lo + 1, hi)]
+                if at_e:
+                    terms.append((e, d))
+            if ident is None:
+                terms.append((e, -tc if p > s else -c))
+        for key, v in terms:
+            prev = out.get(key)
+            out[key] = v if prev is None else prev + v
+    return {e: c for e, c in out.items() if c}
 
 
-def _y_word(i, f):
-    """t^(N-1) Y_i = T_i..T_(N-1) omega (t Tbar_1)..(t Tbar_(i-1)).
+def _omega(f, mul):
+    """omega f (x_1,..,x_N) = f(q x_N, x_1, .., x_(N-1))."""
+    return {e[1:] + (e[0],): mul(c, e[0], 0) if e[0] else c
+            for e, c in f.items()}
 
-    t Tbar_j = T_j - (t - 1) is 1 minus _exchange_term(j), so no step of
-    the word divides by t, and coefficients in Z[q,t] stay in Z[q,t].
-    """
-    n = f.nvars
-    if not 1 <= i <= n:
-        raise ValueError(f"Y_{i} undefined for {n} variables")
-    g = f
+
+def _word(i, f, mul):
+    """t^(N-1) Y_i = T_i..T_(N-1) omega (t Tbar_1)..(t Tbar_(i-1)),
+    1 <= i <= N: no step divides by t, so Z[q,t] coefficients stay so."""
+    n = len(next(iter(f), ()))
     for j in range(i - 1, 0, -1):
-        g = g - _exchange_term(j, g)
-    g = apply_omega(g)
+        f = _step(j, f, 0, mul)
+    f = _omega(f, mul)
     for j in range(n - 1, i - 1, -1):
-        g = apply_T(j, g)
-    return g
+        f = _step(j, f, 1, mul)
+    return f
 
 
-# ---------------------------------------------------------------------------
-# Kronecker-packed coefficients (private to E's eigen check and to P's
-# construction): a map from x-exponent to one int, the image of its
-# coefficient in Z[q,t] under t -> 2^w, q -> 2^(w B)
-# ---------------------------------------------------------------------------
+def _symmetrize(kind, interval, f, mul):
+    """Sum over the symmetric group of [a,b] of T_sigma (t_sym),
+    (-1)^l K_sigma (antisym), or t^L (-1/t)^l T_sigma (t_antisym), l =
+    l(sigma) and L = (b - a)(b - a + 1)/2, so that no t^(-1) appears.
+
+    The coset recursion over the factorial chain: the group on [a,b] is
+    the union of c_j * S_[a,b-1] with c_j = s_j s_(j+1)..s_(b-1), whose
+    lengths add, so level top costs top - a operator applications and
+    weights its j-th chain element by (-1)^j t^((top - a) - j) for
+    t_antisym, by (-1)^j for antisym.
+    """
+    a, b = interval
+    for top in range(a + 1, b + 1):
+        h = top - a
+        chain = f
+        f = {e: mul(c, 0, h) for e, c in f.items()} \
+            if kind == "t_antisym" else dict(f)
+        for j, i in enumerate(range(top - 1, a - 1, -1), 1):
+            if kind == "antisym":
+                chain = {e[:i - 1] + (e[i], e[i - 1]) + e[i + 1:]: c
+                         for e, c in chain.items()}
+            else:
+                chain = _step(i, chain, 1, mul)
+            for e, c in chain.items():
+                if kind == "t_antisym" and h > j:
+                    c = mul(c, 0, h - j)
+                if j % 2 and kind != "t_sym":
+                    c = -c
+                prev = f.get(e)
+                f[e] = c if prev is None else prev + c
+        f = {e: c for e, c in f.items() if c}
+    return f
+
+
+def _divide(f, a, b, alpha, beta, mul):
+    """f / (r - x_b), r = q^alpha t^beta x_a, a != b, by synthetic
+    division in x_b: from the top x_b-degree down, each term c x^e leaves
+    -c x^e/x_b in the quotient and r c x^e/x_b in the rest.  A nonzero
+    remainder f(x_b = r) raises DivisibilityError carrying its terms."""
+    levels = {}  # x_b-degree -> {x-exponent: coefficient}
+    for e, c in f.items():
+        levels.setdefault(e[b - 1], {})[e] = c
+    out = {}
+    for k in range(max(levels, default=0), 0, -1):
+        lower = levels.setdefault(k - 1, {})
+        for e, c in levels.get(k, {}).items():
+            if not c:
+                continue
+            e = e[:b - 1] + (k - 1,) + e[b:]
+            out[e] = -c
+            e = e[:a - 1] + (e[a - 1] + 1,) + e[a:]
+            if alpha or beta:
+                c = mul(c, alpha, beta)
+            prev = lower.get(e)
+            lower[e] = c if prev is None else prev + c
+    rem = {e: c for e, c in levels.get(0, {}).items() if c}
+    if rem:
+        raise DivisibilityError("division is not exact", rem)
+    return out
+
+
+# -- Kronecker-packed coefficients: a map from x-exponent to one int, the
+# image of its coefficient in Z[q,t] under t -> 2^w, q -> 2^(w B)
 
 def _pack(f, coeff_bound, tdeg_bound):
     """(w, B, packed f) for f, a map from x-exponent to QTScalar in
@@ -134,6 +169,12 @@ def _pack(f, coeff_bound, tdeg_bound):
                   for e, s in f.items()}
 
 
+def _shifts(w, B):
+    """The kernels' mul on ints packed under (w, B): c q^a t^b is
+    c << w (B a + b), for a, b >= 0."""
+    return lambda c, a, b: c << w * (B * a + b)
+
+
 def _unpack(f, w, B):
     """The terms {x-exponent: QTScalar} whose packing under (w, B) is f,
     read as balanced base-2^w digits, digit k the coefficient of
@@ -159,98 +200,54 @@ def _unpack(f, w, B):
     return out
 
 
-def _packed_step(i, f, w, times_t):
-    """T_i = t - _exchange_term(i) when times_t, else t Tbar_i =
-    1 - _exchange_term(i), on packed coefficients.  The exchange term
-    of c x_i^p x_(i+1)^s, p > s, telescopes to t c at (p, s), -c at
-    (s, p) and (t - 1) c in between."""
-    out = {e: c << w for e, c in f.items()} if times_t else dict(f)
-    for e, c in f.items():
-        p, s = e[i - 1], e[i]
-        if p == s or not c:
-            continue
-        if p < s:
-            p, s, c = s, p, -c
-        tc = c << w
-        base = list(e)
-        for k in range(s, p + 1):
-            base[i - 1], base[i] = k, p + s - k
-            key = tuple(base)
-            out[key] = out.get(key, 0) - ((tc if k > s else 0)
-                                          - (c if k < p else 0))
-    return out
+# -- the operators on XPolynomial over Q(q,t)
+
+def apply_K(i: int, j: int, f: XPolynomial) -> XPolynomial:
+    """Exchange x_i and x_j."""
+    sigma = list(range(1, f.nvars + 1))
+    sigma[i - 1], sigma[j - 1] = j, i
+    return permute_vars(f, tuple(sigma))
 
 
-def _packed_y_word(i, f, w, B):
-    """_y_word(i, .) on packed coefficients, in the same word order;
-    terms that cancel are dropped."""
-    n = len(next(iter(f)))
-    for j in range(i - 1, 0, -1):
-        f = _packed_step(j, f, w, False)
-    f = {e[1:] + (e[0],): c << w * B * e[0] for e, c in f.items()}
-    for j in range(n - 1, i - 1, -1):
-        f = _packed_step(j, f, w, True)
-    return {e: c for e, c in f.items() if c}
+def apply_T(i: int, f: XPolynomial) -> XPolynomial:
+    """T_i f = t f + (t x_i - x_(i+1)) (K_(i,i+1) f - f)/(x_i - x_(i+1)),
+    telescoped term by term (see _step); i = 0 is the affine generator."""
+    if i == 0:
+        return apply_T0(f)
+    n = f.nvars
+    if not 1 <= i <= n - 1:
+        raise ValueError(f"T_{i} undefined for {n} variables")
+    return _xpoly(n, _step(i, f.terms, 1, _QT))
 
 
-def _packed_symmetrize(kind, interval, f, w):
-    """symmetrize(kind, interval, .) on packed coefficients, with
-    t_antisym times t^l, l = (b - a)(b - a + 1)/2 for interval (a, b):
-    Sum (-1)^l(sigma) t^(l - l(sigma)) T_sigma, which has no t^(-1).  The
-    same coset loop: level top weights its j-th chain element by
-    (-1)^j t^((top - a) - j) for t_antisym, by (-1)^j for antisym.  An
-    interval with a >= b is the identity; terms that cancel are
-    dropped."""
-    a, b = interval
-    out = f
-    for top in range(a + 1, b + 1):
-        chain = out
-        if kind == "t_antisym":
-            out = {e: c << w * (top - a) for e, c in out.items()}
-        else:
-            out = dict(out)
-        for j, i in enumerate(range(top - 1, a - 1, -1), 1):
-            if kind == "antisym":
-                chain = {e[:i - 1] + (e[i], e[i - 1]) + e[i + 1:]: c
-                         for e, c in chain.items()}
-            else:
-                chain = _packed_step(i, chain, w, True)
-            shift = w * (top - a - j) if kind == "t_antisym" else 0
-            sign = -1 if j % 2 and kind != "t_sym" else 1
-            for e, c in chain.items():
-                out[e] = out.get(e, 0) + sign * (c << shift)
-    return {e: c for e, c in out.items() if c}
+def apply_T_inv(i: int, f: XPolynomial) -> XPolynomial:
+    """T_i^(-1) = t^(-1) - 1 + t^(-1) T_i, from the quadratic relation."""
+    return f.scale(_TINV - _ONE) + apply_T(i, f).scale(_TINV)
 
 
-def _packed_divide(f, a, b, w, times_t):
-    """f / (t x_a - x_b) when times_t, else f / (x_a - x_b), a < b, on
-    packed coefficients.
+def apply_T0(f: XPolynomial) -> XPolynomial:
+    """T_0 f = t f + (q t x_N - x_1) (g - f)/(q x_N - x_1), g the image
+    of f under K_(1,N) and the q-shift pair; that is t g + (t - 1) x_1
+    times the quotient."""
+    n = f.nvars
+    g = permute_vars(q_shift(q_shift_inverse(f, (n,)), (1,)),
+                     tuple([n] + list(range(2, n)) + [1]))
+    quotient = _divide((g - f).terms, n, 1, 1, 0, _QT)
+    return g.scale(_T) + _xpoly(n, {(e[0] + 1,) + e[1:]: c for e, c in
+                                    quotient.items()}).scale(_T - _ONE)
 
-    Synthetic division in x_b, whose coefficient in the divisor is -1:
-    from the top x_b-degree down, each term c x^e leaves -c x^e/x_b in
-    the quotient and r c x^e/x_b in the rest, r = t x_a or x_a, so only
-    shifts, adds and negations run.  The rest left at x_b-degree 0 is
-    the remainder f(x_b = r); a nonzero one raises DivisibilityError
-    carrying it, packed.
-    """
-    shift = w if times_t else 0
-    levels = {}  # x_b-degree -> {x-exponent: packed coefficient}
-    for e, c in f.items():
-        levels.setdefault(e[b - 1], {})[e] = c
-    out = {}
-    for k in range(max(levels, default=0), 0, -1):
-        lower = levels.setdefault(k - 1, {})
-        for e, c in levels.get(k, {}).items():
-            if not c:
-                continue
-            e = e[:b - 1] + (k - 1,) + e[b:]
-            out[e] = -c
-            e = e[:a - 1] + (e[a - 1] + 1,) + e[a:]
-            lower[e] = lower.get(e, 0) + (c << shift)
-    rem = {e: c for e, c in levels.get(0, {}).items() if c}
-    if rem:
-        raise DivisibilityError("division is not exact", rem)
-    return out
+
+def apply_omega(f: XPolynomial) -> XPolynomial:
+    """omega f (x_1,..,x_N) = f(q x_N, x_1, .., x_(N-1))."""
+    return _xpoly(f.nvars, _omega(f.terms, _QT))
+
+
+def _y_word(i, f):
+    """t^(N-1) Y_i f, the t-cleared word of _word."""
+    n = f.nvars
+    if not 1 <= i <= n:
+        raise ValueError(f"Y_{i} undefined for {n} variables")
+    return _xpoly(n, _word(i, f.terms, _QT))
 
 
 def apply_Y(i: int, f: XPolynomial) -> XPolynomial:
@@ -261,32 +258,16 @@ def apply_Y(i: int, f: XPolynomial) -> XPolynomial:
 
 def symmetrize(kind: str, interval, f: XPolynomial) -> XPolynomial:
     """Sum over the symmetric group of [a,b] of T_sigma, (-1)^l K_sigma
-    or (-1/t)^l T_sigma, for kind t_sym, antisym, t_antisym.
-
-    Uses the coset recursion over the factorial chain: the group on
-    [a,b] is the union of c_j * S_[a,b-1] with c_j = s_j s_(j+1)..s_(b-1),
-    whose lengths add, so each level costs b - a operator applications.
-    """
+    or (-1/t)^l T_sigma, for kind t_sym, antisym, t_antisym: the coset
+    loop of _symmetrize, whose t_antisym is scaled back by t^(-L)."""
     a, b = interval
     if not 1 <= a <= b <= f.nvars:
         raise ValueError(f"bad symmetrization interval {interval}")
-    if kind == "t_sym":
-        step, unit = apply_T, _ONE
-    elif kind == "antisym":
-        step, unit = (lambda i, g: apply_K(i, i + 1, g)), -_ONE
-    elif kind == "t_antisym":
-        step, unit = apply_T, -_TINV
-    else:
+    if kind not in ("t_sym", "antisym", "t_antisym"):
         raise ValueError(f"unknown symmetrizer kind {kind!r}")
-    out = f
-    for top in range(a + 1, b + 1):
-        base = out
-        chain = base
-        factor = _ONE
-        for i in range(top - 1, a - 1, -1):
-            chain = step(i, chain)
-            factor = factor * unit
-            out = out + chain.scale(factor)
+    out = _xpoly(f.nvars, _symmetrize(kind, interval, f.terms, _QT))
+    if kind == "t_antisym":
+        out = out.scale(qt_monomial(0, -(b - a) * (b - a + 1) // 2))
     return out
 
 

@@ -10,8 +10,12 @@ K is checked against every eigenvalue equation, the Bruhat
 triangularity and d_eta.  P_Lambda's symmetrizers and Vandermonde
 divisions run on K packed into integers (t -> 2^w, q -> 2^(w B)), and
 its plain-versus-t cross-check on the packed quotients, all with no
-gcd; only the final normalization works in Q(q,t).  The monic E is
-formed only where E itself is asked for; the cache file holds K.
+gcd; only the final normalization works in Q(q,t).  The recursion, the
+eigen check and P's construction all use hecke's one kernel per
+operator, each with the multiplication by q^a t^b of the ring it holds:
+QTScalar.mul_monomial in the recursion, a shift on the packed integers.
+The monic E is formed only where E itself is asked for; the cache file
+holds K.
 """
 
 from __future__ import annotations
@@ -119,9 +123,9 @@ def _raise(eta):
       rho = ebar_(i+1)(nu)/ebar_i(nu) = q^A t^B with A, B >= 1 and
       J_eta = ((1 - rho) T_i J_nu + (1 - t) J_nu) / (t (1 - t rho)).
       The numerator is (1 - t rho) K - (1 - rho) X_i K, X_i = t - T_i the
-      exchange term.  Each Phi_d factor of 1 - t rho that s holds
-      cancels there; K is divided exactly by the others, and a division
-      that is not exact raises ConsistencyError.
+      exchange term, from hecke._step over Q(q,t).  Each Phi_d factor of
+      1 - t rho that s holds cancels there; K is divided exactly by the
+      others, and a division that is not exact raises ConsistencyError.
 
     The chain of nu is walked down to 0, then raised back up in a loop.
     s is kept as running exponents, so a long chain costs linear time.
@@ -144,8 +148,9 @@ def _raise(eta):
             A = nu[i]
             B = row_of_circle(nu, i) - row_of_circle(nu, i + 1)
             rho = qt_monomial(A, B)
-            K = K.scale(_ONE - _T * rho) - \
-                hecke._exchange_term(i, K).scale(_ONE - rho)
+            K = K.scale(_ONE - _T * rho) + XPolynomial(
+                N, hecke._step(i, K.terms, None, QTScalar.mul_monomial)
+            ).scale(_ONE - rho)
             # divide by t (1 - t rho)
             binom = _Factored.binomial(0, 1, A, B + 2)
             sign, a, b = sign * binom.sign, a - binom.a, b - binom.b
@@ -225,7 +230,7 @@ def nonsym_E(eta) -> EBasisElement:
     (for a built K, s K has d_eta there: Knop's cell product, computed
     apart from the recursion), and Y_i K = ebar_i K for every i.  The N
     eigenvalue equations run as t^(N-1) Y_i K = t_ebar K with t_ebar =
-    t^(N-1) ebar_i, in the word order of hecke._y_word, on
+    t^(N-1) ebar_i, by hecke's word kernel _word, on
     Kronecker-packed integers: t -> 2^w, q -> 2^(w B) is a ring
     homomorphism Z[q,t] -> Z, and _eigen_pack takes the width w and B
     from bounds on the difference's coefficients and t-degree so that it
@@ -272,10 +277,10 @@ def _check_E(eta, K):
             raise ConsistencyError(
                 f"E_{eta} has support at {nu}, not Bruhat-below")
     w, B, f = _eigen_pack(K)
+    mul = hecke._shifts(w, B)
     for i in range(1, N + 1):
-        shift = w * (B * eta[i - 1] + N - row_of_circle(eta, i))
-        if hecke._packed_y_word(i, f, w, B) != \
-                {e: c << shift for e, c in f.items()}:
+        a, b = eta[i - 1], N - row_of_circle(eta, i)
+        if hecke._word(i, f, mul) != {e: mul(c, a, b) for e, c in f.items()}:
             raise ConsistencyError(
                 f"eigenvalue equation Y_{i} E = ebar_{i} E failed for E_{eta}")
 
@@ -319,16 +324,17 @@ def _P_pack(K, m):
                        lambda tau: tau + l_s + l_a + (d if m >= 2 else 0))
 
 
-def _packed_quotient(lam, S, w, times_t):
+def _packed_quotient(lam, S, mul, times_t):
     """S antisymmetrized over the first m variables (t-deformed, times
     t^(m(m-1)/2), or plain) and divided exactly by the Vandermonde of
-    the same kind, one linear factor at a time, on packed ints."""
+    the same kind, one linear factor at a time, on packed ints with the
+    kernels' mul."""
     m = lam.m
-    A = hecke._packed_symmetrize("t_antisym" if times_t else "antisym",
-                                 (1, m), S, w)
+    A = hecke._symmetrize("t_antisym" if times_t else "antisym", (1, m), S,
+                          mul)
     try:
         for a, b in combinations(range(1, m + 1), 2):
-            A = hecke._packed_divide(A, a, b, w, times_t)
+            A = hecke._divide(A, a, b, 0, int(times_t), mul)
     except DivisibilityError as exc:
         name = "t-Vandermonde" if times_t else "plain Vandermonde"
         raise ConsistencyError(
@@ -368,15 +374,16 @@ def bisym_P(lam: SuperPartition) -> PBasisElement:
     eta = lam.eta()
     K = _integral_E(eta)
     w, B, S = _P_pack(K, m)
-    S = hecke._packed_symmetrize("t_sym", (m + 1, N), S, w)
-    Q = _packed_quotient(lam, S, w, True) if m >= 2 else S
+    mul = hecke._shifts(w, B)
+    S = hecke._symmetrize("t_sym", (m + 1, N), S, mul)
+    Q = _packed_quotient(lam, S, mul, True) if m >= 2 else S
     if not Q:
         raise ConsistencyError(f"P vanished for {format_spart(lam)}")
     lead = dominant_exponent(lam)
     if lead not in Q:
         raise ConsistencyError(
             f"dominant monomial of {format_spart(lam)} is absent")
-    if m >= 2 and _packed_quotient(lam, S, w, False) != Q:
+    if m >= 2 and _packed_quotient(lam, S, mul, False) != Q:
         raise ConsistencyError(
             f"plain and t-deformed constructions disagree for "
             f"{format_spart(lam)}")

@@ -435,6 +435,16 @@ class TestBadCacheFile:
         assert _rejected(capsys, path, 1).endswith(
             ": line 1: K record '1,0' has a coefficient not in Z[q,t]")
 
+    def test_K_record_value_in_other_N(self, tmp_path, capsys):
+        # a value with N = 3 under a key with N = 2 would be served as E
+        # in 3 variables and appended again under a second key
+        path, recs = _cache_file(tmp_path, capsys, "E", "--eta", "1,0")
+        recs[0]["value"]["N"] = 3
+        _write(path, recs)
+        assert _rejected(capsys, path, 1).endswith(
+            ": line 1: K record '1,0' holds a polynomial in 3 variables, "
+            "not N = 2")
+
     @pytest.mark.parametrize("field, value, message", [
         # the coefficient of x2 x3 set to 7
         ("coeff", {"num": [["7", 0, 0]], "den": [["1", 0, 0]]},
@@ -623,14 +633,14 @@ def test_failed_vandermonde_division_exits_1(capsys, monkeypatch, kind, name):
     # failure naming the shape, not a traceback: a unit planted at x^0 in
     # the dividend of the packed division of that kind leaves a nonzero
     # packed remainder
-    divide = hecke._packed_divide
+    divide = hecke._divide
 
-    def plant(f, a, b, w, times_t):
-        if times_t == (kind == "t_deformed"):
+    def plant(f, a, b, alpha, beta, mul):
+        if beta == (kind == "t_deformed"):
             zero = (0,) * len(next(iter(f)))
             f = {**f, zero: f.get(zero, 0) + 1}
-        return divide(f, a, b, w, times_t)
-    monkeypatch.setattr(hecke, "_packed_divide", plant)
+        return divide(f, a, b, alpha, beta, mul)
+    monkeypatch.setattr(hecke, "_divide", plant)
     monkeypatch.setattr(macdonald, "_P_CACHE", {})
     code, out, err = run(capsys, "P", "--spart", "1,0;", "--N", "3")
     assert code == 1

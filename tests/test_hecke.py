@@ -25,6 +25,18 @@ def inversions(p):
                if p[i] > p[j])
 
 
+def reduced_word(p):
+    """A reduced word (i_1, .., i_l) of s_i's for the one-line
+    permutation p, from bubble sort: each swap removes one inversion."""
+    p, word = list(p), []
+    while True:
+        i = next((i for i in range(len(p) - 1) if p[i] > p[i + 1]), None)
+        if i is None:
+            return word
+        p[i], p[i + 1] = p[i + 1], p[i]
+        word.append(i + 1)
+
+
 def monomials(N, deg):
     return [XPolynomial.monomial(e)
             for d in range(deg + 1) for e in compositions_of(d, N)]
@@ -79,16 +91,26 @@ def textbook_Y(i, f):
     return g.scale(qt_monomial(0, i - n))
 
 
+# q, t and integer denominators, so that no operator can lean on
+# integrality
+DENOMINATORS = [ONE, ONE - Q * T, T * QTScalar.from_int(3), ONE + Q * Q]
+
+
+def rational_poly(N, deg):
+    """Every monomial of degree <= deg in N variables, over Q(q,t) with
+    coefficients that have q, t and integer denominators."""
+    coeffs = [ONE / (ONE - Q * T), (Q + T) / (T * QTScalar.from_int(3)),
+              QTScalar.from_fraction(-2) / (ONE + Q * Q)]
+    f = XPolynomial.zero(N)
+    for k, g in enumerate(monomials(N, deg)):
+        f = f + g.scale(coeffs[k % 3])
+    return f
+
+
 class TestYWord:
     @pytest.mark.parametrize("N", [3, 4])
     def test_matches_the_textbook_form(self, N):
-        # coefficients with q, t and integer denominators, so no step
-        # of either form can lean on integrality
-        coeffs = [ONE / (ONE - Q * T), (Q + T) / (T * QTScalar.from_int(3)),
-                  QTScalar.from_fraction(-2) / (ONE + Q * Q)]
-        f = XPolynomial.zero(N)
-        for k, g in enumerate(monomials(N, 2)):
-            f = f + g.scale(coeffs[k % 3])
+        f = rational_poly(N, 2)
         for i in range(1, N + 1):
             want = textbook_Y(i, f)
             assert hecke.apply_Y(i, f) == want
@@ -144,7 +166,8 @@ class TestPackedYWord:
     def test_unpacks_to_y_word(self, f):
         w, B, packed = macdonald._eigen_pack(f)
         for i in range(1, f.nvars + 1):
-            got = unpack(hecke._packed_y_word(i, packed, w, B), w, B, f.nvars)
+            got = unpack(hecke._word(i, packed, hecke._shifts(w, B)),
+                         w, B, f.nvars)
             assert got == hecke._y_word(i, f)
 
     def test_rejects_a_rational_coefficient(self):
@@ -185,11 +208,6 @@ def intervals(draw, n):
     return a, draw(st.integers(a, n))
 
 
-def linear_factor(a, b, n, times_t):
-    """t x_a - x_b when times_t, else x_a - x_b."""
-    return x(a, n).scale(T if times_t else ONE) - x(b, n)
-
-
 class TestPackedSymmetrizers:
     @settings(max_examples=40, deadline=None)
     @given(integral_polys())
@@ -210,37 +228,56 @@ class TestPackedSymmetrizers:
         w, B, packed = hecke._pack(
             f.terms, lambda norm: factorial(width) * (1 + 2 * d) ** ell * norm,
             lambda tdeg: tdeg + ell)
-        got = unpack(hecke._packed_symmetrize(kind, (a, b), packed, w),
-                     w, B, f.nvars)
+        got = unpack(hecke._symmetrize(kind, (a, b), packed,
+                                       hecke._shifts(w, B)), w, B, f.nvars)
         want = hecke.symmetrize(kind, (a, b), f)
         if kind == "t_antisym":
             want = want.scale(qt_monomial(0, ell))
         assert got == want
 
-    @settings(max_examples=60, deadline=None)
-    @given(integral_polys(), st.booleans(), st.booleans(), st.data())
-    def test_division_matches_exact_div(self, f, times_t, multiply, data):
+    @settings(max_examples=80, deadline=None)
+    @given(integral_polys(), st.sampled_from(["t", "plain", "T0"]),
+           st.sampled_from(["packed", "qt"]), st.booleans(), st.data())
+    def test_division_matches_exact_div(self, f, shape, ring, multiply, data):
         # a multiple of the factor divides to exact_div's quotient; any
-        # other input raises exactly when exact_div does
+        # other input raises exactly when exact_div does.  The factors are
+        # t x_a - x_b and x_a - x_b, a < b, as bisym_P divides by, and
+        # apply_T0's q x_N - x_1, with a > b; the rings are packed ints
+        # and Q(q,t) with q, t and integer denominators
         n = f.nvars
-        a = data.draw(st.integers(1, n - 1))
-        b = data.draw(st.integers(a + 1, n))
-        g = linear_factor(a, b, n, times_t)
+        if shape == "T0":
+            a, b, alpha, beta = n, 1, 1, 0
+        else:
+            a = data.draw(st.integers(1, n - 1))
+            b = data.draw(st.integers(a + 1, n))
+            alpha, beta = 0, int(shape == "t")
+        g = x(a, n).scale(qt_monomial(alpha, beta)) - x(b, n)
+        if ring == "qt":
+            f = XPolynomial(n, {e: c / data.draw(st.sampled_from(DENOMINATORS))
+                                for e, c in f.terms.items()})
         F = f * g if multiply else f
-        d = F.total_degree()
-        # a quotient is within d ||F||_1, a remainder F(x_b = t x_a)
-        # within ||F||_1, and up to d above F in t-degree
-        w, B, packed = hecke._pack(F.terms, lambda norm: max(d, 1) * norm,
-                                   lambda tdeg: tdeg + d)
+        if ring == "qt":
+            def divide():
+                return XPolynomial(n, hecke._divide(
+                    F.terms, a, b, alpha, beta, QTScalar.mul_monomial))
+        else:
+            d = F.total_degree()
+            # a quotient is within d ||F||_1, a remainder F(x_b = r)
+            # within ||F||_1, and up to d above F in t-degree
+            w, B, packed = hecke._pack(F.terms, lambda norm: max(d, 1) * norm,
+                                       lambda tdeg: tdeg + d)
+
+            def divide():
+                return unpack(hecke._divide(packed, a, b, alpha, beta,
+                                            hecke._shifts(w, B)), w, B, n)
         try:
             want = exact_div(F, g)
         except DivisibilityError:
             assert not multiply
             with pytest.raises(DivisibilityError):
-                hecke._packed_divide(packed, a, b, w, times_t)
+                divide()
         else:
-            got = hecke._packed_divide(packed, a, b, w, times_t)
-            assert unpack(got, w, B, n) == want
+            assert divide() == want
 
     @settings(max_examples=25, deadline=None)
     @given(integral_polys(), st.data())
@@ -263,10 +300,11 @@ class TestPackedSymmetrizers:
         F = x(2, 2) * x(2, 2) - (x(1, 2) * x(1, 2)).scale(T * T)
         w, B, packed = hecke._pack(F.terms, lambda norm: 2 * norm,
                                    lambda tdeg: tdeg + 2)
-        got = hecke._packed_divide(packed, 1, 2, w, True)
+        mul = hecke._shifts(w, B)
+        got = hecke._divide(packed, 1, 2, 0, 1, mul)
         assert unpack(got, w, B, 2) == x(1, 2).scale(-T) - x(2, 2)
         with pytest.raises(DivisibilityError) as err:
-            hecke._packed_divide(packed, 1, 2, w, False)
+            hecke._divide(packed, 1, 2, 0, 0, mul)
         assert unpack(err.value.remainder, w, B, 2) == \
             (x(1, 2) * x(1, 2)).scale(ONE - T * T)
 
@@ -361,6 +399,28 @@ class TestSymmetrizers:
             term = permute_vars(f, sigma)
             expect = expect + (term if sign > 0 else -term)
         assert hecke.symmetrize("antisym", (1, 3), f) == expect
+
+    @pytest.mark.parametrize("kind", ["t_sym", "t_antisym"])
+    @pytest.mark.parametrize("N, interval", [(3, (1, 3)), (4, (2, 4)),
+                                             (4, (1, 4))])
+    def test_t_symmetrizers_match_full_group_sum(self, kind, N, interval):
+        # the coset loop agrees with the sum over the whole group of [a,b]
+        # of T_sigma, each built from a reduced word, weighted by 1 or
+        # (-1/t)^l(sigma)
+        from itertools import permutations
+        a, b = interval
+        f = rational_poly(N, 2 if N == 3 else 1)
+        expect = XPolynomial.zero(N)
+        for sigma in permutations(range(b - a + 1)):
+            word = reduced_word(sigma)
+            g = f
+            for i in word:
+                g = hecke.apply_T(a - 1 + i, g)
+            if kind == "t_antisym":
+                g = g.scale(qt_monomial(0, -len(word)) *
+                            QTScalar.from_int((-1) ** len(word)))
+            expect = expect + g
+        assert hecke.symmetrize(kind, interval, f) == expect
 
 
 class TestEOfY:
