@@ -1,8 +1,16 @@
 """Evaluation maps, the closed-form evaluation formulas, and the
 evaluation symmetry of the bisymmetric Macdonald polynomials.
+
+The closed product of a staircase evaluation is memoized per
+(Lambda, sign), at most 4096 entries, least recently used first out:
+the Pieri expansions of nearby Lambda divide by the evaluations of
+the same Omega.  A memoized value is shared, so no caller changes it
+in place.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 from .errors import DegenerateEvaluationError
 from .macdonald import bisym_P
@@ -22,10 +30,11 @@ def evaluate(lam: SuperPartition, sign: str, f: XPolynomial) -> QTScalar:
     return specialize(f, eval_point(lam, sign))
 
 
+@lru_cache(maxsize=4096)
 def _eval_factors(lam: SuperPartition, sign: str) -> _Factored:
-    """The closed product of ``eval_formula``, held factored.  The leg
-    of cell (i,j) in Lambda* is star_c[j-1] - i, with star_c the
-    conjugate partition."""
+    """The closed product of ``eval_formula``, held factored and
+    memoized.  The leg of cell (i,j) in Lambda* is star_c[j-1] - i, with
+    star_c the conjugate partition."""
     m, N = lam.m, lam.N
     hd = hook_data(lam)
     star_c = conjugate_partition(lam.star())

@@ -221,8 +221,14 @@ def apply_T(i: int, f: XPolynomial) -> XPolynomial:
 
 
 def apply_T_inv(i: int, f: XPolynomial) -> XPolynomial:
-    """T_i^(-1) = t^(-1) - 1 + t^(-1) T_i, from the quadratic relation."""
-    return f.scale(_TINV - _ONE) + apply_T(i, f).scale(_TINV)
+    """T_i^(-1) = t^(-1) (t Tbar_i), 1 <= i < N, through _step; T_0^(-1)
+    = t^(-1) - 1 + t^(-1) T_0, from the quadratic relation."""
+    if i == 0:
+        return f.scale(_TINV - _ONE) + apply_T0(f).scale(_TINV)
+    n = f.nvars
+    if not 1 <= i <= n - 1:
+        raise ValueError(f"T_{i} undefined for {n} variables")
+    return _xpoly(n, _step(i, f.terms, 0, _QT)).scale(_TINV)
 
 
 def apply_T0(f: XPolynomial) -> XPolynomial:

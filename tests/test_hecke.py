@@ -78,6 +78,18 @@ class TestGenerators:
             for i in (1, 2):
                 assert hecke.apply_T_inv(i, hecke.apply_T(i, f)) == f
 
+    @pytest.mark.parametrize("i", [0, 1, 2, 3])
+    def test_inverse_matches_quadratic_relation(self, i):
+        # T_i^(-1) = t^(-1) - 1 + t^(-1) T_i, on Q(q,t) coefficients
+        f = rational_poly(4, 2)
+        assert hecke.apply_T_inv(i, f) == \
+            f.scale(ONE / T - ONE) + hecke.apply_T(i, f).scale(ONE / T)
+
+    @pytest.mark.parametrize("i", [-1, 4])
+    def test_inverse_out_of_range(self, i):
+        with pytest.raises(ValueError, match=f"T_{i} undefined"):
+            hecke.apply_T_inv(i, XPolynomial.one(4))
+
 
 def textbook_Y(i, f):
     """t^(i-N) T_i..T_(N-1) omega Tbar_1..Tbar_(i-1), written out."""

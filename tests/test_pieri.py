@@ -2,6 +2,8 @@ from itertools import combinations
 
 import pytest
 
+from bimac.errors import DegenerateEvaluationError
+from bimac.evalsym import _eval_factors
 from bimac.pieri import (SigmaSets, _delta_t_factors, coeff_C,
                          expansions_equal, op_identity_check, pieri_bruteforce,
                          pieri_expand, phi_at)
@@ -248,6 +250,108 @@ class TestVanishing:
                             (key, seen[key], (Jset, img))
                         seen[key] = (Jset, img)
         assert seen  # some terms survive
+
+
+class TestDegenerateEvaluation:
+    """At a point with two equal coordinates the C/D assembly raises at
+    its vanishing denominator X_i - X_j, unless a numerator t X_i - X_j
+    checked before it vanishes first; then the coefficient is zero."""
+
+    C_ARGS = (2, 1, frozenset({3}), frozenset({4}), (1, 3, 2, 4))
+    D_ARGS = (2, 1, frozenset({1}), (1, 2, 3, 4))
+
+    @pytest.mark.parametrize("coords, where", [
+        # J x L outer product: X_3 = X_4
+        (((0, 0), (3, 7), (5, 0), (5, 0)), "X_3 - X_4"),
+        # inner product, shifted by J: q X_3 = X_1
+        (((6, 0), (6, 2), (5, 0), (9, 9)), "X_3 - X_1"),
+        # Phi, after an inner numerator t q X_3 - X_1 vanished
+        (((6, 1), (6, 0), (5, 0), (9, 9)), "X_2 - X_3 in Phi"),
+    ])
+    def test_C_raises(self, coords, where):
+        from bimac.pieri import _coeff_C_at
+        with pytest.raises(DegenerateEvaluationError, match=where):
+            _coeff_C_at(*self.C_ARGS, EvalPoint(coords))
+
+    @pytest.mark.parametrize("coords, where", [
+        # J x [m+1, N] outer product: X_1 = X_4
+        (((0, 0), (3, 7), (5, 0), (0, 0)), "X_1 - X_4"),
+        # inner product, shifted by J: q X_1 = X_2
+        (((0, 0), (1, 0), (0, 2), (9, 9)), "X_1 - X_2"),
+    ])
+    def test_D_raises(self, coords, where):
+        from bimac.pieri import _coeff_D_at
+        with pytest.raises(DegenerateEvaluationError, match=where):
+            _coeff_D_at(*self.D_ARGS, EvalPoint(coords))
+
+    def test_C_vanishing_block_factor_comes_first(self):
+        # t X_1 = X_2 empties the block product, so the inner pair with
+        # q X_3 = X_1 is never divided by
+        from bimac.pieri import _coeff_C_at
+        point = EvalPoint(((6, 0), (6, 1), (5, 0), (9, 9)))
+        assert _coeff_C_at(*self.C_ARGS, point).is_zero()
+
+    @pytest.mark.parametrize("x4", [(9, 9), (0, 0)])
+    def test_D_vanishing_outer_factor_comes_first(self, x4):
+        # t X_1 = X_3 empties the outer product before its pair (1, 4)
+        # (X_1 = X_4 when x4 = (0, 0)) and the inner pair q X_1 = X_2
+        from bimac.pieri import _coeff_D_at
+        point = EvalPoint(((0, 0), (1, 0), (0, 1), x4))
+        assert _coeff_D_at(*self.D_ARGS, point).is_zero()
+
+
+def pieri_sweep(N=5, max_deg=4):
+    """{(Lambda, r, variant): pieri_expand} over |Lambda*| <= max_deg,
+    every m, both variants and every r, and the (Omega, "plus") keys of
+    every strip it met, Lambda's own included."""
+    expansions, keys = {}, set()
+    for m in range(N + 1):
+        for d in range(max_deg + 1):
+            for sp in superpartitions(d, m, N):
+                keys.add((sp, "plus"))
+                for variant, strip_type in (("upper", "I"), ("lower", "II")):
+                    width = N - m if variant == "upper" else m
+                    for r in range(width + 1):
+                        expansions[sp, r, variant] = \
+                            pieri_expand(sp, r, variant)
+                        keys.update((c.omg, "plus") for c in
+                                    enumerate_strips(sp, r, strip_type))
+    return expansions, keys
+
+
+class TestEvalMemo:
+    """The staircase evaluations are memoized; a memoized value is shared
+    by every caller, so none may change it in place."""
+
+    def test_memo_is_bounded(self):
+        assert isinstance(_eval_factors.cache_info().maxsize, int)
+
+    def test_memoized_values_equal_fresh_ones(self):
+        _eval_factors.cache_clear()
+        _, keys = pieri_sweep()
+        size = _eval_factors.cache_info().currsize
+        assert 0 < size < _eval_factors.cache_info().maxsize  # none evicted
+        checked = 0
+        for key in keys:
+            hits = _eval_factors.cache_info().hits
+            held = _eval_factors(*key)
+            if _eval_factors.cache_info().hits == hits:
+                continue
+            fresh = _eval_factors.__wrapped__(*key)
+            assert (held.sign, held.a, held.b, held.phi) == \
+                (fresh.sign, fresh.a, fresh.b, fresh.phi), key
+            checked += 1
+        assert checked == size
+
+    def test_cold_and_warm_expansions_agree(self):
+        _eval_factors.cache_clear()
+        cold, _ = pieri_sweep()
+        warm, _ = pieri_sweep()
+        assert _eval_factors.cache_info().hits
+        assert cold.keys() == warm.keys()
+        for key, terms in cold.items():
+            assert [(t.omega, t.certificate, t.coeff) for t in terms] == \
+                [(t.omega, t.certificate, t.coeff) for t in warm[key]], key
 
 
 class TestOperatorIdentity:
