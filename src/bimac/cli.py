@@ -8,7 +8,6 @@ errors.  Output is deterministic for identical arguments.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import sys
 
@@ -149,10 +148,7 @@ def cmd_verify(args):
     return 0 if rep.ok else 1
 
 
-@functools.cache
 def build_parser():
-    """The parser, built once per process: parse_args leaves it as it
-    was, so no option of one main call carries over to the next."""
     parser = argparse.ArgumentParser(
         prog="bimac",
         description="Exact bisymmetric Macdonald polynomials, evaluations "

@@ -4,8 +4,10 @@ evaluation symmetry of the bisymmetric Macdonald polynomials.
 The closed product of a staircase evaluation is memoized per
 (Lambda, sign), at most 4096 entries, least recently used first out:
 the Pieri expansions of nearby Lambda divide by the evaluations of
-the same Omega.  A memoized value is shared, so no caller changes it
-in place.
+the same Omega, so a process that expands many of them (as
+``verify --suite pieri`` does) evaluates each Omega once.  A single
+expansion meets each Omega once and gains nothing.  A memoized value
+is shared, so no caller changes it in place.
 """
 
 from __future__ import annotations

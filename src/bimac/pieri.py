@@ -10,10 +10,10 @@ factor is a monomial or a q,t-binomial X_i - X_j, t X_i - X_j, so the
 coefficients, the t-Vandermonde and the staircase evaluations are held
 as factored binomial products (``qt._Factored``) and each Pieri
 coefficient is expanded to a canonical QTScalar once, with no gcd.
-The helpers append their factors and divisors to the caller's two
-lists, so each coefficient is one ``_Factored.prod``; the binomials
-and the staircase evaluations come from memos, and the sigma data of a
-certificate is computed once.
+Each helper collects its factors and divisors and forms them with one
+``_Factored.prod``; the binomials and the staircase evaluations
+u_Omega^+(P_Omega) come from memos, and the sigma data of a certificate
+is computed once.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .xpoly import (EvalPoint, XPolynomial, elementary_symmetric, specialize,
 from . import hecke
 
 _ONE = QTScalar.one()
-_ZERO = QTScalar.zero()
+_ZERO_F = _Factored(0)
 
 
 @dataclass(frozen=True)
@@ -88,10 +88,9 @@ def _tdiff(point, i, j, shift) -> _Factored:
     return _Factored.binomial(a, b + 1, *_coord(point, j, shift))
 
 
-def _a_factor(point, pairs, shift, num, den) -> bool:
-    """Append the factors of prod (t X_i - X_j)/(X_i - X_j) to num and
-    den, diagonal pairs skipped.  False once a numerator vanishes: the
-    pairs after it are left unchecked."""
+def _a_factor(point, pairs, shift) -> _Factored:
+    """prod (t X_i - X_j)/(X_i - X_j); diagonal pairs are skipped."""
+    num, den = [], []
     for i, j in pairs:
         if i == j:
             continue
@@ -101,10 +100,10 @@ def _a_factor(point, pairs, shift, num, den) -> bool:
                 f"vanishing denominator X_{i} - X_{j}")
         n = _tdiff(point, i, j, shift)
         if n.is_zero():
-            return False
+            return n
         num.append(n)
         den.append(d)
-    return True
+    return _Factored.prod(num, den)
 
 
 def _vandermonde_at(point, rows, shift) -> list:
@@ -113,15 +112,14 @@ def _vandermonde_at(point, rows, shift) -> list:
             for i, j in combinations(sorted(rows), 2)]
 
 
-def _phi_factors(ss, point, shift_J, num, den):
-    """Append the factors of Phi(sigma) to num and den; a vanishing
-    numerator is left for the product to find."""
-    num.append(_Factored(-1 if ss.d_sigma % 2 else 1))
+def _phi_factors(ss, point, shift_J) -> _Factored:
+    num = [_Factored(-1 if ss.d_sigma % 2 else 1)]
     # (t - 1) X_j = t X_j - X_j
     num += [_Factored.binomial(a, b + 1, a, b)
             for a, b in (_coord(point, j, shift_J) for j in sorted(ss.b_comp))]
     num += _vandermonde_at(point, ss.a_comp, shift_J)
     num += _vandermonde_at(point, ss.b_comp, shift_J)
+    den = []
     for i in sorted(ss.a_comp):
         for j in sorted(ss.b_comp):
             d = _diff(point, i, j, shift_J)
@@ -129,14 +127,14 @@ def _phi_factors(ss, point, shift_J, num, den):
                 raise DegenerateEvaluationError(
                     f"vanishing denominator X_{i} - X_{j} in Phi")
             den.append(d)
+    return _Factored.prod(num, den)
 
 
 def phi_at(sigma, m: int, point: EvalPoint, shift_J=frozenset()) -> QTScalar:
     """The factor Phi(sigma) evaluated at the point, with coordinates in
     shift_J premultiplied by q (for use inside a q-shift)."""
-    num, den = [], []
-    _phi_factors(SigmaSets.from_sigma(sigma, m), point, shift_J, num, den)
-    return _Factored.prod(num, den).expand()
+    ss = SigmaSets.from_sigma(sigma, m)
+    return _phi_factors(ss, point, shift_J).expand()
 
 
 def _k_sigma_delta_at(sigma, m, ss, point, shift) -> list:
@@ -150,32 +148,27 @@ def _t_power(r, N, sign=1) -> _Factored:
     return _Factored(sign, 0, r * (r + 1 - 2 * N) // 2)
 
 
-def _C_factors(m, r, J, L, sigma, point, num, den) -> bool:
-    """Append the factors of the type-I coefficient C_(J,sigma) to num
-    and den; False when a numerator of an A product vanishes.
+def _C_factors(m, r, J, L, sigma, point) -> _Factored:
+    """The type-I coefficient C_(J,sigma) evaluated factor by factor.
 
     The A product over J x sigma([m]) skips equal indices, as its tilde
     decoration requires.
     """
-    outer = (_a_factor(point, combinations(range(1, m + 1), 2), frozenset(),
-                       num, den),
+    outer = (_a_factor(point, combinations(range(1, m + 1), 2), frozenset()),
              _a_factor(point, ((i, j) for i in sorted(J) for j in sorted(L)),
-                       frozenset(), num, den))
-    if not all(outer):
-        return False
+                       frozenset()))
+    if outer[0].is_zero() or outer[1].is_zero():
+        return _ZERO_F
     sig_m = sorted(sigma[:m])
-    inner = _a_factor(point, ((i, j) for i in sorted(J) for j in sig_m), J,
-                      num, den)
+    inner = _a_factor(point, ((i, j) for i in sorted(J) for j in sig_m), J)
     ss = SigmaSets.from_sigma(sigma, m)
-    num.append(_t_power(r, len(sigma)))
-    _phi_factors(ss, point, J, num, den)
-    num += _k_sigma_delta_at(sigma, m, ss, point, J)
-    return inner
+    return _Factored.prod((_t_power(r, len(sigma)), *outer, inner,
+                           _phi_factors(ss, point, J),
+                           *_k_sigma_delta_at(sigma, m, ss, point, J)))
 
 
-def _D_factors(m, r, J, sigma, point, num, den) -> bool:
-    """Append the factors of the type-II coefficient D_(J,sigma) to num
-    and den; False when a numerator of an A product vanishes.
+def _D_factors(m, r, J, sigma, point) -> _Factored:
+    """The type-II coefficient D_(J,sigma) evaluated factor by factor.
 
     Pairs of the two A products whose indices meet J a second time are
     excluded: (i,i) pairs in the block product, and (i,j) with j in J
@@ -185,62 +178,46 @@ def _D_factors(m, r, J, sigma, point, num, den) -> bool:
     """
     N = len(sigma)
     ss = SigmaSets.from_sigma(sigma, m)
-    outer = (_a_factor(point, combinations(range(1, m + 1), 2), frozenset(),
-                       num, den),
+    outer = (_a_factor(point, combinations(range(1, m + 1), 2), frozenset()),
              _a_factor(point, ((i, j) for i in sorted(J)
-                               for j in range(m + 1, N + 1)), frozenset(),
-                       num, den))
-    if not all(outer):
-        return False
-    _phi_factors(ss, point, frozenset(), num, den)
+                               for j in range(m + 1, N + 1)), frozenset()))
+    if outer[0].is_zero() or outer[1].is_zero():
+        return _ZERO_F
+    phi = _phi_factors(ss, point, frozenset())
     inner = _a_factor(point, ((i, j) for i in sorted(J)
-                              for j in sorted(ss.a_set) if j not in J), J,
-                      num, den)
-    num.append(_t_power(r, N, -1 if len(ss.b_comp) % 2 else 1))
-    num += _k_sigma_delta_at(sigma, m, ss, point, J)
-    return inner
-
-
-def _coefficient(factors, *args) -> QTScalar:
-    """The coefficient whose factors and divisors factors(*args, num,
-    den) appends, in one product."""
-    num, den = [], []
-    if not factors(*args, num, den):
-        return _ZERO
-    return _Factored.prod(num, den).expand()
+                              for j in sorted(ss.a_set) if j not in J), J)
+    return _Factored.prod((_t_power(r, N, -1 if len(ss.b_comp) % 2 else 1),
+                           *outer, phi, inner,
+                           *_k_sigma_delta_at(sigma, m, ss, point, J)))
 
 
 def _coeff_C_at(m, r, J, L, sigma, point) -> QTScalar:
-    return _coefficient(_C_factors, m, r, J, L, sigma, point)
+    return _C_factors(m, r, J, L, sigma, point).expand()
 
 
 def _coeff_D_at(m, r, J, sigma, point) -> QTScalar:
-    return _coefficient(_D_factors, m, r, J, sigma, point)
+    return _D_factors(m, r, J, sigma, point).expand()
 
 
-def _certificate_factors(lam, cert, point, num, den) -> bool:
-    """Append the factors of the certificate's coefficient at
-    u_Lambda^+'s point to num and den; False when it vanishes."""
+def _certificate_factors(lam, cert, point) -> _Factored:
+    """The coefficient of the certificate at u_Lambda^+'s point."""
     if cert.strip_type == "I":
-        return _C_factors(lam.m, cert.r, cert.J, cert.L, cert.sigma, point,
-                          num, den)
-    return _D_factors(lam.m, cert.r, cert.J, cert.sigma, point, num, den)
+        return _C_factors(lam.m, cert.r, cert.J, cert.L, cert.sigma, point)
+    return _D_factors(lam.m, cert.r, cert.J, cert.sigma, point)
 
 
 def coeff_C(lam: SuperPartition, cert: StripCertificate) -> QTScalar:
     """u_Lambda^+ of the type-I Pieri coefficient C_(J,sigma)."""
     if cert.strip_type != "I":
         raise ValueError("coeff_C needs a type-I certificate")
-    return _coefficient(_certificate_factors, lam, cert,
-                        eval_point(lam, "plus"))
+    return _certificate_factors(lam, cert, eval_point(lam, "plus")).expand()
 
 
 def coeff_D(lam: SuperPartition, cert: StripCertificate) -> QTScalar:
     """u_Lambda^+ of the type-II Pieri coefficient D_(J,sigma)."""
     if cert.strip_type != "II":
         raise ValueError("coeff_D needs a type-II certificate")
-    return _coefficient(_certificate_factors, lam, cert,
-                        eval_point(lam, "plus"))
+    return _certificate_factors(lam, cert, eval_point(lam, "plus")).expand()
 
 
 def _delta_t_factors(m, point) -> _Factored:
@@ -251,11 +228,10 @@ def _delta_t_factors(m, point) -> _Factored:
 def pieri_expand(lam: SuperPartition, r: int, variant: str):
     """The Pieri expansion of e_r(x_(m+1)..x_N) (upper) or
     e_r(x_1..x_m) (lower) times P_Lambda, via strip certificates and
-    factor-wise evaluation.  Each coefficient is one product of its
-    certificate's factors, the scale shared by every certificate, and
-    the divisor u_Omega^+(P_Omega), expanded once.  Terms with zero
-    coefficient are dropped.  At r = 0, e_0 = 1 and the expansion is
-    P_Lambda itself, with no certificate.
+    factor-wise evaluation.  Each coefficient is held factored until
+    it is expanded once.  Terms with zero coefficient are dropped.
+    At r = 0, e_0 = 1 and the expansion is P_Lambda itself, with no
+    certificate.
     """
     if variant not in ("upper", "lower"):
         raise ValueError(f"unknown variant {variant!r}")
@@ -276,11 +252,11 @@ def pieri_expand(lam: SuperPartition, r: int, variant: str):
     scale = _Factored.prod((_eval_factors(lam, "plus"), q_r), (delta,))
     out = []
     for cert in certs:
-        num, den = [scale], []
-        if not _certificate_factors(lam, cert, point, num, den):
+        num = _certificate_factors(lam, cert, point)
+        if num.is_zero():
             continue
-        den.append(_eval_factors(cert.omg, "plus"))
-        coeff = _Factored.prod(num, den).expand()
+        coeff = _Factored.prod((num, scale),
+                               (_eval_factors(cert.omg, "plus"),)).expand()
         if not coeff.is_zero():
             out.append(PieriTerm(omega=cert.omg, certificate=cert, coeff=coeff))
     out.sort(key=lambda term: (term.omega.anti, term.omega.sym))

@@ -253,44 +253,6 @@ class TestCommandVerify:
             main(["verify", "--suite", "nonsense"])
 
 
-class TestOneParserPerProcess:
-    """main builds its parser once per process; no option given to one
-    call carries over to the next."""
-
-    def test_parser_is_built_once(self):
-        assert cli.build_parser() is cli.build_parser()
-
-    def test_cache_option_does_not_carry_over(self, tmp_path, capsys,
-                                              monkeypatch):
-        monkeypatch.delenv(cachemod.ENV_VAR, raising=False)
-        path = tmp_path / "c.jsonl"
-        code, _, _ = run(capsys, "--cache", str(path),
-                         "P", "--spart", "1;1", "--N", "3")
-        assert code == 0
-        before = path.read_bytes()
-        touched = []
-        monkeypatch.setattr(cachemod, "load", touched.append)
-        monkeypatch.setattr(cachemod, "dump_all", touched.append)
-        code, out, _ = run(capsys, "P", "--spart", "2;1", "--N", "3")
-        assert code == 0 and out
-        assert touched == []
-        assert path.read_bytes() == before
-
-    def test_check_does_not_carry_over(self, capsys, monkeypatch):
-        monkeypatch.delenv(cachemod.ENV_VAR, raising=False)
-        calls = []
-        oracle = cli.pieri_bruteforce
-        monkeypatch.setattr(cli, "pieri_bruteforce",
-                            lambda *a: calls.append(a) or oracle(*a))
-        argv = ("pieri", "--spart", "1,0;", "--N", "4", "--r", "1")
-        code, out, _ = run(capsys, *argv, "--check")
-        assert code == 0 and "check passed" in out
-        assert len(calls) == 1
-        code, out, _ = run(capsys, *argv)
-        assert code == 0 and "check passed" not in out
-        assert len(calls) == 1
-
-
 class TestCache:
     def test_roundtrip(self, tmp_path):
         path = tmp_path / "cache.jsonl"
