@@ -117,6 +117,8 @@ def cmd_pieri(args):
                          sort_keys=True))
     else:
         latex = args.format == "latex"
+        if not terms:
+            print("0")
         for t in terms:
             c = format_scalar(t.coeff, latex=latex)
             if latex:

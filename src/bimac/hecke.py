@@ -2,9 +2,11 @@
 Hecke generators T_i (and inverses), the affine generator T_0, the
 shift operator omega, Cherednik operators Y_i, and interval
 (anti)symmetrizers.  Each is one kernel on term dicts {x-exponent:
-coefficient} that only adds, negates and calls mul(c, a, b) = c q^a t^b:
-QTScalar.mul_monomial behind the XPolynomial operators, a shift on the
-Kronecker-packed integers of E's eigen check and P's construction.
+coefficient} that only adds, negates and calls mul(c, a, b) = c q^a t^b.
+Three rings use them: Q(q,t), with QTScalar.mul_monomial, behind the
+XPolynomial operators; Z[q,t], with QTPoly.mul_term, in E's Knop-Sahi
+recursion; and the Kronecker-packed integers, with a shift, in E's eigen
+check and P's construction.
 
 Operator words act right to left, so in Y_i the rightmost inverse
 generator hits the polynomial first.

@@ -13,7 +13,8 @@ its plain-versus-t cross-check on the packed quotients, all with no
 gcd; only the final normalization works in Q(q,t).  The recursion, the
 eigen check and P's construction all use hecke's one kernel per
 operator, each with the multiplication by q^a t^b of the ring it holds:
-QTScalar.mul_monomial in the recursion, a shift on the packed integers.
+QTPoly.mul_term on the recursion's Z[q,t] term dicts, a shift on the
+packed integers.
 The monic E is formed only where E itself is asked for; the cache file
 holds K.
 """
@@ -34,7 +35,6 @@ from .xpoly import XPolynomial, permute_vars
 from . import hecke
 
 _ONE = QTScalar.one()
-_T = qt_monomial(0, 1)
 
 _lock = threading.Lock()
 _E_CACHE: dict = {}
@@ -113,8 +113,11 @@ def _raise(eta):
     """(s, K) with s K = J_eta = d_eta E_eta, by the Knop-Sahi recursion
     in Knop's integral form, unchecked.
 
-    s is a _Factored scalar and every coefficient of K lies in Z[q,t];
-    no step calls a gcd.  With ebar_i(nu) the Cherednik eigenvalue:
+    s is a _Factored scalar and every coefficient of K lies in Z[q,t]:
+    the recursion holds K as a term dict {x-exponent: QTPoly} and makes
+    each coefficient a canonical QTScalar once, at the end, so no step
+    calls a gcd or does Q(q,t) arithmetic.  With ebar_i(nu) the
+    Cherednik eigenvalue:
 
     * eta_N > 0, nu = (eta_N - 1, eta_1, .., eta_(N-1)):
       J_eta = q^(-nu_1) (1 - q t^N ebar_1(nu)) x_N omega J_nu.  K takes
@@ -123,9 +126,10 @@ def _raise(eta):
       rho = ebar_(i+1)(nu)/ebar_i(nu) = q^A t^B with A, B >= 1 and
       J_eta = ((1 - rho) T_i J_nu + (1 - t) J_nu) / (t (1 - t rho)).
       The numerator is (1 - t rho) K - (1 - rho) X_i K, X_i = t - T_i the
-      exchange term, from hecke._step over Q(q,t).  Each Phi_d factor of
-      1 - t rho that s holds cancels there; K is divided exactly by the
-      others, and a division that is not exact raises ConsistencyError.
+      exchange term, from hecke._step with QTPoly.mul_term.  Each Phi_d
+      factor of 1 - t rho that s holds cancels there; K is divided
+      exactly by the others in Z[q,t], and a division that is not exact
+      raises ConsistencyError.
 
     The chain of nu is walked down to 0, then raised back up in a loop.
     s is kept as running exponents, so a long chain costs linear time.
@@ -141,16 +145,21 @@ def _raise(eta):
         steps.append((eta, nu, i))
         eta = nu
     sign, a, b, phi = 1, 0, 0, {}  # s = sign q^a t^b prod Phi^phi
-    K = XPolynomial.one(N)
-    x_N = XPolynomial.variable(N, N)
+    K = {(0,) * N: QTPoly.one()}  # x-exponent -> QTPoly
+    mul = QTPoly.mul_term
     for eta, nu, i in reversed(steps):
         if i:
             A = nu[i]
             B = row_of_circle(nu, i) - row_of_circle(nu, i + 1)
-            rho = qt_monomial(A, B)
-            K = K.scale(_ONE - _T * rho) + XPolynomial(
-                N, hecke._step(i, K.terms, None, QTScalar.mul_monomial)
-            ).scale(_ONE - rho)
+            one_t_rho = QTPoly({(0, 0): 1, (A, B + 1): -1})
+            one_rho = QTPoly({(0, 0): 1, (A, B): -1})
+            X = hecke._step(i, K, None, mul)
+            K = {e: c * one_t_rho for e, c in K.items()}
+            for e, c in X.items():
+                c = c * one_rho
+                prev = K.get(e)
+                K[e] = c if prev is None else prev + c
+            K = {e: c for e, c in K.items() if c}
             # divide by t (1 - t rho)
             binom = _Factored.binomial(0, 1, A, B + 2)
             sign, a, b = sign * binom.sign, a - binom.a, b - binom.b
@@ -162,19 +171,21 @@ def _raise(eta):
                     p = p * _cyclotomic_at(*k)[0]
             if not p.is_one():
                 try:
-                    K = K.map_coeffs(lambda c: c.exact_div(p))
+                    K = {e: c.exact_div(p) for e, c in K.items()}
                 except DivisibilityError as exc:
                     raise ConsistencyError(
                         f"the Knop-Sahi step to J_{eta} does not divide "
                         f"by {p}") from exc
         else:
-            K = x_N * hecke.apply_omega(K)
+            K = {e[:-1] + (e[-1] + 1,): c
+                 for e, c in hecke._omega(K, mul).items()}
             # multiply by q^(-nu_1) (1 - q t^N ebar_1(nu))
             binom = _Factored.binomial(0, 0, nu[0] + 1,
                                        N + 1 - row_of_circle(nu, 1))
             sign, a, b = sign * binom.sign, a + binom.a - nu[0], b + binom.b
             for k in binom.phi:
                 phi[k] = phi.get(k, 0) + 1
+    K = XPolynomial(N, {e: QTScalar(c) for e, c in K.items()})
     return _Factored(sign, a, b, {k: e for k, e in phi.items() if e}), K
 
 

@@ -467,13 +467,6 @@ class QTScalar:
     def __truediv__(self, other):
         return self * other.inverse()
 
-    def exact_div(self, p):
-        """self / p for a QTPoly p with content 1 and a positive lead
-        that divides num; DivisibilityError otherwise.  No gcd runs: the
-        quotient num / p is again primitive with a positive lead (Gauss),
-        and prime to den."""
-        return _scalar(self.c, self.num.exact_div(p), self.den)
-
     def __pow__(self, n):
         if n == 0:
             return _S_ONE

@@ -181,7 +181,19 @@ class TestCommandPieri:
         code, out, _ = run(capsys, "pieri", "--spart", "2,0;1", "--N", "5",
                            "--r", "9", "--variant", "upper")
         assert code == 0
-        assert out.strip() == ""
+        assert out == "0\n"
+
+    @pytest.mark.parametrize("fmt, zero", [("text", "0"), ("latex", "0"),
+                                           ("json", "[]")])
+    def test_zero_expansion_prints_zero(self, capsys, fmt, zero):
+        # e_1 P_(;) at N = 1, lower variant, has no term: the expansion
+        # is printed as zero in every format, and the oracle agrees
+        code, out, _ = run(capsys, "pieri", "--spart", ";", "--N", "1",
+                           "--r", "1", "--variant", "lower", "--format", fmt,
+                           "--check")
+        assert code == 0
+        assert out.splitlines() == [zero,
+                                    "# brute-force check passed (0 terms)"]
 
     @pytest.mark.parametrize("variant", ["upper", "lower"])
     def test_r0_check_passes(self, capsys, variant):

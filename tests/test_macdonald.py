@@ -177,6 +177,21 @@ class TestNonsymE:
         nonsym_E((2, 0, 1, 1))
         assert calls
 
+    def test_raise_does_no_qt_arithmetic(self, monkeypatch):
+        # the recursion runs on Z[q,t] term dicts, so it returns with
+        # Q(q,t) sums, products, monomial shifts and gcds all failing, and
+        # each coefficient of K is a canonical QTScalar with no denominator
+        def fail(*args):
+            raise AssertionError("Q(q,t) arithmetic inside _raise")
+        for name in ("__add__", "__mul__", "mul_monomial"):
+            monkeypatch.setattr(QTScalar, name, fail)
+        monkeypatch.setattr(qt, "poly_gcd", fail)
+        for eta in SWEEP:
+            _, K = macdonald._raise(eta)
+            for c in K.terms.values():
+                assert c.c.denominator == 1 and c.den.is_one(), eta
+                assert QTScalar(c.num).num == c.num, eta
+
     def test_step_divisors_and_d_eta(self):
         # each step of the recursion, run on J_nu = d_nu E_nu with Q(q,t)
         # arithmetic, gives d_eta E_eta through the closed-form scalar:
@@ -242,15 +257,19 @@ class TestBisymP:
 
     def test_c_lambda_corrected_sweep(self):
         # the closed form of the constant bisym_P produces, on every shape
-        # with N = 3 (d <= 6), N = 4 (d <= 4) and N = 5 (d <= 3), m <= 3;
-        # without the count of anti parts strictly between a_j and a_i
-        # it fails at m = 3
+        # with N = 3 (d <= 6), N = 4 (d <= 4) and N = 5 (d <= 3), m <= 3,
+        # and at m = 4 with N = 4 (d <= 8), N = 5 (d <= 7) and N = 6
+        # (d <= 6); without the count of anti parts strictly between a_j
+        # and a_i it fails at m = 3
         shapes = [sp for N, top in ((3, 6), (4, 4), (5, 3))
                   for m in range(min(N, 3) + 1) for d in range(top + 1)
                   for sp in superpartitions(d, m, N)]
         assert [sum(1 for sp in shapes if sp.m == m) for m in range(4)] == \
             [42, 89, 58, 11]
-        for sp in shapes:
+        m4 = [sp for N, top in ((4, 8), (5, 7), (6, 6))
+              for d in range(top + 1) for sp in superpartitions(d, 4, N)]
+        assert len(m4) == 8
+        for sp in shapes + m4:
             assert bisym_P(sp).c_lam == c_lambda_corrected(sp), sp
 
     def test_c_formula_values(self):
