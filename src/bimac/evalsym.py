@@ -8,6 +8,11 @@ the same Omega, so a process that expands many of them (as
 ``verify --suite pieri`` does) evaluates each Omega once.  A single
 expansion meets each Omega once and gains nothing.  A memoized value
 is shared, so no caller changes it in place.
+
+The evaluation symmetry divides by the two staircase norms
+u_Lambda0(P_Lambda) of its pair; a sweep keeps them in a dict of its
+own (``_symmetry_holds``), so it evaluates each (Lambda, sign) norm
+once and no module-level memo holds them.
 """
 
 from __future__ import annotations
@@ -75,13 +80,22 @@ def eval_formula(lam: SuperPartition, sign: str) -> QTScalar:
 def symmetry_check(lam: SuperPartition, omg: SuperPartition, sign: str) -> bool:
     """u_Omega(P~_Lambda) = u_Lambda(P~_Omega) with the staircase-
     normalized polynomials, checked exactly."""
+    return _symmetry_holds(lam, omg, sign, {})
+
+
+def _symmetry_holds(lam, omg, sign, norms) -> bool:
+    """``symmetry_check`` with the staircase norms of (Lambda, sign)
+    taken from, or added to, the caller's dict norms, so that a sweep
+    evaluates each once."""
     if lam.m != omg.m or lam.N != omg.N:
         raise ValueError("superpartitions must share m and N")
     p_lam = bisym_P(lam).poly
     p_omg = bisym_P(omg).poly
     nought = lambda_naught(lam.m, lam.N)
-    norm_lam = evaluate(nought, sign, p_lam)
-    norm_omg = evaluate(nought, sign, p_omg)
+    for sp, p in ((lam, p_lam), (omg, p_omg)):
+        if (sp, sign) not in norms:
+            norms[sp, sign] = evaluate(nought, sign, p)
+    norm_lam, norm_omg = norms[lam, sign], norms[omg, sign]
     if norm_lam.is_zero() or norm_omg.is_zero():
         raise DegenerateEvaluationError("staircase evaluation vanished")
     lhs = evaluate(omg, sign, p_lam) / norm_lam

@@ -14,6 +14,13 @@ Each helper collects its factors and divisors and forms them with one
 ``_Factored.prod``; the binomials and the staircase evaluations
 u_Omega^+(P_Omega) come from memos, and the sigma data of a certificate
 is computed once.
+
+The right side of the operator identity is summed over one common
+denominator: each C/D coefficient stays factored, the lcm D of their
+denominators is each Phi factor to its largest negative exponent, and
+every coefficient times D is a Laurent polynomial.  Its products with
+f's integer numerators at the transformed points are added as integers
+and divided by D once, so no Q(q,t) sum runs per term.
 """
 
 from __future__ import annotations
@@ -25,11 +32,12 @@ from itertools import combinations
 from .errors import ConsistencyError, DegenerateEvaluationError
 from .evalsym import _eval_factors
 from .macdonald import expand_in_P_basis, bisym_P, is_bisymmetric
-from .qt import QTScalar, _Factored
+from .qt import (QTScalar, _Factored, _add_product, _laurent_div,
+                 _laurent_scalar)
 from .sparts import (StripCertificate, SuperPartition, enumerate_strips,
                      eval_point, perm_inverse)
-from .xpoly import (EvalPoint, XPolynomial, elementary_symmetric, specialize,
-                    vandermonde)
+from .xpoly import (EvalPoint, XPolynomial, _numerators_at,
+                    elementary_symmetric, specialize, vandermonde)
 from . import hecke
 
 _ONE = QTScalar.one()
@@ -191,14 +199,6 @@ def _D_factors(m, r, J, sigma, point) -> _Factored:
                            *_k_sigma_delta_at(sigma, m, ss, point, J)))
 
 
-def _coeff_C_at(m, r, J, L, sigma, point) -> QTScalar:
-    return _C_factors(m, r, J, L, sigma, point).expand()
-
-
-def _coeff_D_at(m, r, J, sigma, point) -> QTScalar:
-    return _D_factors(m, r, J, sigma, point).expand()
-
-
 def _certificate_factors(lam, cert, point) -> _Factored:
     """The coefficient of the certificate at u_Lambda^+'s point."""
     if cert.strip_type == "I":
@@ -307,17 +307,6 @@ def _coset_reps(m, N, allowed):
     return reps
 
 
-def _apply_shift_perm_eval(f, sigma, J, point) -> QTScalar:
-    """(tau_J K_sigma f) at the point, via the transformed point."""
-    coords = []
-    for i in range(1, f.nvars + 1):
-        a, b = point.coords[sigma[i - 1] - 1]
-        if sigma[i - 1] in J:
-            a += 1
-        coords.append((a, b))
-    return specialize(f, EvalPoint(tuple(coords)))
-
-
 def _generic_point(N, seed):
     """A deterministic q,t-monomial point with well-separated exponents."""
     rng = random.Random(seed)
@@ -371,8 +360,13 @@ def op_identity_check(m: int, r: int, f: XPolynomial, variant: str) -> bool:
 
 
 def _rhs_at(m, r, f, variant, point):
+    """The sum of C/D tau_J K_sigma f at the point, over one common
+    denominator: f's, times D, the product of each Phi factor of the
+    coefficients to its largest negative exponent (an lcm with no gcd).
+    Each coefficient times D is a Laurent polynomial; its products with
+    f's numerators are summed as integers and reduced once."""
     N = f.nvars
-    total = []
+    coeffs, points = [], []
     if variant == "upper":
         blocks = combinations(range(m + 1, N + 1), r)
     else:
@@ -387,9 +381,31 @@ def _rhs_at(m, r, f, variant, point):
             # coset; the image-set form is J inside sigma([m])
             if variant == "lower" and not Jset <= set(sigma[:m]):
                 continue
-            c = _coeff_C_at(m, r, Jset, L, sigma, point) if variant == "upper" \
-                else _coeff_D_at(m, r, Jset, sigma, point)
+            c = _C_factors(m, r, Jset, L, sigma, point) if variant == "upper" \
+                else _D_factors(m, r, Jset, sigma, point)
             if c.is_zero():
                 continue
-            total.append(c * _apply_shift_perm_eval(f, sigma, Jset, point))
-    return QTScalar.sum(total)
+            coeffs.append(c)
+            # (tau_J K_sigma f) at the point is f at this one
+            points.append(tuple(_coord(point, s, Jset) for s in sigma))
+    exps = {}
+    for c in coeffs:
+        for k, e in c.phi.items():
+            if -e > exps.get(k, 0):
+                exps[k] = -e
+    D = _Factored(1, 0, 0, exps)
+    content, den, nums = _numerators_at(f, points)
+    total = {}
+    for c, num in zip(coeffs, nums):
+        _add_product(total, (c * D).laurent(), num)
+    if not total:
+        return QTScalar.zero()
+    # where the identity holds, total / D is the left side at f's
+    # integral numerator, a Laurent polynomial (e_r(Y) keeps integral
+    # coefficients integral): one exact division; else one gcd
+    d_terms = D.laurent()
+    quotient = _laurent_div(total, d_terms)
+    if quotient is None:
+        return _laurent_scalar(content, total,
+                               _add_product({}, den.terms, d_terms))
+    return _laurent_scalar(content, quotient, den.terms)

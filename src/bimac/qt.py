@@ -491,18 +491,6 @@ class QTScalar:
             return _scalar(self.c, na, da)
         return _reduce(self.c, na, da)
 
-    @staticmethod
-    def sum(items):
-        """Sum of QTScalars, grouping by denominator first."""
-        groups = {}
-        for s in items:
-            if s.num.terms:
-                groups.setdefault(s.den, []).append((s.c, s.num))
-        total = _S_ZERO
-        for den, group in groups.items():
-            total = total + _reduce(*_combine(group), den)
-        return total
-
     # -- substitution --------------------------------------------------
     def invert_parameters(self):
         """The image under q -> 1/q, t -> 1/t."""
@@ -582,6 +570,70 @@ def _reduce(c, num, den):
     if cn != cd:
         c = c * Fraction(cn, cd)
     return _scalar(c, num, den)
+
+
+def _poly_lcm(polys):
+    """The lcm of nonzero primitive polynomials with positive leads, one
+    ``poly_gcd`` per polynomial after the first; 1 for none."""
+    polys = iter(polys)
+    out = next(polys, _P_ONE)
+    for p in polys:
+        out = out * p.exact_div(poly_gcd(out, p))
+    return out
+
+
+def _add_product(out, f, g):
+    """Add the product of the integer Laurent term dicts f and g, keyed
+    (q-exponent, t-exponent), into the term dict out; return out."""
+    for (a1, b1), c1 in f.items():
+        for (a2, b2), c2 in g.items():
+            k = (a1 + a2, b1 + b2)
+            s = out.get(k, 0) + c1 * c2
+            if s:
+                out[k] = s
+            else:
+                del out[k]
+    return out
+
+
+def _shifted(terms):
+    """(p, a, b): the term dict p of least exponents 0 with terms =
+    q^a t^b p."""
+    a, b = min(k for k, _ in terms), min(k for _, k in terms)
+    return {(x - a, y - b): v for (x, y), v in terms.items()}, a, b
+
+
+def _laurent_div(num, den):
+    """num/den for nonzero integer Laurent term dicts if den divides num
+    in Z[q^±1, t^±1], else None; one division."""
+    num, na, nb = _shifted(num)
+    den, da, db = _shifted(den)
+    out = _div_terms(num, den)
+    if out is None:
+        return None
+    return {(x + na - da, y + nb - db): v for (x, y), v in out.items()}
+
+
+def _laurent_scalar(c, num, den):
+    """The canonical scalar c*num/den, for a Fraction c and integer
+    Laurent term dicts num and den (den nonzero), with at most one gcd.
+
+    Both dicts are shifted onto their least exponents, so neither side
+    is divisible by q or t, and the net monomial goes to one side.  A
+    monomial den is then prime to num, and only the contents cancel.
+    """
+    if not num:
+        return _S_ZERO
+    num, na, nb = _shifted(num)
+    den, da, db = _shifted(den)
+    sa, sb = na - da, nb - db
+    num = _poly(num).mul_term(max(sa, 0), max(sb, 0))
+    den = _poly(den).mul_term(max(-sa, 0), max(-sb, 0))
+    if len(den.terms) > 1:
+        return _reduce(c, num, den)
+    cn, num = num.content_split()
+    cd, den = den.content_split()
+    return _scalar(c * Fraction(cn, cd), num, den)
 
 
 def _json_rows(p, c):
@@ -740,13 +792,10 @@ class _Factored:
     def __truediv__(self, other):
         return _Factored.prod((self,), (other,))
 
-    def expand(self) -> QTScalar:
-        """The canonical QTScalar.  The two sides are products of
-        distinct Phi_d(v), shifted off q and t, so they are coprime and
-        (by Gauss's lemma) primitive; only the signs of their leads are
-        left to fold into c."""
-        if not self.sign:
-            return _S_ZERO
+    def _sides(self):
+        """(num, den, a, b) with self = sign q^a t^b num/den: num and den
+        the products of the factors of positive and of negative exponent,
+        each as the polynomial of ``_cyclotomic_at``."""
         a, b, sides = self.a, self.b, [_P_ONE, _P_ONE]
         for (d, va, vb), e in self.phi.items():
             p, sa, sb = _cyclotomic_at(d, va, vb)
@@ -754,8 +803,30 @@ class _Factored:
             b -= sb * e
             for _ in range(abs(e)):
                 sides[e < 0] = sides[e < 0] * p
-        num = sides[0].mul_term(max(a, 0), max(b, 0))
-        den = sides[1].mul_term(max(-a, 0), max(-b, 0))
+        return sides[0], sides[1], a, b
+
+    def laurent(self):
+        """The integer Laurent term dict of a product with no divisor,
+        keyed (q-exponent, t-exponent)."""
+        if not self.sign:
+            return {}
+        num, den, a, b = self._sides()
+        if not den.is_one():
+            raise ValueError("a product with a divisor is not a Laurent "
+                             "polynomial")
+        return {(x + a, y + b): self.sign * v
+                for (x, y), v in num.terms.items()}
+
+    def expand(self) -> QTScalar:
+        """The canonical QTScalar.  The two sides are products of
+        distinct Phi_d(v), shifted off q and t, so they are coprime and
+        (by Gauss's lemma) primitive; only the signs of their leads are
+        left to fold into c."""
+        if not self.sign:
+            return _S_ZERO
+        num, den, a, b = self._sides()
+        num = num.mul_term(max(a, 0), max(b, 0))
+        den = den.mul_term(max(-a, 0), max(-b, 0))
         c = self.sign
         if num.leading()[1] < 0:
             c, num = -c, -num

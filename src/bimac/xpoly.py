@@ -1,15 +1,23 @@
 """Sparse polynomials in x_1..x_N over Q(q,t), plus the variable
 actions (permutation, q-shift, exact division, specialization) the
 operator algebra is built from.
+
+Specialization at a monomial point sums no fractions: each term's
+numerator is brought over the lcm of f's few distinct coefficient
+denominators once, the terms are added as integers, and the sum is
+reduced once (``_numerators_at``, which the Pieri operator identity
+shares).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations
+from math import lcm as _ilcm
 
 from .errors import DivisibilityError
-from .qt import QTScalar, qt_monomial
+from .qt import QTScalar, _laurent_scalar, _poly_lcm, qt_monomial
 
 _ZERO = QTScalar.zero()
 _ONE = QTScalar.one()
@@ -280,20 +288,55 @@ def divided_difference(f: XPolynomial, i: int) -> XPolynomial:
     return _xpoly(n, out)
 
 
+def _numerators_at(f: XPolynomial, points):
+    """(c, den, nums): f at the i-th point, a tuple of coordinates
+    (a_j, b_j) for x_j -> q^(a_j) t^(b_j), is c * nums[i] / den.
+
+    c is 1 over the lcm of the rational contents of f's coefficients,
+    den the lcm of their denominators (a QTPoly) and each num an integer
+    Laurent term dict {(q-exponent, t-exponent): int}.  The lcm costs
+    one ``poly_gcd`` per distinct denominator after the first and none
+    per point or term; every term's numerator is brought over den once.
+    """
+    coeffs = f.terms.values()
+    den = _poly_lcm(dict.fromkeys(s.den for s in coeffs))
+    lcd = _ilcm(*(s.c.denominator for s in coeffs))
+    cofactors = {}
+    rows = []
+    for e, s in f.terms.items():
+        cof = cofactors.get(s.den)
+        if cof is None:
+            cof = cofactors[s.den] = den.exact_div(s.den)
+        rows.append((e, (s.num * cof).terms,
+                     s.c.numerator * (lcd // s.c.denominator)))
+    nums = []
+    for coords in points:
+        out = {}
+        for e, terms, k in rows:
+            da = db = 0
+            for n, (a, b) in zip(e, coords):
+                if n:
+                    da += n * a
+                    db += n * b
+            for (a, b), v in terms.items():
+                key = (a + da, b + db)
+                total = out.get(key, 0) + k * v
+                if total:
+                    out[key] = total
+                else:
+                    del out[key]
+        nums.append(out)
+    return Fraction(1, lcd), den, nums
+
+
 def specialize(f: XPolynomial, point) -> QTScalar:
-    """Substitute x_i -> q^(a_i) t^(b_i) and return the exact value."""
+    """Substitute x_i -> q^(a_i) t^(b_i) and return the exact value,
+    summed as integers over f's common denominator and reduced once."""
     coords = point.coords if isinstance(point, EvalPoint) else tuple(point)
     if len(coords) != f.nvars:
         raise ValueError("evaluation point length does not match nvars")
-    vals = []
-    for e, c in f.terms.items():
-        a = b = 0
-        for k, (da, db) in zip(e, coords):
-            if k:
-                a += k * da
-                b += k * db
-        vals.append(c.mul_monomial(a, b))
-    return QTScalar.sum(vals)
+    c, den, (num,) = _numerators_at(f, (coords,))
+    return _laurent_scalar(c, num, den.terms)
 
 
 def elementary_symmetric(r: int, interval, nvars: int) -> XPolynomial:

@@ -439,7 +439,8 @@ class TestEOfY:
     def test_power_sum_on_one(self):
         N = 3
         e1 = hecke.apply_e_of_Y(1, (1, N), XPolynomial.one(N))
-        expect = QTScalar.sum([qt_monomial(0, 1 - i) for i in range(1, N + 1)])
+        expect = sum((qt_monomial(0, 1 - i) for i in range(1, N + 1)),
+                     QTScalar.zero())
         assert e1 == XPolynomial.one(N).scale(expect)
 
     def test_e0_is_identity(self):

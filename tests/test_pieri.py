@@ -1,12 +1,15 @@
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
 from bimac.errors import DegenerateEvaluationError
 from bimac.evalsym import _eval_factors
-from bimac.pieri import (SigmaSets, _delta_t_factors, coeff_C,
-                         expansions_equal, op_identity_check, pieri_bruteforce,
-                         pieri_expand, phi_at)
+from bimac.pieri import (_OP_SEED, SigmaSets, _C_factors, _D_factors,
+                         _coset_reps, _delta_t_factors, _generic_point,
+                         _rhs_at, coeff_C, expansions_equal,
+                         op_identity_check, pieri_bruteforce, pieri_expand,
+                         phi_at)
 from bimac.qt import QTScalar, qt_monomial
 from bimac.sparts import (SuperPartition, enumerate_strips, eval_point,
                           format_spart, perm_inverse, superpartitions)
@@ -109,7 +112,6 @@ class TestCoefficients:
             coeff_C(lam, cert)
 
     def test_coset_invariance(self):
-        from bimac.pieri import _coeff_C_at
         lam = SuperPartition((2, 0), (1,), 5)
         point = eval_point(lam, "plus")
         for cert in enumerate_strips(lam, 2, "I"):
@@ -117,12 +119,13 @@ class TestCoefficients:
             sigma = cert.sigma
             # right-multiply by the transposition of the first block
             swapped = (sigma[1], sigma[0]) + sigma[2:]
-            again = _coeff_C_at(lam.m, cert.r, cert.J, cert.L, swapped, point)
+            again = _C_factors(lam.m, cert.r, cert.J, cert.L, swapped,
+                               point).expand()
             assert base == again
             # and by a transposition inside the second block
             swapped2 = sigma[:2] + (sigma[3], sigma[2]) + sigma[4:]
-            assert base == _coeff_C_at(lam.m, cert.r, cert.J, cert.L,
-                                       swapped2, point)
+            assert base == _C_factors(lam.m, cert.r, cert.J, cert.L,
+                                      swapped2, point).expand()
 
     def test_delta_t_nonvanishing(self):
         for m in (1, 2):
@@ -206,7 +209,6 @@ class TestVanishing:
     def test_vanishing_outside_superevaluations(self):
         # u+ of the type-I coefficient vanishes whenever the reordered
         # target fails to generate a superevaluation
-        from bimac.pieri import _coeff_C_at
         from bimac.sparts import (is_superevaluation,
                                   minimal_sorting_permutation, perm_act,
                                   perm_compose)
@@ -240,7 +242,7 @@ class TestVanishing:
                     except ValueError:
                         omg = None
                         ok = False
-                    val = _coeff_C_at(m, r, Jset, L, sigma_adj, point)
+                    val = _C_factors(m, r, Jset, L, sigma_adj, point).expand()
                     if not ok:
                         assert val.is_zero(), (J, sigma)
                     elif not val.is_zero():
@@ -269,9 +271,8 @@ class TestDegenerateEvaluation:
         (((6, 1), (6, 0), (5, 0), (9, 9)), "X_2 - X_3 in Phi"),
     ])
     def test_C_raises(self, coords, where):
-        from bimac.pieri import _coeff_C_at
         with pytest.raises(DegenerateEvaluationError, match=where):
-            _coeff_C_at(*self.C_ARGS, EvalPoint(coords))
+            _C_factors(*self.C_ARGS, EvalPoint(coords)).expand()
 
     @pytest.mark.parametrize("coords, where", [
         # J x [m+1, N] outer product: X_1 = X_4
@@ -280,24 +281,21 @@ class TestDegenerateEvaluation:
         (((0, 0), (1, 0), (0, 2), (9, 9)), "X_1 - X_2"),
     ])
     def test_D_raises(self, coords, where):
-        from bimac.pieri import _coeff_D_at
         with pytest.raises(DegenerateEvaluationError, match=where):
-            _coeff_D_at(*self.D_ARGS, EvalPoint(coords))
+            _D_factors(*self.D_ARGS, EvalPoint(coords)).expand()
 
     def test_C_vanishing_block_factor_comes_first(self):
         # t X_1 = X_2 empties the block product, so the inner pair with
         # q X_3 = X_1 is never divided by
-        from bimac.pieri import _coeff_C_at
         point = EvalPoint(((6, 0), (6, 1), (5, 0), (9, 9)))
-        assert _coeff_C_at(*self.C_ARGS, point).is_zero()
+        assert _C_factors(*self.C_ARGS, point).expand().is_zero()
 
     @pytest.mark.parametrize("x4", [(9, 9), (0, 0)])
     def test_D_vanishing_outer_factor_comes_first(self, x4):
         # t X_1 = X_3 empties the outer product before its pair (1, 4)
         # (X_1 = X_4 when x4 = (0, 0)) and the inner pair q X_1 = X_2
-        from bimac.pieri import _coeff_D_at
         point = EvalPoint(((0, 0), (1, 0), (0, 1), x4))
-        assert _coeff_D_at(*self.D_ARGS, point).is_zero()
+        assert _D_factors(*self.D_ARGS, point).expand().is_zero()
 
 
 def pieri_sweep(N=5, max_deg=4):
@@ -375,6 +373,100 @@ class TestOperatorIdentity:
             op_identity_check(1, 1, XPolynomial.variable(2, 3), "upper")
 
 
+def _rhs_per_coefficient(m, r, f, variant, point):
+    """The reference route for ``_rhs_at``: each coefficient expanded to
+    a QTScalar, times f's value summed term by term, and the products
+    added one QTScalar at a time."""
+    N = f.nvars
+    lo = m + 1 if variant == "upper" else 1
+    total = QTScalar.zero()
+    for J in combinations(range(lo, N + 1), r):
+        Jset = frozenset(J)
+        L = frozenset(range(m + 1, N + 1)) - Jset
+        for sigma in _coset_reps(m, N, frozenset(range(1, N + 1)) - L):
+            if variant == "upper":
+                c = _C_factors(m, r, Jset, L, sigma, point).expand()
+            elif Jset <= set(sigma[:m]):
+                c = _D_factors(m, r, Jset, sigma, point).expand()
+            else:
+                continue
+            coords = [(point.coords[s - 1][0] + (s in Jset),
+                       point.coords[s - 1][1]) for s in sigma]
+            value = QTScalar.zero()
+            for e, v in f.terms.items():
+                a = sum(k * da for k, (da, _) in zip(e, coords))
+                b = sum(k * db for k, (_, db) in zip(e, coords))
+                value = value + v.mul_monomial(a, b)
+            total = total + c * value
+    return total
+
+
+# every (N, m, r, variant) of the operator identity at N = 3, 4
+RHS_CASES = [(N, m, r, variant) for N in (3, 4) for m in range(1, N)
+             for variant in ("upper", "lower")
+             for r in range(1, (N - m if variant == "upper" else m) + 1)]
+
+
+class TestRhsCommonDenominator:
+    """``_rhs_at`` sums over one common denominator; the reference adds
+    the expanded coefficients one QTScalar at a time."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("N, m, r, variant", RHS_CASES)
+    def test_matches_per_coefficient_sum(self, N, m, r, variant, k):
+        f = elementary_symmetric(1, (1, m), N) * \
+            elementary_symmetric(1, (m + 1, N), N)
+        point = _generic_point(N, _OP_SEED + k)
+        assert _rhs_at(m, r, f, variant, point) == \
+            _rhs_per_coefficient(m, r, f, variant, point)
+
+    def test_case_count(self):
+        assert len(RHS_CASES) * 3 == 54
+
+    @staticmethod
+    def _rational_inputs(N, m):
+        """A bisymmetric f with three distinct denominators, whose sum
+        over D is a Laurent polynomial, and a non-bisymmetric one with
+        two, whose sum is not, so that the final gcd runs."""
+        return [(3, elementary_symmetric(1, (1, m), N).scale(
+                    QTScalar.from_fraction(Fraction(1, 3)) / (ONE - Q * T)) +
+                 elementary_symmetric(1, (m + 1, N), N).scale(
+                     T / (ONE - Q * Q)) +
+                 XPolynomial.one(N).scale(ONE / (ONE - Q))),
+                (2, XPolynomial.monomial((1,) + (0,) * (N - 2) + (2,),
+                                         ONE / (ONE - Q)) +
+                 XPolynomial.variable(2, N).scale(T))]
+
+    def test_gcd_calls_do_not_grow_with_terms(self, monkeypatch):
+        # at most one poly_gcd per distinct denominator of f and one
+        # reduction, at N = 4 as at N = 3, however many (J, sigma)
+        # terms the sum has; the value is checked against the reference
+        # at N = 3, where that route is quick
+        from bimac import qt as qtmod
+        real = qtmod.poly_gcd
+        for N, m, r, variant in RHS_CASES:
+            point = _generic_point(N, _OP_SEED + 1)
+            for k, f in self._rational_inputs(N, m):
+                calls = []
+                monkeypatch.setattr(qtmod, "poly_gcd",
+                                    lambda f, g: calls.append(1) or real(f, g))
+                value = _rhs_at(m, r, f, variant, point)
+                monkeypatch.setattr(qtmod, "poly_gcd", real)
+                assert len(calls) <= k + 1, (N, m, r, variant, k)
+                if N == 3:
+                    assert value == _rhs_per_coefficient(m, r, f, variant,
+                                                         point)
+
+    def test_integral_input_makes_no_gcd_call(self, monkeypatch):
+        from bimac import qt as qtmod
+        monkeypatch.setattr(qtmod, "poly_gcd", None)
+        f = elementary_symmetric(1, (1, 2), 4) * \
+            elementary_symmetric(1, (3, 4), 4)
+        for k in (1, 2, 3):
+            for variant in ("upper", "lower"):
+                _rhs_at(2, 2, f, variant, _generic_point(4, _OP_SEED + k))
+
+
 class TestClassicalLimit:
     def test_fermionic_degree_zero_pieri(self):
         # with no fermionic rows the machinery degenerates to the
@@ -390,7 +482,6 @@ class TestClassicalLimit:
 class TestVanishingLower:
     def test_vanishing_outside_superevaluations_lower(self):
         # the type-II coefficient vanishes in the same circumstances
-        from bimac.pieri import _coeff_D_at
         from bimac.sparts import (is_superevaluation,
                                   minimal_sorting_permutation, perm_act,
                                   perm_compose)
@@ -426,7 +517,7 @@ class TestVanishingLower:
                             omg, perm_compose(w, sigma_adj))
                     except ValueError:
                         omg, ok = None, False
-                    val = _coeff_D_at(m, r, Jset, sigma_adj, point)
+                    val = _D_factors(m, r, Jset, sigma_adj, point).expand()
                     if not ok:
                         assert val.is_zero(), (J, sigma)
                     elif not val.is_zero():

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -117,6 +119,83 @@ def test_specialize_examples():
 def test_specialize_is_multiplicative(f, g):
     p = EvalPoint(((1, 0), (0, 1), (1, 1)))
     assert specialize(f * g, p) == specialize(f, p) * specialize(g, p)
+
+
+def _specialize_per_term(f, coords):
+    """The reference route: each term's value added as a QTScalar."""
+    total = QTScalar.zero()
+    for e, c in f.terms.items():
+        a = sum(k * da for k, (da, _) in zip(e, coords))
+        b = sum(k * db for k, (_, db) in zip(e, coords))
+        total = total + c.mul_monomial(a, b)
+    return total
+
+
+# 1 - q^a t^b: (1, 0) and (2, 0) share Phi_1(q), (1, 1) and (2, 2)
+# share Phi_1(qt)
+_BINOMIALS = ((1, 0), (2, 0), (3, 0), (1, 1), (2, 2), (0, 1))
+
+
+@st.composite
+def rational_coeffs(draw):
+    """Nonzero scalars with rational contents and mixed denominators."""
+    content = Fraction(draw(st.integers(-6, 6).filter(bool)),
+                       draw(st.integers(1, 6)))
+    c = QTScalar.from_fraction(content) * qt_monomial(
+        draw(st.integers(-2, 2)), draw(st.integers(-2, 2)))
+    if draw(st.booleans()):
+        c = c * (Q + T.mul_monomial(0, 1))
+    for a, b in draw(st.lists(st.sampled_from(_BINOMIALS), max_size=3)):
+        c = c / (ONE - qt_monomial(a, b))
+    return c
+
+
+@st.composite
+def rational_polys(draw, nvars=3):
+    terms = draw(st.dictionaries(
+        st.tuples(*[st.integers(0, 2)] * nvars), rational_coeffs(),
+        max_size=5))
+    return XPolynomial(nvars, terms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rational_polys(), st.tuples(*[st.tuples(st.integers(-3, 3),
+                                               st.integers(-3, 3))] * 3),
+       st.booleans())
+def test_specialize_matches_per_term_sum(f, coords, cancel):
+    if cancel:
+        # the terms of f (x_1 - x_2) cancel in the sum at x_1 = x_2
+        f = f * (x(1, 3) - x(2, 3))
+        coords = (coords[0], coords[0], coords[2])
+    value = specialize(f, EvalPoint(coords))
+    assert value == _specialize_per_term(f, coords)
+    if cancel:
+        assert value.is_zero()
+
+
+def test_specialize_gcd_calls(monkeypatch):
+    # one poly_gcd per distinct denominator of P_Lambda at most, plus
+    # one for the reduction, at every point, however many terms P has
+    from bimac import qt
+    from bimac.macdonald import bisym_P
+    from bimac.sparts import eval_point, superpartitions
+    sps = [sp for m in (1, 2) for d in range(4)
+           for sp in superpartitions(d, m, 4)]
+    calls = []
+    real = qt.poly_gcd
+    monkeypatch.setattr(qt, "poly_gcd",
+                        lambda f, g: calls.append(1) or real(f, g))
+    checked = 0
+    for lam in sps:
+        P = bisym_P(lam).poly
+        k = len({c.den for c in P.terms.values()})
+        for omg in sps:
+            if omg.m == lam.m:
+                calls.clear()
+                specialize(P, eval_point(omg, "plus"))
+                assert len(calls) <= k + 1, (lam, omg)
+                checked += 1
+    assert checked == 260
 
 
 def test_elementary_symmetric():
