@@ -58,33 +58,32 @@ def _uses_cache(args):
             or args.command == "pieri" and args.check)
 
 
+def _print_xpoly(f, fmt, record=lambda poly: poly):
+    """Print f as latex or text, or as json: the record holding f's
+    json form."""
+    if fmt == "json":
+        print(json.dumps(record(xpoly_to_json(f)), sort_keys=True))
+    else:
+        print(format_xpoly(f, latex=fmt == "latex"))
+
+
 def cmd_E(args):
     eta = _parse_eta(args.eta)
     if args.N is not None and args.N != len(eta):
         raise _UsageError("--N disagrees with the composition length")
-    elem = nonsym_E(eta)
-    if args.format == "json":
-        print(json.dumps(xpoly_to_json(elem.poly), sort_keys=True))
-    elif args.format == "latex":
-        print(format_xpoly(elem.poly, latex=True))
-    else:
-        print(format_xpoly(elem.poly))
+    _print_xpoly(nonsym_E(eta).poly, args.format)
     return 0
 
 
 def cmd_P(args):
     lam = _parse_spart(args)
     elem = bisym_P(lam)
-    if args.format == "json":
-        print(json.dumps({"spart": format_spart(lam),
-                          "c": elem.c_lam.to_json(),
-                          "poly": xpoly_to_json(elem.poly)}, sort_keys=True))
-    elif args.format == "latex":
-        print(format_xpoly(elem.poly, latex=True))
-    elif args.format == "diagram":
+    if args.format == "diagram":
         print(diagram_latex(lam))
     else:
-        print(format_xpoly(elem.poly))
+        _print_xpoly(elem.poly, args.format, lambda poly: {
+            "spart": format_spart(lam), "c": elem.c_lam.to_json(),
+            "poly": poly})
     return 0
 
 

@@ -1,5 +1,6 @@
 """The operator algebra acting on XPolynomial: exchange operators K,
-Hecke generators T_i (and inverses), the affine generator T_0, the
+Hecke generators T_i (and inverses), the affine generator T_0 (its
+s_0 f, x_1 -> q x_N and x_N -> x_1/q, formed in one term map), the
 shift operator omega, Cherednik operators Y_i, and interval
 (anti)symmetrizers.  Each is one kernel on term dicts {x-exponent:
 coefficient} that only adds, negates and calls mul(c, a, b) = c q^a t^b.
@@ -18,8 +19,7 @@ from itertools import combinations
 
 from .errors import DivisibilityError
 from .qt import QTPoly, QTScalar, qt_monomial
-from .xpoly import (XPolynomial, _xpoly, permute_vars, q_shift,
-                    q_shift_inverse)
+from .xpoly import XPolynomial, _xpoly, permute_vars
 
 _T = qt_monomial(0, 1)
 _TINV = qt_monomial(0, -1)
@@ -234,12 +234,16 @@ def apply_T_inv(i: int, f: XPolynomial) -> XPolynomial:
 
 
 def apply_T0(f: XPolynomial) -> XPolynomial:
-    """T_0 f = t f + (q t x_N - x_1) (g - f)/(q x_N - x_1), g the image
-    of f under K_(1,N) and the q-shift pair; that is t g + (t - 1) x_1
-    times the quotient."""
+    """T_0 f = t f + (q t x_N - x_1) (g - f)/(q x_N - x_1), g = s_0 f the
+    image of c x^e under x_1 -> q x_N, x_N -> x_1/q: c q^(e_1 - e_N) times
+    x^e with e_1 and e_N swapped (g = f at N = 1).  That is t g + (t - 1)
+    x_1 times the quotient."""
     n = f.nvars
-    g = permute_vars(q_shift(q_shift_inverse(f, (n,)), (1,)),
-                     tuple([n] + list(range(2, n)) + [1]))
+    g = f
+    if n > 1:
+        g = _xpoly(n, {e[-1:] + e[1:-1] + e[:1]:
+                       _QT(c, e[0] - e[-1], 0) if e[0] != e[-1] else c
+                       for e, c in f.terms.items()})
     quotient = _divide((g - f).terms, n, 1, 1, 0, _QT)
     return g.scale(_T) + _xpoly(n, {(e[0] + 1,) + e[1:]: c for e, c in
                                     quotient.items()}).scale(_T - _ONE)

@@ -15,8 +15,8 @@ eigen check and P's construction all use hecke's one kernel per
 operator, each with the multiplication by q^a t^b of the ring it holds:
 QTPoly.mul_term on the recursion's Z[q,t] term dicts, a shift on the
 packed integers.
-The monic E is formed only where E itself is asked for; the cache file
-holds K.
+The monic E is formed only where E itself is asked for, and is not
+kept: the process holds each checked K, and so does the cache file.
 """
 
 from __future__ import annotations
@@ -31,13 +31,12 @@ from .qt import (QTPoly, QTScalar, _cyclotomic_at, _Factored, qt_monomial,
                  t_bracket_factorial)
 from .sparts import (SuperPartition, format_spart, row_of_circle,
                      sorting_permutation, superpartitions)
-from .xpoly import XPolynomial, permute_vars
+from .xpoly import XPolynomial
 from . import hecke
 
 _ONE = QTScalar.one()
 
 _lock = threading.Lock()
-_E_CACHE: dict = {}
 _P_CACHE: dict = {}
 # eta -> checked K, a multiple of E_eta with coefficients in Z[q,t]
 _K_CACHE: dict = {}
@@ -60,7 +59,6 @@ class PBasisElement:
 
 def clear_caches():
     with _lock:
-        _E_CACHE.clear()
         _P_CACHE.clear()
         _K_CACHE.clear()
         _K_UNCHECKED.clear()
@@ -247,21 +245,15 @@ def nonsym_E(eta) -> EBasisElement:
     from bounds on the difference's coefficients and t-degree so that it
     is injective there.  Y_i is linear, so this is the same check on E,
     exact and with no gcd.  A failed check raises ConsistencyError, or
-    CacheRecordError naming the record's file and line; only checked
-    results are cached.  E itself is K divided by its coefficient at
-    x^eta, formed only here; it is the same for every nonzero multiple K.
+    CacheRecordError naming the record's file and line; only a checked K
+    is cached.  E itself is K divided by its coefficient at x^eta, formed
+    here on each call; it is the same for every nonzero multiple K.
     """
     eta = tuple(int(x) for x in eta)
     if any(x < 0 for x in eta):
         raise ValueError("composition entries must be nonnegative")
-    cached = _E_CACHE.get(eta)
-    if cached is not None:
-        return cached
     K = _integral_E(eta)
-    elem = EBasisElement(eta=eta, poly=K.scale(K.coefficient(eta).inverse()))
-    with _lock:
-        _E_CACHE[eta] = elem
-    return elem
+    return EBasisElement(eta=eta, poly=K.scale(K.coefficient(eta).inverse()))
 
 
 def _eigen_pack(K):
@@ -445,12 +437,8 @@ def c_lambda_corrected(lam: SuperPartition) -> QTScalar:
 # ---------------------------------------------------------------------------
 
 def is_bisymmetric(f: XPolynomial, m: int) -> bool:
-    for i in list(range(1, m)) + list(range(m + 1, f.nvars)):
-        sigma = list(range(1, f.nvars + 1))
-        sigma[i - 1], sigma[i] = i + 1, i
-        if permute_vars(f, tuple(sigma)) != f:
-            return False
-    return True
+    return all(hecke.apply_K(i, i + 1, f) == f for i in
+               list(range(1, m)) + list(range(m + 1, f.nvars)))
 
 
 def expand_in_P_basis(f: XPolynomial, m: int):

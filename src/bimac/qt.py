@@ -251,16 +251,7 @@ class QTPoly:
         if len(self.terms) == 1:
             ((a, b), c), = self.terms.items()
             return other.mul_term(a, b, c)
-        out = {}
-        for (a1, b1), c1 in self.terms.items():
-            for (a2, b2), c2 in other.terms.items():
-                e = (a1 + a2, b1 + b2)
-                s = out.get(e, 0) + c1 * c2
-                if s:
-                    out[e] = s
-                elif e in out:
-                    del out[e]
-        return _poly(out)
+        return _poly(_add_product({}, self.terms, other.terms))
 
     def mul_term(self, a, b, c=1):
         if not c:

@@ -1,6 +1,8 @@
 """Compositions, partitions and superpartitions: diagrams, sorting
 permutations, evaluation points, hook statistics and vertical-strip
-enumeration with certificates.
+enumeration with certificates.  A strip's row sets (filled, circled
+square, new circle) come from the move chosen for each row as the strip
+is grown.
 """
 
 from __future__ import annotations
@@ -412,50 +414,37 @@ def enumerate_strips(lam: SuperPartition, r: int, strip_type: str):
     w_inv = perm_inverse(w)
     out = []
 
-    # per-row growth (a_i, b_i) of (star, circled); a row of Lambda with
-    # a circle may take (1,0) "square over circle" or, in type II, (1,1)
-    # adding a square over the circle and a circle one column further;
-    # a row without a circle may take (1,1) "filled" (type I only) or
-    # (0,1) "new circle"
+    # per-row growth (a_i, b_i) of (star, circled), with the row sets
+    # (0 filled, 1 circled square, 2 new circle) the move puts row i in; a
+    # row of Lambda with a circle may take (1,0) "square over circle" or,
+    # in type II, (1,1) adding a square over the circle and a circle one
+    # column further; a row without a circle may take (1,1) "filled"
+    # (type I only) or (0,1) "new circle"
     def options(i):
-        has_circle = circ[i] == star[i] + 1
-        opts = [(0, 0)]
-        if has_circle:
-            opts.append((1, 0))
+        opts = [(0, 0, ())]
+        if circ[i] == star[i] + 1:
+            opts.append((1, 0, (1,)))
             if strip_type == "II":
-                opts.append((1, 1))
+                opts.append((1, 1, (1, 2)))
         else:
             if strip_type == "I":
-                opts.append((1, 1))
-            opts.append((0, 1))
+                opts.append((1, 1, (0,)))
+            opts.append((0, 1, (2,)))
         return opts
 
     row_options = [options(i) for i in range(N)]
 
     def leaf(rows):
-        new_star = tuple(s for s, _ in rows)
-        new_circ = tuple(c for _, c in rows)
-        omg = SuperPartition(tuple(s for s, c in rows if c > s),
-                             tuple(s for s, c in rows if c == s), N)
-        if omg.star() != new_star or omg.circled() != new_circ:
+        omg = SuperPartition(tuple(s for s, c, _ in rows if c > s),
+                             tuple(s for s, c, _ in rows if c == s), N)
+        if omg.star() != tuple(s for s, _, _ in rows) or \
+                omg.circled() != tuple(c for _, c, _ in rows):
             raise ConsistencyError("grown strip rows do not round-trip")
-        filled = set()
-        circled_square = set()
-        new_circle = set()
-        for i in range(N):
-            a, b = new_star[i] - star[i], new_circ[i] - circ[i]
-            has_circle = circ[i] == star[i] + 1
-            if a == 1 and has_circle:
-                circled_square.add(i + 1)
-                if b == 1:
-                    new_circle.add(i + 1)
-            elif a == 1:
-                filled.add(i + 1)
-            elif b == 1:
-                new_circle.add(i + 1)
-        out.append(_certificate(
-            lam, omg, (filled, circled_square, new_circle),
-            strip_type, r, w, w_inv))
+        sets = (set(), set(), set())
+        for i, (_, _, joins) in enumerate(rows, 1):
+            for k in joins:
+                sets[k].add(i)
+        out.append(_certificate(lam, omg, sets, strip_type, r, w, w_inv))
 
     def rec(i, asum, bsum, prev, rows):
         # each of the N - i rows left adds at most one to asum and bsum
@@ -464,14 +453,14 @@ def enumerate_strips(lam: SuperPartition, r: int, strip_type: str):
         if i == N:
             leaf(rows)
             return
-        for a, b in row_options[i]:
+        for a, b, joins in row_options[i]:
             row = (star[i] + a, circ[i] + b)
             # rows stay weakly decreasing, and a circled row may not
             # repeat the row above: two circles in one column
             if row[0] > prev[0] or row[1] > prev[1] or \
                     (row == prev and row[1] > row[0]):
                 continue
-            rows.append(row)
+            rows.append(row + (joins,))
             rec(i + 1, asum + a, bsum + b, row, rows)
             rows.pop()
 

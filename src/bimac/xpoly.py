@@ -1,6 +1,9 @@
 """Sparse polynomials in x_1..x_N over Q(q,t), plus the variable
 actions (permutation, q-shift, exact division, specialization) the
-operator algebra is built from.
+operator algebra is built from.  There is no inverse q-shift: T_0 forms
+its image of f in one term map (hecke.apply_T0).  divided_difference is
+the exact quotient it is defined as; the operators telescope it term by
+term in their own kernel (hecke._step).
 
 Specialization at a monomial point sums no fractions: each term's
 numerator is brought over the lcm of f's few distinct coefficient
@@ -17,7 +20,8 @@ from itertools import combinations
 from math import lcm as _ilcm
 
 from .errors import DivisibilityError
-from .qt import QTScalar, _laurent_scalar, _poly_lcm, qt_monomial
+from .qt import (QTScalar, _add_product, _laurent_scalar, _poly_lcm,
+                 qt_monomial)
 
 _ZERO = QTScalar.zero()
 _ONE = QTScalar.one()
@@ -209,18 +213,6 @@ def q_shift(f: XPolynomial, J) -> XPolynomial:
     return _xpoly(f.nvars, out)
 
 
-def q_shift_inverse(f: XPolynomial, J) -> XPolynomial:
-    """tau_J^(-1) f: x_i -> x_i/q for i in J."""
-    if not J:
-        return f
-    idx = [i - 1 for i in J]
-    out = {}
-    for e, c in f.terms.items():
-        k = sum(e[i] for i in idx)
-        out[e] = c.mul_monomial(-k, 0) if k else c
-    return _xpoly(f.nvars, out)
-
-
 def exact_div(f: XPolynomial, g: XPolynomial) -> XPolynomial:
     """Quotient f/g when the division is exact.
 
@@ -257,35 +249,12 @@ def exact_div(f: XPolynomial, g: XPolynomial) -> XPolynomial:
 
 
 def divided_difference(f: XPolynomial, i: int) -> XPolynomial:
-    """(f - K_(i,i+1) f) / (x_i - x_(i+1)), term by term.
-
-    The quotient of x_i^p x_(i+1)^s - x_i^s x_(i+1)^p by x_i - x_(i+1)
-    is a geometric sum, so the division never leaves a remainder.
-    """
-    n = f.nvars
-    out = {}
-    for e, c in f.terms.items():
-        p, s = e[i - 1], e[i]
-        if p == s:
-            continue
-        sign = 1 if p > s else -1
-        lo, hi = min(p, s), max(p, s)
-        base = list(e)
-        for k in range(lo, hi):
-            base[i - 1] = k
-            base[i] = hi + lo - 1 - k
-            key = tuple(base)
-            prev = out.get(key)
-            val = c if sign > 0 else -c
-            if prev is None:
-                out[key] = val
-            else:
-                tot = prev + val
-                if tot.is_zero():
-                    del out[key]
-                else:
-                    out[key] = tot
-    return _xpoly(n, out)
+    """(f - K_(i,i+1) f) / (x_i - x_(i+1)), an exact quotient."""
+    sigma = list(range(1, f.nvars + 1))
+    sigma[i - 1], sigma[i] = i + 1, i
+    return exact_div(f - permute_vars(f, tuple(sigma)),
+                     XPolynomial.variable(i, f.nvars)
+                     - XPolynomial.variable(i + 1, f.nvars))
 
 
 def _numerators_at(f: XPolynomial, points):
@@ -318,13 +287,7 @@ def _numerators_at(f: XPolynomial, points):
                 if n:
                     da += n * a
                     db += n * b
-            for (a, b), v in terms.items():
-                key = (a + da, b + db)
-                total = out.get(key, 0) + k * v
-                if total:
-                    out[key] = total
-                else:
-                    del out[key]
+            _add_product(out, {(da, db): k}, terms)
         nums.append(out)
     return Fraction(1, lcd), den, nums
 

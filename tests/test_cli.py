@@ -269,7 +269,6 @@ class TestCache:
     def test_roundtrip(self, tmp_path):
         path = tmp_path / "cache.jsonl"
         lam = SuperPartition((1,), (1,), 3)
-        saved_e = dict(macdonald._E_CACHE)
         saved_p = dict(macdonald._P_CACHE)
         macdonald.clear_caches()
         try:
@@ -284,17 +283,15 @@ class TestCache:
             macdonald.clear_caches()
             assert cachemod.load(str(path)) == 1
             # the K record waits unchecked until it is first served
-            assert macdonald._E_CACHE == {} and macdonald._P_CACHE == {}
+            assert macdonald._P_CACHE == {}
             assert macdonald._K_UNCHECKED[(1, 0, 1)][0] == K
             again_p = bisym_P(lam)
             assert again_p.poly == p.poly and again_p.c_lam == p.c_lam
             assert macdonald._K_UNCHECKED == {}
             assert macdonald._K_CACHE[(1, 0, 1)] == K
-            assert macdonald._E_CACHE == {}
             assert nonsym_E((1, 0, 1)).poly == e.poly
         finally:
             macdonald.clear_caches()
-            macdonald._E_CACHE.update(saved_e)
             macdonald._P_CACHE.update(saved_p)
 
     def test_dump_makes_no_gcd_call(self, tmp_path, capsys, monkeypatch):
@@ -477,7 +474,7 @@ class TestBadCacheFile:
         assert cachemod.load(str(path)) == 1
         macdonald.clear_caches()
         assert _rejected(capsys, path, 1).endswith(f": line 1: {message}")
-        assert macdonald._E_CACHE == {} and macdonald._K_CACHE == {}
+        assert macdonald._K_CACHE == {}
 
     @pytest.mark.parametrize("line", ["[1, 2]", '"str"', "3"])
     def test_record_not_an_object(self, tmp_path, capsys, line):
@@ -535,7 +532,7 @@ class TestBadCacheFile:
         legacy = path.read_text()
         macdonald.clear_caches()
         assert cachemod.load(str(path)) == 0
-        assert macdonald._K_UNCHECKED == {} and macdonald._E_CACHE == {}
+        assert macdonald._K_UNCHECKED == {}
         macdonald.clear_caches()
         code, out, _ = run(capsys, "--cache", str(path), *argv)
         assert code == 0

@@ -7,8 +7,8 @@ from bimac import hecke, macdonald
 from bimac.errors import DivisibilityError
 from bimac.qt import QTPoly, QTScalar, qt_monomial, t_bracket_factorial
 from bimac.sparts import compositions_of, eigenvalue, row_of_circle
-from bimac.xpoly import (XPolynomial, elementary_symmetric, exact_div,
-                         vandermonde)
+from bimac.xpoly import (XPolynomial, divided_difference,
+                         elementary_symmetric, exact_div, vandermonde)
 
 ONE = QTScalar.one()
 Q = qt_monomial(1, 0)
@@ -108,15 +108,56 @@ def textbook_Y(i, f):
 DENOMINATORS = [ONE, ONE - Q * T, T * QTScalar.from_int(3), ONE + Q * Q]
 
 
+RATIONAL = [ONE / (ONE - Q * T), (Q + T) / (T * QTScalar.from_int(3)),
+            QTScalar.from_fraction(-2) / (ONE + Q * Q)]
+
+
 def rational_poly(N, deg):
     """Every monomial of degree <= deg in N variables, over Q(q,t) with
     coefficients that have q, t and integer denominators."""
-    coeffs = [ONE / (ONE - Q * T), (Q + T) / (T * QTScalar.from_int(3)),
-              QTScalar.from_fraction(-2) / (ONE + Q * Q)]
     f = XPolynomial.zero(N)
     for k, g in enumerate(monomials(N, deg)):
-        f = f + g.scale(coeffs[k % 3])
+        f = f + g.scale(RATIONAL[k % 3])
     return f
+
+
+@st.composite
+def rational_polys(draw):
+    """Random polynomials in x_1..x_N, N = 2..4, over Q(q,t), with
+    coefficients that have q, t and integer denominators."""
+    n = draw(st.integers(min_value=2, max_value=4))
+    terms = {tuple(draw(st.integers(0, 3)) for _ in range(n)):
+             draw(st.sampled_from(RATIONAL)) * QTScalar.from_int(
+                 draw(st.integers(-3, 3)))
+             for _ in range(draw(st.integers(1, 4)))}
+    f = XPolynomial(n, terms)
+    assume(f.terms)
+    return f
+
+
+class TestRationalIdentities:
+    @settings(max_examples=40, deadline=None)
+    @given(rational_polys(), st.data())
+    def test_T_is_t_minus_the_divided_difference_term(self, f, data):
+        # T_i f = t f - (t x_i - x_(i+1)) d_i f, with d_i the exact
+        # quotient (f - s_i f)/(x_i - x_(i+1)) of xpoly
+        n = f.nvars
+        i = data.draw(st.integers(1, n - 1))
+        assert hecke.apply_T(i, f) == f.scale(T) - \
+            (x(i, n).scale(T) - x(i + 1, n)) * divided_difference(f, i)
+
+    @settings(max_examples=40, deadline=None)
+    @given(rational_polys())
+    def test_omega_intertwines_T1_and_T0(self, f):
+        assert hecke.apply_omega(hecke.apply_T(1, f)) == \
+            hecke.apply_T(0, hecke.apply_omega(f))
+
+    def test_T0_at_one_variable_is_t(self):
+        # at N = 1, s_0 f = f: T_0 is t and T_0^(-1) is 1/t
+        for f in [x(1, 1) * x(1, 1), XPolynomial.one(1),
+                  rational_poly(1, 3)]:
+            assert hecke.apply_T(0, f) == f.scale(T)
+            assert hecke.apply_T_inv(0, f) == f.scale(ONE / T)
 
 
 class TestYWord:

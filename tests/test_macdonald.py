@@ -146,11 +146,10 @@ class TestNonsymE:
     def test_fails_closed(self, monkeypatch, eta, perturb, message):
         s, K = macdonald._raise(eta)
         monkeypatch.setattr(macdonald, "_raise", lambda e: (s, perturb(K)))
-        monkeypatch.setattr(macdonald, "_E_CACHE", {})
         monkeypatch.setattr(macdonald, "_K_CACHE", {})
         with pytest.raises(ConsistencyError, match=message):
             nonsym_E(eta)
-        assert macdonald._E_CACHE == {} and macdonald._K_CACHE == {}
+        assert macdonald._K_CACHE == {}
 
     def test_failed_step_division_fails_closed(self, monkeypatch):
         # a T step whose binomial does not divide raises, naming the step
@@ -165,7 +164,6 @@ class TestNonsymE:
     def test_raise_and_check_make_no_gcd_call(self, monkeypatch):
         # the recursion divides only by closed-form binomials and the
         # check runs on K in Z[q,t][x]; only the monic E needs a gcd
-        monkeypatch.setattr(macdonald, "_E_CACHE", {})
         monkeypatch.setattr(macdonald, "_K_CACHE", {})
         calls = []
         real = qt.poly_gcd
@@ -224,10 +222,10 @@ class TestNonsymE:
                 nonsym_E(eta).poly
 
     def test_caches_only_the_result(self, monkeypatch):
-        # the recursion's intermediate E_nu are unchecked and stay out
-        monkeypatch.setattr(macdonald, "_E_CACHE", {})
+        # the recursion's intermediate K_nu are unchecked and stay out
+        monkeypatch.setattr(macdonald, "_K_CACHE", {})
         nonsym_E((2, 0, 1))
-        assert list(macdonald._E_CACHE) == [(2, 0, 1)]
+        assert list(macdonald._K_CACHE) == [(2, 0, 1)]
 
 
 class TestBisymP:

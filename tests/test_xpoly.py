@@ -220,11 +220,21 @@ def test_vandermonde():
     assert vandermonde("plain", [1, 3], 3) == x(1, 3) - x(3, 3)
 
 
-def test_divided_difference_is_exact_quotient():
-    f = XPolynomial.monomial((3, 1, 0))
-    swapped = permute_vars(f, (2, 1, 3))
-    quotient = exact_div(f - swapped, x(1, 3) - x(2, 3))
-    assert divided_difference(f, 1) == quotient
+def test_divided_difference_by_hand():
+    # d_1(x1^3 x2) = (x1^3 x2 - x1 x2^3)/(x1 - x2) = x1^2 x2 + x1 x2^2
+    assert divided_difference(XPolynomial.monomial((3, 1, 0)), 1) == \
+        XPolynomial.monomial((2, 1, 0)) + XPolynomial.monomial((1, 2, 0))
+    assert divided_difference(XPolynomial.monomial((0, 2, 2)), 2).is_zero()
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_polys(), small_polys(), st.sampled_from([1, 2]))
+def test_divided_difference_twisted_leibniz(f, g, i):
+    # d_i(f g) = d_i(f) g + (s_i f) d_i(g)
+    s_i = (2, 1, 3) if i == 1 else (1, 3, 2)
+    assert divided_difference(f * g, i) == \
+        divided_difference(f, i) * g + \
+        permute_vars(f, s_i) * divided_difference(g, i)
 
 
 @settings(max_examples=40, deadline=None)
