@@ -114,14 +114,15 @@ def _record(eta, K):
     return {"kind": kind, "key": key, "N": N, "value": xpoly_to_json(K)}
 
 
-def _append(path, items) -> int:
-    """Append a record for each (eta, K) whose key the file lacks;
-    return how many.
+def dump_all(path) -> int:
+    """Append a record for each K this process has checked whose key the
+    file lacks; return how many.
 
     Runs under an exclusive lock.  A torn final line (an append cut
     short) is cut off first, so the next record starts on a line of its
     own.
     """
+    items = list(macdonald._K_CACHE.items())
     with open(path, "a+b") as fh:
         fcntl.flock(fh.fileno(), fcntl.LOCK_EX)
         try:
@@ -140,8 +141,3 @@ def _append(path, items) -> int:
         finally:
             fcntl.flock(fh.fileno(), fcntl.LOCK_UN)
     return len(new)
-
-
-def dump_all(path) -> int:
-    """Append every K this process has checked that the file lacks."""
-    return _append(path, list(macdonald._K_CACHE.items()))

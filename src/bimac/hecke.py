@@ -145,27 +145,27 @@ def _divide(f, a, b, alpha, beta, mul):
 # -- Kronecker-packed coefficients: a map from x-exponent to one int, the
 # image of its coefficient in Z[q,t] under t -> 2^w, q -> 2^(w B)
 
-def _pack(f, coeff_bound, tdeg_bound):
+def _pack(f, growth, tdeg_extra):
     """(w, B, packed f) for f, a map from x-exponent to QTScalar in
     Z[q,t], with w and B taken from the caller's bounds.
 
     Packing is a ring homomorphism Z[q,t] -> Z, so every ring operation
     on packed ints is the image of the same operation on polynomials.
     The caller states that each polynomial it compares or unpacks has
-    every coefficient at most coeff_bound(||f||_1) in absolute value
+    every coefficient at most growth * ||f||_1 in absolute value
     (||.||_1 the sum of the absolute integer coefficients) and t-degree
-    at most tdeg_bound(tdeg f).  With
-    2^(w-1) above the one and B above the other, that polynomial's
-    balanced base-2^w digits are its coefficients, so the packing is
-    injective there and a packed zero is a polynomial zero.
+    at most tdeg f + tdeg_extra.  With 2^(w-1) above the one and B above
+    the other, that polynomial's balanced base-2^w digits are its
+    coefficients, so the packing is injective there and a packed zero is
+    a polynomial zero.
     """
     for s in f.values():
         if s.c.denominator != 1 or not s.den.is_one():
             raise ValueError(f"coefficient {s} is not in Z[q,t]")
     norm = sum(abs(s.c.numerator) * sum(map(abs, s.num.terms.values()))
                for s in f.values())
-    w = coeff_bound(norm).bit_length() + 1
-    B = tdeg_bound(max(b for s in f.values() for _, b in s.num.terms)) + 1
+    w = (growth * norm).bit_length() + 1
+    B = max(b for s in f.values() for _, b in s.num.terms) + tdeg_extra + 1
     return w, B, {e: s.c.numerator * sum(v << w * (B * a + b)
                                          for (a, b), v in s.num.terms.items())
                   for e, s in f.items()}
@@ -254,18 +254,13 @@ def apply_omega(f: XPolynomial) -> XPolynomial:
     return _xpoly(f.nvars, _omega(f.terms, _QT))
 
 
-def _y_word(i, f):
-    """t^(N-1) Y_i f, the t-cleared word of _word."""
+def apply_Y(i: int, f: XPolynomial) -> XPolynomial:
+    """Cherednik operator Y_i = t^(i-N) T_i..T_(N-1) omega Tbar_1..Tbar_(i-1),
+    applied as t^(1-N) times the t-cleared word of _word."""
     n = f.nvars
     if not 1 <= i <= n:
         raise ValueError(f"Y_{i} undefined for {n} variables")
-    return _xpoly(n, _word(i, f.terms, _QT))
-
-
-def apply_Y(i: int, f: XPolynomial) -> XPolynomial:
-    """Cherednik operator Y_i = t^(i-N) T_i..T_(N-1) omega Tbar_1..Tbar_(i-1),
-    applied as t^(1-N) times the t-cleared word of _y_word."""
-    return _y_word(i, f).scale(qt_monomial(0, 1 - f.nvars))
+    return _xpoly(n, _word(i, f.terms, _QT)).scale(qt_monomial(0, 1 - n))
 
 
 def symmetrize(kind: str, interval, f: XPolynomial) -> XPolynomial:

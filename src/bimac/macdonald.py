@@ -10,7 +10,8 @@ K is checked against every eigenvalue equation, the Bruhat
 triangularity and d_eta.  P_Lambda's symmetrizers and Vandermonde
 divisions run on K packed into integers (t -> 2^w, q -> 2^(w B)), and
 its plain-versus-t cross-check on the packed quotients, all with no
-gcd; only the final normalization works in Q(q,t).  The recursion, the
+gcd; only the final normalization works in Q(q,t).  c_lambda_formula
+and c_lambda_corrected are each one factored product.  The recursion, the
 eigen check and P's construction all use hecke's one kernel per
 operator, each with the multiplication by q^a t^b of the ring it holds:
 QTPoly.mul_term on the recursion's Z[q,t] term dicts, a shift on the
@@ -27,14 +28,11 @@ from itertools import combinations
 from math import factorial
 
 from .errors import CacheRecordError, ConsistencyError, DivisibilityError
-from .qt import (QTPoly, QTScalar, _cyclotomic_at, _Factored, qt_monomial,
-                 t_bracket_factorial)
+from .qt import QTPoly, QTScalar, _brackets, _cyclotomic_at, _Factored
 from .sparts import (SuperPartition, format_spart, row_of_circle,
                      sorting_permutation, superpartitions)
 from .xpoly import XPolynomial
 from . import hecke
-
-_ONE = QTScalar.one()
 
 _lock = threading.Lock()
 _P_CACHE: dict = {}
@@ -260,14 +258,13 @@ def _eigen_pack(K):
     """hecke._pack of K for its N eigenvalue equations.
 
     ||T_j g||_1 <= (1 + 2d) ||g||_1 for d the largest total degree, and
-    omega keeps ||.||_1, so every coefficient of _y_word(i, K) - t^b q^a K
+    omega keeps ||.||_1, so every coefficient of t^(N-1) Y_i K - t^b q^a K
     (b < N) is at most ((1 + 2d)^(N-1) + 1) ||K||_1 in absolute value,
     and its t-degree is at most tdeg(K) + N - 1.
     """
     N, d = K.nvars, K.total_degree()
     growth = (1 + 2 * d) ** (N - 1) + 1
-    return hecke._pack(K.terms, lambda norm: growth * norm,
-                       lambda tau: tau + N - 1)
+    return hecke._pack(K.terms, growth, N - 1)
 
 
 def _check_E(eta, K):
@@ -323,8 +320,7 @@ def _P_pack(K, m):
     l_s, l_a = (N - m) * (N - m - 1) // 2, m * (m - 1) // 2
     growth = factorial(N - m) * (1 + 2 * d) ** l_s * \
         factorial(m) * (1 + 2 * d) ** l_a * d ** l_a
-    return hecke._pack(K.terms, lambda norm: growth * norm,
-                       lambda tau: tau + l_s + l_a + (d if m >= 2 else 0))
+    return hecke._pack(K.terms, growth, l_s + l_a + (d if m >= 2 else 0))
 
 
 def _packed_quotient(lam, S, mul, times_t):
@@ -400,18 +396,20 @@ def bisym_P(lam: SuperPartition) -> PBasisElement:
     return elem
 
 
+def _formula_factors(lam):
+    """(factors, divisors) of c_lambda_formula's closed form:
+    t^(-(N-m)(N-m-1)/2) times 1/[k]_(1/t)! for each multiplicity k in
+    the symmetric part, padded zeros included."""
+    n = lam.N - lam.m
+    ks = [j for x in set(lam.sym) for j in range(1, lam.sym.count(x) + 1)]
+    num, den = _brackets(ks, "t_inverse")
+    return [_Factored.monomial(0, -(n * (n - 1) // 2))] + den, num
+
+
 def c_lambda_formula(lam: SuperPartition) -> QTScalar:
     """The closed-form normalization constant, with the padded zeros of
     the symmetric part counted by its multiplicity statistic."""
-    m, N = lam.m, lam.N
-    mult = {}
-    for x in lam.sym:
-        mult[x] = mult.get(x, 0) + 1
-    prod = _ONE
-    for k in mult.values():
-        prod = prod * t_bracket_factorial(k, "t_inverse")
-    prod = prod * qt_monomial(0, (N - m) * (N - m - 1) // 2)
-    return prod.inverse()
+    return _Factored.prod(*_formula_factors(lam)).expand()
 
 
 def c_lambda_corrected(lam: SuperPartition) -> QTScalar:
@@ -419,9 +417,10 @@ def c_lambda_corrected(lam: SuperPartition) -> QTScalar:
     times t^(m(m-1)/2) and, over the pairs i < j <= m of anti parts, the
     ratio (1 - q^g t^r)/(1 - q^g t^(r-1)) with gap g = a_i - a_j and
     r = 1 + #{sym parts s : a_j < s <= a_i}
-    + #{anti parts a_k : a_j < a_k < a_i}."""
+    + #{anti parts a_k : a_j < a_k < a_i}; one factored product."""
     a, m = lam.anti, lam.m
-    num, den = [_Factored.monomial(0, m * (m - 1) // 2)], []
+    num, den = _formula_factors(lam)
+    num.append(_Factored.monomial(0, m * (m - 1) // 2))
     for i in range(m):
         for j in range(i + 1, m):
             g = a[i] - a[j]
@@ -429,7 +428,7 @@ def c_lambda_corrected(lam: SuperPartition) -> QTScalar:
                 sum(1 for k in a if a[j] < k < a[i])
             num.append(_Factored.binomial(0, 0, g, r))
             den.append(_Factored.binomial(0, 0, g, r - 1))
-    return c_lambda_formula(lam) * _Factored.prod(num, den).expand()
+    return _Factored.prod(num, den).expand()
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,9 @@ inverses as exponents of cyclotomic factors, for the Pieri and
 evaluation formulas; it expands to a canonical QTScalar with no gcd.
 ``_Factored.prod(factors, divisors)`` is its one product (``*`` and
 ``/`` call it), and ``_Factored.binomial`` is memoized, so no value's
-factors are ever changed in place.
+factors are ever changed in place.  [k] and [k]! are each one such
+product; ``invert_parameters`` goes through ``_laurent_scalar``, and
+``_powers`` writes q^a t^b and render's x monomials as text or LaTeX.
 """
 
 from __future__ import annotations
@@ -484,19 +486,11 @@ class QTScalar:
 
     # -- substitution --------------------------------------------------
     def invert_parameters(self):
-        """The image under q -> 1/q, t -> 1/t."""
-        def flip(p):
-            if not p.terms:
-                return p, 0, 0
-            ma = max(a for a, _ in p.terms)
-            mb = max(b for _, b in p.terms)
-            out = _poly({(ma - a, mb - b): c for (a, b), c in p.terms.items()})
-            return out, ma, mb
-        n2, an, bn = flip(self.num)
-        d2, ad, bd = flip(self.den)
-        return _reduce(self.c,
-                       n2.mul_term(max(ad - an, 0), max(bd - bn, 0)),
-                       d2.mul_term(max(an - ad, 0), max(bn - bd, 0)))
+        """The image under q -> 1/q, t -> 1/t: every exponent negated, and
+        both sides shifted back onto Z[q,t] by _laurent_scalar."""
+        num, den = ({(-a, -b): c for (a, b), c in p.terms.items()}
+                    for p in (self.num, self.den))
+        return _laurent_scalar(self.c, num, den)
 
     # -- serialization & display ---------------------------------------
     def to_json(self):
@@ -663,25 +657,26 @@ def qt_monomial(a: int, b: int) -> QTScalar:
 _BRACKET_EXP = {"q": (1, 0), "t": (0, 1), "t_inverse": (0, -1)}
 
 
+def _brackets(ks, param):
+    """(factors, divisors): the product of [k] = (1 - p^k)/(1 - p) over
+    k in ks, p the chosen parameter, as _Factored.prod arguments."""
+    da, db = _BRACKET_EXP[param]
+    return ([_Factored.binomial(0, 0, da * k, db * k) for k in ks],
+            [_Factored.binomial(0, 0, da, db)] * len(ks))
+
+
 def t_bracket(k: int, param: str = "t") -> QTScalar:
     """[k] = 1 + p + ... + p^(k-1) in the chosen parameter."""
     if k < 0:
         raise ValueError("bracket of a negative integer")
-    da, db = _BRACKET_EXP[param]
-    out = _S_ZERO
-    for j in range(k):
-        out = out + qt_monomial(da * j, db * j)
-    return out
+    return _Factored.prod(*_brackets((k,), param)).expand()
 
 
 def t_bracket_factorial(k: int, param: str = "t") -> QTScalar:
     """[k]! = [1][2]...[k]; the empty product for k = 0."""
     if k < 0:
         raise ValueError("bracket factorial of a negative integer")
-    out = _S_ONE
-    for j in range(2, k + 1):
-        out = out * t_bracket(j, param)
-    return out
+    return _Factored.prod(*_brackets(range(1, k + 1), param)).expand()
 
 
 # ---------------------------------------------------------------------------
@@ -833,19 +828,13 @@ _FACTORED_ZERO = _Factored(0)
 # rendering
 # ---------------------------------------------------------------------------
 
-def _monomial_text(a, b, latex):
-    parts = []
-    if a:
-        if latex:
-            parts.append("q" if a == 1 else "q^{%d}" % a)
-        else:
-            parts.append("q" if a == 1 else f"q^{a}")
-    if b:
-        if latex:
-            parts.append("t" if b == 1 else "t^{%d}" % b)
-        else:
-            parts.append("t" if b == 1 else f"t^{b}")
-    return ("" if latex else "*").join(parts)
+def _powers(pairs, latex):
+    """The product of name^k over the (name, k) pairs with k nonzero, as
+    text (q^2*t) or LaTeX (q^{2}t); "" for none."""
+    if latex:
+        return "".join([n if k == 1 else f"{n}^{{{k}}}" for n, k in pairs
+                        if k])
+    return "*".join([n if k == 1 else f"{n}^{k}" for n, k in pairs if k])
 
 
 def _format_terms(p, c, latex):
@@ -856,7 +845,7 @@ def _format_terms(p, c, latex):
     for (a, b), v in p.sorted_terms():
         if c != 1:
             v = c * v
-        mono = _monomial_text(a, b, latex)
+        mono = _powers((("q", a), ("t", b)), latex)
         neg = v < 0
         v = abs(v)
         if mono and v == 1:

@@ -2,21 +2,8 @@
 
 from __future__ import annotations
 
-from .qt import QTScalar, format_scalar
+from .qt import QTScalar, _powers, format_scalar
 from .xpoly import XPolynomial
-
-
-def _x_text(e, latex: bool) -> str:
-    parts = []
-    for i, k in enumerate(e):
-        if not k:
-            continue
-        if latex:
-            parts.append("x_{%d}" % (i + 1) if k == 1
-                         else "x_{%d}^{%d}" % (i + 1, k))
-        else:
-            parts.append(f"x{i + 1}" if k == 1 else f"x{i + 1}^{k}")
-    return ("" if latex else "*").join(parts)
 
 
 def format_xpoly(f: XPolynomial, latex: bool = False) -> str:
@@ -24,7 +11,8 @@ def format_xpoly(f: XPolynomial, latex: bool = False) -> str:
         return "0"
     chunks = []
     for e, c in f.sorted_terms():
-        mono = _x_text(e, latex)
+        mono = _powers(((("x_{%d}" if latex else "x%d") % (i + 1), k)
+                        for i, k in enumerate(e) if k), latex)
         cs = format_scalar(c, latex)
         neg = cs.startswith("-")
         if neg:

@@ -1,8 +1,9 @@
 """Compositions, partitions and superpartitions: diagrams, sorting
 permutations, evaluation points, hook statistics and vertical-strip
-enumeration with certificates.  A strip's row sets (filled, circled
-square, new circle) come from the move chosen for each row as the strip
-is grown.
+enumeration with certificates.  An anti part is enumerated as a
+partition plus the staircase (m - 1, .., 0).  A strip's row sets (filled,
+circled square, new circle) come from the move chosen for each row as
+the strip is grown.
 """
 
 from __future__ import annotations
@@ -81,9 +82,6 @@ def compositions_of(d, n):
     if n == 0:
         if d == 0:
             yield ()
-        return
-    if n == 1:
-        yield (d,)
         return
     for first in range(d, -1, -1):
         for rest in compositions_of(d - first, n - 1):
@@ -207,26 +205,17 @@ def format_spart(lam: SuperPartition) -> str:
 
 
 def superpartitions(deg_star: int, m: int, N: int):
-    """All superpartitions with |Lambda*| = deg_star and m anti parts."""
+    """All superpartitions with |Lambda*| = deg_star and m anti parts, by
+    ascending |anti|, then anti and sym descending lexicographically; anti
+    is a partition of at most m parts plus the staircase (m - 1, .., 0)."""
+    stair = m * (m - 1) // 2
     out = []
-    if m == 0:
-        for mu in partitions_of(deg_star, max_parts=N):
-            out.append(SuperPartition((), mu, N))
-        return out
-    # choose the strictly decreasing anti part, then the sym partition
-    def anti_parts(total, k, cap):
-        if k == 0:
-            if total == 0:
-                yield ()
-            return
-        lo = k * (k - 1) // 2  # need room for k strictly decreasing >= 0
-        for first in range(min(total - lo + (k - 1), cap), k - 2, -1):
-            for rest in anti_parts(total - first, k - 1, first - 1):
-                yield (first,) + rest
-    for asum in range(m * (m - 1) // 2, deg_star + 1):
-        for anti in anti_parts(asum, m, asum):
-            for mu in partitions_of(deg_star - asum, max_parts=N - m):
-                out.append(SuperPartition(anti, mu, N))
+    for asum in range(stair, deg_star + 1):
+        for mu in partitions_of(asum - stair, max_parts=m):
+            mu += (0,) * (m - len(mu))
+            anti = tuple(x + m - 1 - i for i, x in enumerate(mu))
+            for nu in partitions_of(deg_star - asum, max_parts=N - m):
+                out.append(SuperPartition(anti, nu, N))
     return out
 
 

@@ -249,7 +249,11 @@ def exact_div(f: XPolynomial, g: XPolynomial) -> XPolynomial:
 
 
 def divided_difference(f: XPolynomial, i: int) -> XPolynomial:
-    """(f - K_(i,i+1) f) / (x_i - x_(i+1)), an exact quotient."""
+    """(f - K_(i,i+1) f) / (x_i - x_(i+1)), an exact quotient, for
+    1 <= i < N."""
+    if not 1 <= i <= f.nvars - 1:
+        raise ValueError(f"divided difference {i} undefined for {f.nvars} "
+                         "variables")
     sigma = list(range(1, f.nvars + 1))
     sigma[i - 1], sigma[i] = i + 1, i
     return exact_div(f - permute_vars(f, tuple(sigma)),

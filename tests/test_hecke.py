@@ -167,7 +167,6 @@ class TestYWord:
         for i in range(1, N + 1):
             want = textbook_Y(i, f)
             assert hecke.apply_Y(i, f) == want
-            assert hecke._y_word(i, f) == want.scale(qt_monomial(0, N - 1))
 
 
 def unpack(packed, w, B, n):
@@ -221,7 +220,8 @@ class TestPackedYWord:
         for i in range(1, f.nvars + 1):
             got = unpack(hecke._word(i, packed, hecke._shifts(w, B)),
                          w, B, f.nvars)
-            assert got == hecke._y_word(i, f)
+            assert got == hecke.apply_Y(i, f).scale(
+                qt_monomial(0, f.nvars - 1))
 
     def test_rejects_a_rational_coefficient(self):
         f = XPolynomial.monomial((1, 0), ONE / (ONE + Q))
@@ -246,7 +246,7 @@ class TestPackedYWord:
             for J in (K, K.scale(ONE + Q)):
                 w, B, _ = macdonald._eigen_pack(J)
                 for i in range(1, N + 1):
-                    lhs = hecke._y_word(i, J)
+                    lhs = hecke.apply_Y(i, J).scale(qt_monomial(0, N - 1))
                     rhs = J.scale(qt_monomial(eta[i - 1],
                                               N - row_of_circle(eta, i)))
                     assert lhs == rhs
@@ -265,8 +265,7 @@ class TestPackedSymmetrizers:
     @settings(max_examples=40, deadline=None)
     @given(integral_polys())
     def test_unpack_inverts_pack(self, f):
-        w, B, packed = hecke._pack(f.terms, lambda norm: norm,
-                                   lambda tdeg: tdeg)
+        w, B, packed = hecke._pack(f.terms, 1, 0)
         assert hecke._unpack(packed, w, B) == f.terms
 
     @settings(max_examples=40, deadline=None)
@@ -279,8 +278,7 @@ class TestPackedSymmetrizers:
         width, d = b - a + 1, f.total_degree()
         ell = width * (width - 1) // 2
         w, B, packed = hecke._pack(
-            f.terms, lambda norm: factorial(width) * (1 + 2 * d) ** ell * norm,
-            lambda tdeg: tdeg + ell)
+            f.terms, factorial(width) * (1 + 2 * d) ** ell, ell)
         got = unpack(hecke._symmetrize(kind, (a, b), packed,
                                        hecke._shifts(w, B)), w, B, f.nvars)
         want = hecke.symmetrize(kind, (a, b), f)
@@ -317,8 +315,7 @@ class TestPackedSymmetrizers:
             d = F.total_degree()
             # a quotient is within d ||F||_1, a remainder F(x_b = r)
             # within ||F||_1, and up to d above F in t-degree
-            w, B, packed = hecke._pack(F.terms, lambda norm: max(d, 1) * norm,
-                                       lambda tdeg: tdeg + d)
+            w, B, packed = hecke._pack(F.terms, max(d, 1), d)
 
             def divide():
                 return unpack(hecke._divide(packed, a, b, alpha, beta,
@@ -351,8 +348,7 @@ class TestPackedSymmetrizers:
         # x_2^2 - t^2 x_1^2 = (x_2 - t x_1)(x_2 + t x_1): the t-deformed
         # factor divides it, the plain one leaves (1 - t^2) x_1^2
         F = x(2, 2) * x(2, 2) - (x(1, 2) * x(1, 2)).scale(T * T)
-        w, B, packed = hecke._pack(F.terms, lambda norm: 2 * norm,
-                                   lambda tdeg: tdeg + 2)
+        w, B, packed = hecke._pack(F.terms, 2, 2)
         mul = hecke._shifts(w, B)
         got = hecke._divide(packed, 1, 2, 0, 1, mul)
         assert unpack(got, w, B, 2) == x(1, 2).scale(-T) - x(2, 2)

@@ -19,6 +19,16 @@ Q = qt_monomial(1, 0)
 T = qt_monomial(0, 1)
 
 
+# every shape with N = 3 (d <= 6), N = 4 (d <= 4) and N = 5 (d <= 3),
+# m <= 3, and at m = 4 with N = 4 (d <= 8), N = 5 (d <= 7) and N = 6
+# (d <= 6)
+C_SHAPES = [sp for N, top in ((3, 6), (4, 4), (5, 3))
+            for m in range(min(N, 3) + 1) for d in range(top + 1)
+            for sp in superpartitions(d, m, N)] + \
+    [sp for N, top in ((4, 8), (5, 7), (6, 6))
+     for d in range(top + 1) for sp in superpartitions(d, 4, N)]
+
+
 def norm_1(J):
     """The sum of the absolute integer coefficients of J over Z[q,t]."""
     return sum(abs(int(s.c) * v) for s in J.terms.values()
@@ -254,21 +264,27 @@ class TestBisymP:
         assert P.c_lam == c_lambda_formula(lam) == ONE / (ONE + T)
 
     def test_c_lambda_corrected_sweep(self):
-        # the closed form of the constant bisym_P produces, on every shape
-        # with N = 3 (d <= 6), N = 4 (d <= 4) and N = 5 (d <= 3), m <= 3,
-        # and at m = 4 with N = 4 (d <= 8), N = 5 (d <= 7) and N = 6
-        # (d <= 6); without the count of anti parts strictly between a_j
-        # and a_i it fails at m = 3
-        shapes = [sp for N, top in ((3, 6), (4, 4), (5, 3))
-                  for m in range(min(N, 3) + 1) for d in range(top + 1)
-                  for sp in superpartitions(d, m, N)]
-        assert [sum(1 for sp in shapes if sp.m == m) for m in range(4)] == \
-            [42, 89, 58, 11]
-        m4 = [sp for N, top in ((4, 8), (5, 7), (6, 6))
-              for d in range(top + 1) for sp in superpartitions(d, 4, N)]
-        assert len(m4) == 8
-        for sp in shapes + m4:
+        # the closed form of the constant bisym_P produces; without the
+        # count of anti parts strictly between a_j and a_i it fails at
+        # m = 3
+        assert [sum(1 for sp in C_SHAPES if sp.m == m)
+                for m in range(5)] == [42, 89, 58, 11, 8]
+        for sp in C_SHAPES:
             assert bisym_P(sp).c_lam == c_lambda_corrected(sp), sp
+
+    def test_constants_make_no_gcd_call(self, monkeypatch):
+        # each constant, and [k]_(1/t)!, is one factored product expanded
+        # once, which needs no gcd
+        calls = []
+        real = qt.poly_gcd
+        monkeypatch.setattr(qt, "poly_gcd",
+                            lambda f, g: calls.append(1) or real(f, g))
+        for sp in C_SHAPES:
+            c_lambda_formula(sp)
+            c_lambda_corrected(sp)
+        for k in range(7):
+            qt.t_bracket_factorial(k, "t_inverse")
+        assert calls == []
 
     def test_c_formula_values(self):
         lam = SuperPartition((), (1,), 2)

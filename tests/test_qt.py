@@ -283,6 +283,34 @@ def test_parameter_inversion_involution(a):
     assert a.invert_parameters().invert_parameters() == a
 
 
+@settings(max_examples=80, deadline=None)
+@given(scalars())
+def test_parameter_inversion_against_sympy(a):
+    sympy = pytest.importorskip("sympy")
+    q, t = sympy.symbols("q t")
+    want = _sympy_scalar(sympy, a).subs({q: 1 / q, t: 1 / t},
+                                        simultaneous=True)
+    got = a.invert_parameters()
+    assert is_canonical(got)
+    assert sympy.cancel(_sympy_scalar(sympy, got) - want) == 0
+
+
+def test_brackets_against_sympy():
+    # [k] = 1 + p + .. + p^(k-1) and [k]! = [1]..[k], p = q, t or 1/t
+    sympy = pytest.importorskip("sympy")
+    q, t = sympy.symbols("q t")
+    for param, p in (("q", q), ("t", t), ("t_inverse", 1 / t)):
+        factorial = sympy.Integer(1)
+        for k in range(7):
+            bracket = sum((p ** j for j in range(k)), sympy.Integer(0))
+            if k:
+                factorial *= bracket
+            for got, want in ((t_bracket(k, param), bracket),
+                              (t_bracket_factorial(k, param), factorial)):
+                assert is_canonical(got)
+                assert sympy.cancel(_sympy_scalar(sympy, got) - want) == 0
+
+
 def test_negative_exponents_live_in_denominator():
     s = qt_monomial(2, -3)
     assert all(a >= 0 and b >= 0 for a, b in s.num.terms)

@@ -1,11 +1,12 @@
-from itertools import permutations
+from itertools import (combinations, combinations_with_replacement,
+                       permutations, product)
 
 import pytest
 
 from bimac import sparts
 from bimac.qt import qt_monomial
-from bimac.sparts import (SuperPartition, enumerate_strips, eval_point,
-                          eigenvalue, format_spart, hook_data,
+from bimac.sparts import (SuperPartition, compositions_of, enumerate_strips,
+                          eval_point, eigenvalue, format_spart, hook_data,
                           is_superevaluation, lambda_naught,
                           minimal_sorting_permutation, n_statistic,
                           parse_spart, perm_act, perm_compose, perm_inverse,
@@ -48,6 +49,36 @@ class TestShapes:
             SuperPartition((1,), (2, 1), 2)
         with pytest.raises(ValueError):
             SuperPartition((0,), (1, 2), 4)
+
+
+class TestEnumerationOrder:
+    # verify sweeps shapes in this order and its FAIL lines name the
+    # first counterexample, so the order is part of the output
+
+    def test_superpartitions_by_brute_force(self):
+        # ascending |anti|, then anti, then sym, each descending
+        # lexicographically
+        for N in range(7):
+            for m in range(N + 1):
+                for d in range(8):
+                    want = [
+                        (anti[::-1], sym[::-1])
+                        for anti in combinations(range(d + 1), m)
+                        for sym in combinations_with_replacement(
+                            range(d + 1), N - m)
+                        if sum(anti) + sum(sym) == d]
+                    want.sort(key=lambda s: (sum(s[0]), [-x for x in s[0]],
+                                             [-x for x in s[1]]))
+                    got = [(sp.anti, sp.sym)
+                           for sp in superpartitions(d, m, N)]
+                    assert got == want, (d, m, N)
+
+    def test_compositions_by_brute_force(self):
+        for d in range(6):
+            for n in range(6):
+                want = sorted((c for c in product(range(d + 1), repeat=n)
+                               if sum(c) == d), reverse=True)
+                assert list(compositions_of(d, n)) == want, (d, n)
 
 
 class TestCircleRows:

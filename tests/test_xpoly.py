@@ -227,6 +227,14 @@ def test_divided_difference_by_hand():
     assert divided_difference(XPolynomial.monomial((0, 2, 2)), 2).is_zero()
 
 
+@pytest.mark.parametrize("i", [0, 3, -1])
+def test_divided_difference_index_out_of_range(i):
+    # only 1 <= i < N name a pair of adjacent variables; i = 0 and
+    # i = -1 would swap with the last variable, i = N would index past it
+    with pytest.raises(ValueError, match="undefined for 3 variables"):
+        divided_difference(XPolynomial.monomial((2, 0, 1)), i)
+
+
 @settings(max_examples=40, deadline=None)
 @given(small_polys(), small_polys(), st.sampled_from([1, 2]))
 def test_divided_difference_twisted_leibniz(f, g, i):
