@@ -13,19 +13,24 @@ so two mathematically equal scalars are structurally identical and
 ``==`` / ``hash`` are reliable.  Negative powers of q or t never appear
 as stored exponents; they live in the denominator.
 
-Reduction rests on ``poly_gcd``, the heuristic gcd of Char, Geddes and
-Gonnet: one loop that evaluates q (then, by recursion on the images, t)
-at an integer and grows that point until a candidate passes trial
-division, which is its only exit.
+Sides known to be coprime up to a monomial become canonical through
+``_coprime`` and ``_canonical``, which fold contents and lead signs
+with no gcd: ``mul_monomial``, ``invert_parameters``,
+``_Factored.expand`` and a ``_laurent_scalar`` over a monomial.
+``poly_gcd``, the heuristic gcd of Char, Geddes and Gonnet, is called
+only where coprimality is unknown: from ``_cancel`` (products,
+``_reduce``, other ``_laurent_scalar``s), a sum's denominator gcd and
+``_poly_lcm``.  It is one loop that evaluates q (then, by recursion on
+the images, t) at an integer and grows that point until a candidate
+passes trial division, which is its only exit.
 
 The private ``_Factored`` holds a product of q,t-binomials and their
 inverses as exponents of cyclotomic factors, for the Pieri and
-evaluation formulas; it expands to a canonical QTScalar with no gcd.
-``_Factored.prod(factors, divisors)`` is its one product (``*`` and
-``/`` call it), and ``_Factored.binomial`` is memoized, so no value's
-factors are ever changed in place.  [k] and [k]! are each one such
-product; ``invert_parameters`` goes through ``_laurent_scalar``, and
-``_powers`` writes q^a t^b and render's x monomials as text or LaTeX.
+evaluation formulas.  ``_Factored.prod(factors, divisors)`` is its one
+product (``*`` and ``/`` call it), and ``_Factored.binomial`` is
+memoized, so no value's factors are ever changed in place.  [k] and [k]!
+are each one such product; ``_powers`` writes q^a t^b and render's x
+monomials as text or LaTeX.
 """
 
 from __future__ import annotations
@@ -95,11 +100,12 @@ def _digits(n, x):
 
 
 def _primitive_terms(terms):
-    """Integer term dict divided by its content, with positive grlex lead."""
+    """(c, p) with terms = c*p for an int c and an integer term dict p of
+    content 1 and positive grlex lead; p is terms itself when c = 1."""
     c = _igcd(*terms.values())
     if terms[max(terms, key=_grlex)] < 0:
         c = -c
-    return terms if c == 1 else {e: v // c for e, v in terms.items()}
+    return c, (terms if c == 1 else {e: v // c for e, v in terms.items()})
 
 
 def _eval_terms(terms, x, in_q):
@@ -136,7 +142,7 @@ def _gcd_terms(f, g):
         bmin = min(min(b for _, b in f), min(b for _, b in g))
         return {(amin, bmin): _igcd(*f.values(), *g.values())}
     c = _igcd(*f.values(), *g.values())
-    f, g = _primitive_terms(f), _primitive_terms(g)
+    f, g = _primitive_terms(f)[1], _primitive_terms(g)[1]
     small, large = (f, g) if len(f) <= len(g) else (g, f)
     if small == large or _div_terms(large, small) is not None:
         h = small
@@ -153,7 +159,7 @@ def _gcd_terms(f, g):
                     for k, d in enumerate(_digits(hc, x)):
                         if d:
                             h[(k, b) if in_q else (0, k)] = d
-                h = _primitive_terms(h)
+                h = _primitive_terms(h)[1]
                 if _div_terms(f, h) is not None and \
                         _div_terms(g, h) is not None:
                     break
@@ -269,11 +275,8 @@ class QTPoly:
         if self._cs is None:
             if not self.terms:
                 return 0, _P_ZERO
-            c = _igcd(*self.terms.values())
-            if self.leading()[1] < 0:
-                c = -c
-            prim = self if c == 1 else \
-                _poly({e: v // c for e, v in self.terms.items()})
+            c, prim = _primitive_terms(self.terms)
+            prim = self if c == 1 else _poly(prim)
             prim._cs = (1, prim)
             self._cs = (c, prim)
         return self._cs
@@ -390,16 +393,14 @@ class QTScalar:
         return _S_ONE
 
     @staticmethod
-    def from_int(n):
-        return QTScalar.from_fraction(n)
-
-    @staticmethod
     def from_fraction(f):
         if not f:
             return _S_ZERO
         if f == 1:
             return _S_ONE
         return _scalar(Fraction(f), _P_ONE, _P_ONE)
+
+    from_int = from_fraction
 
     # -- structure ----------------------------------------------------
     def is_zero(self):
@@ -461,36 +462,31 @@ class QTScalar:
         return self * other.inverse()
 
     def __pow__(self, n):
-        if n == 0:
-            return _S_ONE
-        base = self if n > 0 else self.inverse()
-        n = abs(n)
-        out = base
-        for _ in range(n - 1):
+        base = self if n >= 0 else self.inverse()
+        out = _S_ONE
+        for _ in range(abs(n)):
             out = out * base
         return out
 
     def mul_monomial(self, a, b):
-        """Multiply by q^a t^b (a, b may be negative).  For a, b >= 0 and
-        a den with a nonzero constant term, neither q nor t divides den,
-        so q^a t^b num stays prime to it and no gcd is needed."""
+        """Multiply by q^a t^b (a, b may be negative) with no gcd.  For a,
+        b >= 0 and a den with a constant term, neither q nor t divides
+        den, so q^a t^b num is already canonical over it."""
         if not self.num.terms:
             return self
         if a >= 0 and b >= 0 and (0, 0) in self.den.terms:
             return _scalar(self.c, self.num.mul_term(a, b), self.den)
-        na = self.num.mul_term(max(a, 0), max(b, 0))
-        da = self.den.mul_term(max(-a, 0), max(-b, 0))
-        if da.is_one():
-            return _scalar(self.c, na, da)
-        return _reduce(self.c, na, da)
+        return _coprime(self.c, self.num.terms, self.den.terms, a, b)
 
     # -- substitution --------------------------------------------------
     def invert_parameters(self):
-        """The image under q -> 1/q, t -> 1/t: every exponent negated, and
-        both sides shifted back onto Z[q,t] by _laurent_scalar."""
+        """The image under q -> 1/q, t -> 1/t, an automorphism of
+        Z[q^±1, t^±1]: the sides stay coprime up to a monomial, no gcd."""
+        if not self.num.terms:
+            return self
         num, den = ({(-a, -b): c for (a, b), c in p.terms.items()}
                     for p in (self.num, self.den))
-        return _laurent_scalar(self.c, num, den)
+        return _coprime(self.c, num, den)
 
     # -- serialization & display ---------------------------------------
     def to_json(self):
@@ -534,12 +530,10 @@ def _combine(pairs):
 
 
 def _cancel(num, den):
-    """num/g and den/g for g = gcd(num, den); both primitive."""
+    """num/g and den/g for any nonzero integer polynomials, g their gcd."""
     if den.is_one():
         return num, den
     g = poly_gcd(num, den)
-    if g.is_one():
-        return num, den
     return num.exact_div(g), den.exact_div(g)
 
 
@@ -549,9 +543,14 @@ def _reduce(c, num, den):
         raise ZeroDivisionError("zero denominator in Q(q,t)")
     if not num.terms:
         return _S_ZERO
+    return _canonical(c, *_cancel(num, den))
+
+
+def _canonical(c, num, den):
+    """The canonical scalar c*num/den for a Fraction c and coprime nonzero
+    integer polynomials num, den: their contents and lead signs go to c."""
     cn, num = num.content_split()
     cd, den = den.content_split()
-    num, den = _cancel(num, den)
     if cn != cd:
         c = c * Fraction(cn, cd)
     return _scalar(c, num, den)
@@ -583,8 +582,10 @@ def _add_product(out, f, g):
 
 def _shifted(terms):
     """(p, a, b): the term dict p of least exponents 0 with terms =
-    q^a t^b p."""
+    q^a t^b p; p is terms itself when a = b = 0."""
     a, b = min(k for k, _ in terms), min(k for _, k in terms)
+    if not (a or b):
+        return terms, 0, 0
     return {(x - a, y - b): v for (x, y), v in terms.items()}, a, b
 
 
@@ -599,26 +600,28 @@ def _laurent_div(num, den):
     return {(x + na - da, y + nb - db): v for (x, y), v in out.items()}
 
 
-def _laurent_scalar(c, num, den):
-    """The canonical scalar c*num/den, for a Fraction c and integer
-    Laurent term dicts num and den (den nonzero), with at most one gcd.
-
-    Both dicts are shifted onto their least exponents, so neither side
-    is divisible by q or t, and the net monomial goes to one side.  A
-    monomial den is then prime to num, and only the contents cancel.
-    """
-    if not num:
-        return _S_ZERO
+def _coprime(c, num, den, a=0, b=0):
+    """The canonical scalar c*q^a t^b*num/den, for a Fraction c and
+    nonzero integer Laurent term dicts num, den that share at most a
+    monomial, with no gcd: shifted off q and t, with the net monomial
+    on one side, they are coprime."""
     num, na, nb = _shifted(num)
     den, da, db = _shifted(den)
-    sa, sb = na - da, nb - db
-    num = _poly(num).mul_term(max(sa, 0), max(sb, 0))
-    den = _poly(den).mul_term(max(-sa, 0), max(-sb, 0))
-    if len(den.terms) > 1:
-        return _reduce(c, num, den)
-    cn, num = num.content_split()
-    cd, den = den.content_split()
-    return _scalar(c * Fraction(cn, cd), num, den)
+    a, b = a + na - da, b + nb - db
+    return _canonical(c, _poly(num).mul_term(max(a, 0), max(b, 0)),
+                      _poly(den).mul_term(max(-a, 0), max(-b, 0)))
+
+
+def _laurent_scalar(c, num, den):
+    """The canonical scalar c*num/den, for a Fraction c and integer
+    Laurent term dicts num and den (den nonzero), with at most one gcd:
+    none when den is a monomial, which is prime to the shifted num."""
+    if not num:
+        return _S_ZERO
+    s = _coprime(c, num, den)
+    if len(s.den.terms) > 1:
+        s = _scalar(s.c, *_cancel(s.num, s.den))
+    return s
 
 
 def _json_rows(p, c):
@@ -804,21 +807,14 @@ class _Factored:
                 for (x, y), v in num.terms.items()}
 
     def expand(self) -> QTScalar:
-        """The canonical QTScalar.  The two sides are products of
-        distinct Phi_d(v), shifted off q and t, so they are coprime and
-        (by Gauss's lemma) primitive; only the signs of their leads are
-        left to fold into c."""
+        """The canonical QTScalar, with no gcd: the sides are products of
+        distinct Phi_d(v) shifted off q and t, so they are coprime."""
         if not self.sign:
             return _S_ZERO
         num, den, a, b = self._sides()
-        num = num.mul_term(max(a, 0), max(b, 0))
-        den = den.mul_term(max(-a, 0), max(-b, 0))
-        c = self.sign
-        if num.leading()[1] < 0:
-            c, num = -c, -num
-        if den.leading()[1] < 0:
-            c, den = -c, -den
-        return _scalar(Fraction(c), num, den)
+        return _canonical(Fraction(self.sign),
+                          num.mul_term(max(a, 0), max(b, 0)),
+                          den.mul_term(max(-a, 0), max(-b, 0)))
 
 
 _FACTORED_ZERO = _Factored(0)

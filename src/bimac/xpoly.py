@@ -116,6 +116,8 @@ class XPolynomial:
         return len(degs) <= 1
 
     def coefficient(self, exponents):
+        if len(exponents) != self.nvars:
+            raise ValueError("exponent vector length does not match nvars")
         return self.terms.get(tuple(exponents), _ZERO)
 
     def _check_shape(self, other):
@@ -324,9 +326,7 @@ def elementary_symmetric(r: int, interval, nvars: int) -> XPolynomial:
 
 
 def coefficient_of(f: XPolynomial, exponents) -> QTScalar:
-    if len(exponents) != f.nvars:
-        raise ValueError("exponent vector length does not match nvars")
-    return f.terms.get(tuple(exponents), _ZERO)
+    return f.coefficient(exponents)
 
 
 def vandermonde(kind: str, I, nvars: int) -> XPolynomial:

@@ -36,6 +36,7 @@ def is_canonical(s):
 
 coeffs = st.integers(min_value=-6, max_value=6)
 exps = st.integers(min_value=0, max_value=4)
+signed_exps = st.integers(min_value=-4, max_value=4)
 
 
 @st.composite
@@ -259,15 +260,74 @@ def test_json_rows_parse_integers_as_int():
 
 
 @settings(max_examples=150, deadline=None)
-@given(scalars(), exps, exps)
+@given(scalars(), signed_exps, signed_exps)
 def test_mul_monomial_fast_path_matches_reduce(a, i, j):
-    # q^i t^j a skips _reduce when den has a constant term; it must give
-    # the same canonical scalar that _reduce gives
+    # q^i t^j a takes no gcd, on the fast path (i, j >= 0, den with a
+    # constant term) or off it; it must give the canonical scalar that
+    # the product through a gcd gives
     got = a.mul_monomial(i, j)
     assert is_canonical(got)
-    if a:
-        want = qt._reduce(a.c, a.num.mul_term(i, j), a.den)
-        assert (got.c, got.num, got.den) == (want.c, want.num, want.den)
+    want = a * qt_monomial(i, j)
+    assert (got.c, got.num, got.den) == (want.c, want.num, want.den)
+
+
+def _without_gcd(route, *args):
+    """route(*args) with qt.poly_gcd refusing every call."""
+    def refuse(*_):
+        raise AssertionError("poly_gcd called on a gcd-free route")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qt, "poly_gcd", refuse)
+        return route(*args)
+
+
+@settings(max_examples=150, deadline=None)
+@given(scalars(), signed_exps, signed_exps)
+def test_monomial_maps_make_no_gcd_call(a, i, j):
+    # q -> 1/q, t -> 1/t and multiplication by q^i t^j keep the sides
+    # coprime up to a monomial, so only contents and signs are refolded
+    for got in (_without_gcd(a.invert_parameters),
+                _without_gcd(a.mul_monomial, i, j)):
+        assert is_canonical(got)
+
+
+binomials = st.tuples(signed_exps, signed_exps, signed_exps,
+                      signed_exps).filter(lambda e: e[:2] != e[2:])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(binomials, max_size=4), st.lists(binomials, max_size=4))
+def test_factored_expand_makes_no_gcd_call(tops, bottoms):
+    # a product and quotient of q^a1 t^b1 - q^a2 t^b2 expands with no
+    # gcd to what the same arithmetic on QTScalars gives
+    def plain(e):
+        return qt_monomial(*e[:2]) - qt_monomial(*e[2:])
+
+    f = qt._Factored.prod([qt._Factored.binomial(*e) for e in tops],
+                          [qt._Factored.binomial(*e) for e in bottoms])
+    got = _without_gcd(f.expand)
+    want = ONE
+    for e in tops:
+        want = want * plain(e)
+    for e in bottoms:
+        want = want / plain(e)
+    assert is_canonical(got)
+    assert (got.c, got.num, got.den) == (want.c, want.num, want.den)
+
+
+@settings(max_examples=150, deadline=None)
+@given(polys(), signed_exps, signed_exps, signed_exps, signed_exps,
+       st.integers(min_value=-6, max_value=6).filter(bool))
+def test_laurent_scalar_over_a_monomial_makes_no_gcd_call(p, i, j, a, b,
+                                                          k):
+    # q^i t^j p / (k q^a t^b): the shifted num is prime to a monomial
+    num = {(x + i, y + j): v for (x, y), v in p.terms.items()}
+    got = _without_gcd(qt._laurent_scalar, Fraction(1, 3), num,
+                       {(a, b): k})
+    want = QTScalar(p) * qt_monomial(i - a, j - b) / \
+        QTScalar.from_fraction(3 * k)
+    assert is_canonical(got)
+    assert (got.c, got.num, got.den) == (want.c, want.num, want.den)
 
 
 def test_json_term_order_is_graded_lex():

@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bimac.errors import DivisibilityError
+from bimac.macdonald import bisym_P
 from bimac.qt import QTScalar, qt_monomial
 from bimac.render import xpoly_from_json, xpoly_to_json
+from bimac.sparts import SuperPartition
 from bimac.xpoly import (EvalPoint, XPolynomial, coefficient_of,
                          divided_difference, elementary_symmetric, exact_div,
                          permute_vars, q_shift, specialize, vandermonde)
@@ -212,6 +214,16 @@ def test_coefficient_of():
     assert coefficient_of(x(1, 2) + x(2, 2), (0, 0)).is_zero()
     g = (x(1, 2) + x(2, 2)) * (x(1, 2) + x(2, 2))
     assert coefficient_of(g, (1, 1)) == QTScalar.from_int(2)
+
+
+def test_coefficient_checks_exponent_length():
+    # a vector of the wrong length is an error, not a silent zero, on
+    # the method and on coefficient_of alike
+    P = bisym_P(SuperPartition((2, 0), (1,), 4)).poly
+    for exponents in ((1, 0, 1), (1, 0, 1, 0, 0), ()):
+        for read in (P.coefficient, lambda e: coefficient_of(P, e)):
+            with pytest.raises(ValueError, match="length does not match"):
+                read(exponents)
 
 
 def test_vandermonde():
