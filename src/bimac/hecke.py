@@ -19,7 +19,7 @@ from itertools import combinations
 
 from .errors import DivisibilityError
 from .qt import QTPoly, QTScalar, qt_monomial
-from .xpoly import XPolynomial, _xpoly, permute_vars
+from .xpoly import XPolynomial, _check_var, _xpoly, permute_vars
 
 _T = qt_monomial(0, 1)
 _TINV = qt_monomial(0, -1)
@@ -206,6 +206,8 @@ def _unpack(f, w, B):
 
 def apply_K(i: int, j: int, f: XPolynomial) -> XPolynomial:
     """Exchange x_i and x_j."""
+    _check_var(i, f.nvars)
+    _check_var(j, f.nvars)
     sigma = list(range(1, f.nvars + 1))
     sigma[i - 1], sigma[j - 1] = j, i
     return permute_vars(f, tuple(sigma))

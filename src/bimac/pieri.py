@@ -16,11 +16,12 @@ u_Omega^+(P_Omega) come from memos, and the sigma data of a certificate
 is computed once.
 
 The right side of the operator identity is summed over one common
-denominator: each C/D coefficient stays factored, the lcm D of their
-denominators is each Phi factor to its largest negative exponent, and
-every coefficient times D is a Laurent polynomial.  Its products with
-f's integer numerators at the transformed points are added as integers
-and divided by D once, so no Q(q,t) sum runs per term.
+denominator by ``qt._lcd_sum``, which verify's A-product lemma shares:
+each C/D coefficient stays factored, the lcm D of their denominators is
+each Phi factor to its largest negative exponent, and every coefficient
+times D is a Laurent polynomial.  Its products with f's integer
+numerators at the transformed points are added as integers and divided
+by D once, so no Q(q,t) sum runs per term.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ from itertools import combinations
 from .errors import ConsistencyError, DegenerateEvaluationError
 from .evalsym import _eval_factors
 from .macdonald import expand_in_P_basis, bisym_P, is_bisymmetric
-from .qt import (QTScalar, _Factored, _add_product, _laurent_div,
-                 _laurent_scalar)
+from .qt import (QTScalar, _Factored, _FACTORED_ZERO, _add_product, _lcd_sum,
+                 _laurent_div, _laurent_scalar)
 from .sparts import (StripCertificate, SuperPartition, enumerate_strips,
                      eval_point, perm_inverse)
 from .xpoly import (EvalPoint, XPolynomial, _numerators_at,
@@ -41,7 +42,6 @@ from .xpoly import (EvalPoint, XPolynomial, _numerators_at,
 from . import hecke
 
 _ONE = QTScalar.one()
-_ZERO_F = _Factored(0)
 
 
 @dataclass(frozen=True)
@@ -166,7 +166,7 @@ def _C_factors(m, r, J, L, sigma, point) -> _Factored:
              _a_factor(point, ((i, j) for i in sorted(J) for j in sorted(L)),
                        frozenset()))
     if outer[0].is_zero() or outer[1].is_zero():
-        return _ZERO_F
+        return _FACTORED_ZERO
     sig_m = sorted(sigma[:m])
     inner = _a_factor(point, ((i, j) for i in sorted(J) for j in sig_m), J)
     ss = SigmaSets.from_sigma(sigma, m)
@@ -190,7 +190,7 @@ def _D_factors(m, r, J, sigma, point) -> _Factored:
              _a_factor(point, ((i, j) for i in sorted(J)
                                for j in range(m + 1, N + 1)), frozenset()))
     if outer[0].is_zero() or outer[1].is_zero():
-        return _ZERO_F
+        return _FACTORED_ZERO
     phi = _phi_factors(ss, point, frozenset())
     inner = _a_factor(point, ((i, j) for i in sorted(J)
                               for j in sorted(ss.a_set) if j not in J), J)
@@ -360,11 +360,9 @@ def op_identity_check(m: int, r: int, f: XPolynomial, variant: str) -> bool:
 
 
 def _rhs_at(m, r, f, variant, point):
-    """The sum of C/D tau_J K_sigma f at the point, over one common
-    denominator: f's, times D, the product of each Phi factor of the
-    coefficients to its largest negative exponent (an lcm with no gcd).
-    Each coefficient times D is a Laurent polynomial; its products with
-    f's numerators are summed as integers and reduced once."""
+    """The sum of C/D tau_J K_sigma f at the point, over f's common
+    denominator times the coefficients' D of ``_lcd_sum``: their products
+    with f's numerators are summed as integers and reduced once."""
     N = f.nvars
     coeffs, points = [], []
     if variant == "upper":
@@ -388,16 +386,8 @@ def _rhs_at(m, r, f, variant, point):
             coeffs.append(c)
             # (tau_J K_sigma f) at the point is f at this one
             points.append(tuple(_coord(point, s, Jset) for s in sigma))
-    exps = {}
-    for c in coeffs:
-        for k, e in c.phi.items():
-            if -e > exps.get(k, 0):
-                exps[k] = -e
-    D = _Factored(1, 0, 0, exps)
     content, den, nums = _numerators_at(f, points)
-    total = {}
-    for c, num in zip(coeffs, nums):
-        _add_product(total, (c * D).laurent(), num)
+    total, D = _lcd_sum(coeffs, nums)
     if not total:
         return QTScalar.zero()
     # where the identity holds, total / D is the left side at f's

@@ -30,7 +30,10 @@ evaluation formulas.  ``_Factored.prod(factors, divisors)`` is its one
 product (``*`` and ``/`` call it), and ``_Factored.binomial`` is
 memoized, so no value's factors are ever changed in place.  [k] and [k]!
 are each one such product; ``_powers`` writes q^a t^b and render's x
-monomials as text or LaTeX.
+monomials as text or LaTeX.  ``_lcd_sum`` adds factored values, each
+times an integer Laurent term dict, over one common denominator D, each
+Phi factor to its largest negative exponent, as integers with no gcd;
+the Pieri operator identity and verify's A-product lemma both call it.
 """
 
 from __future__ import annotations
@@ -346,12 +349,10 @@ def poly_gcd(f: QTPoly, g: QTPoly) -> QTPoly:
         return f.content_split()[1]
     _, fp = f.content_split()
     _, gp = g.content_split()
-    if fp.is_one() or gp.is_one():
-        return _P_ONE
-    if len(fp.terms) == 1 and len(gp.terms) == 1:
-        (fa, fb), = fp.terms
-        (ga, gb), = gp.terms
-        return QTPoly.monomial(min(fa, ga), min(fb, gb))
+    if len(fp.terms) == 1 or len(gp.terms) == 1:
+        # a one-term primitive side is q^a t^b: the least exponents
+        a, b = map(min, zip(*fp.terms, *gp.terms))
+        return QTPoly.monomial(a, b) if a or b else _P_ONE
     fk, gk = fp.key(), gp.key()
     memo_key = (fk, gk) if fk <= gk else (gk, fk)
     hit = _GCD_MEMO.get(memo_key)
@@ -818,6 +819,22 @@ class _Factored:
 
 
 _FACTORED_ZERO = _Factored(0)
+
+
+def _lcd_sum(values, nums):
+    """(total, D): D the lcm of the _Factored values' denominators, each
+    Phi factor to its largest negative exponent (no gcd), and total the
+    integer Laurent term dict of D * sum value * num over the dicts nums."""
+    exps = {}
+    for v in values:
+        for k, e in v.phi.items():
+            if -e > exps.get(k, 0):
+                exps[k] = -e
+    D = _Factored(1, 0, 0, exps)
+    total = {}
+    for v, num in zip(values, nums):
+        _add_product(total, (v * D).laurent(), num)
+    return total, D
 
 
 # ---------------------------------------------------------------------------

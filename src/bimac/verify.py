@@ -5,19 +5,27 @@ check is a list of cases and a predicate; it fails at the first case,
 in sweep order, where the predicate is false, and that case is the
 detail.  Bounds are the maximum variable count and degree the sweeps
 run at.
+
+The hecke suite's A-product lemma holds both sides factored: each
+symmetrized term and the block factor are ``pieri._a_factor`` products,
+the constant [r]! [N-r]! comes from ``qt._brackets``, and ``qt._lcd_sum``
+adds them over one common denominator.  The lemma holds exactly when
+that integer sum is empty, so the check does no Q(q,t) arithmetic and
+calls no gcd.
 """
 
 from __future__ import annotations
 
 import random
-from itertools import permutations
+from itertools import combinations, permutations, product
 
 from .evalsym import _symmetry_holds, eval_formula, evaluate
 from .macdonald import (bisym_P, c_lambda_formula, dominant_exponent, nonsym_E,
                         _bruhat_less)
-from .pieri import (op_identity_check, pieri_bruteforce, pieri_expand,
-                    expansions_equal)
-from .qt import QTScalar, qt_monomial, t_bracket_factorial
+from .pieri import (_a_factor, op_identity_check, pieri_bruteforce,
+                    pieri_expand, expansions_equal)
+from .qt import (QTScalar, _brackets, _Factored, _lcd_sum, qt_monomial,
+                 t_bracket_factorial)
 from .sparts import (SuperPartition, compositions_of, eigenvalue, format_spart,
                      lambda_naught, superpartitions)
 from .xpoly import XPolynomial, elementary_symmetric, EvalPoint
@@ -181,23 +189,16 @@ def _rel_u_plus(N, r, J, point):
     permutations sending the last r variables onto J equals the bracket
     constant times the block A factor, at a point whose coordinates are
     distinct monomials."""
-    x = point.scalar
-    total = QTScalar.zero()
-    for sigma in permutations(range(1, N + 1)):
-        if set(sigma[N - r:]) != set(J):
-            continue
-        prod = _ONE
-        for i in range(N - 1):
-            for j in range(i + 1, N):
-                si, sj = x(sigma[i]), x(sigma[j])
-                prod = prod * (si - sj.mul_monomial(0, 1)) / (si - sj)
-        total = total + prod
-    rhs = t_bracket_factorial(r, "t") * t_bracket_factorial(N - r, "t")
-    for i in J:
-        for j in range(1, N + 1):
-            if j not in J:
-                rhs = rhs * (x(i).mul_monomial(0, 1) - x(j)) / (x(i) - x(j))
-    return total == rhs
+    # (x_a - t x_b)/(x_a - x_b) is _a_factor's (t X_b - X_a)/(X_b - X_a)
+    terms = [_a_factor(point, [(sigma[j], sigma[i]) for i, j in
+                               combinations(range(N), 2)], ())
+             for sigma in permutations(range(1, N + 1))
+             if set(sigma[N - r:]) == set(J)]
+    num, den = _brackets([*range(1, r + 1), *range(1, N - r + 1)], "t")
+    rest = set(range(1, N + 1)) - set(J)
+    rhs = _Factored.prod([*num, _a_factor(point, product(J, rest), ())], den)
+    total, _ = _lcd_sum([*terms, -rhs], [{(0, 0): 1}] * (len(terms) + 1))
+    return not total
 
 
 def _eigen_and_triangular(eta):

@@ -46,6 +46,12 @@ class EvalPoint:
         return qt_monomial(a, b)
 
 
+def _check_var(i, nvars):
+    """Raise ValueError unless x_i is one of x_1..x_nvars."""
+    if not 1 <= i <= nvars:
+        raise ValueError(f"x_{i} undefined for {nvars} variables")
+
+
 def _xpoly(nvars, terms):
     """An XPolynomial on a term dict that already holds only nonzero
     coefficients."""
@@ -85,6 +91,7 @@ class XPolynomial:
     @staticmethod
     def variable(i, nvars):
         """x_i, 1-based."""
+        _check_var(i, nvars)
         e = [0] * nvars
         e[i - 1] = 1
         return XPolynomial(nvars, {tuple(e): _ONE})
@@ -194,6 +201,8 @@ class XPolynomial:
 def permute_vars(f: XPolynomial, sigma) -> XPolynomial:
     """K_sigma f: substitute x_i -> x_sigma(i) (one-line, 1-based)."""
     n = f.nvars
+    if sorted(sigma) != list(range(1, n + 1)):
+        raise ValueError(f"{tuple(sigma)} is not a permutation of 1..{n}")
     out = {}
     for e, c in f.terms.items():
         e2 = [0] * n
@@ -207,6 +216,8 @@ def q_shift(f: XPolynomial, J) -> XPolynomial:
     """tau_J f: x_i -> q x_i for i in J (1-based set)."""
     if not J:
         return f
+    for i in J:
+        _check_var(i, f.nvars)
     idx = [i - 1 for i in J]
     out = {}
     for e, c in f.terms.items():
@@ -316,6 +327,8 @@ def elementary_symmetric(r: int, interval, nvars: int) -> XPolynomial:
         raise ValueError(f"e_{r} undefined on an interval of {width} variables")
     if r == 0:
         return XPolynomial.one(nvars)
+    _check_var(a, nvars)
+    _check_var(b, nvars)
     out = {}
     for subset in combinations(range(a - 1, b), r):
         e = [0] * nvars

@@ -36,6 +36,8 @@ COMMANDS = (
         ("1,0;", "4", "1", "upper")) for f in FORMATS]
     + [["pieri", "--spart", "2,0;1", "--N", "4", "--r", "1", "--variant",
         "lower", "--check"]]
+    + [["verify", "--suite", suite, "--N", N, "--deg", deg]
+       for suite, N, deg in (("all", "3", "2"), ("hecke", "5", "1"))]
 )
 
 # the shapes of perfbench's cache_session workload, at N = 5

@@ -377,6 +377,16 @@ def test_negative_exponents_live_in_denominator():
     assert all(a >= 0 and b >= 0 for a, b in s.den.terms)
 
 
+@settings(max_examples=150, deadline=None)
+@given(exps, exps, coeffs.filter(bool), polys(allow_zero=False))
+def test_gcd_with_a_one_term_side(a, b, c, p):
+    # the shortcut before the memo against the heuristic-gcd loop, which
+    # reports the content gcd that poly_gcd leaves out
+    mono = QTPoly.monomial(a, b, c)
+    want = QTPoly(qt._gcd_terms(mono.terms, p.terms)).content_split()[1]
+    assert poly_gcd(mono, p) == poly_gcd(p, mono) == want
+
+
 @settings(max_examples=60, deadline=None)
 @given(polys(allow_zero=False), polys(allow_zero=False),
        polys(allow_zero=False))

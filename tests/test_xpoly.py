@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bimac.errors import DivisibilityError
+from bimac.hecke import apply_K
 from bimac.macdonald import bisym_P
 from bimac.qt import QTScalar, qt_monomial
 from bimac.render import xpoly_from_json, xpoly_to_json
@@ -245,6 +246,35 @@ def test_divided_difference_index_out_of_range(i):
     # i = -1 would swap with the last variable, i = N would index past it
     with pytest.raises(ValueError, match="undefined for 3 variables"):
         divided_difference(XPolynomial.monomial((2, 0, 1)), i)
+
+
+_F3 = XPolynomial.monomial((2, 1, 0))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: XPolynomial.variable(0, 3), "x_0 undefined for 3 variables"),
+    (lambda: XPolynomial.variable(4, 3), "x_4 undefined for 3 variables"),
+    (lambda: vandermonde("plain", {0, 1}, 3), "x_0 undefined for 3 variables"),
+    (lambda: elementary_symmetric(1, (0, 2), 3),
+     "x_0 undefined for 3 variables"),
+    (lambda: elementary_symmetric(1, (2, 4), 3),
+     "x_4 undefined for 3 variables"),
+    (lambda: apply_K(0, 1, _F3), "x_0 undefined for 3 variables"),
+    (lambda: apply_K(1, 4, _F3), "x_4 undefined for 3 variables"),
+    (lambda: q_shift(_F3, {0}), "x_0 undefined for 3 variables"),
+    (lambda: q_shift(_F3, {4}), "x_4 undefined for 3 variables"),
+    (lambda: permute_vars(_F3, (1, 2, 2)),
+     r"\(1, 2, 2\) is not a permutation of 1..3"),
+    (lambda: permute_vars(_F3, (1, 2, 4)),
+     r"\(1, 2, 4\) is not a permutation of 1..3"),
+], ids=["variable-0", "variable-N+1", "vandermonde", "e_r-0", "e_r-N+1",
+        "K-0", "K-N+1", "q_shift-0", "q_shift-N+1", "permute-repeat",
+        "permute-N+1"])
+def test_variable_index_out_of_range(call, message):
+    # indices are 1-based: 0 would wrap to x_N and N + 1 would index past
+    # the exponent vector
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 @settings(max_examples=40, deadline=None)
