@@ -11,12 +11,11 @@ with explicit coefficients.  Everything is exact over Q(q,t).
 
 from .errors import ConsistencyError, DegenerateEvaluationError, DivisibilityError
 from .qt import QTPoly, QTScalar, qt_monomial, t_bracket, t_bracket_factorial
-from .xpoly import (EvalPoint, XPolynomial, coefficient_of, divided_difference,
-                    elementary_symmetric, exact_div, permute_vars, q_shift,
-                    specialize, vandermonde)
-from .sparts import (Composition, Partition, StripCertificate, SuperPartition,
-                     enumerate_strips, eval_point, eigenvalue, format_spart,
-                     hook_data, is_superevaluation, lambda_naught,
+from .xpoly import (XPolynomial, divided_difference, elementary_symmetric,
+                    exact_div, permute_vars, q_shift, specialize, vandermonde)
+from .sparts import (StripCertificate, SuperPartition, enumerate_strips,
+                     eval_point, eigenvalue, format_spart, hook_data,
+                     is_superevaluation, lambda_naught,
                      minimal_sorting_permutation, parse_spart, row_of_circle,
                      superpartitions)
 from .hecke import (apply_K, apply_T, apply_T0, apply_T_inv, apply_Y,

@@ -5,7 +5,8 @@ engines, a brute-force oracle, and the two-sided operator identity
 check.
 
 Every coefficient is assembled factor by factor at an evaluation
-point; no rational functions in x are ever formed symbolically.  Each
+point, the tuple of the (a_i, b_i) of X_i = q^(a_i) t^(b_i); no
+rational functions in x are ever formed symbolically.  Each
 factor is a monomial or a q,t-binomial X_i - X_j, t X_i - X_j, so the
 coefficients, the t-Vandermonde and the staircase evaluations are held
 as factored binomial products (``qt._Factored``) and each Pieri
@@ -37,8 +38,8 @@ from .qt import (QTScalar, _Factored, _FACTORED_ZERO, _add_product, _lcd_sum,
                  _laurent_div, _laurent_scalar)
 from .sparts import (StripCertificate, SuperPartition, enumerate_strips,
                      eval_point, perm_inverse)
-from .xpoly import (EvalPoint, XPolynomial, _numerators_at,
-                    elementary_symmetric, specialize, vandermonde)
+from .xpoly import (XPolynomial, _numerators_at, elementary_symmetric,
+                    specialize, vandermonde)
 from . import hecke
 
 _ONE = QTScalar.one()
@@ -82,8 +83,8 @@ class PieriTerm:
     coeff: QTScalar
 
 
-def _coord(point: EvalPoint, i: int, shift):
-    a, b = point.coords[i - 1]
+def _coord(point, i: int, shift):
+    a, b = point[i - 1]
     return a + (1 if i in shift else 0), b
 
 
@@ -138,7 +139,7 @@ def _phi_factors(ss, point, shift_J) -> _Factored:
     return _Factored.prod(num, den)
 
 
-def phi_at(sigma, m: int, point: EvalPoint, shift_J=frozenset()) -> QTScalar:
+def phi_at(sigma, m: int, point, shift_J=frozenset()) -> QTScalar:
     """The factor Phi(sigma) evaluated at the point, with coordinates in
     shift_J premultiplied by q (for use inside a q-shift)."""
     ss = SigmaSets.from_sigma(sigma, m)
@@ -225,6 +226,16 @@ def _delta_t_factors(m, point) -> _Factored:
                            for i, j in combinations(range(1, m + 1), 2)])
 
 
+def _interval(r, variant, m, N):
+    """The variables e_r runs over, x_(m+1)..x_N (upper) or x_1..x_m
+    (lower); an unknown variant or r < 0 raises ValueError."""
+    if variant not in ("upper", "lower"):
+        raise ValueError(f"unknown variant {variant!r}")
+    if r < 0:
+        raise ValueError(f"e_{r} is undefined: r must be nonnegative")
+    return (m + 1, N) if variant == "upper" else (1, m)
+
+
 def pieri_expand(lam: SuperPartition, r: int, variant: str):
     """The Pieri expansion of e_r(x_(m+1)..x_N) (upper) or
     e_r(x_1..x_m) (lower) times P_Lambda, via strip certificates and
@@ -233,8 +244,7 @@ def pieri_expand(lam: SuperPartition, r: int, variant: str):
     At r = 0, e_0 = 1 and the expansion is P_Lambda itself, with no
     certificate.
     """
-    if variant not in ("upper", "lower"):
-        raise ValueError(f"unknown variant {variant!r}")
+    _interval(r, variant, lam.m, lam.N)
     if r == 0:
         return [PieriTerm(omega=lam, certificate=None, coeff=_ONE)]
     strip_type = "I" if variant == "upper" else "II"
@@ -266,12 +276,7 @@ def pieri_expand(lam: SuperPartition, r: int, variant: str):
 def pieri_bruteforce(lam: SuperPartition, r: int, variant: str):
     """Oracle: multiply out e_r P_Lambda and expand in the P basis."""
     m, N = lam.m, lam.N
-    if variant == "upper":
-        interval = (m + 1, N)
-    elif variant == "lower":
-        interval = (1, m)
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
+    interval = _interval(r, variant, m, N)
     if r == 0:
         return [PieriTerm(omega=lam, certificate=None, coeff=_ONE)]
     if r > interval[1] - interval[0] + 1:
@@ -315,7 +320,7 @@ def _generic_point(N, seed):
                        for _ in range(N))
         if len({a for a, _ in coords}) == N and \
                 len({b for _, b in coords}) == N:
-            return EvalPoint(coords)
+            return coords
 
 
 # the operator identity is checked at this many generic points, drawn
@@ -337,10 +342,7 @@ def op_identity_check(m: int, r: int, f: XPolynomial, variant: str) -> bool:
         raise ValueError("the operator identity needs a bisymmetric input")
     delta_t = vandermonde("t_deformed", range(1, m + 1), N)
     gf = delta_t * f
-    if variant == "upper":
-        lhs_poly = hecke.apply_e_of_Y(r, (m + 1, N), gf)
-    else:
-        lhs_poly = hecke.apply_e_of_Y(r, (1, m), gf)
+    lhs_poly = hecke.apply_e_of_Y(r, _interval(r, variant, m, N), gf)
     checked = 0
     attempt = 0
     while checked < _OP_POINTS:

@@ -1,5 +1,6 @@
 """Compositions, partitions and superpartitions: diagrams, sorting
-permutations, evaluation points, hook statistics and vertical-strip
+permutations, evaluation points (tuples of the (a_i, b_i) of
+x_i -> q^(a_i) t^(b_i)), hook statistics and vertical-strip
 enumeration with certificates.  An anti part is enumerated as a
 partition plus the staircase (m - 1, .., 0).  A strip's row sets (filled,
 circled square, new circle) come from the move chosen for each row as
@@ -12,7 +13,6 @@ from dataclasses import dataclass
 
 from .errors import ConsistencyError
 from .qt import QTScalar, qt_monomial
-from .xpoly import EvalPoint
 
 
 # ---------------------------------------------------------------------------
@@ -56,10 +56,6 @@ def sorting_permutation(v):
 # ---------------------------------------------------------------------------
 # compositions and partitions
 # ---------------------------------------------------------------------------
-
-Composition = tuple
-Partition = tuple
-
 
 def is_partition(v):
     return all(v[i] >= v[i + 1] for i in range(len(v) - 1)) and \
@@ -235,17 +231,16 @@ def is_superevaluation(lam: SuperPartition, sigma) -> bool:
         perm_act(sigma, plus) == lam.circled()
 
 
-def eval_point(lam: SuperPartition, sign: str) -> EvalPoint:
-    """The substitution point of the positive or negative evaluation."""
+def eval_point(lam: SuperPartition, sign: str) -> tuple:
+    """The substitution point of the positive or negative evaluation:
+    the (a_i, b_i) of x_i -> q^(a_i) t^(b_i), i = 1..N."""
     w = minimal_sorting_permutation(lam)
     star, circ = lam.star(), lam.circled()
     if sign == "plus":
-        coords = tuple((circ[w[i] - 1], 1 - w[i]) for i in range(lam.N))
-    elif sign == "minus":
-        coords = tuple((-star[w[i] - 1], w[i] - 1) for i in range(lam.N))
-    else:
-        raise ValueError(f"unknown sign {sign!r}")
-    return EvalPoint(coords)
+        return tuple((circ[w[i] - 1], 1 - w[i]) for i in range(lam.N))
+    if sign == "minus":
+        return tuple((-star[w[i] - 1], w[i] - 1) for i in range(lam.N))
+    raise ValueError(f"unknown sign {sign!r}")
 
 
 def lambda_naught(m: int, N: int) -> SuperPartition:

@@ -28,7 +28,7 @@ from .qt import (QTScalar, _brackets, _Factored, _lcd_sum, qt_monomial,
                  t_bracket_factorial)
 from .sparts import (SuperPartition, compositions_of, eigenvalue, format_spart,
                      lambda_naught, superpartitions)
-from .xpoly import XPolynomial, elementary_symmetric, EvalPoint
+from .xpoly import XPolynomial, elementary_symmetric
 from . import hecke
 
 _ONE = QTScalar.one()
@@ -134,7 +134,7 @@ def suite_hecke(N=4, deg=3) -> Report:
               [(r,) for r in range(1, N + 1)], lambda r: _lemma_eY(N, r))
     rep.check("symmetrized A-product evaluates to the bracket constant",
               _rel_u_plus_cases(N), lambda r, J, coords:
-              _rel_u_plus(N, r, J, EvalPoint(coords)))
+              _rel_u_plus(N, r, J, coords))
     return rep
 
 

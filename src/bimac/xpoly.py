@@ -5,16 +5,15 @@ its image of f in one term map (hecke.apply_T0).  divided_difference is
 the exact quotient it is defined as; the operators telescope it term by
 term in their own kernel (hecke._step).
 
-Specialization at a monomial point sums no fractions: each term's
-numerator is brought over the lcm of f's few distinct coefficient
-denominators once, the terms are added as integers, and the sum is
-reduced once (``_numerators_at``, which the Pieri operator identity
-shares).
+A monomial point x_i -> q^(a_i) t^(b_i) is the tuple of its (a_i, b_i)
+pairs.  Specialization at one sums no fractions: each term's numerator
+is brought over the lcm of f's few distinct coefficient denominators
+once, the terms are added as integers, and the sum is reduced once
+(``_numerators_at``, which the Pieri operator identity shares).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import lcm as _ilcm
@@ -29,21 +28,6 @@ _ONE = QTScalar.one()
 
 def _grlex_x(e):
     return (sum(e), e)
-
-
-@dataclass(frozen=True)
-class EvalPoint:
-    """Per-variable substitution x_i -> q^(a_i) t^(b_i)."""
-
-    coords: tuple[tuple[int, int], ...]
-
-    def __len__(self):
-        return len(self.coords)
-
-    def scalar(self, i):
-        """Coordinate i (1-based) as a QTScalar monomial."""
-        a, b = self.coords[i - 1]
-        return qt_monomial(a, b)
 
 
 def _check_var(i, nvars):
@@ -98,6 +82,8 @@ class XPolynomial:
 
     @staticmethod
     def monomial(exponents, coeff=_ONE):
+        if any(n < 0 for n in exponents):
+            raise ValueError("XPolynomial exponents must be nonnegative")
         return XPolynomial(len(exponents), {tuple(exponents): coeff})
 
     # -- structure ----------------------------------------------------
@@ -310,12 +296,12 @@ def _numerators_at(f: XPolynomial, points):
 
 
 def specialize(f: XPolynomial, point) -> QTScalar:
-    """Substitute x_i -> q^(a_i) t^(b_i) and return the exact value,
-    summed as integers over f's common denominator and reduced once."""
-    coords = point.coords if isinstance(point, EvalPoint) else tuple(point)
-    if len(coords) != f.nvars:
+    """Substitute x_i -> q^(a_i) t^(b_i), point the tuple of the
+    (a_i, b_i), and return the exact value, summed as integers over f's
+    common denominator and reduced once."""
+    if len(point) != f.nvars:
         raise ValueError("evaluation point length does not match nvars")
-    c, den, (num,) = _numerators_at(f, (coords,))
+    c, den, (num,) = _numerators_at(f, (point,))
     return _laurent_scalar(c, num, den.terms)
 
 
@@ -336,10 +322,6 @@ def elementary_symmetric(r: int, interval, nvars: int) -> XPolynomial:
             e[i] = 1
         out[tuple(e)] = _ONE
     return XPolynomial(nvars, out)
-
-
-def coefficient_of(f: XPolynomial, exponents) -> QTScalar:
-    return f.coefficient(exponents)
 
 
 def vandermonde(kind: str, I, nvars: int) -> XPolynomial:

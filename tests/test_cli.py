@@ -117,6 +117,15 @@ class TestCommandEval:
         assert code == 0
         assert subst == formula and formula.strip() not in ("", "0")
 
+    def test_routes_disagreeing_exit_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "eval_formula",
+                            lambda lam, sign: qt.QTScalar.zero())
+        code, out, err = run(capsys, "eval", "--spart", "1,0;1", "--N", "4",
+                             "--sign", "minus", "--route", "both")
+        assert code == 1
+        assert "MISMATCH between evaluation routes" in err
+        assert "formula:      0\n" in out
+
 
 @pytest.mark.parametrize("argv, message", [
     (("P", "--spart", ";", "--N", "0"), "--N 0 must be at least 1"),
@@ -259,6 +268,17 @@ class TestCommandVerify:
         code, out, _ = run(capsys, "verify", "--suite", "symmetry",
                            "--N", "3", "--deg", "2")
         assert code == 0
+
+    def test_normalization_suite_fails_on_the_closed_formula(self, capsys):
+        # opt-in: the dominant coefficient is 1, and the printed closed
+        # normalization formula is the known discrepancy
+        code, out, _ = run(capsys, "verify", "--suite", "normalization",
+                           "--N", "3", "--deg", "2")
+        assert code == 1
+        assert out.splitlines() == [
+            "[pass] dominant monomial coefficient is 1 on 10 P's",
+            "[FAIL] recorded constants equal the closed formula: "
+            "3 mismatches, first ['1,0;', '1,0;1', '2,0;']"]
 
     def test_unknown_suite_exits_2(self):
         with pytest.raises(SystemExit):

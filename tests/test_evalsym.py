@@ -87,7 +87,7 @@ class TestSymmetry:
         # any superevaluation permutation gives the same evaluation of a
         # bisymmetric input
         from bimac.sparts import is_superevaluation
-        from bimac.xpoly import EvalPoint, specialize
+        from bimac.xpoly import specialize
         from itertools import permutations
         lam = SuperPartition((2, 0), (1, 1), 4)
         f = bisym_P(lam).poly
@@ -100,5 +100,5 @@ class TestSymmetry:
             circ = lam.circled()
             coords = tuple((circ[sigma[i] - 1], 1 - sigma[i])
                            for i in range(4))
-            assert specialize(f, EvalPoint(coords)) == base
+            assert specialize(f, coords) == base
         assert count >= 2

@@ -532,8 +532,7 @@ class TestSymmetrizedAProduct:
         # block A factor, checked at generic points
         from itertools import permutations
         import random
-        from bimac.xpoly import EvalPoint
-        from bimac.qt import QTScalar
+        from bimac.qt import QTScalar, qt_monomial
         rng = random.Random(31)
         N = 3
         for r in (1, 2):
@@ -546,10 +545,8 @@ class TestSymmetrizedAProduct:
                 if len({a for a, _ in coords}) < N or \
                         len({b for _, b in coords}) < N:
                     continue
-                point = EvalPoint(coords)
-
                 def xv(i):
-                    return point.scalar(i)
+                    return qt_monomial(*coords[i - 1])
                 try:
                     total = QTScalar.zero()
                     target = set(range(N - r + 1, N + 1))

@@ -3,17 +3,19 @@ from itertools import combinations
 
 import pytest
 
-from bimac.errors import DegenerateEvaluationError
-from bimac.evalsym import _eval_factors
+from bimac import pieri as pierimod
+from bimac.errors import ConsistencyError, DegenerateEvaluationError
+from bimac.evalsym import _eval_factors, eval_formula
 from bimac.pieri import (_OP_SEED, SigmaSets, _C_factors, _D_factors,
                          _coset_reps, _delta_t_factors, _generic_point,
-                         _rhs_at, coeff_C, expansions_equal,
+                         _rhs_at, coeff_C, coeff_D, expansions_equal,
                          op_identity_check, pieri_bruteforce, pieri_expand,
                          phi_at)
-from bimac.qt import QTScalar, qt_monomial
+from bimac.qt import QTScalar, _Factored, qt_monomial
 from bimac.sparts import (SuperPartition, enumerate_strips, eval_point,
-                          format_spart, perm_inverse, superpartitions)
-from bimac.xpoly import EvalPoint, XPolynomial, elementary_symmetric
+                          format_spart, parse_spart, perm_inverse,
+                          superpartitions)
+from bimac.xpoly import XPolynomial, elementary_symmetric
 
 ONE = QTScalar.one()
 Q = qt_monomial(1, 0)
@@ -74,11 +76,9 @@ class TestPhi:
                 if len({b for _, b in coords}) < N or \
                         len({a for a, _ in coords}) < N:
                     continue
-                point = EvalPoint(coords)
-
                 def xv(i):
-                    return point.scalar(i)
-                lhs = phi_at(sigma, m, point)
+                    return qt_monomial(*coords[i - 1])
+                lhs = phi_at(sigma, m, coords)
                 rhs = ONE
                 for j in sorted(ss.b_comp):
                     rhs = rhs * (T - ONE) * xv(j)
@@ -126,6 +126,26 @@ class TestCoefficients:
             swapped2 = sigma[:2] + (sigma[3], sigma[2]) + sigma[4:]
             assert base == _C_factors(lam.m, cert.r, cert.J, cert.L,
                                       swapped2, point).expand()
+
+    def test_coeff_D(self):
+        # pieri_expand's lower coefficient is coeff_D times the
+        # normalization u^+(P_Lambda) q^r / (Delta_t(u^+) u^+(P_Omega))
+        lam = SuperPartition((2, 0), (1,), 5)
+        with pytest.raises(ValueError, match="type-II"):
+            coeff_D(lam, enumerate_strips(lam, 1, "I")[0])
+        delta = _delta_t_factors(lam.m, eval_point(lam, "plus")).expand()
+        expanded = nonzero = 0
+        for r in (1, 2):
+            got = {t.certificate: t.coeff
+                   for t in pieri_expand(lam, r, "lower")}
+            expanded += len(got)
+            for cert in enumerate_strips(lam, r, "II"):
+                want = coeff_D(lam, cert) * eval_formula(lam, "plus") * \
+                    qt(r, 0) / delta / eval_formula(cert.omg, "plus")
+                assert got.get(cert, QTScalar.zero()) == want, (r, cert.omg)
+                nonzero += not want.is_zero()
+        assert nonzero == expanded
+        assert nonzero
 
     def test_delta_t_nonvanishing(self):
         for m in (1, 2):
@@ -205,6 +225,43 @@ class TestExpansionEngine:
                                 (format_spart(sp), r, variant)
 
 
+# each entry point of a Pieri expansion, called with the variant given
+E1_BLOCKS = elementary_symmetric(1, (1, 2), 4) * \
+    elementary_symmetric(1, (3, 4), 4)
+ENTRY_POINTS = {
+    "pieri_expand": lambda variant: pieri_expand(
+        SuperPartition((1, 0), (), 4), 1, variant),
+    "pieri_bruteforce": lambda variant: pieri_bruteforce(
+        SuperPartition((1, 0), (), 4), 1, variant),
+    "op_identity_check": lambda variant: op_identity_check(
+        2, 1, E1_BLOCKS, variant),
+}
+
+
+class TestArguments:
+    @pytest.mark.parametrize("entry", ENTRY_POINTS.values(),
+                             ids=ENTRY_POINTS)
+    def test_unknown_variant_raises(self, entry):
+        with pytest.raises(ValueError, match="unknown variant 'bogus'"):
+            entry("bogus")
+
+    @pytest.mark.parametrize("variant", ["upper", "lower"])
+    @pytest.mark.parametrize("spart", ["1,0;", "2,0;1", "1;1", "0;2,1", ";1"])
+    def test_formula_and_oracle_agree_on_every_r(self, spart, variant):
+        # e_r is undefined below r = 0 for both; above the interval's
+        # width both give the empty expansion
+        lam = parse_spart(spart, 4)
+        width = lam.N - lam.m if variant == "upper" else lam.m
+        for r in range(-1, width + 2):
+            if r < 0:
+                for engine in (pieri_expand, pieri_bruteforce):
+                    with pytest.raises(ValueError, match="nonnegative"):
+                        engine(lam, r, variant)
+            else:
+                assert expansions_equal(pieri_expand(lam, r, variant),
+                                        pieri_bruteforce(lam, r, variant)), r
+
+
 class TestVanishing:
     def test_vanishing_outside_superevaluations(self):
         # u+ of the type-I coefficient vanishes whenever the reordered
@@ -272,7 +329,7 @@ class TestDegenerateEvaluation:
     ])
     def test_C_raises(self, coords, where):
         with pytest.raises(DegenerateEvaluationError, match=where):
-            _C_factors(*self.C_ARGS, EvalPoint(coords)).expand()
+            _C_factors(*self.C_ARGS, coords).expand()
 
     @pytest.mark.parametrize("coords, where", [
         # J x [m+1, N] outer product: X_1 = X_4
@@ -282,19 +339,19 @@ class TestDegenerateEvaluation:
     ])
     def test_D_raises(self, coords, where):
         with pytest.raises(DegenerateEvaluationError, match=where):
-            _D_factors(*self.D_ARGS, EvalPoint(coords)).expand()
+            _D_factors(*self.D_ARGS, coords).expand()
 
     def test_C_vanishing_block_factor_comes_first(self):
         # t X_1 = X_2 empties the block product, so the inner pair with
         # q X_3 = X_1 is never divided by
-        point = EvalPoint(((6, 0), (6, 1), (5, 0), (9, 9)))
+        point = ((6, 0), (6, 1), (5, 0), (9, 9))
         assert _C_factors(*self.C_ARGS, point).expand().is_zero()
 
     @pytest.mark.parametrize("x4", [(9, 9), (0, 0)])
     def test_D_vanishing_outer_factor_comes_first(self, x4):
         # t X_1 = X_3 empties the outer product before its pair (1, 4)
         # (X_1 = X_4 when x4 = (0, 0)) and the inner pair q X_1 = X_2
-        point = EvalPoint(((0, 0), (1, 0), (0, 1), x4))
+        point = ((0, 0), (1, 0), (0, 1), x4)
         assert _D_factors(*self.D_ARGS, point).expand().is_zero()
 
 
@@ -372,6 +429,39 @@ class TestOperatorIdentity:
         with pytest.raises(ValueError):
             op_identity_check(1, 1, XPolynomial.variable(2, 3), "upper")
 
+    @pytest.mark.parametrize("variant, name", [("upper", "_C_factors"),
+                                               ("lower", "_D_factors")])
+    def test_wrong_coefficients_fail(self, monkeypatch, variant, name):
+        # every coefficient times t: the right side no longer matches
+        real = getattr(pierimod, name)
+        monkeypatch.setattr(pierimod, name, lambda *args: _Factored.prod(
+            (real(*args), _Factored.monomial(0, 1))))
+        assert op_identity_check(2, 1, E1_BLOCKS, variant) is False
+
+    def test_degenerate_point_is_skipped(self, monkeypatch):
+        # a first point with X_1 = X_2 is replaced by the next seed
+        seeds = []
+
+        def point(N, seed):
+            seeds.append(seed)
+            coords = _generic_point(N, seed)
+            return coords if len(seeds) > 1 else \
+                (coords[0], coords[0]) + coords[2:]
+        monkeypatch.setattr(pierimod, "_generic_point", point)
+        for variant in ("upper", "lower"):
+            seeds.clear()
+            assert op_identity_check(2, 1, E1_BLOCKS, variant) is True
+            assert seeds == [_OP_SEED + k for k in range(1, 5)]
+
+    def test_no_generic_point_raises(self, monkeypatch):
+        seeds = []
+        monkeypatch.setattr(pierimod, "_generic_point",
+                            lambda N, seed: seeds.append(seed) or
+                            ((0, 0),) * N)
+        with pytest.raises(ConsistencyError, match="enough generic points"):
+            op_identity_check(2, 1, E1_BLOCKS, "upper")
+        assert len(seeds) == 20 * pierimod._OP_POINTS
+
 
 def _rhs_per_coefficient(m, r, f, variant, point):
     """The reference route for ``_rhs_at``: each coefficient expanded to
@@ -390,8 +480,8 @@ def _rhs_per_coefficient(m, r, f, variant, point):
                 c = _D_factors(m, r, Jset, sigma, point).expand()
             else:
                 continue
-            coords = [(point.coords[s - 1][0] + (s in Jset),
-                       point.coords[s - 1][1]) for s in sigma]
+            coords = [(point[s - 1][0] + (s in Jset), point[s - 1][1])
+                      for s in sigma]
             value = QTScalar.zero()
             for e, v in f.terms.items():
                 a = sum(k * da for k, (da, _) in zip(e, coords))

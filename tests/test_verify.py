@@ -4,10 +4,9 @@ import pytest
 
 from bimac import qt
 from bimac.pieri import _a_factor
-from bimac.qt import (QTScalar, _brackets, _Factored, _lcd_sum,
+from bimac.qt import (QTScalar, _brackets, _Factored, _lcd_sum, qt_monomial,
                       t_bracket_factorial)
 from bimac.verify import Report, _rel_u_plus, _rel_u_plus_cases, run_suite
-from bimac.xpoly import EvalPoint
 
 
 def test_check_stops_at_the_first_failing_case():
@@ -42,7 +41,8 @@ def test_all_suites_pass(N, deg):
 def _rel_u_plus_reference(N, r, J, point):
     """The lemma checked by Q(q,t) arithmetic, one canonical scalar per
     factor and a gcd per step: the independent route."""
-    x = point.scalar
+    def x(i):
+        return qt_monomial(*point[i - 1])
     total = QTScalar.zero()
     for sigma in permutations(range(1, N + 1)):
         if set(sigma[N - r:]) != set(J):
@@ -69,8 +69,7 @@ def _other_subset(N, r, J):
 def test_rel_u_plus_agrees_with_the_scalar_route(N):
     cases = _rel_u_plus_cases(N)
     assert cases
-    for r, J, coords in cases:
-        point = EvalPoint(coords)
+    for r, J, point in cases:
         assert _rel_u_plus(N, r, J, point)
         assert _rel_u_plus_reference(N, r, J, point)
         # the lemma holds for every r-subset: both routes take another
@@ -99,8 +98,7 @@ def _lemma_sum(N, r, J, point, brackets=True, rhs_J=None, flip=False):
 
 @pytest.mark.parametrize("N", [2, 3, 4, 5])
 def test_rel_u_plus_mutations_leave_a_nonzero_sum(N):
-    for r, J, coords in _rel_u_plus_cases(N):
-        point = EvalPoint(coords)
+    for r, J, point in _rel_u_plus_cases(N):
         assert not _lemma_sum(N, r, J, point)
         # [r]! [N-r]! is 1 at N = 2, so dropping it changes nothing there
         assert N == 2 or _lemma_sum(N, r, J, point, brackets=False)
@@ -111,4 +109,4 @@ def test_rel_u_plus_mutations_leave_a_nonzero_sum(N):
 def test_rel_u_plus_makes_no_gcd_call(monkeypatch):
     monkeypatch.setattr(qt, "poly_gcd", None)
     for r, J, coords in _rel_u_plus_cases(5):
-        assert _rel_u_plus(5, r, J, EvalPoint(coords))
+        assert _rel_u_plus(5, r, J, coords)

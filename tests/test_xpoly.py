@@ -9,9 +9,9 @@ from bimac.macdonald import bisym_P
 from bimac.qt import QTScalar, qt_monomial
 from bimac.render import xpoly_from_json, xpoly_to_json
 from bimac.sparts import SuperPartition
-from bimac.xpoly import (EvalPoint, XPolynomial, coefficient_of,
-                         divided_difference, elementary_symmetric, exact_div,
-                         permute_vars, q_shift, specialize, vandermonde)
+from bimac.xpoly import (XPolynomial, divided_difference,
+                         elementary_symmetric, exact_div, permute_vars,
+                         q_shift, specialize, vandermonde)
 
 ONE = QTScalar.one()
 Q = qt_monomial(1, 0)
@@ -111,16 +111,29 @@ def test_exact_div_roundtrip(f, g):
 def test_specialize_examples():
     n = 2
     f = x(1, n) + x(2, n)
-    assert specialize(f, EvalPoint(((0, 0), (0, 1)))) == ONE + T
-    assert specialize(XPolynomial.one(n), EvalPoint(((3, 4), (1, 2)))).is_one()
-    assert specialize(x(1, n) * x(2, n),
-                      EvalPoint(((1, 0), (0, 1)))) == Q * T
+    assert specialize(f, ((0, 0), (0, 1))) == ONE + T
+    assert specialize(XPolynomial.one(n), ((3, 4), (1, 2))).is_one()
+    assert specialize(x(1, n) * x(2, n), ((1, 0), (0, 1))) == Q * T
+
+
+def test_specialize_checks_point_length():
+    # a point is the tuple of (a_i, b_i); one pair per variable
+    for point in ((), ((0, 0),), ((0, 0), (0, 1), (1, 1))):
+        with pytest.raises(ValueError, match="point length does not match"):
+            specialize(x(1, 2), point)
+
+
+def test_monomial_rejects_negative_exponents():
+    # x1*x2^-1 is a Laurent term, which no XPolynomial routine handles
+    with pytest.raises(ValueError, match="must be nonnegative"):
+        XPolynomial.monomial((1, -1, 0))
+    assert XPolynomial.monomial((1, 0, 2)).total_degree() == 3
 
 
 @settings(max_examples=40, deadline=None)
 @given(small_polys(), small_polys())
 def test_specialize_is_multiplicative(f, g):
-    p = EvalPoint(((1, 0), (0, 1), (1, 1)))
+    p = ((1, 0), (0, 1), (1, 1))
     assert specialize(f * g, p) == specialize(f, p) * specialize(g, p)
 
 
@@ -170,7 +183,7 @@ def test_specialize_matches_per_term_sum(f, coords, cancel):
         # the terms of f (x_1 - x_2) cancel in the sum at x_1 = x_2
         f = f * (x(1, 3) - x(2, 3))
         coords = (coords[0], coords[0], coords[2])
-    value = specialize(f, EvalPoint(coords))
+    value = specialize(f, coords)
     assert value == _specialize_per_term(f, coords)
     if cancel:
         assert value.is_zero()
@@ -209,22 +222,20 @@ def test_elementary_symmetric():
         elementary_symmetric(3, (1, 2), 4)
 
 
-def test_coefficient_of():
+def test_coefficient():
     f = XPolynomial.monomial((2, 0), QTScalar.from_int(3))
-    assert coefficient_of(f, (2, 0)) == QTScalar.from_int(3)
-    assert coefficient_of(x(1, 2) + x(2, 2), (0, 0)).is_zero()
+    assert f.coefficient((2, 0)) == QTScalar.from_int(3)
+    assert (x(1, 2) + x(2, 2)).coefficient((0, 0)).is_zero()
     g = (x(1, 2) + x(2, 2)) * (x(1, 2) + x(2, 2))
-    assert coefficient_of(g, (1, 1)) == QTScalar.from_int(2)
+    assert g.coefficient((1, 1)) == QTScalar.from_int(2)
 
 
 def test_coefficient_checks_exponent_length():
-    # a vector of the wrong length is an error, not a silent zero, on
-    # the method and on coefficient_of alike
+    # a vector of the wrong length is an error, not a silent zero
     P = bisym_P(SuperPartition((2, 0), (1,), 4)).poly
     for exponents in ((1, 0, 1), (1, 0, 1, 0, 0), ()):
-        for read in (P.coefficient, lambda e: coefficient_of(P, e)):
-            with pytest.raises(ValueError, match="length does not match"):
-                read(exponents)
+        with pytest.raises(ValueError, match="length does not match"):
+            P.coefficient(exponents)
 
 
 def test_vandermonde():
