@@ -1,0 +1,84 @@
+"""Time the north-star CLI runs on two source trees, in alternating pairs.
+
+    python scripts/northstar.py PARENT_SRC CHANGE_SRC [--pairs N]
+
+PARENT_SRC and CHANGE_SRC are the ``src`` directories of two checkouts.
+Each run is a fresh interpreter with PYTHONPATH set to one side (and
+BIMAC_CACHE unset), so every run starts cold; within a pair the side
+that runs first alternates.  For each command the script prints each
+side's median and quartiles of wall seconds, how many pairs the change
+won, and the sha256 of its stdout.  It exits 1 if any run fails or if
+the stdout of any two runs of a command differ.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import statistics
+import subprocess
+import sys
+import time
+
+COMMANDS = (
+    ["P", "--spart", "3,1;1", "--N", "5"],
+    ["pieri", "--spart", "2,0;1", "--r", "2", "--variant", "upper", "--N", "5",
+     "--check"],
+    ["verify", "--suite", "all", "--N", "4", "--deg", "3"],
+)
+MAIN = "import sys; from bimac.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+def run(src, argv):
+    """(wall seconds, exit code, stdout sha256) of one cold CLI run."""
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    env.pop("BIMAC_CACHE", None)
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-c", MAIN, *argv], env=env,
+                          capture_output=True)
+    wall = time.perf_counter() - start
+    return wall, proc.returncode, hashlib.sha256(proc.stdout).hexdigest()
+
+
+def quartiles(xs):
+    q1, med, q3 = statistics.quantiles(xs, n=4) if len(xs) > 1 else xs * 3
+    return med, q1, q3
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("parent_src")
+    ap.add_argument("change_src")
+    ap.add_argument("--pairs", type=int, default=10)
+    args = ap.parse_args(argv)
+    sides = {"parent": args.parent_src, "change": args.change_src}
+    ok = True
+    for argv in COMMANDS:
+        times = {side: [] for side in sides}
+        hashes = set()
+        for k in range(args.pairs):
+            order = list(sides) if k % 2 == 0 else list(sides)[::-1]
+            for side in order:
+                wall, code, digest = run(sides[side], argv)
+                times[side].append(wall)
+                hashes.add(digest)
+                if code:
+                    print(f"{side} exited {code}: {' '.join(argv)}")
+                    ok = False
+        wins = sum(c < p for p, c in zip(times["parent"], times["change"]))
+        print(" ".join(argv))
+        for side, xs in times.items():
+            med, q1, q3 = quartiles(xs)
+            print(f"  {side:6}  median {med:.3f} s  quartiles "
+                  f"{q1:.3f}-{q3:.3f} s  ({len(xs)} runs)")
+        same = len(hashes) == 1
+        ok = ok and same
+        print(f"  change faster in {wins} of {args.pairs} pairs; stdout "
+              + (f"sha256 {min(hashes)[:16]} on every run" if same
+                 else f"DIFFERS: {len(hashes)} distinct sha256"))
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

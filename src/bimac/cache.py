@@ -131,8 +131,11 @@ def dump_all(path) -> int:
             whole = data.rfind(b"\n") + 1
             if whole < len(data):
                 fh.truncate(whole)
-            known = {(rec["kind"], rec["key"], int(rec["N"]))
-                     for _, rec in _records(data[:whole].decode("utf-8"))}
+            # only K records are written, and legacy E and P records
+            # may lack the fields a K record has
+            known = {("K", rec["key"], int(rec["N"]))
+                     for _, rec in _records(data[:whole].decode("utf-8"))
+                     if rec["kind"] == "K"}
             new = [item for item in items if _key(*item) not in known]
             if new:
                 fh.write("".join(json.dumps(_record(*item), sort_keys=True)

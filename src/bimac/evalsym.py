@@ -9,10 +9,8 @@ the same Omega, so a process that expands many of them (as
 expansion meets each Omega once and gains nothing.  A memoized value
 is shared, so no caller changes it in place.
 
-The evaluation symmetry divides by the two staircase norms
-u_Lambda0(P_Lambda) of its pair; a sweep keeps them in a dict of its
-own (``_symmetry_holds``), so it evaluates each (Lambda, sign) norm
-once and no module-level memo holds them.
+The evaluation symmetry cross-multiplies integer numerators, so it
+forms no Q(q,t) value and keeps no staircase norm.
 """
 
 from __future__ import annotations
@@ -21,10 +19,10 @@ from functools import lru_cache
 
 from .errors import DegenerateEvaluationError
 from .macdonald import bisym_P
-from .qt import QTScalar, _Factored
+from .qt import QTScalar, _Factored, _add_product
 from .sparts import (SuperPartition, conjugate_partition, eval_point,
                      hook_data, lambda_naught)
-from .xpoly import XPolynomial, specialize
+from .xpoly import XPolynomial, _numerators_at, specialize
 
 
 def _one_minus(a, b) -> _Factored:
@@ -79,25 +77,20 @@ def eval_formula(lam: SuperPartition, sign: str) -> QTScalar:
 
 def symmetry_check(lam: SuperPartition, omg: SuperPartition, sign: str) -> bool:
     """u_Omega(P~_Lambda) = u_Lambda(P~_Omega) with the staircase-
-    normalized polynomials, checked exactly."""
-    return _symmetry_holds(lam, omg, sign, {})
+    normalized polynomials, checked exactly.
 
-
-def _symmetry_holds(lam, omg, sign, norms) -> bool:
-    """``symmetry_check`` with the staircase norms of (Lambda, sign)
-    taken from, or added to, the caller's dict norms, so that a sweep
-    evaluates each once."""
+    Each P is evaluated at the other's point and at the staircase by
+    one ``_numerators_at`` call, whose content and common denominator
+    cancel in the ratio: with a, a0 P_Lambda's two numerators and b, b0
+    P_Omega's, the identity a/a0 = b/b0 is a b0 = b a0 in integer
+    Laurent polynomials."""
     if lam.m != omg.m or lam.N != omg.N:
         raise ValueError("superpartitions must share m and N")
-    p_lam = bisym_P(lam).poly
-    p_omg = bisym_P(omg).poly
-    nought = lambda_naught(lam.m, lam.N)
-    for sp, p in ((lam, p_lam), (omg, p_omg)):
-        if (sp, sign) not in norms:
-            norms[sp, sign] = evaluate(nought, sign, p)
-    norm_lam, norm_omg = norms[lam, sign], norms[omg, sign]
-    if norm_lam.is_zero() or norm_omg.is_zero():
+    nought = eval_point(lambda_naught(lam.m, lam.N), sign)
+    _, _, (a, a0) = _numerators_at(bisym_P(lam).poly,
+                                   (eval_point(omg, sign), nought))
+    _, _, (b, b0) = _numerators_at(bisym_P(omg).poly,
+                                   (eval_point(lam, sign), nought))
+    if not a0 or not b0:
         raise DegenerateEvaluationError("staircase evaluation vanished")
-    lhs = evaluate(omg, sign, p_lam) / norm_lam
-    rhs = evaluate(lam, sign, p_omg) / norm_omg
-    return lhs == rhs
+    return _add_product({}, a, b0) == _add_product({}, b, a0)

@@ -1,6 +1,7 @@
 """Non-symmetric Macdonald polynomials E_eta, bisymmetric Macdonald
 polynomials P_Lambda, and expansion of bisymmetric polynomials in the P
-basis (the brute-force oracle behind the Pieri rules).
+basis by one peel down dominance (the brute-force oracle behind the
+Pieri rules).
 
 E_eta is built in Knop's integral form J_eta = d_eta E_eta, whose
 coefficients lie in Z[q,t] (Knop 1997, Sahi 1996): the Knop-Sahi
@@ -441,16 +442,18 @@ def is_bisymmetric(f: XPolynomial, m: int) -> bool:
 
 
 def expand_in_P_basis(f: XPolynomial, m: int):
-    """Coefficients c_Omega with f = sum c_Omega P_Omega.
+    """Coefficients c_Omega with f = sum c_Omega P_Omega, sorted by
+    (anti, sym).
 
     f must be bisymmetric and homogeneous; candidates are all
-    superpartitions of matching degree.  The triangular peel takes a
-    candidate whose dominant monomial no other open candidate carries,
-    reads its coefficient off the residual and subtracts; the final
-    residual must vanish, so an f outside the span raises.  Whether the
-    peel stalls depends only on the candidates at (degree, m, N), not on
-    f: each P_Omega is unitriangular at its dominant monomial, so a stall
-    means an identity failed, and it raises ConsistencyError.
+    superpartitions of matching degree.  The peel walks them once, in
+    descending (Omega-circled, Omega-star) order, a linear extension of
+    the dominance order in which P is unitriangular: at each candidate
+    it reads the residual's coefficient at the dominant monomial and,
+    where that is nonzero, builds P_Omega and subtracts.  The P's are a
+    basis, so a zero final residual proves every coefficient; a nonzero
+    one (f outside the span, or a P not triangular in this order)
+    raises ConsistencyError.
     """
     if f.is_zero():
         return []
@@ -460,37 +463,17 @@ def expand_in_P_basis(f: XPolynomial, m: int):
         raise ValueError("input is not bisymmetric")
     N = f.nvars
     d = f.total_degree() + m * (m - 1) // 2
-    cands = [sp for sp in superpartitions(d, m, N)]
-    polys = [bisym_P(sp) for sp in cands]
-    order = sorted(range(len(cands)),
-                   key=lambda k: tuple(sorted(dominant_exponent(cands[k]),
-                                              reverse=True)))
-    coeffs = [None] * len(cands)
+    out = []
     residual = f
-    progressed = True
-    while progressed:
-        progressed = False
-        for k in order:
-            if coeffs[k] is not None:
-                continue
-            lead = dominant_exponent(cands[k])
-            others = [j for j in range(len(cands))
-                      if coeffs[j] is None and j != k and
-                      not polys[j].poly.coefficient(lead).is_zero()]
-            if others:
-                continue
-            c = residual.coefficient(lead)
-            coeffs[k] = c
-            if not c.is_zero():
-                residual = residual - polys[k].poly.scale(c)
-            progressed = True
-    if any(c is None for c in coeffs):
-        raise ConsistencyError(
-            f"P-basis peel stalled at degree {d}, m = {m}, N = {N}: "
-            f"every open candidate shares its dominant monomial")
+    for sp in sorted(superpartitions(d, m, N),
+                     key=lambda sp: (sp.circled(), sp.star()), reverse=True):
+        c = residual.coefficient(dominant_exponent(sp))
+        if not c.is_zero():
+            residual = residual - bisym_P(sp).poly.scale(c)
+            out.append((sp, c))
     if not residual.is_zero():
-        raise ConsistencyError("input is not in the span of the P basis")
-    out = [(cands[k], coeffs[k]) for k in range(len(cands))
-           if not coeffs[k].is_zero()]
+        raise ConsistencyError(
+            f"P-basis peel left a nonzero residual at degree {d}, m = {m}, "
+            f"N = {N}: the input is not in the span of the P basis")
     out.sort(key=lambda kv: (kv[0].anti, kv[0].sym))
     return out

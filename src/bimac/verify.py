@@ -19,7 +19,7 @@ from __future__ import annotations
 import random
 from itertools import combinations, permutations, product
 
-from .evalsym import _symmetry_holds, eval_formula, evaluate
+from .evalsym import eval_formula, evaluate, symmetry_check
 from .macdonald import (bisym_P, c_lambda_formula, dominant_exponent, nonsym_E,
                         _bruhat_less)
 from .pieri import (_a_factor, op_identity_check, pieri_bruteforce,
@@ -222,9 +222,8 @@ def suite_symmetry(N=4, deg=3) -> Report:
     sps = _sparts_upto(N, deg)
     pairs = [(lam, omg, sign) for lam in sps for omg in sps
              if omg.m == lam.m for sign in ("minus", "plus")]
-    norms = {}
     rep.check(f"evaluation symmetry on {len(pairs)} pairs", pairs,
-              lambda lam, omg, sign: _symmetry_holds(lam, omg, sign, norms))
+              symmetry_check)
     return rep
 
 

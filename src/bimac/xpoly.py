@@ -8,8 +8,10 @@ term in their own kernel (hecke._step).
 A monomial point x_i -> q^(a_i) t^(b_i) is the tuple of its (a_i, b_i)
 pairs.  Specialization at one sums no fractions: each term's numerator
 is brought over the lcm of f's few distinct coefficient denominators
-once, the terms are added as integers, and the sum is reduced once
-(``_numerators_at``, which the Pieri operator identity shares).
+once, the terms are added as integers, and the sum is reduced once.
+The integer numerators (``_numerators_at``) also serve the Pieri
+operator identity and the evaluation symmetry, which compare them
+without forming a Q(q,t) value.
 """
 
 from __future__ import annotations

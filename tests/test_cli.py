@@ -563,6 +563,24 @@ class TestBadCacheFile:
         assert [json.loads(l)["kind"] for l in lines] == ["E", "K"]
         macdonald.clear_caches()
 
+    @pytest.mark.parametrize("legacy", [{"kind": "E"},
+                                        {"kind": "E", "key": "1,0", "N": "x"}],
+                             ids=["no-fields", "N-not-an-integer"])
+    def test_legacy_record_without_K_fields(self, tmp_path, capsys, legacy):
+        # load skips a legacy record unread, and so does the append's
+        # scan for the keys the file already holds
+        path = tmp_path / "c.jsonl"
+        _write(path, [legacy])
+        macdonald.clear_caches()
+        code, out, err = run(capsys, "--cache", str(path),
+                             "P", "--spart", "1,0;", "--N", "2")
+        assert code == 0 and out != ""
+        assert "Traceback" not in err
+        lines = path.read_text().splitlines()
+        assert [json.loads(l) for l in lines[:1]] == [legacy]
+        assert [json.loads(l)["kind"] for l in lines[1:]] == ["K"]
+        macdonald.clear_caches()
+
     @pytest.mark.parametrize("case", ["directory", "missing-directory",
                                       "unwritable"])
     def test_unusable_path(self, tmp_path, capsys, monkeypatch, case):

@@ -1,7 +1,9 @@
 import pytest
 
+from bimac import evalsym
+from bimac.errors import DegenerateEvaluationError
 from bimac.evalsym import eval_formula, evaluate, symmetry_check
-from bimac.macdonald import bisym_P
+from bimac.macdonald import PBasisElement, bisym_P
 from bimac.qt import QTScalar, qt_monomial
 from bimac.sparts import SuperPartition, lambda_naught, superpartitions
 from bimac.xpoly import XPolynomial, vandermonde
@@ -77,6 +79,42 @@ class TestSymmetry:
         c = SuperPartition((2, 0), (1,), 4)
         d = SuperPartition((1, 0), (2,), 4)
         assert symmetry_check(c, d, "plus")
+
+    @staticmethod
+    def _patch_P(monkeypatch, lam, edit):
+        """evalsym.bisym_P with P_Lambda's polynomial replaced by
+        edit(P_Lambda)."""
+        real = evalsym.bisym_P
+
+        def patched(sp):
+            elem = real(sp)
+            if sp != lam:
+                return elem
+            return PBasisElement(lam=sp, poly=edit(elem.poly), c_lam=elem.c_lam)
+        monkeypatch.setattr(evalsym, "bisym_P", patched)
+
+    @pytest.mark.parametrize("sign", ["minus", "plus"])
+    def test_extra_monomial_fails(self, monkeypatch, sign):
+        c = SuperPartition((2, 0), (1,), 4)
+        d = SuperPartition((1, 0), (2,), 4)
+        assert symmetry_check(c, d, sign)
+        self._patch_P(monkeypatch, c,
+                      lambda p: p + XPolynomial.monomial((1, 0, 2, 0)))
+        assert not symmetry_check(c, d, sign)
+        assert not symmetry_check(d, c, sign)
+
+    @pytest.mark.parametrize("sign", ["minus", "plus"])
+    def test_vanishing_staircase_norm_raises(self, monkeypatch, sign):
+        # P_Lambda minus its own staircase value vanishes there
+        c = SuperPartition((2, 0), (1,), 4)
+        d = SuperPartition((1, 0), (2,), 4)
+        nought = lambda_naught(2, 4)
+        self._patch_P(monkeypatch, c, lambda p: p - XPolynomial.one(4).scale(
+            evaluate(nought, sign, p)))
+        for pair in ((c, d), (d, c)):
+            with pytest.raises(DegenerateEvaluationError,
+                               match="staircase evaluation vanished"):
+                symmetry_check(*pair, sign)
 
     def test_mismatched_inputs(self):
         with pytest.raises(ValueError):

@@ -37,7 +37,8 @@ COMMANDS = (
     + [["pieri", "--spart", "2,0;1", "--N", "4", "--r", "1", "--variant",
         "lower", "--check"]]
     + [["verify", "--suite", suite, "--N", N, "--deg", deg]
-       for suite, N, deg in (("all", "3", "2"), ("hecke", "5", "1"))]
+       for suite, N, deg in (("all", "3", "2"), ("hecke", "5", "1"),
+                             ("symmetry", "5", "3"), ("pieri", "4", "3"))]
 )
 
 # the shapes of perfbench's cache_session workload, at N = 5

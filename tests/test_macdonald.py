@@ -358,7 +358,29 @@ class TestBisymP:
         assert (got.poly, got.c_lam) == (want.poly, want.c_lam)
 
 
+# every (degree, m, N) class with N = 2..4 and |Lambda*| at most 3 past
+# the staircase
+PEEL_CLASSES = [(d, m, N) for N in (2, 3, 4) for m in range(N + 1)
+                for d in range(m * (m - 1) // 2, m * (m - 1) // 2 + 4)
+                if superpartitions(d, m, N)]
+
+
 class TestExpansion:
+    def test_peel_class_count(self):
+        assert len(PEEL_CLASSES) == 48
+
+    @pytest.mark.parametrize("d, m, N", PEEL_CLASSES)
+    def test_peel_order_is_triangular(self, d, m, N):
+        # expand_in_P_basis's order: no later candidate's P is nonzero
+        # at an earlier candidate's dominant monomial
+        cands = sorted(superpartitions(d, m, N),
+                       key=lambda sp: (sp.circled(), sp.star()), reverse=True)
+        for j, sp in enumerate(cands):
+            poly = bisym_P(sp).poly
+            for earlier in cands[:j]:
+                assert poly.coefficient(dominant_exponent(earlier)).is_zero(), \
+                    (str(earlier), str(sp))
+
     def test_basis_property(self):
         lam = SuperPartition((2, 0), (1,), 4)
         P = bisym_P(lam)
@@ -389,7 +411,8 @@ class TestExpansion:
 
     def test_stalled_peel_fails_closed(self, monkeypatch):
         # two candidates that each carry the other's dominant monomial
-        # leave the triangular peel nothing to take
+        # break triangularity; the one-pass peel then cannot clear the
+        # residual, and fails closed rather than return a wrong expansion
         a = SuperPartition((1,), (1,), 3)
         b = SuperPartition((2,), (), 3)
         f = bisym_P(a).poly
@@ -405,8 +428,8 @@ class TestExpansion:
                                            c_lam=elem.c_lam)
         monkeypatch.setattr(macdonald, "bisym_P", crossed)
         with pytest.raises(ConsistencyError,
-                           match=r"^P-basis peel stalled at degree 2, "
-                                 r"m = 1, N = 3: "):
+                           match=r"^P-basis peel left a nonzero residual "
+                                 r"at degree 2, m = 1, N = 3: "):
             expand_in_P_basis(f, 1)
 
     def test_known_product_expansion(self):

@@ -438,6 +438,30 @@ class TestOperatorIdentity:
             (real(*args), _Factored.monomial(0, 1))))
         assert op_identity_check(2, 1, E1_BLOCKS, variant) is False
 
+    @pytest.mark.parametrize("variant, name", [("upper", "_C_factors"),
+                                               ("lower", "_D_factors")])
+    def test_right_side_off_the_laurent_ring_fails(self, monkeypatch,
+                                                   variant, name):
+        # every coefficient over 1 - q t: at this point the sum over D
+        # is no Laurent polynomial, so _rhs_at gives None, and the check
+        # drawing only this point fails
+        real = getattr(pierimod, name)
+        monkeypatch.setattr(pierimod, name, lambda *args: _Factored.prod(
+            (real(*args),), (_Factored.binomial(0, 0, 1, 1),)))
+        point = _generic_point(4, _OP_SEED + 1)
+        assert _rhs_at(2, 1, E1_BLOCKS, variant, point) is None
+        monkeypatch.setattr(pierimod, "_generic_point", lambda N, seed: point)
+        assert op_identity_check(2, 1, E1_BLOCKS, variant) is False
+
+    @pytest.mark.parametrize("variant", ["upper", "lower"])
+    def test_wrong_left_side_fails(self, monkeypatch, variant):
+        # e_r(Y) times 1 + q: the left side no longer matches
+        from bimac import hecke
+        real = hecke.apply_e_of_Y
+        monkeypatch.setattr(hecke, "apply_e_of_Y", lambda *args: real(
+            *args).scale(QTScalar.one() + qt_monomial(1, 0)))
+        assert op_identity_check(2, 1, E1_BLOCKS, variant) is False
+
     def test_degenerate_point_is_skipped(self, monkeypatch):
         # a first point with X_1 = X_2 is replaced by the next seed
         seeds = []
@@ -517,7 +541,7 @@ class TestRhsCommonDenominator:
     def _rational_inputs(N, m):
         """A bisymmetric f with three distinct denominators, whose sum
         over D is a Laurent polynomial, and a non-bisymmetric one with
-        two, whose sum is not, so that the final gcd runs."""
+        two, whose sum is not, so that the identity fails."""
         return [(3, elementary_symmetric(1, (1, m), N).scale(
                     QTScalar.from_fraction(Fraction(1, 3)) / (ONE - Q * T)) +
                  elementary_symmetric(1, (m + 1, N), N).scale(
@@ -530,22 +554,26 @@ class TestRhsCommonDenominator:
     def test_gcd_calls_do_not_grow_with_terms(self, monkeypatch):
         # at most one poly_gcd per distinct denominator of f and one
         # reduction, at N = 4 as at N = 3, however many (J, sigma)
-        # terms the sum has; the value is checked against the reference
-        # at N = 3, where that route is quick
+        # terms the sum has; the bisymmetric value is checked against
+        # the reference at N = 3, where that route is quick, and the
+        # sum D does not divide gives None, with no gcd past the lcm
         from bimac import qt as qtmod
         real = qtmod.poly_gcd
         for N, m, r, variant in RHS_CASES:
             point = _generic_point(N, _OP_SEED + 1)
-            for k, f in self._rational_inputs(N, m):
-                calls = []
-                monkeypatch.setattr(qtmod, "poly_gcd",
-                                    lambda f, g: calls.append(1) or real(f, g))
-                value = _rhs_at(m, r, f, variant, point)
-                monkeypatch.setattr(qtmod, "poly_gcd", real)
-                assert len(calls) <= k + 1, (N, m, r, variant, k)
-                if N == 3:
-                    assert value == _rhs_per_coefficient(m, r, f, variant,
-                                                         point)
+            (k, f), (k_bad, bad) = self._rational_inputs(N, m)
+            calls = []
+            monkeypatch.setattr(qtmod, "poly_gcd",
+                                lambda f, g: calls.append(1) or real(f, g))
+            value = _rhs_at(m, r, f, variant, point)
+            assert len(calls) <= k + 1, (N, m, r, variant, k)
+            calls.clear()
+            assert _rhs_at(m, r, bad, variant, point) is None, \
+                (N, m, r, variant)
+            assert len(calls) <= k_bad - 1, (N, m, r, variant, k_bad)
+            monkeypatch.setattr(qtmod, "poly_gcd", real)
+            if N == 3:
+                assert value == _rhs_per_coefficient(m, r, f, variant, point)
 
     def test_integral_input_makes_no_gcd_call(self, monkeypatch):
         from bimac import qt as qtmod
