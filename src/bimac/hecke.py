@@ -132,8 +132,7 @@ def _divide(f, a, b, alpha, beta, mul):
             e = e[:b - 1] + (k - 1,) + e[b:]
             out[e] = -c
             e = e[:a - 1] + (e[a - 1] + 1,) + e[a:]
-            if alpha or beta:
-                c = mul(c, alpha, beta)
+            c = mul(c, alpha, beta)
             prev = lower.get(e)
             lower[e] = c if prev is None else prev + c
     rem = {e: c for e, c in levels.get(0, {}).items() if c}
@@ -286,8 +285,6 @@ def apply_e_of_Y(r: int, interval, f: XPolynomial) -> XPolynomial:
     width = b - a + 1
     if r < 0 or r > width:
         raise ValueError(f"e_{r} undefined on an interval of {width} operators")
-    if r == 0:
-        return f
     total = XPolynomial.zero(f.nvars)
     for subset in combinations(range(a, b + 1), r):
         g = f

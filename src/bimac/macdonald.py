@@ -455,8 +455,6 @@ def expand_in_P_basis(f: XPolynomial, m: int):
     one (f outside the span, or a P not triangular in this order)
     raises ConsistencyError.
     """
-    if f.is_zero():
-        return []
     if not f.is_homogeneous():
         raise ValueError("expansion needs a homogeneous input")
     if not is_bisymmetric(f, m):

@@ -250,8 +250,6 @@ def pieri_expand(lam: SuperPartition, r: int, variant: str):
         return [PieriTerm(omega=lam, certificate=None, coeff=_ONE)]
     strip_type = "I" if variant == "upper" else "II"
     certs = enumerate_strips(lam, r, strip_type)
-    if not certs:
-        return []
     point = eval_point(lam, "plus")
     delta = _delta_t_factors(lam.m, point)
     if delta.is_zero():
@@ -275,17 +273,13 @@ def pieri_expand(lam: SuperPartition, r: int, variant: str):
 
 
 def pieri_bruteforce(lam: SuperPartition, r: int, variant: str):
-    """Oracle: multiply out e_r P_Lambda and expand in the P basis."""
+    """Oracle: multiply out e_r P_Lambda and expand in the P basis, at
+    r = 0 too, where e_0 = 1 and the peel must give back P_Lambda."""
     m, N = lam.m, lam.N
     interval = _interval(r, variant, m, N)
-    if r == 0:
-        return [PieriTerm(omega=lam, certificate=None, coeff=_ONE)]
     if r > interval[1] - interval[0] + 1:
         return []
-    e = elementary_symmetric(r, interval, N)
-    prod = e * bisym_P(lam).poly
-    if prod.is_zero():
-        return []
+    prod = elementary_symmetric(r, interval, N) * bisym_P(lam).poly
     return [PieriTerm(omega=sp, certificate=None, coeff=c)
             for sp, c in expand_in_P_basis(prod, m)]
 

@@ -639,8 +639,11 @@ def _number(text):
 
 
 def _from_json_rows(rows):
-    """(s, p): the rows' polynomial is s*p with p an integer QTPoly."""
+    """(s, p): the rows' polynomial is s*p with p an integer QTPoly; a
+    negative exponent raises ValueError."""
     coeffs = [(_number(c), int(a), int(b)) for c, a, b in rows]
+    if any(a < 0 or b < 0 for _, a, b in coeffs):
+        raise ValueError("QTScalar JSON row exponents must be nonnegative")
     lcd = _ilcm(*(f.denominator for f, _, _ in coeffs))
     terms = {(a, b): f.numerator * (lcd // f.denominator) for f, a, b in coeffs}
     return Fraction(1, lcd), QTPoly(terms)

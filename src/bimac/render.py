@@ -17,25 +17,18 @@ def format_xpoly(f: XPolynomial, latex: bool = False) -> str:
         neg = cs.startswith("-")
         if neg:
             cs = cs[1:]
-        if mono and cs == "1":
-            body = mono
-        elif not mono:
-            body = cs if not _needs_parens(c) else f"({cs})" if not latex else cs
-        else:
-            if _needs_parens(c):
-                body = (cs if latex and cs.startswith("\\frac")
-                        else f"({cs})") + (" " if latex else "*") + mono
-            else:
-                body = cs + (" " if latex else "*") + mono
+        # text groups a sum or a quotient; LaTeX only a sum beside a
+        # monomial, since \frac groups itself
+        group = len(c.num.terms) > 1 or not c.den.is_one()
+        if group and not (latex and (not mono or cs.startswith("\\frac"))):
+            cs = f"({cs})"
+        body = cs if not mono else mono if cs == "1" else \
+            cs + (" " if latex else "*") + mono
         if not chunks:
             chunks.append(("-" if neg else "") + body)
         else:
             chunks.append(("- " if neg else "+ ") + body)
     return " ".join(chunks)
-
-
-def _needs_parens(c: QTScalar) -> bool:
-    return len(c.num.terms) > 1 or not c.den.is_one()
 
 
 def diagram_latex(lam) -> str:

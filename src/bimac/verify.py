@@ -22,8 +22,8 @@ from itertools import combinations, permutations, product
 from .evalsym import eval_formula, evaluate, symmetry_check
 from .macdonald import (bisym_P, c_lambda_formula, dominant_exponent, nonsym_E,
                         _bruhat_less)
-from .pieri import (_a_factor, op_identity_check, pieri_bruteforce,
-                    pieri_expand, expansions_equal)
+from .pieri import (_a_factor, _generic_point, op_identity_check,
+                    pieri_bruteforce, pieri_expand, expansions_equal)
 from .qt import (QTScalar, _brackets, _Factored, _lcd_sum, qt_monomial,
                  t_bracket_factorial)
 from .sparts import (SuperPartition, compositions_of, eigenvalue, format_spart,
@@ -168,19 +168,13 @@ def _lemma_eY(N, r):
 
 
 def _rel_u_plus_cases(N):
-    """(r, J, coords): a random r-subset J of [N] and two draws of
-    q,t-exponents per r, each kept when its q-exponents are distinct
-    and so are its t-exponents."""
+    """(r, J, coords): a random r-subset J of [N] and two generic points
+    per r."""
     rng = random.Random(99)
     cases = []
     for r in range(1, N):
         J = tuple(sorted(rng.sample(range(1, N + 1), r)))
-        for _ in range(2):
-            coords = tuple((rng.randint(0, 30), rng.randint(0, 30))
-                           for _ in range(N))
-            if len({a for a, _ in coords}) == N and \
-                    len({b for _, b in coords}) == N:
-                cases.append((r, J, coords))
+        cases += [(r, J, _generic_point(N, 2 * r + k)) for k in range(2)]
     return cases
 
 

@@ -147,8 +147,6 @@ class XPolynomial:
 
     def __mul__(self, other):
         self._check_shape(other)
-        if not self.terms or not other.terms:
-            return XPolynomial(self.nvars)
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
@@ -202,8 +200,6 @@ def permute_vars(f: XPolynomial, sigma) -> XPolynomial:
 
 def q_shift(f: XPolynomial, J) -> XPolynomial:
     """tau_J f: x_i -> q x_i for i in J (1-based set)."""
-    if not J:
-        return f
     for i in J:
         _check_var(i, f.nvars)
     idx = [i - 1 for i in J]
@@ -328,16 +324,13 @@ def elementary_symmetric(r: int, interval, nvars: int) -> XPolynomial:
 
 def vandermonde(kind: str, I, nvars: int) -> XPolynomial:
     """prod over ordered pairs of I of (x_i - x_j) or (t x_i - x_j)."""
-    idx = sorted(I)
+    if kind not in ("plain", "t_deformed"):
+        raise ValueError(f"unknown Vandermonde kind {kind!r}")
     t = qt_monomial(0, 1)
     out = XPolynomial.one(nvars)
-    for a, b in combinations(idx, 2):
+    for a, b in combinations(sorted(I), 2):
         xa = XPolynomial.variable(a, nvars)
-        xb = XPolynomial.variable(b, nvars)
-        if kind == "plain":
-            out = out * (xa - xb)
-        elif kind == "t_deformed":
-            out = out * (xa.scale(t) - xb)
-        else:
-            raise ValueError(f"unknown Vandermonde kind {kind!r}")
+        if kind == "t_deformed":
+            xa = xa.scale(t)
+        out = out * (xa - XPolynomial.variable(b, nvars))
     return out

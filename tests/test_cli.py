@@ -496,6 +496,18 @@ class TestBadCacheFile:
         assert _rejected(capsys, path, 1).endswith(f": line 1: {message}")
         assert macdonald._K_CACHE == {}
 
+    @pytest.mark.parametrize("side", ["num", "den"])
+    @pytest.mark.parametrize("row", [["1", -1, 0], ["1", 0, -1]],
+                             ids=["q", "t"])
+    def test_K_record_negative_exponent(self, tmp_path, capsys, side, row):
+        # a num row q^-1 once passed the load checks, and serving the
+        # record died in E's integer packing with a traceback
+        path, recs = _cache_file(tmp_path, capsys, "E", "--eta", "1,0")
+        recs[0]["value"]["terms"][-1]["coeff"][side] = [row]
+        _write(path, recs)
+        assert _rejected(capsys, path, 1).endswith(
+            ": line 1: QTScalar JSON row exponents must be nonnegative")
+
     @pytest.mark.parametrize("line", ["[1, 2]", '"str"', "3"])
     def test_record_not_an_object(self, tmp_path, capsys, line):
         path, recs = _cache_file(tmp_path, capsys, "E", "--eta", "0,1")

@@ -38,7 +38,9 @@ COMMANDS = (
         "lower", "--check"]]
     + [["verify", "--suite", suite, "--N", N, "--deg", deg]
        for suite, N, deg in (("all", "3", "2"), ("hecke", "5", "1"),
-                             ("symmetry", "5", "3"), ("pieri", "4", "3"))]
+                             ("symmetry", "5", "3"), ("pieri", "4", "3"),
+                             ("eigen", "5", "3"), ("pieri", "5", "3"),
+                             ("evaluation", "5", "3"))]
 )
 
 # the shapes of perfbench's cache_session workload, at N = 5

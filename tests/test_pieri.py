@@ -203,12 +203,17 @@ class TestExpansionEngine:
         assert pieri_expand(lam, 3, "lower") == []
 
     def test_e0_convention(self):
-        lam = SuperPartition((1, 0), (), 4)
-        for variant in ("upper", "lower"):
-            for engine in (pieri_bruteforce, pieri_expand):
-                res = engine(lam, 0, variant)
-                assert len(res) == 1 and res[0].omega == lam \
-                    and res[0].coeff.is_one(), (engine.__name__, variant)
+        # e_0 = 1: the engine returns P_Lambda by convention, the oracle
+        # by peeling e_0 P_Lambda
+        shapes = [lam for m in range(4) for d in range(4)
+                  for lam in superpartitions(d, m, 4)]
+        for lam in shapes:
+            for variant in ("upper", "lower"):
+                for engine in (pieri_bruteforce, pieri_expand):
+                    res = engine(lam, 0, variant)
+                    assert len(res) == 1 and res[0].omega == lam \
+                        and res[0].coeff.is_one(), \
+                        (engine.__name__, format_spart(lam), variant)
 
     def test_small_sweep(self):
         for m in (1, 2):

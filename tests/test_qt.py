@@ -259,6 +259,17 @@ def test_json_rows_parse_integers_as_int():
     assert is_canonical(s)
 
 
+@pytest.mark.parametrize("side", ["num", "den"])
+@pytest.mark.parametrize("row", [["1", -1, 0], ["1", 0, -1]], ids=["q", "t"])
+def test_from_json_rejects_negative_exponents(side, row):
+    # q^-1 read as a row would not be canonical and would compare != to
+    # qt_monomial(-1, 0), so JSON input rejects it as QTPoly.monomial does
+    obj = {"num": [["1", 0, 0]], "den": [["1", 0, 0]]}
+    obj[side] = [row]
+    with pytest.raises(ValueError, match="exponents must be nonnegative"):
+        QTScalar.from_json(obj)
+
+
 @settings(max_examples=150, deadline=None)
 @given(scalars(), signed_exps, signed_exps)
 def test_mul_monomial_fast_path_matches_reduce(a, i, j):

@@ -7,7 +7,7 @@ from bimac.errors import DivisibilityError
 from bimac.hecke import apply_K
 from bimac.macdonald import bisym_P
 from bimac.qt import QTScalar, qt_monomial
-from bimac.render import xpoly_from_json, xpoly_to_json
+from bimac.render import format_xpoly, xpoly_from_json, xpoly_to_json
 from bimac.sparts import SuperPartition
 from bimac.xpoly import (XPolynomial, divided_difference,
                          elementary_symmetric, exact_div, permute_vars,
@@ -43,6 +43,7 @@ def test_ring_arithmetic():
     prod = (x(1, n) - x(2, n)) * (x(1, n) + x(2, n))
     assert prod == XPolynomial.monomial((2, 0)) - XPolynomial.monomial((0, 2))
     assert (x(1, n) * XPolynomial.zero(n)).is_zero()
+    assert XPolynomial.zero(n) * x(1, n) == XPolynomial.zero(n)
 
 
 def test_shape_mismatch():
@@ -70,6 +71,8 @@ def test_q_shift():
     assert q_shift(x(1, n), {1}) == x(1, n).scale(Q)
     f = XPolynomial.monomial((1, 2))
     assert q_shift(f, set()) == f
+    assert q_shift(f, ()) == f
+    assert q_shift(XPolynomial.zero(n), {1}) == XPolynomial.zero(n)
     assert q_shift(f, {1, 2}) == f.scale(Q ** 3)
 
 
@@ -260,6 +263,34 @@ def test_divided_difference_index_out_of_range(i):
 
 
 _F3 = XPolynomial.monomial((2, 1, 0))
+
+
+def test_format_xpoly_groups_coefficients():
+    # text groups a sum or a quotient; LaTeX groups only a sum beside a
+    # monomial, since \frac groups itself; a unit coefficient is dropped
+    f = XPolynomial(2, {
+        (0, 0): ONE + Q, (1, 0): -ONE, (0, 1): ONE - T,
+        (1, 1): ONE / (ONE - Q), (2, 0): -(Q / (ONE - T)),
+        (0, 2): QTScalar.from_fraction(Fraction(2, 3)) * Q,
+        (2, 1): ONE, (1, 2): QTScalar.from_int(3)})
+    assert format_xpoly(f) == (
+        "(1 + q) + (1 - t)*x2 - x1 + 2/3*q*x2^2 + (1/(1 - q))*x1*x2 "
+        "+ ((-q)/(1 - t))*x1^2 + 3*x1*x2^2 + x1^2*x2")
+    assert format_xpoly(f, latex=True) == (
+        "1 + q + (1 - t) x_{2} - x_{1} + \\tfrac{2}{3}q x_{2}^{2} "
+        "+ \\frac{1}{1 - q} x_{1}x_{2} + \\frac{-q}{1 - t} x_{1}^{2} "
+        "+ 3 x_{1}x_{2}^{2} + x_{1}^{2}x_{2}")
+    g = XPolynomial(1, {(0,): ONE / (ONE - Q)})
+    assert format_xpoly(g) == "(1/(1 - q))"
+    assert format_xpoly(g, latex=True) == "\\frac{1}{1 - q}"
+
+
+def test_unknown_vandermonde_kind():
+    # checked before the pair loop, so a set with no pair raises too
+    for I in ({1}, {1, 2}):
+        with pytest.raises(ValueError,
+                           match="unknown Vandermonde kind 'bogus'"):
+            vandermonde("bogus", I, 3)
 
 
 @pytest.mark.parametrize("call, message", [
