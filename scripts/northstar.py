@@ -3,12 +3,12 @@
     python scripts/northstar.py PARENT_SRC CHANGE_SRC [--pairs N]
 
 PARENT_SRC and CHANGE_SRC are the ``src`` directories of two checkouts.
-Each run is a fresh interpreter with PYTHONPATH set to one side (and
-BIMAC_CACHE unset), so every run starts cold; within a pair the side
-that runs first alternates.  For each command the script prints each
-side's median and quartiles of wall seconds, how many pairs the change
-won, and the sha256 of its stdout.  It exits 1 if any run fails or if
-the stdout of any two runs of a command differ.
+Each run is a fresh interpreter with PYTHONPATH set to one side, so
+every run starts cold; within a pair the side that runs first
+alternates.  For each command the script prints each side's median and
+quartiles of wall seconds, how many pairs the change won, and the
+sha256 of its stdout.  It exits 1 if any run fails or if the stdout of
+any two runs of a command differ.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ MAIN = "import sys; from bimac.cli import main; sys.exit(main(sys.argv[1:]))"
 def run(src, argv):
     """(wall seconds, exit code, stdout sha256) of one cold CLI run."""
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    env.pop("BIMAC_CACHE", None)
     start = time.perf_counter()
     proc = subprocess.run([sys.executable, "-c", MAIN, *argv], env=env,
                           capture_output=True)

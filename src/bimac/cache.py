@@ -13,16 +13,9 @@ from __future__ import annotations
 
 import fcntl
 import json
-import os
 
 from .render import xpoly_from_json, xpoly_to_json
 from . import macdonald
-
-ENV_VAR = "BIMAC_CACHE"
-
-
-def cache_path(explicit=None):
-    return explicit or os.environ.get(ENV_VAR)
 
 
 def _records(text):
@@ -63,8 +56,6 @@ def load(path) -> int:
     when it first serves it, and names the file and line if it fails.
     E and P records, written by earlier versions, are skipped unread.
     """
-    if not path:
-        return 0
     with open(path, "a+", encoding="utf-8") as fh:
         fh.seek(0)
         text = fh.read()

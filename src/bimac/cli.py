@@ -14,7 +14,7 @@ import sys
 from . import cache as cachemod
 from .errors import CacheRecordError, ConsistencyError
 from .evalsym import eval_formula, evaluate
-from .macdonald import bisym_P, nonsym_E
+from .macdonald import _K_UNCHECKED, bisym_P, nonsym_E
 from .pieri import expansions_equal, pieri_bruteforce, pieri_expand
 from .qt import format_scalar
 from .render import format_xpoly, xpoly_to_json, diagram_latex
@@ -154,7 +154,7 @@ def build_parser():
         prog="bimac",
         description="Exact bisymmetric Macdonald polynomials, evaluations "
                     "and Pieri expansions")
-    parser.add_argument("--cache", help="JSONL cache file (or env BIMAC_CACHE)")
+    parser.add_argument("--cache", help="JSONL cache file")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("E", help="non-symmetric Macdonald polynomial")
@@ -201,7 +201,7 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    path = cachemod.cache_path(args.cache) if _uses_cache(args) else None
+    path = args.cache if _uses_cache(args) else None
     try:
         if path:
             try:
@@ -218,6 +218,9 @@ def main(argv=None):
     except ConsistencyError as exc:
         print(f"consistency failure: {exc}", file=sys.stderr)
         return 1
+    finally:
+        # records set aside by load and not served end with the request
+        _K_UNCHECKED.clear()
     if path:
         cachemod.dump_all(path)
     return code

@@ -241,8 +241,9 @@ def pieri_expand(lam: SuperPartition, r: int, variant: str):
     """The Pieri expansion of e_r(x_(m+1)..x_N) (upper) or
     e_r(x_1..x_m) (lower) times P_Lambda, via strip certificates and
     factor-wise evaluation.  Each coefficient is held factored until
-    it is expanded once.  Terms with zero coefficient are dropped.
-    At r = 0, e_0 = 1 and the expansion is P_Lambda itself, with no
+    it is expanded once.  Terms with zero coefficient are dropped; the
+    rest keep enumerate_strips' order, by Omega's (anti, sym).  At
+    r = 0, e_0 = 1 and the expansion is P_Lambda itself, with no
     certificate.
     """
     _interval(r, variant, lam.m, lam.N)
@@ -268,7 +269,6 @@ def pieri_expand(lam: SuperPartition, r: int, variant: str):
                                (_eval_factors(cert.omg, "plus"),)).expand()
         if not coeff.is_zero():
             out.append(PieriTerm(omega=cert.omg, certificate=cert, coeff=coeff))
-    out.sort(key=lambda term: (term.omega.anti, term.omega.sym))
     return out
 
 

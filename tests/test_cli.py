@@ -392,6 +392,38 @@ class TestCache:
             main(["--cache", str(path), *argv, "--check"])
         assert exc.value.code == 2
 
+    def test_environment_names_no_cache_file(self, tmp_path, capsys,
+                                             monkeypatch):
+        # only --cache names a cache file: a malformed file named by the
+        # variable earlier versions read is neither read nor written
+        path = tmp_path / "c.jsonl"
+        path.write_text("not json\nnot json either\n")
+        for argv in (("P", "--spart", "1;1", "--N", "3"),
+                     ("E", "--eta", "0,1")):
+            macdonald.clear_caches()
+            monkeypatch.delenv("BIMAC_CACHE", raising=False)
+            want = run(capsys, *argv)
+            assert want[0] == 0 and want[1] != ""
+            macdonald.clear_caches()
+            monkeypatch.setenv("BIMAC_CACHE", str(path))
+            assert run(capsys, *argv) == want
+        assert path.read_text() == "not json\nnot json either\n"
+
+    def test_unserved_records_end_with_the_request(self, tmp_path, capsys):
+        # E --eta 0,1 sets aside the file's edited (1,0,1) record without
+        # serving it; a later request with no --cache must not see it
+        path, recs = _cache_file(tmp_path, capsys, "E", "--eta", "1,0,1")
+        k = next(r for r in recs if r["key"] == "1,0,1")
+        next(t for t in k["value"]["terms"] if t["x"] == [0, 1, 1])["coeff"] = \
+            {"num": [["7", 0, 0]], "den": [["1", 0, 0]]}
+        _write(path, recs)
+        assert run(capsys, "--cache", str(path), "E", "--eta", "0,1")[0] == 0
+        code, out, err = run(capsys, "E", "--eta", "1,0,1")
+        assert (code, err) == (0, "")
+        macdonald.clear_caches()
+        assert out == run(capsys, "E", "--eta", "1,0,1")[1] != ""
+        macdonald.clear_caches()
+
 
 def _cache_file(tmp_path, capsys, *argv):
     """A cache file written by one CLI run, and its records."""

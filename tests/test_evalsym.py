@@ -65,6 +65,10 @@ class TestEvalFormula:
         by_subst = evaluate(lam, "minus", bisym_P(lam).poly)
         assert eval_formula(lam, "minus") == by_subst
 
+    def test_unknown_sign_raises(self):
+        with pytest.raises(ValueError, match="unknown sign 'bogus'"):
+            eval_formula(SuperPartition((1,), (), 2), "bogus")
+
 
 class TestSymmetry:
     def test_reflexive(self):

@@ -471,6 +471,15 @@ class TestSymmetrizers:
             expect = expect + g
         assert hecke.symmetrize(kind, interval, f) == expect
 
+    @pytest.mark.parametrize("kind, interval, message", [
+        ("sym", (1, 3), "unknown symmetrizer kind 'sym'"),
+        ("t_sym", (2, 1), r"bad symmetrization interval \(2, 1\)"),
+        ("t_sym", (1, 4), r"bad symmetrization interval \(1, 4\)"),
+    ])
+    def test_bad_arguments_raise(self, kind, interval, message):
+        with pytest.raises(ValueError, match=message):
+            hecke.symmetrize(kind, interval, XPolynomial.one(3))
+
 
 class TestEOfY:
     def test_power_sum_on_one(self):

@@ -422,6 +422,8 @@ class TestOperatorIdentity:
             elementary_symmetric(1, (3, 4), 4)
         assert op_identity_check(2, 1, g, "upper")
         assert op_identity_check(2, 2, g, "upper")
+        # both sides vanish: the right side sums to zero at every point
+        assert op_identity_check(1, 1, XPolynomial.zero(3), "upper")
 
     def test_lower(self):
         assert op_identity_check(1, 1, XPolynomial.one(3), "lower")
@@ -429,6 +431,7 @@ class TestOperatorIdentity:
             elementary_symmetric(1, (3, 4), 4)
         assert op_identity_check(2, 1, g, "lower")
         assert op_identity_check(2, 2, g, "lower")
+        assert op_identity_check(1, 1, XPolynomial.zero(3), "lower")
 
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):

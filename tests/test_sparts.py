@@ -264,7 +264,9 @@ class TestStrips:
 
     def test_brute_force_characterization_n56(self):
         # the same check for every |Lambda| <= 4 at N = 5, 6, every r
-        # and both types: the shapes of the pieri_formula workload
+        # and both types: the shapes of the pieri_formula workload.  The
+        # list comes sorted by (anti, sym), each Omega once, the order
+        # pieri_expand keeps
         cases = 0
         for N in (5, 6):
             for m in range(N + 1):
@@ -277,7 +279,7 @@ class TestStrips:
                             want = [(o.anti, o.sym)
                                     for o in by_degree[lam.degree() + r]
                                     if _is_vertical_strip_pair(lam, o, r, typ)]
-                            assert sorted(listed) == sorted(want)
+                            assert listed == sorted(want)
                             cases += 1
         assert cases == 638
 

@@ -23,6 +23,11 @@ def test_check_stops_at_the_first_failing_case():
     assert not rep.ok
 
 
+def test_unknown_suite_raises():
+    with pytest.raises(ValueError, match="unknown suite 'nonsense'"):
+        run_suite("nonsense")
+
+
 def test_check_passes_on_no_cases():
     rep = Report()
     rep.check("empty", [], lambda: False)
