@@ -14,7 +14,7 @@ from __future__ import annotations
 import fcntl
 import json
 
-from .render import xpoly_from_json, xpoly_to_json
+from .render import _json_int, xpoly_from_json, xpoly_to_json
 from . import macdonald
 
 
@@ -48,9 +48,10 @@ def load(path) -> int:
     that cannot be read or written raises OSError here, before any
     work.  A record that is not a JSON object, has no kind or a kind
     other than K, E or P, and a K record that lacks a field or fails
-    its check, raise ValueError naming the line: a K record's key must
-    be a composition with N nonnegative parts, its value a polynomial in
-    N variables, each coefficient must lie in Z[q,t], and the
+    its check, raise ValueError naming the line: a K record's N and its
+    value's N must be JSON integers, its key a composition with N
+    nonnegative parts, its value a polynomial in N variables, each
+    coefficient must lie in Z[q,t], and the
     coefficient at x^eta must be nonzero, since K = 0 would pass every
     eigenvalue equation.  _integral_E runs the full check on a record
     when it first serves it, and names the file and line if it fails.
@@ -77,7 +78,7 @@ def load(path) -> int:
 
 
 def _load_K(rec, origin):
-    N, key = int(rec["N"]), rec["key"]
+    N, key = _json_int(rec["N"], "K record N"), rec["key"]
     parts = key.split(",") if isinstance(key, str) else []
     if N < 1 or len(parts) != N or not all(x.isdecimal() for x in parts):
         raise ValueError(f"K record key {key!r} is not a composition with "

@@ -203,7 +203,9 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     path = args.cache if _uses_cache(args) else None
     try:
-        if path:
+        if path == "":
+            raise _UsageError("--cache names no file: the path is empty")
+        if path is not None:
             try:
                 cachemod.load(path)
             except OSError as exc:
@@ -221,7 +223,7 @@ def main(argv=None):
     finally:
         # records set aside by load and not served end with the request
         _K_UNCHECKED.clear()
-    if path:
+    if path is not None:
         cachemod.dump_all(path)
     return code
 

@@ -23,7 +23,6 @@ kept: the process holds each checked K, and so does the cache file.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from itertools import combinations
 from math import factorial
@@ -35,7 +34,6 @@ from .sparts import (SuperPartition, format_spart, row_of_circle,
 from .xpoly import XPolynomial
 from . import hecke
 
-_lock = threading.Lock()
 _P_CACHE: dict = {}
 # eta -> checked K, a multiple of E_eta with coefficients in Z[q,t]
 _K_CACHE: dict = {}
@@ -57,10 +55,9 @@ class PBasisElement:
 
 
 def clear_caches():
-    with _lock:
-        _P_CACHE.clear()
-        _K_CACHE.clear()
-        _K_UNCHECKED.clear()
+    _P_CACHE.clear()
+    _K_CACHE.clear()
+    _K_UNCHECKED.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -211,8 +208,7 @@ def _integral_E(eta):
     K = _K_CACHE.get(eta)
     if K is not None:
         return K
-    with _lock:
-        K, origin = _K_UNCHECKED.pop(eta, (None, None))
+    K, origin = _K_UNCHECKED.pop(eta, (None, None))
     if K is None:
         s, K = _raise(eta)
         if K.coefficient(eta) != (_knop_d(eta) / s).expand():
@@ -223,8 +219,7 @@ def _integral_E(eta):
         if origin is None:
             raise
         raise CacheRecordError(f"{origin}: {exc}") from exc
-    with _lock:
-        _K_CACHE[eta] = K
+    _K_CACHE[eta] = K
     return K
 
 
@@ -392,8 +387,7 @@ def bisym_P(lam: SuperPartition) -> PBasisElement:
     elem = PBasisElement(lam=lam, poly=Q.scale(c.inverse()),
                          c_lam=K.coefficient(eta).mul_monomial(
                              0, m * (m - 1) // 2) / c)
-    with _lock:
-        _P_CACHE[key] = elem
+    _P_CACHE[key] = elem
     return elem
 
 

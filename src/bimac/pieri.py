@@ -21,9 +21,11 @@ denominator by ``qt._lcd_sum``, which verify's A-product lemma shares:
 each C/D coefficient stays factored, the lcm D of their denominators is
 each Phi factor to its largest negative exponent, and every coefficient
 times D is a Laurent polynomial.  Its products with f's integer
-numerators at the transformed points are added as integers and divided
-by D once, so no Q(q,t) sum runs per term; a sum D does not divide
-fails the check.
+numerators at the transformed points are added as integers, so no
+Q(q,t) sum runs per term.  The check cross-multiplies that sum and the
+left side's integer numerator by the other side's denominators and
+compares the two integer Laurent polynomials, as ``symmetry_check``
+does: no division and no Q(q,t) value.
 """
 
 from __future__ import annotations
@@ -35,12 +37,11 @@ from itertools import combinations
 from .errors import ConsistencyError, DegenerateEvaluationError
 from .evalsym import _eval_factors
 from .macdonald import expand_in_P_basis, bisym_P, is_bisymmetric
-from .qt import (QTScalar, _Factored, _FACTORED_ZERO, _lcd_sum, _laurent_div,
-                 _laurent_scalar)
+from .qt import QTScalar, _Factored, _FACTORED_ZERO, _add_product, _lcd_sum
 from .sparts import (StripCertificate, SuperPartition, enumerate_strips,
                      eval_point, perm_inverse)
 from .xpoly import (XPolynomial, _numerators_at, elementary_symmetric,
-                    specialize, vandermonde)
+                    vandermonde)
 from . import hecke
 
 _ONE = QTScalar.one()
@@ -326,9 +327,12 @@ def op_identity_check(m: int, r: int, f: XPolynomial, variant: str) -> bool:
     """Check e_r(Y block) Delta_m^t f = sum C/D tau_J K_sigma f at
     _OP_POINTS generic evaluation points.
 
-    Exact scalars at enough well-separated monomial points separate the
+    Exact values at enough well-separated monomial points separate the
     two sides at the ambient degree; a degenerate point (vanishing
-    denominator) is skipped and replaced.
+    denominator) is skipped and replaced.  At each point the left side
+    is c num_L / den_L and the right side content total / (D den) (see
+    ``_rhs_at``); with k = c / content they agree when k num_L D den =
+    total den_L, compared as integer Laurent polynomials.
     """
     N = f.nvars
     if not is_bisymmetric(f, m):
@@ -344,21 +348,27 @@ def op_identity_check(m: int, r: int, f: XPolynomial, variant: str) -> bool:
             raise ConsistencyError("could not find enough generic points")
         point = _generic_point(N, _OP_SEED + attempt)
         try:
-            rhs = _rhs_at(m, r, f, variant, point)
+            content, den, total, D = _rhs_at(m, r, f, variant, point)
         except DegenerateEvaluationError:
             continue
-        if rhs is None or specialize(lhs_poly, point) != rhs:
+        c, den_L, (num_L,) = _numerators_at(lhs_poly, (point,))
+        k = c / content
+        lhs = _add_product({}, num_L, {(0, 0): k.numerator})
+        rhs = _add_product({}, total, {(0, 0): k.denominator})
+        if _add_product({}, lhs, _add_product({}, D.laurent(), den.terms)) \
+                != _add_product({}, rhs, den_L.terms):
             return False
         checked += 1
     return True
 
 
 def _rhs_at(m, r, f, variant, point):
-    """The sum of C/D tau_J K_sigma f at the point, over f's common
-    denominator times the coefficients' D of ``_lcd_sum``: their products
-    with f's numerators are summed as integers and reduced once.  None
-    where that sum over D is not a Laurent polynomial, which the
-    identity rules out."""
+    """The certificate (content, den, total, D) of the sum of C/D tau_J
+    K_sigma f at the point: the sum is content * total / (D * den), with
+    content and den f's rational content and common denominator from
+    ``_numerators_at``, D the coefficients' common denominator from
+    ``_lcd_sum`` and total the integer Laurent term dict of their
+    products with f's numerators."""
     N = f.nvars
     coeffs, points = [], []
     if variant == "upper":
@@ -384,13 +394,4 @@ def _rhs_at(m, r, f, variant, point):
             points.append(tuple(_coord(point, s, Jset) for s in sigma))
     content, den, nums = _numerators_at(f, points)
     total, D = _lcd_sum(coeffs, nums)
-    if not total:
-        return QTScalar.zero()
-    # where the identity holds, total / D is the left side at f's
-    # integral numerator, a Laurent polynomial (e_r(Y) keeps integral
-    # coefficients integral), so a division that is not exact already
-    # refutes it
-    quotient = _laurent_div(total, D.laurent())
-    if quotient is None:
-        return None
-    return _laurent_scalar(content, quotient, den.terms)
+    return content, den, total, D

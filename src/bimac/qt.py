@@ -590,17 +590,6 @@ def _shifted(terms):
     return {(x - a, y - b): v for (x, y), v in terms.items()}, a, b
 
 
-def _laurent_div(num, den):
-    """num/den for nonzero integer Laurent term dicts if den divides num
-    in Z[q^±1, t^±1], else None; one division."""
-    num, na, nb = _shifted(num)
-    den, da, db = _shifted(den)
-    out = _div_terms(num, den)
-    if out is None:
-        return None
-    return {(x + na - da, y + nb - db): v for (x, y), v in out.items()}
-
-
 def _coprime(c, num, den, a=0, b=0):
     """The canonical scalar c*q^a t^b*num/den, for a Fraction c and
     nonzero integer Laurent term dicts num, den that share at most a

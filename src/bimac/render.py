@@ -52,8 +52,16 @@ def xpoly_to_json(f: XPolynomial) -> dict:
                       for e, c in f.sorted_terms()]}
 
 
+def _json_int(value, what):
+    """value if it is a JSON integer; a float, a string or a bool raises
+    ValueError naming what it is."""
+    if type(value) is not int:
+        raise ValueError(f"{what} {value!r} is not an integer")
+    return value
+
+
 def xpoly_from_json(obj) -> XPolynomial:
     terms = {}
     for item in obj["terms"]:
         terms[tuple(int(v) for v in item["x"])] = QTScalar.from_json(item["coeff"])
-    return XPolynomial(int(obj["N"]), terms)
+    return XPolynomial(_json_int(obj["N"], "polynomial N"), terms)

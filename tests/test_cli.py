@@ -409,6 +409,20 @@ class TestCache:
             assert run(capsys, *argv) == want
         assert path.read_text() == "not json\nnot json either\n"
 
+    def test_empty_cache_path(self, tmp_path, capsys, monkeypatch):
+        # an empty --cache was once ignored: E printed x2 and exited 0
+        monkeypatch.chdir(tmp_path)
+        macdonald.clear_caches()
+        code, out, err = run(capsys, "--cache", "", "E", "--eta", "0,1")
+        assert (code, out) == (2, "")
+        assert err == "error: --cache names no file: the path is empty\n"
+        assert list(tmp_path.iterdir()) == []
+        # a request that does not use the cache still ignores --cache
+        code, out, err = run(capsys, "--cache", "", "eval", "--spart", "0;",
+                             "--N", "3")
+        assert (code, out, err) == (0, "1\n", "")
+        macdonald.clear_caches()
+
     def test_unserved_records_end_with_the_request(self, tmp_path, capsys):
         # E --eta 0,1 sets aside the file's edited (1,0,1) record without
         # serving it; a later request with no --cache must not see it
@@ -495,6 +509,19 @@ class TestBadCacheFile:
         _write(path, recs)
         assert _rejected(capsys, path, 1).endswith(
             ": line 1: K record '1,0' has a coefficient not in Z[q,t]")
+
+    @pytest.mark.parametrize("where", ["record", "value"])
+    @pytest.mark.parametrize("N", [2.7, 2.0, "2", True, None],
+                             ids=["float", "integral-float", "string", "bool",
+                                  "null"])
+    def test_K_record_N_not_an_integer(self, tmp_path, capsys, where, N):
+        # int() once read 2.7 and "2" as 2, and the record was served
+        path, recs = _cache_file(tmp_path, capsys, "E", "--eta", "0,1")
+        (recs[0] if where == "record" else recs[0]["value"])["N"] = N
+        _write(path, recs)
+        what = "K record N" if where == "record" else "polynomial N"
+        assert _rejected(capsys, path, 1).endswith(
+            f": line 1: {what} {N!r} is not an integer")
 
     def test_K_record_value_in_other_N(self, tmp_path, capsys):
         # a value with N = 3 under a key with N = 2 would be served as E

@@ -11,7 +11,8 @@ from bimac.pieri import (_OP_SEED, SigmaSets, _C_factors, _D_factors,
                          _rhs_at, coeff_C, coeff_D, expansions_equal,
                          op_identity_check, pieri_bruteforce, pieri_expand,
                          phi_at)
-from bimac.qt import QTScalar, _Factored, qt_monomial
+from bimac.qt import (QTScalar, _Factored, _add_product, _laurent_scalar,
+                      qt_monomial)
 from bimac.sparts import (SuperPartition, enumerate_strips, eval_point,
                           format_spart, parse_spart, perm_inverse,
                           superpartitions)
@@ -451,13 +452,12 @@ class TestOperatorIdentity:
     def test_right_side_off_the_laurent_ring_fails(self, monkeypatch,
                                                    variant, name):
         # every coefficient over 1 - q t: at this point the sum over D
-        # is no Laurent polynomial, so _rhs_at gives None, and the check
-        # drawing only this point fails
+        # is no Laurent polynomial, and the check drawing only this
+        # point fails
         real = getattr(pierimod, name)
         monkeypatch.setattr(pierimod, name, lambda *args: _Factored.prod(
             (real(*args),), (_Factored.binomial(0, 0, 1, 1),)))
         point = _generic_point(4, _OP_SEED + 1)
-        assert _rhs_at(2, 1, E1_BLOCKS, variant, point) is None
         monkeypatch.setattr(pierimod, "_generic_point", lambda N, seed: point)
         assert op_identity_check(2, 1, E1_BLOCKS, variant) is False
 
@@ -469,6 +469,22 @@ class TestOperatorIdentity:
         monkeypatch.setattr(hecke, "apply_e_of_Y", lambda *args: real(
             *args).scale(QTScalar.one() + qt_monomial(1, 0)))
         assert op_identity_check(2, 1, E1_BLOCKS, variant) is False
+
+    @pytest.mark.parametrize("variant", ["upper", "lower"])
+    @pytest.mark.parametrize("f_by, lhs_by", [(1, Fraction(1, 3)),
+                                              (Fraction(1, 3), 3)])
+    def test_left_side_off_by_its_content_fails(self, monkeypatch, variant,
+                                                f_by, lhs_by):
+        # f times f_by and e_r(Y) times lhs_by: the left side keeps its
+        # integer numerators and only its rational content differs, so
+        # the check fails only through the content ratio c / content,
+        # here 1/3 and then 3
+        from bimac import hecke
+        real = hecke.apply_e_of_Y
+        monkeypatch.setattr(hecke, "apply_e_of_Y", lambda *args: real(
+            *args).scale(QTScalar.from_fraction(Fraction(lhs_by))))
+        f = E1_BLOCKS.scale(QTScalar.from_fraction(Fraction(f_by)))
+        assert op_identity_check(2, 1, f, variant) is False
 
     def test_degenerate_point_is_skipped(self, monkeypatch):
         # a first point with X_1 = X_2 is replaced by the next seed
@@ -529,6 +545,14 @@ RHS_CASES = [(N, m, r, variant) for N in (3, 4) for m in range(1, N)
              for r in range(1, (N - m if variant == "upper" else m) + 1)]
 
 
+def _rhs_value(m, r, f, variant, point):
+    """The value content * total / (D * den) of ``_rhs_at``'s
+    certificate, reduced to a QTScalar."""
+    content, den, total, D = _rhs_at(m, r, f, variant, point)
+    return _laurent_scalar(content, total,
+                           _add_product({}, D.laurent(), den.terms))
+
+
 class TestRhsCommonDenominator:
     """``_rhs_at`` sums over one common denominator; the reference adds
     the expanded coefficients one QTScalar at a time."""
@@ -539,7 +563,7 @@ class TestRhsCommonDenominator:
         f = elementary_symmetric(1, (1, m), N) * \
             elementary_symmetric(1, (m + 1, N), N)
         point = _generic_point(N, _OP_SEED + k)
-        assert _rhs_at(m, r, f, variant, point) == \
+        assert _rhs_value(m, r, f, variant, point) == \
             _rhs_per_coefficient(m, r, f, variant, point)
 
     def test_case_count(self):
@@ -560,28 +584,34 @@ class TestRhsCommonDenominator:
                  XPolynomial.variable(2, N).scale(T))]
 
     def test_gcd_calls_do_not_grow_with_terms(self, monkeypatch):
-        # at most one poly_gcd per distinct denominator of f and one
-        # reduction, at N = 4 as at N = 3, however many (J, sigma)
-        # terms the sum has; the bisymmetric value is checked against
-        # the reference at N = 3, where that route is quick, and the
-        # sum D does not divide gives None, with no gcd past the lcm
+        # at most one poly_gcd per distinct denominator of f after the
+        # first, the lcm, at N = 4 as at N = 3, however many (J, sigma)
+        # terms the sum has; both certificates are checked against the
+        # reference at N = 3, where that route is quick
         from bimac import qt as qtmod
         real = qtmod.poly_gcd
         for N, m, r, variant in RHS_CASES:
             point = _generic_point(N, _OP_SEED + 1)
-            (k, f), (k_bad, bad) = self._rational_inputs(N, m)
-            calls = []
-            monkeypatch.setattr(qtmod, "poly_gcd",
-                                lambda f, g: calls.append(1) or real(f, g))
-            value = _rhs_at(m, r, f, variant, point)
-            assert len(calls) <= k + 1, (N, m, r, variant, k)
-            calls.clear()
-            assert _rhs_at(m, r, bad, variant, point) is None, \
-                (N, m, r, variant)
-            assert len(calls) <= k_bad - 1, (N, m, r, variant, k_bad)
-            monkeypatch.setattr(qtmod, "poly_gcd", real)
-            if N == 3:
-                assert value == _rhs_per_coefficient(m, r, f, variant, point)
+            for k, f in self._rational_inputs(N, m):
+                calls = []
+                monkeypatch.setattr(qtmod, "poly_gcd",
+                                    lambda f, g: calls.append(1) or real(f, g))
+                _rhs_at(m, r, f, variant, point)
+                assert len(calls) <= k - 1, (N, m, r, variant, k)
+                monkeypatch.setattr(qtmod, "poly_gcd", real)
+                if N == 3:
+                    assert _rhs_value(m, r, f, variant, point) == \
+                        _rhs_per_coefficient(m, r, f, variant, point)
+
+    @pytest.mark.parametrize("N, m, r, variant", RHS_CASES)
+    def test_identity_holds_on_rational_input(self, N, m, r, variant):
+        # f has rational content 1/3 and denominators that are no
+        # monomial, so dropping den, D or den_L from the
+        # cross-multiplication makes the check fail; the content ratio
+        # is 1 here, as on every input tried, and
+        # test_left_side_off_by_its_content_fails covers it
+        (_, f), _ = self._rational_inputs(N, m)
+        assert op_identity_check(m, r, f, variant) is True
 
     def test_integral_input_makes_no_gcd_call(self, monkeypatch):
         from bimac import qt as qtmod
