@@ -6,8 +6,9 @@ shift operator omega, Cherednik operators Y_i, and interval
 coefficient} that only adds, negates and calls mul(c, a, b) = c q^a t^b.
 Three rings use them: Q(q,t), with QTScalar.mul_monomial, behind the
 XPolynomial operators; Z[q,t], with QTPoly.mul_term, in E's Knop-Sahi
-recursion; and the Kronecker-packed integers, with a shift, in E's eigen
-check and P's construction.
+recursion and in the hecke and eigen suites of verify; and the
+Kronecker-packed integers, with a shift, in E's eigen check and P's
+construction.
 
 Operator words act right to left, so in Y_i the rightmost inverse
 generator hits the polynomial first.
@@ -21,7 +22,6 @@ from .errors import DivisibilityError
 from .qt import QTPoly, QTScalar, qt_monomial
 from .xpoly import XPolynomial, _check_var, _xpoly, permute_vars
 
-_T = qt_monomial(0, 1)
 _TINV = qt_monomial(0, -1)
 _ONE = QTScalar.one()
 _QT = QTScalar.mul_monomial
@@ -63,6 +63,31 @@ def _step(i, f, ident, mul):
     return {e: c for e, c in out.items() if c}
 
 
+def _t0(f, mul):
+    """T_0 f = t g + (t - 1) x_1 (g - f)/(q x_N - x_1), with g = s_0 f the
+    image of c x^e under x_1 -> q x_N, x_N -> x_1/q: c q^(e_1 - e_N) times
+    x^e with e_1 and e_N swapped (g = f at N = 1).  The division by q x_N
+    - x_1, whose coefficient at x_1 is a unit, only adds and multiplies
+    by q.  So over Z[q,t] a coefficient that q^k divides gives ones that
+    q^(k - d) divides, d the total degree of its term: the caller first
+    multiplies f by enough powers of q."""
+    n = len(next(iter(f), ()))
+    g = f if n < 2 else {e[-1:] + e[1:-1] + e[:1]:
+                         mul(c, e[0] - e[-1], 0) if e[0] != e[-1] else c
+                         for e, c in f.items()}
+    diff = dict(g)
+    for e, c in f.items():
+        prev = diff.get(e)
+        diff[e] = -c if prev is None else prev - c
+    out = {e: mul(c, 0, 1) for e, c in g.items()}
+    for e, c in _divide(diff, n, 1, 1, 0, mul).items():
+        e = (e[0] + 1,) + e[1:]
+        c = mul(c, 0, 1) - c
+        prev = out.get(e)
+        out[e] = c if prev is None else prev + c
+    return {e: c for e, c in out.items() if c}
+
+
 def _omega(f, mul):
     """omega f (x_1,..,x_N) = f(q x_N, x_1, .., x_(N-1))."""
     return {e[1:] + (e[0],): mul(c, e[0], 0) if e[0] else c
@@ -79,6 +104,21 @@ def _word(i, f, mul):
     for j in range(n - 1, i - 1, -1):
         f = _step(j, f, 1, mul)
     return f
+
+
+def _e_of_Y(r, interval, f, mul):
+    """t^(r(N-1)) e_r(Y_a, .., Y_b) f: the sum over the r-subsets of
+    [a,b] of the products of their t-cleared words _word."""
+    a, b = interval
+    out = {}
+    for subset in combinations(range(a, b + 1), r):
+        g = f
+        for i in reversed(subset):
+            g = _word(i, g, mul)
+        for e, c in g.items():
+            prev = out.get(e)
+            out[e] = c if prev is None else prev + c
+    return {e: c for e, c in out.items() if c}
 
 
 def _symmetrize(kind, interval, f, mul):
@@ -236,18 +276,9 @@ def apply_T_inv(i: int, f: XPolynomial) -> XPolynomial:
 
 def apply_T0(f: XPolynomial) -> XPolynomial:
     """T_0 f = t f + (q t x_N - x_1) (g - f)/(q x_N - x_1), g = s_0 f the
-    image of c x^e under x_1 -> q x_N, x_N -> x_1/q: c q^(e_1 - e_N) times
-    x^e with e_1 and e_N swapped (g = f at N = 1).  That is t g + (t - 1)
-    x_1 times the quotient."""
-    n = f.nvars
-    g = f
-    if n > 1:
-        g = _xpoly(n, {e[-1:] + e[1:-1] + e[:1]:
-                       _QT(c, e[0] - e[-1], 0) if e[0] != e[-1] else c
-                       for e, c in f.terms.items()})
-    quotient = _divide((g - f).terms, n, 1, 1, 0, _QT)
-    return g.scale(_T) + _xpoly(n, {(e[0] + 1,) + e[1:]: c for e, c in
-                                    quotient.items()}).scale(_T - _ONE)
+    image of f under x_1 -> q x_N, x_N -> x_1/q: t g + (t - 1) x_1 times
+    the quotient, by _t0."""
+    return _xpoly(f.nvars, _t0(f.terms, _QT))
 
 
 def apply_omega(f: XPolynomial) -> XPolynomial:
@@ -280,15 +311,16 @@ def symmetrize(kind: str, interval, f: XPolynomial) -> XPolynomial:
 
 
 def apply_e_of_Y(r: int, interval, f: XPolynomial) -> XPolynomial:
-    """e_r(Y_a, .., Y_b) f, expanded into products of distinct Y's."""
+    """e_r(Y_a, .., Y_b) f, expanded into products of distinct Y's:
+    t^(r(1-N)) times the t-cleared sum of _e_of_Y."""
     a, b = interval
     width = b - a + 1
     if r < 0 or r > width:
         raise ValueError(f"e_{r} undefined on an interval of {width} operators")
-    total = XPolynomial.zero(f.nvars)
+    n = f.nvars
     for subset in combinations(range(a, b + 1), r):
-        g = f
-        for i in reversed(subset):
-            g = apply_Y(i, g)
-        total = total + g
-    return total
+        bad = [i for i in reversed(subset) if not 1 <= i <= n]
+        if bad:  # the first Y that _e_of_Y would apply out of range
+            raise ValueError(f"Y_{bad[0]} undefined for {n} variables")
+    return _xpoly(n, _e_of_Y(r, interval, f.terms, _QT)).scale(
+        qt_monomial(0, r * (1 - n)))

@@ -6,12 +6,26 @@ in sweep order, where the predicate is false, and that case is the
 detail.  Bounds are the maximum variable count and degree the sweeps
 run at.
 
+The hecke suite's operator relations and the eigen suite's equations
+run on Z[q,t] term dicts {x-exponent: QTPoly}, through hecke's kernels
+with QTPoly.mul_term, the ring and kernels of E's recursion.  Each
+relation is checked in an integral form, both sides multiplied by the
+same nonzero scalar: t^(N-1) for each Y (the t-cleared word _word), t
+for each T_i^(-1) (t Tbar_i), [N-r]![r]! for the e_r(Y) lemma, and a
+power of q on the input of words with T_0, whose s_0 can lower a
+q-exponent.  Every operator is linear over Q(q,t), so the integral form
+holds exactly when the relation does, and equal dicts are equal
+polynomials: the checks do no Q(q,t) arithmetic and call no gcd.  The
+eigen suite takes the checked K = c E_eta of ``macdonald._integral_E``,
+so it forms no monic E, and this ring has no width bound, unlike the
+packed check inside construction.
+
 The hecke suite's A-product lemma holds both sides factored: each
 symmetrized term and the block factor are ``pieri._a_factor`` products,
 the constant [r]! [N-r]! comes from ``qt._brackets``, and ``qt._lcd_sum``
-adds them over one common denominator.  The lemma holds exactly when
-that integer sum is empty, so the check does no Q(q,t) arithmetic and
-calls no gcd.
+adds them, divided by their common factor, over one common denominator.
+The lemma holds exactly when that integer sum is empty, so this check
+too does no Q(q,t) arithmetic and calls no gcd.
 """
 
 from __future__ import annotations
@@ -20,19 +34,22 @@ import random
 from itertools import combinations, permutations, product
 
 from .evalsym import eval_formula, evaluate, symmetry_check
-from .macdonald import (bisym_P, c_lambda_formula, dominant_exponent, nonsym_E,
-                        _bruhat_less)
+from .macdonald import (bisym_P, c_lambda_formula, dominant_exponent,
+                        _bruhat_less, _integral_E)
 from .pieri import (_a_factor, _generic_point, op_identity_check,
                     pieri_bruteforce, pieri_expand, expansions_equal)
-from .qt import (QTScalar, _brackets, _Factored, _lcd_sum, qt_monomial,
+from .qt import (QTPoly, _brackets, _Factored, _lcd_sum, qt_monomial,
                  t_bracket_factorial)
 from .sparts import (SuperPartition, compositions_of, eigenvalue, format_spart,
                      lambda_naught, superpartitions)
 from .xpoly import XPolynomial, elementary_symmetric
 from . import hecke
 
-_ONE = QTScalar.one()
-_T = qt_monomial(0, 1)
+# the kernels' mul on Z[q,t] term dicts, and the factors 1, t - 1 and t
+_MUL = QTPoly.mul_term
+_ONE = QTPoly.one()
+_T_1 = QTPoly({(0, 1): 1, (0, 0): -1})
+_TP = QTPoly.monomial(0, 1)
 
 
 class Report:
@@ -87,46 +104,99 @@ def _e1_blocks(m, N):
         elementary_symmetric(1, (m + 1, N), N)
 
 
+def _integral(s):
+    """The QTPoly equal to the QTScalar s; ValueError unless s lies in
+    Z[q,t]."""
+    if s.c.denominator != 1 or not s.den.is_one():
+        raise ValueError(f"coefficient {s} is not in Z[q,t]")
+    return s.num.mul_term(0, 0, s.c.numerator)
+
+
+def _terms(f, a=0):
+    """q^a f as a Z[q,t] term dict {x-exponent: QTPoly}; ValueError
+    unless every coefficient of f lies in Z[q,t]."""
+    return {e: _integral(s).mul_term(a, 0) for e, s in f.terms.items()}
+
+
+def _comb(*pairs):
+    """The sum of p f over pairs (f, p) of a Z[q,t] term dict and a
+    QTPoly, zero terms dropped."""
+    out = {}
+    for f, p in pairs:
+        for e, c in f.items():
+            c = c * p
+            prev = out.get(e)
+            out[e] = c if prev is None else prev + c
+    return {e: c for e, c in out.items() if c}
+
+
+def _T(i, f):
+    """T_i f on a Z[q,t] term dict, 0 <= i < N.  T_0 lowers the least
+    q-exponent of a coefficient by at most the degree of its term (see
+    hecke._t0), so f must carry that many powers of q per T_0 to come."""
+    return hecke._step(i, f, 1, _MUL) if i else hecke._t0(f, _MUL)
+
+
+def _W(i, f):
+    """t^(N-1) Y_i f on a Z[q,t] term dict, 1 <= i <= N."""
+    return hecke._word(i, f, _MUL)
+
+
 def suite_hecke(N=4, deg=3) -> Report:
     rep = Report()
     monos = _monomials_upto(N, deg)
-    T = hecke.apply_T
-    Y = hecke.apply_Y
+    # no word below applies T_0 more than twice, so on q^(2 deg) x^e
+    # every q-exponent stays nonnegative
+    lift = 2 * deg
 
     def quadratic(i, f):
-        g = T(i, f)
-        return T(i, g) == g.scale(_T - _ONE) + f.scale(_T)
+        f = _terms(f, lift)
+        g = _T(i, f)
+        return _T(i, g) == _comb((g, _T_1), (f, _TP))
+
+    def braid(i, j, f):
+        f = _terms(f, lift)
+        return _T(i, _T(j, _T(i, f))) == _T(j, _T(i, _T(j, f)))
+
+    def commute(op):
+        def holds(i, j, f):
+            f = _terms(f, lift)
+            return op(i, op(j, f)) == op(j, op(i, f))
+        return holds
+
+    def omega_shift(i, f):
+        f = _terms(f, lift)
+        return hecke._omega(_T(i, f), _MUL) == \
+            _T((i - 1) % N, hecke._omega(f, _MUL))
 
     def exchange(i, f):
-        yi, ti = Y(i, f), T(i, f)
-        shift = yi.scale(_T - _ONE)
-        return T(i, yi) == Y(i + 1, ti) + shift and \
-            T(i, Y(i + 1, f)) == Y(i, ti) - shift
+        # T_i Y_i = Y_(i+1) T_i + (t - 1) Y_i and T_i Y_(i+1) + (t - 1) Y_i
+        # = Y_i T_i, times t^(N-1)
+        f = _terms(f)
+        yi, ti = _W(i, f), _T(i, f)
+        return _T(i, yi) == _comb((_W(i + 1, ti), _ONE), (yi, _T_1)) and \
+            _comb((_T(i, _W(i + 1, f)), _ONE), (yi, _T_1)) == _W(i, ti)
 
     rep.check(f"quadratic relation on monomials deg<={deg}, N={N}",
               [(i, f) for f in monos for i in range(N)], quadratic)
     # affine type A_1 has no braid relation between T_0 and T_1
     rep.check("braid relations (affine indices included)",
               [(i, (i + 1) % N, f) for f in monos for i in range(N) if N >= 3],
-              lambda i, j, f: T(i, T(j, T(i, f))) == T(j, T(i, T(j, f))))
+              braid)
     rep.check("distant generators commute",
               [(i, j, f) for f in monos for i in range(N) for j in range(N)
-               if i != j and (i - j) % N not in (1, N - 1)],
-              lambda i, j, f: T(i, T(j, f)) == T(j, T(i, f)))
+               if i != j and (i - j) % N not in (1, N - 1)], commute(_T))
     rep.check("omega shifts the generator index",
-              [(i, f) for f in monos for i in range(N)],
-              lambda i, f: hecke.apply_omega(T(i, f)) ==
-              T((i - 1) % N, hecke.apply_omega(f)))
+              [(i, f) for f in monos for i in range(N)], omega_shift)
     rep.check("Cherednik operators commute",
               [(i, j, f) for f in monos for i in range(1, N + 1)
-               for j in range(i + 1, N + 1)],
-              lambda i, j, f: Y(i, Y(j, f)) == Y(j, Y(i, f)))
+               for j in range(i + 1, N + 1)], commute(_W))
     rep.check("exchange relations between T and Y",
               [(i, f) for f in monos for i in range(1, N)], exchange)
     rep.check("t-symmetrizer of 1 is the t-factorial",
               [(XPolynomial.one(N),)],
-              lambda f: hecke.symmetrize("t_sym", (1, N), f) ==
-              f.scale(t_bracket_factorial(N, "t")))
+              lambda f: hecke._symmetrize("t_sym", (1, N), _terms(f), _MUL) ==
+              _terms(f.scale(t_bracket_factorial(N, "t"))))
     rep.check("shifted-product relation for the tail Y product",
               [(m, r) for m in (1, 2) if m < N for r in range(1, N - m + 1)],
               lambda m, r: _rel_y(N, m, r))
@@ -140,31 +210,35 @@ def suite_hecke(N=4, deg=3) -> Report:
 
 def _rel_y(N, m, r):
     """Y_(N-r+1)..Y_N on the bisymmetric e_1 product equals the shifted
-    word."""
-    f = _e1_blocks(m, N)
+    word t^((2m + r + 1 - 2N) r/2) omega^r T^(-1)..T^(-1).  Times
+    t^(r(N-1)), with T_i^(-1) = t^(-1) (t Tbar_i) for each of the m r
+    inverses, both sides lie in Z[q,t]: the t-cleared words on the left,
+    t^(r(r-1)/2) omega^r (t Tbar)..(t Tbar) on the right."""
+    f = _terms(_e1_blocks(m, N))
     lhs = f
     for i in range(N, N - r, -1):
-        lhs = hecke.apply_Y(i, lhs)
+        lhs = _W(i, lhs)
     rhs = f
     for blk in range(1, r + 1):
         for i in range(m + blk - 1, blk - 1, -1):
-            rhs = hecke.apply_T_inv(i, rhs)
+            rhs = hecke._step(i, rhs, 0, _MUL)
     for _ in range(r):
-        rhs = hecke.apply_omega(rhs)
-    return lhs == rhs.scale(qt_monomial(0, (2 * m + r + 1 - 2 * N) * r // 2))
+        rhs = hecke._omega(rhs, _MUL)
+    return lhs == _comb((rhs, QTPoly.monomial(0, r * (r - 1) // 2)))
 
 
 def _lemma_eY(N, r):
-    """e_r(Y) f is the t-symmetrized tail Y product over [N-r]![r]!."""
-    f = elementary_symmetric(1, (1, N), N) + \
-        elementary_symmetric(N, (1, N), N)
+    """e_r(Y) f is the t-symmetrized tail Y product over [N-r]![r]!;
+    times t^(r(N-1)) [N-r]![r]!, both sides lie in Z[q,t]."""
+    f = _terms(elementary_symmetric(1, (1, N), N) +
+               elementary_symmetric(N, (1, N), N))
     rhs = f
     for i in range(N, N - r, -1):
-        rhs = hecke.apply_Y(i, rhs)
-    rhs = hecke.symmetrize("t_sym", (1, N), rhs)
-    norm = (t_bracket_factorial(N - r, "t") *
-            t_bracket_factorial(r, "t")).inverse()
-    return hecke.apply_e_of_Y(r, (1, N), f) == rhs.scale(norm)
+        rhs = _W(i, rhs)
+    rhs = hecke._symmetrize("t_sym", (1, N), rhs, _MUL)
+    norm = t_bracket_factorial(N - r, "t") * t_bracket_factorial(r, "t")
+    return _comb((hecke._e_of_Y(r, (1, N), f, _MUL),
+                  _integral(norm))) == rhs
 
 
 def _rel_u_plus_cases(N):
@@ -191,15 +265,30 @@ def _rel_u_plus(N, r, J, point):
     num, den = _brackets([*range(1, r + 1), *range(1, N - r + 1)], "t")
     rest = set(range(1, N + 1)) - set(J)
     rhs = _Factored.prod([*num, _a_factor(point, product(J, rest), ())], den)
-    total, _ = _lcd_sum([*terms, -rhs], [{(0, 0): 1}] * (len(terms) + 1))
+    values = [*terms, -rhs]
+    # their common factor G, each Phi at its least exponent over the
+    # values and the least monomial: G is nonzero, so the sum vanishes
+    # exactly when the sum of the cofactors does, and those share no
+    # denominator left to expand
+    least = {k: min(v.phi.get(k, 0) for v in values)
+             for k in {k for v in values for k in v.phi}}
+    G = _Factored(1, min(v.a for v in values), min(v.b for v in values),
+                  {k: e for k, e in least.items() if e})
+    total, _ = _lcd_sum([v / G for v in values], [{(0, 0): 1}] * len(values))
     return not total
 
 
 def _eigen_and_triangular(eta):
-    E = nonsym_E(eta).poly  # construction re-checks all equations
-    return all(hecke.apply_Y(i, E) == E.scale(eigenvalue(eta, i))
-               for i in range(1, len(eta) + 1)) and \
-        all(nu == eta or _bruhat_less(nu, eta) for nu in E.terms)
+    """The checked K = c E_eta of _integral_E (construction checks it
+    too): every support monomial other than x^eta is Bruhat-below eta,
+    and t^(N-1) Y_i K = t^(N-1) ebar_i K for every i, on K's Z[q,t] term
+    dict, where the ring has no width bound."""
+    N = len(eta)
+    K = _terms(_integral_E(eta))
+    return all(nu == eta or _bruhat_less(nu, eta) for nu in K) and \
+        all(_W(i, K) == _comb((K, _integral(
+            eigenvalue(eta, i).mul_monomial(0, N - 1))))
+            for i in range(1, N + 1))
 
 
 def suite_eigen(N=4, deg=4) -> Report:

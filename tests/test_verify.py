@@ -2,11 +2,15 @@ from itertools import combinations, permutations, product
 
 import pytest
 
-from bimac import qt
+from bimac import hecke, macdonald, qt, verify
+from bimac.macdonald import _bruhat_less
 from bimac.pieri import _a_factor
 from bimac.qt import (QTScalar, _brackets, _Factored, _lcd_sum, qt_monomial,
                       t_bracket_factorial)
-from bimac.verify import Report, _rel_u_plus, _rel_u_plus_cases, run_suite
+from bimac.sparts import compositions_of
+from bimac.verify import (Report, _MUL, _T, _W, _terms, _rel_u_plus,
+                          _rel_u_plus_cases, run_suite)
+from bimac.xpoly import XPolynomial
 
 
 def test_check_stops_at_the_first_failing_case():
@@ -115,3 +119,149 @@ def test_rel_u_plus_makes_no_gcd_call(monkeypatch):
     monkeypatch.setattr(qt, "poly_gcd", None)
     for r, J, coords in _rel_u_plus_cases(5):
         assert _rel_u_plus(5, r, J, coords)
+
+
+def test_rel_u_plus_at_six_variables():
+    cases = _rel_u_plus_cases(6)
+    assert len(cases) == 10
+    for r, J, coords in cases:
+        assert _rel_u_plus(6, r, J, coords)
+
+
+# -- the hecke and eigen suites on Z[q,t] term dicts --------------------------
+
+ONE = QTScalar.one()
+Q = qt_monomial(1, 0)
+T = qt_monomial(0, 1)
+# coefficients with q, t and integer denominators, and their common
+# denominator, so that f.scale(DEN) has every coefficient in Z[q,t]
+RATIONAL = [ONE / (ONE - Q * T), (Q + T) / (T * QTScalar.from_int(3)),
+            QTScalar.from_fraction(-2) / (ONE + Q * Q)]
+DEN = (ONE - Q * T) * T * QTScalar.from_int(3) * (ONE + Q * Q)
+DEG = 2
+
+
+def _samples(N):
+    """The monomials of degree <= DEG, and their sum over Q(q,t)."""
+    monos = [XPolynomial.monomial(e)
+             for d in range(DEG + 1) for e in compositions_of(d, N)]
+    rational = XPolynomial.zero(N)
+    for k, f in enumerate(monos):
+        rational = rational + f.scale(RATIONAL[k % 3])
+    return monos + [rational]
+
+
+def _integral_side(public, a=0, b=0):
+    """The Z[q,t] term dict of q^a t^b DEN times the Q(q,t) value."""
+    return _terms(public.scale(DEN * qt_monomial(a, b)))
+
+
+@pytest.mark.parametrize("N", [3, 4])
+def test_integral_forms_agree_with_the_public_operators(N):
+    for f in _samples(N):
+        F = _terms(f.scale(DEN))
+        for i in range(1, N):
+            assert _T(i, F) == _integral_side(hecke.apply_T(i, f))
+            # T_i^(-1) = t^(-1) (t Tbar_i)
+            assert hecke._step(i, F, 0, _MUL) == \
+                _integral_side(hecke.apply_T_inv(i, f), 0, 1)
+        # T_0 on the input times q^DEG
+        assert _T(0, _terms(f.scale(DEN), DEG)) == \
+            _integral_side(hecke.apply_T0(f), DEG)
+        assert hecke._omega(F, _MUL) == \
+            _integral_side(hecke.apply_omega(f))
+        for i in range(1, N + 1):
+            assert _W(i, F) == _integral_side(hecke.apply_Y(i, f), 0, N - 1)
+        for interval in ((1, N), (2, N)):
+            assert hecke._symmetrize("t_sym", interval, F, _MUL) == \
+                _integral_side(hecke.symmetrize("t_sym", interval, f))
+            width = interval[1] - interval[0] + 1
+            for r in range(width + 1):
+                assert hecke._e_of_Y(r, interval, F, _MUL) == \
+                    _integral_side(hecke.apply_e_of_Y(r, interval, f), 0,
+                                   r * (N - 1))
+
+
+def test_terms_rejects_a_rational_coefficient():
+    with pytest.raises(ValueError, match="not in Z\\[q,t\\]"):
+        _terms(XPolynomial.one(2).scale(RATIONAL[0]))
+
+
+_REAL_STEP, _REAL_OMEGA = hecke._step, hecke._omega
+# one wrong kernel each: (module, name, replacement)
+KERNEL_MUTANTS = {
+    # t -> t^2 in every kernel, while each relation's own t - 1, t,
+    # brackets and eigenvalues keep t
+    "t squared": (verify, "_MUL", lambda c, a, b: c.mul_term(a, 2 * b)),
+    "T_0 is t": (hecke, "_t0",
+                 lambda f, mul: {e: mul(c, 0, 1) for e, c in f.items()}),
+    "T_0 is T_1": (hecke, "_t0", lambda f, mul: _REAL_STEP(1, f, 1, mul)),
+    "omega without q": (hecke, "_omega", lambda f, mul: _REAL_OMEGA(
+        f, lambda c, a, b: mul(c, 0, b))),
+    "t Tbar is T": (hecke, "_step", lambda i, f, ident, mul: _REAL_STEP(
+        i, f, 1 if ident == 0 else ident, mul)),
+}
+
+
+@pytest.mark.parametrize("suite, check, mutant", [
+    ("hecke", "quadratic relation", "t squared"),
+    ("hecke", "braid relations", "T_0 is t"),
+    ("hecke", "distant generators commute", "T_0 is T_1"),
+    ("hecke", "omega shifts the generator index", "omega without q"),
+    ("hecke", "Cherednik operators commute", "t Tbar is T"),
+    ("hecke", "exchange relations", "t squared"),
+    ("hecke", "t-symmetrizer of 1", "t squared"),
+    ("hecke", "shifted-product relation", "t squared"),
+    ("hecke", "e_r(Y) from the t-symmetrizer", "t squared"),
+    ("eigen", "eigenvalue property", "t squared"),
+])
+def test_a_mutated_kernel_fails_its_check(monkeypatch, suite, check, mutant):
+    assert run_suite(suite, 4, DEG).ok
+    module, name, fn = KERNEL_MUTANTS[mutant]
+    monkeypatch.setattr(module, name, fn)
+    lines = run_suite(suite, 4, DEG).lines()
+    assert any(line.startswith(f"[FAIL] {check}") for line in lines), lines
+
+
+ETA = (1, 0, 1)
+
+
+def _eigen_with_K(monkeypatch, mutate):
+    """The eigen suite at N = 3, DEG, on a K for ETA changed by mutate."""
+    real = verify._integral_E
+
+    def patched(eta):
+        K = real(eta)
+        return mutate(K) if eta == ETA else K
+    monkeypatch.setattr(verify, "_integral_E", patched)
+    return run_suite("eigen", 3, DEG).lines()
+
+
+def test_eigen_suite_fails_on_a_changed_coefficient(monkeypatch):
+    def mutate(K):
+        nu = next(nu for nu in K.terms if nu != ETA)
+        return K + XPolynomial.monomial(nu, K.coefficient(nu) * Q)
+    assert _eigen_with_K(monkeypatch, mutate) == [
+        f"[FAIL] eigenvalue property and triangularity for 16 E's: {ETA}"]
+
+
+def test_eigen_suite_fails_on_a_term_not_bruhat_below(monkeypatch):
+    nu = next(nu for nu in compositions_of(sum(ETA), len(ETA))
+              if nu != ETA and not _bruhat_less(nu, ETA))
+
+    def mutate(K):
+        assert nu not in K.terms
+        return K + XPolynomial.monomial(nu)
+    assert _eigen_with_K(monkeypatch, mutate) == [
+        f"[FAIL] eigenvalue property and triangularity for 16 E's: {ETA}"]
+
+
+@pytest.mark.parametrize("suite", ["hecke", "eigen"])
+def test_suite_makes_no_gcd_call(monkeypatch, suite):
+    macdonald.clear_caches()
+    qt._GCD_MEMO.clear()
+
+    def refuse(f, g):
+        raise AssertionError("poly_gcd was called")
+    monkeypatch.setattr(qt, "poly_gcd", refuse)
+    assert run_suite(suite, 4, 3).ok
