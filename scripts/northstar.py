@@ -5,10 +5,12 @@
 PARENT_SRC and CHANGE_SRC are the ``src`` directories of two checkouts.
 Each run is a fresh interpreter with PYTHONPATH set to one side, so
 every run starts cold; within a pair the side that runs first
-alternates.  For each command the script prints each side's median and
-quartiles of wall seconds, how many pairs the change won, and the
-sha256 of its stdout.  It exits 1 if any run fails or if the stdout of
-any two runs of a command differ.
+alternates.  The warm-cache command reads a cache file that each side
+first fills, untimed and with its own code, with the K records of the
+E's of N = 5, |eta| <= 4 (126 records).  For each command the script
+prints each side's median and quartiles of wall seconds, how many
+pairs the change won, and the sha256 of its stdout.  It exits 1 if any
+run fails or if the stdout of any two runs of a command differ.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import os
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 
 COMMANDS = (
@@ -26,15 +29,25 @@ COMMANDS = (
     ["pieri", "--spart", "2,0;1", "--r", "2", "--variant", "upper", "--N", "5",
      "--check"],
     ["verify", "--suite", "all", "--N", "4", "--deg", "3"],
+    # FILE is the side's filled cache file
+    ["--cache", "FILE", "P", "--spart", "1;1", "--N", "5"],
 )
 MAIN = "import sys; from bimac.cli import main; sys.exit(main(sys.argv[1:]))"
+FILL = """import itertools, sys
+from bimac import cache, macdonald
+for eta in itertools.product(range(5), repeat=5):
+    if sum(eta) <= 4:
+        macdonald.nonsym_E(eta)
+cache.dump_all(sys.argv[1])
+"""
 
 
-def run(src, argv):
-    """(wall seconds, exit code, stdout sha256) of one cold CLI run."""
+def run(src, argv, code=MAIN):
+    """(wall seconds, exit code, stdout sha256) of one cold run of code
+    with argv, by default the CLI."""
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     start = time.perf_counter()
-    proc = subprocess.run([sys.executable, "-c", MAIN, *argv], env=env,
+    proc = subprocess.run([sys.executable, "-c", code, *argv], env=env,
                           capture_output=True)
     wall = time.perf_counter() - start
     return wall, proc.returncode, hashlib.sha256(proc.stdout).hexdigest()
@@ -52,31 +65,44 @@ def main(argv=None):
     ap.add_argument("--pairs", type=int, default=10)
     args = ap.parse_args(argv)
     sides = {"parent": args.parent_src, "change": args.change_src}
+    with tempfile.TemporaryDirectory() as tmp:
+        files = {side: os.path.join(tmp, f"{side}.jsonl") for side in sides}
+        for side, src in sides.items():
+            if run(src, [files[side]], FILL)[1]:
+                print(f"{side} could not fill its cache file")
+                return 1
+        return 0 if all([compare(sides, files, argv, args.pairs)
+                         for argv in COMMANDS]) else 1
+
+
+def compare(sides, files, argv, pairs):
+    """Time argv on both sides in alternating pairs, FILE standing for
+    the side's cache file, and print the comparison; whether every run
+    exited 0 and all printed the same stdout."""
     ok = True
-    for argv in COMMANDS:
-        times = {side: [] for side in sides}
-        hashes = set()
-        for k in range(args.pairs):
-            order = list(sides) if k % 2 == 0 else list(sides)[::-1]
-            for side in order:
-                wall, code, digest = run(sides[side], argv)
-                times[side].append(wall)
-                hashes.add(digest)
-                if code:
-                    print(f"{side} exited {code}: {' '.join(argv)}")
-                    ok = False
-        wins = sum(c < p for p, c in zip(times["parent"], times["change"]))
-        print(" ".join(argv))
-        for side, xs in times.items():
-            med, q1, q3 = quartiles(xs)
-            print(f"  {side:6}  median {med:.3f} s  quartiles "
-                  f"{q1:.3f}-{q3:.3f} s  ({len(xs)} runs)")
-        same = len(hashes) == 1
-        ok = ok and same
-        print(f"  change faster in {wins} of {args.pairs} pairs; stdout "
-              + (f"sha256 {min(hashes)[:16]} on every run" if same
-                 else f"DIFFERS: {len(hashes)} distinct sha256"))
-    return 0 if ok else 1
+    times = {side: [] for side in sides}
+    hashes = set()
+    for k in range(pairs):
+        order = list(sides) if k % 2 == 0 else list(sides)[::-1]
+        for side in order:
+            wall, code, digest = run(sides[side], [
+                files[side] if a == "FILE" else a for a in argv])
+            times[side].append(wall)
+            hashes.add(digest)
+            if code:
+                print(f"{side} exited {code}: {' '.join(argv)}")
+                ok = False
+    wins = sum(c < p for p, c in zip(times["parent"], times["change"]))
+    print(" ".join(argv))
+    for side, xs in times.items():
+        med, q1, q3 = quartiles(xs)
+        print(f"  {side:6}  median {med:.3f} s  quartiles "
+              f"{q1:.3f}-{q3:.3f} s  ({len(xs)} runs)")
+    same = len(hashes) == 1
+    print(f"  change faster in {wins} of {pairs} pairs; stdout "
+          + (f"sha256 {min(hashes)[:16]} on every run" if same
+             else f"DIFFERS: {len(hashes)} distinct sha256"))
+    return ok and same
 
 
 if __name__ == "__main__":

@@ -199,6 +199,17 @@ def build_parser():
     return parser
 
 
+def _cache_step(step, path, *args):
+    """step(path, *args), a read of or an append to the cache file, with
+    a failure to read, write or check it turned into a usage error."""
+    try:
+        return step(path, *args)
+    except OSError as exc:
+        raise _UsageError(f"cache file {path}: {exc.strerror or exc}") from None
+    except ValueError as exc:  # also JSONDecodeError, UnicodeDecodeError
+        raise _UsageError(f"cache file {path}: {exc}") from None
+
+
 def main(argv=None):
     args = build_parser().parse_args(argv)
     path = args.cache if _uses_cache(args) else None
@@ -206,14 +217,10 @@ def main(argv=None):
         if path == "":
             raise _UsageError("--cache names no file: the path is empty")
         if path is not None:
-            try:
-                cachemod.load(path)
-            except OSError as exc:
-                raise _UsageError(
-                    f"cache file {path}: {exc.strerror or exc}") from None
-            except ValueError as exc:  # also JSONDecodeError, UnicodeDecodeError
-                raise _UsageError(f"cache file {path}: {exc}") from None
+            seen = _cache_step(cachemod.load, path)
         code = args.func(args)
+        if path is not None:
+            _cache_step(cachemod.dump_all, path, seen)
     except (_UsageError, CacheRecordError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         raise SystemExit(2)
@@ -223,8 +230,6 @@ def main(argv=None):
     finally:
         # records set aside by load and not served end with the request
         _K_UNCHECKED.clear()
-    if path is not None:
-        cachemod.dump_all(path)
     return code
 
 

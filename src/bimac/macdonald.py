@@ -29,6 +29,7 @@ from math import factorial
 
 from .errors import CacheRecordError, ConsistencyError, DivisibilityError
 from .qt import QTPoly, QTScalar, _brackets, _cyclotomic_at, _Factored
+from .render import xpoly_from_json
 from .sparts import (SuperPartition, format_spart, row_of_circle,
                      sorting_permutation, superpartitions)
 from .xpoly import XPolynomial
@@ -37,7 +38,8 @@ from . import hecke
 _P_CACHE: dict = {}
 # eta -> checked K, a multiple of E_eta with coefficients in Z[q,t]
 _K_CACHE: dict = {}
-# eta -> (K, origin): cache records that _integral_E checks before serving
+# eta -> (JSON value of K, origin): cache records that _integral_E
+# decodes and checks before serving
 _K_UNCHECKED: dict = {}
 
 
@@ -201,18 +203,21 @@ def _knop_d(eta) -> _Factored:
 def _integral_E(eta):
     """A checked K with coefficients in Z[q,t] and K = c E_eta for a
     nonzero c in Q(q,t): K from _raise, whose s K(x^eta) must be d_eta,
-    or a cache record set aside unchecked, with a nonzero coefficient at
-    x^eta (cache.load checks it).  Both pass _check_E, which with that
-    nonzero coefficient pins K to a nonzero multiple of E_eta; a record
-    that fails raises CacheRecordError naming its file and line."""
+    or a cache record set aside unchecked as JSON and decoded here,
+    with a nonzero coefficient at x^eta in Z[q,t] (cache.load checks
+    it).  Both pass _check_E, which with that nonzero coefficient pins K
+    to a nonzero multiple of E_eta; a record that fails raises
+    CacheRecordError naming its file and line."""
     K = _K_CACHE.get(eta)
     if K is not None:
         return K
-    K, origin = _K_UNCHECKED.pop(eta, (None, None))
-    if K is None:
+    value, origin = _K_UNCHECKED.pop(eta, (None, None))
+    if value is None:
         s, K = _raise(eta)
         if K.coefficient(eta) != (_knop_d(eta) / s).expand():
             raise ConsistencyError(f"J_{eta} is not d_eta at x^{eta}")
+    else:
+        K = xpoly_from_json(value)
     try:
         _check_E(eta, K)
     except ConsistencyError as exc:

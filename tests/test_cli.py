@@ -1,4 +1,5 @@
 import errno
+import itertools
 import json
 import os
 import shutil
@@ -10,7 +11,7 @@ import pytest
 import bimac
 from bimac import cache as cachemod
 from bimac import cli
-from bimac import hecke, macdonald, qt
+from bimac import hecke, macdonald, qt, render
 from bimac.cli import main
 from bimac.errors import ConsistencyError
 from bimac.macdonald import bisym_P, nonsym_E
@@ -302,9 +303,10 @@ class TestCache:
                     path.read_text().splitlines()] == ["K"]
             macdonald.clear_caches()
             assert cachemod.load(str(path)) == 1
-            # the K record waits unchecked until it is first served
+            # the K record waits unchecked, as the JSON written for K,
+            # until it is first served
             assert macdonald._P_CACHE == {}
-            assert macdonald._K_UNCHECKED[(1, 0, 1)][0] == K
+            assert macdonald._K_UNCHECKED[(1, 0, 1)][0] == xpoly_to_json(K)
             again_p = bisym_P(lam)
             assert again_p.poly == p.poly and again_p.c_lam == p.c_lam
             assert macdonald._K_UNCHECKED == {}
@@ -510,6 +512,18 @@ class TestBadCacheFile:
         assert _rejected(capsys, path, 1).endswith(
             ": line 1: K record '1,0' has a coefficient not in Z[q,t]")
 
+    def test_K_record_den_that_cancels(self, tmp_path, capsys):
+        # load reads a coefficient's rows without reducing them, so a den
+        # that cancels against num (2 x / 2) is refused: xpoly_to_json
+        # writes every coefficient in Z[q,t] over the den row 1
+        path, recs = _cache_file(tmp_path, capsys, "E", "--eta", "1,0")
+        coeff = recs[0]["value"]["terms"][-1]["coeff"]
+        coeff["num"] = [[str(2 * int(c)), a, b] for c, a, b in coeff["num"]]
+        coeff["den"] = [["2", 0, 0]]
+        _write(path, recs)
+        assert _rejected(capsys, path, 1).endswith(
+            ": line 1: K record '1,0' has a coefficient not in Z[q,t]")
+
     @pytest.mark.parametrize("where", ["record", "value"])
     @pytest.mark.parametrize("N", [2.7, 2.0, "2", True, None],
                              ids=["float", "integral-float", "string", "bool",
@@ -680,6 +694,174 @@ class TestBadCacheFile:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == f"error: cache file {path}: {os.strerror(code)}\n"
+
+
+class _LoggedReads:
+    """A file that logs how many bytes each read returns."""
+
+    def __init__(self, fh, log):
+        self.fh, self.log = fh, log
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def read(self):
+        data = self.fh.read()
+        self.log.append(len(data))
+        return data
+
+    def __getattr__(self, name):
+        return getattr(self.fh, name)
+
+
+def _log_reads(monkeypatch):
+    """The bytes each read of a file opened by bimac.cache returns, one
+    entry per read."""
+    log = []
+    monkeypatch.setattr(cachemod, "open", lambda *args, **kwargs:
+                        _LoggedReads(open(*args, **kwargs), log),
+                        raising=False)
+    return log
+
+
+def _load_then(monkeypatch, write):
+    """Make cache.load call write(path) once it has read the file, as a
+    writer running beside the request could."""
+    real = cachemod.load
+
+    def load(path):
+        seen = real(path)
+        write(path)
+        return seen
+    monkeypatch.setattr(cachemod, "load", load)
+
+
+class TestCacheAfterLoad:
+    def test_warm_request_decodes_only_what_it_serves(self, tmp_path, capsys,
+                                                      monkeypatch):
+        # the 20 K's of N = 3, |eta| <= 3; P of 1;1 serves only (1,0,1)
+        path = tmp_path / "c.jsonl"
+        macdonald.clear_caches()
+        etas = [e for e in itertools.product(range(4), repeat=3)
+                if sum(e) <= 3]
+        for eta in etas:
+            macdonald._integral_E(eta)
+        assert cachemod.dump_all(str(path)) == len(etas) == 20
+        served = next(json.loads(line)["value"]
+                      for line in path.read_text().splitlines()
+                      if json.loads(line)["key"] == "1,0,1")
+        argv = ("P", "--spart", "1;1", "--N", "3")
+        macdonald.clear_caches()
+        want = run(capsys, *argv)
+        decoded = []
+        real = render.xpoly_from_json
+        for mod in list(sys.modules.values()):
+            if mod is not None and mod.__name__.startswith("bimac") and \
+                    getattr(mod, "xpoly_from_json", None) is real:
+                monkeypatch.setattr(mod, "xpoly_from_json", lambda value:
+                                    decoded.append(value) or real(value))
+        reads = _log_reads(monkeypatch)
+        macdonald.clear_caches()
+        assert run(capsys, "--cache", str(path), *argv) == want
+        assert list(macdonald._K_CACHE) == [(1, 0, 1)]
+        assert decoded == [served]
+        # load read the file once; the request built nothing new, so the
+        # append did not open it
+        assert reads == [path.stat().st_size]
+        # a request that builds a K the file lacks reads only what was
+        # appended after load: nothing
+        macdonald.clear_caches()
+        size = path.stat().st_size
+        assert run(capsys, "--cache", str(path), "E", "--eta", "4,0,0")[0] == 0
+        assert reads[1:] == [size, 0]
+        macdonald.clear_caches()
+
+    @pytest.mark.parametrize("other_writer", [True, False],
+                             ids=["other-writer", "alone"])
+    def test_append_after_another_writer(self, tmp_path, capsys, monkeypatch,
+                                         other_writer):
+        # pieri --check builds the K's of (0,1,2), (1,0,1), (1,0,2) and
+        # (1,1,1); the file holds (1,1,1) and a torn final line
+        argv = ("pieri", "--spart", "1;1", "--N", "3", "--r", "1", "--check")
+        macdonald.clear_caches()
+        want = run(capsys, *argv)
+        assert want[0] == 0
+        path, _ = _cache_file(tmp_path, capsys, "E", "--eta", "1,1,1")
+        path.write_text(path.read_text() + '{"kind": "K", "key": "0,1')
+        macdonald.clear_caches()
+        theirs = {eta: macdonald._integral_E(eta) for eta in ((1, 0, 1),
+                                                              (2, 0, 0))}
+
+        def append(p):
+            # another process's append: it reads the whole file, cuts the
+            # torn line and writes (1,0,1), which this request also
+            # builds, and (2,0,0), which it does not
+            ours = dict(macdonald._K_CACHE)
+            macdonald._K_CACHE.clear()
+            macdonald._K_CACHE.update(theirs)
+            try:
+                assert cachemod.dump_all(p) == 2
+            finally:
+                macdonald._K_CACHE.clear()
+                macdonald._K_CACHE.update(ours)
+        macdonald.clear_caches()
+        if other_writer:
+            _load_then(monkeypatch, append)
+        assert run(capsys, "--cache", str(path), *argv) == want
+        keys = [json.loads(line)["key"]
+                for line in path.read_text().splitlines()]
+        # each K once, in the order written, this request's in the order
+        # it built them
+        theirs = ["1,0,1", "2,0,0"] if other_writer else []
+        assert keys[:len(theirs) + 1] == ["1,1,1", *theirs]
+        assert sorted(keys) == sorted({"1,1,1", "0,1,2", "1,0,1", "1,0,2",
+                                       *theirs})
+        monkeypatch.undo()
+        macdonald.clear_caches()
+        assert cachemod.load(str(path)) == len(keys)
+        macdonald.clear_caches()
+
+    def test_record_without_its_newline_is_written_again(self, tmp_path,
+                                                         capsys):
+        # a final record that parses but lacks its newline is served, then
+        # cut with the torn tail before the append, which writes it again
+        path, _ = _cache_file(tmp_path, capsys, "E", "--eta", "1,1,1")
+        path.write_text(path.read_text().rstrip("\n"))
+        assert run(capsys, "--cache", str(path), "pieri", "--spart", "1;1",
+                   "--N", "3", "--r", "1", "--check")[0] == 0
+        keys = [json.loads(line)["key"]
+                for line in path.read_text().splitlines()]
+        assert sorted(keys) == ["0,1,2", "1,0,1", "1,0,2", "1,1,1"]
+        macdonald.clear_caches()
+
+    @pytest.mark.parametrize("tail, message", [
+        ('not json\n{"kind": "K"}\n', "line 2: Expecting value"),
+        ('{"kind": "K"}\n', "line 2: record lacks field 'N'"),
+        ('{"kind": "K", "key": "1,0,1", "N": 3, "value": {"N": 3, '
+         '"terms": []}}\n',
+         "line 2: K record '1,0,1' has coefficient 0 at x^eta"),
+    ], ids=["not-json", "no-N", "zero-K"])
+    def test_bad_line_appended_after_load(self, tmp_path, capsys, monkeypatch,
+                                          tail, message):
+        # the append reads what other writers added after load and checks
+        # it as load does; a bad line once ended the request in a
+        # traceback
+        path, _ = _cache_file(tmp_path, capsys, "E", "--eta", "0,1")
+        before = path.read_text()
+
+        def append(p):
+            with open(p, "a", encoding="utf-8") as fh:
+                fh.write(tail)
+        _load_then(monkeypatch, append)
+        code, out, err = run(capsys, "--cache", str(path),
+                             "P", "--spart", "1;1", "--N", "3")
+        assert code == 2 and out != ""
+        assert err == f"error: cache file {path}: {message}\n"
+        assert path.read_text() == before + tail
+        macdonald.clear_caches()
 
 
 def _declared_console_script(name):
