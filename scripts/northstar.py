@@ -7,10 +7,12 @@ Each run is a fresh interpreter with PYTHONPATH set to one side, so
 every run starts cold; within a pair the side that runs first
 alternates.  The warm-cache command reads a cache file that each side
 first fills, untimed and with its own code, with the K records of the
-E's of N = 5, |eta| <= 4 (126 records).  For each command the script
-prints each side's median and quartiles of wall seconds, how many
-pairs the change won, and the sha256 of its stdout.  It exits 1 if any
-run fails or if the stdout of any two runs of a command differ.
+E's of N = 5, |eta| <= 4 (126 records); the script prints the sha256
+of each side's filled file.  For each command it prints each side's
+median and quartiles of wall seconds, how many pairs the change won,
+and the sha256 of its stdout.  It exits 1 if any run fails, if the
+stdout of any two runs of a command differ, or if the two filled cache
+files differ, so that a change to the record format shows.
 """
 
 from __future__ import annotations
@@ -71,8 +73,16 @@ def main(argv=None):
             if run(src, [files[side]], FILL)[1]:
                 print(f"{side} could not fill its cache file")
                 return 1
+        digests = {}
+        for side, file in files.items():
+            with open(file, "rb") as fh:
+                digests[side] = hashlib.sha256(fh.read()).hexdigest()
+            print(f"{side} cache file sha256 {digests[side][:16]}")
+        same = len(set(digests.values())) == 1
+        if not same:
+            print("the filled cache files DIFFER")
         return 0 if all([compare(sides, files, argv, args.pairs)
-                         for argv in COMMANDS]) else 1
+                         for argv in COMMANDS]) and same else 1
 
 
 def compare(sides, files, argv, pairs):

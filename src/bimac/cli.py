@@ -206,7 +206,7 @@ def _cache_step(step, path, *args):
         return step(path, *args)
     except OSError as exc:
         raise _UsageError(f"cache file {path}: {exc.strerror or exc}") from None
-    except ValueError as exc:  # also JSONDecodeError, UnicodeDecodeError
+    except ValueError as exc:  # also UnicodeDecodeError
         raise _UsageError(f"cache file {path}: {exc}") from None
 
 

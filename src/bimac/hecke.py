@@ -8,7 +8,8 @@ Three rings use them: Q(q,t), with QTScalar.mul_monomial, behind the
 XPolynomial operators; Z[q,t], with QTPoly.mul_term, in E's Knop-Sahi
 recursion and in the hecke and eigen suites of verify; and the
 Kronecker-packed integers, with a shift, in E's eigen check and P's
-construction.
+construction, packed from and unpacked to Z[q,t] term dicts by _pack
+and _unpack.
 
 Operator words act right to left, so in Y_i the rightmost inverse
 generator hits the polynomial first.
@@ -185,8 +186,8 @@ def _divide(f, a, b, alpha, beta, mul):
 # image of its coefficient in Z[q,t] under t -> 2^w, q -> 2^(w B)
 
 def _pack(f, growth, tdeg_extra):
-    """(w, B, packed f) for f, a map from x-exponent to QTScalar in
-    Z[q,t], with w and B taken from the caller's bounds.
+    """(w, B, packed f) for f, a Z[q,t] term dict {x-exponent: QTPoly},
+    with w and B taken from the caller's bounds.
 
     Packing is a ring homomorphism Z[q,t] -> Z, so every ring operation
     on packed ints is the image of the same operation on polynomials.
@@ -198,16 +199,11 @@ def _pack(f, growth, tdeg_extra):
     coefficients, so the packing is injective there and a packed zero is
     a polynomial zero.
     """
-    for s in f.values():
-        if s.c.denominator != 1 or not s.den.is_one():
-            raise ValueError(f"coefficient {s} is not in Z[q,t]")
-    norm = sum(abs(s.c.numerator) * sum(map(abs, s.num.terms.values()))
-               for s in f.values())
+    norm = sum(sum(map(abs, c.terms.values())) for c in f.values())
     w = (growth * norm).bit_length() + 1
-    B = max(b for s in f.values() for _, b in s.num.terms) + tdeg_extra + 1
-    return w, B, {e: s.c.numerator * sum(v << w * (B * a + b)
-                                         for (a, b), v in s.num.terms.items())
-                  for e, s in f.items()}
+    B = max(b for c in f.values() for _, b in c.terms) + tdeg_extra + 1
+    return w, B, {e: sum(v << w * (B * a + b) for (a, b), v in c.terms.items())
+                  for e, c in f.items()}
 
 
 def _shifts(w, B):
@@ -217,10 +213,10 @@ def _shifts(w, B):
 
 
 def _unpack(f, w, B):
-    """The terms {x-exponent: QTScalar} whose packing under (w, B) is f,
-    read as balanced base-2^w digits, digit k the coefficient of
-    q^(k // B) t^(k % B); runs of zero digits are skipped whole, and
-    zero entries are dropped."""
+    """The Z[q,t] term dict {x-exponent: QTPoly} whose packing under
+    (w, B) is f, read as balanced base-2^w digits, digit k the
+    coefficient of q^(k // B) t^(k % B); runs of zero digits are skipped
+    whole, and zero entries are dropped."""
     mask, half = (1 << w) - 1, 1 << (w - 1)
     out = {}
     for e, v in f.items():
@@ -237,7 +233,7 @@ def _unpack(f, w, B):
             v = (v - digit) >> w
             k += 1
         if rows:
-            out[e] = QTScalar(QTPoly(rows))
+            out[e] = QTPoly(rows)
     return out
 
 

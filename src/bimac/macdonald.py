@@ -7,11 +7,12 @@ E_eta is built in Knop's integral form J_eta = d_eta E_eta, whose
 coefficients lie in Z[q,t] (Knop 1997, Sahi 1996): the Knop-Sahi
 recursion carries J as s K, a factored scalar s times K in Z[q,t][x],
 and divides only by binomials known in closed form, so it calls no gcd.
-K is checked against every eigenvalue equation, the Bruhat
-triangularity and d_eta.  P_Lambda's symmetrizers and Vandermonde
-divisions run on K packed into integers (t -> 2^w, q -> 2^(w B)), and
-its plain-versus-t cross-check on the packed quotients, all with no
-gcd; only the final normalization works in Q(q,t).  c_lambda_formula
+K stays one Z[q,t] term dict {x-exponent: QTPoly} through its checks
+(every eigenvalue equation, the Bruhat triangularity and d_eta), P's
+construction, whose symmetrizers, Vandermonde divisions and
+plain-versus-t cross-check run on K packed into integers (t -> 2^w,
+q -> 2^(w B)) with no gcd, and the cache file.  Q(q,t) values are
+formed only for the outputs: E, P and c_lambda.  c_lambda_formula
 and c_lambda_corrected are each one factored product.  The recursion, the
 eigen check and P's construction all use hecke's one kernel per
 operator, each with the multiplication by q^a t^b of the ring it holds:
@@ -29,17 +30,17 @@ from math import factorial
 
 from .errors import CacheRecordError, ConsistencyError, DivisibilityError
 from .qt import QTPoly, QTScalar, _brackets, _cyclotomic_at, _Factored
-from .render import xpoly_from_json
+from .render import terms_from_json
 from .sparts import (SuperPartition, format_spart, row_of_circle,
                      sorting_permutation, superpartitions)
 from .xpoly import XPolynomial
 from . import hecke
 
 _P_CACHE: dict = {}
-# eta -> checked K, a multiple of E_eta with coefficients in Z[q,t]
+# eta -> checked K, a multiple of E_eta as a Z[q,t] term dict
 _K_CACHE: dict = {}
 # eta -> (JSON value of K, origin): cache records that _integral_E
-# decodes and checks before serving
+# reads and checks before serving
 _K_UNCHECKED: dict = {}
 
 
@@ -109,10 +110,8 @@ def _raise(eta):
     """(s, K) with s K = J_eta = d_eta E_eta, by the Knop-Sahi recursion
     in Knop's integral form, unchecked.
 
-    s is a _Factored scalar and every coefficient of K lies in Z[q,t]:
-    the recursion holds K as a term dict {x-exponent: QTPoly} and makes
-    each coefficient a canonical QTScalar once, at the end, so no step
-    calls a gcd or does Q(q,t) arithmetic.  With ebar_i(nu) the
+    s is a _Factored scalar and K a term dict {x-exponent: QTPoly}, so
+    no step calls a gcd or does Q(q,t) arithmetic.  With ebar_i(nu) the
     Cherednik eigenvalue:
 
     * eta_N > 0, nu = (eta_N - 1, eta_1, .., eta_(N-1)):
@@ -181,7 +180,6 @@ def _raise(eta):
             sign, a, b = sign * binom.sign, a + binom.a - nu[0], b + binom.b
             for k in binom.phi:
                 phi[k] = phi.get(k, 0) + 1
-    K = XPolynomial(N, {e: QTScalar(c) for e, c in K.items()})
     return _Factored(sign, a, b, {k: e for k, e in phi.items() if e}), K
 
 
@@ -201,23 +199,24 @@ def _knop_d(eta) -> _Factored:
 
 
 def _integral_E(eta):
-    """A checked K with coefficients in Z[q,t] and K = c E_eta for a
-    nonzero c in Q(q,t): K from _raise, whose s K(x^eta) must be d_eta,
-    or a cache record set aside unchecked as JSON and decoded here,
-    with a nonzero coefficient at x^eta in Z[q,t] (cache.load checks
-    it).  Both pass _check_E, which with that nonzero coefficient pins K
-    to a nonzero multiple of E_eta; a record that fails raises
-    CacheRecordError naming its file and line."""
+    """A checked Z[q,t] term dict K with K = c E_eta for a nonzero c in
+    Q(q,t): K from _raise, whose s K(x^eta) must be d_eta, or a cache
+    record set aside unchecked as JSON and read here, with a nonzero
+    coefficient at x^eta (cache.load checks it).  Both pass _check_E,
+    which with that nonzero coefficient pins K to a nonzero multiple of
+    E_eta; a record that fails raises CacheRecordError naming its file
+    and line."""
     K = _K_CACHE.get(eta)
     if K is not None:
         return K
     value, origin = _K_UNCHECKED.pop(eta, (None, None))
     if value is None:
         s, K = _raise(eta)
-        if K.coefficient(eta) != (_knop_d(eta) / s).expand():
+        if QTScalar(K.get(eta, QTPoly.zero())) != \
+                (_knop_d(eta) / s).expand():
             raise ConsistencyError(f"J_{eta} is not d_eta at x^{eta}")
     else:
-        K = xpoly_from_json(value)
+        K = terms_from_json(value)
     try:
         _check_E(eta, K)
     except ConsistencyError as exc:
@@ -252,7 +251,8 @@ def nonsym_E(eta) -> EBasisElement:
     if any(x < 0 for x in eta):
         raise ValueError("composition entries must be nonnegative")
     K = _integral_E(eta)
-    return EBasisElement(eta=eta, poly=K.scale(K.coefficient(eta).inverse()))
+    return EBasisElement(eta=eta, poly=XPolynomial(
+        len(eta), {e: QTScalar(c, K[eta]) for e, c in K.items()}))
 
 
 def _eigen_pack(K):
@@ -263,17 +263,17 @@ def _eigen_pack(K):
     (b < N) is at most ((1 + 2d)^(N-1) + 1) ||K||_1 in absolute value,
     and its t-degree is at most tdeg(K) + N - 1.
     """
-    N, d = K.nvars, K.total_degree()
+    N, d = len(next(iter(K))), max(map(sum, K))
     growth = (1 + 2 * d) ** (N - 1) + 1
-    return hecke._pack(K.terms, growth, N - 1)
+    return hecke._pack(K, growth, N - 1)
 
 
 def _check_E(eta, K):
-    """Raise ConsistencyError unless K, with coefficients in Z[q,t], is
+    """Raise ConsistencyError unless the Z[q,t] term dict K is
     Bruhat-triangular at eta and passes all N packed eigenvalue
     equations."""
     N = len(eta)
-    for nu in K.terms:
+    for nu in K:
         if nu != eta and not _bruhat_less(nu, eta):
             raise ConsistencyError(
                 f"E_{eta} has support at {nu}, not Bruhat-below")
@@ -317,11 +317,11 @@ def _P_pack(K, m):
     digits are unique, so two polynomials within these bounds with equal
     packings are equal.
     """
-    N, d = K.nvars, K.total_degree()
+    N, d = len(next(iter(K))), max(map(sum, K))
     l_s, l_a = (N - m) * (N - m - 1) // 2, m * (m - 1) // 2
     growth = factorial(N - m) * (1 + 2 * d) ** l_s * \
         factorial(m) * (1 + 2 * d) ** l_a * d ** l_a
-    return hecke._pack(K.terms, growth, l_s + l_a + (d if m >= 2 else 0))
+    return hecke._pack(K, growth, l_s + l_a + (d if m >= 2 else 0))
 
 
 def _packed_quotient(lam, S, mul, times_t):
@@ -362,9 +362,10 @@ def bisym_P(lam: SuperPartition) -> PBasisElement:
     t^(-m(m-1)/2) Delta_t / Delta Sum sgn(sigma) sigma, so the two
     packed quotients must be equal (and so proportional, with equal
     dominant coefficients); a mismatch raises rather than being
-    silently resolved.  Q is unpacked once and divided by its dominant
-    coefficient c in Q(q,t); the scalar multiple of E that K carries
-    and the power of t drop out of P, and c_lam = t^(m(m-1)/2) K(x^eta)/c.
+    silently resolved.  Q is unpacked once, to a Z[q,t] term dict, and
+    each coefficient over its dominant coefficient c is P's, in Q(q,t);
+    the scalar multiple of E that K carries and the power of t drop out
+    of P, and c_lam = t^(m(m-1)/2) K(x^eta)/c.
     """
     key = (lam.anti, lam.sym, lam.N)
     cached = _P_CACHE.get(key)
@@ -387,11 +388,11 @@ def bisym_P(lam: SuperPartition) -> PBasisElement:
         raise ConsistencyError(
             f"plain and t-deformed constructions disagree for "
             f"{format_spart(lam)}")
-    Q = XPolynomial(N, hecke._unpack(Q, w, B))
-    c = Q.coefficient(lead)
-    elem = PBasisElement(lam=lam, poly=Q.scale(c.inverse()),
-                         c_lam=K.coefficient(eta).mul_monomial(
-                             0, m * (m - 1) // 2) / c)
+    Q = hecke._unpack(Q, w, B)
+    c = Q[lead]
+    elem = PBasisElement(
+        lam=lam, poly=XPolynomial(N, {e: QTScalar(v, c) for e, v in Q.items()}),
+        c_lam=QTScalar(K[eta].mul_term(0, m * (m - 1) // 2), c))
     _P_CACHE[key] = elem
     return elem
 

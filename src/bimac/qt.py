@@ -627,19 +627,13 @@ def _number(text):
     return Fraction(text)
 
 
-def _json_terms(rows):
-    """[(coefficient, q-degree, t-degree)] of JSON rows, each coefficient
-    as _number reads it; a negative exponent raises ValueError."""
+def _from_json_rows(rows):
+    """(s, p): the rows' polynomial is s*p with p an integer QTPoly, each
+    coefficient as _number reads it; a negative exponent raises
+    ValueError."""
     coeffs = [(_number(c), int(a), int(b)) for c, a, b in rows]
     if any(a < 0 or b < 0 for _, a, b in coeffs):
         raise ValueError("QTScalar JSON row exponents must be nonnegative")
-    return coeffs
-
-
-def _from_json_rows(rows):
-    """(s, p): the rows' polynomial is s*p with p an integer QTPoly; a
-    negative exponent raises ValueError."""
-    coeffs = _json_terms(rows)
     lcd = _ilcm(*(f.denominator for f, _, _ in coeffs))
     terms = {(a, b): f.numerator * (lcd // f.denominator) for f, a, b in coeffs}
     return Fraction(1, lcd), QTPoly(terms)

@@ -1,9 +1,11 @@
-"""Text, LaTeX and JSON rendering of polynomials and expansions."""
+"""Text, LaTeX and JSON rendering of polynomials and expansions, and
+the JSON grammar of a Z[q,t] term dict {x-exponent: QTPoly}, in which
+the cache file holds E's integral multiple K."""
 
 from __future__ import annotations
 
-from .qt import QTScalar, _powers, format_scalar
-from .xpoly import XPolynomial
+from .qt import QTPoly, QTScalar, _powers, format_scalar
+from .xpoly import XPolynomial, _xpoly
 
 
 def format_xpoly(f: XPolynomial, latex: bool = False) -> str:
@@ -65,3 +67,51 @@ def xpoly_from_json(obj) -> XPolynomial:
     for item in obj["terms"]:
         terms[tuple(int(v) for v in item["x"])] = QTScalar.from_json(item["coeff"])
     return XPolynomial(_json_int(obj["N"], "polynomial N"), terms)
+
+
+# the den rows of a coefficient in Z[q,t]
+_DEN_ONE = [["1", 0, 0]]
+
+
+def terms_to_json(N, f) -> dict:
+    """The JSON of a Z[q,t] term dict in N variables: what xpoly_to_json
+    writes for the same polynomial over Q(q,t), each coefficient's num
+    rows [integer text, q-degree, t-degree] over the den row 1."""
+    return {"N": N,
+            "terms": [{"x": list(e),
+                       "coeff": {"num": [[str(v), a, b] for (a, b), v
+                                         in c.sorted_terms()],
+                                 "den": [["1", 0, 0]]}}
+                      for e, c in _xpoly(N, f).sorted_terms()]}
+
+
+def _integral_rows(num, den):
+    """Whether num and den are the rows of a coefficient in Z[q,t] as
+    terms_to_json writes it: each num row [integer text, q-degree,
+    t-degree] with the degrees nonnegative JSON integers, and den the
+    row 1.  A row with a negative exponent raises ValueError, and one
+    that does not unpack into three raises what unpacking raises."""
+    for c, a, b in num:
+        if not (type(c) is str and type(a) is int and type(b) is int
+                and a >= 0 <= b and c.removeprefix("-").isdecimal()):
+            break
+    else:
+        if den == _DEN_ONE:
+            return True
+    if any((type(a) is int and a < 0) or (type(b) is int and b < 0)
+           for rows in (num, den) for _, a, b in rows):
+        raise ValueError("QTScalar JSON row exponents must be nonnegative")
+    return False
+
+
+def _rows_poly(rows) -> QTPoly:
+    """The QTPoly of num rows that passed _integral_rows."""
+    return QTPoly({(a, b): int(c) for c, a, b in rows})
+
+
+def terms_from_json(obj) -> dict:
+    """The Z[q,t] term dict of JSON whose rows passed _integral_rows,
+    zero coefficients dropped."""
+    terms = {tuple(map(int, item["x"])): _rows_poly(item["coeff"]["num"])
+             for item in obj["terms"]}
+    return {e: c for e, c in terms.items() if c}

@@ -17,8 +17,9 @@ q-exponent.  Every operator is linear over Q(q,t), so the integral form
 holds exactly when the relation does, and equal dicts are equal
 polynomials: the checks do no Q(q,t) arithmetic and call no gcd.  The
 eigen suite takes the checked K = c E_eta of ``macdonald._integral_E``,
-so it forms no monic E, and this ring has no width bound, unlike the
-packed check inside construction.
+already a Z[q,t] term dict, as it stands: it forms no monic E and
+converts nothing, and this ring has no width bound, unlike the packed
+check inside construction.
 
 The hecke suite's A-product lemma holds both sides factored: each
 symmetrized term and the block factor are ``pieri._a_factor`` products,
@@ -284,7 +285,7 @@ def _eigen_and_triangular(eta):
     and t^(N-1) Y_i K = t^(N-1) ebar_i K for every i, on K's Z[q,t] term
     dict, where the ring has no width bound."""
     N = len(eta)
-    K = _terms(_integral_E(eta))
+    K = _integral_E(eta)
     return all(nu == eta or _bruhat_less(nu, eta) for nu in K) and \
         all(_W(i, K) == _comb((K, _integral(
             eigenvalue(eta, i).mul_monomial(0, N - 1))))

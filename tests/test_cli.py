@@ -15,8 +15,10 @@ from bimac import hecke, macdonald, qt, render
 from bimac.cli import main
 from bimac.errors import ConsistencyError
 from bimac.macdonald import bisym_P, nonsym_E
+from bimac.qt import QTPoly, QTScalar
 from bimac.render import xpoly_to_json
 from bimac.sparts import SuperPartition
+from bimac.xpoly import XPolynomial
 
 
 def run(capsys, *argv):
@@ -303,18 +305,42 @@ class TestCache:
                     path.read_text().splitlines()] == ["K"]
             macdonald.clear_caches()
             assert cachemod.load(str(path)) == 1
-            # the K record waits unchecked, as the JSON written for K,
-            # until it is first served
+            # the K record waits unchecked, as the JSON written for K, the
+            # same as xpoly_to_json of K over Q(q,t), until it is first
+            # served
             assert macdonald._P_CACHE == {}
-            assert macdonald._K_UNCHECKED[(1, 0, 1)][0] == xpoly_to_json(K)
+            assert macdonald._K_UNCHECKED[(1, 0, 1)][0] == \
+                render.terms_to_json(3, K) == xpoly_to_json(XPolynomial(
+                    3, {e: QTScalar(c) for e, c in K.items()}))
             again_p = bisym_P(lam)
             assert again_p.poly == p.poly and again_p.c_lam == p.c_lam
             assert macdonald._K_UNCHECKED == {}
-            assert macdonald._K_CACHE[(1, 0, 1)] == K
+            # the served K is the built one, a Z[q,t] term dict as well
+            served = macdonald._K_CACHE[(1, 0, 1)]
+            assert served == K and type(served) is type(K) is dict
+            assert all(type(c) is QTPoly for c in served.values())
             assert nonsym_E((1, 0, 1)).poly == e.poly
         finally:
             macdonald.clear_caches()
             macdonald._P_CACHE.update(saved_p)
+
+    def test_K_record_matches_the_Q_qt_writer(self):
+        # the K record, written from the Z[q,t] term dict, is byte for
+        # byte the one written from K over Q(q,t) by xpoly_to_json, for
+        # the 246 E's with N = 2..5 and |eta| <= 4
+        macdonald.clear_caches()
+        etas = [eta for N in range(2, 6)
+                for eta in itertools.product(range(5), repeat=N)
+                if sum(eta) <= 4]
+        assert len(etas) == 246
+        for eta in etas:
+            K = macdonald._integral_E(eta)
+            old = {"kind": "K", "key": ",".join(map(str, eta)),
+                   "N": len(eta), "value": xpoly_to_json(XPolynomial(
+                       len(eta), {e: QTScalar(c) for e, c in K.items()}))}
+            assert json.dumps(cachemod._record(eta, K), sort_keys=True) == \
+                json.dumps(old, sort_keys=True), eta
+        macdonald.clear_caches()
 
     def test_dump_makes_no_gcd_call(self, tmp_path, capsys, monkeypatch):
         # a cold P leaves only K, which is written as it stands
@@ -363,6 +389,25 @@ class TestCache:
         assert [json.loads(l)["key"] for l in lines] == ["0,1", "1,0"]
         macdonald.clear_caches()
 
+    def test_whole_bad_final_line_is_refused(self, tmp_path, capsys):
+        # a whole final line that does not parse is not a torn append:
+        # it was once skipped on load but never cut, so the next append
+        # wrote after it and every request after that exited 2
+        path = tmp_path / "c.jsonl"
+        macdonald.clear_caches()
+        assert run(capsys, "--cache", str(path), "E", "--eta", "0,1")[0] == 0
+        path.write_text(path.read_text() + "not json\n")
+        written = path.read_text()
+        for eta in ("1,0", "1,1"):
+            macdonald.clear_caches()
+            code, out, err = run(capsys, "--cache", str(path), "E",
+                                 "--eta", eta)
+            assert (code, out) == (2, "")
+            assert err == (f"error: cache file {path}: line 2: "
+                           "Expecting value\n")
+            assert path.read_text() == written
+        macdonald.clear_caches()
+
     def test_bad_middle_line_raises(self, tmp_path, capsys):
         path = tmp_path / "c.jsonl"
         macdonald.clear_caches()
@@ -370,7 +415,7 @@ class TestCache:
         whole = path.read_text()
         path.write_text(whole[:25] + "\n" + whole)
         macdonald.clear_caches()
-        with pytest.raises(json.JSONDecodeError):
+        with pytest.raises(ValueError, match=r"^line 1: "):
             cachemod.load(str(path))
 
     def test_eval_formula_skips_the_cache(self, tmp_path, capsys):
@@ -503,11 +548,18 @@ class TestBadCacheFile:
             f": line 1: K record {recs[0]['key']!r} has coefficient 0 at "
             "x^eta")
 
-    @pytest.mark.parametrize("den", [[["2", 0, 0]], [["1", 0, 0], ["-1", 1, 0]]],
-                             ids=["fraction", "den-1-q"])
-    def test_K_record_not_integral(self, tmp_path, capsys, den):
+    @pytest.mark.parametrize("side, rows", [
+        ("den", [["2", 0, 0]]), ("den", [["1", 0, 0], ["-1", 1, 0]]),
+        # rows that read as an integer, but not as the writer writes one
+        ("num", [["+3", 0, 0]]), ("num", [["6/2", 0, 0]]),
+        ("num", [[3, 0, 0]]), ("num", [["3", 0.0, 0]]),
+        ("den", [["1/1", 0, 0]]),
+    ], ids=["fraction", "den-1-q", "num-plus-sign", "num-fraction",
+            "num-json-number", "float-degree", "den-1/1"])
+    def test_K_record_not_integral(self, tmp_path, capsys, side, rows):
+        # a K record holds only the rows render.terms_to_json writes
         path, recs = _cache_file(tmp_path, capsys, "E", "--eta", "1,0")
-        recs[0]["value"]["terms"][-1]["coeff"]["den"] = den
+        recs[0]["value"]["terms"][-1]["coeff"][side] = rows
         _write(path, recs)
         assert _rejected(capsys, path, 1).endswith(
             ": line 1: K record '1,0' has a coefficient not in Z[q,t]")
@@ -757,11 +809,11 @@ class TestCacheAfterLoad:
         macdonald.clear_caches()
         want = run(capsys, *argv)
         decoded = []
-        real = render.xpoly_from_json
+        real = render.terms_from_json
         for mod in list(sys.modules.values()):
             if mod is not None and mod.__name__.startswith("bimac") and \
-                    getattr(mod, "xpoly_from_json", None) is real:
-                monkeypatch.setattr(mod, "xpoly_from_json", lambda value:
+                    getattr(mod, "terms_from_json", None) is real:
+                monkeypatch.setattr(mod, "terms_from_json", lambda value:
                                     decoded.append(value) or real(value))
         reads = _log_reads(monkeypatch)
         macdonald.clear_caches()

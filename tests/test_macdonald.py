@@ -29,28 +29,46 @@ C_SHAPES = [sp for N, top in ((3, 6), (4, 4), (5, 3))
      for d in range(top + 1) for sp in superpartitions(d, 4, N)]
 
 
+def xpoly(K):
+    """The XPolynomial over Q(q,t) of a Z[q,t] term dict."""
+    return XPolynomial(len(next(iter(K))), {e: QTScalar(c)
+                                            for e, c in K.items()})
+
+
+def times(K, p):
+    """The Z[q,t] term dict K times the QTPoly p."""
+    return {e: c * p for e, c in K.items()}
+
+
+def plus(K, nu, p):
+    """The Z[q,t] term dict K plus p x^nu, a zero sum dropped."""
+    K = {**K, nu: K.get(nu, QTPoly.zero()) + p}
+    return {e: c for e, c in K.items() if c}
+
+
 def norm_1(J):
-    """The sum of the absolute integer coefficients of J over Z[q,t]."""
-    return sum(abs(int(s.c) * v) for s in J.terms.values()
-               for v in s.num.terms.values())
+    """The sum of the absolute integer coefficients of a Z[q,t] term
+    dict."""
+    return sum(abs(v) for c in J.values() for v in c.terms.values())
 
 
 def least_w(J):
     """The least pack width w with 2^(w-1) > ((1 + 2d)^(N-1) + 1) ||J||_1,
-    d the degree, for J over Z[q,t]: the bound on the eigen check's
-    coefficients, restated here so that a change to hecke._pack cannot
-    move it."""
-    d = J.total_degree()
-    return (((1 + 2 * d) ** (J.nvars - 1) + 1) * norm_1(J)).bit_length() + 1
+    d the degree, for a Z[q,t] term dict J: the bound on the eigen
+    check's coefficients, restated here so that a change to hecke._pack
+    cannot move it."""
+    N, d = len(next(iter(J))), max(map(sum, J))
+    return (((1 + 2 * d) ** (N - 1) + 1) * norm_1(J)).bit_length() + 1
 
 
 def least_P_w(J, m):
     """The least pack width w with 2^(w-1) >
     (N - m)! (1 + 2d)^l_s m! (1 + 2d)^l_a d^l_a ||J||_1, l_s and l_a
-    the longest lengths of S_(N-m) and S_m, for J over Z[q,t]: bisym_P's
-    bound on its symmetrizations, quotients and remainders, restated
-    here so that a change to macdonald._P_pack cannot move it."""
-    N, d = J.nvars, J.total_degree()
+    the longest lengths of S_(N-m) and S_m, for a Z[q,t] term dict J:
+    bisym_P's bound on its symmetrizations, quotients and remainders,
+    restated here so that a change to macdonald._P_pack cannot move
+    it."""
+    N, d = len(next(iter(J))), max(map(sum, J))
     l_s, l_a = (N - m) * (N - m - 1) // 2, m * (m - 1) // 2
     growth = factorial(N - m) * (1 + 2 * d) ** l_s * \
         factorial(m) * (1 + 2 * d) ** l_a * d ** l_a
@@ -64,7 +82,7 @@ def aliased_at_half_K(nu):
     so an eigen check that halved w would pass it."""
     def perturb(J):
         for s in itertools.count(1):
-            bad = J + XPolynomial.monomial(nu, T - QTScalar.from_int(2 ** s))
+            bad = plus(J, nu, QTPoly({(0, 1): 1, (0, 0): -2 ** s}))
             if least_w(bad) // 2 == s:
                 return bad
     return perturb
@@ -134,18 +152,18 @@ class TestNonsymE:
 
     @pytest.mark.parametrize("eta, perturb, message", [
         # a wrong coefficient at a Bruhat-below monomial
-        ((1, 0, 0), lambda K: K + XPolynomial.monomial((0, 1, 0)),
+        ((1, 0, 0), lambda K: plus(K, (0, 1, 0), QTPoly.one()),
          r"^eigenvalue equation Y_\d E = ebar_\d E failed for E_\(1, 0, 0\)$"),
         # a monomial that is not Bruhat-below eta
-        ((0, 1, 0), lambda K: K + XPolynomial.monomial((1, 0, 0)),
+        ((0, 1, 0), lambda K: plus(K, (1, 0, 0), QTPoly.one()),
          r"^E_\(0, 1, 0\) has support at \(1, 0, 0\), not Bruhat-below$"),
         # the right polynomial times t, so s K is not d_eta at x^eta
-        ((0, 1, 1), lambda K: K.scale(T),
+        ((0, 1, 1), lambda K: times(K, QTPoly.monomial(0, 1)),
          r"^J_\(0, 1, 1\) is not d_eta at x\^\(0, 1, 1\)$"),
         # one coefficient times 1 + q, the factor a wrong denominator
         # would leave behind
-        ((1, 0, 0), lambda K: K + XPolynomial.monomial(
-            (0, 1, 0), K.coefficient((0, 1, 0)) * Q),
+        ((1, 0, 0), lambda K: plus(K, (0, 1, 0),
+                                   K[(0, 1, 0)].mul_term(1, 0)),
          r"^eigenvalue equation Y_\d E = ebar_\d E failed for E_\(1, 0, 0\)$"),
         # K plus (t - 2^(w//2)) x^nu at a Bruhat-below nu: caught only if
         # the packing keeps all w bits of t
@@ -186,19 +204,24 @@ class TestNonsymE:
         assert calls
 
     def test_raise_does_no_qt_arithmetic(self, monkeypatch):
-        # the recursion runs on Z[q,t] term dicts, so it returns with
-        # Q(q,t) sums, products, monomial shifts and gcds all failing, and
-        # each coefficient of K is a canonical QTScalar with no denominator
-        def fail(*args):
-            raise AssertionError("Q(q,t) arithmetic inside _raise")
-        for name in ("__add__", "__mul__", "mul_monomial"):
+        # K is one Z[q,t] term dict from the recursion through E's check
+        # and P's packing: _raise, _check_E, hecke._pack and hecke._unpack
+        # return with every way to build a Q(q,t) value, Q(q,t)
+        # arithmetic and gcds all failing, and K and P's unpacked
+        # quotient hold QTPoly's
+        def fail(*args, **kwargs):
+            raise AssertionError("a Q(q,t) value built on K")
+        for name in ("__init__", "__add__", "__mul__", "mul_monomial"):
             monkeypatch.setattr(QTScalar, name, fail)
+        monkeypatch.setattr(qt, "_scalar", fail)
         monkeypatch.setattr(qt, "poly_gcd", fail)
         for eta in SWEEP:
             _, K = macdonald._raise(eta)
-            for c in K.terms.values():
-                assert c.c.denominator == 1 and c.den.is_one(), eta
-                assert QTScalar(c.num).num == c.num, eta
+            assert all(type(c) is QTPoly for c in K.values()), eta
+            macdonald._check_E(eta, K)
+            for m in range(len(eta) + 1):
+                w, B, packed = macdonald._P_pack(K, m)
+                assert hecke._unpack(packed, w, B) == K, (eta, m)
 
     def test_step_divisors_and_d_eta(self):
         # each step of the recursion, run on J_nu = d_nu E_nu with Q(q,t)
@@ -227,8 +250,8 @@ class TestNonsymE:
             assert f.coefficient(eta) * scalar == d_of(eta), (eta, nu, i)
         for eta in SWEEP:
             s, K = macdonald._raise(eta)
-            assert s.expand() * K.coefficient(eta) == d_of(eta), eta
-            assert K.scale(K.coefficient(eta).inverse()) == \
+            assert s.expand() * QTScalar(K[eta]) == d_of(eta), eta
+            assert xpoly(K).scale(QTScalar(K[eta]).inverse()) == \
                 nonsym_E(eta).poly
 
     def test_caches_only_the_result(self, monkeypatch):
@@ -302,7 +325,7 @@ class TestBisymP:
             m, N = sp.m, sp.N
             K = macdonald._integral_E(sp.eta())
             w, B, _ = macdonald._P_pack(K, m)
-            S = hecke.symmetrize("t_sym", (m + 1, N), K)
+            S = hecke.symmetrize("t_sym", (m + 1, N), xpoly(K))
             if m < 2:
                 polys = [S]
             else:
@@ -349,7 +372,7 @@ class TestBisymP:
         want = bisym_P(lam)
         K = macdonald._integral_E(lam.eta())
         for s in itertools.count(1):
-            bad = K.scale(T - QTScalar.from_int(2 ** s))
+            bad = times(K, QTPoly({(0, 1): 1, (0, 0): -2 ** s}))
             if least_P_w(bad, lam.m) // 2 == s:
                 break
         monkeypatch.setattr(macdonald, "_integral_E", lambda eta: bad)

@@ -5,7 +5,7 @@ import pytest
 from bimac import hecke, macdonald, qt, verify
 from bimac.macdonald import _bruhat_less
 from bimac.pieri import _a_factor
-from bimac.qt import (QTScalar, _brackets, _Factored, _lcd_sum, qt_monomial,
+from bimac.qt import (QTPoly, QTScalar, _brackets, _Factored, _lcd_sum, qt_monomial,
                       t_bracket_factorial)
 from bimac.sparts import compositions_of
 from bimac.verify import (Report, _MUL, _T, _W, _terms, _rel_u_plus,
@@ -239,8 +239,9 @@ def _eigen_with_K(monkeypatch, mutate):
 
 def test_eigen_suite_fails_on_a_changed_coefficient(monkeypatch):
     def mutate(K):
-        nu = next(nu for nu in K.terms if nu != ETA)
-        return K + XPolynomial.monomial(nu, K.coefficient(nu) * Q)
+        # K is a Z[q,t] term dict: the coefficient at nu times 1 + q
+        nu = next(nu for nu in K if nu != ETA)
+        return {**K, nu: K[nu] + K[nu].mul_term(1, 0)}
     assert _eigen_with_K(monkeypatch, mutate) == [
         f"[FAIL] eigenvalue property and triangularity for 16 E's: {ETA}"]
 
@@ -250,8 +251,8 @@ def test_eigen_suite_fails_on_a_term_not_bruhat_below(monkeypatch):
               if nu != ETA and not _bruhat_less(nu, ETA))
 
     def mutate(K):
-        assert nu not in K.terms
-        return K + XPolynomial.monomial(nu)
+        assert nu not in K
+        return {**K, nu: QTPoly.one()}
     assert _eigen_with_K(monkeypatch, mutate) == [
         f"[FAIL] eigenvalue property and triangularity for 16 E's: {ETA}"]
 
