@@ -8,11 +8,16 @@ every run starts cold; within a pair the side that runs first
 alternates.  The warm-cache command reads a cache file that each side
 first fills, untimed and with its own code, with the K records of the
 E's of N = 5, |eta| <= 4 (126 records); the script prints the sha256
-of each side's filled file.  For each command it prints each side's
-median and quartiles of wall seconds, how many pairs the change won,
-and the sha256 of its stdout.  It exits 1 if any run fails, if the
-stdout of any two runs of a command differ, or if the two filled cache
-files differ, so that a change to the record format shows.
+of each side's filled file.  After the CLI commands comes a Pieri
+sweep, which runs pieri_expand on every superpartition of N = 5 with
+|Lambda*| <= 4, every r and both variants, and prints the sha256 of the
+rendered terms: a bulk run of strip enumeration and the coefficients,
+where one `pieri --check` call is mostly interpreter start-up.  For
+each command it prints each side's median and quartiles of wall
+seconds, how many pairs the change won, and the sha256 of its stdout.
+It exits 1 if any run fails, if the stdout of any two runs of a command
+differ, or if the two filled cache files differ, so that a change to
+the record format shows.
 """
 
 from __future__ import annotations
@@ -41,6 +46,22 @@ for eta in itertools.product(range(5), repeat=5):
     if sum(eta) <= 4:
         macdonald.nonsym_E(eta)
 cache.dump_all(sys.argv[1])
+"""
+PIERI_SWEEP = """import hashlib
+from bimac.pieri import pieri_expand
+from bimac.qt import format_scalar
+from bimac.sparts import superpartitions
+N = 5
+h = hashlib.sha256()
+for m in range(N + 1):
+    for d in range(5):
+        for lam in superpartitions(d, m, N):
+            for variant, width in (("upper", N - m), ("lower", m)):
+                for r in range(width + 1):
+                    for t in pieri_expand(lam, r, variant):
+                        h.update(f"{lam} {r} {variant} {t.omega} "
+                                 f"{format_scalar(t.coeff)}\\n".encode())
+print(h.hexdigest())
 """
 
 
@@ -81,29 +102,32 @@ def main(argv=None):
         same = len(set(digests.values())) == 1
         if not same:
             print("the filled cache files DIFFER")
-        return 0 if all([compare(sides, files, argv, args.pairs)
-                         for argv in COMMANDS]) and same else 1
+        runs = [(" ".join(argv), MAIN, argv) for argv in COMMANDS]
+        runs.append(("pieri sweep, N = 5, |Lambda*| <= 4", PIERI_SWEEP, []))
+        return 0 if all([compare(sides, files, label, code, argv,
+                                 args.pairs)
+                         for label, code, argv in runs]) and same else 1
 
 
-def compare(sides, files, argv, pairs):
-    """Time argv on both sides in alternating pairs, FILE standing for
-    the side's cache file, and print the comparison; whether every run
-    exited 0 and all printed the same stdout."""
+def compare(sides, files, label, code, argv, pairs):
+    """Time code with argv on both sides in alternating pairs, FILE
+    standing for the side's cache file, and print the comparison under
+    label; whether every run exited 0 and all printed the same stdout."""
     ok = True
     times = {side: [] for side in sides}
     hashes = set()
     for k in range(pairs):
         order = list(sides) if k % 2 == 0 else list(sides)[::-1]
         for side in order:
-            wall, code, digest = run(sides[side], [
-                files[side] if a == "FILE" else a for a in argv])
+            wall, exit_code, digest = run(sides[side], [
+                files[side] if a == "FILE" else a for a in argv], code)
             times[side].append(wall)
             hashes.add(digest)
-            if code:
-                print(f"{side} exited {code}: {' '.join(argv)}")
+            if exit_code:
+                print(f"{side} exited {exit_code}: {label}")
                 ok = False
     wins = sum(c < p for p, c in zip(times["parent"], times["change"]))
-    print(" ".join(argv))
+    print(label)
     for side, xs in times.items():
         med, q1, q3 = quartiles(xs)
         print(f"  {side:6}  median {med:.3f} s  quartiles "

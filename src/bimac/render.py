@@ -100,7 +100,7 @@ def _integral_rows(num, den):
             return True
     if any((type(a) is int and a < 0) or (type(b) is int and b < 0)
            for rows in (num, den) for _, a, b in rows):
-        raise ValueError("QTScalar JSON row exponents must be nonnegative")
+        raise ValueError("K record row exponents must be nonnegative")
     return False
 
 

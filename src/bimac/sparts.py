@@ -2,14 +2,19 @@
 permutations, evaluation points (tuples of the (a_i, b_i) of
 x_i -> q^(a_i) t^(b_i)), hook statistics and vertical-strip
 enumeration with certificates.  An anti part is enumerated as a
-partition plus the staircase (m - 1, .., 0).  A strip's row sets (filled,
-circled square, new circle) come from the move chosen for each row as
-the strip is grown.
+partition plus the staircase (m - 1, .., 0).  A strip is grown row by
+row; each row's moves are precomputed with the moves of the row below
+that fit under them and with the most that they and the rows below can
+add to the star and to the circled diagram, so the search takes a move
+only while both totals can still reach r.  A strip's row lists (filled,
+circled square, new circle, both) come from the move chosen for each
+row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import ge, gt
 
 from .errors import ConsistencyError
 from .qt import QTScalar, qt_monomial
@@ -56,11 +61,6 @@ def sorting_permutation(v):
 # ---------------------------------------------------------------------------
 # compositions and partitions
 # ---------------------------------------------------------------------------
-
-def is_partition(v):
-    return all(v[i] >= v[i + 1] for i in range(len(v) - 1)) and \
-        all(x >= 0 for x in v)
-
 
 def conjugate_partition(v):
     if not v or v[0] == 0:
@@ -134,20 +134,24 @@ class SuperPartition:
     N: int
 
     def __post_init__(self):
-        anti = tuple(int(x) for x in self.anti)
+        # parts of a weakly decreasing tuple are nonnegative when its
+        # last part is, and its zero parts are a suffix
+        anti = tuple(map(int, self.anti))
         m = len(anti)
         if m > self.N:
             raise ValueError("fermionic degree exceeds variable count")
-        if any(anti[i] <= anti[i + 1] for i in range(m - 1)) or \
-                any(x < 0 for x in anti):
+        if any(map(ge, anti[1:], anti)) or (anti and anti[-1] < 0):
             raise ValueError(f"anti part {anti} is not strictly decreasing")
-        sym = tuple(int(x) for x in self.sym)
-        if not is_partition(sym):
+        sym = tuple(map(int, self.sym))
+        if any(map(gt, sym[1:], sym)) or (sym and sym[-1] < 0):
             raise ValueError(f"sym part {sym} is not a partition")
-        sym = tuple(x for x in sym if x)
-        if len(sym) > self.N - m:
-            raise ValueError("sym part is longer than N - m")
-        sym = sym + (0,) * (self.N - m - len(sym))
+        n = self.N - m
+        if len(sym) > n:
+            if sym[n]:
+                raise ValueError("sym part is longer than N - m")
+            sym = sym[:n]
+        elif len(sym) < n:
+            sym += (0,) * (n - len(sym))
         object.__setattr__(self, "anti", anti)
         object.__setattr__(self, "sym", sym)
 
@@ -336,50 +340,75 @@ def _blockwise_sorting(vec, m):
     return tuple(p + 1 for p in order)
 
 
-def _certificate(lam, omg, rows, strip_type, r, w, w_inv):
-    filled, circled_square, new_circle = rows
+# The moves of one row of Lambda as (a, b, kind), keyed by whether the
+# row has a circle and by the strip type: the growth (a, b) of the row in
+# (star, circled) and the list of _certificate's `moved` that the move
+# puts the row in (None: no move).  A row with a circle may take (1,0)
+# "square over circle" or, in type II, (1,1) adding a square over the
+# circle and a circle one column further; a row without a circle may
+# take (0,1) "new circle" or, in type I only, (1,1) "filled".  Each
+# row's moves are listed in increasing order of the grown row.
+_MOVES = {
+    (True, "I"): ((0, 0, None), (1, 0, 1)),
+    (True, "II"): ((0, 0, None), (1, 0, 1), (1, 1, 3)),
+    (False, "I"): ((0, 0, None), (0, 1, 2), (1, 1, 0)),
+    (False, "II"): ((0, 0, None), (0, 1, 2)),
+}
+
+
+def _certificate(lam, omg, moved, diagrams, strip_type, r, w, w_inv):
+    """The certificate of the strip Omega/Lambda, given Omega's (star,
+    circled) diagrams and the rows the strip moved, as four increasing
+    lists of 1-based rows: filled, given a circled square only, given a
+    new circle only, given both.  Each permutation is formed in one
+    indexing pass: p o q is [p[x - 1] for x in q], and the vector u^-1(v)
+    is [v[x - 1] for x in u]."""
+    filled, pure_cs, pure_nc, both = moved
     m, N = lam.m, lam.N
-    pure_cs = sorted(circled_square - new_circle)
-    pure_nc = sorted(new_circle - circled_square)
     if len(pure_cs) != len(pure_nc):
         raise ConsistencyError("unbalanced circle movement in strip")
     st = list(range(1, N + 1))
     for a, b in zip(pure_cs, pure_nc):
         st[a - 1], st[b - 1] = st[b - 1], st[a - 1]
-    sigma_tilde = tuple(st)
+    circled_square = frozenset(pure_cs + both)
     if strip_type == "I":
-        J_tilde = frozenset(circled_square | filled)
+        J_tilde = circled_square.union(filled)
     else:
-        J_tilde = frozenset(circled_square)
-    sigma0 = perm_compose(w_inv, perm_compose(sigma_tilde, w))
-    J = frozenset(w_inv[sigma_tilde[j - 1] - 1] for j in J_tilde)
+        J_tilde = circled_square
+    # back = w^-1 o sigma_tilde: sigma0 = back o w and J = back(J_tilde)
+    back = [w_inv[x - 1] for x in st]
+    sigma0 = tuple([back[x - 1] for x in w])
+    J = frozenset([back[j - 1] for j in J_tilde])
     if len(J) != r:
         raise ConsistencyError("certificate J has the wrong size")
     # adjust sigma within its coset so the Pieri-rule conditions hold
     # verbatim for the superpartition ordering of Omega
-    comp_plus = tuple(x + 1 for x in lam.anti) + lam.sym
-    target = tuple(v + (1 if i + 1 in J else 0)
-                   for i, v in enumerate(comp_plus))
-    raw = perm_act(perm_inverse(sigma0), target)
-    omg_plus = tuple(x + 1 for x in omg.anti) + omg.sym
+    target = [x + 1 for x in lam.anti] + list(lam.sym)
+    for j in J:
+        target[j - 1] += 1
+    raw = tuple([target[x - 1] for x in sigma0])
+    omg_plus = tuple([x + 1 for x in omg.anti]) + omg.sym
     if raw == omg_plus:
         sigma = sigma0
     else:
         s = _blockwise_sorting(raw, m)
-        sigma = perm_compose(sigma0, s)
-        if perm_act(perm_inverse(sigma), target) != omg_plus:
+        sigma = tuple([sigma0[x - 1] for x in s])
+        if tuple([target[x - 1] for x in sigma]) != omg_plus:
             raise ConsistencyError("could not align certificate permutation")
     L = frozenset(range(m + 1, N + 1)) - J
-    if set(sigma[i] for i in range(m)) & L:
+    if L.intersection(sigma[:m]):
         raise ConsistencyError("sigma([m]) meets L")
-    if not is_superevaluation(omg, perm_compose(w, sigma)):
+    # is_superevaluation(omg, w o sigma), read on Omega's diagrams
+    star, circ = diagrams
+    tau = [w[x - 1] for x in sigma]
+    if tuple([star[x - 1] for x in tau]) != omg.anti + omg.sym or \
+            tuple([circ[x - 1] for x in tau]) != omg_plus:
         raise ConsistencyError("certificate fails the superevaluation check")
     return StripCertificate(
-        lam=lam, omg=omg,
-        rows_circled_square=frozenset(circled_square),
-        rows_new_circle=frozenset(new_circle),
-        w=w, sigma_tilde=sigma_tilde, sigma=sigma,
-        J_tilde=J_tilde, J=J, L=L, strip_type=strip_type, r=r)
+        lam=lam, omg=omg, rows_circled_square=circled_square,
+        rows_new_circle=frozenset(pure_nc + both), w=w,
+        sigma_tilde=tuple(st), sigma=sigma, J_tilde=J_tilde, J=J, L=L,
+        strip_type=strip_type, r=r)
 
 
 def enumerate_strips(lam: SuperPartition, r: int, strip_type: str):
@@ -398,56 +427,55 @@ def enumerate_strips(lam: SuperPartition, r: int, strip_type: str):
     w_inv = perm_inverse(w)
     out = []
 
-    # per-row growth (a_i, b_i) of (star, circled), with the row sets
-    # (0 filled, 1 circled square, 2 new circle) the move puts row i in; a
-    # row of Lambda with a circle may take (1,0) "square over circle" or,
-    # in type II, (1,1) adding a square over the circle and a circle one
-    # column further; a row without a circle may take (1,1) "filled"
-    # (type I only) or (0,1) "new circle"
-    def options(i):
-        opts = [(0, 0, ())]
-        if circ[i] == star[i] + 1:
-            opts.append((1, 0, (1,)))
-            if strip_type == "II":
-                opts.append((1, 1, (1, 2)))
-        else:
-            if strip_type == "I":
-                opts.append((1, 1, (0,)))
-            opts.append((0, 1, (2,)))
-        return opts
+    # One node per move of each row, built from the last row up:
+    # (star row, circled row, kind, a, b, most a, most b, next), where
+    # next holds the moves of the row below that fit under this one (rows
+    # stay weakly decreasing, and a circled row may not repeat the row
+    # above: two circles in one column) and "most" is the largest total
+    # of a, and of b, that this move and the rows below it can add.  The
+    # zero move always fits, so a is the least.  A move grows its row in
+    # both diagrams at least as much as the moves listed before it, so
+    # it has at least their "most": the last move in next has the largest
+    below = ()
+    for i in range(N - 1, -1, -1):
+        nodes = []
+        for a, b, kind in _MOVES[circ[i] > star[i], strip_type]:
+            s, c = star[i] + a, circ[i] + b
+            nxt = [n for n in below if n[0] <= s and n[1] <= c
+                   and (n[0] < s or n[1] < c or c == s)]
+            most_a, most_b = nxt[-1][5:7] if nxt else (0, 0)
+            nodes.append((s, c, kind, a, b, a + most_a, b + most_b, nxt))
+        below = nodes
 
-    row_options = [options(i) for i in range(N)]
+    path = []
 
-    def leaf(rows):
-        omg = SuperPartition(tuple(s for s, c, _ in rows if c > s),
-                             tuple(s for s, c, _ in rows if c == s), N)
-        if omg.star() != tuple(s for s, _, _ in rows) or \
-                omg.circled() != tuple(c for _, c, _ in rows):
+    def leaf():
+        srows = tuple([n[0] for n in path])
+        crows = tuple([n[1] for n in path])
+        omg = SuperPartition(
+            tuple([s for s, c in zip(srows, crows) if c > s]),
+            tuple([s for s, c in zip(srows, crows) if c == s]), N)
+        if omg.star() != srows or omg.circled() != crows:
             raise ConsistencyError("grown strip rows do not round-trip")
-        sets = (set(), set(), set())
-        for i, (_, _, joins) in enumerate(rows, 1):
-            for k in joins:
-                sets[k].add(i)
-        out.append(_certificate(lam, omg, sets, strip_type, r, w, w_inv))
+        moved = ([], [], [], [])
+        for i, n in enumerate(path, 1):
+            if n[2] is not None:
+                moved[n[2]].append(i)
+        out.append(_certificate(lam, omg, moved, (srows, crows), strip_type,
+                                r, w, w_inv))
 
-    def rec(i, asum, bsum, prev, rows):
-        # each of the N - i rows left adds at most one to asum and bsum
-        if asum > r or bsum > r or min(asum, bsum) + N - i < r:
-            return
-        if i == N:
-            leaf(rows)
-            return
-        for a, b, joins in row_options[i]:
-            row = (star[i] + a, circ[i] + b)
-            # rows stay weakly decreasing, and a circled row may not
-            # repeat the row above: two circles in one column
-            if row[0] > prev[0] or row[1] > prev[1] or \
-                    (row == prev and row[1] > row[0]):
-                continue
-            rows.append(row + (joins,))
-            rec(i + 1, asum + a, bsum + b, row, rows)
-            rows.pop()
+    def rec(nodes, need_a, need_b):
+        # take a move only if both totals can still reach r
+        for node in nodes:
+            _, _, _, a, b, most_a, most_b, nxt = node
+            if a <= need_a <= most_a and b <= need_b <= most_b:
+                path.append(node)
+                if nxt:
+                    rec(nxt, need_a - a, need_b - b)
+                else:
+                    leaf()
+                path.pop()
 
-    rec(0, 0, 0, (10 ** 9, 10 ** 9), [])
+    rec(below, r, r)
     out.sort(key=lambda c: (c.omg.anti, c.omg.sym))
     return out

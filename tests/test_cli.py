@@ -631,7 +631,7 @@ class TestBadCacheFile:
         recs[0]["value"]["terms"][-1]["coeff"][side] = [row]
         _write(path, recs)
         assert _rejected(capsys, path, 1).endswith(
-            ": line 1: QTScalar JSON row exponents must be nonnegative")
+            ": line 1: K record row exponents must be nonnegative")
 
     @pytest.mark.parametrize("line", ["[1, 2]", '"str"', "3"])
     def test_record_not_an_object(self, tmp_path, capsys, line):

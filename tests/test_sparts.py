@@ -1,9 +1,12 @@
+import hashlib
+import json
 from itertools import (combinations, combinations_with_replacement,
                        permutations, product)
 
 import pytest
 
 from bimac import sparts
+from bimac.errors import ConsistencyError
 from bimac.qt import qt_monomial
 from bimac.sparts import (SuperPartition, compositions_of, enumerate_strips,
                           eval_point, eigenvalue, format_spart, hook_data,
@@ -43,12 +46,32 @@ class TestShapes:
         assert lam.eta() == (2, 0, 0, 0, 1)
 
     def test_invalid(self):
-        with pytest.raises(ValueError):
-            SuperPartition((1, 1), (), 4)
-        with pytest.raises(ValueError):
-            SuperPartition((1,), (2, 1), 2)
-        with pytest.raises(ValueError):
-            SuperPartition((0,), (1, 2), 4)
+        # each message on its own input; m > N is checked before the anti
+        # part, and the anti part before the sym part
+        for anti, sym, N, message in [
+            ((2, 1, 0), (), 2, "fermionic degree exceeds variable count"),
+            ((1, 1, 1), (), 2, "fermionic degree exceeds variable count"),
+            ((1, 1), (), 4, r"anti part \(1, 1\) is not strictly decreasing"),
+            ((0, 1), (), 4, r"anti part \(0, 1\) is not strictly decreasing"),
+            ((1, -1), (), 4,
+             r"anti part \(1, -1\) is not strictly decreasing"),
+            ((1, 1), (1, 2), 4, r"anti part \(1, 1\) is not strictly"),
+            ((0,), (1, 2), 4, r"sym part \(1, 2\) is not a partition"),
+            ((0,), (0, 1), 4, r"sym part \(0, 1\) is not a partition"),
+            ((), (1, -1), 4, r"sym part \(1, -1\) is not a partition"),
+            ((1,), (2, 1), 2, "sym part is longer than N - m"),
+            ((1,), (2, 1, 0), 2, "sym part is longer than N - m"),
+        ]:
+            with pytest.raises(ValueError, match=f"^{message}"):
+                SuperPartition(anti, sym, N)
+
+    def test_zeros_stripped_and_padded(self):
+        assert SuperPartition((1,), (2, 0, 0), 5).sym == (2, 0, 0, 0)
+        assert SuperPartition((1,), (2, 0, 0, 0, 0), 3).sym == (2, 0)
+        assert SuperPartition((), (0,), 2).sym == (0, 0)
+        lam = SuperPartition(("1",), [2.0], 3)
+        assert lam.anti == (1,) and lam.sym == (2, 0)
+        assert all(type(x) is int for x in lam.anti + lam.sym)
 
 
 class TestEnumerationOrder:
@@ -268,20 +291,94 @@ class TestStrips:
         # list comes sorted by (anti, sym), each Omega once, the order
         # pieri_expand keeps
         cases = 0
-        for N in (5, 6):
-            for m in range(N + 1):
-                by_degree = [superpartitions(d, m, N) for d in range(5 + N)]
-                for lam in (lam for d in range(5) for lam in by_degree[d]):
-                    for typ, rmax in (("I", N - m), ("II", m)):
-                        for r in range(1, rmax + 1):
-                            listed = [(c.omg.anti, c.omg.sym)
-                                      for c in enumerate_strips(lam, r, typ)]
-                            want = [(o.anti, o.sym)
-                                    for o in by_degree[lam.degree() + r]
-                                    if _is_vertical_strip_pair(lam, o, r, typ)]
-                            assert listed == sorted(want)
-                            cases += 1
+        for lam, r, typ, by_degree in _n56_cases():
+            listed = [(c.omg.anti, c.omg.sym)
+                      for c in enumerate_strips(lam, r, typ)]
+            want = [(o.anti, o.sym) for o in by_degree[lam.degree() + r]
+                    if _is_vertical_strip_pair(lam, o, r, typ)]
+            assert listed == sorted(want)
+            cases += 1
         assert cases == 638
+
+    def test_certificates_n56_digest(self):
+        # every field of every certificate of the 638 cases above, in
+        # enumeration order, sets sorted: pins sigma, J and L, which the
+        # golden sets see only through the coefficients they feed
+        h = hashlib.sha256()
+        for lam, r, typ, _ in _n56_cases():
+            for c in enumerate_strips(lam, r, typ):
+                h.update(json.dumps([
+                    c.lam.anti, c.lam.sym, c.lam.N, c.omg.anti, c.omg.sym,
+                    sorted(c.rows_circled_square), sorted(c.rows_new_circle),
+                    c.w, c.sigma_tilde, c.sigma, sorted(c.J_tilde),
+                    sorted(c.J), sorted(c.L), c.strip_type, c.r]).encode())
+                h.update(b"\n")
+        assert h.hexdigest() == CERTIFICATES_N56_SHA256
+
+
+# sha256 of test_certificates_n56_digest's records as the certificates
+# stood before the strip search was pruned
+CERTIFICATES_N56_SHA256 = (
+    "e20d113d9adac2f565430b547237cfa95ddb2f2ea597fc462166740f99ab2382")
+
+
+def _n56_cases():
+    """(Lambda, r, type, superpartitions of degree d with Lambda's m, by
+    d) for every |Lambda| <= 4 at N = 5, 6, every r and both types."""
+    for N in (5, 6):
+        for m in range(N + 1):
+            by_degree = [superpartitions(d, m, N) for d in range(5 + N)]
+            for lam in (lam for d in range(5) for lam in by_degree[d]):
+                for typ, rmax in (("I", N - m), ("II", m)):
+                    for r in range(1, rmax + 1):
+                        yield lam, r, typ, by_degree
+
+
+class TestCertificateChecks:
+    # each ConsistencyError of a strip certificate, on a move list and an
+    # Omega that do not go together; Lambda = (1,0; 1), N = 4.  moved is
+    # (filled, circled square only, new circle only, both)
+    @pytest.mark.parametrize("r, moved, omg_sym, message", [
+        (1, ([], [1], [], []), (2,), "unbalanced circle movement in strip"),
+        (2, ([2], [], [], []), (3,), "certificate J has the wrong size"),
+        (1, ([1], [], [], []), (2,),
+         "could not align certificate permutation"),
+        (1, ([], [2], [3], []), (2,), r"sigma\(\[m\]\) meets L"),
+        (1, ([2], [], [], []), (2,),
+         "certificate fails the superevaluation check"),
+    ], ids=["balance", "J_size", "alignment", "sigma_meets_L",
+            "superevaluation"])
+    def test_each_check_fires(self, r, moved, omg_sym, message):
+        lam = SuperPartition((1, 0), (1,), 4)
+        omg = SuperPartition((1, 0), omg_sym, 4)
+        w = minimal_sorting_permutation(lam)
+        with pytest.raises(ConsistencyError, match=f"^{message}$"):
+            sparts._certificate(lam, omg, moved, (omg.star(), omg.circled()),
+                                "I", r, w, perm_inverse(w))
+
+    def test_superevaluation_read_on_the_given_diagrams(self):
+        lam = SuperPartition((2, 0), (1,), 5)
+        c = enumerate_strips(lam, 2, "I")[0]
+        moved = (sorted(c.J_tilde - c.rows_circled_square),
+                 sorted(c.rows_circled_square - c.rows_new_circle),
+                 sorted(c.rows_new_circle - c.rows_circled_square), [])
+        star, circ = c.omg.star(), c.omg.circled()
+        args = (c.strip_type, c.r, c.w, perm_inverse(c.w))
+        assert sparts._certificate(lam, c.omg, moved, (star, circ),
+                                   *args) == c
+        with pytest.raises(ConsistencyError, match="superevaluation"):
+            sparts._certificate(lam, c.omg, moved, (star, star), *args)
+
+    def test_rows_round_trip(self, monkeypatch):
+        # each Omega is built through sparts.SuperPartition; Lambda's own
+        # diagrams stay right
+        class Uncircled(SuperPartition):
+            def circled(self):
+                return self.star()
+        monkeypatch.setattr(sparts, "SuperPartition", Uncircled)
+        with pytest.raises(ConsistencyError,
+                           match="^grown strip rows do not round-trip$"):
+            enumerate_strips(SuperPartition((2, 0), (1,), 5), 2, "I")
 
 
 def _is_vertical_strip_pair(lam, omg, r, typ):
