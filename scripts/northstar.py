@@ -33,9 +33,11 @@ import time
 
 COMMANDS = (
     ["P", "--spart", "3,1;1", "--N", "5"],
+    ["E", "--eta", "15,0"],
     ["pieri", "--spart", "2,0;1", "--r", "2", "--variant", "upper", "--N", "5",
      "--check"],
     ["verify", "--suite", "all", "--N", "4", "--deg", "3"],
+    ["verify", "--suite", "all", "--N", "5", "--deg", "3"],
     # FILE is the side's filled cache file
     ["--cache", "FILE", "P", "--spart", "1;1", "--N", "5"],
 )

@@ -2,13 +2,19 @@
 Pieri products, and run verification suites.
 
 Exit codes: 0 success, 1 verification or consistency failure, 2 usage
-errors.  Output is deterministic for identical arguments.
+errors, 3 the output could not be written (a closed pipe, a full disk):
+one error line goes to standard error if it is still open, and the cache
+file is not appended to.  Output is deterministic for identical
+arguments.  The argparse tree is built on the first call of main and
+reused by every later call in the process.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import os
 import sys
 
 from . import cache as cachemod
@@ -210,15 +216,46 @@ def _cache_step(step, path, *args):
         raise _UsageError(f"cache file {path}: {exc}") from None
 
 
+@functools.cache
+def _parser():
+    """The one argparse tree of the process, built on first use; each
+    parse_args call returns a fresh namespace, so no call sees
+    another's arguments."""
+    return build_parser()
+
+
+def _output_failed(exc):
+    """Exit 3 after a write to standard output failed: one error line on
+    standard error if it is still open, and standard output pointed at
+    the null device, so the flush at interpreter exit cannot fail
+    again."""
+    try:
+        print(f"error: the output could not be written: "
+              f"{exc.strerror or exc}", file=sys.stderr)
+    except OSError:
+        pass
+    try:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    except (OSError, ValueError):  # io.UnsupportedOperation: no fd
+        pass
+    raise SystemExit(3)
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     path = args.cache if _uses_cache(args) else None
     try:
         if path == "":
             raise _UsageError("--cache names no file: the path is empty")
         if path is not None:
             seen = _cache_step(cachemod.load, path)
-        code = args.func(args)
+        try:
+            code = args.func(args)
+            sys.stdout.flush()
+        except OSError as exc:
+            _output_failed(exc)
         if path is not None:
             _cache_step(cachemod.dump_all, path, seen)
     except (_UsageError, CacheRecordError) as exc:

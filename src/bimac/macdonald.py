@@ -18,18 +18,22 @@ eigen check and P's construction all use hecke's one kernel per
 operator, each with the multiplication by q^a t^b of the ring it holds:
 QTPoly.mul_term on the recursion's Z[q,t] term dicts, a shift on the
 packed integers.
-The monic E is formed only where E itself is asked for, and is not
-kept: the process holds each checked K, and so does the cache file.
+The monic E is formed only where E itself is asked for, over the Phi
+factors of K(x^eta), a divisor of d_eta up to +-q^a t^b, with no gcd,
+and is not kept: the process holds each checked K, and so does the
+cache file.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations
 from math import factorial
 
 from .errors import CacheRecordError, ConsistencyError, DivisibilityError
-from .qt import QTPoly, QTScalar, _brackets, _cyclotomic_at, _Factored
+from .qt import (QTPoly, QTScalar, _brackets, _coprime, _cyclotomic_at,
+                 _Factored, _phi_div)
 from .render import terms_from_json
 from .sparts import (SuperPartition, format_spart, row_of_circle,
                      sorting_permutation, superpartitions)
@@ -160,7 +164,7 @@ def _raise(eta):
             sign, a, b = sign * binom.sign, a - binom.a, b - binom.b
             p = QTPoly.one()
             for k in binom.phi:
-                if phi.get(k):
+                if phi.get(k, 0) > 0:
                     phi[k] -= 1
                 else:
                     p = p * _cyclotomic_at(*k)[0]
@@ -198,26 +202,68 @@ def _knop_d(eta) -> _Factored:
     return _Factored.prod(factors)
 
 
+def _divide_out(f, phi):
+    """(g, taken): the integer term dict f divided, for each Phi factor
+    k of the exponent dict phi, by the polynomial of _cyclotomic_at(*k)
+    for as long as the division is exact and at most phi[k] times;
+    taken[k] is how many times it divided."""
+    taken = {}
+    for k, e in phi.items():
+        n = 0
+        while n < e:
+            g = _phi_div(f, *k)
+            if g is None:
+                break
+            f, n = g, n + 1
+        taken[k] = n
+    return f, taken
+
+
+def _lead_factors(lead, d) -> _Factored | None:
+    """The QTPoly lead, K's coefficient at x^eta, factored over the Phi
+    factors of d = d_eta, each to at most its power in d; None unless
+    the cofactor is +-q^a t^b.  The one route by which a built K and a
+    served K are factored."""
+    f, taken = _divide_out(lead.terms, d.phi)
+    if len(f) != 1:
+        return None
+    ((a, b), c), = f.items()
+    if abs(c) != 1:
+        return None
+    for k, n in taken.items():
+        _, sa, sb = _cyclotomic_at(*k)
+        a, b = a + sa * n, b + sb * n
+    return _Factored(c, a, b, {k: n for k, n in taken.items() if n})
+
+
 def _integral_E(eta):
     """A checked Z[q,t] term dict K with K = c E_eta for a nonzero c in
-    Q(q,t): K from _raise, whose s K(x^eta) must be d_eta, or a cache
-    record set aside unchecked as JSON and read here, with a nonzero
-    coefficient at x^eta (cache.load checks it).  Both pass _check_E,
-    which with that nonzero coefficient pins K to a nonzero multiple of
-    E_eta; a record that fails raises CacheRecordError naming its file
-    and line."""
+    Q(q,t): K from _raise, whose coefficient at x^eta, factored by
+    _lead_factors, must be d_eta/s factor for factor, or a cache record
+    set aside unchecked as JSON and read here, whose coefficient at
+    x^eta must factor (+-q^a t^b times a divisor of d_eta).  Both pass
+    _check_E, which with that nonzero coefficient pins K to a nonzero
+    multiple of E_eta; a record that fails raises CacheRecordError
+    naming its file and line."""
     K = _K_CACHE.get(eta)
     if K is not None:
         return K
     value, origin = _K_UNCHECKED.pop(eta, (None, None))
-    if value is None:
-        s, K = _raise(eta)
-        if QTScalar(K.get(eta, QTPoly.zero())) != \
-                (_knop_d(eta) / s).expand():
-            raise ConsistencyError(f"J_{eta} is not d_eta at x^{eta}")
-    else:
-        K = terms_from_json(value)
+    d = _knop_d(eta)
     try:
+        if value is None:
+            s, K = _raise(eta)
+            got = _lead_factors(K[eta], d) if eta in K else None
+            want = d / s
+            if got is None or (got.sign, got.a, got.b, got.phi) != \
+                    (want.sign, want.a, want.b, want.phi):
+                raise ConsistencyError(f"J_{eta} is not d_eta at x^{eta}")
+        else:
+            K = terms_from_json(value)
+            if _lead_factors(K[eta], d) is None:
+                raise ConsistencyError(
+                    f"K's coefficient at x^{eta} is not +-q^a t^b times a "
+                    "divisor of d_eta")
         _check_E(eta, K)
     except ConsistencyError as exc:
         if origin is None:
@@ -233,9 +279,10 @@ def nonsym_E(eta) -> EBasisElement:
     Built in Knop's integral form J_eta = s K = d_eta E_eta (see _raise),
     or taken from a cache record of K set aside unchecked, then checked
     exactly on K, which has every coefficient in Z[q,t]: every support
-    monomial other than x^eta is Bruhat-below eta, K is nonzero at x^eta
-    (for a built K, s K has d_eta there: Knop's cell product, computed
-    apart from the recursion), and Y_i K = ebar_i K for every i.  The N
+    monomial other than x^eta is Bruhat-below eta, K's coefficient at
+    x^eta factors over d_eta (for a built K, s K has d_eta there:
+    Knop's cell product, computed apart from the recursion), and
+    Y_i K = ebar_i K for every i.  The N
     eigenvalue equations run as t^(N-1) Y_i K = t_ebar K with t_ebar =
     t^(N-1) ebar_i, by hecke's word kernel _word, on
     Kronecker-packed integers: t -> 2^w, q -> 2^(w B) is a ring
@@ -244,15 +291,37 @@ def nonsym_E(eta) -> EBasisElement:
     is injective there.  Y_i is linear, so this is the same check on E,
     exact and with no gcd.  A failed check raises ConsistencyError, or
     CacheRecordError naming the record's file and line; only a checked K
-    is cached.  E itself is K divided by its coefficient at x^eta, formed
-    here on each call; it is the same for every nonzero multiple K.
+    is cached.
+
+    E itself is K divided by its coefficient at x^eta, formed here on
+    each call; it is the same for every nonzero multiple K.  That
+    coefficient is +-q^a t^b times Phi factors of d_eta (_lead_factors),
+    irreducible and pairwise coprime, so each coefficient of K is
+    divided by those factors for as long as the division is exact, and
+    what is left of the denominator, expanded once per exponent vector,
+    is coprime to it up to a monomial: qt._coprime makes it canonical
+    with no gcd.
     """
     eta = tuple(int(x) for x in eta)
     if any(x < 0 for x in eta):
         raise ValueError("composition entries must be nonnegative")
     K = _integral_E(eta)
-    return EBasisElement(eta=eta, poly=XPolynomial(
-        len(eta), {e: QTScalar(c, K[eta]) for e, c in K.items()}))
+    lead = _lead_factors(K[eta], _knop_d(eta))
+    full, _, a, b = lead._sides()
+    sign = Fraction(lead.sign)
+    # the leftover denominator by how many times each factor divided
+    dens = {(0,) * len(lead.phi): full.terms}
+    terms = {}
+    for x, c in K.items():
+        f, taken = _divide_out(c.terms, lead.phi)
+        key = tuple(taken.values())
+        den = dens.get(key)
+        if den is None:
+            den = dens[key] = _Factored(1, 0, 0, {
+                k: e - taken[k] for k, e in lead.phi.items()
+                if e > taken[k]})._sides()[0].terms
+        terms[x] = _coprime(sign, f, den, -a, -b)
+    return EBasisElement(eta=eta, poly=XPolynomial(len(eta), terms))
 
 
 def _eigen_pack(K):

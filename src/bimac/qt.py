@@ -16,7 +16,9 @@ as stored exponents; they live in the denominator.
 Sides known to be coprime up to a monomial become canonical through
 ``_coprime`` and ``_canonical``, which fold contents and lead signs
 with no gcd: ``mul_monomial``, ``invert_parameters``,
-``_Factored.expand`` and a ``_laurent_scalar`` over a monomial.
+``_Factored.expand``, a ``_laurent_scalar`` over a monomial and each
+coefficient of a monic E, which macdonald divides by the Phi factors
+of E's denominator with ``_phi_div`` for as long as that is exact.
 ``poly_gcd``, the heuristic gcd of Char, Geddes and Gonnet, is called
 only where coprimality is unknown: from ``_cancel`` (products,
 ``_reduce``, other ``_laurent_scalar``s), a sum's denominator gcd and
@@ -34,6 +36,9 @@ monomials as text or LaTeX.  ``_lcd_sum`` adds factored values, each
 times an integer Laurent term dict, over one common denominator D, each
 Phi factor to its largest negative exponent, as integers with no gcd;
 the Pieri operator identity and verify's A-product lemma both call it.
+``_phi_div`` divides a term dict exactly by one Phi_d(q^a t^b), or
+returns None: each class of terms that differ by powers of q^a t^b is
+divided synthetically by the monic Phi_d, in linear time.
 """
 
 from __future__ import annotations
@@ -700,6 +705,54 @@ def _cyclotomic_at(d, va, vb):
     sa, sb = max(-va * n, 0), max(-vb * n, 0)
     return (_poly({(sa + k * va, sb + k * vb): c
                    for (k, _), c in phi.terms.items()}), sa, sb)
+
+
+def _phi_div(f, d, va, vb):
+    """The quotient of the nonzero integer term dict f by the polynomial
+    p of _cyclotomic_at(d, va, vb), or None if p does not divide f.
+
+    Multiplying by Phi_d(v), v = q^va t^vb, keeps each class of terms
+    whose exponents differ by powers of v (key a vb - b va), so each
+    class is a Laurent polynomial in v times a monomial and is divided
+    on its own by the monic Phi_d, synthetically from its top power of
+    v: time linear in the span of the classes, with no leading-term
+    search.  p is q^sa t^sb Phi_d(v) and coprime to q and t, so an exact
+    Laurent quotient shifted by (-sa, -sb) is the polynomial quotient.
+    A monomial is no multiple of p.
+    """
+    if len(f) < 2:
+        return None
+    phi = _cyclotomic(d)
+    n = phi.leading()[0][0]
+    low = [(j, c) for (j, _), c in phi.terms.items() if j < n]
+    _, sa, sb = _cyclotomic_at(d, va, vb)
+    classes = {}
+    for (a, b), c in f.items():
+        k = a // va if va else b
+        cls = classes.get(a * vb - b * va)
+        if cls is None:
+            classes[a * vb - b * va] = cls = (a - k * va - sa,
+                                              b - k * vb - sb, {})
+        cls[2][k] = c
+    out = {}
+    for a0, b0, g in classes.values():
+        lo = min(g)
+        span = max(g) - lo + 1
+        if span <= n:
+            return None
+        r = [0] * span
+        for k, c in g.items():
+            r[k - lo] = c
+        for i in range(span - 1, n - 1, -1):
+            h = r[i]
+            if h:
+                k = lo + i - n
+                out[(a0 + k * va, b0 + k * vb)] = h
+                for j, c in low:
+                    r[i - n + j] -= c * h
+        if any(r[:n]):
+            return None
+    return out
 
 
 class _Factored:

@@ -3,6 +3,7 @@ import itertools
 import json
 import os
 import shutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -621,6 +622,32 @@ class TestBadCacheFile:
         assert _rejected(capsys, path, 1).endswith(f": line 1: {message}")
         assert macdonald._K_CACHE == {}
 
+    @pytest.mark.parametrize("factor, served", [
+        (QTPoly({(0, 0): 1, (1, 0): 1}), False),
+        (QTPoly({(1, 0): -1}), True),
+    ], ids=["one-plus-q", "minus-q"])
+    def test_K_record_times_a_factor(self, tmp_path, capsys, factor, served):
+        # E is formed over the factors of K's coefficient at x^eta, so a
+        # record holds K up to +-q^a t^b: K (1 + q) is refused when it is
+        # served, though it is a multiple of E, and K (-q) serves the
+        # same P
+        argv = ("P", "--spart", "1;1", "--N", "3")
+        path, recs = _cache_file(tmp_path, capsys, *argv)
+        K = render.terms_from_json(recs[0]["value"])
+        recs[0]["value"] = render.terms_to_json(
+            3, {e: c * factor for e, c in K.items()})
+        _write(path, recs)
+        if served:
+            want = run(capsys, *argv)
+            macdonald.clear_caches()
+            assert run(capsys, "--cache", str(path), *argv) == want
+            macdonald.clear_caches()
+        else:
+            assert _rejected(capsys, path, 1).endswith(
+                ": line 1: K's coefficient at x^(1, 0, 1) is not +-q^a t^b "
+                "times a divisor of d_eta")
+            assert macdonald._K_CACHE == {}
+
     @pytest.mark.parametrize("side", ["num", "den"])
     @pytest.mark.parametrize("row", [["1", -1, 0], ["1", 0, -1]],
                              ids=["q", "t"])
@@ -1007,3 +1034,109 @@ def test_P_json_format(capsys):
     assert code == 0
     obj = json.loads(out)
     assert obj["spart"] == "1;" and "poly" in obj and "c" in obj
+
+
+def _cli_process(*argv, **kwargs):
+    """A CLI run in a child interpreter that imports this bimac."""
+    env = dict(os.environ, PYTHONPATH=str(
+        Path(bimac.__file__).resolve().parents[1]))
+    return subprocess.Popen(
+        [sys.executable, "-c",
+         "import sys; from bimac.cli import main; sys.exit(main())", *argv],
+        env=env, stderr=subprocess.PIPE, **kwargs)
+
+
+class TestOutputErrors:
+    """A write to standard output that fails ends the run with exit 3,
+    one error line and no traceback, and appends nothing to the cache."""
+
+    def test_broken_pipe(self, tmp_path):
+        # the reader takes one byte of the 180 KB output and goes away
+        path = tmp_path / "c.jsonl"
+        proc = _cli_process("--cache", str(path), "E", "--eta", "4,0,2,1,0",
+                            "--format", "json", stdout=subprocess.PIPE)
+        assert proc.stdout.read(1) == b"{"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 3
+        assert err == "error: the output could not be written: Broken pipe\n"
+        assert path.read_text() == ""
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"),
+                        reason="needs the full device")
+    def test_full_device(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        with open("/dev/full", "wb") as full:
+            proc = _cli_process("--cache", str(path),
+                                "P", "--spart", "1;1", "--N", "3",
+                                stdout=full)
+            err = proc.communicate(timeout=120)[1].decode()
+        assert proc.returncode == 3
+        assert "Traceback" not in err
+        assert err == ("error: the output could not be written: No space "
+                       "left on device\n")
+        assert path.read_text() == ""
+
+
+class TestSharedParser:
+    """main parses with one argparse tree per process; no call sees what
+    an earlier call parsed."""
+
+    def test_built_once(self, capsys, monkeypatch):
+        built = []
+        real = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser",
+                            lambda: built.append(1) or real())
+        cli._parser.cache_clear()
+        try:
+            for argv in (("E", "--eta", "0,1"),
+                         ("P", "--spart", "1;1", "--N", "3"),
+                         ("eval", "--spart", "1;1", "--N", "3"),
+                         ("E", "--eta", "x")):
+                run(capsys, *argv)
+            assert built == [1]
+        finally:
+            cli._parser.cache_clear()
+
+    def test_cache_then_no_cache(self, tmp_path, capsys):
+        # the second call builds a K the file lacks, so a cache path
+        # carried over would append it
+        path = tmp_path / "c.jsonl"
+        macdonald.clear_caches()
+        assert run(capsys, "--cache", str(path),
+                   "P", "--spart", "1;1", "--N", "3")[0] == 0
+        written = path.read_bytes()
+        assert written
+        assert run(capsys, "P", "--spart", "2;1", "--N", "3")[0] == 0
+        assert path.read_bytes() == written
+        macdonald.clear_caches()
+
+    @pytest.mark.parametrize("first, code", [
+        (("P", "--spart", "1;1"), 2),
+        (("P", "--spart", "1;1", "--N", "3", "--format", "bogus"), 2),
+        (("--help",), 0),
+        (("pieri", "--help"), 0),
+    ], ids=["missing-option", "bad-choice", "help", "subcommand-help"])
+    def test_exit_then_a_call(self, capsys, first, code):
+        argv = ("P", "--spart", "1;1", "--N", "3")
+        want = run(capsys, *argv)
+        assert run(capsys, *first)[0] == code
+        assert run(capsys, *argv) == want
+
+    @pytest.mark.parametrize("first, then", [
+        (("P", "--spart", "1;1", "--N", "3", "--format", "json"),
+         ("P", "--spart", "1;1", "--N", "3")),
+        (("pieri", "--spart", "1;1", "--N", "3", "--r", "1", "--variant",
+          "lower", "--format", "latex", "--check"),
+         ("pieri", "--spart", "1;1", "--N", "3", "--r", "1")),
+        (("eval", "--spart", "1;1", "--N", "3", "--sign", "plus",
+          "--route", "both"),
+         ("eval", "--spart", "1;1", "--N", "3")),
+    ], ids=["P-format", "pieri-variant", "eval-sign-route"])
+    def test_non_default_then_default(self, capsys, first, then):
+        cli._parser.cache_clear()
+        want = run(capsys, *then)
+        assert run(capsys, *first)[0] == 0
+        got = run(capsys, *then)
+        assert got == want and got[0] == 0

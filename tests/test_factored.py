@@ -2,14 +2,17 @@
 that the Pieri and evaluation formulas expand it without any gcd."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import bimac.errors
 import bimac.qt
 from bimac.evalsym import eval_formula
 from bimac.pieri import pieri_expand
-from bimac.qt import QTScalar, _Factored, qt_monomial
+from bimac.qt import (QTPoly, QTScalar, _cyclotomic_at, _Factored, _phi_div,
+                     qt_monomial)
 from bimac.sparts import parse_spart
 
 ONE = QTScalar.one()
@@ -18,6 +21,61 @@ exps = st.integers(min_value=-6, max_value=6)
 # 1 - q^a1 t^b1, or q^a1 t^b1 - q^a2 t^b2, as a factor or a divisor
 factors = st.tuples(st.sampled_from(("monomial", "one_minus", "binomial")),
                     exps, exps, exps, exps, st.booleans())
+
+
+# (d, va, vb): Phi_d(q^va t^vb) with v primitive and pointing up
+phis = st.tuples(st.integers(min_value=1, max_value=6),
+                 st.integers(min_value=0, max_value=3),
+                 st.integers(min_value=-3, max_value=3)).filter(
+    lambda k: (k[1] > 0 and gcd(k[1], k[2]) == 1)
+    or k[1:] == (0, 1))
+term_dicts = st.dictionaries(
+    st.tuples(st.integers(min_value=0, max_value=8),
+              st.integers(min_value=0, max_value=8)),
+    st.integers(min_value=-6, max_value=6).filter(bool), min_size=1,
+    max_size=12)
+
+
+def _by_exact_div(f, k):
+    """f over the polynomial of _cyclotomic_at(*k) by long division, or
+    None where it does not divide."""
+    try:
+        return QTPoly(f).exact_div(_cyclotomic_at(*k)[0]).terms
+    except bimac.errors.DivisibilityError:
+        return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(term_dicts, phis, st.integers(min_value=1, max_value=2))
+def test_phi_div_of_a_multiple(f, k, power):
+    # f p^power divides by p exactly power times, each quotient the one
+    # long division gives
+    g = QTPoly(f)
+    for _ in range(power):
+        g = g * _cyclotomic_at(*k)[0]
+    g = g.terms
+    for _ in range(power):
+        want = _by_exact_div(g, k)
+        assert want is not None
+        g = _phi_div(g, *k)
+        assert g == want
+    assert g == f
+
+
+@settings(max_examples=500, deadline=None)
+@given(term_dicts, phis)
+def test_phi_div_matches_exact_div(f, k):
+    assert _phi_div(f, *k) == _by_exact_div(f, k)
+
+
+def test_phi_div_covers_every_d():
+    # Phi_d(q t^-1) for d = 1..6 times 3 + q t^2 divides exactly, and
+    # adding one term breaks it
+    for d in range(1, 7):
+        p = _cyclotomic_at(d, 1, -1)[0]
+        f = (p * QTPoly({(0, 0): 3, (1, 2): 1})).terms
+        assert _phi_div(f, d, 1, -1) == {(0, 0): 3, (1, 2): 1}
+        assert _phi_div({**f, (9, 9): 1}, d, 1, -1) is None
 
 
 def _both(kind, a1, b1, a2, b2):

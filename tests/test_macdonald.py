@@ -191,7 +191,8 @@ class TestNonsymE:
 
     def test_raise_and_check_make_no_gcd_call(self, monkeypatch):
         # the recursion divides only by closed-form binomials and the
-        # check runs on K in Z[q,t][x]; only the monic E needs a gcd
+        # check runs on K in Z[q,t][x]; the monic E divides K over the
+        # factors of its coefficient at x^eta, with no gcd either
         monkeypatch.setattr(macdonald, "_K_CACHE", {})
         calls = []
         real = qt.poly_gcd
@@ -201,7 +202,7 @@ class TestNonsymE:
             macdonald._integral_E(eta)
         assert calls == []
         nonsym_E((2, 0, 1, 1))
-        assert calls
+        assert calls == []
 
     def test_raise_does_no_qt_arithmetic(self, monkeypatch):
         # K is one Z[q,t] term dict from the recursion through E's check
@@ -253,6 +254,21 @@ class TestNonsymE:
             assert s.expand() * QTScalar(K[eta]) == d_of(eta), eta
             assert xpoly(K).scale(QTScalar(K[eta]).inverse()) == \
                 nonsym_E(eta).poly
+
+    @pytest.mark.parametrize("eta", [
+        eta for N in range(1, 5) for eta in itertools.product(range(5),
+                                                              repeat=N)
+        if sum(eta) <= 4] + [(15, 0), (3, 2, 0, 1, 0), (4, 0, 2, 1, 0)])
+    def test_factored_route_is_the_gcd_route(self, eta):
+        # each coefficient of E, K's over the factors of K(x^eta), is
+        # structurally the canonical fraction the gcd route gives
+        K = macdonald._integral_E(eta)
+        E = nonsym_E(eta).poly.terms
+        assert E.keys() == K.keys()
+        for e, c in K.items():
+            want = QTScalar(c, K[eta])
+            assert (E[e].c, E[e].num.terms, E[e].den.terms) == \
+                (want.c, want.num.terms, want.den.terms), (eta, e)
 
     def test_caches_only_the_result(self, monkeypatch):
         # the recursion's intermediate K_nu are unchecked and stay out
