@@ -9,15 +9,16 @@ alternates.  The warm-cache command reads a cache file that each side
 first fills, untimed and with its own code, with the K records of the
 E's of N = 5, |eta| <= 4 (126 records); the script prints the sha256
 of each side's filled file.  After the CLI commands comes a Pieri
-sweep, which runs pieri_expand on every superpartition of N = 5 with
-|Lambda*| <= 4, every r and both variants, and prints the sha256 of the
-rendered terms: a bulk run of strip enumeration and the coefficients,
-where one `pieri --check` call is mostly interpreter start-up.  For
-each command it prints each side's median and quartiles of wall
-seconds, how many pairs the change won, and the sha256 of its stdout.
-It exits 1 if any run fails, if the stdout of any two runs of a command
-differ, or if the two filled cache files differ, so that a change to
-the record format shows.
+sweep, which runs pieri_expand on every superpartition of N = 5 and
+N = 6 with |Lambda*| <= 4 (perfbench's pieri_formula pool), every r
+and both variants, and prints the sha256 of the rendered terms: a bulk
+run of strip enumeration and the coefficients, where one `pieri
+--check` call is mostly interpreter start-up.  For each command it
+prints each side's median and quartiles of wall seconds, how many
+pairs the change won, and the sha256 of its stdout.  It exits 1 if
+any run fails, if the stdout of any two runs of a command differ, or
+if the two filled cache files differ, so that a change to the record
+format shows.
 """
 
 from __future__ import annotations
@@ -53,16 +54,16 @@ PIERI_SWEEP = """import hashlib
 from bimac.pieri import pieri_expand
 from bimac.qt import format_scalar
 from bimac.sparts import superpartitions
-N = 5
 h = hashlib.sha256()
-for m in range(N + 1):
-    for d in range(5):
-        for lam in superpartitions(d, m, N):
-            for variant, width in (("upper", N - m), ("lower", m)):
-                for r in range(width + 1):
-                    for t in pieri_expand(lam, r, variant):
-                        h.update(f"{lam} {r} {variant} {t.omega} "
-                                 f"{format_scalar(t.coeff)}\\n".encode())
+for N in (5, 6):
+    for m in range(N + 1):
+        for d in range(5):
+            for lam in superpartitions(d, m, N):
+                for variant, width in (("upper", N - m), ("lower", m)):
+                    for r in range(width + 1):
+                        for t in pieri_expand(lam, r, variant):
+                            h.update(f"{lam} {r} {variant} {t.omega} "
+                                     f"{format_scalar(t.coeff)}\\n".encode())
 print(h.hexdigest())
 """
 
@@ -105,7 +106,8 @@ def main(argv=None):
         if not same:
             print("the filled cache files DIFFER")
         runs = [(" ".join(argv), MAIN, argv) for argv in COMMANDS]
-        runs.append(("pieri sweep, N = 5, |Lambda*| <= 4", PIERI_SWEEP, []))
+        runs.append(("pieri sweep, N = 5, 6, |Lambda*| <= 4", PIERI_SWEEP,
+                     []))
         return 0 if all([compare(sides, files, label, code, argv,
                                  args.pairs)
                          for label, code, argv in runs]) and same else 1

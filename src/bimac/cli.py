@@ -2,11 +2,11 @@
 Pieri products, and run verification suites.
 
 Exit codes: 0 success, 1 verification or consistency failure, 2 usage
-errors, 3 the output could not be written (a closed pipe, a full disk):
-one error line goes to standard error if it is still open, and the cache
-file is not appended to.  Output is deterministic for identical
-arguments.  The argparse tree is built on the first call of main and
-reused by every later call in the process.
+errors, 3 the output could not be written (a closed pipe, a full disk),
+a help text included: one error line goes to standard error if it is
+still open, and the cache file is not appended to.  Output is
+deterministic for identical arguments.  The argparse tree is built on
+the first call of main and reused by every later call in the process.
 """
 
 from __future__ import annotations
@@ -155,8 +155,17 @@ def cmd_verify(args):
     return 0 if rep.ok else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, except that a help text that cannot be written
+    raises OSError, where argparse drops the error; subcommand parsers
+    are of this class too."""
+
+    def print_help(self, file=None):
+        (file or sys.stdout).write(self.format_help())
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bimac",
         description="Exact bisymmetric Macdonald polynomials, evaluations "
                     "and Pieri expansions")
@@ -243,8 +252,23 @@ def _output_failed(exc):
     raise SystemExit(3)
 
 
+def _parse(argv):
+    """The parsed arguments.  argparse writes a help or usage text and
+    exits from inside parse_args; standard output is flushed before that
+    exit, so a help that cannot be written ends in exit 3, as any other
+    output does."""
+    try:
+        try:
+            return _parser().parse_args(argv)
+        except SystemExit:
+            sys.stdout.flush()
+            raise
+    except OSError as exc:
+        _output_failed(exc)
+
+
 def main(argv=None):
-    args = _parser().parse_args(argv)
+    args = _parse(argv)
     path = args.cache if _uses_cache(args) else None
     try:
         if path == "":

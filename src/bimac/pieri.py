@@ -11,10 +11,15 @@ factor is a monomial or a q,t-binomial X_i - X_j, t X_i - X_j, so the
 coefficients, the t-Vandermonde and the staircase evaluations are held
 as factored binomial products (``qt._Factored``) and each Pieri
 coefficient is expanded to a canonical QTScalar once, with no gcd.
-Each helper collects its factors and divisors and forms them with one
-``_Factored.prod``; the binomials and the staircase evaluations
-u_Omega^+(P_Omega) come from memos, and the sigma data of a certificate
-is computed once.
+Each helper (the A products, Phi, K_sigma(Delta_m)) appends its factors
+and divisors to one pair of lists, checking each divisor as it goes, and
+``pieri_expand`` adds the normalization and the divisor u_Omega^+(P_Omega)
+to the same lists, so each Pieri coefficient is one ``_Factored.prod``.
+The binomials, the staircase evaluations and the expansions come from
+memos (``qt._expand`` serves a value that another Lambda's expansion
+met), and the sigma data of a certificate is computed once.
+``_C_factors`` and ``_D_factors`` form a coefficient alone, for the
+operator identity.
 
 The right side of the operator identity is summed over one common
 denominator by ``qt._lcd_sum``, which verify's A-product lemma shares:
@@ -99,38 +104,56 @@ def _tdiff(point, i, j, shift) -> _Factored:
     return _Factored.binomial(a, b + 1, *_coord(point, j, shift))
 
 
-def _a_factor(point, pairs, shift) -> _Factored:
-    """prod (t X_i - X_j)/(X_i - X_j); diagonal pairs are skipped."""
-    num, den = [], []
+def _a_into(num, den, point, pairs, shift) -> bool:
+    """Append the factors t X_i - X_j and divisors X_i - X_j of
+    prod (t X_i - X_j)/(X_i - X_j) to num and den, diagonal pairs
+    skipped, pair by pair: a vanishing divisor raises, and a vanishing
+    factor stops the product and returns False."""
     for i, j in pairs:
         if i == j:
             continue
-        d = _diff(point, i, j, shift)
+        (ai, bi), xj = _coord(point, i, shift), _coord(point, j, shift)
+        d = _Factored.binomial(ai, bi, *xj)
         if d.is_zero():
             raise DegenerateEvaluationError(
                 f"vanishing denominator X_{i} - X_{j}")
-        n = _tdiff(point, i, j, shift)
+        n = _Factored.binomial(ai, bi + 1, *xj)
         if n.is_zero():
-            return n
+            return False
         num.append(n)
         den.append(d)
-    return _Factored.prod(num, den)
+    return True
 
 
-def _vandermonde_at(point, rows, shift) -> list:
-    """The factors X_i - X_j, i < j in rows, of the Vandermonde."""
-    return [_diff(point, i, j, shift)
+def _product(into, *args) -> _Factored:
+    """The one factored product of what into(num, den, *args) appends
+    to num and den, or zero if it returns False."""
+    num, den = [], []
+    return _Factored.prod(num, den) if into(num, den, *args) \
+        else _FACTORED_ZERO
+
+
+def _a_factor(point, pairs, shift) -> _Factored:
+    """prod (t X_i - X_j)/(X_i - X_j); diagonal pairs are skipped."""
+    return _product(_a_into, point, pairs, shift)
+
+
+def _vandermonde_into(num, point, rows, shift):
+    """Append the factors X_i - X_j, i < j in rows, of the Vandermonde
+    to num."""
+    num += [_diff(point, i, j, shift)
             for i, j in combinations(sorted(rows), 2)]
 
 
-def _phi_factors(ss, point, shift_J) -> _Factored:
-    num = [_Factored(-1 if ss.d_sigma % 2 else 1)]
+def _phi_into(num, den, ss, point, shift_J):
+    """Append Phi's factors and divisors to num and den; a vanishing
+    divisor raises."""
+    num.append(_Factored(-1 if ss.d_sigma % 2 else 1))
     # (t - 1) X_j = t X_j - X_j
     num += [_Factored.binomial(a, b + 1, a, b)
             for a, b in (_coord(point, j, shift_J) for j in sorted(ss.b_comp))]
-    num += _vandermonde_at(point, ss.a_comp, shift_J)
-    num += _vandermonde_at(point, ss.b_comp, shift_J)
-    den = []
+    _vandermonde_into(num, point, ss.a_comp, shift_J)
+    _vandermonde_into(num, point, ss.b_comp, shift_J)
     for i in sorted(ss.a_comp):
         for j in sorted(ss.b_comp):
             d = _diff(point, i, j, shift_J)
@@ -138,89 +161,113 @@ def _phi_factors(ss, point, shift_J) -> _Factored:
                 raise DegenerateEvaluationError(
                     f"vanishing denominator X_{i} - X_{j} in Phi")
             den.append(d)
-    return _Factored.prod(num, den)
 
 
 def phi_at(sigma, m: int, point, shift_J=frozenset()) -> QTScalar:
     """The factor Phi(sigma) evaluated at the point, with coordinates in
     shift_J premultiplied by q (for use inside a q-shift)."""
-    ss = SigmaSets.from_sigma(sigma, m)
-    return _phi_factors(ss, point, shift_J).expand()
+    num, den = [], []
+    _phi_into(num, den, SigmaSets.from_sigma(sigma, m), point, shift_J)
+    return _Factored.prod(num, den).expand()
 
 
-def _k_sigma_delta_at(sigma, m, ss, point, shift) -> list:
-    """The factors of K_sigma(Delta_m) at the point: the signed
-    Vandermonde over sigma([m])."""
-    return [_Factored(-1 if ss.z_sigma % 2 else 1),
-            *_vandermonde_at(point, sigma[:m], shift)]
+def _k_sigma_delta_into(num, sigma, m, ss, point, shift):
+    """Append the factors of K_sigma(Delta_m) at the point, the signed
+    Vandermonde over sigma([m]), to num."""
+    num.append(_Factored(-1 if ss.z_sigma % 2 else 1))
+    _vandermonde_into(num, point, sigma[:m], shift)
 
 
 def _t_power(r, N, sign=1) -> _Factored:
     return _Factored(sign, 0, r * (r + 1 - 2 * N) // 2)
 
 
-def _C_factors(m, r, J, L, sigma, point) -> _Factored:
-    """The type-I coefficient C_(J,sigma) evaluated factor by factor.
+def _C_into(num, den, m, r, J, L, sigma, point) -> bool:
+    """Append the factors and divisors of the type-I coefficient
+    C_(J,sigma) to num and den; False if an A product vanishes.
 
     The A product over J x sigma([m]) skips equal indices, as its tilde
-    decoration requires.
+    decoration requires.  Each part is checked in turn: the two outer A
+    products, then the inner one, then Phi, whose divisors are checked
+    even when the inner product has vanished.
     """
-    outer = (_a_factor(point, combinations(range(1, m + 1), 2), frozenset()),
-             _a_factor(point, ((i, j) for i in sorted(J) for j in sorted(L)),
-                       frozenset()))
-    if outer[0].is_zero() or outer[1].is_zero():
-        return _FACTORED_ZERO
+    outer = (_a_into(num, den, point, combinations(range(1, m + 1), 2), ()),
+             _a_into(num, den, point,
+                     ((i, j) for i in sorted(J) for j in sorted(L)), ()))
+    if not all(outer):
+        return False
     sig_m = sorted(sigma[:m])
-    inner = _a_factor(point, ((i, j) for i in sorted(J) for j in sig_m), J)
+    inner = _a_into(num, den, point, ((i, j) for i in sorted(J)
+                                      for j in sig_m), J)
     ss = SigmaSets.from_sigma(sigma, m)
-    return _Factored.prod((_t_power(r, len(sigma)), *outer, inner,
-                           _phi_factors(ss, point, J),
-                           *_k_sigma_delta_at(sigma, m, ss, point, J)))
+    num.append(_t_power(r, len(sigma)))
+    _phi_into(num, den, ss, point, J)
+    _k_sigma_delta_into(num, sigma, m, ss, point, J)
+    return inner
 
 
-def _D_factors(m, r, J, sigma, point) -> _Factored:
-    """The type-II coefficient D_(J,sigma) evaluated factor by factor.
+def _D_into(num, den, m, r, J, sigma, point) -> bool:
+    """Append the factors and divisors of the type-II coefficient
+    D_(J,sigma) to num and den; False if an A product vanishes.
 
     Pairs of the two A products whose indices meet J a second time are
     excluded: (i,i) pairs in the block product, and (i,j) with j in J
     in the inner product.  The singular diagonal pairs force some such
     convention; this particular one is the reading confirmed by the
     brute-force expansion oracle over the full verification sweep.
+    Each part is checked in turn: the two outer A products, then Phi,
+    then the inner A product.
     """
     N = len(sigma)
     ss = SigmaSets.from_sigma(sigma, m)
-    outer = (_a_factor(point, combinations(range(1, m + 1), 2), frozenset()),
-             _a_factor(point, ((i, j) for i in sorted(J)
-                               for j in range(m + 1, N + 1)), frozenset()))
-    if outer[0].is_zero() or outer[1].is_zero():
-        return _FACTORED_ZERO
-    phi = _phi_factors(ss, point, frozenset())
-    inner = _a_factor(point, ((i, j) for i in sorted(J)
-                              for j in sorted(ss.a_set) if j not in J), J)
-    return _Factored.prod((_t_power(r, N, -1 if len(ss.b_comp) % 2 else 1),
-                           *outer, phi, inner,
-                           *_k_sigma_delta_at(sigma, m, ss, point, J)))
+    outer = (_a_into(num, den, point, combinations(range(1, m + 1), 2), ()),
+             _a_into(num, den, point, ((i, j) for i in sorted(J)
+                                       for j in range(m + 1, N + 1)), ()))
+    if not all(outer):
+        return False
+    _phi_into(num, den, ss, point, ())
+    if not _a_into(num, den, point, ((i, j) for i in sorted(J)
+                                     for j in sorted(ss.a_set)
+                                     if j not in J), J):
+        return False
+    num.append(_t_power(r, N, -1 if len(ss.b_comp) % 2 else 1))
+    _k_sigma_delta_into(num, sigma, m, ss, point, J)
+    return True
 
 
-def _certificate_factors(lam, cert, point) -> _Factored:
-    """The coefficient of the certificate at u_Lambda^+'s point."""
+def _C_factors(m, r, J, L, sigma, point) -> _Factored:
+    """The type-I coefficient C_(J,sigma), one factored product."""
+    return _product(_C_into, m, r, J, L, sigma, point)
+
+
+def _D_factors(m, r, J, sigma, point) -> _Factored:
+    """The type-II coefficient D_(J,sigma), one factored product."""
+    return _product(_D_into, m, r, J, sigma, point)
+
+
+def _certificate_into(num, den, lam, cert, point) -> bool:
+    """Append the factors of the certificate's coefficient at
+    u_Lambda^+'s point to num and den; False if an A product vanishes."""
     if cert.strip_type == "I":
-        return _C_factors(lam.m, cert.r, cert.J, cert.L, cert.sigma, point)
-    return _D_factors(lam.m, cert.r, cert.J, cert.sigma, point)
+        return _C_into(num, den, lam.m, cert.r, cert.J, cert.L, cert.sigma,
+                       point)
+    return _D_into(num, den, lam.m, cert.r, cert.J, cert.sigma, point)
 
 
 def coeff_C(lam: SuperPartition, cert: StripCertificate) -> QTScalar:
     """u_Lambda^+ of the type-I Pieri coefficient C_(J,sigma)."""
     if cert.strip_type != "I":
         raise ValueError("coeff_C needs a type-I certificate")
-    return _certificate_factors(lam, cert, eval_point(lam, "plus")).expand()
+    return _product(_certificate_into, lam, cert,
+                    eval_point(lam, "plus")).expand()
 
 
 def coeff_D(lam: SuperPartition, cert: StripCertificate) -> QTScalar:
     """u_Lambda^+ of the type-II Pieri coefficient D_(J,sigma)."""
     if cert.strip_type != "II":
         raise ValueError("coeff_D needs a type-II certificate")
-    return _certificate_factors(lam, cert, eval_point(lam, "plus")).expand()
+    return _product(_certificate_into, lam, cert,
+                    eval_point(lam, "plus")).expand()
 
 
 def _delta_t_factors(m, point) -> _Factored:
@@ -241,11 +288,11 @@ def _interval(r, variant, m, N):
 def pieri_expand(lam: SuperPartition, r: int, variant: str):
     """The Pieri expansion of e_r(x_(m+1)..x_N) (upper) or
     e_r(x_1..x_m) (lower) times P_Lambda, via strip certificates and
-    factor-wise evaluation.  Each coefficient is held factored until
-    it is expanded once.  Terms with zero coefficient are dropped; the
-    rest keep enumerate_strips' order, by Omega's (anti, sym).  At
-    r = 0, e_0 = 1 and the expansion is P_Lambda itself, with no
-    certificate.
+    factor-wise evaluation.  Each coefficient is one factored product,
+    of its own factors, the normalization and the evaluation of Omega,
+    expanded once.  Terms with zero coefficient are dropped; the rest
+    keep enumerate_strips' order, by Omega's (anti, sym).  At r = 0,
+    e_0 = 1 and the expansion is P_Lambda itself, with no certificate.
     """
     _interval(r, variant, lam.m, lam.N)
     if r == 0:
@@ -263,13 +310,15 @@ def pieri_expand(lam: SuperPartition, r: int, variant: str):
     scale = _Factored.prod((_eval_factors(lam, "plus"), q_r), (delta,))
     out = []
     for cert in certs:
-        num = _certificate_factors(lam, cert, point)
-        if num.is_zero():
+        # the coordinates of u_Lambda^+ have distinct t-exponents, so no
+        # X_i - X_j vanishes, even q-shifted, and a coefficient vanishes
+        # only where an A product does
+        num, den = [scale], []
+        if not _certificate_into(num, den, lam, cert, point):
             continue
-        coeff = _Factored.prod((num, scale),
-                               (_eval_factors(cert.omg, "plus"),)).expand()
-        if not coeff.is_zero():
-            out.append(PieriTerm(omega=cert.omg, certificate=cert, coeff=coeff))
+        den.append(_eval_factors(cert.omg, "plus"))
+        out.append(PieriTerm(omega=cert.omg, certificate=cert,
+                             coeff=_Factored.prod(num, den).expand()))
     return out
 
 

@@ -30,12 +30,15 @@ The private ``_Factored`` holds a product of q,t-binomials and their
 inverses as exponents of cyclotomic factors, for the Pieri and
 evaluation formulas.  ``_Factored.prod(factors, divisors)`` is its one
 product (``*`` and ``/`` call it), and ``_Factored.binomial`` is
-memoized, so no value's factors are ever changed in place.  [k] and [k]!
-are each one such product; ``_powers`` writes q^a t^b and render's x
-monomials as text or LaTeX.  ``_lcd_sum`` adds factored values, each
-times an integer Laurent term dict, over one common denominator D, each
-Phi factor to its largest negative exponent, as integers with no gcd;
-the Pieri operator identity and verify's A-product lemma both call it.
+memoized, so no value's factors are ever changed in place.
+``_Factored.expand`` is memoized on the value (``_expand``, at most
+4096 entries), so a sweep of Pieri expansions expands each distinct
+coefficient once.  [k] and [k]! are each one such product; ``_powers``
+writes q^a t^b and render's x monomials as text or LaTeX.
+``_lcd_sum`` adds factored values, each times an integer Laurent term
+dict, over one common denominator D, each Phi factor to its largest
+negative exponent, as integers with no gcd; the Pieri operator identity
+and verify's A-product lemma both call it.
 ``_phi_div`` divides a term dict exactly by one Phi_d(q^a t^b), or
 returns None: each class of terms that differ by powers of q^a t^b is
 divided synthetically by the monic Phi_d, in linear time.
@@ -854,17 +857,26 @@ class _Factored:
                 for (x, y), v in num.terms.items()}
 
     def expand(self) -> QTScalar:
-        """The canonical QTScalar, with no gcd: the sides are products of
-        distinct Phi_d(v) shifted off q and t, so they are coprime."""
+        """The canonical QTScalar, with no gcd, memoized on the value."""
         if not self.sign:
             return _S_ZERO
-        num, den, a, b = self._sides()
-        return _canonical(Fraction(self.sign),
-                          num.mul_term(max(a, 0), max(b, 0)),
-                          den.mul_term(max(-a, 0), max(-b, 0)))
+        return _expand(self.sign, self.a, self.b, frozenset(self.phi.items()))
 
 
 _FACTORED_ZERO = _Factored(0)
+
+
+@lru_cache(maxsize=4096)
+def _expand(sign, a, b, phi):
+    """The canonical QTScalar of the nonzero _Factored with these fields,
+    phi as a frozenset of its items.  The sides are products of distinct
+    Phi_d(v) shifted off q and t, so they are coprime and need no gcd.
+    Memoized, least recently used first out: the Pieri expansions of
+    different Lambda meet the same coefficient values, and a QTScalar is
+    immutable, so one value is shared by every caller."""
+    num, den, a, b = _Factored(sign, a, b, dict(phi))._sides()
+    return _canonical(Fraction(sign), num.mul_term(max(a, 0), max(b, 0)),
+                      den.mul_term(max(-a, 0), max(-b, 0)))
 
 
 def _lcd_sum(values, nums):

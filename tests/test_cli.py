@@ -1036,10 +1036,16 @@ def test_P_json_format(capsys):
     assert obj["spart"] == "1;" and "poly" in obj and "c" in obj
 
 
-def _cli_process(*argv, **kwargs):
-    """A CLI run in a child interpreter that imports this bimac."""
+def _cli_process(*argv, buffered=None, **kwargs):
+    """A CLI run in a child interpreter that imports this bimac, with
+    standard output buffered or not as the environment has it, or as
+    buffered says."""
     env = dict(os.environ, PYTHONPATH=str(
         Path(bimac.__file__).resolve().parents[1]))
+    if buffered is not None:
+        env.pop("PYTHONUNBUFFERED", None)
+        if not buffered:
+            env["PYTHONUNBUFFERED"] = "1"
     return subprocess.Popen(
         [sys.executable, "-c",
          "import sys; from bimac.cli import main; sys.exit(main())", *argv],
@@ -1077,6 +1083,36 @@ class TestOutputErrors:
         assert err == ("error: the output could not be written: No space "
                        "left on device\n")
         assert path.read_text() == ""
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"),
+                        reason="needs the full device")
+    @pytest.mark.parametrize("buffered", [True, False],
+                             ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("argv", [("--help",), ("P", "--help")],
+                             ids=["help", "subcommand-help"])
+    def test_help_to_full_device(self, argv, buffered):
+        # unbuffered, the write of the help fails where argparse would
+        # drop the error; buffered, the flush before argparse's exit
+        # fails, where the interpreter's own flush at exit would
+        with open("/dev/full", "wb") as full:
+            proc = _cli_process(*argv, stdout=full, buffered=buffered)
+            err = proc.communicate(timeout=120)[1].decode()
+        assert proc.returncode == 3
+        assert err == ("error: the output could not be written: No space "
+                       "left on device\n")
+
+    @pytest.mark.parametrize("buffered", [True, False],
+                             ids=["buffered", "unbuffered"])
+    def test_help_to_closed_pipe(self, buffered):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = _cli_process("--help", stdout=write, buffered=buffered)
+        finally:
+            os.close(write)
+        err = proc.communicate(timeout=120)[1].decode()
+        assert proc.returncode == 3
+        assert err == "error: the output could not be written: Broken pipe\n"
 
 
 class TestSharedParser:

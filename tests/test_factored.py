@@ -113,10 +113,14 @@ def _build(spec):
 @settings(max_examples=300, deadline=None)
 @given(st.lists(factors, max_size=8))
 def test_expand_matches_plain_arithmetic(spec):
+    # cold, with the expansion memo cleared, and warm, from the memo
     f, s = _build(spec)
+    bimac.qt._expand.cache_clear()
     got = f.expand()
     assert isinstance(got.c, Fraction)
     assert _parts(got) == _parts(s)
+    warm = _Factored(f.sign, f.a, f.b, dict(f.phi)).expand()
+    assert warm is got and _parts(warm) == _parts(s)
     assert f.is_zero() == s.is_zero()
 
 
@@ -225,4 +229,5 @@ def test_pieri_and_eval_formula_make_no_gcd_call(monkeypatch):
     monkeypatch.setattr(bimac.qt, "poly_gcd", refuse)
     bimac.qt._cyclotomic.cache_clear()
     bimac.qt._cyclotomic_at.cache_clear()
+    bimac.qt._expand.cache_clear()
     assert _results() == before

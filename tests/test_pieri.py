@@ -1,9 +1,12 @@
+import hashlib
+import json
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
 from bimac import pieri as pierimod
+from bimac import qt as qtmod
 from bimac.errors import ConsistencyError, DegenerateEvaluationError
 from bimac.evalsym import _eval_factors, eval_formula
 from bimac.pieri import (_OP_SEED, SigmaSets, _C_factors, _D_factors,
@@ -353,6 +356,25 @@ class TestDegenerateEvaluation:
         point = ((6, 0), (6, 1), (5, 0), (9, 9))
         assert _C_factors(*self.C_ARGS, point).expand().is_zero()
 
+    @pytest.mark.parametrize("factors, args, coords, where", [
+        # t X_1 = X_2 empties the block product; J x L still checks
+        # X_3 = X_4
+        ("_C_factors", C_ARGS, ((6, 0), (6, 1), (5, 0), (5, 0)),
+         "X_3 - X_4"),
+        # t X_1 = X_2 empties the block product; J x [m+1, N] still
+        # checks X_1 = X_3
+        ("_D_factors", D_ARGS, ((0, 0), (0, 1), (0, 0), (9, 9)),
+         "X_1 - X_3"),
+        # D checks Phi before its inner product, whose numerator
+        # t q X_3 - X_1 vanishes here
+        ("_D_factors", (2, 1, frozenset({3}), (1, 3, 2, 4)),
+         ((6, 1), (5, 0), (5, 0), (9, 9)), "X_2 - X_3 in Phi"),
+    ], ids=["C-outer", "D-outer", "D-Phi-before-inner"])
+    def test_checked_after_a_vanishing_product(self, factors, args, coords,
+                                               where):
+        with pytest.raises(DegenerateEvaluationError, match=where):
+            getattr(pierimod, factors)(*args, coords)
+
     @pytest.mark.parametrize("x4", [(9, 9), (0, 0)])
     def test_D_vanishing_outer_factor_comes_first(self, x4):
         # t X_1 = X_3 empties the outer product before its pair (1, 4)
@@ -381,11 +403,13 @@ def pieri_sweep(N=5, max_deg=4):
 
 
 class TestEvalMemo:
-    """The staircase evaluations are memoized; a memoized value is shared
-    by every caller, so none may change it in place."""
+    """The staircase evaluations and the expansions of factored values
+    are memoized; a memoized value is shared by every caller, so none
+    may change it in place."""
 
     def test_memo_is_bounded(self):
-        assert isinstance(_eval_factors.cache_info().maxsize, int)
+        for memo in (_eval_factors, qtmod._expand):
+            assert isinstance(memo.cache_info().maxsize, int)
 
     def test_memoized_values_equal_fresh_ones(self):
         _eval_factors.cache_clear()
@@ -405,14 +429,42 @@ class TestEvalMemo:
         assert checked == size
 
     def test_cold_and_warm_expansions_agree(self):
-        _eval_factors.cache_clear()
+        memos = (_eval_factors, qtmod._expand)
+        for memo in memos:
+            memo.cache_clear()
         cold, _ = pieri_sweep()
+        misses = [memo.cache_info().misses for memo in memos]
         warm, _ = pieri_sweep()
-        assert _eval_factors.cache_info().hits
+        # the warm sweep is served from both memos, none evicted
+        assert [memo.cache_info().misses for memo in memos] == misses
+        assert all(memo.cache_info().hits for memo in memos)
         assert cold.keys() == warm.keys()
         for key, terms in cold.items():
             assert [(t.omega, t.certificate, t.coeff) for t in terms] == \
                 [(t.omega, t.certificate, t.coeff) for t in warm[key]], key
+
+
+def test_coefficients_n56_digest():
+    # every term of every pieri_sweep expansion at N = 5 (|Lambda*| <= 4)
+    # and N = 6 (|Lambda*| <= 3), in order: pins each coefficient's
+    # canonical num and den rows, which the golden sets see only on
+    # their own shapes
+    h = hashlib.sha256()
+    for N, max_deg in ((5, 4), (6, 3)):
+        expansions, _ = pieri_sweep(N, max_deg)
+        for (lam, r, variant), terms in expansions.items():
+            for t in terms:
+                h.update(json.dumps([lam.anti, lam.sym, lam.N, r, variant,
+                                     t.omega.anti, t.omega.sym,
+                                     t.coeff.to_json()]).encode())
+                h.update(b"\n")
+    assert h.hexdigest() == COEFFICIENTS_N56_SHA256
+
+
+# sha256 of test_coefficients_n56_digest's records as the coefficients
+# stood before each was built from one factor list
+COEFFICIENTS_N56_SHA256 = (
+    "fdf0cf037613ba1873444c2e72b9063163e92fa93c46179f32e5a946e566533e")
 
 
 class TestOperatorIdentity:
@@ -588,7 +640,6 @@ class TestRhsCommonDenominator:
         # first, the lcm, at N = 4 as at N = 3, however many (J, sigma)
         # terms the sum has; both certificates are checked against the
         # reference at N = 3, where that route is quick
-        from bimac import qt as qtmod
         real = qtmod.poly_gcd
         for N, m, r, variant in RHS_CASES:
             point = _generic_point(N, _OP_SEED + 1)
@@ -614,7 +665,6 @@ class TestRhsCommonDenominator:
         assert op_identity_check(m, r, f, variant) is True
 
     def test_integral_input_makes_no_gcd_call(self, monkeypatch):
-        from bimac import qt as qtmod
         monkeypatch.setattr(qtmod, "poly_gcd", None)
         f = elementary_symmetric(1, (1, 2), 4) * \
             elementary_symmetric(1, (3, 4), 4)
