@@ -13,7 +13,11 @@ sweep, which runs pieri_expand on every superpartition of N = 5 and
 N = 6 with |Lambda*| <= 4 (perfbench's pieri_formula pool), every r
 and both variants, and prints the sha256 of the rendered terms: a bulk
 run of strip enumeration and the coefficients, where one `pieri
---check` call is mostly interpreter start-up.  For each command it
+--check` call is mostly interpreter start-up.  Last comes a P sweep,
+which runs bisym_P and xpoly_to_json on every superpartition of N = 5
+and N = 6 with |Lambda| <= 4 (116 P's) and prints the sha256 of the
+JSON records: a bulk run of P's construction, normalization and
+rendering.  For each command it
 prints each side's median and quartiles of wall seconds, how many
 pairs the change won, and the sha256 of its stdout.  It exits 1 if
 any run fails, if the stdout of any two runs of a command differ, or
@@ -66,6 +70,22 @@ for N in (5, 6):
                                      f"{format_scalar(t.coeff)}\\n".encode())
 print(h.hexdigest())
 """
+P_SWEEP = """import hashlib, json
+from bimac.macdonald import bisym_P
+from bimac.render import xpoly_to_json
+from bimac.sparts import superpartitions
+h = hashlib.sha256()
+for N in (5, 6):
+    for m in range(N + 1):
+        for d in range(5):
+            for lam in superpartitions(d, m, N):
+                P = bisym_P(lam)
+                h.update(json.dumps([lam.anti, lam.sym, N,
+                                     xpoly_to_json(P.poly),
+                                     P.c_lam.to_json()],
+                                    sort_keys=True).encode() + b"\\n")
+print(h.hexdigest())
+"""
 
 
 def run(src, argv, code=MAIN):
@@ -108,6 +128,7 @@ def main(argv=None):
         runs = [(" ".join(argv), MAIN, argv) for argv in COMMANDS]
         runs.append(("pieri sweep, N = 5, 6, |Lambda*| <= 4", PIERI_SWEEP,
                      []))
+        runs.append(("P sweep, N = 5, 6, |Lambda| <= 4", P_SWEEP, []))
         return 0 if all([compare(sides, files, label, code, argv,
                                  args.pairs)
                          for label, code, argv in runs]) and same else 1

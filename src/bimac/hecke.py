@@ -20,7 +20,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .errors import DivisibilityError
-from .qt import QTPoly, QTScalar, qt_monomial
+from .qt import QTScalar, _poly, qt_monomial
 from .xpoly import XPolynomial, _check_var, _xpoly, permute_vars
 
 _TINV = qt_monomial(0, -1)
@@ -216,24 +216,29 @@ def _unpack(f, w, B):
     """The Z[q,t] term dict {x-exponent: QTPoly} whose packing under
     (w, B) is f, read as balanced base-2^w digits, digit k the
     coefficient of q^(k // B) t^(k % B); runs of zero digits are skipped
-    whole, and zero entries are dropped."""
+    whole, and zero entries are dropped.  Each distinct int is read once,
+    and equal ints share one QTPoly: a bisymmetric f repeats each
+    coefficient along its orbits of monomials."""
     mask, half = (1 << w) - 1, 1 << (w - 1)
-    out = {}
+    out, seen = {}, {}
     for e, v in f.items():
-        rows = {}
-        k = 0
-        while v:
-            zeros = ((v & -v).bit_length() - 1) // w
-            k += zeros
-            v >>= w * zeros
-            digit = v & mask
-            if digit >= half:
-                digit -= 1 << w
-            rows[divmod(k, B)] = digit
-            v = (v - digit) >> w
-            k += 1
-        if rows:
-            out[e] = QTPoly(rows)
+        if not v:
+            continue
+        p = seen.get(v)
+        if p is None:
+            rows, k, n = {}, 0, v
+            while n:
+                zeros = ((n & -n).bit_length() - 1) // w
+                k += zeros
+                n >>= w * zeros
+                digit = n & mask
+                if digit >= half:
+                    digit -= 1 << w
+                rows[divmod(k, B)] = digit
+                n = (n - digit) >> w
+                k += 1
+            p = seen[v] = _poly(rows)
+        out[e] = p
     return out
 
 

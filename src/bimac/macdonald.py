@@ -300,7 +300,9 @@ def nonsym_E(eta) -> EBasisElement:
     divided by those factors for as long as the division is exact, and
     what is left of the denominator, expanded once per exponent vector,
     is coprime to it up to a monomial: qt._coprime makes it canonical
-    with no gcd.
+    with no gcd.  This runs once per distinct coefficient of K, keyed on
+    its value, since neither the recursion nor a cache record shares
+    equal coefficients; equal coefficients of E are one object.
     """
     eta = tuple(int(x) for x in eta)
     if any(x < 0 for x in eta):
@@ -311,8 +313,9 @@ def nonsym_E(eta) -> EBasisElement:
     sign = Fraction(lead.sign)
     # the leftover denominator by how many times each factor divided
     dens = {(0,) * len(lead.phi): full.terms}
-    terms = {}
-    for x, c in K.items():
+    # each distinct coefficient of K, by value, to its coefficient of E
+    values = {}
+    for c in dict.fromkeys(K.values()):
         f, taken = _divide_out(c.terms, lead.phi)
         key = tuple(taken.values())
         den = dens.get(key)
@@ -320,8 +323,9 @@ def nonsym_E(eta) -> EBasisElement:
             den = dens[key] = _Factored(1, 0, 0, {
                 k: e - taken[k] for k, e in lead.phi.items()
                 if e > taken[k]})._sides()[0].terms
-        terms[x] = _coprime(sign, f, den, -a, -b)
-    return EBasisElement(eta=eta, poly=XPolynomial(len(eta), terms))
+        values[c] = _coprime(sign, f, den, -a, -b)
+    return EBasisElement(eta=eta, poly=XPolynomial(
+        len(eta), {x: values[c] for x, c in K.items()}))
 
 
 def _eigen_pack(K):
@@ -434,7 +438,11 @@ def bisym_P(lam: SuperPartition) -> PBasisElement:
     silently resolved.  Q is unpacked once, to a Z[q,t] term dict, and
     each coefficient over its dominant coefficient c is P's, in Q(q,t);
     the scalar multiple of E that K carries and the power of t drop out
-    of P, and c_lam = t^(m(m-1)/2) K(x^eta)/c.
+    of P, and c_lam = t^(m(m-1)/2) K(x^eta)/c.  P is symmetric in the
+    first m and in the last N - m variables, so its coefficients repeat
+    along the orbits of its monomials: _unpack gives equal ones one
+    QTPoly, each is reduced over c by the gcd once, and equal
+    coefficients of P are one immutable QTScalar.
     """
     key = (lam.anti, lam.sym, lam.N)
     cached = _P_CACHE.get(key)
@@ -459,8 +467,11 @@ def bisym_P(lam: SuperPartition) -> PBasisElement:
             f"{format_spart(lam)}")
     Q = hecke._unpack(Q, w, B)
     c = Q[lead]
+    # _unpack gives equal coefficients one QTPoly, reduced here once
+    distinct = {id(v): v for v in Q.values()}
+    values = {k: QTScalar(v, c) for k, v in distinct.items()}
     elem = PBasisElement(
-        lam=lam, poly=XPolynomial(N, {e: QTScalar(v, c) for e, v in Q.items()}),
+        lam=lam, poly=XPolynomial(N, {e: values[id(v)] for e, v in Q.items()}),
         c_lam=QTScalar(K[eta].mul_term(0, m * (m - 1) // 2), c))
     _P_CACHE[key] = elem
     return elem

@@ -9,19 +9,24 @@ from .xpoly import XPolynomial, _xpoly
 
 
 def format_xpoly(f: XPolynomial, latex: bool = False) -> str:
+    """f as text or LaTeX, each coefficient object formatted once: a P or
+    an E shares one object among its equal coefficients, and f holds
+    every coefficient for the whole call, so no id is reused within it."""
     if f.is_zero():
         return "0"
     chunks = []
+    texts = {}  # id of a coefficient -> (its text unsigned, sign, grouped)
     for e, c in f.sorted_terms():
         mono = _powers(((("x_{%d}" if latex else "x%d") % (i + 1), k)
                         for i, k in enumerate(e) if k), latex)
-        cs = format_scalar(c, latex)
-        neg = cs.startswith("-")
-        if neg:
-            cs = cs[1:]
+        known = texts.get(id(c))
+        if known is None:
+            cs = format_scalar(c, latex)
+            known = texts[id(c)] = (cs.removeprefix("-"), cs.startswith("-"),
+                                    len(c.num.terms) > 1 or not c.den.is_one())
+        cs, neg, group = known
         # text groups a sum or a quotient; LaTeX only a sum beside a
         # monomial, since \frac groups itself
-        group = len(c.num.terms) > 1 or not c.den.is_one()
         if group and not (latex and (not mono or cs.startswith("\\frac"))):
             cs = f"({cs})"
         body = cs if not mono else mono if cs == "1" else \
@@ -49,9 +54,18 @@ def diagram_latex(lam) -> str:
 
 
 def xpoly_to_json(f: XPolynomial) -> dict:
-    return {"N": f.nvars,
-            "terms": [{"x": list(e), "coeff": c.to_json()}
-                      for e, c in f.sorted_terms()]}
+    """{"N": N, "terms": [{"x": exponent, "coeff": JSON}, ..]} in graded
+    order, each coefficient object's JSON formed once, as format_xpoly
+    formats it once: equal coefficients that are one object share one
+    JSON value."""
+    rows = {}  # id of a coefficient -> its JSON
+    terms = []
+    for e, c in f.sorted_terms():
+        coeff = rows.get(id(c))
+        if coeff is None:
+            coeff = rows[id(c)] = c.to_json()
+        terms.append({"x": list(e), "coeff": coeff})
+    return {"N": f.nvars, "terms": terms}
 
 
 def _json_int(value, what):

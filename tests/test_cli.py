@@ -1,4 +1,6 @@
+import contextlib
 import errno
+import io
 import itertools
 import json
 import os
@@ -8,6 +10,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import bimac
 from bimac import cache as cachemod
@@ -19,6 +22,7 @@ from bimac.macdonald import bisym_P, nonsym_E
 from bimac.qt import QTPoly, QTScalar
 from bimac.render import xpoly_to_json
 from bimac.sparts import SuperPartition
+from bimac.verify import SUITES
 from bimac.xpoly import XPolynomial
 
 
@@ -1176,3 +1180,98 @@ class TestSharedParser:
         assert run(capsys, *first)[0] == 0
         got = run(capsys, *then)
         assert got == want and got[0] == 0
+
+
+# -- a fuzz test over the whole command line, in process.  Every value is
+# small, so that each example runs in well under a second.
+
+def _ints(lo, hi):
+    return st.integers(lo, hi).map(str)
+
+
+def _parts(most, least=-1, descending=False, unique=False):
+    """Up to `most` comma-separated parts in [least, 3]."""
+    parts = st.lists(st.integers(least, 3), max_size=most, unique=unique)
+    if descending:
+        parts = parts.map(lambda xs: sorted(xs, reverse=True))
+    return parts.map(lambda xs: ",".join(map(str, xs)))
+
+
+_JUNK = st.sampled_from(["", " ", "x", "-", ",", ";", "1,,2", ";;", "1.5",
+                         "0x1", "1e3", "٣", "--N", "-0"])
+_SPART = st.tuples(_parts(2, 0, True, True), _parts(2, 1, True)).map(
+    ";".join)
+_FORMAT = st.sampled_from(["text", "latex", "json"])
+# command -> flag -> (required, a well-formed value, any value); a value
+# of None is a flag with no value
+_FLAGS = {
+    "E": {"--eta": (True, _parts(4, 0), st.one_of(_JUNK, _parts(4))),
+          "--N": (False, _ints(1, 4), st.one_of(_JUNK, _ints(-1, 4))),
+          "--format": (False, _FORMAT, st.sampled_from(["diagram", "xml"]))},
+    "P": {"--spart": (True, _SPART, st.one_of(_JUNK, _parts(3))),
+          "--N": (True, _ints(1, 4), st.one_of(_JUNK, _ints(-1, 0))),
+          "--format": (False, st.one_of(_FORMAT, st.just("diagram")),
+                       st.just("xml"))},
+    "eval": {"--spart": (True, _SPART, st.one_of(_JUNK, _parts(3))),
+             "--N": (True, _ints(1, 4), st.one_of(_JUNK, _ints(-1, 0))),
+             "--sign": (False, st.sampled_from(["plus", "minus"]),
+                        st.just("zero")),
+             "--route": (False, st.sampled_from(["formula", "substitution",
+                                                 "both"]), st.just("none"))},
+    "pieri": {"--spart": (True, _SPART, st.one_of(_JUNK, _parts(3))),
+              "--N": (True, _ints(1, 4), st.one_of(_JUNK, _ints(-1, 0))),
+              "--r": (True, _ints(0, 3), st.one_of(_JUNK, _ints(-1, -1))),
+              "--variant": (False, st.sampled_from(["upper", "lower"]),
+                            st.just("middle")),
+              "--check": (False, st.none(), st.none()),
+              "--format": (False, _FORMAT, st.just("diagram"))},
+    "verify": {"--suite": (False, st.sampled_from([*SUITES, "all"]),
+                           st.just("none")),
+               "--N": (False, _ints(2, 3), st.one_of(_JUNK, _ints(-1, 1))),
+               "--deg": (False, _ints(0, 2), st.one_of(_JUNK, _ints(-1, -1)))},
+}
+
+
+@pytest.fixture(scope="module")
+def cache_paths(tmp_path_factory):
+    """A file that starts empty, then a file in a missing directory, a
+    directory and a file of junk."""
+    root = tmp_path_factory.mktemp("fuzz")
+    junk = root / "junk.jsonl"
+    junk.write_bytes(b'{"kind": "K", "key": "1,0", "N": 2}\n\xff\xfe[\n')
+    return (str(root / "fresh.jsonl"), str(root / "missing" / "c.jsonl"),
+            str(root), str(junk))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_fuzz_command_line(cache_paths, data):
+    # whatever the arguments: exit 0, 1 or 2, no traceback, and a usage
+    # error (exit 2) is one error line.  Each flag is left out, or takes
+    # a well-formed value or any value; the deadline fixture bounds the
+    # whole run
+    command = data.draw(st.sampled_from(sorted(_FLAGS)), "command")
+    argv = [command]
+    for flag, (required, good, bad) in _FLAGS[command].items():
+        how = data.draw(st.sampled_from(["good", "good", "bad", "absent"]),
+                        flag)
+        if how == "absent" and required and data.draw(st.booleans()):
+            how = "good"
+        if how != "absent":
+            value = data.draw(good if how == "good" else bad, flag)
+            argv += [flag] if value is None else [flag, value]
+    cache = data.draw(st.sampled_from((None,) * 3 + cache_paths), "cache")
+    if cache is not None:
+        argv = ["--cache", cache] + argv
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    err = err.getvalue()
+    assert code in (0, 1, 2), (argv, code, err)
+    assert "Traceback" not in err, argv
+    if code == 2:
+        assert sum("error:" in line for line in err.splitlines()) == 1, \
+            (argv, err)

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 from math import factorial
 
 import pytest
@@ -9,8 +11,9 @@ from bimac.macdonald import (bisym_P, c_lambda_corrected, c_lambda_formula,
                              dominant_exponent, expand_in_P_basis,
                              is_bisymmetric, nonsym_E)
 from bimac.qt import QTPoly, QTScalar, qt_monomial
+from bimac.render import terms_to_json, xpoly_to_json
 from bimac.sparts import (SuperPartition, compositions_of, eigenvalue,
-                          superpartitions)
+                          format_spart, superpartitions)
 from bimac.xpoly import (XPolynomial, elementary_symmetric, exact_div,
                          vandermonde)
 
@@ -276,6 +279,19 @@ class TestNonsymE:
         nonsym_E((2, 0, 1))
         assert list(macdonald._K_CACHE) == [(2, 0, 1)]
 
+    @pytest.mark.parametrize("eta", [(1, 0, 0), (2, 1, 0), (1, 0, 1, 0)])
+    def test_equal_coefficients_are_one_object(self, monkeypatch, eta):
+        # K built by the recursion and K read from a cache record both
+        # hold equal coefficients as separate objects; E's equal
+        # coefficients are one object either way
+        K = macdonald._integral_E(eta)
+        monkeypatch.setattr(macdonald, "_K_CACHE", {})
+        monkeypatch.setattr(macdonald, "_K_UNCHECKED", {
+            eta: (terms_to_json(len(eta), K), "record")})
+        for _ in ("record", "cached"):
+            E = nonsym_E(eta).poly.terms.values()
+            assert len({id(c) for c in E}) == len(set(E)) < len(E)
+
 
 class TestBisymP:
     def test_trivial(self):
@@ -377,6 +393,26 @@ class TestBisymP:
                            "constructions disagree for 2,0;1$"):
             bisym_P(lam)
 
+    @pytest.mark.parametrize("lam", [SuperPartition((2, 0), (1,), 4),
+                                     SuperPartition((1,), (1, 1), 4),
+                                     SuperPartition((), (1, 1), 4),
+                                     SuperPartition((3, 1), (1,), 5)],
+                             ids=format_spart)
+    def test_one_reduction_per_distinct_coefficient(self, monkeypatch, lam):
+        # a cold P, E's K included, makes one gcd reduction per distinct
+        # coefficient and one for c_lam, and equal coefficients are one
+        # object
+        calls = []
+        real = qt._cancel
+        monkeypatch.setattr(qt, "_cancel",
+                            lambda num, den: calls.append(1) or real(num, den))
+        monkeypatch.setattr(macdonald, "_K_CACHE", {})
+        monkeypatch.setattr(macdonald, "_P_CACHE", {})
+        P = bisym_P(lam).poly.terms.values()
+        distinct = set(P)
+        assert len(calls) == len(distinct) + 1
+        assert len({id(c) for c in P}) == len(distinct) < len(P)
+
     @pytest.mark.parametrize("lam", [SuperPartition((2,), (1,), 3),
                                      SuperPartition((2, 0), (1,), 4)],
                              ids=["m=1", "m=2"])
@@ -395,6 +431,28 @@ class TestBisymP:
         monkeypatch.setattr(macdonald, "_P_CACHE", {})
         got = bisym_P(lam)
         assert (got.poly, got.c_lam) == (want.poly, want.c_lam)
+
+
+def test_p_n6_digest():
+    # P and c_lam of every superpartition of N = 6 with |Lambda| <= 4, in
+    # order, as xpoly_to_json and to_json write them: pins each
+    # coefficient's canonical rows past the N = 5 golden set
+    h = hashlib.sha256()
+    shapes = [lam for m in range(7) for d in range(5)
+              for lam in superpartitions(d, m, 6)]
+    assert len(shapes) == 58
+    for lam in shapes:
+        P = bisym_P(lam)
+        h.update(json.dumps([lam.anti, lam.sym, lam.N, xpoly_to_json(P.poly),
+                             P.c_lam.to_json()], sort_keys=True).encode())
+        h.update(b"\n")
+    assert h.hexdigest() == P_N6_SHA256
+
+
+# sha256 of test_p_n6_digest's records as they stood while each
+# coefficient of P was unpacked and reduced once per monomial
+P_N6_SHA256 = (
+    "89a45de733a2c7527adaaee5375171816bb70a3eced678e66f545e2469c90b04")
 
 
 # every (degree, m, N) class with N = 2..4 and |Lambda*| at most 3 past

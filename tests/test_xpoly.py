@@ -285,6 +285,42 @@ def test_format_xpoly_groups_coefficients():
     assert format_xpoly(g, latex=True) == "\\frac{1}{1 - q}"
 
 
+def _format_per_term(f, latex):
+    """format_xpoly of f put together from its terms, each formatted
+    alone."""
+    out = []
+    for e, c in f.sorted_terms():
+        s = format_xpoly(XPolynomial(f.nvars, {e: c}), latex=latex)
+        out.append(s if not out else
+                   "- " + s[1:] if s.startswith("-") else "+ " + s)
+    return " ".join(out) or "0"
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(rational_coeffs(), min_size=1, max_size=3),
+       st.lists(st.tuples(st.tuples(*[st.integers(0, 2)] * 3),
+                          st.integers(0, 5)),
+                max_size=8, unique_by=lambda pick: pick[0]))
+def test_rendering_sees_values_not_objects(pool, picks):
+    # P and E share one object among their equal coefficients, and the
+    # renderers format each object once: the output must be the same
+    # with separate equal objects, and unequal coefficients (a value and
+    # its negative among them) must never merge
+    pool = pool + [-c for c in pool]
+    shared = XPolynomial(3, {e: pool[k % len(pool)] for e, k in picks})
+    separate = XPolynomial(3, {e: QTScalar.from_json(c.to_json())
+                               for e, c in shared.terms.items()})
+    assert not any(a is b for a, b in zip(shared.terms.values(),
+                                          separate.terms.values()))
+    for latex in (False, True):
+        assert format_xpoly(shared, latex=latex) == \
+            format_xpoly(separate, latex=latex) == \
+            _format_per_term(shared, latex)
+    assert xpoly_to_json(shared) == xpoly_to_json(separate) == {
+        "N": 3, "terms": [{"x": list(e), "coeff": c.to_json()}
+                          for e, c in shared.sorted_terms()]}
+
+
 def test_unknown_vandermonde_kind():
     # checked before the pair loop, so a set with no pair raises too
     for I in ({1}, {1, 2}):
