@@ -17,7 +17,10 @@ run of strip enumeration and the coefficients, where one `pieri
 which runs bisym_P and xpoly_to_json on every superpartition of N = 5
 and N = 6 with |Lambda| <= 4 (116 P's) and prints the sha256 of the
 JSON records: a bulk run of P's construction, normalization and
-rendering.  For each command it
+rendering.  Last comes an E sweep, which runs nonsym_E and
+xpoly_to_json on the 126 E's of N = 5 with |eta| <= 4 and prints the
+sha256 of the JSON records: a bulk run of E's recursion, eigen check,
+monic division and rendering.  For each command it
 prints each side's median and quartiles of wall seconds, how many
 pairs the change won, and the sha256 of its stdout.  It exits 1 if
 any run fails, if the stdout of any two runs of a command differ, or
@@ -86,6 +89,16 @@ for N in (5, 6):
                                     sort_keys=True).encode() + b"\\n")
 print(h.hexdigest())
 """
+E_SWEEP = """import hashlib, itertools, json
+from bimac.macdonald import nonsym_E
+from bimac.render import xpoly_to_json
+h = hashlib.sha256()
+for eta in itertools.product(range(5), repeat=5):
+    if sum(eta) <= 4:
+        h.update(json.dumps([eta, xpoly_to_json(nonsym_E(eta).poly)],
+                            sort_keys=True).encode() + b"\\n")
+print(h.hexdigest())
+"""
 
 
 def run(src, argv, code=MAIN):
@@ -129,6 +142,7 @@ def main(argv=None):
         runs.append(("pieri sweep, N = 5, 6, |Lambda*| <= 4", PIERI_SWEEP,
                      []))
         runs.append(("P sweep, N = 5, 6, |Lambda| <= 4", P_SWEEP, []))
+        runs.append(("E sweep, N = 5, |eta| <= 4", E_SWEEP, []))
         return 0 if all([compare(sides, files, label, code, argv,
                                  args.pairs)
                          for label, code, argv in runs]) and same else 1

@@ -2,7 +2,8 @@
 Pieri products, and run verification suites.
 
 Exit codes: 0 success, 1 verification or consistency failure, 2 usage
-errors, 3 the output could not be written (a closed pipe, a full disk),
+errors (an E or P request over its size limit among them, refused
+before any work), 3 the output could not be written (a closed pipe, a full disk),
 a help text included: one error line goes to standard error if it is
 still open, and the cache file is not appended to.  Output is
 deterministic for identical arguments.  The argparse tree is built on
@@ -32,9 +33,27 @@ class _UsageError(Exception):
     """Bad input: main prints the message as one error line and exits 2."""
 
 
+# the largest size (degree + 1) * N of an E or P request in N >= 2
+# variables, and the largest degree in one, where E_(d) = x^d is d cheap
+# steps; the slowest cold request within them took 55 s on 2 vCPUs
+_MAX_SIZE, _MAX_DEGREE_1 = 50, 10000
+
+
 def _at_least(flag, value, least):
     if value < least:
         raise _UsageError(f"--{flag} {value} must be at least {least}")
+
+
+def _bounded(flag, degree, N):
+    """Refuse, before any work, an E or P request of this degree in N
+    variables over its limit."""
+    if N == 1 and degree > _MAX_DEGREE_1:
+        raise _UsageError(f"--{flag} asks for degree {degree} in 1 variable, "
+                          f"over the limit of {_MAX_DEGREE_1}")
+    if N > 1 and (degree + 1) * N > _MAX_SIZE:
+        raise _UsageError(
+            f"--{flag} asks for degree {degree} in {N} variables, over the "
+            f"limit of {_MAX_SIZE} on (degree + 1) * N")
 
 
 def _parse_eta(text):
@@ -77,12 +96,17 @@ def cmd_E(args):
     eta = _parse_eta(args.eta)
     if args.N is not None and args.N != len(eta):
         raise _UsageError("--N disagrees with the composition length")
+    _bounded("eta", sum(eta), len(eta))
     _print_xpoly(nonsym_E(eta).poly, args.format)
     return 0
 
 
 def cmd_P(args):
+    if args.N > _MAX_SIZE:  # before parse_spart pads to N parts
+        raise _UsageError(f"--N {args.N} is over the limit of {_MAX_SIZE} "
+                          "on (degree + 1) * N")
     lam = _parse_spart(args)
+    _bounded("spart", lam.degree(), lam.N)
     elem = bisym_P(lam)
     if args.format == "diagram":
         print(diagram_latex(lam))

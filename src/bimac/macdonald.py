@@ -8,16 +8,16 @@ coefficients lie in Z[q,t] (Knop 1997, Sahi 1996): the Knop-Sahi
 recursion carries J as s K, a factored scalar s times K in Z[q,t][x],
 and divides only by binomials known in closed form, so it calls no gcd.
 K stays one Z[q,t] term dict {x-exponent: QTPoly} through its checks
-(every eigenvalue equation, the Bruhat triangularity and d_eta), P's
-construction, whose symmetrizers, Vandermonde divisions and
-plain-versus-t cross-check run on K packed into integers (t -> 2^w,
-q -> 2^(w B)) with no gcd, and the cache file.  Q(q,t) values are
-formed only for the outputs: E, P and c_lambda.  c_lambda_formula
-and c_lambda_corrected are each one factored product.  The recursion, the
-eigen check and P's construction all use hecke's one kernel per
-operator, each with the multiplication by q^a t^b of the ring it holds:
-QTPoly.mul_term on the recursion's Z[q,t] term dicts, a shift on the
-packed integers.
+(the Bruhat triangularity, the eigenvalue equations at eta's nonzero
+parts, which with it pin K, and d_eta), P's construction, whose
+symmetrizers, Vandermonde divisions and plain-versus-t cross-check run
+on K packed into integers (t -> 2^w, q -> 2^(w B)) with no gcd, and the
+cache file.  Q(q,t) values are formed only for the outputs: E, P and
+c_lambda.  c_lambda_formula and c_lambda_corrected are each one
+factored product.  The recursion, the eigen check and P's construction
+all use hecke's one kernel per operator, each with the multiplication
+by q^a t^b of the ring it holds: QTPoly.mul_term on the recursion's
+Z[q,t] term dicts, a shift on the packed integers.
 The monic E is formed only where E itself is asked for, over the Phi
 factors of K(x^eta), a divisor of d_eta up to +-q^a t^b, with no gcd,
 and is not kept: the process holds each checked K, and so does the
@@ -33,7 +33,7 @@ from math import factorial
 
 from .errors import CacheRecordError, ConsistencyError, DivisibilityError
 from .qt import (QTPoly, QTScalar, _brackets, _coprime, _cyclotomic_at,
-                 _Factored, _phi_div)
+                 _Factored, _phi_div, _poly)
 from .render import terms_from_json
 from .sparts import (SuperPartition, format_spart, row_of_circle,
                      sorting_permutation, superpartitions)
@@ -125,7 +125,9 @@ def _raise(eta):
       rho = ebar_(i+1)(nu)/ebar_i(nu) = q^A t^B with A, B >= 1 and
       J_eta = ((1 - rho) T_i J_nu + (1 - t) J_nu) / (t (1 - t rho)).
       The numerator is (1 - t rho) K - (1 - rho) X_i K, X_i = t - T_i the
-      exchange term, from hecke._step with QTPoly.mul_term.  Each Phi_d
+      exchange term, from hecke._step with QTPoly.mul_term; it is formed
+      per x-exponent as one integer term sum of the coefficients and
+      their shifts by t rho and rho, with no QTPoly product.  Each Phi_d
       factor of 1 - t rho that s holds cancels there; K is divided
       exactly by the others in Z[q,t], and a division that is not exact
       raises ConsistencyError.
@@ -150,15 +152,22 @@ def _raise(eta):
         if i:
             A = nu[i]
             B = row_of_circle(nu, i) - row_of_circle(nu, i + 1)
-            one_t_rho = QTPoly({(0, 0): 1, (A, B + 1): -1})
-            one_rho = QTPoly({(0, 0): 1, (A, B): -1})
-            X = hecke._step(i, K, None, mul)
-            K = {e: c * one_t_rho for e, c in K.items()}
-            for e, c in X.items():
-                c = c * one_rho
-                prev = K.get(e)
-                K[e] = c if prev is None else prev + c
-            K = {e: c for e, c in K.items() if c}
+            # (1 - t rho) K + (1 - rho) X with X = -X_i K: a term v q^a t^b
+            # of a coefficient adds v at (a, b) and -v at (a + A, b + B + 1),
+            # or at (a + A, b + B) for X
+            sums = {}
+            for f, shift in ((K, B + 1), (hecke._step(i, K, None, mul), B)):
+                for e, c in f.items():
+                    out = sums.setdefault(e, {})
+                    for k, v in c.terms.items():
+                        out[k] = out.get(k, 0) + v
+                        k = (k[0] + A, k[1] + shift)
+                        out[k] = out.get(k, 0) - v
+            K = {}
+            for e, out in sums.items():
+                out = {k: v for k, v in out.items() if v}
+                if out:
+                    K[e] = _poly(out)
             # divide by t (1 - t rho)
             binom = _Factored.binomial(0, 1, A, B + 2)
             sign, a, b = sign * binom.sign, a - binom.a, b - binom.b
@@ -242,9 +251,10 @@ def _integral_E(eta):
     _lead_factors, must be d_eta/s factor for factor, or a cache record
     set aside unchecked as JSON and read here, whose coefficient at
     x^eta must factor (+-q^a t^b times a divisor of d_eta).  Both pass
-    _check_E, which with that nonzero coefficient pins K to a nonzero
-    multiple of E_eta; a record that fails raises CacheRecordError
-    naming its file and line."""
+    _check_E, the triangularity and the eigenvalue equations at eta's
+    nonzero parts, which with that nonzero coefficient pin K to a
+    nonzero multiple of E_eta; a record that fails raises
+    CacheRecordError naming its file and line."""
     K = _K_CACHE.get(eta)
     if K is not None:
         return K
@@ -282,8 +292,9 @@ def nonsym_E(eta) -> EBasisElement:
     monomial other than x^eta is Bruhat-below eta, K's coefficient at
     x^eta factors over d_eta (for a built K, s K has d_eta there:
     Knop's cell product, computed apart from the recursion), and
-    Y_i K = ebar_i K for every i.  The N
-    eigenvalue equations run as t^(N-1) Y_i K = t_ebar K with t_ebar =
+    Y_i K = ebar_i K for every i with eta_i > 0, which with the
+    triangularity pins K to a multiple of E_eta (proof in _check_E).
+    These eigenvalue equations run as t^(N-1) Y_i K = t_ebar K with t_ebar =
     t^(N-1) ebar_i, by hecke's word kernel _word, on
     Kronecker-packed integers: t -> 2^w, q -> 2^(w B) is a ring
     homomorphism Z[q,t] -> Z, and _eigen_pack takes the width w and B
@@ -329,7 +340,7 @@ def nonsym_E(eta) -> EBasisElement:
 
 
 def _eigen_pack(K):
-    """hecke._pack of K for its N eigenvalue equations.
+    """hecke._pack of K for its eigenvalue equations.
 
     ||T_j g||_1 <= (1 + 2d) ||g||_1 for d the largest total degree, and
     omega keeps ||.||_1, so every coefficient of t^(N-1) Y_i K - t^b q^a K
@@ -343,8 +354,21 @@ def _eigen_pack(K):
 
 def _check_E(eta, K):
     """Raise ConsistencyError unless the Z[q,t] term dict K is
-    Bruhat-triangular at eta and passes all N packed eigenvalue
-    equations."""
+    Bruhat-triangular at eta and passes the packed eigenvalue equations
+    t^(N-1) Y_i K = t^(N-1) ebar_i(eta) K for the i with eta_i > 0.
+
+    Those equations pin K to a multiple of E_eta, as all N would.  Each
+    Y_i is triangular in the Bruhat order, with ebar_i(nu) =
+    q^(nu_i) t^(1 - r_nu(i)) on the diagonal at x^nu.  Let D = K -
+    K(x^eta) E_eta and suppose D != 0.  D passes the same equations, and
+    its support is strictly Bruhat-below eta.  At a Bruhat-maximal mu of
+    that support no other monomial of D reaches x^mu, so ebar_i(mu) =
+    ebar_i(eta) for every i with eta_i > 0, and comparing q-exponents
+    gives mu_i = eta_i there.  The triangularity check gives |mu| =
+    |eta|, so mu_i = 0 = eta_i at every other i: mu = eta.  But D is
+    zero at x^eta, so D = 0 and K = K(x^eta) E_eta.  verify's eigen
+    suite, the independent route, runs all N equations.
+    """
     N = len(eta)
     for nu in K:
         if nu != eta and not _bruhat_less(nu, eta):
@@ -352,8 +376,10 @@ def _check_E(eta, K):
                 f"E_{eta} has support at {nu}, not Bruhat-below")
     w, B, f = _eigen_pack(K)
     mul = hecke._shifts(w, B)
-    for i in range(1, N + 1):
-        a, b = eta[i - 1], N - row_of_circle(eta, i)
+    for i, a in enumerate(eta, 1):
+        if not a:
+            continue
+        b = N - row_of_circle(eta, i)
         if hecke._word(i, f, mul) != {e: mul(c, a, b) for e, c in f.items()}:
             raise ConsistencyError(
                 f"eigenvalue equation Y_{i} E = ebar_{i} E failed for E_{eta}")

@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -1232,6 +1233,27 @@ _FLAGS = {
 }
 
 
+# values of E's and P's inputs over their limits (cli._bounded): huge
+# parts, more parts than the limit, huge N
+_HUGE = st.integers(cli._MAX_DEGREE_1 + 1, 10 ** 30)
+_WIDE = st.integers(cli._MAX_SIZE + 1, 10 ** 30)
+_OVER = {
+    ("E", "--eta"): st.one_of(
+        st.tuples(_HUGE, _parts(3, 0)).map(
+            lambda v: ",".join(filter(None, (str(v[0]), v[1])))),
+        st.integers(cli._MAX_SIZE + 1, 10 ** 4).map(
+            lambda n: ",".join("0" * n))),
+    ("E", "--N"): _WIDE.map(str),
+    ("P", "--spart"): st.one_of(_HUGE.map("{};".format),
+                                _HUGE.map(";{}".format)),
+    ("P", "--N"): _WIDE.map(str),
+}
+
+
+def _no_work(*args):
+    raise AssertionError("a request over the size limit started its work")
+
+
 @pytest.fixture(scope="module")
 def cache_paths(tmp_path_factory):
     """A file that starts empty, then a file in a missing directory, a
@@ -1248,30 +1270,77 @@ def cache_paths(tmp_path_factory):
 def test_fuzz_command_line(cache_paths, data):
     # whatever the arguments: exit 0, 1 or 2, no traceback, and a usage
     # error (exit 2) is one error line.  Each flag is left out, or takes
-    # a well-formed value or any value; the deadline fixture bounds the
-    # whole run
+    # a well-formed value or any value, or for E and P a value over the
+    # size limit, which is refused before E or P is built; the deadline
+    # fixture bounds the whole run
     command = data.draw(st.sampled_from(sorted(_FLAGS)), "command")
-    argv = [command]
+    argv, over = [command], False
     for flag, (required, good, bad) in _FLAGS[command].items():
-        how = data.draw(st.sampled_from(["good", "good", "bad", "absent"]),
-                        flag)
+        kinds = {"good": good, "bad": bad, "over": _OVER.get((command, flag))}
+        how = data.draw(st.sampled_from(
+            ["good", "good", "bad", "absent"]
+            + ["over"] * ((command, flag) in _OVER)), flag)
         if how == "absent" and required and data.draw(st.booleans()):
             how = "good"
         if how != "absent":
-            value = data.draw(good if how == "good" else bad, flag)
+            value = data.draw(kinds[how], flag)
             argv += [flag] if value is None else [flag, value]
+            over = over or how == "over"
     cache = data.draw(st.sampled_from((None,) * 3 + cache_paths), "cache")
     if cache is not None:
         argv = ["--cache", cache] + argv
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    refuse = mock.patch.multiple(cli, nonsym_E=_no_work, bisym_P=_no_work) \
+        if over else contextlib.nullcontext()
+    with refuse, contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
         try:
             code = main(argv)
         except SystemExit as exc:
             code = exc.code
     err = err.getvalue()
     assert code in (0, 1, 2), (argv, code, err)
+    assert code == 2 or not over, (argv, code, err)
     assert "Traceback" not in err, argv
     if code == 2:
         assert sum("error:" in line for line in err.splitlines()) == 1, \
             (argv, err)
+
+
+class TestLimits:
+    @pytest.mark.parametrize("argv, message", [
+        (["E", "--eta", "25,0"], "--eta asks for degree 25 in 2 variables, "
+         "over the limit of 50 on (degree + 1) * N"),
+        (["E", "--eta", ",".join("0" * 51)], "--eta asks for degree 0 in 51 "
+         "variables, over the limit of 50 on (degree + 1) * N"),
+        (["E", "--eta", "10001"], "--eta asks for degree 10001 in 1 "
+         "variable, over the limit of 10000"),
+        (["E", "--eta", "99999999999,0"], "--eta asks for degree 99999999999 "
+         "in 2 variables, over the limit of 50 on (degree + 1) * N"),
+        (["P", "--spart", "10;", "--N", "5"], "--spart asks for degree 10 in "
+         "5 variables, over the limit of 50 on (degree + 1) * N"),
+        (["P", "--spart", ";", "--N", "51"],
+         "--N 51 is over the limit of 50 on (degree + 1) * N"),
+        (["P", "--spart", "1;", "--N", "10" + "0" * 20], "--N 1" + "0" * 21
+         + " is over the limit of 50 on (degree + 1) * N"),
+    ], ids=["degree", "variables", "one-variable", "huge-part", "P-degree",
+            "P-variables", "huge-N"])
+    def test_over_a_limit_is_refused_up_front(self, capsys, monkeypatch,
+                                              tmp_path, argv, message):
+        # one error line naming the input and the limit, exit 2, no
+        # output, nothing appended, and neither E nor P begun
+        for name in ("nonsym_E", "bisym_P"):
+            monkeypatch.setattr(cli, name, _no_work)
+        path = tmp_path / "c.jsonl"
+        path.write_bytes(b"")
+        code, out, err = run(capsys, "--cache", str(path), *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert path.read_bytes() == b""
+
+    def test_at_the_limits(self, capsys):
+        # the largest size at N = 50, and the limits themselves
+        assert run(capsys, "E", "--eta", ",".join("0" * 50)) == (0, "1\n", "")
+        assert run(capsys, "P", "--spart", ";", "--N", "50") == (0, "1\n", "")
+        cli._bounded("eta", 24, 2)
+        cli._bounded("spart", 9, 5)
+        cli._bounded("eta", 10000, 1)

@@ -1,11 +1,13 @@
 import hashlib
 import itertools
 import json
+import re
 from math import factorial
 
 import pytest
 
 from bimac import hecke, macdonald, qt
+from bimac.cli import main
 from bimac.errors import ConsistencyError
 from bimac.macdonald import (bisym_P, c_lambda_corrected, c_lambda_formula,
                              dominant_exponent, expand_in_P_basis,
@@ -293,6 +295,92 @@ class TestNonsymE:
             assert len({id(c) for c in E}) == len(set(E)) < len(E)
 
 
+def below(eta):
+    """Every composition strictly Bruhat-below eta."""
+    return [nu for nu in compositions_of(sum(eta), len(eta))
+            if macdonald._bruhat_less(nu, eta)]
+
+
+def eigen_failure(eta):
+    """The message of a failed eigenvalue equation of _check_E at eta."""
+    return re.compile(r"^eigenvalue equation Y_\d E = ebar_\d E failed for "
+                      f"E_{re.escape(str(eta))}$")
+
+
+class TestReducedEigenCheck:
+    """_check_E runs Y_i K = ebar_i K only for the i with eta_i > 0; these
+    show that those equations, with the triangularity check, still pin K
+    to a multiple of E_eta, and that a check on fewer indices does not."""
+
+    def test_support_eigenvalues_separate_every_lower_composition(self):
+        # the lemma of _check_E's proof: q^(nu_i) = q^(eta_i) on eta's
+        # support and |nu| = |eta| would give nu = eta
+        for N in range(1, 6):
+            for d in range(5):
+                for eta in compositions_of(d, N):
+                    supp = [i for i in range(1, N + 1) if eta[i - 1]]
+                    want = [eigenvalue(eta, i) for i in supp]
+                    for nu in below(eta):
+                        assert [eigenvalue(nu, i) for i in supp] != want, \
+                            (eta, nu)
+
+    def test_rejects_every_sum_with_a_lower_E(self):
+        # K_eta + K_nu, nu strictly Bruhat-below eta, N <= 4, |eta| <= 3:
+        # triangular at eta, and a joint eigenfunction for no eta
+        cases = 0
+        for N in range(1, 5):
+            for d in range(4):
+                for eta in compositions_of(d, N):
+                    K = macdonald._integral_E(eta)
+                    for nu in below(eta):
+                        bad = dict(K)
+                        for e, c in macdonald._integral_E(nu).items():
+                            bad = plus(bad, e, c)
+                        with pytest.raises(ConsistencyError,
+                                           match=eigen_failure(eta)):
+                            macdonald._check_E(eta, bad)
+                        cases += 1
+        assert cases == 298
+
+    def test_rejects_every_monomial_perturbation(self):
+        # K plus 1, -1 or q t at each x^nu strictly Bruhat-below eta, for
+        # N <= 4 with |eta| <= 4 and N = 5 with |eta| <= 3
+        cases = 0
+        for N, top in ((1, 4), (2, 4), (3, 4), (4, 4), (5, 3)):
+            for d in range(top + 1):
+                for eta in compositions_of(d, N):
+                    K = macdonald._integral_E(eta)
+                    for nu in below(eta):
+                        for p in (QTPoly.one(), -QTPoly.one(),
+                                  QTPoly.monomial(1, 1)):
+                            with pytest.raises(ConsistencyError,
+                                               match=eigen_failure(eta)):
+                                macdonald._check_E(eta, plus(K, nu, p))
+                            cases += 1
+        assert cases == 4899
+
+    def test_verify_still_checks_every_index(self, monkeypatch, capsys):
+        # a t^(N-1) Y_2 wrong on K_(1,0,1) alone: construction, which
+        # skips the zero part, passes it; the eigen suite fails it
+        eta = (1, 0, 1)
+        support = set(macdonald._integral_E(eta))
+        real = hecke._word
+
+        def word(i, f, mul):
+            out = real(i, f, mul)
+            if i == 2 and set(f) == support:
+                return {e: c + c for e, c in out.items()}
+            return out
+        monkeypatch.setattr(hecke, "_word", word)
+        monkeypatch.setattr(macdonald, "_K_CACHE", {})
+        macdonald._integral_E(eta)
+        assert main(["verify", "--suite", "eigen", "--N", "3",
+                     "--deg", "2"]) == 1
+        assert capsys.readouterr().out == \
+            "[FAIL] eigenvalue property and triangularity for 16 E's: " \
+            "(1, 0, 1)\n"
+
+
 class TestBisymP:
     def test_trivial(self):
         P = bisym_P(SuperPartition((0,), (), 3))
@@ -453,6 +541,32 @@ def test_p_n6_digest():
 # coefficient of P was unpacked and reduced once per monomial
 P_N6_SHA256 = (
     "89a45de733a2c7527adaaee5375171816bb70a3eced678e66f545e2469c90b04")
+
+
+# every composition with N <= 5 parts and |eta| <= 4, with three larger
+# ones: (15, 0), whose chain is long, and two at N = 5
+E_DIGEST_ETAS = [eta for N in range(1, 6)
+                 for eta in itertools.product(range(5), repeat=N)
+                 if sum(eta) <= 4] + [(15, 0), (3, 2, 0, 1, 0), (4, 0, 2, 1, 0)]
+
+
+def test_e_digest():
+    # E_eta as xpoly_to_json writes it, for every eta of E_DIGEST_ETAS in
+    # order: pins the recursion and E's canonical coefficients row by row
+    h = hashlib.sha256()
+    assert len(E_DIGEST_ETAS) == 254
+    for eta in E_DIGEST_ETAS:
+        h.update(json.dumps([eta, xpoly_to_json(nonsym_E(eta).poly)],
+                            sort_keys=True).encode())
+        h.update(b"\n")
+    assert h.hexdigest() == E_SHA256
+
+
+# sha256 of test_e_digest's records as they stood while E's check ran
+# all N eigenvalue equations and the recursion's steps multiplied K by
+# QTPoly binomials
+E_SHA256 = (
+    "5e903f4517eda9b4adbafc30f13990fe936da9e775e74a92586360724e03eee3")
 
 
 # every (degree, m, N) class with N = 2..4 and |Lambda*| at most 3 past
