@@ -2,8 +2,8 @@
 Pieri products, and run verification suites.
 
 Exit codes: 0 success, 1 verification or consistency failure, 2 usage
-errors (an E or P request over its size limit among them, refused
-before any work), 3 the output could not be written (a closed pipe, a full disk),
+errors (a request over a size limit among them, refused before any
+work), 3 the output could not be written (a closed pipe, a full disk),
 a help text included: one error line goes to standard error if it is
 still open, and the cache file is not appended to.  Output is
 deterministic for identical arguments.  The argparse tree is built on
@@ -45,8 +45,8 @@ def _at_least(flag, value, least):
 
 
 def _bounded(flag, degree, N):
-    """Refuse, before any work, an E or P request of this degree in N
-    variables over its limit."""
+    """Refuse, before any work, a request that builds an E or P of this
+    degree in N variables over its limit."""
     if N == 1 and degree > _MAX_DEGREE_1:
         raise _UsageError(f"--{flag} asks for degree {degree} in 1 variable, "
                           f"over the limit of {_MAX_DEGREE_1}")
@@ -69,6 +69,9 @@ def _parse_eta(text):
 
 def _parse_spart(args):
     _at_least("N", args.N, 1)
+    if args.N > _MAX_SIZE:  # before parse_spart pads to N parts
+        raise _UsageError(f"--N {args.N} is over the limit of {_MAX_SIZE} "
+                          "on (degree + 1) * N")
     try:
         return parse_spart(args.spart, args.N)
     except ValueError as exc:
@@ -102,9 +105,6 @@ def cmd_E(args):
 
 
 def cmd_P(args):
-    if args.N > _MAX_SIZE:  # before parse_spart pads to N parts
-        raise _UsageError(f"--N {args.N} is over the limit of {_MAX_SIZE} "
-                          "on (degree + 1) * N")
     lam = _parse_spart(args)
     _bounded("spart", lam.degree(), lam.N)
     elem = bisym_P(lam)
@@ -119,6 +119,8 @@ def cmd_P(args):
 
 def cmd_eval(args):
     lam = _parse_spart(args)
+    if args.route != "formula":
+        _bounded("spart", lam.degree(), lam.N)
     formula = eval_formula(lam, args.sign)
     if args.route == "formula":
         print(format_scalar(formula))
@@ -139,6 +141,8 @@ def cmd_pieri(args):
     lam = _parse_spart(args)
     if args.r < 0:
         raise _UsageError(f"--r {args.r} is negative; e_r needs r >= 0")
+    if args.check:  # the oracle builds the P's of degree |Lambda| + r
+        _bounded("check", lam.degree() + args.r, lam.N)
     terms = pieri_expand(lam, args.r, args.variant)
     if args.format == "json":
         print(json.dumps([{"spart": format_spart(t.omega),

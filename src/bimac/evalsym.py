@@ -9,8 +9,9 @@ the same Omega, so a process that expands many of them (as
 expansion meets each Omega once and gains nothing.  A memoized value
 is shared, so no caller changes it in place.
 
-The evaluation symmetry cross-multiplies integer numerators, so it
-forms no Q(q,t) value and keeps no staircase norm.
+The evaluation symmetry cross-multiplies the integer values of the
+two P's integral forms, so it forms no Q(q,t) value and keeps no
+staircase norm.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .macdonald import bisym_P
 from .qt import QTScalar, _Factored, _add_product
 from .sparts import (SuperPartition, conjugate_partition, eval_point,
                      hook_data, lambda_naught)
-from .xpoly import XPolynomial, _numerators_at, specialize
+from .xpoly import XPolynomial, _integral_form, _laurent_at, specialize
 
 
 def _one_minus(a, b) -> _Factored:
@@ -79,18 +80,17 @@ def symmetry_check(lam: SuperPartition, omg: SuperPartition, sign: str) -> bool:
     """u_Omega(P~_Lambda) = u_Lambda(P~_Omega) with the staircase-
     normalized polynomials, checked exactly.
 
-    Each P is evaluated at the other's point and at the staircase by
-    one ``_numerators_at`` call, whose content and common denominator
-    cancel in the ratio: with a, a0 P_Lambda's two numerators and b, b0
-    P_Omega's, the identity a/a0 = b/b0 is a b0 = b a0 in integer
+    Each P is evaluated at the other's point and at the staircase on
+    its integral form c F / den (``_integral_form``), whose c and den
+    cancel in the ratio: with a, a0 P_Lambda's two integer values and
+    b, b0 P_Omega's, the identity a/a0 = b/b0 is a b0 = b a0 in integer
     Laurent polynomials."""
     if lam.m != omg.m or lam.N != omg.N:
         raise ValueError("superpartitions must share m and N")
     nought = eval_point(lambda_naught(lam.m, lam.N), sign)
-    _, _, (a, a0) = _numerators_at(bisym_P(lam).poly,
-                                   (eval_point(omg, sign), nought))
-    _, _, (b, b0) = _numerators_at(bisym_P(omg).poly,
-                                   (eval_point(lam, sign), nought))
+    F, G = (_integral_form(bisym_P(sp).poly)[2] for sp in (lam, omg))
+    a, a0 = _laurent_at(F, eval_point(omg, sign)), _laurent_at(F, nought)
+    b, b0 = _laurent_at(G, eval_point(lam, sign)), _laurent_at(G, nought)
     if not a0 or not b0:
         raise DegenerateEvaluationError("staircase evaluation vanished")
     return _add_product({}, a, b0) == _add_product({}, b, a0)

@@ -6,10 +6,10 @@ shift operator omega, Cherednik operators Y_i, and interval
 coefficient} that only adds, negates and calls mul(c, a, b) = c q^a t^b.
 Three rings use them: Q(q,t), with QTScalar.mul_monomial, behind the
 XPolynomial operators; Z[q,t], with QTPoly.mul_term, in E's Knop-Sahi
-recursion and in the hecke and eigen suites of verify; and the
-Kronecker-packed integers, with a shift, in E's eigen check and P's
-construction, packed from and unpacked to Z[q,t] term dicts by _pack
-and _unpack.
+recursion, the hecke and eigen suites of verify and the left side of
+the Pieri operator identity; and the Kronecker-packed integers, with a
+shift, in E's eigen check and P's construction, packed from and
+unpacked to Z[q,t] term dicts by _pack and _unpack.
 
 Operator words act right to left, so in Y_i the rightmost inverse
 generator hits the polynomial first.

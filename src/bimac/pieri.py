@@ -18,19 +18,17 @@ to the same lists, so each Pieri coefficient is one ``_Factored.prod``.
 The binomials, the staircase evaluations and the expansions come from
 memos (``qt._expand`` serves a value that another Lambda's expansion
 met), and the sigma data of a certificate is computed once.
-``_C_factors`` and ``_D_factors`` form a coefficient alone, for the
-operator identity.
 
-The right side of the operator identity is summed over one common
-denominator by ``qt._lcd_sum``, which verify's A-product lemma shares:
-each C/D coefficient stays factored, the lcm D of their denominators is
-each Phi factor to its largest negative exponent, and every coefficient
-times D is a Laurent polynomial.  Its products with f's integer
-numerators at the transformed points are added as integers, so no
-Q(q,t) sum runs per term.  The check cross-multiplies that sum and the
-left side's integer numerator by the other side's denominators and
-compares the two integer Laurent polynomials, as ``symmetry_check``
-does: no division and no Q(q,t) value.
+The operator identity is decided on f's integral form F, f = c F / den,
+since both sides are linear over Q(q,t).  The left side is F times the
+t-Vandermonde with e_r(Y) applied, on Z[q,t] term dicts through hecke's
+kernel.  The right side is summed over one common denominator by
+``qt._lcd_sum``, which verify's A-product lemma shares: each C/D
+coefficient stays factored, the lcm D of their denominators is each Phi
+factor to its largest negative exponent, and the products with F's
+integer values at the transformed points are added as integers.  The
+two sides are compared as integer Laurent polynomials: no division, no
+gcd on an integral f, and no Q(q,t) value.
 """
 
 from __future__ import annotations
@@ -42,11 +40,12 @@ from itertools import combinations
 from .errors import ConsistencyError, DegenerateEvaluationError
 from .evalsym import _eval_factors
 from .macdonald import expand_in_P_basis, bisym_P, is_bisymmetric
-from .qt import QTScalar, _Factored, _FACTORED_ZERO, _add_product, _lcd_sum
+from .qt import (QTPoly, QTScalar, _Factored, _FACTORED_ZERO, _add_product,
+                 _lcd_sum)
 from .sparts import (StripCertificate, SuperPartition, enumerate_strips,
                      eval_point, perm_inverse)
-from .xpoly import (XPolynomial, _numerators_at, elementary_symmetric,
-                    vandermonde)
+from .xpoly import (XPolynomial, _integral_form, _laurent_at,
+                    elementary_symmetric)
 from . import hecke
 
 _ONE = QTScalar.one()
@@ -235,16 +234,6 @@ def _D_into(num, den, m, r, J, sigma, point) -> bool:
     return True
 
 
-def _C_factors(m, r, J, L, sigma, point) -> _Factored:
-    """The type-I coefficient C_(J,sigma), one factored product."""
-    return _product(_C_into, m, r, J, L, sigma, point)
-
-
-def _D_factors(m, r, J, sigma, point) -> _Factored:
-    """The type-II coefficient D_(J,sigma), one factored product."""
-    return _product(_D_into, m, r, J, sigma, point)
-
-
 def _certificate_into(num, den, lam, cert, point) -> bool:
     """Append the factors of the certificate's coefficient at
     u_Lambda^+'s point to num and den; False if an A product vanishes."""
@@ -372,59 +361,63 @@ _OP_POINTS = 3
 _OP_SEED = 20250
 
 
+def _left_side(m, r, interval, F):
+    """t^(r(N-1)) e_r(Y_a, .., Y_b) Delta_m^t F for a Z[q,t] term dict
+    F: F times each t x_i - x_j, 1 <= i < j <= m, then hecke's kernel."""
+    for i, j in combinations(range(m), 2):
+        out = {}
+        for e, c in F.items():
+            for k, v in ((i, c.mul_term(0, 1)), (j, -c)):
+                x = e[:k] + (e[k] + 1,) + e[k + 1:]
+                prev = out.get(x)
+                out[x] = v if prev is None else prev + v
+        F = {e: c for e, c in out.items() if c}
+    return hecke._e_of_Y(r, interval, F, QTPoly.mul_term)
+
+
 def op_identity_check(m: int, r: int, f: XPolynomial, variant: str) -> bool:
     """Check e_r(Y block) Delta_m^t f = sum C/D tau_J K_sigma f at
     _OP_POINTS generic evaluation points.
 
     Exact values at enough well-separated monomial points separate the
     two sides at the ambient degree; a degenerate point (vanishing
-    denominator) is skipped and replaced.  At each point the left side
-    is c num_L / den_L and the right side content total / (D den) (see
-    ``_rhs_at``); with k = c / content they agree when k num_L D den =
-    total den_L, compared as integer Laurent polynomials.
+    denominator) is skipped and replaced.  Both sides are linear over
+    Q(q,t), so each is taken on f's integral form F, f = c F / den,
+    formed once: the left side as G = t^(r(N-1)) e_r(Y) Delta_m^t F on
+    Z[q,t] term dicts (``_left_side``), and the right side at each
+    point as total / D (``_rhs_at``).  They agree when G(point) D =
+    t^(r(N-1)) total, compared as integer Laurent polynomials.
     """
     N = f.nvars
     if not is_bisymmetric(f, m):
         raise ValueError("the operator identity needs a bisymmetric input")
-    delta_t = vandermonde("t_deformed", range(1, m + 1), N)
-    gf = delta_t * f
-    lhs_poly = hecke.apply_e_of_Y(r, _interval(r, variant, m, N), gf)
+    F = _integral_form(f)[2]
+    G = _left_side(m, r, _interval(r, variant, m, N), F)
     checked = 0
-    attempt = 0
-    while checked < _OP_POINTS:
-        attempt += 1
-        if attempt > 20 * _OP_POINTS:
-            raise ConsistencyError("could not find enough generic points")
+    for attempt in range(1, 20 * _OP_POINTS + 1):
         point = _generic_point(N, _OP_SEED + attempt)
         try:
-            content, den, total, D = _rhs_at(m, r, f, variant, point)
+            total, D = _rhs_at(m, r, F, variant, point)
         except DegenerateEvaluationError:
             continue
-        c, den_L, (num_L,) = _numerators_at(lhs_poly, (point,))
-        k = c / content
-        lhs = _add_product({}, num_L, {(0, 0): k.numerator})
-        rhs = _add_product({}, total, {(0, 0): k.denominator})
-        if _add_product({}, lhs, _add_product({}, D.laurent(), den.terms)) \
-                != _add_product({}, rhs, den_L.terms):
+        if _add_product({}, _laurent_at(G, point), D.laurent()) != \
+                _add_product({}, total, {(0, r * (N - 1)): 1}):
             return False
         checked += 1
-    return True
+        if checked == _OP_POINTS:
+            return True
+    raise ConsistencyError("could not find enough generic points")
 
 
-def _rhs_at(m, r, f, variant, point):
-    """The certificate (content, den, total, D) of the sum of C/D tau_J
-    K_sigma f at the point: the sum is content * total / (D * den), with
-    content and den f's rational content and common denominator from
-    ``_numerators_at``, D the coefficients' common denominator from
-    ``_lcd_sum`` and total the integer Laurent term dict of their
-    products with f's numerators."""
-    N = f.nvars
-    coeffs, points = [], []
-    if variant == "upper":
-        blocks = combinations(range(m + 1, N + 1), r)
-    else:
-        blocks = combinations(range(1, N + 1), r)
-    for J in blocks:
+def _rhs_at(m, r, F, variant, point):
+    """The certificate (total, D) of the sum of C/D tau_J K_sigma F at
+    the point, F a Z[q,t] term dict: the sum is total / D, with D the
+    coefficients' common denominator from ``_lcd_sum`` and total the
+    integer Laurent term dict of their products with F's values."""
+    N = len(point)
+    coeffs, values = [], []
+    lo = m + 1 if variant == "upper" else 1
+    for J in combinations(range(lo, N + 1), r):
         Jset = frozenset(J)
         L = frozenset(range(m + 1, N + 1)) - Jset
         allowed = frozenset(range(1, N + 1)) - L
@@ -434,13 +427,13 @@ def _rhs_at(m, r, f, variant, point):
             # coset; the image-set form is J inside sigma([m])
             if variant == "lower" and not Jset <= set(sigma[:m]):
                 continue
-            c = _C_factors(m, r, Jset, L, sigma, point) if variant == "upper" \
-                else _D_factors(m, r, Jset, sigma, point)
+            c = _product(_C_into, m, r, Jset, L, sigma, point) \
+                if variant == "upper" \
+                else _product(_D_into, m, r, Jset, sigma, point)
             if c.is_zero():
                 continue
             coeffs.append(c)
-            # (tau_J K_sigma f) at the point is f at this one
-            points.append(tuple(_coord(point, s, Jset) for s in sigma))
-    content, den, nums = _numerators_at(f, points)
-    total, D = _lcd_sum(coeffs, nums)
-    return content, den, total, D
+            # (tau_J K_sigma F) at the point is F at this one
+            values.append(_laurent_at(
+                F, tuple(_coord(point, s, Jset) for s in sigma)))
+    return _lcd_sum(coeffs, values)

@@ -22,9 +22,10 @@ of E's denominator with ``_phi_div`` for as long as that is exact.
 ``poly_gcd``, the heuristic gcd of Char, Geddes and Gonnet, is called
 only where coprimality is unknown: from ``_cancel`` (products,
 ``_reduce``, other ``_laurent_scalar``s), a sum's denominator gcd and
-``_poly_lcm``.  It is one loop that evaluates q (then, by recursion on
-the images, t) at an integer and grows that point until a candidate
-passes trial division, which is its only exit.
+``_poly_lcm`` (f's common denominator in xpoly's ``_integral_form``,
+none for an integral f).  It is one loop that evaluates q (then, by
+recursion on the images, t) at an integer and grows that point until a
+candidate passes trial division, which is its only exit.
 
 The private ``_Factored`` holds a product of q,t-binomials and their
 inverses as exponents of cyclotomic factors, for the Pieri and

@@ -83,7 +83,7 @@ def xpoly_from_json(obj) -> XPolynomial:
     return XPolynomial(_json_int(obj["N"], "polynomial N"), terms)
 
 
-# the den rows of a coefficient in Z[q,t]
+# the den rows of a coefficient in Z[q,t], as terms_to_json writes them
 _DEN_ONE = [["1", 0, 0]]
 
 
@@ -95,7 +95,7 @@ def terms_to_json(N, f) -> dict:
             "terms": [{"x": list(e),
                        "coeff": {"num": [[str(v), a, b] for (a, b), v
                                          in c.sorted_terms()],
-                                 "den": [["1", 0, 0]]}}
+                                 "den": _DEN_ONE}}
                       for e, c in _xpoly(N, f).sorted_terms()]}
 
 

@@ -6,12 +6,12 @@ the exact quotient it is defined as; the operators telescope it term by
 term in their own kernel (hecke._step).
 
 A monomial point x_i -> q^(a_i) t^(b_i) is the tuple of its (a_i, b_i)
-pairs.  Specialization at one sums no fractions: each term's numerator
-is brought over the lcm of f's few distinct coefficient denominators
-once, the terms are added as integers, and the sum is reduced once.
-The integer numerators (``_numerators_at``) also serve the Pieri
-operator identity and the evaluation symmetry, which compare them
-without forming a Q(q,t) value.
+pairs.  Specialization at one sums no fractions: f's integral form
+c F / den, den the lcm of f's few distinct coefficient denominators and
+F over Z[q,t] (``_integral_form``), is added up at the point as
+integers (``_laurent_at``) and reduced once.  The Pieri operator
+identity and the evaluation symmetry share both halves and form no
+Q(q,t) value.
 """
 
 from __future__ import annotations
@@ -258,39 +258,39 @@ def divided_difference(f: XPolynomial, i: int) -> XPolynomial:
                      - XPolynomial.variable(i + 1, f.nvars))
 
 
-def _numerators_at(f: XPolynomial, points):
-    """(c, den, nums): f at the i-th point, a tuple of coordinates
-    (a_j, b_j) for x_j -> q^(a_j) t^(b_j), is c * nums[i] / den.
-
-    c is 1 over the lcm of the rational contents of f's coefficients,
-    den the lcm of their denominators (a QTPoly) and each num an integer
-    Laurent term dict {(q-exponent, t-exponent): int}.  The lcm costs
-    one ``poly_gcd`` per distinct denominator after the first and none
-    per point or term; every term's numerator is brought over den once.
-    """
+def _integral_form(f: XPolynomial):
+    """(c, den, F): f = c F / den, with c 1 over the lcm of the rational
+    contents of f's coefficients, den the lcm of their denominators (a
+    QTPoly) and F a Z[q,t] term dict {x-exponent: QTPoly}.  The lcm
+    costs one ``poly_gcd`` per distinct denominator after the first;
+    every coefficient is brought over den once."""
     coeffs = f.terms.values()
     den = _poly_lcm(dict.fromkeys(s.den for s in coeffs))
     lcd = _ilcm(*(s.c.denominator for s in coeffs))
     cofactors = {}
-    rows = []
+    F = {}
     for e, s in f.terms.items():
         cof = cofactors.get(s.den)
         if cof is None:
             cof = cofactors[s.den] = den.exact_div(s.den)
-        rows.append((e, (s.num * cof).terms,
-                     s.c.numerator * (lcd // s.c.denominator)))
-    nums = []
-    for coords in points:
-        out = {}
-        for e, terms, k in rows:
-            da = db = 0
-            for n, (a, b) in zip(e, coords):
-                if n:
-                    da += n * a
-                    db += n * b
-            _add_product(out, {(da, db): k}, terms)
-        nums.append(out)
-    return Fraction(1, lcd), den, nums
+        F[e] = (s.num * cof).mul_term(0, 0, s.c.numerator *
+                                      (lcd // s.c.denominator))
+    return Fraction(1, lcd), den, F
+
+
+def _laurent_at(F, point):
+    """The integer Laurent term dict {(q-exponent, t-exponent): int} of
+    the Z[q,t] term dict F at the point, a tuple of coordinates (a_j,
+    b_j) for x_j -> q^(a_j) t^(b_j)."""
+    out = {}
+    for e, p in F.items():
+        da = db = 0
+        for n, (a, b) in zip(e, point):
+            if n:
+                da += n * a
+                db += n * b
+        _add_product(out, {(da, db): 1}, p.terms)
+    return out
 
 
 def specialize(f: XPolynomial, point) -> QTScalar:
@@ -299,8 +299,8 @@ def specialize(f: XPolynomial, point) -> QTScalar:
     common denominator and reduced once."""
     if len(point) != f.nvars:
         raise ValueError("evaluation point length does not match nvars")
-    c, den, (num,) = _numerators_at(f, (point,))
-    return _laurent_scalar(c, num, den.terms)
+    c, den, F = _integral_form(f)
+    return _laurent_scalar(c, _laurent_at(F, point), den.terms)
 
 
 def elementary_symmetric(r: int, interval, nvars: int) -> XPolynomial:

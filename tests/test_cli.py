@@ -1247,6 +1247,8 @@ _OVER = {
     ("P", "--spart"): st.one_of(_HUGE.map("{};".format),
                                 _HUGE.map(";{}".format)),
     ("P", "--N"): _WIDE.map(str),
+    ("eval", "--N"): _WIDE.map(str),
+    ("pieri", "--N"): _WIDE.map(str),
 }
 
 
@@ -1323,13 +1325,30 @@ class TestLimits:
          "--N 51 is over the limit of 50 on (degree + 1) * N"),
         (["P", "--spart", "1;", "--N", "10" + "0" * 20], "--N 1" + "0" * 21
          + " is over the limit of 50 on (degree + 1) * N"),
+        (["eval", "--spart", "1;", "--N", "10" + "0" * 11], "--N 1" + "0" * 12
+         + " is over the limit of 50 on (degree + 1) * N"),
+        (["pieri", "--spart", "1;", "--N", "10" + "0" * 11, "--r", "1"],
+         "--N 1" + "0" * 12 + " is over the limit of 50 on (degree + 1) * N"),
+        (["eval", "--spart", "30;", "--N", "2", "--route", "substitution"],
+         "--spart asks for degree 30 in 2 variables, over the limit of 50 on "
+         "(degree + 1) * N"),
+        (["eval", "--spart", "10;", "--N", "5", "--route", "both"],
+         "--spart asks for degree 10 in 5 variables, over the limit of 50 on "
+         "(degree + 1) * N"),
+        (["pieri", "--spart", "24;", "--N", "2", "--r", "1", "--check"],
+         "--check asks for degree 25 in 2 variables, over the limit of 50 on "
+         "(degree + 1) * N"),
     ], ids=["degree", "variables", "one-variable", "huge-part", "P-degree",
-            "P-variables", "huge-N"])
+            "P-variables", "huge-N", "eval-huge-N", "pieri-huge-N",
+            "eval-substitution-degree", "eval-both-degree",
+            "pieri-check-degree"])
     def test_over_a_limit_is_refused_up_front(self, capsys, monkeypatch,
                                               tmp_path, argv, message):
         # one error line naming the input and the limit, exit 2, no
-        # output, nothing appended, and neither E nor P begun
-        for name in ("nonsym_E", "bisym_P"):
+        # output, nothing appended, and no E, P, evaluation or expansion
+        # begun
+        for name in ("nonsym_E", "bisym_P", "eval_formula", "evaluate",
+                     "pieri_expand", "pieri_bruteforce"):
             monkeypatch.setattr(cli, name, _no_work)
         path = tmp_path / "c.jsonl"
         path.write_bytes(b"")

@@ -5,21 +5,23 @@ from itertools import combinations
 
 import pytest
 
+from bimac import hecke
 from bimac import pieri as pierimod
 from bimac import qt as qtmod
 from bimac.errors import ConsistencyError, DegenerateEvaluationError
 from bimac.evalsym import _eval_factors, eval_formula
-from bimac.pieri import (_OP_SEED, SigmaSets, _C_factors, _D_factors,
+from bimac.pieri import (_OP_SEED, SigmaSets, _C_into, _D_into,
                          _coset_reps, _delta_t_factors, _generic_point,
-                         _rhs_at, coeff_C, coeff_D, expansions_equal,
-                         op_identity_check, pieri_bruteforce, pieri_expand,
-                         phi_at)
-from bimac.qt import (QTScalar, _Factored, _add_product, _laurent_scalar,
-                      qt_monomial)
+                         _interval, _left_side, _product, _rhs_at, coeff_C,
+                         coeff_D, expansions_equal, op_identity_check,
+                         pieri_bruteforce, pieri_expand, phi_at)
+from bimac.qt import (QTPoly, QTScalar, _Factored, _add_product,
+                      _laurent_scalar, qt_monomial)
 from bimac.sparts import (SuperPartition, enumerate_strips, eval_point,
                           format_spart, parse_spart, perm_inverse,
                           superpartitions)
-from bimac.xpoly import XPolynomial, elementary_symmetric
+from bimac.xpoly import (XPolynomial, _integral_form, _laurent_at,
+                         elementary_symmetric, specialize, vandermonde)
 
 ONE = QTScalar.one()
 Q = qt_monomial(1, 0)
@@ -123,13 +125,13 @@ class TestCoefficients:
             sigma = cert.sigma
             # right-multiply by the transposition of the first block
             swapped = (sigma[1], sigma[0]) + sigma[2:]
-            again = _C_factors(lam.m, cert.r, cert.J, cert.L, swapped,
-                               point).expand()
+            again = _product(_C_into, lam.m, cert.r, cert.J, cert.L,
+                             swapped, point).expand()
             assert base == again
             # and by a transposition inside the second block
             swapped2 = sigma[:2] + (sigma[3], sigma[2]) + sigma[4:]
-            assert base == _C_factors(lam.m, cert.r, cert.J, cert.L,
-                                      swapped2, point).expand()
+            assert base == _product(_C_into, lam.m, cert.r, cert.J, cert.L,
+                                    swapped2, point).expand()
 
     def test_coeff_D(self):
         # pieri_expand's lower coefficient is coeff_D times the
@@ -237,6 +239,7 @@ class TestExpansionEngine:
 # each entry point of a Pieri expansion, called with the variant given
 E1_BLOCKS = elementary_symmetric(1, (1, 2), 4) * \
     elementary_symmetric(1, (3, 4), 4)
+ONE_PLUS_Q = QTPoly({(0, 0): 1, (1, 0): 1})
 ENTRY_POINTS = {
     "pieri_expand": lambda variant: pieri_expand(
         SuperPartition((1, 0), (), 4), 1, variant),
@@ -308,7 +311,8 @@ class TestVanishing:
                     except ValueError:
                         omg = None
                         ok = False
-                    val = _C_factors(m, r, Jset, L, sigma_adj, point).expand()
+                    val = _product(_C_into, m, r, Jset, L, sigma_adj,
+                                   point).expand()
                     if not ok:
                         assert val.is_zero(), (J, sigma)
                     elif not val.is_zero():
@@ -338,7 +342,7 @@ class TestDegenerateEvaluation:
     ])
     def test_C_raises(self, coords, where):
         with pytest.raises(DegenerateEvaluationError, match=where):
-            _C_factors(*self.C_ARGS, coords).expand()
+            _product(_C_into, *self.C_ARGS, coords).expand()
 
     @pytest.mark.parametrize("coords, where", [
         # J x [m+1, N] outer product: X_1 = X_4
@@ -348,39 +352,39 @@ class TestDegenerateEvaluation:
     ])
     def test_D_raises(self, coords, where):
         with pytest.raises(DegenerateEvaluationError, match=where):
-            _D_factors(*self.D_ARGS, coords).expand()
+            _product(_D_into, *self.D_ARGS, coords).expand()
 
     def test_C_vanishing_block_factor_comes_first(self):
         # t X_1 = X_2 empties the block product, so the inner pair with
         # q X_3 = X_1 is never divided by
         point = ((6, 0), (6, 1), (5, 0), (9, 9))
-        assert _C_factors(*self.C_ARGS, point).expand().is_zero()
+        assert _product(_C_into, *self.C_ARGS, point).expand().is_zero()
 
-    @pytest.mark.parametrize("factors, args, coords, where", [
+    @pytest.mark.parametrize("into, args, coords, where", [
         # t X_1 = X_2 empties the block product; J x L still checks
         # X_3 = X_4
-        ("_C_factors", C_ARGS, ((6, 0), (6, 1), (5, 0), (5, 0)),
+        ("_C_into", C_ARGS, ((6, 0), (6, 1), (5, 0), (5, 0)),
          "X_3 - X_4"),
         # t X_1 = X_2 empties the block product; J x [m+1, N] still
         # checks X_1 = X_3
-        ("_D_factors", D_ARGS, ((0, 0), (0, 1), (0, 0), (9, 9)),
+        ("_D_into", D_ARGS, ((0, 0), (0, 1), (0, 0), (9, 9)),
          "X_1 - X_3"),
         # D checks Phi before its inner product, whose numerator
         # t q X_3 - X_1 vanishes here
-        ("_D_factors", (2, 1, frozenset({3}), (1, 3, 2, 4)),
+        ("_D_into", (2, 1, frozenset({3}), (1, 3, 2, 4)),
          ((6, 1), (5, 0), (5, 0), (9, 9)), "X_2 - X_3 in Phi"),
     ], ids=["C-outer", "D-outer", "D-Phi-before-inner"])
-    def test_checked_after_a_vanishing_product(self, factors, args, coords,
+    def test_checked_after_a_vanishing_product(self, into, args, coords,
                                                where):
         with pytest.raises(DegenerateEvaluationError, match=where):
-            getattr(pierimod, factors)(*args, coords)
+            _product(getattr(pierimod, into), *args, coords)
 
     @pytest.mark.parametrize("x4", [(9, 9), (0, 0)])
     def test_D_vanishing_outer_factor_comes_first(self, x4):
         # t X_1 = X_3 empties the outer product before its pair (1, 4)
         # (X_1 = X_4 when x4 = (0, 0)) and the inner pair q X_1 = X_2
         point = ((0, 0), (1, 0), (0, 1), x4)
-        assert _D_factors(*self.D_ARGS, point).expand().is_zero()
+        assert _product(_D_into, *self.D_ARGS, point).expand().is_zero()
 
 
 def pieri_sweep(N=5, max_deg=4):
@@ -486,29 +490,41 @@ class TestOperatorIdentity:
         assert op_identity_check(2, 2, g, "lower")
         assert op_identity_check(1, 1, XPolynomial.zero(3), "lower")
 
+    @pytest.mark.parametrize("variant", ["upper", "lower"])
+    def test_above_the_width_both_sides_vanish(self, variant):
+        # e_3 of two operators is 0, as the expansion engines read e_r
+        # above the interval's width
+        assert op_identity_check(2, 3, E1_BLOCKS, variant) is True
+
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):
             op_identity_check(1, 1, XPolynomial.variable(2, 3), "upper")
 
-    @pytest.mark.parametrize("variant, name", [("upper", "_C_factors"),
-                                               ("lower", "_D_factors")])
+    @pytest.mark.parametrize("variant, name", [("upper", "_C_into"),
+                                               ("lower", "_D_into")])
     def test_wrong_coefficients_fail(self, monkeypatch, variant, name):
         # every coefficient times t: the right side no longer matches
         real = getattr(pierimod, name)
-        monkeypatch.setattr(pierimod, name, lambda *args: _Factored.prod(
-            (real(*args), _Factored.monomial(0, 1))))
+
+        def into(num, den, *args):
+            num.append(_Factored.monomial(0, 1))
+            return real(num, den, *args)
+        monkeypatch.setattr(pierimod, name, into)
         assert op_identity_check(2, 1, E1_BLOCKS, variant) is False
 
-    @pytest.mark.parametrize("variant, name", [("upper", "_C_factors"),
-                                               ("lower", "_D_factors")])
+    @pytest.mark.parametrize("variant, name", [("upper", "_C_into"),
+                                               ("lower", "_D_into")])
     def test_right_side_off_the_laurent_ring_fails(self, monkeypatch,
                                                    variant, name):
-        # every coefficient over 1 - q t: at this point the sum over D
-        # is no Laurent polynomial, and the check drawing only this
+        # every coefficient over 1 - q t: D carries that factor once
+        # more than the sum needs, and the check drawing only this
         # point fails
         real = getattr(pierimod, name)
-        monkeypatch.setattr(pierimod, name, lambda *args: _Factored.prod(
-            (real(*args),), (_Factored.binomial(0, 0, 1, 1),)))
+
+        def into(num, den, *args):
+            den.append(_Factored.binomial(0, 0, 1, 1))
+            return real(num, den, *args)
+        monkeypatch.setattr(pierimod, name, into)
         point = _generic_point(4, _OP_SEED + 1)
         monkeypatch.setattr(pierimod, "_generic_point", lambda N, seed: point)
         assert op_identity_check(2, 1, E1_BLOCKS, variant) is False
@@ -516,25 +532,21 @@ class TestOperatorIdentity:
     @pytest.mark.parametrize("variant", ["upper", "lower"])
     def test_wrong_left_side_fails(self, monkeypatch, variant):
         # e_r(Y) times 1 + q: the left side no longer matches
-        from bimac import hecke
-        real = hecke.apply_e_of_Y
-        monkeypatch.setattr(hecke, "apply_e_of_Y", lambda *args: real(
-            *args).scale(QTScalar.one() + qt_monomial(1, 0)))
+        real = hecke._e_of_Y
+        monkeypatch.setattr(hecke, "_e_of_Y", lambda *args: {
+            e: c * ONE_PLUS_Q for e, c in real(*args).items()})
         assert op_identity_check(2, 1, E1_BLOCKS, variant) is False
 
     @pytest.mark.parametrize("variant", ["upper", "lower"])
-    @pytest.mark.parametrize("f_by, lhs_by", [(1, Fraction(1, 3)),
-                                              (Fraction(1, 3), 3)])
-    def test_left_side_off_by_its_content_fails(self, monkeypatch, variant,
-                                                f_by, lhs_by):
-        # f times f_by and e_r(Y) times lhs_by: the left side keeps its
-        # integer numerators and only its rational content differs, so
-        # the check fails only through the content ratio c / content,
-        # here 1/3 and then 3
-        from bimac import hecke
-        real = hecke.apply_e_of_Y
-        monkeypatch.setattr(hecke, "apply_e_of_Y", lambda *args: real(
-            *args).scale(QTScalar.from_fraction(Fraction(lhs_by))))
+    @pytest.mark.parametrize("f_by", [1, Fraction(1, 3)])
+    def test_left_side_off_by_a_constant_fails(self, monkeypatch, variant,
+                                               f_by):
+        # e_r(Y) times 3, on f and on f / 3, whose integral form is the
+        # same: the two sides are compared as they stand, not up to a
+        # constant
+        real = hecke._e_of_Y
+        monkeypatch.setattr(hecke, "_e_of_Y", lambda *args: {
+            e: c.mul_term(0, 0, 3) for e, c in real(*args).items()})
         f = E1_BLOCKS.scale(QTScalar.from_fraction(Fraction(f_by)))
         assert op_identity_check(2, 1, f, variant) is False
 
@@ -575,9 +587,9 @@ def _rhs_per_coefficient(m, r, f, variant, point):
         L = frozenset(range(m + 1, N + 1)) - Jset
         for sigma in _coset_reps(m, N, frozenset(range(1, N + 1)) - L):
             if variant == "upper":
-                c = _C_factors(m, r, Jset, L, sigma, point).expand()
+                c = _product(_C_into, m, r, Jset, L, sigma, point).expand()
             elif Jset <= set(sigma[:m]):
-                c = _D_factors(m, r, Jset, sigma, point).expand()
+                c = _product(_D_into, m, r, Jset, sigma, point).expand()
             else:
                 continue
             coords = [(point[s - 1][0] + (s in Jset), point[s - 1][1])
@@ -598,11 +610,15 @@ RHS_CASES = [(N, m, r, variant) for N in (3, 4) for m in range(1, N)
 
 
 def _rhs_value(m, r, f, variant, point):
-    """The value content * total / (D * den) of ``_rhs_at``'s
-    certificate, reduced to a QTScalar."""
-    content, den, total, D = _rhs_at(m, r, f, variant, point)
-    return _laurent_scalar(content, total,
-                           _add_product({}, D.laurent(), den.terms))
+    """The value c total / (D den) of ``_rhs_at``'s certificate on f's
+    integral form c F / den, reduced to a QTScalar."""
+    c, den, F = _integral_form(f)
+    total, D = _rhs_at(m, r, F, variant, point)
+    return _laurent_scalar(c, total, _add_product({}, D.laurent(), den.terms))
+
+
+def _raise(*args):
+    raise AssertionError("poly_gcd was called")
 
 
 class TestRhsCommonDenominator:
@@ -636,41 +652,71 @@ class TestRhsCommonDenominator:
                  XPolynomial.variable(2, N).scale(T))]
 
     def test_gcd_calls_do_not_grow_with_terms(self, monkeypatch):
-        # at most one poly_gcd per distinct denominator of f after the
-        # first, the lcm, at N = 4 as at N = 3, however many (J, sigma)
-        # terms the sum has; both certificates are checked against the
-        # reference at N = 3, where that route is quick
+        # the right side makes no poly_gcd call on f's integral form
+        # however many (J, sigma) terms its sum has, and the whole check
+        # at most one per distinct denominator of f after the first, the
+        # lcm, formed once, though its first point is degenerate and
+        # replaced; both certificates are checked against the reference
+        # at N = 3, where that route is quick
         real = qtmod.poly_gcd
         for N, m, r, variant in RHS_CASES:
             point = _generic_point(N, _OP_SEED + 1)
             for k, f in self._rational_inputs(N, m):
-                calls = []
-                monkeypatch.setattr(qtmod, "poly_gcd",
-                                    lambda f, g: calls.append(1) or real(f, g))
-                _rhs_at(m, r, f, variant, point)
-                assert len(calls) <= k - 1, (N, m, r, variant, k)
+                F = _integral_form(f)[2]
+                monkeypatch.setattr(qtmod, "poly_gcd", _raise)
+                _rhs_at(m, r, F, variant, point)
                 monkeypatch.setattr(qtmod, "poly_gcd", real)
                 if N == 3:
                     assert _rhs_value(m, r, f, variant, point) == \
                         _rhs_per_coefficient(m, r, f, variant, point)
+            (k, f), _ = self._rational_inputs(N, m)
+            calls, seeds = [], []
+
+            def degenerate_first(N, seed):
+                seeds.append(seed)
+                coords = _generic_point(N, seed)
+                return coords if len(seeds) > 1 else (coords[0],) * N
+            monkeypatch.setattr(qtmod, "poly_gcd",
+                                lambda f, g: calls.append(1) or real(f, g))
+            monkeypatch.setattr(pierimod, "_generic_point", degenerate_first)
+            assert op_identity_check(m, r, f, variant) is True
+            monkeypatch.undo()
+            assert len(seeds) == pierimod._OP_POINTS + 1
+            assert len(calls) <= k - 1, (N, m, r, variant, k)
 
     @pytest.mark.parametrize("N, m, r, variant", RHS_CASES)
     def test_identity_holds_on_rational_input(self, N, m, r, variant):
         # f has rational content 1/3 and denominators that are no
-        # monomial, so dropping den, D or den_L from the
-        # cross-multiplication makes the check fail; the content ratio
-        # is 1 here, as on every input tried, and
-        # test_left_side_off_by_its_content_fails covers it
+        # monomial; both sides are taken on its integral form, and the
+        # content and common denominator cancel
         (_, f), _ = self._rational_inputs(N, m)
         assert op_identity_check(m, r, f, variant) is True
 
     def test_integral_input_makes_no_gcd_call(self, monkeypatch):
-        monkeypatch.setattr(qtmod, "poly_gcd", None)
-        f = elementary_symmetric(1, (1, 2), 4) * \
-            elementary_symmetric(1, (3, 4), 4)
-        for k in (1, 2, 3):
-            for variant in ("upper", "lower"):
-                _rhs_at(2, 2, f, variant, _generic_point(4, _OP_SEED + k))
+        monkeypatch.setattr(qtmod, "poly_gcd", _raise)
+        for N, m, r, variant in RHS_CASES:
+            f = elementary_symmetric(1, (1, m), N) * \
+                elementary_symmetric(1, (m + 1, N), N)
+            assert op_identity_check(m, r, f, variant) is True
+
+    @pytest.mark.parametrize("N, m, r, variant", RHS_CASES)
+    def test_left_side_matches_the_rational_route(self, N, m, r, variant):
+        # G = t^(r(N-1)) e_r(Y) Delta_m^t F on Z[q,t], F f's integral form
+        # c F / den, against apply_e_of_Y on the Q(q,t) product, both at
+        # each drawn point
+        interval = _interval(r, variant, m, N)
+        delta_t = vandermonde("t_deformed", range(1, m + 1), N)
+        for _, f in self._rational_inputs(N, m):
+            for g in (f, f.scale(ONE + Q)):
+                c, den, F = _integral_form(g)
+                G = _left_side(m, r, interval, F)
+                # g = c F / den, and G carries t^(r(N-1))
+                den_t = _add_product({}, den.terms, {(0, r * (N - 1)): 1})
+                want = hecke.apply_e_of_Y(r, interval, delta_t * g)
+                for k in range(1, pierimod._OP_POINTS + 1):
+                    point = _generic_point(N, _OP_SEED + k)
+                    assert _laurent_scalar(c, _laurent_at(G, point),
+                                           den_t) == specialize(want, point)
 
 
 class TestClassicalLimit:
@@ -723,7 +769,8 @@ class TestVanishingLower:
                             omg, perm_compose(w, sigma_adj))
                     except ValueError:
                         omg, ok = None, False
-                    val = _D_factors(m, r, Jset, sigma_adj, point).expand()
+                    val = _product(_D_into, m, r, Jset, sigma_adj,
+                                   point).expand()
                     if not ok:
                         assert val.is_zero(), (J, sigma)
                     elif not val.is_zero():
