@@ -20,12 +20,12 @@ import sys
 
 from . import cache as cachemod
 from .errors import CacheRecordError, ConsistencyError
-from .evalsym import eval_formula, evaluate
+from .evalsym import _P_at, eval_formula
 from .macdonald import _K_UNCHECKED, bisym_P, nonsym_E
 from .pieri import expansions_equal, pieri_bruteforce, pieri_expand
 from .qt import format_scalar
 from .render import format_xpoly, xpoly_to_json, diagram_latex
-from .sparts import lambda_naught, format_spart, parse_spart
+from .sparts import eval_point, lambda_naught, format_spart, parse_spart
 from .verify import SUITES, run_suite
 
 
@@ -37,6 +37,11 @@ class _UsageError(Exception):
 # variables, and the largest degree in one, where E_(d) = x^d is d cheap
 # steps; the slowest cold request within them took 55 s on 2 vCPUs
 _MAX_SIZE, _MAX_DEGREE_1 = 50, 10000
+# the largest size of an eval --route formula request in N >= 2
+# variables, which builds no P: its closed product expanded in at most
+# about 2 s on 2 vCPUs at the limit ("74;" at N = 2), and past it the
+# time grows as about the fifth power of the degree
+_MAX_FORMULA_SIZE = 150
 
 
 def _at_least(flag, value, least):
@@ -44,16 +49,17 @@ def _at_least(flag, value, least):
         raise _UsageError(f"--{flag} {value} must be at least {least}")
 
 
-def _bounded(flag, degree, N):
-    """Refuse, before any work, a request that builds an E or P of this
-    degree in N variables over its limit."""
+def _bounded(flag, degree, N, limit=_MAX_SIZE):
+    """Refuse, before any work, a request of this degree in N variables
+    over its limit: limit on (degree + 1) * N for N >= 2, the size of an
+    E or P unless the caller states another."""
     if N == 1 and degree > _MAX_DEGREE_1:
         raise _UsageError(f"--{flag} asks for degree {degree} in 1 variable, "
                           f"over the limit of {_MAX_DEGREE_1}")
-    if N > 1 and (degree + 1) * N > _MAX_SIZE:
+    if N > 1 and (degree + 1) * N > limit:
         raise _UsageError(
             f"--{flag} asks for degree {degree} in {N} variables, over the "
-            f"limit of {_MAX_SIZE} on (degree + 1) * N")
+            f"limit of {limit} on (degree + 1) * N")
 
 
 def _parse_eta(text):
@@ -119,13 +125,13 @@ def cmd_P(args):
 
 def cmd_eval(args):
     lam = _parse_spart(args)
-    if args.route != "formula":
-        _bounded("spart", lam.degree(), lam.N)
+    _bounded("spart", lam.degree(), lam.N,
+             _MAX_FORMULA_SIZE if args.route == "formula" else _MAX_SIZE)
     formula = eval_formula(lam, args.sign)
     if args.route == "formula":
         print(format_scalar(formula))
         return 0
-    subst = evaluate(lambda_naught(lam.m, lam.N), args.sign, bisym_P(lam).poly)
+    subst = _P_at(lam, eval_point(lambda_naught(lam.m, lam.N), args.sign))
     if args.route == "substitution":
         print(format_scalar(subst))
         return 0

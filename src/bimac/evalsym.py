@@ -10,8 +10,11 @@ expansion meets each Omega once and gains nothing.  A memoized value
 is shared, so no caller changes it in place.
 
 The evaluation symmetry cross-multiplies the integer values of the
-two P's integral forms, so it forms no Q(q,t) value and keeps no
-staircase norm.
+two P's integral forms Q, which bisym_P keeps, so it forms no Q(q,t)
+value, computes no common denominator and keeps no staircase norm.
+P's value at a point by substitution (``_P_at``, for verify and the
+CLI's substitution route) is Q's integer value there over the factored
+c, with no gcd either.
 """
 
 from __future__ import annotations
@@ -19,11 +22,11 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .errors import DegenerateEvaluationError
-from .macdonald import bisym_P
+from .macdonald import _divide_out, _over, bisym_P
 from .qt import QTScalar, _Factored, _add_product
 from .sparts import (SuperPartition, conjugate_partition, eval_point,
                      hook_data, lambda_naught)
-from .xpoly import XPolynomial, _integral_form, _laurent_at, specialize
+from .xpoly import XPolynomial, _laurent_at, specialize
 
 
 def _one_minus(a, b) -> _Factored:
@@ -34,6 +37,17 @@ def _one_minus(a, b) -> _Factored:
 def evaluate(lam: SuperPartition, sign: str, f: XPolynomial) -> QTScalar:
     """f at the positive or negative evaluation point of Lambda."""
     return specialize(f, eval_point(lam, sign))
+
+
+def _P_at(lam: SuperPartition, point) -> QTScalar:
+    """P_Lambda at the point by substitution: the integer value there of
+    its integral form Q, P = Q / c, divided by c (macdonald._over), with
+    no gcd."""
+    P = bisym_P(lam)
+    value = _laurent_at(P.Q, point)
+    if not value:
+        return QTScalar.zero()
+    return _over([_divide_out(value, P.c.phi)], P.c)[0]
 
 
 @lru_cache(maxsize=4096)
@@ -81,14 +95,14 @@ def symmetry_check(lam: SuperPartition, omg: SuperPartition, sign: str) -> bool:
     normalized polynomials, checked exactly.
 
     Each P is evaluated at the other's point and at the staircase on
-    its integral form c F / den (``_integral_form``), whose c and den
-    cancel in the ratio: with a, a0 P_Lambda's two integer values and
-    b, b0 P_Omega's, the identity a/a0 = b/b0 is a b0 = b a0 in integer
-    Laurent polynomials."""
+    its integral form Q, P = Q / c, whose c cancels in the ratio: with
+    a, a0 Q_Lambda's two integer values and b, b0 Q_Omega's, the
+    identity a/a0 = b/b0 is a b0 = b a0 in integer Laurent
+    polynomials."""
     if lam.m != omg.m or lam.N != omg.N:
         raise ValueError("superpartitions must share m and N")
     nought = eval_point(lambda_naught(lam.m, lam.N), sign)
-    F, G = (_integral_form(bisym_P(sp).poly)[2] for sp in (lam, omg))
+    F, G = bisym_P(lam).Q, bisym_P(omg).Q
     a, a0 = _laurent_at(F, eval_point(omg, sign)), _laurent_at(F, nought)
     b, b0 = _laurent_at(G, eval_point(lam, sign)), _laurent_at(G, nought)
     if not a0 or not b0:

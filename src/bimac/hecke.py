@@ -202,8 +202,30 @@ def _pack(f, growth, tdeg_extra):
     norm = sum(sum(map(abs, c.terms.values())) for c in f.values())
     w = (growth * norm).bit_length() + 1
     B = max(b for c in f.values() for _, b in c.terms) + tdeg_extra + 1
-    return w, B, {e: sum(v << w * (B * a + b) for (a, b), v in c.terms.items())
-                  for e, c in f.items()}
+    return w, B, {e: _packed(c.terms, w, B) for e, c in f.items()}
+
+
+# a term dict of at most this many terms is packed as one sum: each
+# addition copies the int built so far, a bounded number of times
+_PACK_RUN = 32
+
+
+def _packed(terms, w, B):
+    """The int sum of v << w (B a + b) over the terms {(a, b): v} of a
+    nonzero QTPoly, in time linear in its size: above _PACK_RUN terms,
+    adjacent terms in shift order are summed in pairs, then adjacent
+    pairs, so each level copies the int's bits once."""
+    if len(terms) <= _PACK_RUN:
+        return sum(v << w * (B * a + b) for (a, b), v in terms.items())
+    items = sorted((B * a + b, v) for (a, b), v in terms.items())
+    while len(items) > 1:
+        pairs = [(k, v + (u << w * (j - k)))
+                 for (k, v), (j, u) in zip(items[::2], items[1::2])]
+        if len(items) % 2:
+            pairs.append(items[-1])
+        items = pairs
+    k, v = items[0]
+    return v << w * k
 
 
 def _shifts(w, B):

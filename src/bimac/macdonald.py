@@ -21,23 +21,31 @@ Z[q,t] term dicts, a shift on the packed integers.
 The monic E is formed only where E itself is asked for, over the Phi
 factors of K(x^eta), a divisor of d_eta up to +-q^a t^b, with no gcd,
 and is not kept: the process holds each checked K, and so does the
-cache file.
+cache file.  P is kept as Q / c, Q its unpacked integral form and c =
+Q(x^dominant) factored over d_eta and the divisors of
+c_lambda_corrected, a factored form that _lead_factors certifies; E's
+and P's coefficients are divided by their factored leads by the one
+routine _over, with no gcd.  The P-basis peel runs on integral
+numerators at the orbit representatives of S_m x S_(N-m), over one
+factored denominator, with no gcd either.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import factorial
+from operator import ge
 
 from .errors import CacheRecordError, ConsistencyError, DivisibilityError
-from .qt import (QTPoly, QTScalar, _brackets, _coprime, _cyclotomic_at,
-                 _Factored, _phi_div, _poly)
+from .qt import (QTPoly, QTScalar, _add_product, _brackets, _coprime,
+                 _cyclotomic_at, _Factored, _phi_div, _poly)
 from .render import terms_from_json
-from .sparts import (SuperPartition, format_spart, row_of_circle,
+from .sparts import (SuperPartition, format_spart,
                      sorting_permutation, superpartitions)
-from .xpoly import XPolynomial
+from .xpoly import XPolynomial, _integral_form
 from . import hecke
 
 _P_CACHE: dict = {}
@@ -56,9 +64,14 @@ class EBasisElement:
 
 @dataclass(frozen=True)
 class PBasisElement:
+    """P_Lambda, its constant c_lam, and P = Q / c: Q its integral form,
+    a Z[q,t] term dict {x-exponent: QTPoly}, and c = Q[x^dominant],
+    factored and certified."""
     lam: SuperPartition
     poly: XPolynomial
     c_lam: QTScalar
+    Q: dict = field(compare=False)
+    c: _Factored = field(compare=False)
 
 
 def clear_caches():
@@ -94,16 +107,29 @@ def _perm_bruhat_leq(u, v):
     return True
 
 
+def _bruhat_below(eta):
+    """The predicate nu -> nu strictly below eta in the Bruhat order on
+    compositions, False unless nu, like eta, is a composition of |eta|
+    with N parts; eta's sorted parts and sorting permutation are
+    computed once, for a loop over many nu."""
+    N, size = len(eta), sum(eta)
+    etap = tuple(sorted(eta, reverse=True))
+    w_eta = sorting_permutation(eta)
+
+    def below(nu):
+        if nu == eta or len(nu) != N or min(nu) < 0 or sum(nu) != size:
+            return False
+        nup = tuple(sorted(nu, reverse=True))
+        if nup != etap:
+            return _dominates(etap, nup)
+        return _perm_bruhat_leq(w_eta, sorting_permutation(nu))
+    return below
+
+
 def _bruhat_less(nu, eta):
     """nu strictly below eta in the Bruhat order on compositions; False
     unless nu, like eta, is a composition of |eta| with N parts."""
-    if nu == eta or len(nu) != len(eta) or min(nu) < 0 or sum(nu) != sum(eta):
-        return False
-    nup = tuple(sorted(nu, reverse=True))
-    etap = tuple(sorted(eta, reverse=True))
-    if nup != etap:
-        return _dominates(etap, nup)
-    return _perm_bruhat_leq(sorting_permutation(eta), sorting_permutation(nu))
+    return _bruhat_below(eta)(nu)
 
 
 # ---------------------------------------------------------------------------
@@ -149,9 +175,10 @@ def _raise(eta):
     K = {(0,) * N: QTPoly.one()}  # x-exponent -> QTPoly
     mul = QTPoly.mul_term
     for eta, nu, i in reversed(steps):
+        rows = sorting_permutation(nu)  # the row of each circle of nu
         if i:
             A = nu[i]
-            B = row_of_circle(nu, i) - row_of_circle(nu, i + 1)
+            B = rows[i - 1] - rows[i]
             # (1 - t rho) K + (1 - rho) X with X = -X_i K: a term v q^a t^b
             # of a coefficient adds v at (a, b) and -v at (a + A, b + B + 1),
             # or at (a + A, b + B) for X
@@ -188,8 +215,7 @@ def _raise(eta):
             K = {e[:-1] + (e[-1] + 1,): c
                  for e, c in hecke._omega(K, mul).items()}
             # multiply by q^(-nu_1) (1 - q t^N ebar_1(nu))
-            binom = _Factored.binomial(0, 0, nu[0] + 1,
-                                       N + 1 - row_of_circle(nu, 1))
+            binom = _Factored.binomial(0, 0, nu[0] + 1, N + 1 - rows[0])
             sign, a, b = sign * binom.sign, a + binom.a - nu[0], b + binom.b
             for k in binom.phi:
                 phi[k] = phi.get(k, 0) + 1
@@ -228,12 +254,13 @@ def _divide_out(f, phi):
     return f, taken
 
 
-def _lead_factors(lead, d) -> _Factored | None:
-    """The QTPoly lead, K's coefficient at x^eta, factored over the Phi
-    factors of d = d_eta, each to at most its power in d; None unless
-    the cofactor is +-q^a t^b.  The one route by which a built K and a
-    served K are factored."""
-    f, taken = _divide_out(lead.terms, d.phi)
+def _lead_factors(lead, phi) -> _Factored | None:
+    """The QTPoly lead factored over the Phi factors of the exponent
+    dict phi, each to at most its exponent there; None unless the
+    cofactor is +-q^a t^b.  The one route by which a built K, a served K
+    (over d_eta) and P's integral form (over d_eta and c_lambda's
+    divisors) are factored, so each factored form is a certificate."""
+    f, taken = _divide_out(lead.terms, phi)
     if len(f) != 1:
         return None
     ((a, b), c), = f.items()
@@ -243,6 +270,36 @@ def _lead_factors(lead, d) -> _Factored | None:
         _, sa, sb = _cyclotomic_at(*k)
         a, b = a + sa * n, b + sb * n
     return _Factored(c, a, b, {k: n for k, n in taken.items() if n})
+
+
+def _over(divided, lead):
+    """[v / lead] for the pairs (f, taken) = _divide_out(v, lead.phi) of
+    integer Laurent term dicts v, lead = sign q^a t^b prod Phi^e with
+    e > 0: each a canonical QTScalar, with no gcd.  The Phi factors are
+    irreducible and pairwise coprime, and f is v divided by each for as
+    long as that is exact, so what is left of the denominator is coprime
+    to f up to a monomial: qt._coprime makes it canonical.  E's and P's
+    coefficients, and P's values at a point, are formed here once per
+    distinct value."""
+    sign = Fraction(lead.sign)
+    a, b = lead._shift()
+    return [_coprime(sign, f, _excess(lead.phi, taken), -a, -b)
+            for f, taken in divided]
+
+
+def _excess(top, bottom):
+    """The integer term dict of prod p^(top[k] - bottom[k]) over the Phi
+    keys k where the exponent dict top exceeds bottom, p the polynomial
+    of qt._cyclotomic_at.  Shared by every caller, so none changes it."""
+    return _phi_product(frozenset((k, e - bottom.get(k, 0))
+                                  for k, e in top.items()
+                                  if e > bottom.get(k, 0)))
+
+
+@lru_cache(maxsize=4096)
+def _phi_product(phi):
+    """_excess's product for the frozenset phi of (key, exponent) pairs."""
+    return _Factored(1, 0, 0, dict(phi))._sides()[0].terms
 
 
 def _integral_E(eta):
@@ -263,14 +320,14 @@ def _integral_E(eta):
     try:
         if value is None:
             s, K = _raise(eta)
-            got = _lead_factors(K[eta], d) if eta in K else None
+            got = _lead_factors(K[eta], d.phi) if eta in K else None
             want = d / s
             if got is None or (got.sign, got.a, got.b, got.phi) != \
                     (want.sign, want.a, want.b, want.phi):
                 raise ConsistencyError(f"J_{eta} is not d_eta at x^{eta}")
         else:
             K = terms_from_json(value)
-            if _lead_factors(K[eta], d) is None:
+            if _lead_factors(K[eta], d.phi) is None:
                 raise ConsistencyError(
                     f"K's coefficient at x^{eta} is not +-q^a t^b times a "
                     "divisor of d_eta")
@@ -307,34 +364,20 @@ def nonsym_E(eta) -> EBasisElement:
     E itself is K divided by its coefficient at x^eta, formed here on
     each call; it is the same for every nonzero multiple K.  That
     coefficient is +-q^a t^b times Phi factors of d_eta (_lead_factors),
-    irreducible and pairwise coprime, so each coefficient of K is
-    divided by those factors for as long as the division is exact, and
-    what is left of the denominator, expanded once per exponent vector,
-    is coprime to it up to a monomial: qt._coprime makes it canonical
-    with no gcd.  This runs once per distinct coefficient of K, keyed on
-    its value, since neither the recursion nor a cache record shares
-    equal coefficients; equal coefficients of E are one object.
+    so each coefficient of K is divided by it with no gcd (_over, which P
+    shares).  This runs once per distinct coefficient of K, keyed on its
+    value, since neither the recursion nor a cache record shares equal
+    coefficients; equal coefficients of E are one object.
     """
     eta = tuple(int(x) for x in eta)
     if any(x < 0 for x in eta):
         raise ValueError("composition entries must be nonnegative")
     K = _integral_E(eta)
-    lead = _lead_factors(K[eta], _knop_d(eta))
-    full, _, a, b = lead._sides()
-    sign = Fraction(lead.sign)
-    # the leftover denominator by how many times each factor divided
-    dens = {(0,) * len(lead.phi): full.terms}
     # each distinct coefficient of K, by value, to its coefficient of E
-    values = {}
-    for c in dict.fromkeys(K.values()):
-        f, taken = _divide_out(c.terms, lead.phi)
-        key = tuple(taken.values())
-        den = dens.get(key)
-        if den is None:
-            den = dens[key] = _Factored(1, 0, 0, {
-                k: e - taken[k] for k, e in lead.phi.items()
-                if e > taken[k]})._sides()[0].terms
-        values[c] = _coprime(sign, f, den, -a, -b)
+    distinct = list(dict.fromkeys(K.values()))
+    lead = _lead_factors(K[eta], _knop_d(eta).phi)
+    values = dict(zip(distinct, _over(
+        [_divide_out(c.terms, lead.phi) for c in distinct], lead)))
     return EBasisElement(eta=eta, poly=XPolynomial(
         len(eta), {x: values[c] for x, c in K.items()}))
 
@@ -370,16 +413,18 @@ def _check_E(eta, K):
     suite, the independent route, runs all N equations.
     """
     N = len(eta)
+    below = _bruhat_below(eta)
     for nu in K:
-        if nu != eta and not _bruhat_less(nu, eta):
+        if nu != eta and not below(nu):
             raise ConsistencyError(
                 f"E_{eta} has support at {nu}, not Bruhat-below")
     w, B, f = _eigen_pack(K)
     mul = hecke._shifts(w, B)
+    rows = sorting_permutation(eta)  # the row of each circle of eta
     for i, a in enumerate(eta, 1):
         if not a:
             continue
-        b = N - row_of_circle(eta, i)
+        b = N - rows[i - 1]
         if hecke._word(i, f, mul) != {e: mul(c, a, b) for e, c in f.items()}:
             raise ConsistencyError(
                 f"eigenvalue equation Y_{i} E = ebar_{i} E failed for E_{eta}")
@@ -462,13 +507,19 @@ def bisym_P(lam: SuperPartition) -> PBasisElement:
     packed quotients must be equal (and so proportional, with equal
     dominant coefficients); a mismatch raises rather than being
     silently resolved.  Q is unpacked once, to a Z[q,t] term dict, and
-    each coefficient over its dominant coefficient c is P's, in Q(q,t);
-    the scalar multiple of E that K carries and the power of t drop out
-    of P, and c_lam = t^(m(m-1)/2) K(x^eta)/c.  P is symmetric in the
-    first m and in the last N - m variables, so its coefficients repeat
-    along the orbits of its monomials: _unpack gives equal ones one
-    QTPoly, each is reduced over c by the gcd once, and equal
-    coefficients of P are one immutable QTScalar.
+    P = Q / c, c = Q[x^dominant]: the scalar multiple of E that K
+    carries and the power of t drop out of P.  c is factored over the
+    Phi factors of d_eta and the divisors of c_lambda_corrected by
+    _lead_factors, whose +-q^a t^b cofactor certifies the factored form;
+    one that does not factor raises ConsistencyError.  So each
+    coefficient of P is formed by _over, as E's are, and c_lam =
+    t^(m(m-1)/2) K(x^eta)/c is one factored product: no gcd.  P is
+    symmetric in the first m and in the last N - m variables, so its
+    coefficients repeat along the orbits of its monomials: _unpack gives
+    equal ones one QTPoly, each is divided by c once, and equal
+    coefficients of P are one immutable QTScalar.  The element keeps Q
+    and c, which the evaluation symmetry and the P-basis peel read, both
+    divided by the Phi factors of c that divide every coefficient of Q.
     """
     key = (lam.anti, lam.sym, lam.N)
     cached = _P_CACHE.get(key)
@@ -492,13 +543,33 @@ def bisym_P(lam: SuperPartition) -> PBasisElement:
             f"plain and t-deformed constructions disagree for "
             f"{format_spart(lam)}")
     Q = hecke._unpack(Q, w, B)
-    c = Q[lead]
-    # _unpack gives equal coefficients one QTPoly, reduced here once
+    d = _knop_d(eta)
+    phi = dict(d.phi)
+    for k, e in _corrected_factors(lam).phi.items():
+        if e < 0:
+            phi[k] = phi.get(k, 0) - e
+    c = _lead_factors(Q[lead], phi)
+    if c is None:
+        raise ConsistencyError(
+            f"the dominant coefficient of {format_spart(lam)} is not "
+            "+-q^a t^b times Phi factors of d_eta and c_lambda")
+    c_lam = _Factored.prod((_Factored.monomial(0, m * (m - 1) // 2),
+                            _lead_factors(K[eta], d.phi)), (c,))
+    # _unpack gives equal coefficients one QTPoly, divided here once
     distinct = {id(v): v for v in Q.values()}
-    values = {k: QTScalar(v, c) for k, v in distinct.items()}
-    elem = PBasisElement(
-        lam=lam, poly=XPolynomial(N, {e: values[id(v)] for e, v in Q.items()}),
-        c_lam=QTScalar(K[eta].mul_term(0, m * (m - 1) // 2), c))
+    divided = [_divide_out(v.terms, c.phi) for v in distinct.values()]
+    values = dict(zip(distinct, _over(divided, c)))
+    poly = XPolynomial(N, {e: values[id(v)] for e, v in Q.items()})
+    # Q's content over c's factors, divided out of Q and c: smaller
+    # integers for the evaluation symmetry and the peel
+    g = {k: n for k in c.phi if (n := min(t[k] for _, t in divided))}
+    if g:
+        a, b = _Factored(1, 0, 0, g)._shift()
+        c = _Factored.prod((c,), (_Factored(1, -a, -b, g),))
+        for k, (f, taken) in zip(distinct, divided):
+            distinct[k] = _poly(_add_product({}, f, _excess(taken, g)))
+        Q = {e: distinct[id(v)] for e, v in Q.items()}
+    elem = PBasisElement(lam=lam, poly=poly, c_lam=c_lam.expand(), Q=Q, c=c)
     _P_CACHE[key] = elem
     return elem
 
@@ -519,12 +590,8 @@ def c_lambda_formula(lam: SuperPartition) -> QTScalar:
     return _Factored.prod(*_formula_factors(lam)).expand()
 
 
-def c_lambda_corrected(lam: SuperPartition) -> QTScalar:
-    """The normalization constant that bisym_P produces: c_lambda_formula
-    times t^(m(m-1)/2) and, over the pairs i < j <= m of anti parts, the
-    ratio (1 - q^g t^r)/(1 - q^g t^(r-1)) with gap g = a_i - a_j and
-    r = 1 + #{sym parts s : a_j < s <= a_i}
-    + #{anti parts a_k : a_j < a_k < a_i}; one factored product."""
+def _corrected_factors(lam) -> _Factored:
+    """c_lambda_corrected, factored."""
     a, m = lam.anti, lam.m
     num, den = _formula_factors(lam)
     num.append(_Factored.monomial(0, m * (m - 1) // 2))
@@ -535,7 +602,16 @@ def c_lambda_corrected(lam: SuperPartition) -> QTScalar:
                 sum(1 for k in a if a[j] < k < a[i])
             num.append(_Factored.binomial(0, 0, g, r))
             den.append(_Factored.binomial(0, 0, g, r - 1))
-    return _Factored.prod(num, den).expand()
+    return _Factored.prod(num, den)
+
+
+def c_lambda_corrected(lam: SuperPartition) -> QTScalar:
+    """The normalization constant that bisym_P produces: c_lambda_formula
+    times t^(m(m-1)/2) and, over the pairs i < j <= m of anti parts, the
+    ratio (1 - q^g t^r)/(1 - q^g t^(r-1)) with gap g = a_i - a_j and
+    r = 1 + #{sym parts s : a_j < s <= a_i}
+    + #{anti parts a_k : a_j < a_k < a_i}; one factored product."""
+    return _corrected_factors(lam).expand()
 
 
 # ---------------------------------------------------------------------------
@@ -547,37 +623,101 @@ def is_bisymmetric(f: XPolynomial, m: int) -> bool:
                list(range(1, m)) + list(range(m + 1, f.nvars)))
 
 
-def expand_in_P_basis(f: XPolynomial, m: int):
-    """Coefficients c_Omega with f = sum c_Omega P_Omega, sorted by
-    (anti, sym).
+def _is_rep(e, m):
+    """e is its orbit's representative under S_m x S_(N-m): weakly
+    decreasing in its first m and in its last N - m parts."""
+    return all(map(ge, e[:m], e[1:m])) and all(map(ge, e[m:], e[m + 1:]))
 
-    f must be bisymmetric and homogeneous; candidates are all
-    superpartitions of matching degree.  The peel walks them once, in
-    descending (Omega-circled, Omega-star) order, a linear extension of
-    the dominance order in which P is unitriangular: at each candidate
-    it reads the residual's coefficient at the dominant monomial and,
-    where that is nonzero, builds P_Omega and subtracts.  The P's are a
-    basis, so a zero final residual proves every coefficient; a nonzero
-    one (f outside the span, or a P not triangular in this order)
-    raises ConsistencyError.
+
+@lru_cache(maxsize=256)
+def _peel_order(d, m, N):
+    """The peel's candidates with their dominant exponents, descending
+    in (Omega-circled, Omega-star): a linear extension of the dominance
+    order, in which P is unitriangular."""
+    return tuple((sp, dominant_exponent(sp)) for sp in sorted(
+        superpartitions(d, m, N), key=lambda sp: (sp.circled(), sp.star()),
+        reverse=True))
+
+
+def _peel(F, m, N, d, lead, content):
+    """[(Omega, c_Omega)], sorted by (anti, sym), with f = sum c_Omega
+    P_Omega for the bisymmetric f = content F / lead of degree d as a
+    superpartition: F holds f's integral numerators at its orbit
+    representatives (_is_rep) as integer Laurent term dicts, lead is a
+    _Factored with no divisor and content a Fraction.
+
+    A bisymmetric polynomial, each residual included, is zero exactly
+    when it is zero at the representatives, and every dominant monomial
+    is one.  The residual is held as integer numerators R over one
+    denominator prod p^D, p the polynomials of Phi factors.  At each
+    candidate that R holds, its coefficient rho is reduced by
+    _divide_out over D and made canonical by _coprime, then rho P_Omega
+    = rho Q_Omega / c_Omega is subtracted over D raised to each factor's
+    larger exponent.  No gcd is called.  The P's are a basis, so a zero
+    final residual proves every coefficient; a nonzero one (f outside
+    the span, or a P not triangular in this order) raises
+    ConsistencyError.
     """
-    if not f.is_homogeneous():
-        raise ValueError("expansion needs a homogeneous input")
-    if not is_bisymmetric(f, m):
-        raise ValueError("input is not bisymmetric")
-    N = f.nvars
-    d = f.total_degree() + m * (m - 1) // 2
+    sign = lead.sign
+    a, b = lead._shift()
+    R = {e: {(x - a, y - b): sign * v for (x, y), v in t.items()}
+         for e, t in F.items() if t}
+    D = lead.phi
     out = []
-    residual = f
-    for sp in sorted(superpartitions(d, m, N),
-                     key=lambda sp: (sp.circled(), sp.star()), reverse=True):
-        c = residual.coefficient(dominant_exponent(sp))
-        if not c.is_zero():
-            residual = residual - bisym_P(sp).poly.scale(c)
-            out.append((sp, c))
-    if not residual.is_zero():
+    for sp, mu in _peel_order(d, m, N):
+        n = R.get(mu)
+        if not n:
+            continue
+        n, taken = _divide_out(n, D)
+        # a copy: n may be R's own dict, which the loop below changes
+        out.append((sp, _coprime(content, dict(n), _excess(D, taken))))
+        P = bisym_P(sp)
+        # rho P_Omega = n Q_Omega / c_Omega over what n left of D
+        need = {k: D.get(k, 0) - taken.get(k, 0) + P.c.phi.get(k, 0)
+                for k in {**D, **P.c.phi}}
+        new = {k: max(e, D.get(k, 0)) for k, e in need.items()}
+        new = {k: e for k, e in new.items() if e}
+        if new != D:
+            up = _excess(new, D)
+            R = {e: _add_product({}, t, up) for e, t in R.items()}
+        # -rho P_Omega over prod p^new, c_Omega's sign q^a t^b moved up
+        a, b = P.c._shift()
+        scale = {(x - a, y - b): -P.c.sign * v for (x, y), v in
+                 _add_product({}, n, _excess(new, need)).items()}
+        for e, v in P.Q.items():
+            if _is_rep(e, m):
+                t = R.setdefault(e, {})
+                _add_product(t, scale, v.terms)
+                if not t:
+                    del R[e]
+        D = new
+    if R:
         raise ConsistencyError(
             f"P-basis peel left a nonzero residual at degree {d}, m = {m}, "
             f"N = {N}: the input is not in the span of the P basis")
     out.sort(key=lambda kv: (kv[0].anti, kv[0].sym))
     return out
+
+
+def expand_in_P_basis(f: XPolynomial, m: int):
+    """Coefficients c_Omega with f = sum c_Omega P_Omega, sorted by
+    (anti, sym).
+
+    f must be bisymmetric and homogeneous; candidates are all
+    superpartitions of matching degree.  The peel (_peel) runs on f's
+    integral form c F / den (xpoly._integral_form) at the orbit
+    representatives, with no gcd, and each coefficient is then scaled
+    by 1/den: only an f whose coefficients have a denominator other
+    than an integer pays a gcd.
+    """
+    if not f.is_homogeneous():
+        raise ValueError("expansion needs a homogeneous input")
+    if not is_bisymmetric(f, m):
+        raise ValueError("input is not bisymmetric")
+    c, den, F = _integral_form(f)
+    out = _peel({e: v.terms for e, v in F.items() if _is_rep(e, m)}, m,
+                f.nvars, f.total_degree() + m * (m - 1) // 2, _Factored(1), c)
+    if den.is_one():
+        return out
+    inv = QTScalar(QTPoly.one(), den)
+    return [(sp, v * inv) for sp, v in out]

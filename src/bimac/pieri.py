@@ -19,6 +19,11 @@ The binomials, the staircase evaluations and the expansions come from
 memos (``qt._expand`` serves a value that another Lambda's expansion
 met), and the sigma data of a certificate is computed once.
 
+The brute-force oracle ``pieri_bruteforce`` shares none of this: it
+multiplies e_r into P_Lambda's integral form Q on integers, at the orbit
+representatives of S_m x S_(N-m) only, and expands the product in the P
+basis by macdonald's one peel over P_Lambda's factored c, with no gcd.
+
 The operator identity is decided on f's integral form F, f = c F / den,
 since both sides are linear over Q(q,t).  The left side is F times the
 t-Vandermonde with e_r(Y) applied, on Z[q,t] term dicts through hecke's
@@ -35,20 +40,23 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations
+from operator import add
 
 from .errors import ConsistencyError, DegenerateEvaluationError
 from .evalsym import _eval_factors
-from .macdonald import expand_in_P_basis, bisym_P, is_bisymmetric
+from .macdonald import _is_rep, _peel, bisym_P, is_bisymmetric
 from .qt import (QTPoly, QTScalar, _Factored, _FACTORED_ZERO, _add_product,
                  _lcd_sum)
 from .sparts import (StripCertificate, SuperPartition, enumerate_strips,
                      eval_point, perm_inverse)
-from .xpoly import (XPolynomial, _integral_form, _laurent_at,
-                    elementary_symmetric)
+from .xpoly import XPolynomial, _integral_form, _laurent_at
 from . import hecke
 
 _ONE = QTScalar.one()
+_ONE_F = Fraction(1)
+_UNIT = {(0, 0): 1}
 
 
 @dataclass(frozen=True)
@@ -313,14 +321,27 @@ def pieri_expand(lam: SuperPartition, r: int, variant: str):
 
 def pieri_bruteforce(lam: SuperPartition, r: int, variant: str):
     """Oracle: multiply out e_r P_Lambda and expand in the P basis, at
-    r = 0 too, where e_0 = 1 and the peel must give back P_Lambda."""
+    r = 0 too, where e_0 = 1 and the peel must give back P_Lambda.
+
+    With P_Lambda = Q / c, e_r Q is formed on integers, and only at the
+    orbit representatives the peel reads (macdonald._is_rep), then
+    peeled over c by the one peel of expand_in_P_basis: no gcd."""
     m, N = lam.m, lam.N
-    interval = _interval(r, variant, m, N)
-    if r > interval[1] - interval[0] + 1:
+    lo, hi = _interval(r, variant, m, N)
+    if r > hi - lo + 1:
         return []
-    prod = elementary_symmetric(r, interval, N) * bisym_P(lam).poly
+    P = bisym_P(lam)
+    # the exponent of each monomial of e_r
+    rows = [tuple(int(i in S) for i in range(N))
+            for S in combinations(range(lo - 1, hi), r)]
+    F = {}
+    for e, v in P.Q.items():
+        for s in rows:
+            x = tuple(map(add, e, s))
+            if _is_rep(x, m):
+                _add_product(F.setdefault(x, {}), _UNIT, v.terms)
     return [PieriTerm(omega=sp, certificate=None, coeff=c)
-            for sp, c in expand_in_P_basis(prod, m)]
+            for sp, c in _peel(F, m, N, lam.degree() + r, P.c, _ONE_F)]
 
 
 def expansions_equal(a, b) -> bool:

@@ -832,18 +832,25 @@ class _Factored:
     def __truediv__(self, other):
         return _Factored.prod((self,), (other,))
 
+    def _shift(self):
+        """(a, b) with self = sign q^a t^b prod p^e over its factors, p
+        the polynomial of ``_cyclotomic_at``."""
+        a, b = self.a, self.b
+        for k, e in self.phi.items():
+            _, sa, sb = _cyclotomic_at(*k)
+            a, b = a - sa * e, b - sb * e
+        return a, b
+
     def _sides(self):
         """(num, den, a, b) with self = sign q^a t^b num/den: num and den
         the products of the factors of positive and of negative exponent,
         each as the polynomial of ``_cyclotomic_at``."""
-        a, b, sides = self.a, self.b, [_P_ONE, _P_ONE]
-        for (d, va, vb), e in self.phi.items():
-            p, sa, sb = _cyclotomic_at(d, va, vb)
-            a -= sa * e
-            b -= sb * e
+        sides = [_P_ONE, _P_ONE]
+        for k, e in self.phi.items():
+            p = _cyclotomic_at(*k)[0]
             for _ in range(abs(e)):
                 sides[e < 0] = sides[e < 0] * p
-        return sides[0], sides[1], a, b
+        return (*sides, *self._shift())
 
     def laurent(self):
         """The integer Laurent term dict of a product with no divisor,

@@ -34,15 +34,15 @@ from __future__ import annotations
 import random
 from itertools import combinations, permutations, product
 
-from .evalsym import eval_formula, evaluate, symmetry_check
+from .evalsym import _P_at, eval_formula, symmetry_check
 from .macdonald import (bisym_P, c_lambda_formula, dominant_exponent,
                         _bruhat_less, _integral_E)
 from .pieri import (_a_factor, _generic_point, op_identity_check,
                     pieri_bruteforce, pieri_expand, expansions_equal)
-from .qt import (QTPoly, _brackets, _Factored, _lcd_sum, qt_monomial,
+from .qt import (QTPoly, _brackets, _Factored, _lcd_sum,
                  t_bracket_factorial)
-from .sparts import (SuperPartition, compositions_of, eigenvalue, format_spart,
-                     lambda_naught, superpartitions)
+from .sparts import (SuperPartition, compositions_of, eigenvalue, eval_point,
+                     format_spart, lambda_naught, superpartitions)
 from .xpoly import XPolynomial, elementary_symmetric
 from . import hecke
 
@@ -316,13 +316,13 @@ def suite_evaluation(N=4, deg=3) -> Report:
     cases = [(sp, sign) for sp in _sparts_upto(N, deg, range(N))
              for sign in ("minus", "plus")]
     rep.check(f"formula and substitution agree on {len(cases)} evaluations",
-              cases, lambda sp, sign: eval_formula(sp, sign) == evaluate(
-                  lambda_naught(sp.m, N), sign, bisym_P(sp).poly))
+              cases, lambda sp, sign: eval_formula(sp, sign) == _P_at(
+                  sp, eval_point(lambda_naught(sp.m, N), sign)))
     rep.check("plus and minus formulas exchange under parameter inversion",
               [(sp,) for sp in _sparts_upto(N, deg)],
               lambda sp: eval_formula(sp, "minus").invert_parameters() ==
-              qt_monomial(sp.m * (sp.m - 1) // 2 - sum(sp.anti), 0) *
-              eval_formula(sp, "plus"))
+              eval_formula(sp, "plus").mul_monomial(
+                  sp.m * (sp.m - 1) // 2 - sum(sp.anti), 0))
     return rep
 
 

@@ -10,8 +10,9 @@ pairs.  Specialization at one sums no fractions: f's integral form
 c F / den, den the lcm of f's few distinct coefficient denominators and
 F over Z[q,t] (``_integral_form``), is added up at the point as
 integers (``_laurent_at``) and reduced once.  The Pieri operator
-identity and the evaluation symmetry share both halves and form no
-Q(q,t) value.
+identity shares both halves and forms no Q(q,t) value; the evaluation
+symmetry and P's values in verify add up P's own integral form, which
+bisym_P keeps, with ``_laurent_at``.
 """
 
 from __future__ import annotations

@@ -1233,7 +1233,7 @@ _FLAGS = {
 }
 
 
-# values of E's and P's inputs over their limits (cli._bounded): huge
+# values of E's, P's and eval's inputs over their limits (cli._bounded): huge
 # parts, more parts than the limit, huge N
 _HUGE = st.integers(cli._MAX_DEGREE_1 + 1, 10 ** 30)
 _WIDE = st.integers(cli._MAX_SIZE + 1, 10 ** 30)
@@ -1247,6 +1247,8 @@ _OVER = {
     ("P", "--spart"): st.one_of(_HUGE.map("{};".format),
                                 _HUGE.map(";{}".format)),
     ("P", "--N"): _WIDE.map(str),
+    ("eval", "--spart"): st.one_of(_HUGE.map("{};".format),
+                                   _HUGE.map(";{}".format)),
     ("eval", "--N"): _WIDE.map(str),
     ("pieri", "--N"): _WIDE.map(str),
 }
@@ -1272,9 +1274,9 @@ def cache_paths(tmp_path_factory):
 def test_fuzz_command_line(cache_paths, data):
     # whatever the arguments: exit 0, 1 or 2, no traceback, and a usage
     # error (exit 2) is one error line.  Each flag is left out, or takes
-    # a well-formed value or any value, or for E and P a value over the
-    # size limit, which is refused before E or P is built; the deadline
-    # fixture bounds the whole run
+    # a well-formed value or any value, or for E, P and eval a value
+    # over the size limit, which is refused before E, P or the formula
+    # is built; the deadline fixture bounds the whole run
     command = data.draw(st.sampled_from(sorted(_FLAGS)), "command")
     argv, over = [command], False
     for flag, (required, good, bad) in _FLAGS[command].items():
@@ -1292,7 +1294,8 @@ def test_fuzz_command_line(cache_paths, data):
     if cache is not None:
         argv = ["--cache", cache] + argv
     out, err = io.StringIO(), io.StringIO()
-    refuse = mock.patch.multiple(cli, nonsym_E=_no_work, bisym_P=_no_work) \
+    refuse = mock.patch.multiple(cli, nonsym_E=_no_work, bisym_P=_no_work,
+                                 eval_formula=_no_work) \
         if over else contextlib.nullcontext()
     with refuse, contextlib.redirect_stdout(out), \
             contextlib.redirect_stderr(err):
@@ -1335,19 +1338,25 @@ class TestLimits:
         (["eval", "--spart", "10;", "--N", "5", "--route", "both"],
          "--spart asks for degree 10 in 5 variables, over the limit of 50 on "
          "(degree + 1) * N"),
+        (["eval", "--spart", "75;", "--N", "2"], "--spart asks for degree 75 "
+         "in 2 variables, over the limit of 150 on (degree + 1) * N"),
+        (["eval", "--spart", ";10001", "--N", "1", "--route", "formula"],
+         "--spart asks for degree 10001 in 1 variable, over the limit of "
+         "10000"),
         (["pieri", "--spart", "24;", "--N", "2", "--r", "1", "--check"],
          "--check asks for degree 25 in 2 variables, over the limit of 50 on "
          "(degree + 1) * N"),
     ], ids=["degree", "variables", "one-variable", "huge-part", "P-degree",
             "P-variables", "huge-N", "eval-huge-N", "pieri-huge-N",
             "eval-substitution-degree", "eval-both-degree",
+            "eval-formula-degree", "eval-formula-one-variable",
             "pieri-check-degree"])
     def test_over_a_limit_is_refused_up_front(self, capsys, monkeypatch,
                                               tmp_path, argv, message):
         # one error line naming the input and the limit, exit 2, no
         # output, nothing appended, and no E, P, evaluation or expansion
         # begun
-        for name in ("nonsym_E", "bisym_P", "eval_formula", "evaluate",
+        for name in ("nonsym_E", "bisym_P", "eval_formula", "_P_at",
                      "pieri_expand", "pieri_bruteforce"):
             monkeypatch.setattr(cli, name, _no_work)
         path = tmp_path / "c.jsonl"
@@ -1363,3 +1372,5 @@ class TestLimits:
         cli._bounded("eta", 24, 2)
         cli._bounded("spart", 9, 5)
         cli._bounded("eta", 10000, 1)
+        cli._bounded("spart", 74, 2, cli._MAX_FORMULA_SIZE)
+        cli._bounded("spart", 49, 3, cli._MAX_FORMULA_SIZE)

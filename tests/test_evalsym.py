@@ -3,10 +3,11 @@ import pytest
 from bimac import evalsym
 from bimac.errors import DegenerateEvaluationError
 from bimac.evalsym import eval_formula, evaluate, symmetry_check
-from bimac.macdonald import PBasisElement, bisym_P
-from bimac.qt import QTScalar, qt_monomial
-from bimac.sparts import SuperPartition, lambda_naught, superpartitions
-from bimac.xpoly import XPolynomial, vandermonde
+from bimac.macdonald import PBasisElement, bisym_P, dominant_exponent
+from bimac.qt import QTPoly, QTScalar, qt_monomial
+from bimac.sparts import (SuperPartition, eval_point, lambda_naught,
+                          superpartitions)
+from bimac.xpoly import XPolynomial, _laurent_at, vandermonde
 
 ONE = QTScalar.one()
 Q = qt_monomial(1, 0)
@@ -86,15 +87,20 @@ class TestSymmetry:
 
     @staticmethod
     def _patch_P(monkeypatch, lam, edit):
-        """evalsym.bisym_P with P_Lambda's polynomial replaced by
-        edit(P_Lambda)."""
+        """evalsym.bisym_P with P_Lambda = Q / c replaced by
+        edit(Q, Q[x^dominant]) / c: edit maps Z[q,t] term dicts."""
         real = evalsym.bisym_P
 
         def patched(sp):
             elem = real(sp)
             if sp != lam:
                 return elem
-            return PBasisElement(lam=sp, poly=edit(elem.poly), c_lam=elem.c_lam)
+            lead = elem.Q[dominant_exponent(sp)]
+            Q = edit(elem.Q, lead)
+            poly = XPolynomial(sp.N, {e: QTScalar(v, lead)
+                                      for e, v in Q.items()})
+            return PBasisElement(lam=sp, poly=poly, c_lam=elem.c_lam, Q=Q,
+                                 c=elem.c)
         monkeypatch.setattr(evalsym, "bisym_P", patched)
 
     @pytest.mark.parametrize("sign", ["minus", "plus"])
@@ -102,19 +108,32 @@ class TestSymmetry:
         c = SuperPartition((2, 0), (1,), 4)
         d = SuperPartition((1, 0), (2,), 4)
         assert symmetry_check(c, d, sign)
-        self._patch_P(monkeypatch, c,
-                      lambda p: p + XPolynomial.monomial((1, 0, 2, 0)))
+        # P + x^(1,0,2,0) is Q + lead x^(1,0,2,0) over the same c
+        e = (1, 0, 2, 0)
+        self._patch_P(monkeypatch, c, lambda Q, lead: {
+            **Q, e: Q.get(e, QTPoly.zero()) + lead})
         assert not symmetry_check(c, d, sign)
         assert not symmetry_check(d, c, sign)
 
     @pytest.mark.parametrize("sign", ["minus", "plus"])
     def test_vanishing_staircase_norm_raises(self, monkeypatch, sign):
-        # P_Lambda minus its own staircase value vanishes there
+        # P_Lambda minus its own staircase value vanishes there: on Q,
+        # q^a t^b (Q - Q(staircase)), the shift clearing the value's
+        # negative exponents
         c = SuperPartition((2, 0), (1,), 4)
         d = SuperPartition((1, 0), (2,), 4)
-        nought = lambda_naught(2, 4)
-        self._patch_P(monkeypatch, c, lambda p: p - XPolynomial.one(4).scale(
-            evaluate(nought, sign, p)))
+        nought = eval_point(lambda_naught(2, 4), sign)
+
+        def minus_own_value(Q, lead):
+            value = _laurent_at(Q, nought)
+            a = max(0, -min(x for x, _ in value))
+            b = max(0, -min(y for _, y in value))
+            out = {e: v.mul_term(a, b) for e, v in Q.items()}
+            one = (0,) * 4
+            out[one] = out.get(one, QTPoly.zero()) - QTPoly(
+                {(x + a, y + b): v for (x, y), v in value.items()})
+            return {e: v for e, v in out.items() if v}
+        self._patch_P(monkeypatch, c, minus_own_value)
         for pair in ((c, d), (d, c)):
             with pytest.raises(DegenerateEvaluationError,
                                match="staircase evaluation vanished"):

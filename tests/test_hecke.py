@@ -1,7 +1,7 @@
 from math import factorial
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from bimac import hecke, macdonald
 from bimac.errors import DivisibilityError
@@ -274,6 +274,20 @@ class TestPackedSymmetrizers:
         got = hecke._unpack(packed, w, B)
         assert got == K
         assert all(type(c) is QTPoly for c in got.values())
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.dictionaries(st.tuples(st.integers(0, 12), st.integers(0, 12)),
+                           st.integers(-2 ** 40, 2 ** 40).filter(bool),
+                           min_size=1, max_size=3 * hecke._PACK_RUN),
+           st.integers(1, 48))
+    @example(terms={(a, b): a - b or 7 for a in range(10) for b in range(10)},
+             w=5)
+    def test_packed_matches_the_sum_of_shifts(self, terms, w):
+        # the packing by halves against the one sum it replaces, below
+        # and above the run that is summed directly
+        B = max(b for _, b in terms) + 1
+        assert hecke._packed(terms, w, B) == sum(
+            v << w * (B * a + b) for (a, b), v in terms.items())
 
     @settings(max_examples=40, deadline=None)
     @given(integral_polys(),

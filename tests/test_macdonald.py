@@ -2,9 +2,11 @@ import hashlib
 import itertools
 import json
 import re
+from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bimac import hecke, macdonald, qt
 from bimac.cli import main
@@ -38,6 +40,33 @@ def xpoly(K):
     """The XPolynomial over Q(q,t) of a Z[q,t] term dict."""
     return XPolynomial(len(next(iter(K))), {e: QTScalar(c)
                                             for e, c in K.items()})
+
+
+# denominators of the round-trip's coefficients: Phi factors of d_eta
+# and c_lambda, and polynomials with none
+DENOMINATORS = [QTPoly.one(), QTPoly({(0, 0): 1, (1, 0): 2}),
+                QTPoly({(0, 0): 1, (1, 1): -1}),
+                QTPoly({(0, 0): 3, (0, 2): -1}),
+                QTPoly({(0, 0): 1, (0, 1): 1, (2, 0): 1}),
+                QTPoly({(1, 0): 1})]
+
+
+@st.composite
+def scalars(draw):
+    """A nonzero QTScalar: rational content, a numerator of up to three
+    terms and a product of up to two of DENOMINATORS."""
+    terms = draw(st.dictionaries(
+        st.tuples(st.integers(0, 2), st.integers(0, 2)),
+        st.integers(-3, 3).filter(bool), min_size=1, max_size=3))
+    den = QTPoly.one()
+    for p in draw(st.lists(st.sampled_from(DENOMINATORS), max_size=2)):
+        den = den * p
+    content = Fraction(draw(st.integers(1, 5)), draw(st.integers(1, 5)))
+    return QTScalar(QTPoly(terms), den) * QTScalar.from_fraction(content)
+
+
+def refuse_gcd(*args):
+    raise AssertionError("poly_gcd was called")
 
 
 def times(K, p):
@@ -429,6 +458,15 @@ class TestBisymP:
             qt.t_bracket_factorial(k, "t_inverse")
         assert calls == []
 
+    def test_cold_P_makes_no_gcd_call(self, monkeypatch):
+        # each coefficient of P and c_lam divide by c, factored and
+        # certified: a cold P, E's K included, calls no gcd
+        monkeypatch.setattr(qt, "poly_gcd", refuse_gcd)
+        monkeypatch.setattr(macdonald, "_K_CACHE", {})
+        monkeypatch.setattr(macdonald, "_P_CACHE", {})
+        for sp in C_SHAPES:
+            bisym_P(sp)
+
     def test_c_formula_values(self):
         lam = SuperPartition((), (1,), 2)
         assert c_lambda_formula(lam) == ONE / T
@@ -487,38 +525,51 @@ class TestBisymP:
                                      SuperPartition((3, 1), (1,), 5)],
                              ids=format_spart)
     def test_one_reduction_per_distinct_coefficient(self, monkeypatch, lam):
-        # a cold P, E's K included, makes one gcd reduction per distinct
-        # coefficient and one for c_lam, and equal coefficients are one
-        # object
+        # a cold P, E's K included, divides each distinct coefficient of
+        # its integral form by the factored c once (one qt._coprime call
+        # each in macdonald._over), with no gcd, and equal coefficients
+        # are one object
         calls = []
-        real = qt._cancel
-        monkeypatch.setattr(qt, "_cancel",
-                            lambda num, den: calls.append(1) or real(num, den))
+        real = macdonald._coprime
+        monkeypatch.setattr(macdonald, "_coprime",
+                            lambda *args: calls.append(1) or real(*args))
+        monkeypatch.setattr(qt, "poly_gcd", refuse_gcd)
         monkeypatch.setattr(macdonald, "_K_CACHE", {})
         monkeypatch.setattr(macdonald, "_P_CACHE", {})
         P = bisym_P(lam).poly.terms.values()
         distinct = set(P)
-        assert len(calls) == len(distinct) + 1
+        assert len(calls) == len(distinct)
         assert len({id(c) for c in P}) == len(distinct) < len(P)
 
     @pytest.mark.parametrize("lam", [SuperPartition((2,), (1,), 3),
                                      SuperPartition((2, 0), (1,), 4)],
                              ids=["m=1", "m=2"])
     def test_halved_width_fails(self, monkeypatch, lam):
-        # K (t - 2^s) is a multiple of E as well, so bisym_P gives the same
-        # P and c_lam from it.  With s = w // 2 for the least width w of
-        # _P_pack's bound it packs to zero under t -> 2^(w // 2), so a
-        # construction that halved w would find that P vanished
+        # K q^2 t^3 is a multiple of E whose dominant coefficient still
+        # factors, so bisym_P gives the same P and c_lam from it.  K (t -
+        # 2^s) is one too, but t - 2^s is no Phi factor, so bisym_P
+        # refuses it when it certifies c.  With s = w // 2 for the least
+        # width w of _P_pack's bound it packs to zero under t -> 2^(w //
+        # 2), so a construction that halved w would find that P vanished
+        # before it reached c
         want = bisym_P(lam)
         K = macdonald._integral_E(lam.eta())
         for s in itertools.count(1):
             bad = times(K, QTPoly({(0, 1): 1, (0, 0): -2 ** s}))
             if least_P_w(bad, lam.m) // 2 == s:
                 break
-        monkeypatch.setattr(macdonald, "_integral_E", lambda eta: bad)
+        multiple = times(K, QTPoly.monomial(2, 3))
+        monkeypatch.setattr(macdonald, "_integral_E", lambda eta: multiple)
         monkeypatch.setattr(macdonald, "_P_CACHE", {})
         got = bisym_P(lam)
         assert (got.poly, got.c_lam) == (want.poly, want.c_lam)
+        monkeypatch.setattr(macdonald, "_integral_E", lambda eta: bad)
+        monkeypatch.setattr(macdonald, "_P_CACHE", {})
+        with pytest.raises(ConsistencyError, match=(
+                f"^the dominant coefficient of {re.escape(format_spart(lam))}"
+                r" is not \+-q\^a t\^b times Phi factors of d_eta and "
+                "c_lambda$")):
+            bisym_P(lam)
 
 
 def test_p_n6_digest():
@@ -634,14 +685,34 @@ class TestExpansion:
             other = {a: b, b: a}.get(lam)
             if other is None:
                 return elem
-            poly = elem.poly + XPolynomial.monomial(dominant_exponent(other))
+            # P = Q / c, so P + x^e is Q + c x^e over the same c
+            e = dominant_exponent(other)
+            poly = elem.poly + XPolynomial.monomial(e)
+            c = elem.Q[dominant_exponent(lam)]
+            Q = {**elem.Q, e: elem.Q.get(e, QTPoly.zero()) + c}
             return macdonald.PBasisElement(lam=lam, poly=poly,
-                                           c_lam=elem.c_lam)
+                                           c_lam=elem.c_lam, Q=Q, c=elem.c)
         monkeypatch.setattr(macdonald, "bisym_P", crossed)
         with pytest.raises(ConsistencyError,
                            match=r"^P-basis peel left a nonzero residual "
                                  r"at degree 2, m = 1, N = 3: "):
             expand_in_P_basis(f, 1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(PEEL_CLASSES), st.data())
+    def test_random_combinations_round_trip(self, cls, data):
+        # sum c_Omega P_Omega with random c_Omega in Q(q,t), rational
+        # contents and denominators with no Phi factor, such as 1 + 2q,
+        # among them, expands back to its own coefficients
+        d, m, N = cls
+        shapes = data.draw(st.lists(st.sampled_from(superpartitions(d, m, N)),
+                                    min_size=1, max_size=4, unique=True))
+        want = sorted(((sp, data.draw(scalars())) for sp in shapes),
+                      key=lambda kv: (kv[0].anti, kv[0].sym))
+        f = XPolynomial.zero(N)
+        for sp, c in want:
+            f = f + bisym_P(sp).poly.scale(c)
+        assert expand_in_P_basis(f, m) == want
 
     def test_known_product_expansion(self):
         lam = SuperPartition((2, 0), (1,), 5)

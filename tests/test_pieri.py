@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from bimac import hecke
+from bimac import hecke, macdonald, verify
 from bimac import pieri as pierimod
 from bimac import qt as qtmod
 from bimac.errors import ConsistencyError, DegenerateEvaluationError
@@ -619,6 +619,21 @@ def _rhs_value(m, r, f, variant, point):
 
 def _raise(*args):
     raise AssertionError("poly_gcd was called")
+
+
+def test_oracle_makes_no_gcd_call(monkeypatch):
+    # e_r Q_Lambda is formed and peeled on integers over factored
+    # denominators, and each P the oracle builds divides by its certified
+    # c: over suite_pieri(4, 3)'s cases, cold, no gcd is called
+    cases = [(sp, r, variant) for sp in verify._sparts_upto(4, 3)
+             for r in (1, 2) for variant in ("upper", "lower")
+             if r <= (4 - sp.m if variant == "upper" else sp.m)]
+    assert len(cases) == 74
+    monkeypatch.setattr(macdonald, "_K_CACHE", {})
+    monkeypatch.setattr(macdonald, "_P_CACHE", {})
+    monkeypatch.setattr(qtmod, "poly_gcd", _raise)
+    for case in cases:
+        assert pierimod.pieri_bruteforce(*case), case
 
 
 class TestRhsCommonDenominator:

@@ -257,8 +257,11 @@ def test_eigen_suite_fails_on_a_term_not_bruhat_below(monkeypatch):
         f"[FAIL] eigenvalue property and triangularity for 16 E's: {ETA}"]
 
 
-@pytest.mark.parametrize("suite", ["hecke", "eigen"])
+@pytest.mark.parametrize("suite", ["hecke", "eigen", "symmetry", "evaluation",
+                                   "pieri"])
 def test_suite_makes_no_gcd_call(monkeypatch, suite):
+    # the symmetry and evaluation suites read each P's integral form Q
+    # and its factored c, and the pieri suite's oracle peels integers
     macdonald.clear_caches()
     qt._GCD_MEMO.clear()
 
