@@ -41,6 +41,8 @@ import time
 
 COMMANDS = (
     ["P", "--spart", "3,1;1", "--N", "5"],
+    # one coefficient, a t-factorial: c has 152 Phi-factor powers
+    ["P", "--spart", "0;", "--N", "50"],
     ["E", "--eta", "15,0"],
     ["pieri", "--spart", "2,0;1", "--r", "2", "--variant", "upper", "--N", "5",
      "--check"],

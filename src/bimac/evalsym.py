@@ -13,8 +13,9 @@ The evaluation symmetry cross-multiplies the integer values of the
 two P's integral forms Q, which bisym_P keeps, so it forms no Q(q,t)
 value, computes no common denominator and keeps no staircase norm.
 P's value at a point by substitution (``_P_at``, for verify and the
-CLI's substitution route) is Q's integer value there over the factored
-c, with no gcd either.
+CLI's substitution route) is Q's integer value there divided by the
+factored c through qt's divide/over pair, with no gcd either.  Of
+macdonald it uses only the public ``bisym_P``.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .errors import DegenerateEvaluationError
-from .macdonald import _divide_out, _over, bisym_P
-from .qt import QTScalar, _Factored, _add_product
+from .macdonald import bisym_P
+from .qt import QTScalar, _add_product, _divide_out, _Factored
 from .sparts import (SuperPartition, conjugate_partition, eval_point,
                      hook_data, lambda_naught)
 from .xpoly import XPolynomial, _laurent_at, specialize
@@ -41,13 +42,13 @@ def evaluate(lam: SuperPartition, sign: str, f: XPolynomial) -> QTScalar:
 
 def _P_at(lam: SuperPartition, point) -> QTScalar:
     """P_Lambda at the point by substitution: the integer value there of
-    its integral form Q, P = Q / c, divided by c (macdonald._over), with
-    no gcd."""
+    its integral form Q, P = Q / c, divided by c (qt._Factored.over),
+    with no gcd."""
     P = bisym_P(lam)
     value = _laurent_at(P.Q, point)
     if not value:
         return QTScalar.zero()
-    return _over([_divide_out(value, P.c.phi)], P.c)[0]
+    return P.c.over(*_divide_out(value, P.c.phi))
 
 
 @lru_cache(maxsize=4096)

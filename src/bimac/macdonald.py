@@ -18,22 +18,20 @@ factored product.  The recursion, the eigen check and P's construction
 all use hecke's one kernel per operator, each with the multiplication
 by q^a t^b of the ring it holds: QTPoly.mul_term on the recursion's
 Z[q,t] term dicts, a shift on the packed integers.
-The monic E is formed only where E itself is asked for, over the Phi
-factors of K(x^eta), a divisor of d_eta up to +-q^a t^b, with no gcd,
-and is not kept: the process holds each checked K, and so does the
-cache file.  P is kept as Q / c, Q its unpacked integral form and c =
-Q(x^dominant) factored over d_eta and the divisors of
-c_lambda_corrected, a factored form that _lead_factors certifies; E's
-and P's coefficients are divided by their factored leads by the one
-routine _over, with no gcd.  The P-basis peel runs on integral
-numerators at the orbit representatives of S_m x S_(N-m), over one
-factored denominator, with no gcd either.
+The factored scalars are qt's _Factored, whose factor/over pair
+certifies a lead and divides by it: the monic E, formed only where E
+itself is asked for and not kept (the process and the cache file hold
+each checked K), is K over K(x^eta), a divisor of d_eta up to
++-q^a t^b, and P is kept as Q / c, Q its unpacked integral form and c =
+Q(x^dominant) certified over d_eta and the divisors of
+c_lambda_corrected.  The P-basis peel runs on integral numerators at
+the orbit representatives of S_m x S_(N-m), over one factored
+denominator.  None of it calls a gcd.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import factorial
@@ -41,7 +39,7 @@ from operator import ge
 
 from .errors import CacheRecordError, ConsistencyError, DivisibilityError
 from .qt import (QTPoly, QTScalar, _add_product, _brackets, _coprime,
-                 _cyclotomic_at, _Factored, _phi_div, _poly)
+                 _divide_out, _excess, _Factored, _poly)
 from .render import terms_from_json
 from .sparts import (SuperPartition, format_spart,
                      sorting_permutation, superpartitions)
@@ -126,12 +124,6 @@ def _bruhat_below(eta):
     return below
 
 
-def _bruhat_less(nu, eta):
-    """nu strictly below eta in the Bruhat order on compositions; False
-    unless nu, like eta, is a composition of |eta| with N parts."""
-    return _bruhat_below(eta)(nu)
-
-
 # ---------------------------------------------------------------------------
 # E construction
 # ---------------------------------------------------------------------------
@@ -171,7 +163,7 @@ def _raise(eta):
             nu = eta[:i - 1] + (0, eta[i - 1]) + eta[i + 1:]
         steps.append((eta, nu, i))
         eta = nu
-    sign, a, b, phi = 1, 0, 0, {}  # s = sign q^a t^b prod Phi^phi
+    sign, a, b, phi = 1, 0, 0, {}  # s = sign q^a t^b prod p^phi
     K = {(0,) * N: QTPoly.one()}  # x-exponent -> QTPoly
     mul = QTPoly.mul_term
     for eta, nu, i in reversed(steps):
@@ -195,16 +187,18 @@ def _raise(eta):
                 out = {k: v for k, v in out.items() if v}
                 if out:
                     K[e] = _poly(out)
-            # divide by t (1 - t rho)
+            # divide by t (1 - t rho): s by the factors it holds, K by
+            # the product p of the others
             binom = _Factored.binomial(0, 1, A, B + 2)
             sign, a, b = sign * binom.sign, a - binom.a, b - binom.b
-            p = QTPoly.one()
+            left = {}
             for k in binom.phi:
                 if phi.get(k, 0) > 0:
                     phi[k] -= 1
                 else:
-                    p = p * _cyclotomic_at(*k)[0]
-            if not p.is_one():
+                    left[k] = 1
+            if left:
+                p = _poly(_excess(left, {}))
                 try:
                     K = {e: c.exact_div(p) for e, c in K.items()}
                 except DivisibilityError as exc:
@@ -237,75 +231,10 @@ def _knop_d(eta) -> _Factored:
     return _Factored.prod(factors)
 
 
-def _divide_out(f, phi):
-    """(g, taken): the integer term dict f divided, for each Phi factor
-    k of the exponent dict phi, by the polynomial of _cyclotomic_at(*k)
-    for as long as the division is exact and at most phi[k] times;
-    taken[k] is how many times it divided."""
-    taken = {}
-    for k, e in phi.items():
-        n = 0
-        while n < e:
-            g = _phi_div(f, *k)
-            if g is None:
-                break
-            f, n = g, n + 1
-        taken[k] = n
-    return f, taken
-
-
-def _lead_factors(lead, phi) -> _Factored | None:
-    """The QTPoly lead factored over the Phi factors of the exponent
-    dict phi, each to at most its exponent there; None unless the
-    cofactor is +-q^a t^b.  The one route by which a built K, a served K
-    (over d_eta) and P's integral form (over d_eta and c_lambda's
-    divisors) are factored, so each factored form is a certificate."""
-    f, taken = _divide_out(lead.terms, phi)
-    if len(f) != 1:
-        return None
-    ((a, b), c), = f.items()
-    if abs(c) != 1:
-        return None
-    for k, n in taken.items():
-        _, sa, sb = _cyclotomic_at(*k)
-        a, b = a + sa * n, b + sb * n
-    return _Factored(c, a, b, {k: n for k, n in taken.items() if n})
-
-
-def _over(divided, lead):
-    """[v / lead] for the pairs (f, taken) = _divide_out(v, lead.phi) of
-    integer Laurent term dicts v, lead = sign q^a t^b prod Phi^e with
-    e > 0: each a canonical QTScalar, with no gcd.  The Phi factors are
-    irreducible and pairwise coprime, and f is v divided by each for as
-    long as that is exact, so what is left of the denominator is coprime
-    to f up to a monomial: qt._coprime makes it canonical.  E's and P's
-    coefficients, and P's values at a point, are formed here once per
-    distinct value."""
-    sign = Fraction(lead.sign)
-    a, b = lead._shift()
-    return [_coprime(sign, f, _excess(lead.phi, taken), -a, -b)
-            for f, taken in divided]
-
-
-def _excess(top, bottom):
-    """The integer term dict of prod p^(top[k] - bottom[k]) over the Phi
-    keys k where the exponent dict top exceeds bottom, p the polynomial
-    of qt._cyclotomic_at.  Shared by every caller, so none changes it."""
-    return _phi_product(frozenset((k, e - bottom.get(k, 0))
-                                  for k, e in top.items()
-                                  if e > bottom.get(k, 0)))
-
-
-@lru_cache(maxsize=4096)
-def _phi_product(phi):
-    """_excess's product for the frozenset phi of (key, exponent) pairs."""
-    return _Factored(1, 0, 0, dict(phi))._sides()[0].terms
-
-
 def _integral_E(eta):
     """A checked Z[q,t] term dict K with K = c E_eta for a nonzero c in
     Q(q,t): K from _raise, whose coefficient at x^eta, factored by
-    _lead_factors, must be d_eta/s factor for factor, or a cache record
+    _Factored.factor, must be d_eta/s factor for factor, or a cache record
     set aside unchecked as JSON and read here, whose coefficient at
     x^eta must factor (+-q^a t^b times a divisor of d_eta).  Both pass
     _check_E, the triangularity and the eigenvalue equations at eta's
@@ -320,14 +249,15 @@ def _integral_E(eta):
     try:
         if value is None:
             s, K = _raise(eta)
-            got = _lead_factors(K[eta], d.phi) if eta in K else None
+            got = _Factored.factor(K[eta].terms, d.phi) if eta in K \
+                else None
             want = d / s
             if got is None or (got.sign, got.a, got.b, got.phi) != \
                     (want.sign, want.a, want.b, want.phi):
                 raise ConsistencyError(f"J_{eta} is not d_eta at x^{eta}")
         else:
             K = terms_from_json(value)
-            if _lead_factors(K[eta], d.phi) is None:
+            if _Factored.factor(K[eta].terms, d.phi) is None:
                 raise ConsistencyError(
                     f"K's coefficient at x^{eta} is not +-q^a t^b times a "
                     "divisor of d_eta")
@@ -363,21 +293,21 @@ def nonsym_E(eta) -> EBasisElement:
 
     E itself is K divided by its coefficient at x^eta, formed here on
     each call; it is the same for every nonzero multiple K.  That
-    coefficient is +-q^a t^b times Phi factors of d_eta (_lead_factors),
-    so each coefficient of K is divided by it with no gcd (_over, which P
-    shares).  This runs once per distinct coefficient of K, keyed on its
-    value, since neither the recursion nor a cache record shares equal
-    coefficients; equal coefficients of E are one object.
+    coefficient is +-q^a t^b times Phi factors of d_eta
+    (_Factored.factor), so each coefficient of K is divided by it with no
+    gcd (_Factored.over, which P shares).  This runs once per distinct
+    coefficient of K, keyed on its value, since neither the recursion nor
+    a cache record shares equal coefficients; equal coefficients of E are
+    one object.
     """
     eta = tuple(int(x) for x in eta)
     if any(x < 0 for x in eta):
         raise ValueError("composition entries must be nonnegative")
     K = _integral_E(eta)
+    lead = _Factored.factor(K[eta].terms, _knop_d(eta).phi)
     # each distinct coefficient of K, by value, to its coefficient of E
-    distinct = list(dict.fromkeys(K.values()))
-    lead = _lead_factors(K[eta], _knop_d(eta).phi)
-    values = dict(zip(distinct, _over(
-        [_divide_out(c.terms, lead.phi) for c in distinct], lead)))
+    values = {c: lead.over(*_divide_out(c.terms, lead.phi))
+              for c in set(K.values())}
     return EBasisElement(eta=eta, poly=XPolynomial(
         len(eta), {x: values[c] for x, c in K.items()}))
 
@@ -510,16 +440,17 @@ def bisym_P(lam: SuperPartition) -> PBasisElement:
     P = Q / c, c = Q[x^dominant]: the scalar multiple of E that K
     carries and the power of t drop out of P.  c is factored over the
     Phi factors of d_eta and the divisors of c_lambda_corrected by
-    _lead_factors, whose +-q^a t^b cofactor certifies the factored form;
-    one that does not factor raises ConsistencyError.  So each
-    coefficient of P is formed by _over, as E's are, and c_lam =
+    _Factored.factor, whose +-q^a t^b cofactor certifies the factored
+    form; one that does not factor raises ConsistencyError.  So each
+    coefficient of P is formed by _Factored.over, as E's are, and c_lam =
     t^(m(m-1)/2) K(x^eta)/c is one factored product: no gcd.  P is
     symmetric in the first m and in the last N - m variables, so its
     coefficients repeat along the orbits of its monomials: _unpack gives
-    equal ones one QTPoly, each is divided by c once, and equal
-    coefficients of P are one immutable QTScalar.  The element keeps Q
-    and c, which the evaluation symmetry and the P-basis peel read, both
-    divided by the Phi factors of c that divide every coefficient of Q.
+    equal ones one QTPoly, each is divided by c's factors once (the
+    dominant one by the certificate), and equal coefficients of P are one
+    immutable QTScalar.  The element keeps Q and c, which the evaluation
+    symmetry and the P-basis peel read, both divided by the Phi factors
+    of c that divide every coefficient of Q.
     """
     key = (lam.anti, lam.sym, lam.N)
     cached = _P_CACHE.get(key)
@@ -548,27 +479,30 @@ def bisym_P(lam: SuperPartition) -> PBasisElement:
     for k, e in _corrected_factors(lam).phi.items():
         if e < 0:
             phi[k] = phi.get(k, 0) - e
-    c = _lead_factors(Q[lead], phi)
+    c = _Factored.factor(Q[lead].terms, phi)
     if c is None:
         raise ConsistencyError(
             f"the dominant coefficient of {format_spart(lam)} is not "
             "+-q^a t^b times Phi factors of d_eta and c_lambda")
     c_lam = _Factored.prod((_Factored.monomial(0, m * (m - 1) // 2),
-                            _lead_factors(K[eta], d.phi)), (c,))
-    # _unpack gives equal coefficients one QTPoly, divided here once
-    distinct = {id(v): v for v in Q.values()}
-    divided = [_divide_out(v.terms, c.phi) for v in distinct.values()]
-    values = dict(zip(distinct, _over(divided, c)))
+                            _Factored.factor(K[eta].terms, d.phi)), (c,))
+    # _unpack gives equal coefficients one QTPoly, each divided by c's
+    # factors once: the dominant one by the certificate's division
+    divided = {id(Q[lead]): ({(c.a, c.b): c.sign}, c.phi)}
+    for v in Q.values():
+        if id(v) not in divided:
+            divided[id(v)] = _divide_out(v.terms, c.phi)
+    values = {k: c.over(*pair) for k, pair in divided.items()}
     poly = XPolynomial(N, {e: values[id(v)] for e, v in Q.items()})
     # Q's content over c's factors, divided out of Q and c: smaller
     # integers for the evaluation symmetry and the peel
-    g = {k: n for k in c.phi if (n := min(t[k] for _, t in divided))}
+    g = {k: n for k in c.phi
+         if (n := min(t[k] for _, t in divided.values()))}
     if g:
-        a, b = _Factored(1, 0, 0, g)._shift()
-        c = _Factored.prod((c,), (_Factored(1, -a, -b, g),))
-        for k, (f, taken) in zip(distinct, divided):
-            distinct[k] = _poly(_add_product({}, f, _excess(taken, g)))
-        Q = {e: distinct[id(v)] for e, v in Q.items()}
+        c = c / _Factored(1, 0, 0, g)
+        reduced = {k: _poly(_add_product({}, f, _excess(taken, g)))
+                   for k, (f, taken) in divided.items()}
+        Q = {e: reduced[id(v)] for e, v in Q.items()}
     elem = PBasisElement(lam=lam, poly=poly, c_lam=c_lam.expand(), Q=Q, c=c)
     _P_CACHE[key] = elem
     return elem
@@ -658,10 +592,8 @@ def _peel(F, m, N, d, lead, content):
     the span, or a P not triangular in this order) raises
     ConsistencyError.
     """
-    sign = lead.sign
-    a, b = lead._shift()
-    R = {e: {(x - a, y - b): sign * v for (x, y), v in t.items()}
-         for e, t in F.items() if t}
+    R = {e: {(x - lead.a, y - lead.b): lead.sign * v
+             for (x, y), v in t.items()} for e, t in F.items() if t}
     D = lead.phi
     out = []
     for sp, mu in _peel_order(d, m, N):
@@ -681,8 +613,7 @@ def _peel(F, m, N, d, lead, content):
             up = _excess(new, D)
             R = {e: _add_product({}, t, up) for e, t in R.items()}
         # -rho P_Omega over prod p^new, c_Omega's sign q^a t^b moved up
-        a, b = P.c._shift()
-        scale = {(x - a, y - b): -P.c.sign * v for (x, y), v in
+        scale = {(x - P.c.a, y - P.c.b): -P.c.sign * v for (x, y), v in
                  _add_product({}, n, _excess(new, need)).items()}
         for e, v in P.Q.items():
             if _is_rep(e, m):

@@ -16,33 +16,34 @@ as stored exponents; they live in the denominator.
 Sides known to be coprime up to a monomial become canonical through
 ``_coprime`` and ``_canonical``, which fold contents and lead signs
 with no gcd: ``mul_monomial``, ``invert_parameters``,
-``_Factored.expand``, a ``_laurent_scalar`` over a monomial and each
-coefficient of a monic E, which macdonald divides by the Phi factors
-of E's denominator with ``_phi_div`` for as long as that is exact.
-``poly_gcd``, the heuristic gcd of Char, Geddes and Gonnet, is called
-only where coprimality is unknown: from ``_cancel`` (products,
-``_reduce``, other ``_laurent_scalar``s), a sum's denominator gcd and
-``_poly_lcm`` (f's common denominator in xpoly's ``_integral_form``,
-none for an integral f).  It is one loop that evaluates q (then, by
-recursion on the images, t) at an integer and grows that point until a
-candidate passes trial division, which is its only exit.
+``_Factored.expand``, ``_Factored.over`` and a ``_laurent_scalar`` over
+a monomial.  ``poly_gcd``, the heuristic gcd of Char, Geddes and
+Gonnet, is called only where coprimality is unknown: from ``_cancel``
+(products, ``_reduce``, other ``_laurent_scalar``s), a sum's
+denominator gcd and ``_poly_lcm`` (f's common denominator in xpoly's
+``_integral_form``, none for an integral f).  It is one loop that
+evaluates q (then, by recursion on the images, t) at an integer and
+grows that point until a candidate passes trial division, which is its
+only exit.
 
-The private ``_Factored`` holds a product of q,t-binomials and their
-inverses as exponents of cyclotomic factors, for the Pieri and
-evaluation formulas.  ``_Factored.prod(factors, divisors)`` is its one
-product (``*`` and ``/`` call it), and ``_Factored.binomial`` is
-memoized, so no value's factors are ever changed in place.
-``_Factored.expand`` is memoized on the value (``_expand``, at most
-4096 entries), so a sweep of Pieri expansions expands each distinct
-coefficient once.  [k] and [k]! are each one such product; ``_powers``
-writes q^a t^b and render's x monomials as text or LaTeX.
-``_lcd_sum`` adds factored values, each times an integer Laurent term
-dict, over one common denominator D, each Phi factor to its largest
-negative exponent, as integers with no gcd; the Pieri operator identity
-and verify's A-product lemma both call it.
-``_phi_div`` divides a term dict exactly by one Phi_d(q^a t^b), or
-returns None: each class of terms that differ by powers of q^a t^b is
-divided synthetically by the monic Phi_d, in linear time.
+The private ``_Factored`` owns the factored denominators: Knop's
+d_eta, P's dominant coefficient, the Pieri and evaluation products.  It
+holds sign q^a t^b prod p^e, each p the polynomial q^sa t^sb
+Phi_d(q^va t^vb) of ``_cyclotomic_at``, which no other module names.
+``binomial`` is memoized, ``prod`` (``*``, ``/``) is an exponent sum
+and ``expand`` is memoized on the value (``_expand``, at most 4096
+entries), so no value's factors are changed in place and a sweep of
+Pieri expansions expands each distinct coefficient once; [k] and [k]!
+are each one product.  ``_phi_div`` divides a term dict exactly by one
+p in linear time, each class of terms that differ by powers of
+q^va t^vb synthetically by the monic Phi_d, and ``_divide_out`` by
+each p of an exponent dict while that is exact: ``factor`` certifies a
+term dict as a value over given factors, and ``over`` divides one by a
+value, with no gcd.  ``_excess`` multiplies out the p's one exponent
+dict has over another, and ``_lcd_sum`` adds factored values times
+integer Laurent term dicts over one common denominator, as integers
+with no gcd (the Pieri operator identity, verify's A-product lemma).
+``_powers`` writes q^a t^b and render's x monomials as text or LaTeX.
 """
 
 from __future__ import annotations
@@ -759,16 +760,49 @@ def _phi_div(f, d, va, vb):
     return out
 
 
+def _divide_out(f, phi):
+    """(g, taken): the integer Laurent term dict f divided, for each Phi
+    factor k of the exponent dict phi, by the polynomial of
+    _cyclotomic_at(*k) for as long as the division is exact and at most
+    phi[k] times; taken[k] is how many times it divided."""
+    taken = {}
+    for k, e in phi.items():
+        n = 0
+        while n < e:
+            g = _phi_div(f, *k)
+            if g is None:
+                break
+            f, n = g, n + 1
+        taken[k] = n
+    return f, taken
+
+
+def _excess(top, bottom):
+    """The integer term dict of prod p^(top[k] - bottom[k]) over the Phi
+    keys k where the exponent dict top exceeds bottom, p the polynomial
+    of _cyclotomic_at.  Shared by every caller, so none changes it."""
+    return _phi_product(frozenset((k, e - bottom.get(k, 0))
+                                  for k, e in top.items()
+                                  if e > bottom.get(k, 0)))
+
+
+@lru_cache(maxsize=4096)
+def _phi_product(phi):
+    """_excess's product for the frozenset phi of (key, exponent) pairs."""
+    return _Factored(1, 0, 0, dict(phi))._sides()[0].terms
+
+
 class _Factored:
-    """sign * q^a t^b * prod Phi_d(v)^e in Q(q,t), each e a nonzero int.
+    """sign * q^a t^b * prod p^e in Q(q,t), each e a nonzero int and p
+    the polynomial q^sa t^sb Phi_d(v) of _cyclotomic_at(d, va, vb).
 
     sign is 1 or -1, or 0 for the zero value, which has no factors; the
     content is always 1, since every Phi_d is monic.  The factors are
     keyed (d, va, vb) with v = q^va t^vb primitive and pointing up
     (va > 0, or va = 0 < vb).  The Phi_d(v) are irreducible and pairwise
     coprime in Z[q^±1, t^±1], so products and quotients are exponent
-    sums and every cancellation is exact.  ``expand`` multiplies the
-    factors out into the canonical QTScalar with no gcd.
+    sums and every cancellation is exact.  The monomial is held against
+    the p's, so a value multiplies out with no shift.
     """
 
     __slots__ = ("sign", "a", "b", "phi")
@@ -794,11 +828,29 @@ class _Factored:
         if a < 0 or (a == 0 and b < 0):
             # 1 - u = -u (1 - 1/u)
             sign, a1, b1, a, b = 1, a2, b2, -a, -b
-        # 1 - v^g = -prod_(d | g) Phi_d(v)
+        # 1 - v^g = -prod_(d | g) Phi_d(v); with b < 0 the p's of the
+        # Phi_d(v) carry t^(-vb deg Phi_d), and those degrees sum to g
         g = _igcd(a, b)
         va, vb = a // g, b // g
-        return _Factored(sign, a1, b1, {(d, va, vb): 1
-                                        for d in range(1, g + 1) if g % d == 0})
+        return _Factored(sign, a1, b1 + min(b, 0),
+                         {(d, va, vb): 1 for d in range(1, g + 1)
+                          if g % d == 0})
+
+    @staticmethod
+    def factor(terms, phi):
+        """The nonzero integer Laurent term dict terms as a value over the
+        Phi factors of the exponent dict phi, each to at most its
+        exponent there; None unless the cofactor is +-q^a t^b.  The one
+        route by which a built K, a served K (over d_eta) and P's
+        integral form (over d_eta and c_lambda's divisors) are factored,
+        so each factored form is a certificate."""
+        f, taken = _divide_out(terms, phi)
+        if len(f) != 1:
+            return None
+        ((a, b), c), = f.items()
+        if abs(c) != 1:
+            return None
+        return _Factored(c, a, b, {k: n for k, n in taken.items() if n})
 
     @staticmethod
     def prod(factors, divisors=()):
@@ -820,6 +872,16 @@ class _Factored:
                 phi[k] = phi.get(k, 0) + e
         return _Factored(sign, a, b, {k: e for k, e in phi.items() if e})
 
+    @staticmethod
+    def common(values):
+        """A common factor of the nonzero values: each Phi factor to its
+        least exponent over them, and the least powers of q and t."""
+        least = {k: min(v.phi.get(k, 0) for v in values)
+                 for k in {k for v in values for k in v.phi}}
+        return _Factored(1, min(v.a for v in values),
+                         min(v.b for v in values),
+                         {k: e for k, e in least.items() if e})
+
     def is_zero(self):
         return not self.sign
 
@@ -832,37 +894,37 @@ class _Factored:
     def __truediv__(self, other):
         return _Factored.prod((self,), (other,))
 
-    def _shift(self):
-        """(a, b) with self = sign q^a t^b prod p^e over its factors, p
-        the polynomial of ``_cyclotomic_at``."""
-        a, b = self.a, self.b
-        for k, e in self.phi.items():
-            _, sa, sb = _cyclotomic_at(*k)
-            a, b = a - sa * e, b - sb * e
-        return a, b
-
     def _sides(self):
-        """(num, den, a, b) with self = sign q^a t^b num/den: num and den
-        the products of the factors of positive and of negative exponent,
-        each as the polynomial of ``_cyclotomic_at``."""
+        """(num, den): the products of the p's of the factors of positive
+        and of negative exponent."""
         sides = [_P_ONE, _P_ONE]
         for k, e in self.phi.items():
             p = _cyclotomic_at(*k)[0]
             for _ in range(abs(e)):
                 sides[e < 0] = sides[e < 0] * p
-        return (*sides, *self._shift())
+        return sides
 
     def laurent(self):
         """The integer Laurent term dict of a product with no divisor,
         keyed (q-exponent, t-exponent)."""
         if not self.sign:
             return {}
-        num, den, a, b = self._sides()
+        num, den = self._sides()
         if not den.is_one():
             raise ValueError("a product with a divisor is not a Laurent "
                              "polynomial")
-        return {(x + a, y + b): self.sign * v
+        return {(x + self.a, y + self.b): self.sign * v
                 for (x, y), v in num.terms.items()}
+
+    def over(self, f, taken):
+        """v / self as a canonical QTScalar, with no gcd, for the pair
+        (f, taken) = _divide_out(v, self.phi) of an integer Laurent term
+        dict v and a self with no divisor.  The Phi factors are
+        irreducible and pairwise coprime, and f is v divided by each for
+        as long as that is exact, so what is left of the denominator is
+        coprime to f up to a monomial: _coprime makes it canonical."""
+        return _coprime(Fraction(self.sign), f, _excess(self.phi, taken),
+                        -self.a, -self.b)
 
     def expand(self) -> QTScalar:
         """The canonical QTScalar, with no gcd, memoized on the value."""
@@ -878,19 +940,19 @@ _FACTORED_ZERO = _Factored(0)
 def _expand(sign, a, b, phi):
     """The canonical QTScalar of the nonzero _Factored with these fields,
     phi as a frozenset of its items.  The sides are products of distinct
-    Phi_d(v) shifted off q and t, so they are coprime and need no gcd.
+    p's, each prime to q and t, so they are coprime and need no gcd.
     Memoized, least recently used first out: the Pieri expansions of
     different Lambda meet the same coefficient values, and a QTScalar is
     immutable, so one value is shared by every caller."""
-    num, den, a, b = _Factored(sign, a, b, dict(phi))._sides()
+    num, den = _Factored(sign, a, b, dict(phi))._sides()
     return _canonical(Fraction(sign), num.mul_term(max(a, 0), max(b, 0)),
                       den.mul_term(max(-a, 0), max(-b, 0)))
 
 
 def _lcd_sum(values, nums):
     """(total, D): D the lcm of the _Factored values' denominators, each
-    Phi factor to its largest negative exponent (no gcd), and total the
-    integer Laurent term dict of D * sum value * num over the dicts nums."""
+    p to its largest negative exponent (no gcd), and total the integer
+    Laurent term dict of D * sum value * num over the dicts nums."""
     exps = {}
     for v in values:
         for k, e in v.phi.items():

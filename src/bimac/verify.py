@@ -36,7 +36,7 @@ from itertools import combinations, permutations, product
 
 from .evalsym import _P_at, eval_formula, symmetry_check
 from .macdonald import (bisym_P, c_lambda_formula, dominant_exponent,
-                        _bruhat_less, _integral_E)
+                        _bruhat_below, _integral_E)
 from .pieri import (_a_factor, _generic_point, op_identity_check,
                     pieri_bruteforce, pieri_expand, expansions_equal)
 from .qt import (QTPoly, _brackets, _Factored, _lcd_sum,
@@ -267,14 +267,9 @@ def _rel_u_plus(N, r, J, point):
     rest = set(range(1, N + 1)) - set(J)
     rhs = _Factored.prod([*num, _a_factor(point, product(J, rest), ())], den)
     values = [*terms, -rhs]
-    # their common factor G, each Phi at its least exponent over the
-    # values and the least monomial: G is nonzero, so the sum vanishes
-    # exactly when the sum of the cofactors does, and those share no
-    # denominator left to expand
-    least = {k: min(v.phi.get(k, 0) for v in values)
-             for k in {k for v in values for k in v.phi}}
-    G = _Factored(1, min(v.a for v in values), min(v.b for v in values),
-                  {k: e for k, e in least.items() if e})
+    # G is nonzero, so the sum vanishes exactly when the sum of the
+    # cofactors does, and those share no denominator left to expand
+    G = _Factored.common(values)
     total, _ = _lcd_sum([v / G for v in values], [{(0, 0): 1}] * len(values))
     return not total
 
@@ -286,7 +281,8 @@ def _eigen_and_triangular(eta):
     dict, where the ring has no width bound."""
     N = len(eta)
     K = _integral_E(eta)
-    return all(nu == eta or _bruhat_less(nu, eta) for nu in K) and \
+    below = _bruhat_below(eta)
+    return all(nu == eta or below(nu) for nu in K) and \
         all(_W(i, K) == _comb((K, _integral(
             eigenvalue(eta, i).mul_monomial(0, N - 1))))
             for i in range(1, N + 1))

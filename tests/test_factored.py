@@ -11,8 +11,8 @@ import bimac.errors
 import bimac.qt
 from bimac.evalsym import eval_formula
 from bimac.pieri import pieri_expand
-from bimac.qt import (QTPoly, QTScalar, _cyclotomic_at, _Factored, _phi_div,
-                     qt_monomial)
+from bimac.qt import (QTPoly, QTScalar, _add_product, _cyclotomic_at,
+                     _divide_out, _Factored, _phi_div, qt_monomial)
 from bimac.sparts import parse_spart
 
 ONE = QTScalar.one()
@@ -201,6 +201,80 @@ def test_composite_exponent_cancels():
     g = f / _Factored.binomial(0, 0, -3, -2)
     want = (ONE + qt_monomial(3, 2)) / (ONE - qt_monomial(-3, -2))
     assert _parts(g.expand()) == _parts(want)
+
+
+# a factor with no divisor: (kind, a1, b1, a2, b2) as in factors
+tops = st.lists(st.tuples(st.sampled_from(("monomial", "one_minus",
+                                           "binomial")),
+                          exps, exps, exps, exps), max_size=6)
+# 1 - q t^-1 and q^2 - t^3 (1 - q^2 t^-3 up to q^0 t^3) point down in
+# t, where each p of _cyclotomic_at carries a power of t
+DOWN = [("one_minus", 1, -1, 0, 0), ("binomial", 0, 3, 2, 0),
+        ("one_minus", 4, -2, 0, 0)]
+
+
+def _plain(terms):
+    """The integer Laurent term dict as a QTScalar, term by term."""
+    out = QTScalar.zero()
+    for (a, b), c in terms.items():
+        out = out + QTScalar.from_int(c) * qt_monomial(a, b)
+    return out
+
+
+def _product(spec):
+    """The nonzero product of the spec's factors, factored and plain."""
+    pairs = [_both(*f) for f in spec]
+    assume(not any(x.is_zero() for _, x in pairs))
+    plain = ONE
+    for _, x in pairs:
+        plain = plain * x
+    return _Factored.prod([f for f, _ in pairs]), plain
+
+
+@settings(max_examples=300, deadline=None)
+@given(tops)
+def test_monomial_is_held_against_the_p_polynomials(spec):
+    # sign q^a t^b prod p^e, p the polynomial of _cyclotomic_at: laurent
+    # is that product and the plain one
+    f, plain = _product(spec + DOWN[:len(spec) % 4])
+    p = QTPoly.monomial(0, 0, f.sign)
+    for k, e in f.phi.items():
+        for _ in range(e):
+            p = p * _cyclotomic_at(*k)[0]
+    want = {(x + f.a, y + f.b): v for (x, y), v in p.terms.items()}
+    assert f.laurent() == want
+    assert _parts(_plain(f.laurent())) == _parts(plain)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tops, st.sampled_from([{(0, 0): 2}, {(0, 0): 3, (1, 2): 1},
+                              {(-1, 0): 1, (0, -2): 1}]))
+def test_factor_recovers_a_product(spec, cofactor):
+    # a product's term dict factors back into its own fields over its
+    # own factors or more; times a cofactor that is no +-q^a t^b and no
+    # product of p's it does not factor
+    f, plain = _product(spec + DOWN[:len(spec) % 4])
+    terms = f.laurent()
+    more = {**f.phi, (1, 1, 1): f.phi.get((1, 1, 1), 0) + 2}
+    for phi in (f.phi, more):
+        got = _Factored.factor(terms, phi)
+        assert (got.sign, got.a, got.b, got.phi) == (f.sign, f.a, f.b, f.phi)
+        assert _parts(got.expand()) == _parts(plain)
+    assert _Factored.factor(_add_product({}, terms, cofactor), more) is None
+
+
+@settings(max_examples=300, deadline=None)
+@given(tops, tops, term_dicts, st.sampled_from([(0, 0), (2, -1), (-2, -3)]))
+def test_over_matches_plain_division(lead_spec, part_spec, v, shift):
+    # v times a product of factors, divided by a lead: the divide/over
+    # pair gives the plain quotient
+    lead, plain_lead = _product(lead_spec + DOWN[:len(lead_spec) % 4])
+    part, plain_part = _product(part_spec + DOWN[:len(part_spec) % 4])
+    a, b = shift
+    v = {(x + a, y + b): c for (x, y), c in v.items()}
+    num = _add_product({}, v, part.laurent())
+    got = lead.over(*_divide_out(num, lead.phi))
+    assert _parts(got) == _parts(_plain(v) * plain_part / plain_lead)
 
 
 SHAPES_N5 = ("2,0;1", "1;1,1", "3,1,0;2", "2,1;1", "1,0;2")

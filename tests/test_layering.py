@@ -1,10 +1,13 @@
-"""The combinatorics layer stands below the polynomial layer.
+"""The combinatorics layer stands below the polynomial layer, and qt
+owns the factored denominator.
 
 ``sparts`` (superpartitions, evaluation points, strips) imports nothing
 from the package but ``errors`` and ``qt``, so that ``xpoly``, ``hecke``
 and everything built on them may use it without a cycle, and an
 evaluation point stays a plain tuple rather than a polynomial-layer
-object.
+object.  No module but ``qt`` names the Phi polynomials of
+``_Factored`` or their products, and ``evalsym`` reaches ``macdonald``
+through its public names only.
 """
 
 import ast
@@ -46,3 +49,56 @@ def test_the_import_reader_sees_every_form(tmp_path):
                    "from fractions import Fraction\n", encoding="utf-8")
     assert _package_imports(src) == {"hecke", "cache", "xpoly", "pieri",
                                      "render"}
+
+
+def _names(path):
+    """Every name a source file binds, reads or imports, attributes
+    included."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.asname or node.name)
+            out.add(node.name)
+    return out
+
+
+def test_only_qt_names_the_phi_polynomials():
+    # the factored denominator is qt's: its p's and their products are
+    # reached through _Factored and qt's helpers only
+    private = {"_cyclotomic_at", "_phi_div", "_phi_product"}
+    for path in SRC.glob("*.py"):
+        if path.name != "qt.py":
+            assert not _names(path) & private, path.name
+
+
+def _private_imports(path, module):
+    """The private names a source file imports from a bimac module, or
+    reads off it as an attribute."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.module and \
+                node.module.split(".")[-1] == module:
+            out.update(a.name for a in node.names if a.name.startswith("_"))
+        elif isinstance(node, ast.Attribute) and \
+                isinstance(node.value, ast.Name) and \
+                node.value.id == module and node.attr.startswith("_"):
+            out.add(node.attr)
+    return out
+
+
+def test_evalsym_imports_nothing_private_from_macdonald():
+    assert _private_imports(SRC / "evalsym.py", "macdonald") == set()
+
+
+def test_the_private_import_reader_sees_both_forms(tmp_path):
+    src = tmp_path / "m.py"
+    src.write_text("from .macdonald import bisym_P, _peel\n"
+                   "from bimac.macdonald import _is_rep\n"
+                   "from . import macdonald\nx = macdonald._K_CACHE\n"
+                   "from .qt import _coprime\n", encoding="utf-8")
+    assert _private_imports(src, "macdonald") == {"_peel", "_is_rep",
+                                                  "_K_CACHE"}

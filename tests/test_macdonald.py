@@ -216,8 +216,8 @@ class TestNonsymE:
     def test_failed_step_division_fails_closed(self, monkeypatch):
         # a T step whose binomial does not divide raises, naming the step
         monkeypatch.setattr(macdonald, "_K_CACHE", {})
-        monkeypatch.setattr(macdonald, "_cyclotomic_at",
-                            lambda d, a, b: (QTPoly({(0, 0): 1, (1, 0): 2}),))
+        monkeypatch.setattr(macdonald, "_excess",
+                            lambda top, bottom: {(0, 0): 1, (1, 0): 2})
         with pytest.raises(ConsistencyError,
                            match=r"^the Knop-Sahi step to J_\(1, 0, 0\) does "
                                  r"not divide by 1 \+ 2\*q$"):
@@ -327,7 +327,7 @@ class TestNonsymE:
 def below(eta):
     """Every composition strictly Bruhat-below eta."""
     return [nu for nu in compositions_of(sum(eta), len(eta))
-            if macdonald._bruhat_less(nu, eta)]
+            if macdonald._bruhat_below(eta)(nu)]
 
 
 def eigen_failure(eta):
@@ -527,11 +527,11 @@ class TestBisymP:
     def test_one_reduction_per_distinct_coefficient(self, monkeypatch, lam):
         # a cold P, E's K included, divides each distinct coefficient of
         # its integral form by the factored c once (one qt._coprime call
-        # each in macdonald._over), with no gcd, and equal coefficients
+        # each in qt._Factored.over), with no gcd, and equal coefficients
         # are one object
         calls = []
-        real = macdonald._coprime
-        monkeypatch.setattr(macdonald, "_coprime",
+        real = qt._coprime
+        monkeypatch.setattr(qt, "_coprime",
                             lambda *args: calls.append(1) or real(*args))
         monkeypatch.setattr(qt, "poly_gcd", refuse_gcd)
         monkeypatch.setattr(macdonald, "_K_CACHE", {})
