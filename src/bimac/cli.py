@@ -42,6 +42,10 @@ _MAX_SIZE, _MAX_DEGREE_1 = 50, 10000
 # about 2 s on 2 vCPUs at the limit ("74;" at N = 2), and past it the
 # time grows as about the fifth power of the degree
 _MAX_FORMULA_SIZE = 150
+# the most variables verify takes: its hecke suite's A-product lemma walks
+# all N! permutations, which took 1.0 s at N = 6 and 48 s at N = 7 with
+# --deg 0 on 2 vCPUs
+_MAX_VERIFY_N = 6
 
 
 def _at_least(flag, value, least):
@@ -183,6 +187,13 @@ def cmd_pieri(args):
 def cmd_verify(args):
     _at_least("N", args.N, 2)
     _at_least("deg", args.deg, 0)
+    if args.N > _MAX_VERIFY_N:
+        raise _UsageError(f"--N {args.N} is over verify's limit of "
+                          f"{_MAX_VERIFY_N} variables")
+    # the suites build E's and P's of degree up to --deg, and the pieri
+    # suite's oracle the P's of e_r P_Lambda, r <= 2
+    _bounded(f"deg {args.deg}",
+             args.deg + 2 * (args.suite in ("pieri", "all")), args.N)
     rep = run_suite(args.suite, N=args.N, deg=args.deg)
     for line in rep.lines():
         print(line)

@@ -553,8 +553,11 @@ def c_lambda_corrected(lam: SuperPartition) -> QTScalar:
 # ---------------------------------------------------------------------------
 
 def is_bisymmetric(f: XPolynomial, m: int) -> bool:
-    return all(hecke.apply_K(i, i + 1, f) == f for i in
-               list(range(1, m)) + list(range(m + 1, f.nvars)))
+    """f is invariant under S_m x S_(N-m): each adjacent transposition
+    inside a block sends every term to a term with the same coefficient."""
+    return all(f.terms.get((*e[:i], e[i + 1], e[i], *e[i + 2:])) == c
+               for e, c in f.terms.items()
+               for i in (*range(m - 1), *range(m, f.nvars - 1)))
 
 
 def _is_rep(e, m):

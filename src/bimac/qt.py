@@ -21,10 +21,12 @@ a monomial.  ``poly_gcd``, the heuristic gcd of Char, Geddes and
 Gonnet, is called only where coprimality is unknown: from ``_cancel``
 (products, ``_reduce``, other ``_laurent_scalar``s), a sum's
 denominator gcd and ``_poly_lcm`` (f's common denominator in xpoly's
-``_integral_form``, none for an integral f).  It is one loop that
-evaluates q (then, by recursion on the images, t) at an integer and
-grows that point until a candidate passes trial division, which is its
-only exit.
+``_integral_form``, none for an integral f).  No construction reaches
+it, since E, P, the evaluations and the Pieri coefficients are formed
+over ``_Factored`` denominators: it runs only for values a caller
+supplies, and it keeps no memo.  It is one loop that evaluates q (then,
+by recursion on the images, t) at an integer and grows that point until
+a candidate passes trial division, which is its only exit.
 
 The private ``_Factored`` owns the factored denominators: Knop's
 d_eta, P's dominant coefficient, the Pieri and evaluation products.  It
@@ -191,7 +193,7 @@ class QTPoly:
     stored coefficients are nonzero ints.  Instances are immutable.
     """
 
-    __slots__ = ("terms", "_key", "_cs")
+    __slots__ = ("terms", "_key")
 
     def __init__(self, terms=None):
         t = {}
@@ -203,7 +205,6 @@ class QTPoly:
                     t[e] = c
         self.terms = t
         self._key = None
-        self._cs = None
 
     # -- construction -------------------------------------------------
     @staticmethod
@@ -285,14 +286,10 @@ class QTPoly:
     def content_split(self):
         """Return (c, prim) with self = c*prim, c an int and prim with
         content 1 and a positive leading coefficient."""
-        if self._cs is None:
-            if not self.terms:
-                return 0, _P_ZERO
-            c, prim = _primitive_terms(self.terms)
-            prim = self if c == 1 else _poly(prim)
-            prim._cs = (1, prim)
-            self._cs = (c, prim)
-        return self._cs
+        if not self.terms:
+            return 0, _P_ZERO
+        c, prim = _primitive_terms(self.terms)
+        return c, self if c == 1 else _poly(prim)
 
     def exact_div(self, g):
         """Exact quotient self/g in Z[q,t]; DivisibilityError otherwise."""
@@ -323,7 +320,6 @@ def _poly(terms):
     p = QTPoly.__new__(QTPoly)
     p.terms = terms
     p._key = None
-    p._cs = None
     return p
 
 
@@ -344,36 +340,18 @@ _P_ZERO = _poly({})
 _P_ONE = _poly({(0, 0): 1})
 
 
-_GCD_MEMO: dict = {}
-
-
 def poly_gcd(f: QTPoly, g: QTPoly) -> QTPoly:
     """Gcd over Q[q,t] (primitive parts only, since a QTScalar keeps the
     rational content apart), integer-primitive with a positive leading
-    coefficient, from the one heuristic-gcd loop ``_gcd_terms``.  Results
-    are memoized: the same denominators recur across the sums and
-    products of one construction."""
+    coefficient, from the one heuristic-gcd loop ``_gcd_terms``.  It runs
+    only for values a caller supplies, never in construction, so it keeps
+    no memo."""
     if f.is_zero():
         return g.content_split()[1] if g else _P_ZERO
     if g.is_zero():
         return f.content_split()[1]
-    _, fp = f.content_split()
-    _, gp = g.content_split()
-    if len(fp.terms) == 1 or len(gp.terms) == 1:
-        # a one-term primitive side is q^a t^b: the least exponents
-        a, b = map(min, zip(*fp.terms, *gp.terms))
-        return QTPoly.monomial(a, b) if a or b else _P_ONE
-    fk, gk = fp.key(), gp.key()
-    memo_key = (fk, gk) if fk <= gk else (gk, fk)
-    hit = _GCD_MEMO.get(memo_key)
-    if hit is not None:
-        return hit
-    out = _gcd_terms(fp.terms, gp.terms)
-    out = _P_ONE if out == {(0, 0): 1} else _poly(out)
-    if len(_GCD_MEMO) > 200000:
-        _GCD_MEMO.clear()
-    _GCD_MEMO[memo_key] = out
-    return out
+    out = _gcd_terms(f.content_split()[1].terms, g.content_split()[1].terms)
+    return _P_ONE if out == {(0, 0): 1} else _poly(out)
 
 
 # ---------------------------------------------------------------------------
@@ -440,12 +418,8 @@ class QTScalar:
             return self
         if not self.num.terms:
             return other
-        da, db = self.den, other.den
-        if da == db:
-            parts = ((self.c, self.num), (other.c, other.num))
-            return _reduce(*_combine(parts), da)
-        d = poly_gcd(da, db)
-        da, db = da.exact_div(d), db.exact_div(d)
+        d = poly_gcd(self.den, other.den)
+        da, db = self.den.exact_div(d), other.den.exact_div(d)
         # the new numerator is prime to da*db, so only d can cancel
         parts = ((self.c, self.num * db), (other.c, other.num * da))
         s = _reduce(*_combine(parts), d)
@@ -531,9 +505,6 @@ def _scalar(c, num, den):
 def _combine(pairs):
     """(c, p) with sum of c_i*p_i = c*p, for Fractions c_i and integer
     polynomials p_i."""
-    c = pairs[0][0]
-    if all(ci == c for ci, _ in pairs):
-        return c, _lincomb((1, p) for _, p in pairs)
     lcd = _ilcm(*(ci.denominator for ci, _ in pairs))
     return (Fraction(1, lcd),
             _lincomb((ci.numerator * (lcd // ci.denominator), p)

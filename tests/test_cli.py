@@ -23,7 +23,7 @@ from bimac.macdonald import bisym_P, nonsym_E
 from bimac.qt import QTPoly, QTScalar
 from bimac.render import xpoly_to_json
 from bimac.sparts import SuperPartition
-from bimac.verify import SUITES
+from bimac.verify import SUITES, Report
 from bimac.xpoly import XPolynomial
 
 
@@ -1233,8 +1233,9 @@ _FLAGS = {
 }
 
 
-# values of E's, P's and eval's inputs over their limits (cli._bounded): huge
-# parts, more parts than the limit, huge N
+# values of E's, P's, eval's and verify's inputs over their limits
+# (cli._bounded, cli._MAX_VERIFY_N): huge parts, more parts than the limit,
+# huge N and huge --deg
 _HUGE = st.integers(cli._MAX_DEGREE_1 + 1, 10 ** 30)
 _WIDE = st.integers(cli._MAX_SIZE + 1, 10 ** 30)
 _OVER = {
@@ -1251,6 +1252,8 @@ _OVER = {
                                    _HUGE.map(";{}".format)),
     ("eval", "--N"): _WIDE.map(str),
     ("pieri", "--N"): _WIDE.map(str),
+    ("verify", "--N"): st.integers(cli._MAX_VERIFY_N + 1, 10 ** 30).map(str),
+    ("verify", "--deg"): st.integers(cli._MAX_SIZE // 2, 10 ** 30).map(str),
 }
 
 
@@ -1274,9 +1277,10 @@ def cache_paths(tmp_path_factory):
 def test_fuzz_command_line(cache_paths, data):
     # whatever the arguments: exit 0, 1 or 2, no traceback, and a usage
     # error (exit 2) is one error line.  Each flag is left out, or takes
-    # a well-formed value or any value, or for E, P and eval a value
-    # over the size limit, which is refused before E, P or the formula
-    # is built; the deadline fixture bounds the whole run
+    # a well-formed value or any value, or for E, P, eval and verify a
+    # value over the size limit, which is refused before E, P, the
+    # formula or a suite is begun; the deadline fixture bounds the whole
+    # run
     command = data.draw(st.sampled_from(sorted(_FLAGS)), "command")
     argv, over = [command], False
     for flag, (required, good, bad) in _FLAGS[command].items():
@@ -1295,7 +1299,7 @@ def test_fuzz_command_line(cache_paths, data):
         argv = ["--cache", cache] + argv
     out, err = io.StringIO(), io.StringIO()
     refuse = mock.patch.multiple(cli, nonsym_E=_no_work, bisym_P=_no_work,
-                                 eval_formula=_no_work) \
+                                 eval_formula=_no_work, run_suite=_no_work) \
         if over else contextlib.nullcontext()
     with refuse, contextlib.redirect_stdout(out), \
             contextlib.redirect_stderr(err):
@@ -1346,18 +1350,36 @@ class TestLimits:
         (["pieri", "--spart", "24;", "--N", "2", "--r", "1", "--check"],
          "--check asks for degree 25 in 2 variables, over the limit of 50 on "
          "(degree + 1) * N"),
+        (["verify", "--suite", "hecke", "--N", "7", "--deg", "0"],
+         "--N 7 is over verify's limit of 6 variables"),
+        (["verify", "--N", "10" + "0" * 20],
+         "--N 1" + "0" * 21 + " is over verify's limit of 6 variables"),
+        (["verify", "--suite", "eigen", "--N", "2", "--deg", "30"],
+         "--deg 30 asks for degree 30 in 2 variables, over the limit of 50 "
+         "on (degree + 1) * N"),
+        (["verify", "--suite", "pieri", "--N", "2", "--deg", "23"],
+         "--deg 23 asks for degree 25 in 2 variables, over the limit of 50 "
+         "on (degree + 1) * N"),
+        (["verify", "--N", "6", "--deg", "6"],
+         "--deg 6 asks for degree 8 in 6 variables, over the limit of 50 on "
+         "(degree + 1) * N"),
+        (["verify", "--suite", "hecke", "--N", "3", "--deg", "10" + "0" * 20],
+         "--deg 1" + "0" * 21 + " asks for degree 1" + "0" * 21 + " in 3 "
+         "variables, over the limit of 50 on (degree + 1) * N"),
     ], ids=["degree", "variables", "one-variable", "huge-part", "P-degree",
             "P-variables", "huge-N", "eval-huge-N", "pieri-huge-N",
             "eval-substitution-degree", "eval-both-degree",
             "eval-formula-degree", "eval-formula-one-variable",
-            "pieri-check-degree"])
+            "pieri-check-degree", "verify-N", "verify-huge-N",
+            "verify-eigen-degree", "verify-pieri-degree", "verify-all-degree",
+            "verify-huge-degree"])
     def test_over_a_limit_is_refused_up_front(self, capsys, monkeypatch,
                                               tmp_path, argv, message):
         # one error line naming the input and the limit, exit 2, no
         # output, nothing appended, and no E, P, evaluation or expansion
         # begun
         for name in ("nonsym_E", "bisym_P", "eval_formula", "_P_at",
-                     "pieri_expand", "pieri_bruteforce"):
+                     "pieri_expand", "pieri_bruteforce", "run_suite"):
             monkeypatch.setattr(cli, name, _no_work)
         path = tmp_path / "c.jsonl"
         path.write_bytes(b"")
@@ -1374,3 +1396,18 @@ class TestLimits:
         cli._bounded("eta", 10000, 1)
         cli._bounded("spart", 74, 2, cli._MAX_FORMULA_SIZE)
         cli._bounded("spart", 49, 3, cli._MAX_FORMULA_SIZE)
+
+    @pytest.mark.parametrize("argv", [
+        ("--N", "6", "--deg", "3"), ("--N", "6", "--deg", "5"),
+        ("--suite", "pieri", "--N", "2", "--deg", "22"),
+        ("--suite", "eigen", "--N", "2", "--deg", "24"),
+        ("--suite", "hecke", "--N", "6", "--deg", "7"),
+    ], ids=["all-N6", "all-N6-top", "pieri-N2-top", "eigen-N2-top",
+            "hecke-N6-top"])
+    def test_verify_at_its_limits(self, capsys, monkeypatch, argv):
+        # admitted: the suite is called, here a stand-in that runs none
+        seen = []
+        monkeypatch.setattr(cli, "run_suite",
+                            lambda *a, **kw: seen.append(a) or Report())
+        assert run(capsys, "verify", *argv) == (0, "", "")
+        assert len(seen) == 1

@@ -1,13 +1,15 @@
-"""The combinatorics layer stands below the polynomial layer, and qt
-owns the factored denominator.
+"""The combinatorics layer stands below the polynomial layer, qt owns
+the factored denominator, and the gcd serves caller-supplied values
+only.
 
 ``sparts`` (superpartitions, evaluation points, strips) imports nothing
 from the package but ``errors`` and ``qt``, so that ``xpoly``, ``hecke``
 and everything built on them may use it without a cycle, and an
 evaluation point stays a plain tuple rather than a polynomial-layer
 object.  No module but ``qt`` names the Phi polynomials of
-``_Factored`` or their products, and ``evalsym`` reaches ``macdonald``
-through its public names only.
+``_Factored`` or their products, no module but ``qt`` and ``xpoly``
+names the gcd or the reductions built on it, and ``evalsym`` reaches
+``macdonald`` through its public names only.
 """
 
 import ast
@@ -73,6 +75,17 @@ def test_only_qt_names_the_phi_polynomials():
     for path in SRC.glob("*.py"):
         if path.name != "qt.py":
             assert not _names(path) & private, path.name
+
+
+def test_only_qt_and_xpoly_name_the_gcd_route():
+    # every construction forms its values over factored denominators;
+    # the gcd and the reductions built on it serve caller-supplied
+    # values only, in qt's scalar arithmetic and xpoly's integral form
+    gcd_route = {"poly_gcd", "_gcd_terms", "_cancel", "_reduce", "_poly_lcm",
+                 "_laurent_scalar"}
+    for path in SRC.glob("*.py"):
+        if path.name not in ("qt.py", "xpoly.py"):
+            assert not _names(path) & gcd_route, path.name
 
 
 def _private_imports(path, module):

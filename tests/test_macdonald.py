@@ -759,6 +759,51 @@ class TestInvariantSweeps:
         assert dominant_exponent(lam) == (2, 1, 2, 0)
 
 
+def bisymmetric_by_K(f, m):
+    """is_bisymmetric's reference route: f is fixed by the exchange
+    K_(i,i+1) of each adjacent pair of variables inside a block."""
+    return all(hecke.apply_K(i, i + 1, f) == f
+               for i in (*range(1, m), *range(m + 1, f.nvars)))
+
+
+class TestIsBisymmetric:
+    # P's at every m from 0 to N, each checked at every block split
+    SHAPES = [sp for N in (1, 3, 4) for m in range(N + 1) for d in range(4)
+              for sp in superpartitions(d, m, N)]
+
+    def test_agrees_with_the_K_route_on_P(self):
+        for sp in self.SHAPES:
+            P = bisym_P(sp).poly
+            assert is_bisymmetric(P, sp.m)
+            for m in range(sp.N + 1):
+                assert is_bisymmetric(P, m) == bisymmetric_by_K(P, m)
+
+    def test_agrees_with_the_K_route_on_perturbed_P(self):
+        # one coefficient bumped by 1: bisymmetry breaks exactly when the
+        # term's orbit under the blocks has another term in it
+        broken = 0
+        for sp in self.SHAPES:
+            P = bisym_P(sp).poly
+            for e, c in P.terms.items():
+                f = XPolynomial(sp.N, {**P.terms, e: c + ONE})
+                for m in range(sp.N + 1):
+                    got = is_bisymmetric(f, m)
+                    assert got == bisymmetric_by_K(f, m), (sp, e, m)
+                broken += not is_bisymmetric(f, sp.m)
+        assert broken
+
+    @pytest.mark.parametrize("N", [1, 2, 3])
+    def test_edge_cases(self, N):
+        # m = 0, 1 and N, on the zero polynomial, 1 and x_1
+        for f in (XPolynomial.zero(N), XPolynomial.one(N),
+                  XPolynomial.variable(1, N)):
+            for m in {0, 1, N}:
+                assert is_bisymmetric(f, m) == bisymmetric_by_K(f, m)
+        x1 = XPolynomial.variable(1, N)
+        assert is_bisymmetric(x1, 1) and is_bisymmetric(x1, N) == (N == 1)
+        assert is_bisymmetric(x1, 0) == (N == 1)
+
+
 class TestClassicalCrossChecks:
     def test_row_shape_against_textbook(self):
         # P_(2) = m_(2) + (1+q)(1-t)/(1-qt) m_(1,1), a standard table

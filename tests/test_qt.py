@@ -4,7 +4,7 @@ from math import gcd as igcd
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from bimac import qt
 from bimac.errors import DivisibilityError
@@ -219,6 +219,27 @@ def test_differential_against_sympy(a, b, f, g, h):
     _check_gcd_against_sympy(sympy, f * h, g * h)
 
 
+@settings(max_examples=60, deadline=None)
+@given(scalars(), polys(allow_zero=False))
+def test_sum_over_an_equal_denominator_against_sympy(a, n):
+    # equal canonical denominators: their gcd is the whole of each
+    sympy = pytest.importorskip("sympy")
+    b = QTScalar(n, a.den)
+    assume(b.den == a.den)
+    _check_against_sympy(sympy, a, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(scalars(), scalars())
+def test_sum_of_equal_contents_against_sympy(a, b):
+    # equal rational contents, over equal or different denominators
+    sympy = pytest.importorskip("sympy")
+    assume(a and b)
+    b = b * QTScalar.from_fraction(a.c / b.c)
+    assert b.c == a.c
+    _check_against_sympy(sympy, a, b)
+
+
 def test_corpus_against_sympy():
     sympy = pytest.importorskip("sympy")
     with open(CORPUS, encoding="utf-8") as fh:
@@ -391,8 +412,9 @@ def test_negative_exponents_live_in_denominator():
 @settings(max_examples=150, deadline=None)
 @given(exps, exps, coeffs.filter(bool), polys(allow_zero=False))
 def test_gcd_with_a_one_term_side(a, b, c, p):
-    # the shortcut before the memo against the heuristic-gcd loop, which
-    # reports the content gcd that poly_gcd leaves out
+    # poly_gcd against the monomial path of the heuristic-gcd loop run on
+    # the raw sides, which reports the content gcd that poly_gcd leaves
+    # out: on primitive parts the same least-exponent q^a t^b
     mono = QTPoly.monomial(a, b, c)
     want = QTPoly(qt._gcd_terms(mono.terms, p.terms)).content_split()[1]
     assert poly_gcd(mono, p) == poly_gcd(p, mono) == want

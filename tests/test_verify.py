@@ -263,7 +263,6 @@ def test_suite_makes_no_gcd_call(monkeypatch, suite):
     # the symmetry and evaluation suites read each P's integral form Q
     # and its factored c, and the pieri suite's oracle peels integers
     macdonald.clear_caches()
-    qt._GCD_MEMO.clear()
 
     def refuse(f, g):
         raise AssertionError("poly_gcd was called")
