@@ -46,6 +46,8 @@ COMMANDS = (
     ["E", "--eta", "15,0"],
     ["pieri", "--spart", "2,0;1", "--r", "2", "--variant", "upper", "--N", "5",
      "--check"],
+    # the slowest pieri without --check found within its limit
+    ["pieri", "--spart", "336;210,84,24,6", "--N", "6", "--r", "3"],
     ["verify", "--suite", "all", "--N", "4", "--deg", "3"],
     ["verify", "--suite", "all", "--N", "5", "--deg", "3"],
     # FILE is the side's filled cache file

@@ -46,6 +46,16 @@ _MAX_FORMULA_SIZE = 150
 # all N! permutations, which took 1.0 s at N = 6 and 48 s at N = 7 with
 # --deg 0 on 2 vCPUs
 _MAX_VERIFY_N = 6
+# the largest size (degree + 1) * N of a pieri request in 2 to
+# _MAX_PIERI_N variables, degree = |Lambda| + r that of e_r P_Lambda; in
+# more, the E and P limit holds.  Its time goes into expanding each
+# coefficient's Phi_d, d up to the largest part, and grows with the
+# parts' divisors: within the limit the slowest request found took 5.8 s
+# on 2 vCPUs ("336;210,84,24,6" at N = 6, r = 3; "1980;" at N = 2 took
+# 2.0 s), and past it "5040;" at N = 2 took 25 s.  Past N = 6 the strips
+# multiply: within the same size a request took 13 s at N = 7, and
+# ";11,10,..,1" at N = 12, r = 4 took 41 s
+_MAX_PIERI_SIZE, _MAX_PIERI_N = 4000, 6
 
 
 def _at_least(flag, value, least):
@@ -151,8 +161,13 @@ def cmd_pieri(args):
     lam = _parse_spart(args)
     if args.r < 0:
         raise _UsageError(f"--r {args.r} is negative; e_r needs r >= 0")
-    if args.check:  # the oracle builds the P's of degree |Lambda| + r
-        _bounded("check", lam.degree() + args.r, lam.N)
+    # e_r P_Lambda has degree |Lambda| + r: the oracle builds the P's of
+    # that degree, and the expansion the evaluations of the Omega's
+    degree = lam.degree() + args.r
+    if args.check:
+        _bounded("check", degree, lam.N)
+    _bounded(f"spart {args.spart!r} with --r {args.r}", degree, lam.N,
+             _MAX_PIERI_SIZE if lam.N <= _MAX_PIERI_N else _MAX_SIZE)
     terms = pieri_expand(lam, args.r, args.variant)
     if args.format == "json":
         print(json.dumps([{"spart": format_spart(t.omega),

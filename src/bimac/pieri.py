@@ -15,9 +15,18 @@ Each helper (the A products, Phi, K_sigma(Delta_m)) appends its factors
 and divisors to one pair of lists, checking each divisor as it goes, and
 ``pieri_expand`` adds the normalization and the divisor u_Omega^+(P_Omega)
 to the same lists, so each Pieri coefficient is one ``_Factored.prod``.
-The binomials, the staircase evaluations and the expansions come from
-memos (``qt._expand`` serves a value that another Lambda's expansion
-met), and the sigma data of a certificate is computed once.
+A certificate shifts the point by q on J once (``_shifted``) and reads
+each coordinate by index.  Its factors come from bounded memos, each
+value shared and never changed in place:
+
+* ``_ratio``: an A product's pair (t X_i - X_j)/(X_i - X_j) as one
+  factored value, keyed by the four exponents;
+* ``SigmaSets.from_sigma``: the sigma data, keyed by (sigma, m), with the
+  increasing index tuples that Phi and K_sigma(Delta_m) walk;
+* ``qt._Factored.binomial``: the Vandermonde and Phi binomials;
+* ``evalsym._eval_factors``: the staircase evaluations u^+(P);
+* ``qt._expand``: the expanded coefficient, which serves a value that
+  another Lambda's expansion met.
 
 The brute-force oracle ``pieri_bruteforce`` shares none of this: it
 multiplies e_r into P_Lambda's integral form Q on integers, at the orbit
@@ -41,6 +50,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from operator import add
 
@@ -62,7 +72,9 @@ _UNIT = {(0, 0): 1}
 @dataclass(frozen=True)
 class SigmaSets:
     """The index sets attached to a permutation relative to the block
-    decomposition [1,m] | [m+1,N]."""
+    decomposition [1,m] | [m+1,N], and the increasing tuples of
+    a_comp, b_comp, a_set and sigma([m]) that the coefficient factors
+    walk."""
 
     a_set: frozenset
     a_comp: frozenset
@@ -71,9 +83,15 @@ class SigmaSets:
     s: int
     z_sigma: int
     d_sigma: int
+    a_comp_rows: tuple
+    b_comp_rows: tuple
+    a_set_rows: tuple
+    img_rows: tuple
 
     @staticmethod
+    @lru_cache(maxsize=1024)
     def from_sigma(sigma, m):
+        """Memoized on (sigma, m): the value is shared, and frozen."""
         n = len(sigma)
         inv = perm_inverse(sigma)
         a_set = frozenset(i for i in range(1, m + 1) if inv[i - 1] <= m)
@@ -87,7 +105,9 @@ class SigmaSets:
                 if sigma[i] > sigma[j])
         pairs_lt = sum(1 for i in a_comp for j in a_set if i < j)
         d = s * (s - 1) // 2 + pairs_lt + z
-        return SigmaSets(a_set, a_comp, b_set, b_comp, s, z, d)
+        return SigmaSets(a_set, a_comp, b_set, b_comp, s, z, d,
+                         tuple(sorted(a_comp)), tuple(sorted(b_comp)),
+                         tuple(sorted(a_set)), tuple(sorted(sigma[:m])))
 
 
 @dataclass(frozen=True)
@@ -97,38 +117,38 @@ class PieriTerm:
     coeff: QTScalar
 
 
-def _coord(point, i: int, shift):
-    a, b = point[i - 1]
-    return a + (1 if i in shift else 0), b
+def _shifted(point, shift):
+    """The point with the coordinates X_i, i in shift, times q."""
+    if not shift:
+        return point
+    return tuple((a + 1, b) if i in shift else (a, b)
+                 for i, (a, b) in enumerate(point, 1))
 
 
-def _diff(point, i, j, shift) -> _Factored:
-    return _Factored.binomial(*_coord(point, i, shift), *_coord(point, j, shift))
+@lru_cache(maxsize=4096)
+def _ratio(ai, bi, aj, bj) -> _Factored:
+    """(t X_i - X_j)/(X_i - X_j) for X_i != X_j, one factored value.
+    Memoized: the value is shared, so no phi is ever changed in place."""
+    return _Factored.prod((_Factored.binomial(ai, bi + 1, aj, bj),),
+                          (_Factored.binomial(ai, bi, aj, bj),))
 
 
-def _tdiff(point, i, j, shift) -> _Factored:
-    a, b = _coord(point, i, shift)
-    return _Factored.binomial(a, b + 1, *_coord(point, j, shift))
-
-
-def _a_into(num, den, point, pairs, shift) -> bool:
-    """Append the factors t X_i - X_j and divisors X_i - X_j of
-    prod (t X_i - X_j)/(X_i - X_j) to num and den, diagonal pairs
-    skipped, pair by pair: a vanishing divisor raises, and a vanishing
-    factor stops the product and returns False."""
+def _a_into(num, pt, pairs) -> bool:
+    """Append the ratios (t X_i - X_j)/(X_i - X_j) of the pairs at the
+    point pt to num, diagonal pairs skipped, pair by pair: a vanishing
+    divisor raises, and a vanishing factor stops the product and returns
+    False."""
     for i, j in pairs:
         if i == j:
             continue
-        (ai, bi), xj = _coord(point, i, shift), _coord(point, j, shift)
-        d = _Factored.binomial(ai, bi, *xj)
-        if d.is_zero():
+        xi, xj = pt[i - 1], pt[j - 1]
+        if xi == xj:
             raise DegenerateEvaluationError(
                 f"vanishing denominator X_{i} - X_{j}")
-        n = _Factored.binomial(ai, bi + 1, *xj)
-        if n.is_zero():
+        f = _ratio(*xi, *xj)
+        if f.is_zero():
             return False
-        num.append(n)
-        den.append(d)
+        num.append(f)
     return True
 
 
@@ -142,28 +162,33 @@ def _product(into, *args) -> _Factored:
 
 def _a_factor(point, pairs, shift) -> _Factored:
     """prod (t X_i - X_j)/(X_i - X_j); diagonal pairs are skipped."""
-    return _product(_a_into, point, pairs, shift)
+    num = []
+    return _Factored.prod(num) if _a_into(num, _shifted(point, shift), pairs) \
+        else _FACTORED_ZERO
 
 
-def _vandermonde_into(num, point, rows, shift):
-    """Append the factors X_i - X_j, i < j in rows, of the Vandermonde
-    to num."""
-    num += [_diff(point, i, j, shift)
-            for i, j in combinations(sorted(rows), 2)]
+def _vandermonde_into(num, pt, rows):
+    """Append the factors X_i - X_j, i < j in the increasing rows, of the
+    Vandermonde at the point pt to num."""
+    num += [_Factored.binomial(*pt[i - 1], *pt[j - 1])
+            for i, j in combinations(rows, 2)]
 
 
-def _phi_into(num, den, ss, point, shift_J):
-    """Append Phi's factors and divisors to num and den; a vanishing
-    divisor raises."""
-    num.append(_Factored(-1 if ss.d_sigma % 2 else 1))
+_SIGNS = (_Factored(1), _Factored(-1))
+
+
+def _phi_into(num, den, ss, pt):
+    """Append Phi's factors and divisors at the point pt to num and den;
+    a vanishing divisor raises."""
+    num.append(_SIGNS[ss.d_sigma % 2])
     # (t - 1) X_j = t X_j - X_j
     num += [_Factored.binomial(a, b + 1, a, b)
-            for a, b in (_coord(point, j, shift_J) for j in sorted(ss.b_comp))]
-    _vandermonde_into(num, point, ss.a_comp, shift_J)
-    _vandermonde_into(num, point, ss.b_comp, shift_J)
-    for i in sorted(ss.a_comp):
-        for j in sorted(ss.b_comp):
-            d = _diff(point, i, j, shift_J)
+            for a, b in (pt[j - 1] for j in ss.b_comp_rows)]
+    _vandermonde_into(num, pt, ss.a_comp_rows)
+    _vandermonde_into(num, pt, ss.b_comp_rows)
+    for i in ss.a_comp_rows:
+        for j in ss.b_comp_rows:
+            d = _Factored.binomial(*pt[i - 1], *pt[j - 1])
             if d.is_zero():
                 raise DegenerateEvaluationError(
                     f"vanishing denominator X_{i} - X_{j} in Phi")
@@ -174,15 +199,16 @@ def phi_at(sigma, m: int, point, shift_J=frozenset()) -> QTScalar:
     """The factor Phi(sigma) evaluated at the point, with coordinates in
     shift_J premultiplied by q (for use inside a q-shift)."""
     num, den = [], []
-    _phi_into(num, den, SigmaSets.from_sigma(sigma, m), point, shift_J)
+    _phi_into(num, den, SigmaSets.from_sigma(tuple(sigma), m),
+              _shifted(point, shift_J))
     return _Factored.prod(num, den).expand()
 
 
-def _k_sigma_delta_into(num, sigma, m, ss, point, shift):
-    """Append the factors of K_sigma(Delta_m) at the point, the signed
+def _k_sigma_delta_into(num, ss, pt):
+    """Append the factors of K_sigma(Delta_m) at the point pt, the signed
     Vandermonde over sigma([m]), to num."""
-    num.append(_Factored(-1 if ss.z_sigma % 2 else 1))
-    _vandermonde_into(num, point, sigma[:m], shift)
+    num.append(_SIGNS[ss.z_sigma % 2])
+    _vandermonde_into(num, pt, ss.img_rows)
 
 
 def _t_power(r, N, sign=1) -> _Factored:
@@ -198,18 +224,17 @@ def _C_into(num, den, m, r, J, L, sigma, point) -> bool:
     products, then the inner one, then Phi, whose divisors are checked
     even when the inner product has vanished.
     """
-    outer = (_a_into(num, den, point, combinations(range(1, m + 1), 2), ()),
-             _a_into(num, den, point,
-                     ((i, j) for i in sorted(J) for j in sorted(L)), ()))
+    Js = sorted(J)
+    outer = (_a_into(num, point, combinations(range(1, m + 1), 2)),
+             _a_into(num, point, [(i, j) for i in Js for j in sorted(L)]))
     if not all(outer):
         return False
-    sig_m = sorted(sigma[:m])
-    inner = _a_into(num, den, point, ((i, j) for i in sorted(J)
-                                      for j in sig_m), J)
     ss = SigmaSets.from_sigma(sigma, m)
+    pt = _shifted(point, J)
+    inner = _a_into(num, pt, [(i, j) for i in Js for j in ss.img_rows])
     num.append(_t_power(r, len(sigma)))
-    _phi_into(num, den, ss, point, J)
-    _k_sigma_delta_into(num, sigma, m, ss, point, J)
+    _phi_into(num, den, ss, pt)
+    _k_sigma_delta_into(num, ss, pt)
     return inner
 
 
@@ -227,18 +252,19 @@ def _D_into(num, den, m, r, J, sigma, point) -> bool:
     """
     N = len(sigma)
     ss = SigmaSets.from_sigma(sigma, m)
-    outer = (_a_into(num, den, point, combinations(range(1, m + 1), 2), ()),
-             _a_into(num, den, point, ((i, j) for i in sorted(J)
-                                       for j in range(m + 1, N + 1)), ()))
+    Js = sorted(J)
+    outer = (_a_into(num, point, combinations(range(1, m + 1), 2)),
+             _a_into(num, point, [(i, j) for i in Js
+                                  for j in range(m + 1, N + 1)]))
     if not all(outer):
         return False
-    _phi_into(num, den, ss, point, ())
-    if not _a_into(num, den, point, ((i, j) for i in sorted(J)
-                                     for j in sorted(ss.a_set)
-                                     if j not in J), J):
+    _phi_into(num, den, ss, point)
+    pt = _shifted(point, J)
+    if not _a_into(num, pt, [(i, j) for i in Js for j in ss.a_set_rows
+                             if j not in J]):
         return False
     num.append(_t_power(r, N, -1 if len(ss.b_comp) % 2 else 1))
-    _k_sigma_delta_into(num, sigma, m, ss, point, J)
+    _k_sigma_delta_into(num, ss, pt)
     return True
 
 
@@ -268,8 +294,10 @@ def coeff_D(lam: SuperPartition, cert: StripCertificate) -> QTScalar:
 
 
 def _delta_t_factors(m, point) -> _Factored:
-    return _Factored.prod([_tdiff(point, i, j, frozenset())
-                           for i, j in combinations(range(1, m + 1), 2)])
+    """The t-Vandermonde at the point: the product of the t X_i - X_j,
+    1 <= i < j <= m."""
+    return _Factored.prod([_Factored.binomial(a, b + 1, *xj) for (a, b), xj
+                           in combinations(point[:m], 2)])
 
 
 def _interval(r, variant, m, N):
@@ -440,6 +468,7 @@ def _rhs_at(m, r, F, variant, point):
     lo = m + 1 if variant == "upper" else 1
     for J in combinations(range(lo, N + 1), r):
         Jset = frozenset(J)
+        pt = _shifted(point, Jset)
         L = frozenset(range(m + 1, N + 1)) - Jset
         allowed = frozenset(range(1, N + 1)) - L
         for sigma in _coset_reps(m, N, allowed):
@@ -455,6 +484,5 @@ def _rhs_at(m, r, F, variant, point):
                 continue
             coeffs.append(c)
             # (tau_J K_sigma F) at the point is F at this one
-            values.append(_laurent_at(
-                F, tuple(_coord(point, s, Jset) for s in sigma)))
+            values.append(_laurent_at(F, tuple(pt[s - 1] for s in sigma)))
     return _lcd_sum(coeffs, values)

@@ -1233,9 +1233,9 @@ _FLAGS = {
 }
 
 
-# values of E's, P's, eval's and verify's inputs over their limits
-# (cli._bounded, cli._MAX_VERIFY_N): huge parts, more parts than the limit,
-# huge N and huge --deg
+# values of E's, P's, eval's, pieri's and verify's inputs over their
+# limits (cli._bounded, cli._MAX_VERIFY_N): huge parts, more parts than
+# the limit, huge N, huge --r and huge --deg
 _HUGE = st.integers(cli._MAX_DEGREE_1 + 1, 10 ** 30)
 _WIDE = st.integers(cli._MAX_SIZE + 1, 10 ** 30)
 _OVER = {
@@ -1251,7 +1251,10 @@ _OVER = {
     ("eval", "--spart"): st.one_of(_HUGE.map("{};".format),
                                    _HUGE.map(";{}".format)),
     ("eval", "--N"): _WIDE.map(str),
+    ("pieri", "--spart"): st.one_of(_HUGE.map("{};".format),
+                                    _HUGE.map(";{}".format)),
     ("pieri", "--N"): _WIDE.map(str),
+    ("pieri", "--r"): _HUGE.map(str),
     ("verify", "--N"): st.integers(cli._MAX_VERIFY_N + 1, 10 ** 30).map(str),
     ("verify", "--deg"): st.integers(cli._MAX_SIZE // 2, 10 ** 30).map(str),
 }
@@ -1279,8 +1282,8 @@ def test_fuzz_command_line(cache_paths, data):
     # error (exit 2) is one error line.  Each flag is left out, or takes
     # a well-formed value or any value, or for E, P, eval and verify a
     # value over the size limit, which is refused before E, P, the
-    # formula or a suite is begun; the deadline fixture bounds the whole
-    # run
+    # formula, a Pieri expansion or a suite is begun; the deadline
+    # fixture bounds the whole run
     command = data.draw(st.sampled_from(sorted(_FLAGS)), "command")
     argv, over = [command], False
     for flag, (required, good, bad) in _FLAGS[command].items():
@@ -1299,7 +1302,9 @@ def test_fuzz_command_line(cache_paths, data):
         argv = ["--cache", cache] + argv
     out, err = io.StringIO(), io.StringIO()
     refuse = mock.patch.multiple(cli, nonsym_E=_no_work, bisym_P=_no_work,
-                                 eval_formula=_no_work, run_suite=_no_work) \
+                                 eval_formula=_no_work, run_suite=_no_work,
+                                 pieri_expand=_no_work,
+                                 pieri_bruteforce=_no_work) \
         if over else contextlib.nullcontext()
     with refuse, contextlib.redirect_stdout(out), \
             contextlib.redirect_stderr(err):
@@ -1350,6 +1355,22 @@ class TestLimits:
         (["pieri", "--spart", "24;", "--N", "2", "--r", "1", "--check"],
          "--check asks for degree 25 in 2 variables, over the limit of 50 on "
          "(degree + 1) * N"),
+        (["pieri", "--spart", "2000;", "--N", "2", "--r", "1"],
+         "--spart '2000;' with --r 1 asks for degree 2001 in 2 variables, "
+         "over the limit of 4000 on (degree + 1) * N"),
+        (["pieri", "--spart", "600;", "--N", "6", "--r", "66", "--variant",
+          "lower"], "--spart '600;' with --r 66 asks for degree 666 in 6 "
+         "variables, over the limit of 4000 on (degree + 1) * N"),
+        (["pieri", "--spart", "1;1", "--N", "3", "--r", "10" + "0" * 20],
+         "--spart '1;1' with --r 1" + "0" * 21 + " asks for degree 1"
+         + "0" * 20 + "2 in 3 variables, over the limit of 4000 on "
+         "(degree + 1) * N"),
+        (["pieri", "--spart", ";10001", "--N", "1", "--r", "0"],
+         "--spart ';10001' with --r 0 asks for degree 10001 in 1 variable, "
+         "over the limit of 10000"),
+        (["pieri", "--spart", "4;", "--N", "7", "--r", "3"],
+         "--spart '4;' with --r 3 asks for degree 7 in 7 variables, over "
+         "the limit of 50 on (degree + 1) * N"),
         (["verify", "--suite", "hecke", "--N", "7", "--deg", "0"],
          "--N 7 is over verify's limit of 6 variables"),
         (["verify", "--N", "10" + "0" * 20],
@@ -1370,7 +1391,9 @@ class TestLimits:
             "P-variables", "huge-N", "eval-huge-N", "pieri-huge-N",
             "eval-substitution-degree", "eval-both-degree",
             "eval-formula-degree", "eval-formula-one-variable",
-            "pieri-check-degree", "verify-N", "verify-huge-N",
+            "pieri-check-degree", "pieri-degree", "pieri-r-past-width",
+            "pieri-huge-r", "pieri-one-variable", "pieri-N7-degree",
+            "verify-N", "verify-huge-N",
             "verify-eigen-degree", "verify-pieri-degree", "verify-all-degree",
             "verify-huge-degree"])
     def test_over_a_limit_is_refused_up_front(self, capsys, monkeypatch,
@@ -1396,6 +1419,18 @@ class TestLimits:
         cli._bounded("eta", 10000, 1)
         cli._bounded("spart", 74, 2, cli._MAX_FORMULA_SIZE)
         cli._bounded("spart", 49, 3, cli._MAX_FORMULA_SIZE)
+        cli._bounded("spart", 665, 6, cli._MAX_PIERI_SIZE)
+
+    @pytest.mark.parametrize("argv, out", [
+        (("1999;", "--N", "2", "--r", "0"), "P_(1999;)  *  1\n"),
+        ((";", "--N", "6", "--r", "665"), "0\n"),
+        ((";", "--N", "1", "--r", "10000"), "0\n"),
+        ((";", "--N", "50", "--r", "0"), "P_(;)  *  1\n"),
+    ], ids=["N2-degree", "N6-past-width", "one-variable", "N50-degree"])
+    def test_pieri_at_its_limits(self, capsys, argv, out):
+        # admitted at the largest size: e_0 P_Lambda, and an r past the
+        # interval's width, which has no strip
+        assert run(capsys, "pieri", "--spart", *argv) == (0, out, "")
 
     @pytest.mark.parametrize("argv", [
         ("--N", "6", "--deg", "3"), ("--N", "6", "--deg", "5"),

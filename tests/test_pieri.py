@@ -407,12 +407,16 @@ def pieri_sweep(N=5, max_deg=4):
 
 
 class TestEvalMemo:
-    """The staircase evaluations and the expansions of factored values
-    are memoized; a memoized value is shared by every caller, so none
-    may change it in place."""
+    """The staircase evaluations, the expansions of factored values, the
+    pair ratios (t X_i - X_j)/(X_i - X_j) and the sigma data are
+    memoized; a memoized value is shared by every caller, so none may
+    change it in place."""
+
+    MEMOS = (_eval_factors, qtmod._expand, pierimod._ratio,
+             SigmaSets.from_sigma)
 
     def test_memo_is_bounded(self):
-        for memo in (_eval_factors, qtmod._expand):
+        for memo in self.MEMOS:
             assert isinstance(memo.cache_info().maxsize, int)
 
     def test_memoized_values_equal_fresh_ones(self):
@@ -432,16 +436,45 @@ class TestEvalMemo:
             checked += 1
         assert checked == size
 
+    def test_memoized_ratios_and_sigma_sets_equal_fresh_ones(self,
+                                                            monkeypatch):
+        # every key the sweep met is held, and each held value equals
+        # the one computed afresh: the ratio the two binomials' quotient
+        ratio, sigma_sets = pierimod._ratio, SigmaSets.from_sigma
+        ratio.cache_clear()
+        sigma_sets.cache_clear()
+        met = {ratio: set(), sigma_sets: set()}
+        monkeypatch.setattr(pierimod, "_ratio",
+                            lambda *k: met[ratio].add(k) or ratio(*k))
+        monkeypatch.setattr(SigmaSets, "from_sigma", staticmethod(
+            lambda *k: met[sigma_sets].add(k) or sigma_sets(*k)))
+        pieri_sweep()
+        for memo, keys in met.items():
+            info = memo.cache_info()
+            assert 0 < info.currsize == len(keys) < info.maxsize
+            for key in keys:
+                held = memo(*key)
+                assert memo.cache_info().hits == info.hits + 1, key
+                info = memo.cache_info()
+                fresh = memo.__wrapped__(*key)
+                if memo is sigma_sets:
+                    assert held == fresh, key
+                else:
+                    assert (held.sign, held.a, held.b, held.phi) == \
+                        (fresh.sign, fresh.a, fresh.b, fresh.phi), key
+        for ai, bi, aj, bj in met[ratio]:
+            assert ratio(ai, bi, aj, bj).expand() == \
+                (qt(ai, bi + 1) - qt(aj, bj)) / (qt(ai, bi) - qt(aj, bj))
+
     def test_cold_and_warm_expansions_agree(self):
-        memos = (_eval_factors, qtmod._expand)
-        for memo in memos:
+        for memo in self.MEMOS:
             memo.cache_clear()
         cold, _ = pieri_sweep()
-        misses = [memo.cache_info().misses for memo in memos]
+        misses = [memo.cache_info().misses for memo in self.MEMOS]
         warm, _ = pieri_sweep()
-        # the warm sweep is served from both memos, none evicted
-        assert [memo.cache_info().misses for memo in memos] == misses
-        assert all(memo.cache_info().hits for memo in memos)
+        # the warm sweep is served from every memo, none evicted
+        assert [memo.cache_info().misses for memo in self.MEMOS] == misses
+        assert all(memo.cache_info().hits for memo in self.MEMOS)
         assert cold.keys() == warm.keys()
         for key, terms in cold.items():
             assert [(t.omega, t.certificate, t.coeff) for t in terms] == \
