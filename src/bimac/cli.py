@@ -50,11 +50,11 @@ _MAX_VERIFY_N = 6
 # _MAX_PIERI_N variables, degree = |Lambda| + r that of e_r P_Lambda; in
 # more, the E and P limit holds.  Its time goes into expanding each
 # coefficient's Phi_d, d up to the largest part, and grows with the
-# parts' divisors: within the limit the slowest request found took 5.8 s
+# parts' divisors: within the limit the slowest request found took 6.8 s
 # on 2 vCPUs ("336;210,84,24,6" at N = 6, r = 3; "1980;" at N = 2 took
-# 2.0 s), and past it "5040;" at N = 2 took 25 s.  Past N = 6 the strips
-# multiply: within the same size a request took 13 s at N = 7, and
-# ";11,10,..,1" at N = 12, r = 4 took 41 s
+# 0.6 s), and past it "5040;" at N = 2 took 2.8 s.  Past N = 6 the strips
+# multiply: within the same size a request took 15 s at N = 7, and
+# ";11,10,..,1" at N = 12, r = 4 took 38 s
 _MAX_PIERI_SIZE, _MAX_PIERI_N = 4000, 6
 
 

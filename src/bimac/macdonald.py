@@ -6,7 +6,7 @@ Pieri rules).
 E_eta is built in Knop's integral form J_eta = d_eta E_eta, whose
 coefficients lie in Z[q,t] (Knop 1997, Sahi 1996): the Knop-Sahi
 recursion carries J as s K, a factored scalar s times K in Z[q,t][x],
-and divides only by binomials known in closed form, so it calls no gcd.
+and divides only by closed-form binomials, through qt's _divide_out.
 K stays one Z[q,t] term dict {x-exponent: QTPoly} through its checks
 (the Bruhat triangularity, the eigenvalue equations at eta's nonzero
 parts, which with it pin K, and d_eta), P's construction, whose
@@ -146,9 +146,9 @@ def _raise(eta):
       exchange term, from hecke._step with QTPoly.mul_term; it is formed
       per x-exponent as one integer term sum of the coefficients and
       their shifts by t rho and rho, with no QTPoly product.  Each Phi_d
-      factor of 1 - t rho that s holds cancels there; K is divided
-      exactly by the others in Z[q,t], and a division that is not exact
-      raises ConsistencyError.
+      factor of 1 - t rho that s holds cancels there; each coefficient
+      of K is divided by each of the others with _divide_out, and a
+      division that is not exact raises ConsistencyError.
 
     The chain of nu is walked down to 0, then raised back up in a loop.
     s is kept as running exponents, so a long chain costs linear time.
@@ -188,7 +188,7 @@ def _raise(eta):
                 if out:
                     K[e] = _poly(out)
             # divide by t (1 - t rho): s by the factors it holds, K by
-            # the product p of the others
+            # each of the others
             binom = _Factored.binomial(0, 1, A, B + 2)
             sign, a, b = sign * binom.sign, a - binom.a, b - binom.b
             left = {}
@@ -198,13 +198,13 @@ def _raise(eta):
                 else:
                     left[k] = 1
             if left:
-                p = _poly(_excess(left, {}))
-                try:
-                    K = {e: c.exact_div(p) for e, c in K.items()}
-                except DivisibilityError as exc:
-                    raise ConsistencyError(
-                        f"the Knop-Sahi step to J_{eta} does not divide "
-                        f"by {p}") from exc
+                for e, c in K.items():
+                    f, taken = _divide_out(c.terms, left)
+                    if taken != left:
+                        raise ConsistencyError(
+                            f"the Knop-Sahi step to J_{eta} does not divide "
+                            f"by {_poly(_excess(left, {}))}")
+                    K[e] = _poly(f)
         else:
             K = {e[:-1] + (e[-1] + 1,): c
                  for e, c in hecke._omega(K, mul).items()}

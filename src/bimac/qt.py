@@ -26,7 +26,9 @@ it, since E, P, the evaluations and the Pieri coefficients are formed
 over ``_Factored`` denominators: it runs only for values a caller
 supplies, and it keeps no memo.  It is one loop that evaluates q (then,
 by recursion on the images, t) at an integer and grows that point until
-a candidate passes trial division, which is its only exit.
+a candidate passes trial division, which is its only exit.  The long
+division ``_div_terms`` (``QTPoly.exact_div``) serves only this route
+and ``_integral_form``'s cofactors for a non-integral f.
 
 The private ``_Factored`` owns the factored denominators: Knop's
 d_eta, P's dominant coefficient, the Pieri and evaluation products.  It
@@ -39,9 +41,11 @@ Pieri expansions expands each distinct coefficient once; [k] and [k]!
 are each one product.  ``_phi_div`` divides a term dict exactly by one
 p in linear time, each class of terms that differ by powers of
 q^va t^vb synthetically by the monic Phi_d, and ``_divide_out`` by
-each p of an exponent dict while that is exact: ``factor`` certifies a
-term dict as a value over given factors, and ``over`` divides one by a
-value, with no gcd.  ``_excess`` multiplies out the p's one exponent
+each p of an exponent dict while that is exact, with no gcd.  Every
+division by a Phi factor is one of these: ``factor`` certifying a term
+dict as a value over given factors, ``over`` dividing one by a value,
+E's recursion dividing by a step's binomial, and ``_cyclotomic``
+building each Phi_d.  ``_excess`` multiplies out the p's one exponent
 dict has over another, and ``_lcd_sum`` adds factored values times
 integer Laurent term dicts over one common denominator, as integers
 with no gcd (the Pieri operator identity, verify's A-product lemma).
@@ -243,10 +247,6 @@ class QTPoly:
 
     def __hash__(self):
         return hash(self.key())
-
-    def leading(self):
-        e = max(self.terms, key=_grlex)
-        return e, self.terms[e]
 
     # -- arithmetic ---------------------------------------------------
     def __add__(self, other):
@@ -663,24 +663,26 @@ def t_bracket_factorial(k: int, param: str = "t") -> QTScalar:
 
 @lru_cache(maxsize=1024)
 def _cyclotomic(d):
-    """Phi_d as a polynomial in q alone: q^d - 1 divided by every Phi_e
-    with e a proper divisor of d."""
-    p = _poly({(d, 0): 1, (0, 0): -1})
+    """Phi_d as a polynomial in q alone: q^d - 1 divided by every Phi_e,
+    e a proper divisor of d, by _phi_div and never _div_terms."""
+    p = {(d, 0): 1, (0, 0): -1}
     for e in range(1, d):
         if d % e == 0:
-            p = p.exact_div(_cyclotomic(e))
-    return p
+            p = _phi_div(p, e, 1, 0)
+    return _poly(p)
 
 
 @lru_cache(maxsize=4096)
 def _cyclotomic_at(d, va, vb):
-    """(p, sa, sb) with p = q^sa t^sb Phi_d(q^va t^vb) the integer
-    polynomial of least nonnegative exponents."""
-    phi = _cyclotomic(d)
-    n = phi.leading()[0][0]
+    """(p, sa, sb, n, low): p = q^sa t^sb Phi_d(q^va t^vb) the integer
+    polynomial of least nonnegative exponents, and for _phi_div (not the
+    long division) the monic Phi_d's degree n and its terms (j, c), j < n."""
+    phi = _cyclotomic(d).terms
+    n = max(j for j, _ in phi)
     sa, sb = max(-va * n, 0), max(-vb * n, 0)
-    return (_poly({(sa + k * va, sb + k * vb): c
-                   for (k, _), c in phi.terms.items()}), sa, sb)
+    return (_poly({(sa + j * va, sb + j * vb): c
+                   for (j, _), c in phi.items()}), sa, sb, n,
+            tuple((j, c) for (j, _), c in phi.items() if j < n))
 
 
 def _phi_div(f, d, va, vb):
@@ -694,14 +696,12 @@ def _phi_div(f, d, va, vb):
     v: time linear in the span of the classes, with no leading-term
     search.  p is q^sa t^sb Phi_d(v) and coprime to q and t, so an exact
     Laurent quotient shifted by (-sa, -sb) is the polynomial quotient.
-    A monomial is no multiple of p.
+    A monomial is no multiple of p.  Constructions divide by Phi factors
+    only here; _div_terms serves the gcd route and _integral_form alone.
     """
     if len(f) < 2:
         return None
-    phi = _cyclotomic(d)
-    n = phi.leading()[0][0]
-    low = [(j, c) for (j, _), c in phi.terms.items() if j < n]
-    _, sa, sb = _cyclotomic_at(d, va, vb)
+    _, sa, sb, n, low = _cyclotomic_at(d, va, vb)
     classes = {}
     for (a, b), c in f.items():
         k = a // va if va else b

@@ -9,11 +9,14 @@ from hypothesis import assume, given, settings, strategies as st
 
 import bimac.errors
 import bimac.qt
+from bimac import macdonald
+from bimac.cli import main
 from bimac.evalsym import eval_formula
 from bimac.pieri import pieri_expand
 from bimac.qt import (QTPoly, QTScalar, _add_product, _cyclotomic_at,
                      _divide_out, _Factored, _phi_div, qt_monomial)
 from bimac.sparts import parse_spart
+from bimac.verify import run_suite
 
 ONE = QTScalar.one()
 exps = st.integers(min_value=-6, max_value=6)
@@ -66,6 +69,17 @@ def test_phi_div_of_a_multiple(f, k, power):
 @given(term_dicts, phis)
 def test_phi_div_matches_exact_div(f, k):
     assert _phi_div(f, *k) == _by_exact_div(f, k)
+
+
+def test_cyclotomic_matches_sympy():
+    # _cyclotomic divides q^d - 1 by each Phi_e through _phi_div; sympy's
+    # cyclotomic_poly is a route that shares none of it
+    import sympy
+    q = sympy.Symbol("q")
+    for d in [*range(1, 301), 1980, 2310, 2520]:
+        want = sympy.Poly(sympy.cyclotomic_poly(d, q), q)
+        assert bimac.qt._cyclotomic(d).terms == \
+            {(j, 0): int(c) for (j,), c in want.terms()}, d
 
 
 def test_phi_div_covers_every_d():
@@ -305,3 +319,24 @@ def test_pieri_and_eval_formula_make_no_gcd_call(monkeypatch):
     bimac.qt._cyclotomic_at.cache_clear()
     bimac.qt._expand.cache_clear()
     assert _results() == before
+
+
+def test_construction_makes_no_general_division(monkeypatch, capsys):
+    # every division by a Phi factor, in E's recursion and in building
+    # the Phi_d themselves, is _phi_div's: the long division _div_terms
+    # serves only the gcd route and a non-integral f's integral form
+    def refuse(*args):
+        raise AssertionError("_div_terms called in a construction")
+
+    macdonald.clear_caches()
+    bimac.qt._cyclotomic.cache_clear()
+    bimac.qt._cyclotomic_at.cache_clear()
+    monkeypatch.setattr(bimac.qt, "_div_terms", refuse)
+    for argv in (["E", "--eta", "3,0,1,1"],
+                 ["P", "--spart", "3,1;1", "--N", "5"],
+                 ["eval", "--spart", "2,0;1", "--N", "4", "--route", "both"],
+                 ["pieri", "--spart", "2,0;1", "--r", "2", "--variant",
+                  "upper", "--N", "5", "--check"]):
+        assert main(argv) == 0, argv
+    assert "brute-force check passed" in capsys.readouterr().out
+    assert run_suite("all", 4, 3).ok

@@ -215,12 +215,13 @@ class TestNonsymE:
 
     def test_failed_step_division_fails_closed(self, monkeypatch):
         # a T step whose binomial does not divide raises, naming the step
+        # and the factor left over
         monkeypatch.setattr(macdonald, "_K_CACHE", {})
-        monkeypatch.setattr(macdonald, "_excess",
-                            lambda top, bottom: {(0, 0): 1, (1, 0): 2})
+        monkeypatch.setattr(macdonald, "_divide_out",
+                            lambda f, phi: (f, dict.fromkeys(phi, 0)))
         with pytest.raises(ConsistencyError,
                            match=r"^the Knop-Sahi step to J_\(1, 0, 0\) does "
-                                 r"not divide by 1 \+ 2\*q$"):
+                                 r"not divide by -1 \+ q\*t\^2$"):
             macdonald._integral_E((1, 0, 0))
 
     def test_raise_and_check_make_no_gcd_call(self, monkeypatch):

@@ -29,7 +29,7 @@ def is_canonical(s):
     for p in (s.num, s.den):
         if not all(type(c) is int for c in p.terms.values()):
             return False
-        if igcd(*p.terms.values()) != 1 or p.leading()[1] < 0:
+        if igcd(*p.terms.values()) != 1 or p.sorted_terms()[-1][1] < 0:
             return False
     return s.c != 0 and poly_gcd(s.num, s.den).is_one()
 
