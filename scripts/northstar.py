@@ -50,6 +50,8 @@ COMMANDS = (
     ["pieri", "--spart", "336;210,84,24,6", "--N", "6", "--r", "3"],
     ["verify", "--suite", "all", "--N", "4", "--deg", "3"],
     ["verify", "--suite", "all", "--N", "5", "--deg", "3"],
+    # mostly the Pieri operator identity, 9-14 s cold
+    ["verify", "--suite", "all", "--N", "6", "--deg", "3"],
     # FILE is the side's filled cache file
     ["--cache", "FILE", "P", "--spart", "1;1", "--N", "5"],
 )

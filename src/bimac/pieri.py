@@ -36,13 +36,12 @@ basis by macdonald's one peel over P_Lambda's factored c, with no gcd.
 The operator identity is decided on f's integral form F, f = c F / den,
 since both sides are linear over Q(q,t).  The left side is F times the
 t-Vandermonde with e_r(Y) applied, on Z[q,t] term dicts through hecke's
-kernel.  The right side is summed over one common denominator by
-``qt._lcd_sum``, which verify's A-product lemma shares: each C/D
-coefficient stays factored, the lcm D of their denominators is each Phi
-factor to its largest negative exponent, and the products with F's
-integer values at the transformed points are added as integers.  The
-two sides are compared as integer Laurent polynomials: no division, no
-gcd on an integral f, and no Q(q,t) value.
+kernel.  At each point the right side is its factored C/D coefficients
+times F's integer values at the transformed points, and the left side
+is one more term, G's value times -t^(-r(N-1)).  ``qt._vanishes``, which
+verify's A-product lemma shares, decides whether that sum is zero as
+integers over the coefficients' common denominator: no division, no gcd
+on an integral f, and no Q(q,t) value.
 """
 
 from __future__ import annotations
@@ -58,7 +57,7 @@ from .errors import ConsistencyError, DegenerateEvaluationError
 from .evalsym import _eval_factors
 from .macdonald import _is_rep, _peel, bisym_P, is_bisymmetric
 from .qt import (QTPoly, QTScalar, _Factored, _FACTORED_ZERO, _add_product,
-                 _lcd_sum)
+                 _vanishes)
 from .sparts import (StripCertificate, SuperPartition, enumerate_strips,
                      eval_point, perm_inverse)
 from .xpoly import XPolynomial, _integral_form, _laurent_at
@@ -434,8 +433,9 @@ def op_identity_check(m: int, r: int, f: XPolynomial, variant: str) -> bool:
     Q(q,t), so each is taken on f's integral form F, f = c F / den,
     formed once: the left side as G = t^(r(N-1)) e_r(Y) Delta_m^t F on
     Z[q,t] term dicts (``_left_side``), and the right side at each
-    point as total / D (``_rhs_at``).  They agree when G(point) D =
-    t^(r(N-1)) total, compared as integer Laurent polynomials.
+    point as its factored coefficients and F's values (``_rhs_at``).
+    They agree when the right side minus t^(-r(N-1)) G(point) vanishes
+    (``qt._vanishes``).
     """
     N = f.nvars
     if not is_bisymmetric(f, m):
@@ -446,11 +446,11 @@ def op_identity_check(m: int, r: int, f: XPolynomial, variant: str) -> bool:
     for attempt in range(1, 20 * _OP_POINTS + 1):
         point = _generic_point(N, _OP_SEED + attempt)
         try:
-            total, D = _rhs_at(m, r, F, variant, point)
+            coeffs, values = _rhs_at(m, r, F, variant, point)
         except DegenerateEvaluationError:
             continue
-        if _add_product({}, _laurent_at(G, point), D.laurent()) != \
-                _add_product({}, total, {(0, r * (N - 1)): 1}):
+        if not _vanishes([*coeffs, _Factored(-1, 0, -r * (N - 1))],
+                         [*values, _laurent_at(G, point)]):
             return False
         checked += 1
         if checked == _OP_POINTS:
@@ -459,10 +459,10 @@ def op_identity_check(m: int, r: int, f: XPolynomial, variant: str) -> bool:
 
 
 def _rhs_at(m, r, F, variant, point):
-    """The certificate (total, D) of the sum of C/D tau_J K_sigma F at
-    the point, F a Z[q,t] term dict: the sum is total / D, with D the
-    coefficients' common denominator from ``_lcd_sum`` and total the
-    integer Laurent term dict of their products with F's values."""
+    """(coeffs, values): the sum of C/D tau_J K_sigma F at the point, F
+    a Z[q,t] term dict, is the sum of coeff * value over the nonzero
+    factored coefficients and F's integer Laurent values at the points
+    that tau_J K_sigma moves it to."""
     N = len(point)
     coeffs, values = [], []
     lo = m + 1 if variant == "upper" else 1
@@ -485,4 +485,4 @@ def _rhs_at(m, r, F, variant, point):
             coeffs.append(c)
             # (tau_J K_sigma F) at the point is F at this one
             values.append(_laurent_at(F, tuple(pt[s - 1] for s in sigma)))
-    return _lcd_sum(coeffs, values)
+    return coeffs, values

@@ -46,9 +46,10 @@ division by a Phi factor is one of these: ``factor`` certifying a term
 dict as a value over given factors, ``over`` dividing one by a value,
 E's recursion dividing by a step's binomial, and ``_cyclotomic``
 building each Phi_d.  ``_excess`` multiplies out the p's one exponent
-dict has over another, and ``_lcd_sum`` adds factored values times
-integer Laurent term dicts over one common denominator, as integers
-with no gcd (the Pieri operator identity, verify's A-product lemma).
+dict has over another, and ``_vanishes`` decides whether a sum of
+factored values times integer Laurent term dicts is zero, as integers
+over one common denominator with no gcd: the one zero test of the Pieri
+operator identity and verify's A-product lemma.
 ``_powers`` writes q^a t^b and render's x monomials as text or LaTeX.
 """
 
@@ -843,21 +844,8 @@ class _Factored:
                 phi[k] = phi.get(k, 0) + e
         return _Factored(sign, a, b, {k: e for k, e in phi.items() if e})
 
-    @staticmethod
-    def common(values):
-        """A common factor of the nonzero values: each Phi factor to its
-        least exponent over them, and the least powers of q and t."""
-        least = {k: min(v.phi.get(k, 0) for v in values)
-                 for k in {k for v in values for k in v.phi}}
-        return _Factored(1, min(v.a for v in values),
-                         min(v.b for v in values),
-                         {k: e for k, e in least.items() if e})
-
     def is_zero(self):
         return not self.sign
-
-    def __neg__(self):
-        return _Factored(-self.sign, self.a, self.b, self.phi)
 
     def __mul__(self, other):
         return _Factored.prod((self, other))
@@ -920,20 +908,20 @@ def _expand(sign, a, b, phi):
                       den.mul_term(max(-a, 0), max(-b, 0)))
 
 
-def _lcd_sum(values, nums):
-    """(total, D): D the lcm of the _Factored values' denominators, each
-    p to its largest negative exponent (no gcd), and total the integer
-    Laurent term dict of D * sum value * num over the dicts nums."""
-    exps = {}
-    for v in values:
-        for k, e in v.phi.items():
-            if -e > exps.get(k, 0):
-                exps[k] = -e
-    D = _Factored(1, 0, 0, exps)
+def _vanishes(values, nums):
+    """Whether sum value * num is zero over the _Factored values and the
+    integer Laurent term dicts nums, decided as integers with no gcd: each
+    term is multiplied by D, each Phi factor to minus its least exponent
+    over the values, which clears every denominator and drops the factors
+    that all the values share."""
+    # keys first-seen, v's before D's: _sides multiplies in that order
+    least = {k: min(v.phi.get(k, 0) for v in values)
+             for k in dict.fromkeys(k for v in values for k in v.phi)}
+    D = _Factored(1, 0, 0, {k: -e for k, e in least.items() if e})
     total = {}
     for v, num in zip(values, nums):
         _add_product(total, (v * D).laurent(), num)
-    return total, D
+    return not total
 
 
 # ---------------------------------------------------------------------------

@@ -23,10 +23,12 @@ check inside construction.
 
 The hecke suite's A-product lemma holds both sides factored: each
 symmetrized term and the block factor are ``pieri._a_factor`` products,
-the constant [r]! [N-r]! comes from ``qt._brackets``, and ``qt._lcd_sum``
-adds them, divided by their common factor, over one common denominator.
-The lemma holds exactly when that integer sum is empty, so this check
-too does no Q(q,t) arithmetic and calls no gcd.
+the constant [r]! [N-r]! comes from ``qt._brackets``, and
+``qt._vanishes``, the Pieri operator identity's zero test, adds the
+terms minus the right side as integers over one common denominator,
+the factors they all share dropped.  The lemma holds exactly when that
+sum vanishes, so this check too does no Q(q,t) arithmetic and calls no
+gcd.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from .macdonald import (bisym_P, c_lambda_formula, dominant_exponent,
                         _bruhat_below, _integral_E)
 from .pieri import (_a_factor, _generic_point, op_identity_check,
                     pieri_bruteforce, pieri_expand, expansions_equal)
-from .qt import (QTPoly, _brackets, _Factored, _lcd_sum,
+from .qt import (QTPoly, _brackets, _Factored, _vanishes,
                  t_bracket_factorial)
 from .sparts import (SuperPartition, compositions_of, eigenvalue, eval_point,
                      format_spart, lambda_naught, superpartitions)
@@ -266,12 +268,8 @@ def _rel_u_plus(N, r, J, point):
     num, den = _brackets([*range(1, r + 1), *range(1, N - r + 1)], "t")
     rest = set(range(1, N + 1)) - set(J)
     rhs = _Factored.prod([*num, _a_factor(point, product(J, rest), ())], den)
-    values = [*terms, -rhs]
-    # G is nonzero, so the sum vanishes exactly when the sum of the
-    # cofactors does, and those share no denominator left to expand
-    G = _Factored.common(values)
-    total, _ = _lcd_sum([v / G for v in values], [{(0, 0): 1}] * len(values))
-    return not total
+    return _vanishes([*terms, rhs],
+                     [{(0, 0): 1}] * len(terms) + [{(0, 0): -1}])
 
 
 def _eigen_and_triangular(eta):

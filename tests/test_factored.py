@@ -14,7 +14,7 @@ from bimac.cli import main
 from bimac.evalsym import eval_formula
 from bimac.pieri import pieri_expand
 from bimac.qt import (QTPoly, QTScalar, _add_product, _cyclotomic_at,
-                     _divide_out, _Factored, _phi_div, qt_monomial)
+                     _divide_out, _Factored, _phi_div, _vanishes, qt_monomial)
 from bimac.sparts import parse_spart
 from bimac.verify import run_suite
 
@@ -180,8 +180,8 @@ def test_memoized_binomial_is_never_changed():
     first = _Factored.binomial(0, 0, 6, 4)
     second = _Factored.binomial(2, 0, 5, 2)
     before = state(first), state(second)
-    _ = (_Factored.prod([first, second, first], [second]), -first,
-         first / second, second / first / first, first * -second)
+    _ = (_Factored.prod([first, second, first], [second]), first / second,
+         second / first / first)
     assert _Factored.binomial(0, 0, 6, 4) is first
     assert (state(first), state(second)) == before
 
@@ -289,6 +289,50 @@ def test_over_matches_plain_division(lead_spec, part_spec, v, shift):
     num = _add_product({}, v, part.laurent())
     got = lead.over(*_divide_out(num, lead.phi))
     assert _parts(got) == _parts(_plain(v) * plain_part / plain_lead)
+
+
+# up to three factors with no divisor, and a Laurent term dict with
+# negative exponents
+smalls = st.lists(st.tuples(st.sampled_from(("monomial", "one_minus",
+                                             "binomial")),
+                            exps, exps, exps, exps), max_size=3)
+laurents = st.dictionaries(st.tuples(exps, exps),
+                           st.integers(min_value=-6, max_value=6).filter(bool),
+                           min_size=1, max_size=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(smalls, smalls, laurents), min_size=1,
+                max_size=3), smalls, smalls, smalls,
+       st.sampled_from(("as drawn", "cancel", "miss")))
+def test_vanishes_matches_plain_sum(parts, top, bottom, w_spec, kind):
+    # each value is its own top over its own bottom, times a top and over
+    # a bottom that every value shares, so D both clears denominators and
+    # drops shared factors.  "cancel" replaces each term v n by the pair
+    # v w times n and v times -(w n), whose sum vanishes; "miss" then
+    # multiplies the last n by 1 + t, which leaves -v (w n) t
+    up, plain_up = _product(top)
+    down, plain_down = _product(bottom)
+    terms = []
+    for top_i, bottom_i, n in parts:
+        (f, x), (g, y) = _product(top_i), _product(bottom_i)
+        terms.append((f / g * up / down, x / y * plain_up / plain_down, n))
+    if kind != "as drawn":
+        w, plain_w = _product(w_spec)
+        terms = [(v * w, x * plain_w, n) for v, x, n in terms] + \
+            [(v, x, {k: -c for k, c in _add_product({}, w.laurent(),
+                                                      n).items()})
+             for v, x, n in terms]
+    if kind == "miss":
+        v, x, n = terms[-1]
+        terms[-1] = (v, x, _add_product({}, n, {(0, 0): 1, (0, 1): 1}))
+    want = QTScalar.zero()
+    for _, x, n in terms:
+        want = want + x * _plain(n)
+    got = _vanishes([v for v, _, _ in terms], [n for _, _, n in terms])
+    assert got == want.is_zero()
+    if kind != "as drawn":
+        assert got == (kind == "cancel")
 
 
 SHAPES_N5 = ("2,0;1", "1;1,1", "3,1,0;2", "2,1;1", "1,0;2")

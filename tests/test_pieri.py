@@ -24,6 +24,8 @@ from bimac.xpoly import (XPolynomial, _integral_form, _laurent_at,
                          elementary_symmetric, specialize, vandermonde)
 
 ONE = QTScalar.one()
+ONE_F = Fraction(1)
+UNIT = {(0, 0): 1}
 Q = qt_monomial(1, 0)
 T = qt_monomial(0, 1)
 
@@ -571,6 +573,15 @@ class TestOperatorIdentity:
         assert op_identity_check(2, 1, E1_BLOCKS, variant) is False
 
     @pytest.mark.parametrize("variant", ["upper", "lower"])
+    def test_left_side_off_by_t_fails(self, monkeypatch, variant):
+        # e_r(Y) times t: the left side enters the sum times
+        # t^(-r(N-1)), and a power of t off by one no longer matches
+        real = hecke._e_of_Y
+        monkeypatch.setattr(hecke, "_e_of_Y", lambda *args: {
+            e: c.mul_term(0, 1) for e, c in real(*args).items()})
+        assert op_identity_check(2, 1, E1_BLOCKS, variant) is False
+
+    @pytest.mark.parametrize("variant", ["upper", "lower"])
     @pytest.mark.parametrize("f_by", [1, Fraction(1, 3)])
     def test_left_side_off_by_a_constant_fails(self, monkeypatch, variant,
                                                f_by):
@@ -643,11 +654,14 @@ RHS_CASES = [(N, m, r, variant) for N in (3, 4) for m in range(1, N)
 
 
 def _rhs_value(m, r, f, variant, point):
-    """The value c total / (D den) of ``_rhs_at``'s certificate on f's
-    integral form c F / den, reduced to a QTScalar."""
+    """The sum of ``_rhs_at``'s terms on f's integral form c F / den, each
+    coefficient expanded and times its value, added one QTScalar at a
+    time, and times c / den."""
     c, den, F = _integral_form(f)
-    total, D = _rhs_at(m, r, F, variant, point)
-    return _laurent_scalar(c, total, _add_product({}, D.laurent(), den.terms))
+    total = QTScalar.zero()
+    for coeff, value in zip(*_rhs_at(m, r, F, variant, point)):
+        total = total + coeff.expand() * _laurent_scalar(ONE_F, value, UNIT)
+    return total * _laurent_scalar(c, UNIT, den.terms)
 
 
 def _raise(*args):
