@@ -6,7 +6,9 @@ Pieri rules).
 E_eta is built in Knop's integral form J_eta = d_eta E_eta, whose
 coefficients lie in Z[q,t] (Knop 1997, Sahi 1996): the Knop-Sahi
 recursion carries J as s K, a factored scalar s times K in Z[q,t][x],
-and divides only by closed-form binomials, through qt's _divide_out.
+and divides only the exchange term of each step, by the Phi factors of
+its closed-form binomial that s does not hold, through qt's
+_divide_out.
 K stays one Z[q,t] term dict {x-exponent: QTPoly} through its checks
 (the Bruhat triangularity, the eigenvalue equations at eta's nonzero
 parts, which with it pin K, and d_eta), P's construction, whose
@@ -32,6 +34,7 @@ denominator.  None of it calls a gcd.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import factorial
@@ -142,13 +145,16 @@ def _raise(eta):
     * otherwise, with i the last index where eta_i > 0 and nu = s_i eta,
       rho = ebar_(i+1)(nu)/ebar_i(nu) = q^A t^B with A, B >= 1 and
       J_eta = ((1 - rho) T_i J_nu + (1 - t) J_nu) / (t (1 - t rho)).
-      The numerator is (1 - t rho) K - (1 - rho) X_i K, X_i = t - T_i the
-      exchange term, from hecke._step with QTPoly.mul_term; it is formed
-      per x-exponent as one integer term sum of the coefficients and
-      their shifts by t rho and rho, with no QTPoly product.  Each Phi_d
-      factor of 1 - t rho that s holds cancels there; each coefficient
-      of K is divided by each of the others with _divide_out, and a
-      division that is not exact raises ConsistencyError.
+      The numerator is (1 - t rho) K + (1 - rho) X, X = -X_i K with
+      X_i = t - T_i the exchange term, from hecke._step with
+      QTPoly.mul_term.  Each Phi_d factor of 1 - t rho that s holds
+      cancels there.  The others, L, divide 1 - t rho and are coprime
+      to 1 - rho (Phi factors in the directions (A, B + 1) and (A, B)),
+      so L divides the numerator exactly when it divides X: the new K
+      is u K + (1 - rho) X / L, u = (1 - t rho) / L, formed per
+      x-exponent as one integer term sum.  Only the nonzero
+      coefficients of X are divided, with _divide_out, and a division
+      that is not exact raises ConsistencyError.
 
     The chain of nu is walked down to 0, then raised back up in a loop.
     s is kept as running exponents, so a long chain costs linear time.
@@ -171,40 +177,40 @@ def _raise(eta):
         if i:
             A = nu[i]
             B = rows[i - 1] - rows[i]
-            # (1 - t rho) K + (1 - rho) X with X = -X_i K: a term v q^a t^b
-            # of a coefficient adds v at (a, b) and -v at (a + A, b + B + 1),
-            # or at (a + A, b + B) for X
-            sums = {}
-            for f, shift in ((K, B + 1), (hecke._step(i, K, None, mul), B)):
-                for e, c in f.items():
-                    out = sums.setdefault(e, {})
-                    for k, v in c.terms.items():
-                        out[k] = out.get(k, 0) + v
-                        k = (k[0] + A, k[1] + shift)
-                        out[k] = out.get(k, 0) - v
+            # divide by t (1 - t rho): s by the factors it holds, the
+            # others L out of the new K
+            binom = _Factored.binomial(0, 1, A, B + 2)
+            sign, a, b = sign * binom.sign, a - binom.a, b - binom.b
+            held, left = {}, {}
+            for k in binom.phi:
+                if phi.get(k, 0) > 0:
+                    phi[k] -= 1
+                    held[k] = 1
+                else:
+                    left[k] = 1
+            # u K + (1 - rho) X / L, u = (1 - t rho) / L minus the held
+            # factors' product (-1 when s holds none): a term v q^a t^b of
+            # X / L adds v at (a, b) and -v at (a + A, b + B)
+            u = {k: -v for k, v in _excess(held, {}).items()}
+            sums = {e: _add_product({}, c.terms, u) for e, c in K.items()}
+            for e, c in hecke._step(i, K, None, mul).items():
+                f = c.terms
+                if left:
+                    f, taken = _divide_out(f, left)
+                    if taken != left:
+                        raise ConsistencyError(
+                            f"the Knop-Sahi step to J_{eta} does not divide "
+                            f"by {_poly(_excess(left, {}))}")
+                out = sums.setdefault(e, {})
+                for k, v in f.items():
+                    out[k] = out.get(k, 0) + v
+                    k = (k[0] + A, k[1] + B)
+                    out[k] = out.get(k, 0) - v
             K = {}
             for e, out in sums.items():
                 out = {k: v for k, v in out.items() if v}
                 if out:
                     K[e] = _poly(out)
-            # divide by t (1 - t rho): s by the factors it holds, K by
-            # each of the others
-            binom = _Factored.binomial(0, 1, A, B + 2)
-            sign, a, b = sign * binom.sign, a - binom.a, b - binom.b
-            left = {}
-            for k in binom.phi:
-                if phi.get(k, 0) > 0:
-                    phi[k] -= 1
-                else:
-                    left[k] = 1
-            if left:
-                for e, c in K.items():
-                    f, taken = _divide_out(c.terms, left)
-                    if taken != left:
-                        raise ConsistencyError(
-                            f"the Knop-Sahi step to J_{eta} does not divide "
-                            f"by {_poly(_excess(left, {}))}")
-                    K[e] = _poly(f)
         else:
             K = {e[:-1] + (e[-1] + 1,): c
                  for e, c in hecke._omega(K, mul).items()}
@@ -300,9 +306,12 @@ def nonsym_E(eta) -> EBasisElement:
     a cache record shares equal coefficients; equal coefficients of E are
     one object.
     """
-    eta = tuple(int(x) for x in eta)
-    if any(x < 0 for x in eta):
-        raise ValueError("composition entries must be nonnegative")
+    given = tuple(eta)
+    eta = tuple(map(Fraction, given))  # 2.0 and "1" pass, 1.5 does not
+    if not eta or any(x < 0 or x.denominator != 1 for x in eta):
+        raise ValueError(f"{given!r} is not a composition: entries must "
+                         "be nonnegative integers, at least one")
+    eta = tuple(map(int, eta))
     K = _integral_E(eta)
     lead = _Factored.factor(K[eta].terms, _knop_d(eta).phi)
     # each distinct coefficient of K, by value, to its coefficient of E

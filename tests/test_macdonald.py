@@ -17,7 +17,7 @@ from bimac.macdonald import (bisym_P, c_lambda_corrected, c_lambda_formula,
 from bimac.qt import QTPoly, QTScalar, qt_monomial
 from bimac.render import terms_to_json, xpoly_to_json
 from bimac.sparts import (SuperPartition, compositions_of, eigenvalue,
-                          format_spart, superpartitions)
+                          format_spart, sorting_permutation, superpartitions)
 from bimac.xpoly import (XPolynomial, elementary_symmetric, exact_div,
                          vandermonde)
 
@@ -144,6 +144,59 @@ def knop_steps(eta):
     return out
 
 
+def raise_whole_numerator(eta, steps=None):
+    """(s, K) of macdonald._raise by the route that forms each T step's
+    whole numerator (1 - t rho) K + (1 - rho) X, X = -X_i K, and divides
+    every nonzero coefficient of it by the Phi factors of t (1 - t rho)
+    that s does not hold.  steps, a list, gets each T step's (held,
+    left, divided): the factors s holds, the exponent dict of the others
+    and how many coefficients were divided by them."""
+    N = len(eta)
+    sign, a, b, phi = 1, 0, 0, {}
+    K = {(0,) * N: QTPoly.one()}
+    for eta, nu, i in reversed(knop_steps(eta)):
+        rows = sorting_permutation(nu)
+        if i:
+            A, B = nu[i], rows[i - 1] - rows[i]
+            X = hecke._step(i, K, None, QTPoly.mul_term)
+            sums = {}
+            for f, shift in ((K, B + 1), (X, B)):
+                for e, c in f.items():
+                    out = sums.setdefault(e, {})
+                    for k, v in c.terms.items():
+                        out[k] = out.get(k, 0) + v
+                        k = (k[0] + A, k[1] + shift)
+                        out[k] = out.get(k, 0) - v
+            binom = qt._Factored.binomial(0, 1, A, B + 2)
+            sign, a, b = sign * binom.sign, a - binom.a, b - binom.b
+            left = {k: 1 for k in binom.phi if not phi.get(k)}
+            for k in binom.phi.keys() - left.keys():
+                phi[k] -= 1
+            K = {}
+            for e, out in sums.items():
+                out = {k: v for k, v in out.items() if v}
+                if out:
+                    f, taken = qt._divide_out(out, left)
+                    assert taken == left, (eta, e)
+                    K[e] = QTPoly(f)
+            if steps is not None:
+                steps.append((len(binom.phi) - len(left), left,
+                              len(K) if left else 0))
+        else:
+            K = {e[:-1] + (e[-1] + 1,): c
+                 for e, c in hecke._omega(K, QTPoly.mul_term).items()}
+            binom = qt._Factored.binomial(0, 0, nu[0] + 1, N + 1 - rows[0])
+            sign, a, b = sign * binom.sign, a + binom.a - nu[0], b + binom.b
+            for k in binom.phi:
+                phi[k] = phi.get(k, 0) + 1
+    return qt._Factored(sign, a, b, {k: e for k, e in phi.items() if e}), K
+
+
+# every composition with N <= 4 and |eta| <= 5, and with N = 5 and
+# |eta| <= 3
+RAISE_SWEEP = [eta for N, top in ((1, 5), (2, 5), (3, 5), (4, 5), (5, 3))
+               for n in range(top + 1) for eta in compositions_of(n, N)]
+
 # the shapes superpartitions(d, m, 5), d = 3, 4 and m = 0..3
 P_SWEEP = [sp for d in (3, 4) for m in range(4)
            for sp in superpartitions(d, m, 5)]
@@ -184,6 +237,19 @@ class TestNonsymE:
         with pytest.raises(ValueError):
             nonsym_E((1, -1))
 
+    @pytest.mark.parametrize("eta", [(1.5, 0), ()], ids=["part-1.5", "empty"])
+    def test_rejects_non_compositions(self, eta):
+        # a part is not truncated, and no composition is empty
+        with pytest.raises(ValueError,
+                           match=rf"^{re.escape(repr(eta))} is not a "
+                                 "composition"):
+            nonsym_E(eta)
+
+    def test_accepts_integral_values(self):
+        E = nonsym_E((2.0, "1"))
+        assert E.eta == (2, 1) and all(type(x) is int for x in E.eta)
+        assert E.poly == nonsym_E((2, 1)).poly
+
     @pytest.mark.parametrize("eta, perturb, message", [
         # a wrong coefficient at a Bruhat-below monomial
         ((1, 0, 0), lambda K: plus(K, (0, 1, 0), QTPoly.one()),
@@ -223,6 +289,55 @@ class TestNonsymE:
                            match=r"^the Knop-Sahi step to J_\(1, 0, 0\) does "
                                  r"not divide by -1 \+ q\*t\^2$"):
             macdonald._integral_E((1, 0, 0))
+
+    def test_raise_is_the_whole_numerator_route(self):
+        # dividing only X by the factors s does not hold gives the (s, K)
+        # of dividing the whole numerator, at steps where s holds every
+        # factor of 1 - t rho and at steps where it holds none (no step
+        # of the sweep holds only some)
+        assert len(RAISE_SWEEP) == 265
+        kinds, holding = set(), set()
+        for eta in RAISE_SWEEP:
+            steps = []
+            want_s, want_K = raise_whole_numerator(eta, steps)
+            s, K = macdonald._raise(eta)
+            assert (s.sign, s.a, s.b, s.phi) == \
+                (want_s.sign, want_s.a, want_s.b, want_s.phi), eta
+            assert K == want_K, eta
+            kinds |= {(held > 0, bool(left)) for held, left, _ in steps}
+            if any(held for held, _, _ in steps):
+                holding.add(eta)
+        assert {(True, False), (False, True)} <= kinds
+        assert {(1, 0), (2, 0), (0, 3), (1, 4)} <= holding
+
+    def test_raise_divides_only_the_exchange_term(self, monkeypatch):
+        # one _divide_out call per nonzero coefficient of X = -X_i K, by
+        # the factors of 1 - t rho that s does not hold, at the steps
+        # with such a factor; none where X is zero or at the omega steps
+        etas = [eta for n in range(5) for eta in compositions_of(n, 5)]
+        lefts, old = [], 0
+        for eta in etas:
+            steps = []
+            raise_whole_numerator(eta, steps)
+            lefts.append([left for _, left, _ in steps])
+            old += sum(divided for _, _, divided in steps)
+        calls, exchanges = [], []
+        real_step, real_divide = hecke._step, macdonald._divide_out
+        monkeypatch.setattr(hecke, "_step", lambda *args: exchanges.append(
+            real_step(*args)) or exchanges[-1])
+        monkeypatch.setattr(macdonald, "_divide_out", lambda f, phi: (
+            calls.append((f, phi)) or real_divide(f, phi)))
+        want = []
+        for eta, step_lefts in zip(etas, lefts):
+            exchanges.clear()
+            macdonald._raise(eta)
+            assert len(exchanges) == len(step_lefts)
+            want += [(X[e].terms, left)
+                     for X, left in zip(exchanges, step_lefts) if left
+                     for e in X]
+        assert len(calls) == len(want) < old
+        for (f, phi), (terms, left) in zip(calls, want):
+            assert f is terms and phi == left
 
     def test_raise_and_check_make_no_gcd_call(self, monkeypatch):
         # the recursion divides only by closed-form binomials and the
