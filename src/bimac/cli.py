@@ -36,8 +36,9 @@ class _UsageError(Exception):
 # the largest size (degree + 1) * N of an E or P request in N >= 2
 # variables, and the largest degree in one, where E_(d) = x^d is d cheap
 # steps.  Set where the slowest cold request took 55 s on 2 vCPUs; the
-# slowest now takes 12-14 s (P "24;" at N = 2: hecke._unpack reading P back,
-# qt._lincomb in E's recursion), and cold time grows fast in d past it
+# slowest now takes about 6 s (P "24;" at N = 2, mostly hecke._unpack
+# reading P back; E's recursion forms no QTPoly sums, so no qt._lincomb),
+# and cold time grows fast in d past it
 _MAX_SIZE, _MAX_DEGREE_1 = 50, 10000
 # the largest size of an eval --route formula request in N >= 2
 # variables, which builds no P: its closed product expanded in at most

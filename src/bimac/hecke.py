@@ -5,11 +5,13 @@ shift operator omega, Cherednik operators Y_i, and interval
 (anti)symmetrizers.  Each is one kernel on term dicts {x-exponent:
 coefficient} that only adds, negates and calls mul(c, a, b) = c q^a t^b.
 Three rings use them: Q(q,t), with QTScalar.mul_monomial, behind the
-XPolynomial operators; Z[q,t], with QTPoly.mul_term, in E's Knop-Sahi
-recursion, the hecke and eigen suites of verify and the left side of
-the Pieri operator identity; and the Kronecker-packed integers, with a
-shift, in E's eigen check and P's construction, packed from and
-unpacked to Z[q,t] term dicts by _pack and _unpack.
+XPolynomial operators; Z[q,t], with QTPoly.mul_term, in the hecke and
+eigen suites of verify, the left side of the Pieri operator identity
+and, for omega alone, E's Knop-Sahi recursion, whose T steps form the
+divided difference themselves; and the Kronecker-packed integers, with
+a shift, in E's eigen check and P's construction, packed from and
+unpacked to Z[q,t] term dicts by _pack and _unpack.  The T_i kernel
+_step has two modes, T_i and t Tbar_i.
 
 Operator words act right to left, so in Y_i the rightmost inverse
 generator hits the polynomial first.
@@ -31,36 +33,37 @@ _QT = QTScalar.mul_monomial
 # -- kernels: each drops the terms that cancel and leaves its input as it is
 
 def _step(i, f, ident, mul):
-    """t^ident f - X_i f, 1 <= i < N: T_i f for ident = 1, t Tbar_i f
-    for ident = 0, -X_i f for ident = None, with X_i = t - T_i =
-    (t x_i - x_(i+1)) (1 - K_(i,i+1))/(x_i - x_(i+1)) the exchange term.
-    X_i of c x_i^p x_(i+1)^s, p > s, telescopes to -c at (s, p), (t - 1) c
-    strictly between and t c at (p, s); d = +-(c - t c) is formed only
-    where it is used."""
+    """t^ident f - (t x_i - x_(i+1)) d_i f, 1 <= i < N, d_i the divided
+    difference (f - K_(i,i+1) f)/(x_i - x_(i+1)): T_i f for ident = 1
+    and t Tbar_i f for ident = 0.  Of c x_i^p x_(i+1)^s, p > s, it
+    telescopes to c at (s, p), d = c - t c strictly between, and
+    (t^ident - t) c at (p, s) = e; of p < s, to t c at (s, p), d = t c -
+    c strictly between, and (t^ident - 1) c at e.  So the keys that get
+    d run from s + 1 to p - ident, or from p + 1 - ident to s - 1, and d
+    is formed only where one does."""
     out = {}
     for e, c in f.items():
         p, s = e[i - 1], e[i]
         if p == s:
-            if ident is None:
-                continue
-            terms = ((e, mul(c, 0, 1) if ident else c),)
+            v = mul(c, 0, 1) if ident else c
+            prev = out.get(e)
+            out[e] = v if prev is None else prev + v
+            continue
+        pre, suf = e[:i - 1], e[i + 1:]
+        tc = mul(c, 0, 1)
+        if p > s:
+            v, ks = c, range(s + 1, p + 1 - ident)
         else:
-            tc = mul(c, 0, 1)
-            terms = [(e[:i - 1] + (s, p) + e[i + 1:], c if p > s else tc)]
-            lo, hi = min(p, s), max(p, s)
-            # the coefficient at e itself: t^ident c minus X_i's
-            at_e = ident is not None and (p < s) == (ident == 1)
-            if hi - lo > 1 or at_e:
-                d = c - tc if p > s else tc - c
-                terms += [(e[:i - 1] + (k, p + s - k) + e[i + 1:], d)
-                          for k in range(lo + 1, hi)]
-                if at_e:
-                    terms.append((e, d))
-            if ident is None:
-                terms.append((e, -tc if p > s else -c))
-        for key, v in terms:
-            prev = out.get(key)
-            out[key] = v if prev is None else prev + v
+            v, ks = tc, range(p + 1 - ident, s)
+        key = pre + (s, p) + suf
+        prev = out.get(key)
+        out[key] = v if prev is None else prev + v
+        if ks:
+            d = c - tc if p > s else tc - c
+            for k in ks:
+                key = pre + (k, p + s - k) + suf
+                prev = out.get(key)
+                out[key] = d if prev is None else prev + d
     return {e: c for e, c in out.items() if c}
 
 

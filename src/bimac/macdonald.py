@@ -5,10 +5,12 @@ Pieri rules).
 
 E_eta is built in Knop's integral form J_eta = d_eta E_eta, whose
 coefficients lie in Z[q,t] (Knop 1997, Sahi 1996): the Knop-Sahi
-recursion carries J as s K, a factored scalar s times K in Z[q,t][x],
-and divides only the exchange term of each step, by the Phi factors of
-its closed-form binomial that s does not hold, through qt's
-_divide_out.
+recursion carries J as s K, a factored scalar s times K in Z[q,t][x].
+Each T step's exchange term is -(t x_i - x_(i+1)) d_i K, d_i the
+divided difference, and t x_i - x_(i+1) is primitive, so by Gauss's
+lemma the Phi factors of the step's closed-form binomial that s does
+not hold divide it exactly when they divide d_i K: only the integer
+coefficients of d_i K are divided, through qt's _divide_out.
 K stays one Z[q,t] term dict {x-exponent: QTPoly} through its checks
 (the Bruhat triangularity, the eigenvalue equations at eta's nonzero
 parts, which with it pin K, and d_eta), P's construction, whose
@@ -16,10 +18,10 @@ symmetrizers, Vandermonde divisions and plain-versus-t cross-check run
 on K packed into integers (t -> 2^w, q -> 2^(w B)) with no gcd, and the
 cache file.  Q(q,t) values are formed only for the outputs: E, P and
 c_lambda.  c_lambda_formula and c_lambda_corrected are each one
-factored product.  The recursion, the eigen check and P's construction
-all use hecke's one kernel per operator, each with the multiplication
-by q^a t^b of the ring it holds: QTPoly.mul_term on the recursion's
-Z[q,t] term dicts, a shift on the packed integers.
+factored product.  The eigen check and P's construction use hecke's
+one kernel per operator with a shift, the multiplication by q^a t^b on
+the packed integers; the recursion uses hecke's omega kernel with
+QTPoly.mul_term and forms d_i K itself.
 The factored scalars are qt's _Factored, whose factor/over pair
 certifies a lead and divides by it: the monic E, formed only where E
 itself is asked for and not kept (the process and the cache file hold
@@ -146,15 +148,22 @@ def _raise(eta):
       rho = ebar_(i+1)(nu)/ebar_i(nu) = q^A t^B with A, B >= 1 and
       J_eta = ((1 - rho) T_i J_nu + (1 - t) J_nu) / (t (1 - t rho)).
       The numerator is (1 - t rho) K + (1 - rho) X, X = -X_i K with
-      X_i = t - T_i the exchange term, from hecke._step with
-      QTPoly.mul_term.  Each Phi_d factor of 1 - t rho that s holds
+      X_i = t - T_i = (t x_i - x_(i+1)) d_i the exchange term, d_i the
+      divided difference.  Each Phi_d factor of 1 - t rho that s holds
       cancels there.  The others, L, divide 1 - t rho and are coprime
       to 1 - rho (Phi factors in the directions (A, B + 1) and (A, B)),
-      so L divides the numerator exactly when it divides X: the new K
+      so L divides the numerator exactly when it divides X.  And t x_i
+      - x_(i+1) is primitive over Z[q,t], so by Gauss's lemma L divides
+      X exactly when it divides D = d_i K, whose coefficients are sums
+      of +-K's.  So D is formed as integer term dicts, c x^e with p =
+      e_i != s = e_(i+1) adding +-c at the |p - s| monomials between,
+      only its nonzero coefficients are divided, with _divide_out, and
+      a division that is not exact raises ConsistencyError.  The new K
       is u K + (1 - rho) X / L, u = (1 - t rho) / L, formed per
-      x-exponent as one integer term sum.  Only the nonzero
-      coefficients of X are divided, with _divide_out, and a division
-      that is not exact raises ConsistencyError.
+      x-exponent as one integer term sum: a term v q^a t^b of D / L at
+      x^e adds -v at (a, b + 1) and v at (a + A, b + B + 1) of
+      x^(e + e_i), and v at (a, b) and -v at (a + A, b + B) of
+      x^(e + e_(i+1)).
 
     The chain of nu is walked down to 0, then raised back up in a loop.
     s is kept as running exponents, so a long chain costs linear time.
@@ -188,24 +197,55 @@ def _raise(eta):
                     held[k] = 1
                 else:
                     left[k] = 1
-            # u K + (1 - rho) X / L, u = (1 - t rho) / L minus the held
-            # factors' product (-1 when s holds none): a term v q^a t^b of
-            # X / L adds v at (a, b) and -v at (a + A, b + B)
+            # u K + (1 - rho) X / L, u = (1 - t rho) / L, minus the held
+            # factors' product (-1 when s holds none), X = -(t x_i -
+            # x_(i+1)) D and D = d_i K: c x^e, p = e_i > s = e_(i+1), adds
+            # c where (e_i, e_(i+1)) is (k, p + s - 1 - k), s <= k < p,
+            # and p < s adds -c there, p <= k < s
             u = {k: -v for k, v in _excess(held, {}).items()}
             sums = {e: _add_product({}, c.terms, u) for e, c in K.items()}
-            for e, c in hecke._step(i, K, None, mul).items():
-                f = c.terms
+            D = {}
+            for e, c in K.items():
+                p, s = e[i - 1], e[i]
+                if p == s:
+                    continue
+                pre, suf = e[:i - 1], e[i + 1:]
+                if p > s:
+                    f, lo, hi = c.terms, s, p
+                else:
+                    f, lo, hi = {j: -v for j, v in c.terms.items()}, p, s
+                for k in range(lo, hi):
+                    key = pre + (k, p + s - 1 - k) + suf
+                    out = D.get(key)
+                    if out is None:
+                        D[key] = dict(f)
+                    else:
+                        for j, v in f.items():
+                            out[j] = out.get(j, 0) + v
+            # a term v q^a t^b of D / L at x^e adds -v t (1 - rho) at
+            # x^(e + e_i) and v (1 - rho) at x^(e + e_(i+1))
+            for e, f in D.items():
+                f = {j: v for j, v in f.items() if v}
+                if not f:
+                    continue
                 if left:
                     f, taken = _divide_out(f, left)
                     if taken != left:
                         raise ConsistencyError(
                             f"the Knop-Sahi step to J_{eta} does not divide "
                             f"by {_poly(_excess(left, {}))}")
-                out = sums.setdefault(e, {})
+                pre, p, s, suf = e[:i - 1], e[i - 1], e[i], e[i + 1:]
+                up = sums.setdefault(pre + (p + 1, s) + suf, {})
+                for (x, y), v in f.items():
+                    k = x, y + 1
+                    up[k] = up.get(k, 0) - v
+                    k = x + A, y + B + 1
+                    up[k] = up.get(k, 0) + v
+                up = sums.setdefault(pre + (p, s + 1) + suf, {})
                 for k, v in f.items():
-                    out[k] = out.get(k, 0) + v
-                    k = (k[0] + A, k[1] + B)
-                    out[k] = out.get(k, 0) - v
+                    up[k] = up.get(k, 0) + v
+                    k = k[0] + A, k[1] + B
+                    up[k] = up.get(k, 0) - v
             K = {}
             for e, out in sums.items():
                 out = {k: v for k, v in out.items() if v}

@@ -14,6 +14,7 @@ row.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from operator import ge, gt
 
 from .errors import ConsistencyError
@@ -119,6 +120,20 @@ def eigenvalue(eta, i) -> QTScalar:
 # superpartitions
 # ---------------------------------------------------------------------------
 
+def _integral(parts, name):
+    """parts as a tuple of ints, which 2, 2.0, Fraction(2) and "2" give;
+    a part that is not an integer raises ValueError naming parts.  A
+    tuple of ints costs one comparison."""
+    try:
+        out = tuple(map(int, parts))
+        if out == parts or out == tuple(map(Fraction, parts)):
+            return out
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"{name} part {parts!r} has a part that is not an "
+                     "integer")
+
+
 @dataclass(frozen=True)
 class SuperPartition:
     """A pair (anti; sym) of fermionic degree m = len(anti) in N variables.
@@ -136,13 +151,13 @@ class SuperPartition:
     def __post_init__(self):
         # parts of a weakly decreasing tuple are nonnegative when its
         # last part is, and its zero parts are a suffix
-        anti = tuple(map(int, self.anti))
+        anti = _integral(self.anti, "anti")
         m = len(anti)
         if m > self.N:
             raise ValueError("fermionic degree exceeds variable count")
         if any(map(ge, anti[1:], anti)) or (anti and anti[-1] < 0):
             raise ValueError(f"anti part {anti} is not strictly decreasing")
-        sym = tuple(map(int, self.sym))
+        sym = _integral(self.sym, "sym")
         if any(map(gt, sym[1:], sym)) or (sym and sym[-1] < 0):
             raise ValueError(f"sym part {sym} is not a partition")
         n = self.N - m

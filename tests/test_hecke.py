@@ -220,6 +220,27 @@ def _coefficient_ints(f):
     return max(p[0] for p in pairs), max(p[1] for p in pairs)
 
 
+class TestStepKernel:
+    @settings(max_examples=60, deadline=None)
+    @given(integral_polys(), st.data())
+    def test_step_is_t_power_minus_the_divided_difference_term(self, f, data):
+        # hecke._step(i, f, ident, mul) = t^ident f - (t x_i - x_(i+1))
+        # d_i f for ident 0 and 1, d_i xpoly's exact quotient over
+        # Q(q,t), on Z[q,t] term dicts and on their packed images: one
+        # step grows ||.||_1 at most 1 + 2d times and t-degrees by one
+        n = f.nvars
+        i = data.draw(st.integers(1, n - 1))
+        F = as_terms(f)
+        w, B, packed = hecke._pack(F, 1 + 2 * max(map(sum, F)), 1)
+        X = (x(i, n).scale(T) - x(i + 1, n)) * divided_difference(f, i)
+        for ident in (0, 1):
+            want = f.scale(qt_monomial(0, ident)) - X
+            assert hecke._step(i, F, ident, QTPoly.mul_term) == \
+                as_terms(want)
+            assert unpack(hecke._step(i, packed, ident, hecke._shifts(w, B)),
+                          w, B, n) == want
+
+
 class TestPackedYWord:
     @settings(max_examples=60, deadline=None)
     @given(integral_polys())

@@ -18,8 +18,8 @@ from bimac.qt import QTPoly, QTScalar, qt_monomial
 from bimac.render import terms_to_json, xpoly_to_json
 from bimac.sparts import (SuperPartition, compositions_of, eigenvalue,
                           format_spart, sorting_permutation, superpartitions)
-from bimac.xpoly import (XPolynomial, elementary_symmetric, exact_div,
-                         vandermonde)
+from bimac.xpoly import (XPolynomial, divided_difference,
+                         elementary_symmetric, exact_div, vandermonde)
 
 ONE = QTScalar.one()
 Q = qt_monomial(1, 0)
@@ -146,11 +146,12 @@ def knop_steps(eta):
 
 def raise_whole_numerator(eta, steps=None):
     """(s, K) of macdonald._raise by the route that forms each T step's
-    whole numerator (1 - t rho) K + (1 - rho) X, X = -X_i K, and divides
-    every nonzero coefficient of it by the Phi factors of t (1 - t rho)
-    that s does not hold.  steps, a list, gets each T step's (held,
-    left, divided): the factors s holds, the exponent dict of the others
-    and how many coefficients were divided by them."""
+    whole numerator (1 - t rho) K + (1 - rho) X, X = -X_i K = t Tbar_i K
+    - K, and divides every nonzero coefficient of it by the Phi factors
+    of t (1 - t rho) that s does not hold.  steps, a list, gets each T
+    step's (held, left, i, K, X): the number of factors s holds, the
+    exponent dict of the others, and the step's i, K and nonzero X
+    before the division."""
     N = len(eta)
     sign, a, b, phi = 1, 0, 0, {}
     K = {(0,) * N: QTPoly.one()}
@@ -158,7 +159,10 @@ def raise_whole_numerator(eta, steps=None):
         rows = sorting_permutation(nu)
         if i:
             A, B = nu[i], rows[i - 1] - rows[i]
-            X = hecke._step(i, K, None, QTPoly.mul_term)
+            X = dict(hecke._step(i, K, 0, QTPoly.mul_term))
+            for e, c in K.items():
+                X[e] = X[e] - c if e in X else -c
+            X = {e: c for e, c in X.items() if c}
             sums = {}
             for f, shift in ((K, B + 1), (X, B)):
                 for e, c in f.items():
@@ -172,6 +176,8 @@ def raise_whole_numerator(eta, steps=None):
             left = {k: 1 for k in binom.phi if not phi.get(k)}
             for k in binom.phi.keys() - left.keys():
                 phi[k] -= 1
+            if steps is not None:
+                steps.append((len(binom.phi) - len(left), left, i, K, X))
             K = {}
             for e, out in sums.items():
                 out = {k: v for k, v in out.items() if v}
@@ -179,9 +185,6 @@ def raise_whole_numerator(eta, steps=None):
                     f, taken = qt._divide_out(out, left)
                     assert taken == left, (eta, e)
                     K[e] = QTPoly(f)
-            if steps is not None:
-                steps.append((len(binom.phi) - len(left), left,
-                              len(K) if left else 0))
         else:
             K = {e[:-1] + (e[-1] + 1,): c
                  for e, c in hecke._omega(K, QTPoly.mul_term).items()}
@@ -190,6 +193,22 @@ def raise_whole_numerator(eta, steps=None):
             for k in binom.phi:
                 phi[k] = phi.get(k, 0) + 1
     return qt._Factored(sign, a, b, {k: e for k, e in phi.items() if e}), K
+
+
+def divided_difference_terms(i, K):
+    """d_i K = (K - K_(i,i+1) K)/(x_i - x_(i+1)) as integer term dicts,
+    by the closed form: c x^e with p = e_i > s = e_(i+1) gives c at the
+    exponents of e with (k, p + s - 1 - k) at (i, i + 1), s <= k < p, and
+    with p < s gives -c there, p <= k < s."""
+    D = {}
+    for e, c in K.items():
+        p, s = e[i - 1], e[i]
+        for k in range(min(p, s), max(p, s)):
+            out = D.setdefault(e[:i - 1] + (k, p + s - 1 - k) + e[i + 1:], {})
+            for m, v in c.terms.items():
+                out[m] = out.get(m, 0) + (v if p > s else -v)
+    return {e: f for e, out in D.items()
+            if (f := {m: v for m, v in out.items() if v})}
 
 
 # every composition with N <= 4 and |eta| <= 5, and with N = 5 and
@@ -304,40 +323,52 @@ class TestNonsymE:
             assert (s.sign, s.a, s.b, s.phi) == \
                 (want_s.sign, want_s.a, want_s.b, want_s.phi), eta
             assert K == want_K, eta
-            kinds |= {(held > 0, bool(left)) for held, left, _ in steps}
-            if any(held for held, _, _ in steps):
+            kinds |= {(held > 0, bool(left)) for held, left, *_ in steps}
+            if any(held for held, *_ in steps):
                 holding.add(eta)
         assert {(True, False), (False, True)} <= kinds
         assert {(1, 0), (2, 0), (0, 3), (1, 4)} <= holding
 
-    def test_raise_divides_only_the_exchange_term(self, monkeypatch):
-        # one _divide_out call per nonzero coefficient of X = -X_i K, by
+    def test_raise_divides_the_divided_difference(self, monkeypatch):
+        # one _divide_out call per nonzero coefficient of D = d_i K, by
         # the factors of 1 - t rho that s does not hold, at the steps
-        # with such a factor; none where X is zero or at the omega steps
+        # with such a factor; none where D is zero or at the omega steps.
+        # Dividing each nonzero coefficient of X = -(t x_i - x_(i+1)) D
+        # instead would take 4,165 calls
         etas = [eta for n in range(5) for eta in compositions_of(n, 5)]
-        lefts, old = [], 0
+        want, exchanged = [], 0
         for eta in etas:
             steps = []
             raise_whole_numerator(eta, steps)
-            lefts.append([left for _, left, _ in steps])
-            old += sum(divided for _, _, divided in steps)
-        calls, exchanges = [], []
-        real_step, real_divide = hecke._step, macdonald._divide_out
-        monkeypatch.setattr(hecke, "_step", lambda *args: exchanges.append(
-            real_step(*args)) or exchanges[-1])
+            want.append([(f, left) for _, left, i, K, _ in steps if left
+                         for f in divided_difference_terms(i, K).values()])
+            exchanged += sum(len(X) for _, left, _, _, X in steps if left)
+        calls = []
+        real_divide = macdonald._divide_out
         monkeypatch.setattr(macdonald, "_divide_out", lambda f, phi: (
             calls.append((f, phi)) or real_divide(f, phi)))
-        want = []
-        for eta, step_lefts in zip(etas, lefts):
-            exchanges.clear()
+        for eta, step_want in zip(etas, want):
+            calls.clear()
             macdonald._raise(eta)
-            assert len(exchanges) == len(step_lefts)
-            want += [(X[e].terms, left)
-                     for X, left in zip(exchanges, step_lefts) if left
-                     for e in X]
-        assert len(calls) == len(want) < old
-        for (f, phi), (terms, left) in zip(calls, want):
-            assert f is terms and phi == left
+            assert calls == step_want, eta
+        assert sum(map(len, want)) == 2374 and exchanged == 4165
+
+    def test_divided_difference_terms(self):
+        # the closed form is xpoly's exact quotient over Q(q,t), on the K
+        # of every T step with N <= 5 and |eta| <= 3
+        etas = [eta for N in range(2, 6) for n in range(4)
+                for eta in compositions_of(n, N)]
+        seen = 0
+        for eta in etas:
+            steps = []
+            raise_whole_numerator(eta, steps)
+            for _, _, i, K, _ in steps:
+                D = divided_difference_terms(i, K)
+                assert XPolynomial(len(eta), {e: QTScalar(QTPoly(f)) for
+                                              e, f in D.items()}) == \
+                    divided_difference(xpoly(K), i), (eta, i)
+                seen += 1
+        assert seen > 100
 
     def test_raise_and_check_make_no_gcd_call(self, monkeypatch):
         # the recursion divides only by closed-form binomials and the

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from fractions import Fraction
 from itertools import (combinations, combinations_with_replacement,
                        permutations, product)
 
@@ -72,6 +73,22 @@ class TestShapes:
         lam = SuperPartition(("1",), [2.0], 3)
         assert lam.anti == (1,) and lam.sym == (2, 0)
         assert all(type(x) is int for x in lam.anti + lam.sym)
+        lam = SuperPartition((Fraction(2), 0.0), (Fraction(4, 2),), 3)
+        assert lam.anti == (2, 0) and lam.sym == (2,)
+        assert all(type(x) is int for x in lam.anti + lam.sym)
+
+    def test_non_integral_part_is_refused(self):
+        # int would truncate 1.5 to 1 and 2.7 to 2: 1;2 with no error
+        for anti, sym, message in [
+            ((1.5,), (2.7,), r"anti part \(1\.5,\) has a part that is not"),
+            ((1,), (2.7,), r"sym part \(2\.7,\) has a part that is not"),
+            ((2, Fraction(1, 2)), (), r"anti part \(2, Fraction\(1, 2\)\)"),
+            ((), ["1.5"], r"sym part \['1\.5'\] has a part"),
+            ((), (float("inf"),), r"sym part \(inf,\) has a part"),
+            ((None,), (), r"anti part \(None,\) has a part"),
+        ]:
+            with pytest.raises(ValueError, match=f"^{message}"):
+                SuperPartition(anti, sym, 3)
 
 
 class TestEnumerationOrder:
