@@ -130,13 +130,13 @@ def cmd_E(args):
 def cmd_P(args):
     lam = _parse_spart(args)
     _bounded("spart", lam.degree(), lam.N)
-    elem = bisym_P(lam)
-    if args.format == "diagram":
+    if args.format == "diagram":  # the diagram of Lambda, with no P built
         print(diagram_latex(lam))
-    else:
-        _print_xpoly(elem.poly, args.format, lambda poly: {
-            "spart": format_spart(lam), "c": elem.c_lam.to_json(),
-            "poly": poly})
+        return 0
+    elem = bisym_P(lam)
+    _print_xpoly(elem.poly, args.format, lambda poly: {
+        "spart": format_spart(lam), "c": elem.c_lam.to_json(),
+        "poly": poly})
     return 0
 
 

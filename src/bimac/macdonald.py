@@ -604,6 +604,8 @@ def c_lambda_corrected(lam: SuperPartition) -> QTScalar:
 def is_bisymmetric(f: XPolynomial, m: int) -> bool:
     """f is invariant under S_m x S_(N-m): each adjacent transposition
     inside a block sends every term to a term with the same coefficient."""
+    if not 0 <= m <= f.nvars:
+        raise ValueError(f"block split m = {m} is outside 0..N = {f.nvars}")
     return all(f.terms.get((*e[:i], e[i + 1], e[i], *e[i + 2:])) == c
                for e, c in f.terms.items()
                for i in (*range(m - 1), *range(m, f.nvars - 1)))

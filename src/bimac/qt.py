@@ -44,9 +44,10 @@ q^va t^vb synthetically by the monic Phi_d, and ``_divide_out`` by
 each p of an exponent dict while that is exact, with no gcd.  Every
 division by a Phi factor is one of these: ``factor`` certifying a term
 dict as a value over given factors, ``over`` dividing one by a value,
-E's recursion dividing by a step's binomial, and ``_cyclotomic``
-building each Phi_d.  ``_excess`` multiplies out the p's one exponent
-dict has over another, and ``_vanishes`` decides whether a sum of
+E's recursion dividing by a step's binomial, and ``_cyclotomic_at``
+building each Phi_d(q) from q^d - 1.  ``_phi_terms`` alone multiplies
+p's out: for ``expand``, for ``_excess`` (the p's one exponent dict has
+over another) and for ``_vanishes``, which decides whether a sum of
 factored values times integer Laurent term dicts is zero, as integers
 over one common denominator with no gcd: the one zero test of the Pieri
 operator identity and verify's A-product lemma.
@@ -639,6 +640,8 @@ _BRACKET_EXP = {"q": (1, 0), "t": (0, 1), "t_inverse": (0, -1)}
 def _brackets(ks, param):
     """(factors, divisors): the product of [k] = (1 - p^k)/(1 - p) over
     k in ks, p the chosen parameter, as _Factored.prod arguments."""
+    if param not in _BRACKET_EXP:
+        raise ValueError(f"unknown bracket parameter {param!r}")
     da, db = _BRACKET_EXP[param]
     return ([_Factored.binomial(0, 0, da * k, db * k) for k in ks],
             [_Factored.binomial(0, 0, da, db)] * len(ks))
@@ -662,23 +665,21 @@ def t_bracket_factorial(k: int, param: str = "t") -> QTScalar:
 # products of binomials, held factored
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=1024)
-def _cyclotomic(d):
-    """Phi_d as a polynomial in q alone: q^d - 1 divided by every Phi_e,
-    e a proper divisor of d, by _phi_div and never _div_terms."""
-    p = {(d, 0): 1, (0, 0): -1}
-    for e in range(1, d):
-        if d % e == 0:
-            p = _phi_div(p, e, 1, 0)
-    return _poly(p)
-
-
 @lru_cache(maxsize=4096)
 def _cyclotomic_at(d, va, vb):
     """(p, sa, sb, n, low): p = q^sa t^sb Phi_d(q^va t^vb) the integer
     polynomial of least nonnegative exponents, and for _phi_div (not the
-    long division) the monic Phi_d's degree n and its terms (j, c), j < n."""
-    phi = _cyclotomic(d).terms
+    long division) the monic Phi_d's degree n and its terms (j, c), j < n.
+    Phi_d(q) itself, the entry (d, 1, 0), is q^d - 1 divided by every
+    Phi_e, e a proper divisor of d, by _phi_div and never _div_terms;
+    every other direction reads its terms from that entry."""
+    if (va, vb) == (1, 0):
+        phi = {(d, 0): 1, (0, 0): -1}
+        for e in range(1, d):
+            if d % e == 0:
+                phi = _phi_div(phi, e, 1, 0)
+    else:
+        phi = _cyclotomic_at(d, 1, 0)[0].terms
     n = max(j for j, _ in phi)
     sa, sb = max(-va * n, 0), max(-vb * n, 0)
     return (_poly({(sa + j * va, sb + j * vb): c
@@ -758,10 +759,21 @@ def _excess(top, bottom):
                                   if e > bottom.get(k, 0)))
 
 
-@lru_cache(maxsize=4096)
-def _phi_product(phi):
-    """_excess's product for the frozenset phi of (key, exponent) pairs."""
-    return _Factored(1, 0, 0, dict(phi))._sides()[0].terms
+def _phi_terms(phi):
+    """The integer term dict of prod p^e over the (key, e) pairs of phi
+    with e > 0, p the polynomial of _cyclotomic_at(*key), multiplied by
+    _add_product in the pairs' order: qt's one multiply-out of p's.  A
+    lone p is its memo's own term dict, and no caller changes it."""
+    out = None
+    for k, e in phi:
+        for _ in range(e):
+            p = _cyclotomic_at(*k)[0].terms
+            out = p if out is None else _add_product({}, out, p)
+    return _P_ONE.terms if out is None else out
+
+
+# _excess's product, keyed by the frozenset of (key, exponent) pairs
+_phi_product = lru_cache(maxsize=4096)(_phi_terms)
 
 
 class _Factored:
@@ -853,28 +865,6 @@ class _Factored:
     def __truediv__(self, other):
         return _Factored.prod((self,), (other,))
 
-    def _sides(self):
-        """(num, den): the products of the p's of the factors of positive
-        and of negative exponent."""
-        sides = [_P_ONE, _P_ONE]
-        for k, e in self.phi.items():
-            p = _cyclotomic_at(*k)[0]
-            for _ in range(abs(e)):
-                sides[e < 0] = sides[e < 0] * p
-        return sides
-
-    def laurent(self):
-        """The integer Laurent term dict of a product with no divisor,
-        keyed (q-exponent, t-exponent)."""
-        if not self.sign:
-            return {}
-        num, den = self._sides()
-        if not den.is_one():
-            raise ValueError("a product with a divisor is not a Laurent "
-                             "polynomial")
-        return {(x + self.a, y + self.b): self.sign * v
-                for (x, y), v in num.terms.items()}
-
     def over(self, f, taken):
         """v / self as a canonical QTScalar, with no gcd, for the pair
         (f, taken) = _divide_out(v, self.phi) of an integer Laurent term
@@ -903,8 +893,9 @@ def _expand(sign, a, b, phi):
     Memoized, least recently used first out: the Pieri expansions of
     different Lambda meet the same coefficient values, and a QTScalar is
     immutable, so one value is shared by every caller."""
-    num, den = _Factored(sign, a, b, dict(phi))._sides()
-    return _canonical(Fraction(sign), num.mul_term(max(a, 0), max(b, 0)),
+    num = _poly(_phi_terms(phi)).mul_term(max(a, 0), max(b, 0))
+    den = _poly(_phi_terms((k, -e) for k, e in phi))
+    return _canonical(Fraction(sign), num,
                       den.mul_term(max(-a, 0), max(-b, 0)))
 
 
@@ -914,13 +905,18 @@ def _vanishes(values, nums):
     term is multiplied by D, each Phi factor to minus its least exponent
     over the values, which clears every denominator and drops the factors
     that all the values share."""
-    # keys first-seen, v's before D's: _sides multiplies in that order
+    # keys first-seen, v's before D's: _phi_terms multiplies in that
+    # order; w's sign and monomial go on the small num, not the product
     least = {k: min(v.phi.get(k, 0) for v in values)
              for k in dict.fromkeys(k for v in values for k in v.phi)}
     D = _Factored(1, 0, 0, {k: -e for k, e in least.items() if e})
     total = {}
     for v, num in zip(values, nums):
-        _add_product(total, (v * D).laurent(), num)
+        w = v * D
+        if w.sign:
+            _add_product(total, _phi_terms(w.phi.items()),
+                         {(a + w.a, b + w.b): w.sign * c
+                          for (a, b), c in num.items()})
     return not total
 
 

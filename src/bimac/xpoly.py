@@ -305,15 +305,16 @@ def specialize(f: XPolynomial, point) -> QTScalar:
 
 
 def elementary_symmetric(r: int, interval, nvars: int) -> XPolynomial:
-    """e_r in the variables x_a..x_b of the interval (1-based)."""
+    """e_r in x_a..x_b, the interval's variables (1-based; none if b < a)."""
     a, b = interval
     width = b - a + 1
     if r < 0 or r > width:
         raise ValueError(f"e_{r} undefined on an interval of {width} variables")
+    if width:
+        _check_var(a, nvars)
+        _check_var(b, nvars)
     if r == 0:
         return XPolynomial.one(nvars)
-    _check_var(a, nvars)
-    _check_var(b, nvars)
     out = {}
     for subset in combinations(range(a - 1, b), r):
         e = [0] * nvars

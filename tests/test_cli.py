@@ -98,11 +98,30 @@ class TestCommandP:
         code, _, err = run(capsys, "P", "--spart", "1,2;0", "--N", "4")
         assert code == 2
 
-    def test_diagram(self, capsys):
+    DIAGRAM = ("\\begin{matrix}\n\\square & \\square & \\bigcirc \\\\\n"
+               "\\square \\\\\n\\bigcirc\n\\end{matrix}\n")
+
+    def test_diagram(self, capsys, monkeypatch):
+        # the diagram is Lambda's alone: P is never built
+        def refuse(*args):
+            raise AssertionError("bisym_P called for a diagram")
+
+        monkeypatch.setattr(macdonald, "bisym_P", refuse)
+        monkeypatch.setattr(cli, "bisym_P", refuse)
         code, out, _ = run(capsys, "P", "--spart", "2,0;1", "--N", "4",
                            "--format", "diagram")
         assert code == 0
         assert "\\bigcirc" in out and "\\square" in out
+        assert out == self.DIAGRAM
+
+    def test_diagram_appends_no_cache_record(self, tmp_path, capsys):
+        path = tmp_path / "c.jsonl"
+        path.write_text("")
+        macdonald.clear_caches()
+        code, out, _ = run(capsys, "--cache", str(path), "P", "--spart",
+                           "2,0;1", "--N", "4", "--format", "diagram")
+        assert (code, out) == (0, self.DIAGRAM)
+        assert path.read_text() == ""
 
 
 class TestCommandEval:

@@ -14,7 +14,8 @@ from bimac.cli import main
 from bimac.evalsym import eval_formula
 from bimac.pieri import pieri_expand
 from bimac.qt import (QTPoly, QTScalar, _add_product, _cyclotomic_at,
-                     _divide_out, _Factored, _phi_div, _vanishes, qt_monomial)
+                     _divide_out, _excess, _Factored, _phi_div, _phi_terms,
+                     _vanishes, qt_monomial)
 from bimac.sparts import parse_spart
 from bimac.verify import run_suite
 
@@ -72,13 +73,13 @@ def test_phi_div_matches_exact_div(f, k):
 
 
 def test_cyclotomic_matches_sympy():
-    # _cyclotomic divides q^d - 1 by each Phi_e through _phi_div; sympy's
-    # cyclotomic_poly is a route that shares none of it
+    # _cyclotomic_at(d, 1, 0) divides q^d - 1 by each Phi_e through
+    # _phi_div; sympy's cyclotomic_poly is a route that shares none of it
     import sympy
     q = sympy.Symbol("q")
     for d in [*range(1, 301), 1980, 2310, 2520]:
         want = sympy.Poly(sympy.cyclotomic_poly(d, q), q)
-        assert bimac.qt._cyclotomic(d).terms == \
+        assert _cyclotomic_at(d, 1, 0)[0].terms == \
             {(j, 0): int(c) for (j,), c in want.terms()}, d
 
 
@@ -227,6 +228,16 @@ DOWN = [("one_minus", 1, -1, 0, 0), ("binomial", 0, 3, 2, 0),
         ("one_minus", 4, -2, 0, 0)]
 
 
+def laurent(f):
+    """The integer Laurent term dict of a _Factored with no divisor, keyed
+    (q-exponent, t-exponent): its p's multiplied out by _phi_terms."""
+    assert all(e > 0 for e in f.phi.values())
+    if not f.sign:
+        return {}
+    return {(x + f.a, y + f.b): f.sign * v
+            for (x, y), v in _phi_terms(f.phi.items()).items()}
+
+
 def _plain(terms):
     """The integer Laurent term dict as a QTScalar, term by term."""
     out = QTScalar.zero()
@@ -256,8 +267,8 @@ def test_monomial_is_held_against_the_p_polynomials(spec):
         for _ in range(e):
             p = p * _cyclotomic_at(*k)[0]
     want = {(x + f.a, y + f.b): v for (x, y), v in p.terms.items()}
-    assert f.laurent() == want
-    assert _parts(_plain(f.laurent())) == _parts(plain)
+    assert laurent(f) == want
+    assert _parts(_plain(laurent(f))) == _parts(plain)
 
 
 @settings(max_examples=300, deadline=None)
@@ -268,7 +279,7 @@ def test_factor_recovers_a_product(spec, cofactor):
     # own factors or more; times a cofactor that is no +-q^a t^b and no
     # product of p's it does not factor
     f, plain = _product(spec + DOWN[:len(spec) % 4])
-    terms = f.laurent()
+    terms = laurent(f)
     more = {**f.phi, (1, 1, 1): f.phi.get((1, 1, 1), 0) + 2}
     for phi in (f.phi, more):
         got = _Factored.factor(terms, phi)
@@ -286,7 +297,7 @@ def test_over_matches_plain_division(lead_spec, part_spec, v, shift):
     part, plain_part = _product(part_spec + DOWN[:len(part_spec) % 4])
     a, b = shift
     v = {(x + a, y + b): c for (x, y), c in v.items()}
-    num = _add_product({}, v, part.laurent())
+    num = _add_product({}, v, laurent(part))
     got = lead.over(*_divide_out(num, lead.phi))
     assert _parts(got) == _parts(_plain(v) * plain_part / plain_lead)
 
@@ -320,8 +331,8 @@ def test_vanishes_matches_plain_sum(parts, top, bottom, w_spec, kind):
     if kind != "as drawn":
         w, plain_w = _product(w_spec)
         terms = [(v * w, x * plain_w, n) for v, x, n in terms] + \
-            [(v, x, {k: -c for k, c in _add_product({}, w.laurent(),
-                                                      n).items()})
+            [(v, x, {k: -c for k, c in _add_product({}, laurent(w),
+                                                    n).items()})
              for v, x, n in terms]
     if kind == "miss":
         v, x, n = terms[-1]
@@ -333,6 +344,39 @@ def test_vanishes_matches_plain_sum(parts, top, bottom, w_spec, kind):
     assert got == want.is_zero()
     if kind != "as drawn":
         assert got == (kind == "cancel")
+
+
+def test_phi_terms_is_the_one_multiply_out(monkeypatch):
+    # expand, _excess and _vanishes multiply Phi polynomials only through
+    # _phi_terms, on term dicts: with QTPoly's product refused and the
+    # memos cleared they give the same results
+    b = _Factored.binomial
+    square = _Factored.prod([b(0, 0, 6, 4), b(0, 0, 6, 4), b(1, 0, 0, 3)])
+    values = [square / b(0, 0, 2, 0), square * b(0, 0, 4, -2),
+              _Factored.prod([b(2, 1, 0, 3)], [b(0, 0, 3, 2), b(0, 0, 1, 0)])]
+    w = b(0, 0, 2, 2) * b(0, 0, 1, -1)
+    neg_w = {k: -c for k, c in laurent(w).items()}
+
+    def results():
+        bimac.qt._cyclotomic_at.cache_clear()
+        bimac.qt._phi_product.cache_clear()
+        bimac.qt._expand.cache_clear()
+        return ([_parts(v.expand()) for v in values],
+                [_excess(v.phi, {}) for v in values],
+                _excess(square.phi, values[0].phi),
+                [_vanishes(values + [v * w for v in values],
+                           [neg_w] * 3 + [{(0, 0): 1}] * 3),
+                 _vanishes(values + [v * w for v in values],
+                           [neg_w] * 3 + [{(0, 0): 1}] * 2 + [{(0, 1): 1}])])
+
+    before = results()
+    assert before[3] == [True, False]
+
+    def refuse(*args):
+        raise AssertionError("Phi polynomials multiplied as QTPoly")
+
+    monkeypatch.setattr(QTPoly, "__mul__", refuse)
+    assert results() == before
 
 
 SHAPES_N5 = ("2,0;1", "1;1,1", "3,1,0;2", "2,1;1", "1,0;2")
@@ -359,7 +403,6 @@ def test_pieri_and_eval_formula_make_no_gcd_call(monkeypatch):
         raise AssertionError("poly_gcd called on the factored path")
 
     monkeypatch.setattr(bimac.qt, "poly_gcd", refuse)
-    bimac.qt._cyclotomic.cache_clear()
     bimac.qt._cyclotomic_at.cache_clear()
     bimac.qt._expand.cache_clear()
     assert _results() == before
@@ -373,7 +416,6 @@ def test_construction_makes_no_general_division(monkeypatch, capsys):
         raise AssertionError("_div_terms called in a construction")
 
     macdonald.clear_caches()
-    bimac.qt._cyclotomic.cache_clear()
     bimac.qt._cyclotomic_at.cache_clear()
     monkeypatch.setattr(bimac.qt, "_div_terms", refuse)
     for argv in (["E", "--eta", "3,0,1,1"],

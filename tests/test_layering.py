@@ -71,7 +71,7 @@ def _names(path):
 def test_only_qt_names_the_phi_polynomials():
     # the factored denominator is qt's: its p's and their products are
     # reached through _Factored and qt's helpers only
-    private = {"_cyclotomic_at", "_phi_div", "_phi_product"}
+    private = {"_cyclotomic_at", "_phi_div", "_phi_product", "_phi_terms"}
     for path in SRC.glob("*.py"):
         if path.name != "qt.py":
             assert not _names(path) & private, path.name

@@ -8,7 +8,7 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bimac import hecke, macdonald, qt
+from bimac import hecke, macdonald, pieri, qt
 from bimac.cli import main
 from bimac.errors import ConsistencyError
 from bimac.macdonald import (bisym_P, c_lambda_corrected, c_lambda_formula,
@@ -645,6 +645,23 @@ class TestBisymP:
                 big, tdeg = coefficient_ints(f)
                 assert big < 1 << (w - 1) and tdeg < B, sp
 
+    def test_pack_widths_are_the_stated_bounds(self):
+        # each packing is exactly as wide as its proof needs: w is the
+        # least width over the bound restated here, and B is one past
+        # tdeg K plus the stated growth of the t-degree
+        for eta in SWEEP:
+            K = macdonald._integral_E(eta)
+            N, d = len(eta), max(map(sum, K))
+            tdeg = max(b for c in K.values() for _, b in c.terms)
+            w, B, _ = macdonald._eigen_pack(K)
+            assert (w, B) == (least_w(K), tdeg + N - 1 + 1), eta
+            for m in range(N + 1):
+                extra = (N - m) * (N - m - 1) // 2 + m * (m - 1) // 2 + \
+                    (d if m >= 2 else 0)
+                w, B, _ = macdonald._P_pack(K, m)
+                assert (w, B) == (least_P_w(K, m), tdeg + extra + 1), \
+                    (eta, m)
+
     def test_plain_and_t_disagreement_fails_closed(self, monkeypatch):
         # the two quotients are equal for every input (see
         # test_hecke's test_t_and_plain_quotients_are_equal), so the
@@ -949,6 +966,18 @@ class TestIsBisymmetric:
         x1 = XPolynomial.variable(1, N)
         assert is_bisymmetric(x1, 1) and is_bisymmetric(x1, N) == (N == 1)
         assert is_bisymmetric(x1, 0) == (N == 1)
+
+    @pytest.mark.parametrize("m", [-1, 4, 5])
+    def test_block_split_outside_0_to_N_is_named(self, m):
+        # at N = 3, m past N once indexed past the exponent tuple, and
+        # m < 0 read as "not bisymmetric"; both callers pass the error on
+        f = bisym_P(SuperPartition((1,), (1,), 3)).poly
+        named = re.escape(f"m = {m} is outside 0..N = 3")
+        for call in (lambda: is_bisymmetric(f, m),
+                     lambda: macdonald.expand_in_P_basis(f, m),
+                     lambda: pieri.op_identity_check(m, 1, f, "upper")):
+            with pytest.raises(ValueError, match=named):
+                call()
 
 
 class TestClassicalCrossChecks:

@@ -137,6 +137,11 @@ def test_brackets():
         t_bracket(-1, "t")
     with pytest.raises(ValueError):
         t_bracket_factorial(-2, "q")
+    for call in (t_bracket, t_bracket_factorial):
+        for k in (0, 3):
+            with pytest.raises(ValueError,
+                               match="unknown bracket parameter 'x'"):
+                call(k, "x")
 
 
 def test_bracket_inversion_identity():

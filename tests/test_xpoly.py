@@ -221,6 +221,8 @@ def test_elementary_symmetric():
     assert elementary_symmetric(0, (1, 3), 3) == XPolynomial.one(3)
     assert elementary_symmetric(1, (2, 3), 3) == x(2, 3) + x(3, 3)
     assert elementary_symmetric(2, (1, 2), 4) == x(1, 4) * x(2, 4)
+    # an empty interval names no variable, even past x_nvars
+    assert elementary_symmetric(0, (4, 3), 3) == XPolynomial.one(3)
     with pytest.raises(ValueError):
         elementary_symmetric(3, (1, 2), 4)
 
@@ -337,6 +339,8 @@ def test_unknown_vandermonde_kind():
      "x_0 undefined for 3 variables"),
     (lambda: elementary_symmetric(1, (2, 4), 3),
      "x_4 undefined for 3 variables"),
+    (lambda: elementary_symmetric(0, (0, 99), 3),
+     "x_0 undefined for 3 variables"),
     (lambda: apply_K(0, 1, _F3), "x_0 undefined for 3 variables"),
     (lambda: apply_K(1, 4, _F3), "x_4 undefined for 3 variables"),
     (lambda: q_shift(_F3, {0}), "x_0 undefined for 3 variables"),
@@ -346,7 +350,7 @@ def test_unknown_vandermonde_kind():
     (lambda: permute_vars(_F3, (1, 2, 4)),
      r"\(1, 2, 4\) is not a permutation of 1..3"),
 ], ids=["variable-0", "variable-N+1", "vandermonde", "e_r-0", "e_r-N+1",
-        "K-0", "K-N+1", "q_shift-0", "q_shift-N+1", "permute-repeat",
+        "e_0-0", "K-0", "K-N+1", "q_shift-0", "q_shift-N+1", "permute-repeat",
         "permute-N+1"])
 def test_variable_index_out_of_range(call, message):
     # indices are 1-based: 0 would wrap to x_N and N + 1 would index past
