@@ -30,11 +30,6 @@ from .sparts import (SuperPartition, conjugate_partition, eval_point,
 from .xpoly import XPolynomial, _laurent_at, specialize
 
 
-def _one_minus(a, b) -> _Factored:
-    """1 - q^a t^b."""
-    return _Factored.binomial(0, 0, a, b)
-
-
 def evaluate(lam: SuperPartition, sign: str, f: XPolynomial) -> QTScalar:
     """f at the positive or negative evaluation point of Lambda."""
     return specialize(f, eval_point(lam, sign))
@@ -61,16 +56,21 @@ def _eval_factors(lam: SuperPartition, sign: str) -> _Factored:
     star_c = conjugate_partition(lam.star())
     circ = lam.circled()
 
+    # each binomial(0, 0, a, b) is 1 - q^a t^b
     if sign == "minus":
-        num = [_one_minus(j - 1, N - (i - 1)) for (i, j) in hd.s_cells]
-        den = [_one_minus(circ[i - 1] - j, star_c[j - 1] - i + 1)
+        num = [_Factored.binomial(0, 0, j - 1, N - (i - 1))
+               for (i, j) in hd.s_cells]
+        den = [_Factored.binomial(0, 0, circ[i - 1] - j,
+                                  star_c[j - 1] - i + 1)
                for (i, j) in hd.b_cells]
         num.append(_Factored.monomial(
             -((m - 1) * hd.anti_skew_size - hd.n_anti_skew),
             hd.n_s + hd.n_conj_anti_skew))
     elif sign == "plus":
-        num = [_one_minus(1 - j, i - (N + 1)) for (i, j) in hd.s_cells]
-        den = [_one_minus(j - circ[i - 1], i - 1 - star_c[j - 1])
+        num = [_Factored.binomial(0, 0, 1 - j, i - (N + 1))
+               for (i, j) in hd.s_cells]
+        den = [_Factored.binomial(0, 0, j - circ[i - 1],
+                                  i - 1 - star_c[j - 1])
                for (i, j) in hd.b_cells]
         num.append(_Factored.monomial(m * hd.anti_skew_size - hd.n_anti_skew,
                                       -(hd.n_s + hd.n_conj_anti_skew)))

@@ -1,9 +1,9 @@
-"""The operator algebra acting on XPolynomial: exchange operators K,
-Hecke generators T_i (and inverses), the affine generator T_0 (its
-s_0 f, x_1 -> q x_N and x_N -> x_1/q, formed in one term map), the
-shift operator omega, Cherednik operators Y_i, and interval
-(anti)symmetrizers.  Each is one kernel on term dicts {x-exponent:
-coefficient} that only adds, negates and calls mul(c, a, b) = c q^a t^b.
+"""The operator algebra acting on XPolynomial: Hecke generators T_i
+(and inverses), the affine generator T_0 (its s_0 f, x_1 -> q x_N and
+x_N -> x_1/q, formed in one term map), the shift operator omega,
+Cherednik operators Y_i, and interval (anti)symmetrizers.  Each is one
+kernel on term dicts {x-exponent: coefficient} that only adds, negates
+and calls mul(c, a, b) = c q^a t^b.
 Three rings use them: Q(q,t), with QTScalar.mul_monomial, behind the
 XPolynomial operators; Z[q,t], with QTPoly.mul_term, in the hecke and
 eigen suites of verify, the left side of the Pieri operator identity
@@ -23,7 +23,7 @@ from itertools import combinations
 
 from .errors import DivisibilityError
 from .qt import QTScalar, _poly, qt_monomial
-from .xpoly import XPolynomial, _check_var, _xpoly, permute_vars
+from .xpoly import XPolynomial, _xpoly
 
 _TINV = qt_monomial(0, -1)
 _ONE = QTScalar.one()
@@ -269,21 +269,14 @@ def _unpack(f, w, B):
 
 # -- the operators on XPolynomial over Q(q,t)
 
-def apply_K(i: int, j: int, f: XPolynomial) -> XPolynomial:
-    """Exchange x_i and x_j."""
-    _check_var(i, f.nvars)
-    _check_var(j, f.nvars)
-    sigma = list(range(1, f.nvars + 1))
-    sigma[i - 1], sigma[j - 1] = j, i
-    return permute_vars(f, tuple(sigma))
-
-
 def apply_T(i: int, f: XPolynomial) -> XPolynomial:
     """T_i f = t f + (t x_i - x_(i+1)) (K_(i,i+1) f - f)/(x_i - x_(i+1)),
-    telescoped term by term (see _step); i = 0 is the affine generator."""
-    if i == 0:
-        return apply_T0(f)
+    telescoped term by term (see _step); i = 0 is the affine generator
+    T_0 f = t f + (q t x_N - x_1) (g - f)/(q x_N - x_1), g = s_0 f, by
+    _t0."""
     n = f.nvars
+    if i == 0:
+        return _xpoly(n, _t0(f.terms, _QT))
     if not 1 <= i <= n - 1:
         raise ValueError(f"T_{i} undefined for {n} variables")
     return _xpoly(n, _step(i, f.terms, 1, _QT))
@@ -293,18 +286,11 @@ def apply_T_inv(i: int, f: XPolynomial) -> XPolynomial:
     """T_i^(-1) = t^(-1) (t Tbar_i), 1 <= i < N, through _step; T_0^(-1)
     = t^(-1) - 1 + t^(-1) T_0, from the quadratic relation."""
     if i == 0:
-        return f.scale(_TINV - _ONE) + apply_T0(f).scale(_TINV)
+        return f.scale(_TINV - _ONE) + apply_T(0, f).scale(_TINV)
     n = f.nvars
     if not 1 <= i <= n - 1:
         raise ValueError(f"T_{i} undefined for {n} variables")
     return _xpoly(n, _step(i, f.terms, 0, _QT)).scale(_TINV)
-
-
-def apply_T0(f: XPolynomial) -> XPolynomial:
-    """T_0 f = t f + (q t x_N - x_1) (g - f)/(q x_N - x_1), g = s_0 f the
-    image of f under x_1 -> q x_N, x_N -> x_1/q: t g + (t - 1) x_1 times
-    the quotient, by _t0."""
-    return _xpoly(f.nvars, _t0(f.terms, _QT))
 
 
 def apply_omega(f: XPolynomial) -> XPolynomial:

@@ -159,10 +159,10 @@ def _product(into, *args) -> _Factored:
         else _FACTORED_ZERO
 
 
-def _a_factor(point, pairs, shift) -> _Factored:
+def _a_factor(point, pairs) -> _Factored:
     """prod (t X_i - X_j)/(X_i - X_j); diagonal pairs are skipped."""
     num = []
-    return _Factored.prod(num) if _a_into(num, _shifted(point, shift), pairs) \
+    return _Factored.prod(num) if _a_into(num, point, pairs) \
         else _FACTORED_ZERO
 
 
@@ -192,15 +192,6 @@ def _phi_into(num, den, ss, pt):
                 raise DegenerateEvaluationError(
                     f"vanishing denominator X_{i} - X_{j} in Phi")
             den.append(d)
-
-
-def phi_at(sigma, m: int, point, shift_J=frozenset()) -> QTScalar:
-    """The factor Phi(sigma) evaluated at the point, with coordinates in
-    shift_J premultiplied by q (for use inside a q-shift)."""
-    num, den = [], []
-    _phi_into(num, den, SigmaSets.from_sigma(tuple(sigma), m),
-              _shifted(point, shift_J))
-    return _Factored.prod(num, den).expand()
 
 
 def _k_sigma_delta_into(num, ss, pt):

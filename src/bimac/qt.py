@@ -647,13 +647,6 @@ def _brackets(ks, param):
             [_Factored.binomial(0, 0, da, db)] * len(ks))
 
 
-def t_bracket(k: int, param: str = "t") -> QTScalar:
-    """[k] = 1 + p + ... + p^(k-1) in the chosen parameter."""
-    if k < 0:
-        raise ValueError("bracket of a negative integer")
-    return _Factored.prod(*_brackets((k,), param)).expand()
-
-
 def t_bracket_factorial(k: int, param: str = "t") -> QTScalar:
     """[k]! = [1][2]...[k]; the empty product for k = 0."""
     if k < 0:

@@ -32,19 +32,6 @@ def perm_inverse(p):
     return tuple(out)
 
 
-def perm_compose(p, q):
-    """p after q: (p o q)(i) = p(q(i))."""
-    return tuple(p[q[i] - 1] for i in range(len(p)))
-
-
-def perm_act(w, v):
-    """The vector w(v) with (w v)_i = v_(w^-1(i))."""
-    out = [0] * len(v)
-    for i, x in enumerate(v):
-        out[w[i] - 1] = x
-    return tuple(out)
-
-
 def sorting_permutation(v):
     """Minimal-length w with w(v) weakly decreasing.
 
@@ -243,13 +230,6 @@ def minimal_sorting_permutation(lam: SuperPartition):
     return sorting_permutation(lam.as_composition())
 
 
-def is_superevaluation(lam: SuperPartition, sigma) -> bool:
-    comp = lam.as_composition()
-    plus = tuple(x + 1 for x in comp[:lam.m]) + comp[lam.m:]
-    return perm_act(sigma, comp) == lam.star() and \
-        perm_act(sigma, plus) == lam.circled()
-
-
 def eval_point(lam: SuperPartition, sign: str) -> tuple:
     """The substitution point of the positive or negative evaluation:
     the (a_i, b_i) of x_i -> q^(a_i) t^(b_i), i = 1..N."""
@@ -413,7 +393,8 @@ def _certificate(lam, omg, moved, diagrams, strip_type, r, w, w_inv):
     L = frozenset(range(m + 1, N + 1)) - J
     if L.intersection(sigma[:m]):
         raise ConsistencyError("sigma([m]) meets L")
-    # is_superevaluation(omg, w o sigma), read on Omega's diagrams
+    # the superevaluation check of omg at w o sigma, read on Omega's
+    # diagrams
     star, circ = diagrams
     tau = [w[x - 1] for x in sigma]
     if tuple([star[x - 1] for x in tau]) != omg.anti + omg.sym or \

@@ -262,12 +262,12 @@ def _rel_u_plus(N, r, J, point):
     distinct monomials."""
     # (x_a - t x_b)/(x_a - x_b) is _a_factor's (t X_b - X_a)/(X_b - X_a)
     terms = [_a_factor(point, [(sigma[j], sigma[i]) for i, j in
-                               combinations(range(N), 2)], ())
+                               combinations(range(N), 2)])
              for sigma in permutations(range(1, N + 1))
              if set(sigma[N - r:]) == set(J)]
     num, den = _brackets([*range(1, r + 1), *range(1, N - r + 1)], "t")
     rest = set(range(1, N + 1)) - set(J)
-    rhs = _Factored.prod([*num, _a_factor(point, product(J, rest), ())], den)
+    rhs = _Factored.prod([*num, _a_factor(point, product(J, rest))], den)
     return _vanishes([*terms, rhs],
                      [{(0, 0): 1}] * len(terms) + [{(0, 0): -1}])
 

@@ -1,9 +1,9 @@
 """Sparse polynomials in x_1..x_N over Q(q,t), plus the variable
-actions (permutation, q-shift, exact division, specialization) the
-operator algebra is built from.  There is no inverse q-shift: T_0 forms
-its image of f in one term map (hecke.apply_T0).  divided_difference is
-the exact quotient it is defined as; the operators telescope it term by
-term in their own kernel (hecke._step).
+actions (permutation, exact division, specialization) the operator
+algebra is built from.  T_0 forms its image of f in one term map
+(hecke._t0).  divided_difference is the exact quotient it is defined
+as; the operators telescope it term by term in their own kernel
+(hecke._step).
 
 A monomial point x_i -> q^(a_i) t^(b_i) is the tuple of its (a_i, b_i)
 pairs.  Specialization at one sums no fractions: f's integral form
@@ -22,8 +22,7 @@ from itertools import combinations
 from math import lcm as _ilcm
 
 from .errors import DivisibilityError
-from .qt import (QTScalar, _add_product, _laurent_scalar, _poly_lcm,
-                 qt_monomial)
+from .qt import QTScalar, _add_product, _laurent_scalar, _poly_lcm
 
 _ZERO = QTScalar.zero()
 _ONE = QTScalar.one()
@@ -170,9 +169,6 @@ class XPolynomial:
             return self
         return _xpoly(self.nvars, {e: v * c for e, v in self.terms.items()})
 
-    def map_coeffs(self, fn):
-        return XPolynomial(self.nvars, {e: fn(c) for e, c in self.terms.items()})
-
     # -- display ------------------------------------------------------
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: _grlex_x(kv[0]))
@@ -197,18 +193,6 @@ def permute_vars(f: XPolynomial, sigma) -> XPolynomial:
             e2[sigma[i] - 1] = e[i]
         out[tuple(e2)] = c
     return _xpoly(n, out)
-
-
-def q_shift(f: XPolynomial, J) -> XPolynomial:
-    """tau_J f: x_i -> q x_i for i in J (1-based set)."""
-    for i in J:
-        _check_var(i, f.nvars)
-    idx = [i - 1 for i in J]
-    out = {}
-    for e, c in f.terms.items():
-        k = sum(e[i] for i in idx)
-        out[e] = c.mul_monomial(k, 0) if k else c
-    return _xpoly(f.nvars, out)
 
 
 def exact_div(f: XPolynomial, g: XPolynomial) -> XPolynomial:
@@ -322,17 +306,3 @@ def elementary_symmetric(r: int, interval, nvars: int) -> XPolynomial:
             e[i] = 1
         out[tuple(e)] = _ONE
     return XPolynomial(nvars, out)
-
-
-def vandermonde(kind: str, I, nvars: int) -> XPolynomial:
-    """prod over ordered pairs of I of (x_i - x_j) or (t x_i - x_j)."""
-    if kind not in ("plain", "t_deformed"):
-        raise ValueError(f"unknown Vandermonde kind {kind!r}")
-    t = qt_monomial(0, 1)
-    out = XPolynomial.one(nvars)
-    for a, b in combinations(sorted(I), 2):
-        xa = XPolynomial.variable(a, nvars)
-        if kind == "t_deformed":
-            xa = xa.scale(t)
-        out = out * (xa - XPolynomial.variable(b, nvars))
-    return out

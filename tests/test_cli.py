@@ -1465,3 +1465,17 @@ class TestLimits:
                             lambda *a, **kw: seen.append(a) or Report())
         assert run(capsys, "verify", *argv) == (0, "", "")
         assert len(seen) == 1
+
+    def test_readme_states_the_limits_cli_enforces(self):
+        # README's limit prose, whitespace normalized, names each of cli's
+        # size constants as it stands, so a changed limit fails here until
+        # the prose follows it
+        readme = " ".join((Path(__file__).resolve().parent.parent
+                           / "README.md").read_text(encoding="utf-8").split())
+        for phrase in (f"(d + 1)·N ≤ {cli._MAX_SIZE}",
+                       f"d ≤ {cli._MAX_DEGREE_1}",
+                       f"(d + 1)·N ≤ {cli._MAX_FORMULA_SIZE}",
+                       f"at most {cli._MAX_VERIFY_N} variables",
+                       f"(d + 1)·N ≤ {cli._MAX_PIERI_SIZE}",
+                       f"2 to {cli._MAX_PIERI_N} variables"):
+            assert phrase in readme, phrase

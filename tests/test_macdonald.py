@@ -19,7 +19,8 @@ from bimac.render import terms_to_json, xpoly_to_json
 from bimac.sparts import (SuperPartition, compositions_of, eigenvalue,
                           format_spart, sorting_permutation, superpartitions)
 from bimac.xpoly import (XPolynomial, divided_difference,
-                         elementary_symmetric, exact_div, vandermonde)
+                         elementary_symmetric, exact_div)
+from reference import apply_K, map_coeffs, vandermonde
 
 ONE = QTScalar.one()
 Q = qt_monomial(1, 0)
@@ -908,14 +909,14 @@ class TestInvariantSweeps:
     def test_scaling_relation(self):
         # q-dilating the first block matches inverting both parameters
         from bimac.sparts import superpartitions
-        from bimac.xpoly import q_shift
+        from reference import q_shift
         for m in (1, 2):
             for d in range(3):
                 for sp in superpartitions(d, m, 4):
                     P = bisym_P(sp).poly
                     lhs = q_shift(P, set(range(1, m + 1))).scale(
                         qt_monomial(m * (m - 1) // 2 - sum(sp.anti), 0))
-                    rhs = P.map_coeffs(lambda c: c.invert_parameters())
+                    rhs = map_coeffs(P, lambda c: c.invert_parameters())
                     assert lhs == rhs
 
     def test_dominant_exponent(self):
@@ -923,10 +924,45 @@ class TestInvariantSweeps:
         assert dominant_exponent(lam) == (2, 1, 2, 0)
 
 
+def _last_variable_zero(f):
+    """f(x_1, .., x_N, 0) as a polynomial in N variables."""
+    return XPolynomial(f.nvars - 1, {e[:-1]: c for e, c in f.terms.items()
+                                     if not e[-1]})
+
+
+class TestStabilityInN:
+    """Stability in the number of variables, a metamorphic check: the
+    construction never uses it, so building the same object in N and in
+    N + 1 variables and setting x_(N+1) = 0 in the larger one must give
+    the smaller one.  Both sides run the same code, so this is no
+    independent oracle; it catches an error that changes with N."""
+
+    def test_E_with_a_trailing_zero(self):
+        # E_(eta,0)(x_1, .., x_N, 0) = E_eta(x_1, .., x_N)
+        etas = [eta for N in range(2, 5) for d in range(5)
+                for eta in compositions_of(d, N)]
+        assert len(etas) == 120
+        bad = [eta for eta in etas
+               if _last_variable_zero(nonsym_E(eta + (0,)).poly)
+               != nonsym_E(eta).poly]
+        assert bad == []
+
+    def test_P_with_one_more_zero_part(self):
+        # P_Lambda in N + 1 variables, its symmetric part padded with one
+        # more zero, at x_(N+1) = 0 is P_Lambda in N variables
+        shapes = [sp for N in range(2, 5) for d in range(4)
+                  for m in range(N + 1) for sp in superpartitions(d, m, N)]
+        assert len(shapes) == 78
+        bad = [format_spart(sp) for sp in shapes
+               if _last_variable_zero(bisym_P(SuperPartition(
+                   sp.anti, sp.sym, sp.N + 1)).poly) != bisym_P(sp).poly]
+        assert bad == []
+
+
 def bisymmetric_by_K(f, m):
     """is_bisymmetric's reference route: f is fixed by the exchange
     K_(i,i+1) of each adjacent pair of variables inside a block."""
-    return all(hecke.apply_K(i, i + 1, f) == f
+    return all(apply_K(i, i + 1, f) == f
                for i in (*range(1, m), *range(m + 1, f.nvars)))
 
 

@@ -1,14 +1,28 @@
-"""Every private module-level helper in src/bimac has a caller in src.
+"""Every module-level function in src/bimac is run by the program.
 
 Tests and the benchmark reach only public names, so a private def or
 class that no other src code names is dead: a helper left behind when
-its last caller was rewritten.
+its last caller was rewritten.  A public function must be called by
+other src code, or be an entry the benchmark wraps, or be one of a few
+named exceptions; a reference route that only the tests call lives in
+tests/reference.py.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "bimac"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+# public functions that neither other src code nor the benchmark's
+# targets name, each with the reason it stays in src
+KEPT = {
+    ("macdonald", "clear_caches"):
+        "the benchmark and the tests reset state with it",
+    ("macdonald", "c_lambda_corrected"):
+        "README's stated constant, checked by test_c_lambda_corrected_sweep",
+}
 
 
 def _names(node):
@@ -40,3 +54,25 @@ def test_every_private_helper_is_used_elsewhere_in_src():
                             if where != (name, k)):
                 orphans.append(f"{name}: {stmt.name}")
     assert orphans == []
+
+
+def test_every_public_function_is_run_by_src_or_the_benchmark(monkeypatch):
+    # __init__.py re-exports every public name, so it is left out as a
+    # caller; the benchmark's targets are read as
+    # test_perfbench_targets.py reads them
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    spans = importlib.import_module("spans")
+    entries = set(spans.TARGETS) | {("verify", "run_suite")} | set(KEPT)
+    modules = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+               for path in sorted(SRC.glob("*.py"))
+               if path.name != "__init__.py"}
+    uses = {(name, k): _names(stmt) for name, tree in modules.items()
+            for k, stmt in enumerate(tree.body)}
+    unrun = [f"{name}.{stmt.name}" for name, tree in modules.items()
+             for k, stmt in enumerate(tree.body)
+             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
+             and not stmt.name.startswith("_")
+             and (name, stmt.name) not in entries
+             and not any(stmt.name in used for where, used in uses.items()
+                         if where != (name, k))]
+    assert unrun == []

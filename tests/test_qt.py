@@ -8,8 +8,9 @@ from hypothesis import assume, given, settings, strategies as st
 
 from bimac import qt
 from bimac.errors import DivisibilityError
-from bimac.qt import (QTPoly, QTScalar, poly_gcd, qt_monomial, t_bracket,
+from bimac.qt import (QTPoly, QTScalar, poly_gcd, qt_monomial,
                       t_bracket_factorial)
+from reference import t_bracket
 
 
 ONE = QTScalar.one()

@@ -11,10 +11,10 @@ from bimac.errors import ConsistencyError
 from bimac.qt import qt_monomial
 from bimac.sparts import (SuperPartition, compositions_of, enumerate_strips,
                           eval_point, eigenvalue, format_spart, hook_data,
-                          is_superevaluation, lambda_naught,
-                          minimal_sorting_permutation, n_statistic,
-                          parse_spart, perm_act, perm_compose, perm_inverse,
+                          lambda_naught, minimal_sorting_permutation,
+                          n_statistic, parse_spart, perm_inverse,
                           row_of_circle, superpartitions)
+from reference import is_superevaluation, perm_act, perm_compose
 
 
 def inversions(p):
