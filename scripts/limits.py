@@ -10,9 +10,10 @@ requests in that order: ``P`` of the one-part superpartition "d;",
 ``pieri --check`` of "(d-1);" with r = 1, lower, for N <= 8, or of "d;"
 with r = 0 past it.  Each run is a fresh interpreter with PYTHONPATH
 set to SRC, so each is cold, and each command runs once.  For each it
-prints the wall seconds, the exit code and the sha256 of its stdout,
-so that two trees, or a tree before and after a change to a limit,
-are compared on the same requests.  It exits 1 if any run fails.
+prints the wall seconds, the peak resident set size of that run's
+interpreter, the exit code and the sha256 of its stdout, so that two
+trees, or a tree before and after a change to a limit, are compared
+on the same requests.  It exits 1 if any run fails.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import threading
 import time
 
 ROWS = (2, 3, 4, 5, 6, 8, 12, 25, 50)
@@ -44,6 +46,22 @@ def requests(N):
     return out
 
 
+def run(cmd, env):
+    """(stdout, exit code, peak RSS in MB) of one fresh interpreter.
+    Both pipes are read to their end before os.wait4 reaps the child,
+    for its own resource usage: communicate() would reap it first."""
+    proc = subprocess.Popen([sys.executable, "-c", MAIN, *cmd], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    with proc.stdout, proc.stderr:
+        err = threading.Thread(target=proc.stderr.read)
+        err.start()
+        out = proc.stdout.read()
+        err.join()
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    return out, proc.returncode, usage.ru_maxrss / 1024  # KiB on Linux
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("src")
@@ -54,12 +72,11 @@ def main(argv=None):
     for N in args.N or ROWS:
         for cmd in requests(N):
             start = time.perf_counter()
-            proc = subprocess.run([sys.executable, "-c", MAIN, *cmd], env=env,
-                                  capture_output=True)
+            out, code, rss = run(cmd, env)
             wall = time.perf_counter() - start
-            digest = hashlib.sha256(proc.stdout).hexdigest()[:16]
-            ok = ok and proc.returncode == 0
-            print(f"N = {N:2}  {wall:7.2f} s  exit {proc.returncode}  "
+            digest = hashlib.sha256(out).hexdigest()[:16]
+            ok = ok and code == 0
+            print(f"N = {N:2}  {wall:7.2f} s  {rss:5.0f} MB  exit {code}  "
                   f"sha256 {digest}  {' '.join(cmd)}", flush=True)
     return 0 if ok else 1
 

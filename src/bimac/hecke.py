@@ -9,9 +9,9 @@ XPolynomial operators; Z[q,t], with QTPoly.mul_term, in the hecke and
 eigen suites of verify, the left side of the Pieri operator identity
 and, for omega alone, E's Knop-Sahi recursion, whose T steps form the
 divided difference themselves; and the Kronecker-packed integers, with
-a shift, in E's eigen check and P's construction, packed from and
-unpacked to Z[q,t] term dicts by _pack and _unpack.  The T_i kernel
-_step has two modes, T_i and t Tbar_i.
+a shift, in E's eigen check and P's construction, packed from Z[q,t]
+term dicts by _pack and read back one coefficient at a time by
+_unpack.  The T_i kernel _step has two modes, T_i and t Tbar_i.
 
 Operator words act right to left, so in Y_i the rightmost inverse
 generator hits the polynomial first.
@@ -237,34 +237,24 @@ def _shifts(w, B):
     return lambda c, a, b: c << w * (B * a + b)
 
 
-def _unpack(f, w, B):
-    """The Z[q,t] term dict {x-exponent: QTPoly} whose packing under
-    (w, B) is f, read as balanced base-2^w digits, digit k the
-    coefficient of q^(k // B) t^(k % B); runs of zero digits are skipped
-    whole, and zero entries are dropped.  Each distinct int is read once,
-    and equal ints share one QTPoly: a bisymmetric f repeats each
-    coefficient along its orbits of monomials."""
+def _unpack(v, w, B):
+    """The QTPoly whose packing under (w, B) is the int v: the inverse of
+    _packed for one coefficient, read as balanced base-2^w digits, digit
+    k the coefficient of q^(k // B) t^(k % B); runs of zero digits are
+    skipped whole."""
     mask, half = (1 << w) - 1, 1 << (w - 1)
-    out, seen = {}, {}
-    for e, v in f.items():
-        if not v:
-            continue
-        p = seen.get(v)
-        if p is None:
-            rows, k, n = {}, 0, v
-            while n:
-                zeros = ((n & -n).bit_length() - 1) // w
-                k += zeros
-                n >>= w * zeros
-                digit = n & mask
-                if digit >= half:
-                    digit -= 1 << w
-                rows[divmod(k, B)] = digit
-                n = (n - digit) >> w
-                k += 1
-            p = seen[v] = _poly(rows)
-        out[e] = p
-    return out
+    rows, k = {}, 0
+    while v:
+        zeros = ((v & -v).bit_length() - 1) // w
+        k += zeros
+        v >>= w * zeros
+        digit = v & mask
+        if digit >= half:
+            digit -= 1 << w
+        rows[divmod(k, B)] = digit
+        v = (v - digit) >> w
+        k += 1
+    return _poly(rows)
 
 
 # -- the operators on XPolynomial over Q(q,t)

@@ -494,12 +494,12 @@ def bisym_P(lam: SuperPartition) -> PBasisElement:
     coefficient of P is formed by _Factored.over, as E's are, and c_lam =
     t^(m(m-1)/2) K(x^eta)/c is one factored product: no gcd.  P is
     symmetric in the first m and in the last N - m variables, so its
-    coefficients repeat along the orbits of its monomials: _unpack gives
-    equal ones one QTPoly, each is divided by c's factors once (the
-    dominant one by the certificate), and equal coefficients of P are one
-    immutable QTScalar.  The element keeps Q and c, which the evaluation
-    symmetry and the P-basis peel read, both divided by the Phi factors
-    of c that divide every coefficient of Q.
+    coefficients repeat along the orbits of its monomials: the distinct
+    packed ints of Q are indexed once, each is unpacked and divided by
+    c's factors once (the dominant one by the certificate), and equal
+    coefficients of P are one immutable QTScalar.  The element keeps Q
+    and c, which the evaluation symmetry and the P-basis peel read, both
+    divided by the Phi factors of c that divide every coefficient of Q.
     """
     key = (lam.anti, lam.sym, lam.N)
     cached = _P_CACHE.get(key)
@@ -522,36 +522,37 @@ def bisym_P(lam: SuperPartition) -> PBasisElement:
         raise ConsistencyError(
             f"plain and t-deformed constructions disagree for "
             f"{format_spart(lam)}")
-    Q = hecke._unpack(Q, w, B)
+    # each monomial keeps the index of its distinct packed int
+    index = {}
+    at = {e: index.setdefault(v, len(index)) for e, v in Q.items()}
+    Q = [hecke._unpack(v, w, B) for v in index]
+    top = at[lead]
     d = _knop_d(eta)
     phi = dict(d.phi)
     for k, e in _corrected_factors(lam).phi.items():
         if e < 0:
             phi[k] = phi.get(k, 0) - e
-    c = _Factored.factor(Q[lead].terms, phi)
+    c = _Factored.factor(Q[top].terms, phi)
     if c is None:
         raise ConsistencyError(
             f"the dominant coefficient of {format_spart(lam)} is not "
             "+-q^a t^b times Phi factors of d_eta and c_lambda")
     c_lam = _Factored.prod((_Factored.monomial(0, m * (m - 1) // 2),
                             _Factored.factor(K[eta].terms, d.phi)), (c,))
-    # _unpack gives equal coefficients one QTPoly, each divided by c's
-    # factors once: the dominant one by the certificate's division
-    divided = {id(Q[lead]): ({(c.a, c.b): c.sign}, c.phi)}
-    for v in Q.values():
-        if id(v) not in divided:
-            divided[id(v)] = _divide_out(v.terms, c.phi)
-    values = {k: c.over(*pair) for k, pair in divided.items()}
-    poly = XPolynomial(N, {e: values[id(v)] for e, v in Q.items()})
+    # each distinct coefficient divided by c's factors once: the dominant
+    # one by the certificate's division
+    divided = [({(c.a, c.b): c.sign}, c.phi) if k == top
+               else _divide_out(v.terms, c.phi) for k, v in enumerate(Q)]
+    values = [c.over(*pair) for pair in divided]
+    poly = XPolynomial(N, {e: values[k] for e, k in at.items()})
     # Q's content over c's factors, divided out of Q and c: smaller
     # integers for the evaluation symmetry and the peel
-    g = {k: n for k in c.phi
-         if (n := min(t[k] for _, t in divided.values()))}
+    g = {k: n for k in c.phi if (n := min(t[k] for _, t in divided))}
     if g:
         c = c / _Factored(1, 0, 0, g)
-        reduced = {k: _poly(_add_product({}, f, _excess(taken, g)))
-                   for k, (f, taken) in divided.items()}
-        Q = {e: reduced[id(v)] for e, v in Q.items()}
+        Q = [_poly(_add_product({}, f, _excess(taken, g)))
+             for f, taken in divided]
+    Q = {e: Q[k] for e, k in at.items()}
     elem = PBasisElement(lam=lam, poly=poly, c_lam=c_lam.expand(), Q=Q, c=c)
     _P_CACHE[key] = elem
     return elem

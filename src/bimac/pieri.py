@@ -132,11 +132,11 @@ def _ratio(ai, bi, aj, bj) -> _Factored:
                           (_Factored.binomial(ai, bi, aj, bj),))
 
 
-def _a_into(num, pt, pairs) -> bool:
+def _a_into(num, den, pt, pairs) -> bool:
     """Append the ratios (t X_i - X_j)/(X_i - X_j) of the pairs at the
-    point pt to num, diagonal pairs skipped, pair by pair: a vanishing
-    divisor raises, and a vanishing factor stops the product and returns
-    False."""
+    point pt to num (den gets none), diagonal pairs skipped, pair by
+    pair: a vanishing divisor raises, and a vanishing factor stops the
+    product and returns False."""
     for i, j in pairs:
         if i == j:
             continue
@@ -156,13 +156,6 @@ def _product(into, *args) -> _Factored:
     to num and den, or zero if it returns False."""
     num, den = [], []
     return _Factored.prod(num, den) if into(num, den, *args) \
-        else _FACTORED_ZERO
-
-
-def _a_factor(point, pairs) -> _Factored:
-    """prod (t X_i - X_j)/(X_i - X_j); diagonal pairs are skipped."""
-    num = []
-    return _Factored.prod(num) if _a_into(num, point, pairs) \
         else _FACTORED_ZERO
 
 
@@ -215,13 +208,15 @@ def _C_into(num, den, m, r, J, L, sigma, point) -> bool:
     even when the inner product has vanished.
     """
     Js = sorted(J)
-    outer = (_a_into(num, point, combinations(range(1, m + 1), 2)),
-             _a_into(num, point, [(i, j) for i in Js for j in sorted(L)]))
+    outer = (_a_into(num, den, point, combinations(range(1, m + 1), 2)),
+             _a_into(num, den, point,
+                     [(i, j) for i in Js for j in sorted(L)]))
     if not all(outer):
         return False
     ss = SigmaSets.from_sigma(sigma, m)
     pt = _shifted(point, J)
-    inner = _a_into(num, pt, [(i, j) for i in Js for j in ss.img_rows])
+    inner = _a_into(num, den, pt,
+                    [(i, j) for i in Js for j in ss.img_rows])
     num.append(_t_power(r, len(sigma)))
     _phi_into(num, den, ss, pt)
     _k_sigma_delta_into(num, ss, pt)
@@ -243,15 +238,15 @@ def _D_into(num, den, m, r, J, sigma, point) -> bool:
     N = len(sigma)
     ss = SigmaSets.from_sigma(sigma, m)
     Js = sorted(J)
-    outer = (_a_into(num, point, combinations(range(1, m + 1), 2)),
-             _a_into(num, point, [(i, j) for i in Js
-                                  for j in range(m + 1, N + 1)]))
+    outer = (_a_into(num, den, point, combinations(range(1, m + 1), 2)),
+             _a_into(num, den, point, [(i, j) for i in Js
+                                       for j in range(m + 1, N + 1)]))
     if not all(outer):
         return False
     _phi_into(num, den, ss, point)
     pt = _shifted(point, J)
-    if not _a_into(num, pt, [(i, j) for i in Js for j in ss.a_set_rows
-                             if j not in J]):
+    if not _a_into(num, den, pt, [(i, j) for i in Js for j in ss.a_set_rows
+                                  if j not in J]):
         return False
     num.append(_t_power(r, N, -1 if len(ss.b_comp) % 2 else 1))
     _k_sigma_delta_into(num, ss, pt)

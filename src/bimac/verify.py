@@ -22,7 +22,7 @@ converts nothing, and this ring has no width bound, unlike the packed
 check inside construction.
 
 The hecke suite's A-product lemma holds both sides factored: each
-symmetrized term and the block factor are ``pieri._a_factor`` products,
+symmetrized term and the block factor are ``pieri._a_into`` products,
 the constant [r]! [N-r]! comes from ``qt._brackets``, and
 ``qt._vanishes``, the Pieri operator identity's zero test, adds the
 terms minus the right side as integers over one common denominator,
@@ -37,9 +37,9 @@ import random
 from itertools import combinations, permutations, product
 
 from .evalsym import _P_at, eval_formula, symmetry_check
-from .macdonald import (bisym_P, c_lambda_formula, dominant_exponent,
-                        _bruhat_below, _integral_E)
-from .pieri import (_a_factor, _generic_point, op_identity_check,
+from .macdonald import (bisym_P, c_lambda_corrected, c_lambda_formula,
+                        dominant_exponent, _bruhat_below, _integral_E)
+from .pieri import (_a_into, _generic_point, _product, op_identity_check,
                     pieri_bruteforce, pieri_expand, expansions_equal)
 from .qt import (QTPoly, _brackets, _Factored, _vanishes,
                  t_bracket_factorial)
@@ -260,14 +260,15 @@ def _rel_u_plus(N, r, J, point):
     permutations sending the last r variables onto J equals the bracket
     constant times the block A factor, at a point whose coordinates are
     distinct monomials."""
-    # (x_a - t x_b)/(x_a - x_b) is _a_factor's (t X_b - X_a)/(X_b - X_a)
-    terms = [_a_factor(point, [(sigma[j], sigma[i]) for i, j in
-                               combinations(range(N), 2)])
+    # (x_a - t x_b)/(x_a - x_b) is _a_into's (t X_b - X_a)/(X_b - X_a)
+    terms = [_product(_a_into, point, [(sigma[j], sigma[i]) for i, j in
+                                       combinations(range(N), 2)])
              for sigma in permutations(range(1, N + 1))
              if set(sigma[N - r:]) == set(J)]
     num, den = _brackets([*range(1, r + 1), *range(1, N - r + 1)], "t")
     rest = set(range(1, N + 1)) - set(J)
-    rhs = _Factored.prod([*num, _a_factor(point, product(J, rest))], den)
+    rhs = _Factored.prod([*num, _product(_a_into, point, product(J, rest))],
+                         den)
     return _vanishes([*terms, rhs],
                      [{(0, 0): 1}] * len(terms) + [{(0, 0): -1}])
 
@@ -343,6 +344,9 @@ def suite_normalization(N=4, deg=3) -> Report:
     rep.check(f"dominant monomial coefficient is 1 on {len(sps)} P's",
               [(sp,) for sp in sps], lambda sp: bisym_P(sp).poly.coefficient(
                   dominant_exponent(sp)).is_one())
+    rep.check("recorded constants equal c_lambda_corrected on "
+              f"{len(sps)} P's", [(sp,) for sp in sps],
+              lambda sp: bisym_P(sp).c_lam == c_lambda_corrected(sp))
     # a census rather than a first counterexample: this clause fails by
     # design, and the detail counts every shape it fails on
     mism = [format_spart(sp) for sp in sps

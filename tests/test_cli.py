@@ -298,13 +298,15 @@ class TestCommandVerify:
         assert code == 0
 
     def test_normalization_suite_fails_on_the_closed_formula(self, capsys):
-        # opt-in: the dominant coefficient is 1, and the printed closed
-        # normalization formula is the known discrepancy
+        # opt-in: the dominant coefficient is 1, the recorded constant is
+        # the corrected one, and the printed closed normalization formula
+        # is the known discrepancy
         code, out, _ = run(capsys, "verify", "--suite", "normalization",
                            "--N", "3", "--deg", "2")
         assert code == 1
         assert out.splitlines() == [
             "[pass] dominant monomial coefficient is 1 on 10 P's",
+            "[pass] recorded constants equal c_lambda_corrected on 10 P's",
             "[FAIL] recorded constants equal the closed formula: "
             "3 mismatches, first ['1,0;', '1,0;1', '2,0;']"]
 

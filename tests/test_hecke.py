@@ -287,15 +287,36 @@ def intervals(draw, n):
     return a, draw(st.integers(a, n))
 
 
+@st.composite
+def packed_terms(draw):
+    """(terms, w, B): a QTPoly's terms with every coefficient a balanced
+    base-2^w digit, negative top digits included, and keys far enough
+    apart to leave long runs of zero digits between them."""
+    w, B = draw(st.integers(2, 64)), draw(st.integers(1, 16))
+    half = 1 << (w - 1)
+    terms = draw(st.dictionaries(
+        st.tuples(st.integers(0, 60), st.integers(0, B - 1)),
+        st.integers(1 - half, half - 1).filter(bool), min_size=1, max_size=8))
+    return terms, w, B
+
+
 class TestPackedSymmetrizers:
     @settings(max_examples=40, deadline=None)
     @given(integral_polys())
     def test_unpack_inverts_pack(self, f):
         K = as_terms(f)
         w, B, packed = hecke._pack(K, 1, 0)
-        got = hecke._unpack(packed, w, B)
+        got = {e: hecke._unpack(v, w, B) for e, v in packed.items()}
         assert got == K
         assert all(type(c) is QTPoly for c in got.values())
+
+    @settings(max_examples=100, deadline=None)
+    @given(packed_terms())
+    @example(({(0, 0): 1, (40, 1): -1}, 2, 2))
+    def test_unpack_reads_one_packed_int(self, case):
+        # the digit reader against the packing of one coefficient
+        terms, w, B = case
+        assert hecke._unpack(hecke._packed(terms, w, B), w, B).terms == terms
 
     @settings(max_examples=80, deadline=None)
     @given(st.dictionaries(st.tuples(st.integers(0, 12), st.integers(0, 12)),

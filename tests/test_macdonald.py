@@ -404,7 +404,8 @@ class TestNonsymE:
             macdonald._check_E(eta, K)
             for m in range(len(eta) + 1):
                 w, B, packed = macdonald._P_pack(K, m)
-                assert hecke._unpack(packed, w, B) == K, (eta, m)
+                assert {e: hecke._unpack(v, w, B)
+                        for e, v in packed.items()} == K, (eta, m)
 
     def test_step_divisors_and_d_eta(self):
         # each step of the recursion, run on J_nu = d_nu E_nu with Q(q,t)

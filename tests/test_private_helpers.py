@@ -20,8 +20,6 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 KEPT = {
     ("macdonald", "clear_caches"):
         "the benchmark and the tests reset state with it",
-    ("macdonald", "c_lambda_corrected"):
-        "README's stated constant, checked by test_c_lambda_corrected_sweep",
 }
 
 

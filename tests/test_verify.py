@@ -4,7 +4,7 @@ import pytest
 
 from bimac import hecke, macdonald, qt, verify
 from bimac.macdonald import _bruhat_below
-from bimac.pieri import _a_factor
+from bimac.pieri import _a_into, _product
 from bimac.qt import (QTPoly, QTScalar, _brackets, _Factored, _vanishes,
                       qt_monomial, t_bracket_factorial)
 from bimac.sparts import compositions_of
@@ -96,12 +96,13 @@ def _lemma_sum(N, r, J, point, brackets=True, rhs_J=None, flip=False):
         if set(sigma[N - r:]) == set(J):
             pairs = [(sigma[i], sigma[j]) if flip else (sigma[j], sigma[i])
                      for i, j in combinations(range(N), 2)]
-            terms.append(_a_factor(point, pairs))
+            terms.append(_product(_a_into, point, pairs))
     K = J if rhs_J is None else rhs_J
     num, den = _brackets([*range(1, r + 1), *range(1, N - r + 1)], "t") \
         if brackets else ([], [])
     rest = set(range(1, N + 1)) - set(K)
-    rhs = _Factored.prod([*num, _a_factor(point, product(K, rest))], den)
+    rhs = _Factored.prod([*num, _product(_a_into, point, product(K, rest))],
+                         den)
     return not _vanishes([*terms, rhs],
                          [{(0, 0): 1}] * len(terms) + [{(0, 0): -1}])
 
